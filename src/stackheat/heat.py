@@ -2,9 +2,9 @@
 
 Space is discretized by second-order central differences on the uniform grid,
 time by the one-parameter theta scheme (theta = 1/2 Crank-Nicolson, theta = 1
-implicit Euler); both are unconditionally stable on [1/2, 1].  Each time step
-costs one tridiagonal solve.  Dirichlet data enters through the boundary rows
-of the stencil (ghost-free), so the interior update for a step k -> k+1 reads
+implicit Euler); both are unconditionally stable on [1/2, 1].  Dirichlet data
+enters through the boundary rows of the stencil (ghost-free), so the interior
+update for a step k -> k+1 reads
 
     (I - theta*dt*D) y^{k+1} = (I + (1-theta)*dt*D) y^k
         + dt * favg(source)^k + (dt/dx^2) * favg(boundary)^k at the edge rows
@@ -13,15 +13,25 @@ with D the interior discrete Laplacian and favg the scheme's forward-in-time
 average theta*z^{k+1} + (1-theta)*z^k.  The backward solver is the exact time
 reversal of the forward one, so backward-solving reversed data reproduces the
 reversed forward solution to machine precision.
+
+Each time step is one direct call of LAPACK ``gtsv``, the routine that
+``scipy.linalg.solve_banded((1, 1), ...)`` calls for a tridiagonal matrix, so
+results match that route bit for bit without its per-call overhead.  The raw
+marches take trailing batch axes: ``gtsv`` solves every column of a step at
+once, and each column equals its single-column march bit for bit.  Instead of
+checking every step's data, a march checks its result once and rejects
+non-finite values (non-finite data or overflow) with ``ValueError``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .errors import GridMismatchError
 from .grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField, SpatialGrid, TimeGrid
+
+_GTSV, = get_lapack_funcs(("gtsv",), (np.empty(0),))
 
 
 def favg(z: np.ndarray, theta: float) -> np.ndarray:
@@ -53,20 +63,21 @@ def _check_theta(theta: float):
         raise ValueError(f"theta_scheme must lie in [1/2, 1], got {theta}")
 
 
-def _banded_matrix(grid: SpatialGrid, tgrid: TimeGrid, theta: float) -> np.ndarray:
-    """(I - theta*dt*D) in scipy solve_banded layout."""
-    n = grid.n_interior
-    r = theta * tgrid.dt / grid.dx ** 2
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r
-    return ab
+def _tridiagonal_solve(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system with LAPACK ``gtsv``; ``rhs`` is (n,) or (n, nrhs).
+
+    ``rhs`` may be overwritten.  Every caller's matrix is strictly diagonally
+    dominant, so ``gtsv`` never meets a zero pivot; callers check finiteness.
+    """
+    return _GTSV(sub, diag, sup, rhs, overwrite_b=True)[3]
 
 
-def _explicit_apply(y: np.ndarray, grid: SpatialGrid, tgrid: TimeGrid, theta: float) -> np.ndarray:
-    """(I + (1-theta)*dt*D) y for an interior vector with zero extension."""
-    r = (1.0 - theta) * tgrid.dt / grid.dx ** 2
+def _explicit_apply(y: np.ndarray, r: float) -> np.ndarray:
+    """(I + (1-theta)*dt*D) y for an interior vector with zero extension.
+
+    ``r`` is (1-theta)*dt/dx^2; ``y`` may carry trailing batch axes.
+    """
     out = (1.0 - 2.0 * r) * y
     out[1:] += r * y[:-1]
     out[:-1] += r * y[1:]
@@ -78,32 +89,47 @@ def march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
           left: np.ndarray | None = None,
           right: np.ndarray | None = None,
           theta: float = 0.5) -> np.ndarray:
-    """Raw forward march on interior arrays; returns (n_levels, n_interior).
+    """Raw forward march on interior arrays; returns (n_levels, n_interior, *B).
 
-    ``source`` has shape (n_levels, n_interior); ``left``/``right`` are the
-    Dirichlet boundary values per level.  This is the hot path shared by the
-    public solvers and the coupled-system engines.
+    ``y0`` has shape (n_interior, *B), ``source`` (n_levels, n_interior, *B)
+    and ``left``/``right``, the Dirichlet boundary values per level,
+    (n_levels, *B).  The trailing batch axes ``B`` are optional: an input
+    without them (or with length-1 axes) is shared by every column.  This is
+    the hot path shared by the public solvers and the coupled-system engines.
     """
     _check_theta(theta)
     n, klev = grid.n_interior, tgrid.n_levels
-    ab = _banded_matrix(grid, tgrid, theta)
-    scale = tgrid.dt / grid.dx ** 2
+    inputs = ((y0, 1), (source, 2), (left, 1), (right, 1))
+    batch = np.broadcast_shapes(*(np.shape(a)[core:] for a, core in inputs if a is not None))
 
-    y = np.empty((klev, n))
-    y[0] = y0
-    src_mid = None if source is None else tgrid.dt * favg(source, theta)
-    left_mid = None if left is None else scale * favg(left, theta)
-    right_mid = None if right is None else scale * favg(right, theta)
+    def lift(a, core):
+        """``a`` with missing batch axes inserted, so it broadcasts over ``batch``."""
+        a = np.asarray(a, dtype=float)
+        return a.reshape(a.shape[:core] + (1,) * (len(batch) - (a.ndim - core)) + a.shape[core:])
+
+    scale = tgrid.dt / grid.dx ** 2
+    r = theta * tgrid.dt / grid.dx ** 2
+    r_explicit = (1.0 - theta) * tgrid.dt / grid.dx ** 2
+    sub = np.full(n - 1, -r)
+    diag = np.full(n, 1.0 + 2.0 * r)
+
+    y = np.empty((klev, n) + batch)
+    y[0] = lift(y0, 1)
+    src_mid = None if source is None else tgrid.dt * favg(lift(source, 2), theta)
+    left_mid = None if left is None else scale * favg(lift(left, 1), theta)
+    right_mid = None if right is None else scale * favg(lift(right, 1), theta)
 
     for k in range(klev - 1):
-        rhs = _explicit_apply(y[k], grid, tgrid, theta)
+        rhs = _explicit_apply(y[k], r_explicit)
         if src_mid is not None:
             rhs = rhs + src_mid[k]
         if left_mid is not None:
             rhs[0] += left_mid[k]
         if right_mid is not None:
             rhs[-1] += right_mid[k]
-        y[k + 1] = solve_banded((1, 1), ab, rhs)
+        y[k + 1] = _tridiagonal_solve(sub, diag, sub, rhs)
+    if not np.isfinite(y).all():
+        raise ValueError("march produced non-finite values: non-finite data or overflow")
     return y
 
 

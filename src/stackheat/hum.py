@@ -476,9 +476,8 @@ def observability_probe(cfg: ScenarioConfig, params: RobustParams,
     keep = evals > max(evals.max(), 1e-300) * 1e-12
     proj = evecs[:, keep] / np.sqrt(evals[keep])
     lred = proj.T @ lmat @ proj
-    w = np.zeros(int(keep.sum()))
     w0 = proj.T @ gmat[:, 0]
-    w = w0 / np.linalg.norm(w0) if np.linalg.norm(w0) > 0 else np.ones_like(w)
+    w = w0 / np.linalg.norm(w0) if np.linalg.norm(w0) > 0 else np.ones(int(keep.sum()))
     refined = float(ratios_arr[best])
     for _ in range(refine_steps):
         w = lred @ w

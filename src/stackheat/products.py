@@ -17,10 +17,9 @@ Laplacian (one tridiagonal solve), consistent with the duality used by HUM.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .grids import BoundarySet, BoundaryTrace, Region, SpaceTimeField, SpatialGrid, check_same_grids
-from .heat import bavg, favg, trapezoid_time_weights
+from .heat import _tridiagonal_solve, favg, trapezoid_time_weights
 
 
 def _space_weights(grid: SpatialGrid) -> np.ndarray:
@@ -74,12 +73,12 @@ def h10_norm(u: np.ndarray, grid: SpatialGrid) -> float:
 
 def neg_laplacian_solve(u: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Solve -D z = u on the interior nodes (homogeneous Dirichlet)."""
-    n = grid.n_interior
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -1.0
-    ab[1, :] = 2.0
-    ab[2, :-1] = -1.0
-    return solve_banded((1, 1), ab / grid.dx ** 2, np.asarray(u, dtype=float))
+    u = np.array(u, dtype=float)  # a copy: gtsv overwrites its right-hand side
+    if not np.isfinite(u).all():
+        raise ValueError("right-hand side contains non-finite entries")
+    n, h2 = grid.n_interior, grid.dx ** 2
+    off = np.full(n - 1, -1.0) / h2
+    return _tridiagonal_solve(off, np.full(n, 2.0) / h2, off, u)
 
 
 def hminus1_norm(u: np.ndarray, grid: SpatialGrid) -> float:
@@ -99,15 +98,6 @@ def qmid_field(f: np.ndarray, g: np.ndarray, grid: SpatialGrid, dt: float,
     """
     fa, ga = favg(f, theta), favg(g, theta)
     prod = fa * ga
-    if mask is not None:
-        prod = prod[:, mask]
-    return float(dt * grid.dx * prod.sum())
-
-
-def qmid_field_mixed(fwd: np.ndarray, bwd: np.ndarray, grid: SpatialGrid, dt: float,
-                     mask: np.ndarray | None = None, theta: float = 0.5) -> float:
-    """Midpoint pairing of a forward sequence against a backward sequence."""
-    prod = favg(fwd, theta) * bavg(bwd, theta)
     if mask is not None:
         prod = prod[:, mask]
     return float(dt * grid.dx * prod.sum())

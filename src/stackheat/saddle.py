@@ -20,6 +20,7 @@ round-off level rather than at discretization level.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +34,11 @@ from .scenario import RobustParams, ScenarioConfig, require_valid
 from .weights import _LOG_CAP, rho_star_log, rho_star_inv_sq
 
 _CN = 0.5  # the optimality machinery is exact for the midpoint scheme
+
+# verify_saddle solves its perturbed states in blocks of columns, each block
+# one batched march; the width keeps one (n_levels, n_interior, width) float
+# array within this many bytes (25 columns at n_interior = n_steps = 50).
+_BLOCK_BYTES = 512 * 1024
 
 
 def _require_cn(cfg: ScenarioConfig):
@@ -464,8 +470,12 @@ def evaluate_functional_raw(prob: _Problem, follower, disturbance, leader_arr,
 
 def _state_solve_explicit(prob: _Problem, follower, disturbance, leader_arr,
                           y0=None) -> np.ndarray:
-    """State for explicitly given follower controls (not the feedback form)."""
-    cfg, params = prob.cfg, prob.params
+    """State for explicitly given follower controls (not the feedback form).
+
+    The controls may carry one trailing batch axis; ``leader_arr`` then
+    carries a trailing axis of length 1 (see ``_stream_states``).
+    """
+    cfg = prob.cfg
     grid, tgrid = cfg.grid, cfg.tgrid
     c = cfg.configuration
     y0 = cfg.y0 if y0 is None else y0
@@ -484,7 +494,7 @@ def _state_solve_explicit(prob: _Problem, follower, disturbance, leader_arr,
         for (side, col, rho, ell), v in zip(prob.follower_edges, follower):
             add_bnd(side, rho * v)
     elif c == "B":
-        source = np.zeros((tgrid.n_levels, grid.n_interior))
+        source = np.zeros(np.broadcast_shapes(follower.shape, disturbance.shape))
         source[:, prob.b1_mask] += follower[:, prob.b1_mask]
         source[:, prob.b2_mask] += disturbance[:, prob.b2_mask]
         if leader_arr is not None:
@@ -598,7 +608,9 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
     A/B: both saddle inequalities; C: plain minimality; D: both unilateral
     Nash conditions.  Additionally estimates the first-order stationarity of
     the discrete functional by exact central differences (the functional is
-    quadratic in the well-scaled variables).
+    quadratic in the well-scaled variables).  The perturbed states are solved
+    in batched blocks (``_stream_states``); every value equals the one of a
+    single solve bit for bit.
     """
     prob = build_problem(cfg, params)
     leader_arr = _leader_array(prob, leader)
@@ -627,49 +639,69 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
         lo, hi = magnitudes
         return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
+    # A/B: each perturbation yields the perturbed follower, then the perturbed
+    # disturbance
     if c == "A":
         vbar = tuple(sol.follower[side].values for (side, _, _, _) in prob.follower_edges)
         psibar = sol.disturbance.interior
-        for k in range(n_perturbations):
-            m = rand_mag()
-            dv = tuple(m * rng.standard_normal(klev) for _ in vbar)
-            dpsi = m * rng.standard_normal((klev, n))
-            j_v = evaluate_functional_raw(prob, tuple(b + d for b, d in zip(vbar, dv)),
-                                          psibar, leader_arr)
-            j_p = evaluate_functional_raw(prob, vbar, psibar + dpsi, leader_arr)
-            note_min(k, "control", jbar - j_v)
-            note_max(k, j_p - jbar)
+
+        def controls():
+            for _ in range(n_perturbations):
+                m = rand_mag()
+                dv = tuple(m * rng.standard_normal(klev) for _ in vbar)
+                dpsi = m * rng.standard_normal((klev, n))
+                yield tuple(b + d for b, d in zip(vbar, dv)), psibar
+                yield vbar, psibar + dpsi
     elif c == "B":
         vbar = sol.follower.interior
         psibar = sol.disturbance.interior
+
+        def controls():
+            for _ in range(n_perturbations):
+                m = rand_mag()
+                dv = np.zeros_like(vbar)
+                dv[:, prob.b1_mask] = m * rng.standard_normal((klev, int(prob.b1_mask.sum())))
+                dpsi = np.zeros_like(psibar)
+                dpsi[:, prob.b2_mask] = m * rng.standard_normal((klev, int(prob.b2_mask.sum())))
+                yield vbar + dv, psibar
+                yield vbar, psibar + dpsi
+
+    if c in ("A", "B"):
+        values = [evaluate_functional_raw(prob, f, d, leader_arr, state=y)
+                  for f, d, y in _stream_states(prob, leader_arr, controls())]
         for k in range(n_perturbations):
-            m = rand_mag()
-            dv = np.zeros_like(vbar)
-            dv[:, prob.b1_mask] = m * rng.standard_normal((klev, int(prob.b1_mask.sum())))
-            dpsi = np.zeros_like(psibar)
-            dpsi[:, prob.b2_mask] = m * rng.standard_normal((klev, int(prob.b2_mask.sum())))
-            j_v = evaluate_functional_raw(prob, vbar + dv, psibar, leader_arr)
-            j_p = evaluate_functional_raw(prob, vbar, psibar + dpsi, leader_arr)
-            note_min(k, "control", jbar - j_v)
-            note_max(k, j_p - jbar)
+            note_min(k, "control", jbar - values[2 * k])
+            note_max(k, values[2 * k + 1] - jbar)
     else:
         vbars = ((sol.follower.values,) if c == "C"
                  else tuple(tr.values for tr in sol.follower))
-        jbars = [evaluate_functional_raw(prob, vbars, None, leader_arr, index=i)
+        state = _state_solve_explicit(prob, vbars, None, leader_arr)
+        jbars = [evaluate_functional_raw(prob, vbars, None, leader_arr, state=state, index=i)
                  for i in range(len(vbars))]
+        # rho_star is infinite at t = 0 and T: a deviation there has infinite
+        # cost, saturates every perturbed value at the cap and hides any
+        # violation, so the perturbations vanish on those levels
+        live = np.isfinite(prob.log_g2)
+
+        def controls():
+            for _ in range(n_perturbations):
+                m = rand_mag()
+                for i in range(len(vbars)):
+                    dv = np.where(live, m * rng.standard_normal(klev), 0.0)
+                    yield tuple(v + dv if j == i else v for j, v in enumerate(vbars)), None
+
+        values = [evaluate_functional_raw(prob, f, None, leader_arr, state=y, index=i)
+                  for (f, _, y), i in zip(_stream_states(prob, leader_arr, controls()),
+                                          itertools.cycle(range(len(vbars))))]
         for k in range(n_perturbations):
-            m = rand_mag()
             for i in range(len(vbars)):
-                dv = m * rng.standard_normal(klev)
-                pert = tuple(v + dv if j == i else v for j, v in enumerate(vbars))
-                j_i = evaluate_functional_raw(prob, pert, None, leader_arr, index=i)
-                note_min(k, f"control {i + 1}", jbars[i] - j_i)
+                note_min(k, f"control {i + 1}", jbars[i] - values[k * len(vbars) + i])
 
     max_dderiv = _stationarity_estimate(prob, sol, leader_arr, rng, n_directions)
 
     concavity = ()
     if c == "A":
-        concavity = tuple(_concavity_estimate(prob, rng) for _ in range(3))
+        concavity = _concavity_estimates(prob, rng, 3)
 
     passed = (min_viol <= slack and max_viol <= slack
               and max_dderiv <= stationarity_tol * scale)
@@ -677,6 +709,36 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
         worst = ()
     return VerifyReport(n_perturbations, min_viol, max_viol, max_dderiv,
                         jbar, concavity, passed, worst)
+
+
+def _stream_states(prob: _Problem, leader_arr, controls, y0=None):
+    """Yield (follower, disturbance, state) for each explicit control pair of ``controls``.
+
+    ``controls`` is iterated a block at a time and each block is solved by
+    one batched march through ``_state_solve_explicit``.  Each state is handed
+    out as a contiguous copy of its column, so the reductions that follow sum
+    in the same order as after a single solve.  A block is released before
+    the next one is drawn, which bounds memory and keeps any random draws
+    made inside ``controls`` in their original order.
+    """
+    cfg = prob.cfg
+    width = max(1, _BLOCK_BYTES // (8 * cfg.tgrid.n_levels * cfg.grid.n_interior))
+    lead = None if leader_arr is None else leader_arr[..., None]
+
+    def stacked(columns):
+        return np.stack(columns, axis=-1)
+
+    it = iter(controls)
+    while block := list(itertools.islice(it, width)):
+        fols, dists = zip(*block)
+        states = _state_solve_explicit(
+            prob,
+            stacked(fols) if cfg.configuration == "B" else tuple(map(stacked, zip(*fols))),
+            None if dists[0] is None else stacked(dists),
+            lead, y0=y0)
+        for j, (f, d) in enumerate(block):
+            yield f, d, np.ascontiguousarray(states[..., j])
+        del block, fols, dists, states  # release this block before drawing the next
 
 
 def _stationarity_estimate(prob: _Problem, sol: SaddleSolution, leader_arr,
@@ -687,69 +749,79 @@ def _stationarity_estimate(prob: _Problem, sol: SaddleSolution, leader_arr,
     derivative is taken in the rho_star-weighted control variable, whose
     feedback formula is finite through the weight's over/underflow range.
     """
-    cfg, params = prob.cfg, prob.params
+    cfg = prob.cfg
     c = cfg.configuration
     klev, n = cfg.tgrid.n_levels, cfg.grid.n_interior
-    worst = 0.0
     step = 1e-2
 
+    # every direction yields the +step control, then the -step one
     if c == "A":
         vbar = tuple(sol.follower[side].values for (side, _, _, _) in prob.follower_edges)
         psibar = sol.disturbance.interior
-        for _ in range(n_directions):
-            dv = tuple(rng.standard_normal(klev) for _ in vbar)
-            dpsi = rng.standard_normal((klev, n))
-            jp = evaluate_functional_raw(
-                prob, tuple(b + step * d for b, d in zip(vbar, dv)),
-                psibar + step * dpsi, leader_arr)
-            jm = evaluate_functional_raw(
-                prob, tuple(b - step * d for b, d in zip(vbar, dv)),
-                psibar - step * dpsi, leader_arr)
-            worst = max(worst, abs(jp - jm) / (2 * step))
+
+        def controls():
+            for _ in range(n_directions):
+                dv = tuple(rng.standard_normal(klev) for _ in vbar)
+                dpsi = rng.standard_normal((klev, n))
+                yield tuple(b + step * d for b, d in zip(vbar, dv)), psibar + step * dpsi
+                yield tuple(b - step * d for b, d in zip(vbar, dv)), psibar - step * dpsi
     elif c == "B":
         vbar = sol.follower.interior
         psibar = sol.disturbance.interior
-        for _ in range(n_directions):
-            dv = np.where(prob.b1_mask[None, :], rng.standard_normal((klev, n)), 0.0)
-            dpsi = np.where(prob.b2_mask[None, :], rng.standard_normal((klev, n)), 0.0)
-            jp = evaluate_functional_raw(prob, vbar + step * dv, psibar + step * dpsi, leader_arr)
-            jm = evaluate_functional_raw(prob, vbar - step * dv, psibar - step * dpsi, leader_arr)
-            worst = max(worst, abs(jp - jm) / (2 * step))
+
+        def controls():
+            for _ in range(n_directions):
+                dv = np.where(prob.b1_mask[None, :], rng.standard_normal((klev, n)), 0.0)
+                dpsi = np.where(prob.b2_mask[None, :], rng.standard_normal((klev, n)), 0.0)
+                yield vbar + step * dv, psibar + step * dpsi
+                yield vbar - step * dv, psibar - step * dpsi
+
+    if c in ("A", "B"):
+        values = [evaluate_functional_raw(prob, f, d, leader_arr, state=y)
+                  for f, d, y in _stream_states(prob, leader_arr, controls())]
     else:
         ubars = ((sol.follower_weighted.values,) if c == "C"
                  else tuple(tr.values for tr in sol.follower_weighted))
+        cases = []  # (follower index, perturbed weighted control)
         for i, ubar in enumerate(ubars):
             for _ in range(max(1, n_directions // len(ubars))):
                 du = rng.standard_normal(klev)
-                jp = _functional_weighted(prob, ubars, i, ubar + step * du, leader_arr)
-                jm = _functional_weighted(prob, ubars, i, ubar - step * du, leader_arr)
-                worst = max(worst, abs(jp - jm) / (2 * step))
+                cases += [(i, ubar + step * du), (i, ubar - step * du)]
+        controls = ((tuple(prob.ginv * (u_i if j == i else u) for j, u in enumerate(ubars)), None)
+                    for i, u_i in cases)
+        values = [_functional_weighted(prob, i, u_i, y) for (i, u_i), (_, _, y)
+                  in zip(cases, _stream_states(prob, leader_arr, controls))]
+    worst = 0.0
+    for jp, jm in zip(values[0::2], values[1::2]):
+        worst = max(worst, abs(jp - jm) / (2 * step))
     return worst
 
 
-def _functional_weighted(prob: _Problem, ubars: tuple, index: int, u_i: np.ndarray,
-                         leader_arr) -> float:
-    """Cost of follower ``index`` in the weighted variable u = rho_star * v."""
-    cfg, params = prob.cfg, prob.params
-    us = tuple(u_i if j == index else u for j, u in enumerate(ubars))
-    vs = tuple(prob.ginv * u for u in us)
-    state = _state_solve_explicit(prob, vs, None, leader_arr)
+def _functional_weighted(prob: _Problem, index: int, u_i: np.ndarray,
+                         state: np.ndarray) -> float:
+    """Cost of follower ``index`` in the weighted variable u = rho_star * v, at its state."""
+    cfg = prob.cfg
     side, col, rho, ell = prob.follower_edges[index]
     value = _tracking_term(prob, state, which=index)
     value += 0.5 * ell ** 2 * float(np.sum(cfg.tgrid.dt * prob.wtrap * u_i ** 2))
     return value
 
 
-def _concavity_estimate(prob: _Problem, rng) -> float:
-    """Second derivative of the disturbance map: |y'|^2_obs - gamma^2 |psi'|^2 (< 0)."""
+def _concavity_estimates(prob: _Problem, rng, count: int) -> tuple:
+    """Second derivatives of the disturbance map along ``count`` random directions.
+
+    Each is |y'|^2_obs - gamma^2 |psi'|^2, negative where the functional is
+    concave in the disturbance.
+    """
     cfg, params = prob.cfg, prob.params
     klev, n = cfg.tgrid.n_levels, cfg.grid.n_interior
-    dpsi = rng.standard_normal((klev, n))
     zeros = tuple(np.zeros(klev) for _ in prob.follower_edges)
-    yprime = _state_solve_explicit(prob, zeros, dpsi, None, y0=np.zeros(n))
+    controls = ((zeros, rng.standard_normal((klev, n))) for _ in range(count))
     mask = prob.obs_masks[0]
-    return (qmid_field(yprime, yprime, cfg.grid, cfg.tgrid.dt, mask=mask, theta=cfg.theta)
-            - params.gamma ** 2 * qmid_field(dpsi, dpsi, cfg.grid, cfg.tgrid.dt, theta=cfg.theta))
+    return tuple(
+        qmid_field(yprime, yprime, cfg.grid, cfg.tgrid.dt, mask=mask, theta=cfg.theta)
+        - params.gamma ** 2 * qmid_field(dpsi, dpsi, cfg.grid, cfg.tgrid.dt, theta=cfg.theta)
+        for _, dpsi, yprime in _stream_states(prob, None, controls, y0=np.zeros(n)))
 
 
 def measure_contraction(cfg: ScenarioConfig, leader, params: RobustParams,

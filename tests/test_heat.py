@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from stackheat.errors import GridMismatchError
 from stackheat.grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField, SpatialGrid, TimeGrid
-from stackheat.heat import (bavg, favg, normal_derivative, normal_derivative_o1,
-                            solve_backward, solve_forward)
+from stackheat.heat import (bavg, favg, march, march_backward, normal_derivative,
+                            normal_derivative_o1, solve_backward, solve_forward)
 
 
 def make_grids(n=20, k=20, length=1.0, horizon=0.5):
@@ -197,3 +198,75 @@ def test_nonfinite_rejected_in_field():
     vals[1, 1] = np.inf
     with pytest.raises(ValueError):
         SpaceTimeField(grid, tgrid, vals)
+
+
+# --- raw marches against a per-step solve_banded reference ---------------------
+
+def reference_march(grid, tgrid, y0, source, left, right, theta):
+    """The theta scheme written out step by step with scipy's banded solver."""
+    n, dt, dx = grid.n_interior, tgrid.dt, grid.dx
+    r = theta * dt / dx ** 2
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -r
+    ab[1, :] = 1.0 + 2.0 * r
+    ab[2, :-1] = -r
+    re = (1.0 - theta) * dt / dx ** 2
+    scale = dt / dx ** 2
+    y = np.empty((tgrid.n_levels, n))
+    y[0] = y0
+    for k in range(tgrid.n_steps):
+        rhs = (1.0 - 2.0 * re) * y[k]
+        rhs[1:] += re * y[k][:-1]
+        rhs[:-1] += re * y[k][1:]
+        rhs = rhs + dt * (theta * source[k + 1] + (1.0 - theta) * source[k])
+        rhs[0] += scale * (theta * left[k + 1] + (1.0 - theta) * left[k])
+        rhs[-1] += scale * (theta * right[k + 1] + (1.0 - theta) * right[k])
+        y[k + 1] = solve_banded((1, 1), ab, rhs)
+    return y
+
+
+def random_march_data(rng, grid, tgrid, batch=()):
+    klev, n = tgrid.n_levels, grid.n_interior
+    return (rng.standard_normal((n,) + batch), rng.standard_normal((klev, n) + batch),
+            rng.standard_normal((klev,) + batch), rng.standard_normal((klev,) + batch))
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_march_matches_banded_reference_bitwise(n, theta):
+    rng = np.random.default_rng(n)
+    grid, tgrid = make_grids(n=n, k=7)
+    y0, src, left, right = random_march_data(rng, grid, tgrid)
+    y = march(grid, tgrid, y0, src, left, right, theta)
+    assert np.array_equal(y, reference_march(grid, tgrid, y0, src, left, right, theta))
+    q = march_backward(grid, tgrid, y0, src, left, right, theta)
+    q_ref = reference_march(grid, tgrid, y0, src[::-1], left[::-1], right[::-1], theta)[::-1]
+    assert np.array_equal(q, q_ref)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_batched_march_columns_equal_single_marches(theta):
+    rng = np.random.default_rng(5)
+    grid, tgrid = make_grids(n=9, k=6)
+    y0, src, left, right = random_march_data(rng, grid, tgrid, batch=(4,))
+    for solver in (march, march_backward):
+        ys = solver(grid, tgrid, y0, src, left, right, theta)
+        assert ys.shape == (tgrid.n_levels, grid.n_interior, 4)
+        for j in range(4):
+            single = solver(grid, tgrid, y0[:, j], src[..., j], left[:, j], right[:, j], theta)
+            assert np.array_equal(ys[..., j], single)
+    # inputs without the batch axis are shared by every column
+    ys = march(grid, tgrid, y0[:, 0], src, left[:, 0], right, theta)
+    for j in range(4):
+        single = march(grid, tgrid, y0[:, 0], src[..., j], left[:, 0], right[:, j], theta)
+        assert np.array_equal(ys[..., j], single)
+
+
+def test_march_rejects_nonfinite_source():
+    grid, tgrid = make_grids(n=6, k=5)
+    src = np.zeros((tgrid.n_levels, grid.n_interior))
+    src[2, 3] = np.nan
+    with pytest.raises(ValueError):
+        march(grid, tgrid, np.zeros(grid.n_interior), src)
+    with pytest.raises(ValueError):
+        march_backward(grid, tgrid, np.zeros(grid.n_interior), src)

@@ -73,3 +73,22 @@ def test_neg_laplacian_solve_exact_for_quadratic():
     # -z'' = 2 with zero boundary -> z = x(1-x)
     z = neg_laplacian_solve(np.full(grid.n_interior, 2.0), grid)
     assert np.allclose(z, x * (1 - x), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 30])
+def test_neg_laplacian_solve_matches_banded_reference_bitwise(n):
+    from scipy.linalg import solve_banded
+
+    grid = SpatialGrid(n)
+    u = np.random.default_rng(n).standard_normal(n)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -1.0
+    ab[1, :] = 2.0
+    ab[2, :-1] = -1.0
+    ref = solve_banded((1, 1), ab / grid.dx ** 2, u)
+    u_before = u.copy()
+    assert np.array_equal(neg_laplacian_solve(u, grid), ref)
+    assert np.array_equal(u, u_before)
+    u[0] = np.inf
+    with pytest.raises(ValueError):
+        neg_laplacian_solve(u, grid)

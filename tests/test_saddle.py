@@ -181,13 +181,37 @@ def test_zero_data_equilibrium_perturbations():
     assert rep.passed and rep.worst_perturbation == ()
 
 
-def test_verify_reports_offending_direction_when_rejected():
+def _broken_follower(cfg, sol, shift):
+    """The equilibrium follower shifted by ``shift`` where a deviation has finite cost."""
+    c = cfg.configuration
+    if c == "A":
+        return {side: BoundaryTrace(cfg.tgrid, side, tr.values + shift)
+                for side, tr in sol.follower.items()}
+    if c == "B":
+        vals = sol.follower.values.copy()
+        vals[:, 1:-1][:, cfg.b1.interior_mask(cfg.grid)] += shift
+        return SpaceTimeField(cfg.grid, cfg.tgrid, vals)
+    # C/D: rho_star is infinite at t = 0 and T, so the shift spares those levels
+    live = np.zeros(cfg.tgrid.n_levels)
+    live[1:-1] = shift
+    traces = sol.follower if c == "D" else (sol.follower,)
+    broken = tuple(BoundaryTrace(cfg.tgrid, tr.side, tr.values + live) for tr in traces)
+    return broken if c == "D" else broken[0]
+
+
+@pytest.mark.parametrize("config", ["A", "B", "C", "D"])
+def test_verify_reports_offending_direction_when_rejected(config):
     # verifying a non-equilibrium pair must reject and name the offender
-    cfg = scenario_a(n=10, k=10, y0_kind="random", target_kind="random", seed=2)
-    p = params()
+    if config in ("A", "B"):
+        cfg = builders()[config](n=10, k=10, y0_kind="random", target_kind="random", seed=2)
+        p = params()
+    else:
+        # a live follower weight: at the default s the check cannot see the follower
+        cfg = builders()[config](n=10, k=10, y0_kind="random", target_kind="random",
+                                 seed=2, s=0.002)
+        p = params(ell=3.0, ell2=4.0)
     sol = solve_optimality(cfg, None, p)
-    broken = {side: BoundaryTrace(cfg.tgrid, side, tr.values + 0.5)
-              for side, tr in sol.follower.items()}
+    broken = _broken_follower(cfg, sol, 0.5)
     j_broken = evaluate_functional(cfg, p, broken, sol.disturbance, None)
     import dataclasses
     bad = dataclasses.replace(sol, follower=broken, functional_value=j_broken)
