@@ -6,7 +6,14 @@ product.  The Gram operator is the exact transpose of the discrete
 control-to-terminal-state map (discretize-then-optimize): one application
 solves the coupled adjoint pair from a, reads off the leader control, feeds
 it through the homogeneous optimality system and lifts the terminal state by
-the inverse Dirichlet Laplacian.  By the scheme's summation-by-parts identity
+the inverse Dirichlet Laplacian.
+
+The adjoint pair uses the follower coupling of ``saddle._Problem`` and no
+copy of it: phi solves backward driven by theta on the observation
+region(s), and theta solves forward under forcing(feedback(phi)), the same
+two methods that couple state and adjoint in the optimality system.  In
+configuration D each follower drives its own theta, one column of a batched
+march.  By the scheme's summation-by-parts identity
 
     <Gram a, b>_{H10} = observation-pairing(a, b)
 
@@ -21,18 +28,19 @@ study measures.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .grids import LEFT, BoundaryTrace, SpaceTimeField
-from .heat import favg, march, normal_derivative_o1
+from .grids import BoundaryTrace, SpaceTimeField
+from .heat import favg, march, march_backward, normal_derivative_o1
 from .products import h10_inner, h10_norm, hminus1_norm, neg_laplacian_solve
-from .saddle import _Problem, build_problem, picard_coupled, smooth_trace
+from .saddle import _Problem, build_problem, picard_coupled, solve_optimality
 from .scenario import RobustParams, ScenarioConfig
-from .weights import target_weight_inv_sq
+from .weights import admissibility_check, target_weight_inv_sq
 
 
 @dataclass(frozen=True)
@@ -40,15 +48,12 @@ class HumSettings:
     epsilon: float = 1e-4
     cg_tol: float = 1e-10
     cg_max_iters: int = 5000
-    penalty_kind: str = "squared_norm"
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not self.cg_tol > 0:
             raise ValueError("cg_tol must be positive")
-        if self.penalty_kind != "squared_norm":
-            raise ValueError("only the squared-norm penalty is implemented")
 
 
 @dataclass
@@ -65,42 +70,23 @@ class AdjointPair:
         return self.thetas[0]
 
 
-def _theta_forward(prob: _Problem, phi: np.ndarray) -> tuple:
-    """Forward component(s) of the adjoint pair, driven by phi.
+def _theta_forcing(prob: _Problem, phi: np.ndarray) -> tuple:
+    """(source, left, right) of the theta march: forcing(feedback(phi)).
 
-    Mirrors the follower feedback exactly: configuration A couples through the
-    boundary datum rho^2/ell^2 * dphi/dn, B through the distributed terms
-    -phi/ell^2 on B1 and +phi/gamma^2 on B2, C/D through the rho_star-weighted
-    smoothed boundary trace per follower.
+    In D both followers read phi and each drives its own theta, so follower
+    i's trace goes to column i of one batched march.
     """
-    cfg, params = prob.cfg, prob.params
-    grid, tgrid = cfg.grid, cfg.tgrid
-    c = cfg.configuration
-    zeros = np.zeros(grid.n_interior)
-    out = []
-    if c == "A":
-        source = phi / params.gamma ** 2
-        left = right = None
-        for side, col, rho, ell in prob.follower_edges:
-            vals = (rho ** 2 / ell ** 2) * normal_derivative_o1(phi, grid, side)
-            if side == LEFT:
-                left = vals
-            else:
-                right = vals
-        out.append(march(grid, tgrid, zeros, source, left, right, theta=cfg.theta))
-    elif c == "B":
-        source = np.zeros_like(phi)
-        source[:, prob.b1_mask] -= phi[:, prob.b1_mask] / params.ell ** 2
-        source[:, prob.b2_mask] += phi[:, prob.b2_mask] / params.gamma ** 2
-        out.append(march(grid, tgrid, zeros, source, theta=cfg.theta))
-    else:
-        for side, col, rho, ell in prob.follower_edges:
-            dn = normal_derivative_o1(phi, grid, side)
-            vals = (rho ** 2 / ell ** 2) * prob.g2inv * smooth_trace(dn) / prob.wtrap
-            left = vals if side == LEFT else None
-            right = vals if side != LEFT else None
-            out.append(march(grid, tgrid, zeros, None, left, right, theta=cfg.theta))
-    return tuple(out)
+    follower, disturbance = prob.feedback((phi,) * prob.n_adjoints, prob.g2inv)
+    if prob.n_adjoints > 1:
+        follower = tuple(v[:, None] * e for v, e in zip(follower, np.eye(prob.n_adjoints)))
+    return prob.forcing(follower, disturbance, None)
+
+
+def _theta_columns(prob: _Problem, a) -> tuple:
+    """One entry per theta component: ``a`` itself, or its batch columns in D."""
+    if prob.n_adjoints == 1 or a is None:
+        return (a,) * prob.n_adjoints
+    return tuple(np.ascontiguousarray(a[..., i]) for i in range(prob.n_adjoints))
 
 
 def _phi_backward(prob: _Problem, thetas: tuple, terminal: np.ndarray) -> np.ndarray:
@@ -108,7 +94,6 @@ def _phi_backward(prob: _Problem, thetas: tuple, terminal: np.ndarray) -> np.nda
     src = np.zeros((cfg.tgrid.n_levels, cfg.grid.n_interior))
     for mask, th in zip(prob.obs_masks, thetas):
         src[:, mask] += th[:, mask]
-    from .heat import march_backward
     return march_backward(cfg.grid, cfg.tgrid, terminal, src, theta=cfg.theta)
 
 
@@ -124,39 +109,22 @@ def solve_adjoint(cfg: ScenarioConfig, phi_terminal: np.ndarray,
     a = np.asarray(phi_terminal, dtype=float)
     if a.shape != (cfg.grid.n_interior,):
         raise ValueError(f"terminal datum must have {cfg.grid.n_interior} interior values")
+    grid, tgrid = cfg.grid, cfg.tgrid
+    zeros = np.zeros(grid.n_interior)
+
+    def theta_forward(ph):
+        th = march(grid, tgrid, zeros, *_theta_forcing(prob, ph), theta=cfg.theta)
+        return _theta_columns(prob, th)
+
     phi, thetas, iters, res, _ = picard_coupled(
         prob, None,
         lambda ths, _lead: _phi_backward(prob, ths, a),
-        lambda ph: _theta_forward(prob, ph),
+        theta_forward,
         prob.n_adjoints)
-    grid, tgrid = cfg.grid, cfg.tgrid
-    phi_field = _field(grid, tgrid, phi)
-    theta_fields = tuple(_theta_field(prob, th, phi, i) for i, th in enumerate(thetas))
-    return AdjointPair(phi_field, theta_fields, iters, res)
-
-
-def _field(grid, tgrid, interior) -> SpaceTimeField:
-    vals = np.zeros((tgrid.n_levels, grid.n_nodes))
-    vals[:, 1:-1] = interior
-    return SpaceTimeField(grid, tgrid, vals)
-
-
-def _theta_field(prob: _Problem, theta: np.ndarray, phi: np.ndarray, block: int) -> SpaceTimeField:
-    """Theta with its actual boundary rows (the phi-feedback datum)."""
-    cfg, params = prob.cfg, prob.params
-    vals = np.zeros((cfg.tgrid.n_levels, cfg.grid.n_nodes))
-    vals[:, 1:-1] = theta
-    c = cfg.configuration
-    if c == "A":
-        for side, col, rho, ell in prob.follower_edges:
-            vals[:, 0 if side == LEFT else -1] = \
-                (rho ** 2 / ell ** 2) * normal_derivative_o1(phi, cfg.grid, side)
-    elif c in ("C", "D"):
-        side, col, rho, ell = prob.follower_edges[block]
-        dn = normal_derivative_o1(phi, cfg.grid, side)
-        vals[:, 0 if side == LEFT else -1] = \
-            (rho ** 2 / ell ** 2) * prob.g2inv * smooth_trace(dn) / prob.wtrap
-    return SpaceTimeField(cfg.grid, cfg.tgrid, vals)
+    _, left, right = _theta_forcing(prob, phi)
+    theta_fields = tuple(prob.field(th, lt, rt) for th, lt, rt in zip(
+        thetas, _theta_columns(prob, left), _theta_columns(prob, right)))
+    return AdjointPair(prob.field(phi), theta_fields, iters, res)
 
 
 def observation(cfg: ScenarioConfig, pair: AdjointPair):
@@ -186,7 +154,6 @@ def homogeneous_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
 
 
 def _terminal_state(cfg: ScenarioConfig, params: RobustParams, leader) -> np.ndarray:
-    from .saddle import solve_optimality
     sol = solve_optimality(cfg, leader, params)
     return sol.state.interior[-1].copy()
 
@@ -248,8 +215,6 @@ def hum_minimize(cfg: ScenarioConfig, params: RobustParams,
     terminal H^-1 residual by a from-scratch solve of the full optimality
     system with the synthesized control.
     """
-    import warnings
-
     if check_admissibility:
         rep = target_admissibility(cfg)
         if rep is not None and not rep.admissible:
@@ -323,8 +288,6 @@ def hum_minimize(cfg: ScenarioConfig, params: RobustParams,
 
 def target_admissibility(cfg: ScenarioConfig):
     """Admissibility report of the scenario's target, or None when trivial."""
-    from .weights import admissibility_check
-
     if all(np.all(t.values == 0.0) for t in cfg.targets()):
         return None
     conf = cfg.configuration if cfg.configuration in ("A", "B", "C") else "C"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import LEFT
-from .saddle import _Problem, build_problem
+from .saddle import _leader_array, _Problem, build_problem
 from .scenario import RobustParams, ScenarioConfig
 
 
@@ -43,15 +43,35 @@ def _smooth_stencil(n_levels: int) -> np.ndarray:
     return s
 
 
-def _feedback_time_matrix(prob: _Problem, ell: float, rho: float) -> np.ndarray:
-    """Time-coupling matrix F with boundary_value^j = sum_l F[j, l] * R^l[edge].
+def _coupling_blocks(prob: _Problem) -> tuple:
+    """Dense blocks of the adjoint -> forward coupling, shared by both systems.
 
-    Encodes rho^2 * rho_star^{-2} * smooth(-R[edge]/dx) / (ell^2 * trapezoid).
+    Returns (sources, feedbacks).  ``sources`` lists (block, n x n matrix M)
+    of the distributed coupling, forward source = M @ adjoint.  ``feedbacks``
+    lists (block, edge row, time matrix F) with boundary_value^j =
+    sum_l F[j, l] * adjoint^l[edge row]: rho^2 * (-R[edge]/dx) / ell^2 in A,
+    rho^2 * rho_star^{-2} * smooth(-R[edge]/dx) / (ell^2 * trapezoid) in C/D.
     """
-    klev = prob.cfg.tgrid.n_levels
-    s = _smooth_stencil(klev)
-    scale = -(rho ** 2) / (ell ** 2 * prob.cfg.grid.dx)
-    return scale * (prob.g2inv / prob.wtrap)[:, None] * s
+    cfg, params = prob.cfg, prob.params
+    n, klev, dx = cfg.grid.n_interior, cfg.tgrid.n_levels, cfg.grid.dx
+    c = cfg.configuration
+    sources = []
+    if c == "A":
+        sources.append((0, np.eye(n) / params.gamma ** 2))
+    elif c == "B":
+        d = np.zeros(n)
+        d[prob.b1_mask] -= 1.0 / params.ell ** 2
+        d[prob.b2_mask] += 1.0 / params.gamma ** 2
+        sources.append((0, np.diag(d)))
+    feedbacks = []
+    for block, (side, rho, ell) in enumerate(prob.follower_edges):
+        scale = -(rho ** 2) / (ell ** 2 * dx)
+        if c == "A":
+            fmat = np.eye(klev) * scale
+        else:
+            fmat = scale * (prob.g2inv / prob.wtrap)[:, None] * _smooth_stencil(klev)
+        feedbacks.append((block if c == "D" else 0, 0 if side == LEFT else n - 1, fmat))
+    return sources, feedbacks
 
 
 def dense_optimality_solve(cfg: ScenarioConfig, leader, params: RobustParams):
@@ -60,8 +80,6 @@ def dense_optimality_solve(cfg: ScenarioConfig, leader, params: RobustParams):
     Output: (state levels 0..K, adjoints tuple of levels 0..K), matching the
     layout of the Picard solver.
     """
-    from .saddle import _leader_array
-
     prob = build_problem(cfg, params)
     grid, tgrid = cfg.grid, cfg.tgrid
     n, K = grid.n_interior, tgrid.n_steps
@@ -86,33 +104,7 @@ def dense_optimality_solve(cfg: ScenarioConfig, leader, params: RobustParams):
         """Slice of adjoint block level k (0..K-1)."""
         return slice(ny + block * na + k * n, ny + block * na + (k + 1) * n)
 
-    # Distributed coupling of the adjoint into the state equation.
-    def state_source_matrix():
-        if c == "A":
-            return [(0, np.eye(n) / params.gamma ** 2)]
-        if c == "B":
-            d = np.zeros(n)
-            d[prob.b1_mask] -= 1.0 / params.ell ** 2
-            d[prob.b2_mask] += 1.0 / params.gamma ** 2
-            return [(0, np.diag(d))]
-        return []
-
-    src_mats = state_source_matrix()
-
-    # Boundary feedback of the adjoint(s) into the state equation.
-    fb = []  # (block, interior_row, adjoint_col, time_matrix (klev x klev))
-    if c == "A":
-        for side, col, rho, ell in prob.follower_edges:
-            row = 0 if side == LEFT else n - 1
-            fmat = np.eye(klev) * (-(rho ** 2) / (ell ** 2 * dx))
-            fb.append((0, row, 0 if side == LEFT else n - 1, fmat))
-    elif c in ("C", "D"):
-        for block, (side, col, rho, ell) in enumerate(prob.follower_edges):
-            row = 0 if side == LEFT else n - 1
-            fb.append((block if c == "D" else 0, row,
-                       0 if side == LEFT else n - 1,
-                       _feedback_time_matrix(prob, ell, rho)))
-
+    src_mats, fb = _coupling_blocks(prob)
     bscale = dt / dx ** 2
 
     # state equations, one block row per step k = 0..K-1
@@ -127,14 +119,14 @@ def dense_optimality_solve(cfg: ScenarioConfig, leader, params: RobustParams):
             for j in (k, k + 1):
                 if j <= K - 1:
                     A[rows, qs(block, j)] -= 0.5 * dt * mat
-        for block, row, acol, fmat in fb:
+        for block, row, fmat in fb:
             for j in (k, k + 1):
                 coeff = 0.5 * bscale
                 for l in range(klev):
                     if fmat[j, l] == 0.0:
                         continue
                     if l <= K - 1:
-                        A[k * n + row, qs(block, l)][acol] -= coeff * fmat[j, l]
+                        A[k * n + row, qs(block, l)][row] -= coeff * fmat[j, l]
                     # l == K: adjoint terminal level is zero, no contribution
         if leader_arr is not None:
             if c == "A":
@@ -181,7 +173,6 @@ def dense_adjoint_solve(cfg: ScenarioConfig, phi_terminal: np.ndarray, params: R
     klev = K + 1
     dt, dx = tgrid.dt, grid.dx
     m_plus, m_minus = _dense_matrices(grid, tgrid, cfg.theta)
-    c = cfg.configuration
     n_th = prob.n_adjoints
     a = np.asarray(phi_terminal, dtype=float)
 
@@ -213,27 +204,7 @@ def dense_adjoint_solve(cfg: ScenarioConfig, phi_terminal: np.ndarray, params: R
                 # j == 0: theta(0) = 0
 
     # theta equations (forward), block i, step k = 0..K-1
-    if c == "A":
-        src = [(0, np.eye(n) / params.gamma ** 2)]
-    elif c == "B":
-        d = np.zeros(n)
-        d[prob.b1_mask] -= 1.0 / params.ell ** 2
-        d[prob.b2_mask] += 1.0 / params.gamma ** 2
-        src = [(0, np.diag(d))]
-    else:
-        src = []
-
-    fb = []
-    if c == "A":
-        for side, col, rho, ell in prob.follower_edges:
-            row = 0 if side == LEFT else n - 1
-            fb.append((0, row, row, np.eye(klev) * (-(rho ** 2) / (ell ** 2 * dx))))
-    elif c in ("C", "D"):
-        for block, (side, col, rho, ell) in enumerate(prob.follower_edges):
-            row = 0 if side == LEFT else n - 1
-            fb.append((block if c == "D" else 0, row, row,
-                       _feedback_time_matrix(prob, ell, rho)))
-
+    src, fb = _coupling_blocks(prob)
     bscale = dt / dx ** 2
     for block in range(n_th):
         for k in range(K):
@@ -247,7 +218,7 @@ def dense_adjoint_solve(cfg: ScenarioConfig, phi_terminal: np.ndarray, params: R
                         A[rows, ps(j)] -= 0.5 * dt * mat
                     else:
                         rhs[rows] += 0.5 * dt * mat @ a
-            for fblock, row, pcol, fmat in fb:
+            for fblock, row, fmat in fb:
                 if fblock != block:
                     continue
                 for j in (k, k + 1):
@@ -256,9 +227,9 @@ def dense_adjoint_solve(cfg: ScenarioConfig, phi_terminal: np.ndarray, params: R
                         if fmat[j, l] == 0.0:
                             continue
                         if l <= K - 1:
-                            A[nphi + block * nth + k * n + row, ps(l)][pcol] -= coeff * fmat[j, l]
+                            A[nphi + block * nth + k * n + row, ps(l)][row] -= coeff * fmat[j, l]
                         else:
-                            rhs[nphi + block * nth + k * n + row] += coeff * fmat[j, l] * a[pcol]
+                            rhs[nphi + block * nth + k * n + row] += coeff * fmat[j, l] * a[row]
 
     sol = np.linalg.solve(A, rhs)
     phi = np.vstack([sol[:nphi].reshape(K, n), a[None, :]])

@@ -7,10 +7,20 @@ the adjoint: solve the state with the current follower feedback, re-solve the
 adjoint(s) from the tracking residual, repeat; the map contracts at a rate
 proportional to 1/mu with mu = min(ell^2, gamma^2).
 
+Each configuration's coupling is written once, as methods of ``_Problem``:
+``feedback`` reads the follower (and disturbance) off the adjoint(s),
+``forcing`` turns explicit controls into the source and Dirichlet rows of a
+``march`` (``state`` runs that march), and ``field`` puts the marched rows
+back into a field.  The optimality system, the functional evaluation, the
+perturbation checks and the HUM adjoint pair (whose forward component is
+forcing(feedback(phi))) all go through them, so every solver applies the same
+discrete control operator and the same transpose of it.  The dense oracle
+(``oracle.py``) assembles the same systems independently.
+
 Discretization follows discretize-then-optimize: the cost functionals are
 evaluated with the scheme-consistent midpoint quadrature (trapezoid-in-time
-for the rho_star-weighted boundary terms), and the feedback laws below are
-the exact stationarity conditions of those discrete functionals under the
+for the rho_star-weighted boundary terms), and the feedback law is the exact
+stationarity condition of those discrete functionals under the
 Crank-Nicolson scheme.  In particular the boundary feedback uses the
 first-order normal derivative, the exact transpose of the scheme's boundary
 injection, and configurations C/D acquire a three-point time smoothing of
@@ -27,8 +37,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, NonContractionError
-from .grids import LEFT, BoundaryTrace, SpaceTimeField
-from .heat import march, march_backward, normal_derivative_o1, trapezoid_time_weights
+from .grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField
+from .heat import (_assemble_field, march, march_backward, normal_derivative_o1,
+                   trapezoid_time_weights)
 from .products import l2q_norm_interior, qmid_field, qmid_trace
 from .scenario import RobustParams, ScenarioConfig, require_valid
 from .weights import _LOG_CAP, rho_star_log, rho_star_inv_sq
@@ -46,10 +57,6 @@ def _require_cn(cfg: ScenarioConfig):
         raise ValueError(
             "the coupled optimality/adjoint systems are built on the exact "
             "discrete duality of the Crank-Nicolson scheme; set theta = 1/2")
-
-
-def _edge_col(side: str) -> int:
-    return 0 if side == LEFT else -1
 
 
 def smooth_trace(z: np.ndarray) -> np.ndarray:
@@ -75,13 +82,16 @@ def capped_weighted_sq(log_w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Problem:
-    """Precomputed masks, feedback coefficients and data arrays for one scenario."""
+    """Precomputed masks, feedback coefficients and data arrays for one scenario.
+
+    Its methods are the scenario's coupling, shared by every solver.
+    """
 
     cfg: ScenarioConfig
     params: RobustParams
     obs_masks: tuple
     targets: tuple          # interior arrays matching obs_masks
-    follower_edges: tuple   # ((side, col, rho, ell), ...) one entry per follower
+    follower_edges: tuple   # ((side, rho, ell), ...) one entry per follower edge
     leader_side: Optional[str]
     g2inv: Optional[np.ndarray]      # rho_star^{-2} at the time levels (C/D)
     ginv: Optional[np.ndarray]       # rho_star^{-1}
@@ -94,6 +104,73 @@ class _Problem:
     @property
     def n_adjoints(self) -> int:
         return 2 if self.cfg.configuration == "D" else 1
+
+    def feedback(self, adjoints: tuple, time_weight) -> tuple:
+        """Controls read off the adjoint(s): (follower, disturbance).
+
+        A:   v = rho * dq/dn / ell^2 per edge (first-order normal derivative),
+             psi = q / gamma^2;
+        B:   v = -p / ell^2 on B1 and psi = p / gamma^2 on B2, interior fields;
+        C/D: v_i = rho_i * w * smooth(dr_i/dn) / (ell_i^2 * trapezoid weight),
+             no disturbance.
+        ``time_weight`` is w: rho_star^{-2} gives the control v, rho_star^{-1}
+        the well-scaled rho_star * v.  A and B do not use it.
+        """
+        cfg, params = self.cfg, self.params
+        c = cfg.configuration
+        if c == "A":
+            q = adjoints[0]
+            return (tuple(rho * normal_derivative_o1(q, cfg.grid, side) / ell ** 2
+                          for side, rho, ell in self.follower_edges),
+                    q / params.gamma ** 2)
+        if c == "B":
+            p = adjoints[0]
+            return (np.where(self.b1_mask, -p / params.ell ** 2, 0.0),
+                    np.where(self.b2_mask, p / params.gamma ** 2, 0.0))
+        return tuple(
+            rho * time_weight * smooth_trace(normal_derivative_o1(r, cfg.grid, side))
+            / (ell ** 2 * self.wtrap)
+            for (side, rho, ell), r in zip(self.follower_edges, adjoints)), None
+
+    def forcing(self, follower, disturbance, leader) -> tuple:
+        """(source, left, right) of the forward ``march`` driven by explicit controls.
+
+        ``follower`` and ``disturbance`` are laid out as ``feedback`` returns
+        them and ``leader`` is the raw leader array or None.  They may carry
+        trailing batch axes (the leader then with length-1 ones).  A is
+        forced by psi + leader in the interior and rho * v on each follower
+        edge, B by v on B1 and psi on B2 in the interior and the leader on
+        its edge, C/D by rho_i * v_i and the leader on their edges.
+        """
+        c = self.cfg.configuration
+        edges = {}
+        source = None
+        if c == "A":
+            source = disturbance if leader is None else disturbance + leader
+        elif c == "B":
+            source = np.zeros(np.broadcast_shapes(follower.shape, disturbance.shape))
+            source[:, self.b1_mask] += follower[:, self.b1_mask]
+            source[:, self.b2_mask] += disturbance[:, self.b2_mask]
+        # B has no follower edges; a row starts from +0.0, so a vanishing row
+        # is never written as -0
+        for (side, rho, _), v in zip(self.follower_edges, follower):
+            edges[side] = edges.get(side, 0.0) + rho * v
+        if self.leader_side is not None and leader is not None:
+            edges[self.leader_side] = edges.get(self.leader_side, 0.0) + leader
+        return source, edges.get(LEFT), edges.get(RIGHT)
+
+    def state(self, follower, disturbance, leader, y0=None) -> np.ndarray:
+        """State for explicit controls: one ``march`` of ``forcing`` from ``y0``."""
+        cfg = self.cfg
+        y0 = cfg.y0 if y0 is None else y0
+        return march(cfg.grid, cfg.tgrid, y0, *self.forcing(follower, disturbance, leader),
+                     theta=cfg.theta)
+
+    def field(self, interior, left=None, right=None) -> SpaceTimeField:
+        """Interior levels with the marched ``left``/``right`` rows (zero where None)."""
+        cfg = self.cfg
+        rows = {side: vals for side, vals in ((LEFT, left), (RIGHT, right)) if vals is not None}
+        return _assemble_field(cfg.grid, cfg.tgrid, interior, rows)
 
 
 def build_problem(cfg: ScenarioConfig, params: RobustParams) -> _Problem:
@@ -109,14 +186,14 @@ def build_problem(cfg: ScenarioConfig, params: RobustParams) -> _Problem:
     follower_edges = []
     if c == "A":
         for side in cfg.gamma_set.support:
-            follower_edges.append((side, _edge_col(side), cfg.gamma_set.weight(side), params.ell))
+            follower_edges.append((side, cfg.gamma_set.weight(side), params.ell))
     elif c == "C":
         for side in cfg.gamma2.support:
-            follower_edges.append((side, _edge_col(side), cfg.gamma2.weight(side), params.ell))
+            follower_edges.append((side, cfg.gamma2.weight(side), params.ell))
     elif c == "D":
         for bs, ell in ((cfg.gamma1, params.ell), (cfg.gamma2, params.second_ell)):
             side = bs.support[0]
-            follower_edges.append((side, _edge_col(side), bs.weight(side), ell))
+            follower_edges.append((side, bs.weight(side), ell))
 
     g2inv = ginv = log_g2 = None
     if c in ("C", "D"):
@@ -156,66 +233,6 @@ def _leader_array(prob: _Problem, leader) -> np.ndarray | None:
     if leader.side != prob.leader_side:
         raise ValueError(f"leader acts on the {prob.leader_side} endpoint, trace is {leader.side}")
     return leader.values
-
-
-def follower_feedback(prob: _Problem, adjoints: tuple) -> tuple:
-    """Follower controls reconstructed from the adjoint(s): one trace per edge.
-
-    A:   v = rho * dq/dn / ell^2 (first-order normal derivative);
-    C/D: v = rho * rho_star^{-2} * smooth(dr_i/dn) / (ell_i^2 * trapezoid weight).
-    """
-    cfg = prob.cfg
-    out = []
-    if cfg.configuration == "A":
-        q = adjoints[0]
-        for side, col, rho, ell in prob.follower_edges:
-            dn = normal_derivative_o1(q, cfg.grid, side)
-            out.append(rho * dn / ell ** 2)
-    elif cfg.configuration in ("C", "D"):
-        for (side, col, rho, ell), r in zip(prob.follower_edges, adjoints):
-            dn = normal_derivative_o1(r, cfg.grid, side)
-            out.append(rho * prob.g2inv * smooth_trace(dn) / (ell ** 2 * prob.wtrap))
-    return tuple(out)
-
-
-def _state_solve(prob: _Problem, adjoints: tuple, leader, y0=None) -> np.ndarray:
-    """Forward solve of the state with the follower feedback from ``adjoints``."""
-    cfg, params = prob.cfg, prob.params
-    grid, tgrid = cfg.grid, cfg.tgrid
-    n, klev = grid.n_interior, tgrid.n_levels
-    c = cfg.configuration
-    y0 = cfg.y0 if y0 is None else y0
-
-    source = None
-    left = right = None
-
-    def add_bnd(side, vals):
-        nonlocal left, right
-        if side == LEFT:
-            left = vals if left is None else left + vals
-        else:
-            right = vals if right is None else right + vals
-
-    if c == "A":
-        source = adjoints[0] / params.gamma ** 2
-        if leader is not None:
-            source = source + leader
-        for (side, col, rho, ell), v in zip(prob.follower_edges, follower_feedback(prob, adjoints)):
-            add_bnd(side, rho * v)
-    elif c == "B":
-        p = adjoints[0]
-        source = np.zeros((klev, n))
-        source[:, prob.b1_mask] -= p[:, prob.b1_mask] / params.ell ** 2
-        source[:, prob.b2_mask] += p[:, prob.b2_mask] / params.gamma ** 2
-        if leader is not None:
-            add_bnd(prob.leader_side, leader)
-    else:  # C, D
-        for (side, col, rho, ell), v in zip(prob.follower_edges, follower_feedback(prob, adjoints)):
-            add_bnd(side, rho * v)
-        if leader is not None:
-            add_bnd(prob.leader_side, leader)
-
-    return march(grid, tgrid, y0, source, left, right, theta=cfg.theta)
 
 
 def _adjoint_solve(prob: _Problem, state: np.ndarray) -> tuple:
@@ -322,84 +339,39 @@ def solve_optimality(cfg: ScenarioConfig, leader, params: RobustParams,
     leader_arr = _leader_array(prob, leader)
     state, adjoints, iters, res, ratios = picard_coupled(
         prob, leader_arr,
-        lambda adj, lead: _state_solve(prob, adj, lead),
+        lambda adj, lead: prob.state(*prob.feedback(adj, prob.g2inv), lead),
         lambda st: _adjoint_solve(prob, st),
         prob.n_adjoints, sweeps=sweeps)
     return _package_solution(prob, leader_arr, state, adjoints, iters, res, ratios)
 
 
 def _package_solution(prob, leader_arr, state, adjoints, iters, res, ratios) -> SaddleSolution:
-    cfg, params = prob.cfg, prob.params
-    grid, tgrid = cfg.grid, cfg.tgrid
-    c = cfg.configuration
+    """Typed solution; the controls are read off the adjoints once."""
+    tgrid = prob.cfg.tgrid
+    c = prob.cfg.configuration
+    follower, disturbance = prob.feedback(adjoints, prob.g2inv)
+    _, left, right = prob.forcing(follower, disturbance, leader_arr)
+    jval = evaluate_functional_raw(prob, follower, disturbance, leader_arr, state=state)
 
-    state_field = _state_to_field(prob, state, adjoints, leader_arr)
-    adj_fields = tuple(_interior_to_field(grid, tgrid, a) for a in adjoints)
+    def traces(values):
+        return tuple(BoundaryTrace(tgrid, side, v)
+                     for (side, _, _), v in zip(prob.follower_edges, values))
 
-    disturbance = None
-    follower = None
     follower_weighted = None
     if c == "A":
-        traces = follower_feedback(prob, adjoints)
-        follower = {side: BoundaryTrace(tgrid, side, v)
-                    for (side, _, _, _), v in zip(prob.follower_edges, traces)}
-        disturbance = _interior_to_field(grid, tgrid, adjoints[0] / params.gamma ** 2)
+        follower = {tr.side: tr for tr in traces(follower)}
     elif c == "B":
-        p = adjoints[0]
-        v = np.zeros_like(p)
-        v[:, prob.b1_mask] = -p[:, prob.b1_mask] / params.ell ** 2
-        psi = np.zeros_like(p)
-        psi[:, prob.b2_mask] = p[:, prob.b2_mask] / params.gamma ** 2
-        follower = _interior_to_field(grid, tgrid, v)
-        disturbance = _interior_to_field(grid, tgrid, psi)
+        follower = prob.field(follower)
     else:
-        traces = follower_feedback(prob, adjoints)
-        weighted = _weighted_feedback(prob, adjoints)
-        packs = [(BoundaryTrace(tgrid, side, v), BoundaryTrace(tgrid, side, u))
-                 for (side, _, _, _), v, u in zip(prob.follower_edges, traces, weighted)]
+        follower = traces(follower)
+        follower_weighted = traces(prob.feedback(adjoints, prob.ginv)[0])
         if c == "C":
-            follower, follower_weighted = packs[0]
-        else:
-            follower = tuple(p[0] for p in packs)
-            follower_weighted = tuple(p[1] for p in packs)
-
-    jval = _functional_at_equilibrium(prob, state, adjoints, leader_arr)
-    return SaddleSolution(c, follower, disturbance, state_field, adj_fields,
+            follower, follower_weighted = follower[0], follower_weighted[0]
+    if disturbance is not None:
+        disturbance = prob.field(disturbance)
+    return SaddleSolution(c, follower, disturbance, prob.field(state, left, right),
+                          tuple(prob.field(a) for a in adjoints),
                           iters, res, ratios, jval, follower_weighted)
-
-
-def _weighted_feedback(prob: _Problem, adjoints: tuple) -> tuple:
-    """u = rho_star * v, computed from the exponent so it never over/underflows."""
-    cfg = prob.cfg
-    out = []
-    for (side, col, rho, ell), r in zip(prob.follower_edges, adjoints):
-        dn = normal_derivative_o1(r, cfg.grid, side)
-        out.append(rho * prob.ginv * smooth_trace(dn) / (ell ** 2 * prob.wtrap))
-    return tuple(out)
-
-
-def _interior_to_field(grid, tgrid, interior) -> SpaceTimeField:
-    vals = np.zeros((tgrid.n_levels, grid.n_nodes))
-    vals[:, 1:-1] = interior
-    return SpaceTimeField(grid, tgrid, vals)
-
-
-def _state_to_field(prob, state, adjoints, leader_arr) -> SpaceTimeField:
-    """State with its actual Dirichlet rows restored."""
-    cfg = prob.cfg
-    vals = np.zeros((cfg.tgrid.n_levels, cfg.grid.n_nodes))
-    vals[:, 1:-1] = state
-    c = cfg.configuration
-    if c == "A":
-        for (side, col, rho, _), v in zip(prob.follower_edges, follower_feedback(prob, adjoints)):
-            vals[:, 0 if side == LEFT else -1] += rho * v
-    else:
-        if leader_arr is not None:
-            vals[:, 0 if prob.leader_side == LEFT else -1] += leader_arr
-        if c in ("C", "D"):
-            for (side, col, rho, _), v in zip(prob.follower_edges, follower_feedback(prob, adjoints)):
-                vals[:, 0 if side == LEFT else -1] += rho * v
-    return SpaceTimeField(cfg.grid, cfg.tgrid, vals)
 
 
 # --- functional evaluation ---------------------------------------------------
@@ -411,30 +383,14 @@ def _tracking_term(prob: _Problem, state: np.ndarray, which: int = 0) -> float:
     return 0.5 * qmid_field(diff, diff, cfg.grid, cfg.tgrid.dt, mask=mask, theta=cfg.theta)
 
 
-def _functional_at_equilibrium(prob, state, adjoints, leader_arr) -> float:
-    cfg, params = prob.cfg, prob.params
-    c = cfg.configuration
-    if c == "A":
-        v = follower_feedback(prob, adjoints)
-        psi = adjoints[0] / params.gamma ** 2
-        return evaluate_functional_raw(prob, v, psi, leader_arr, state=state)
-    if c == "B":
-        p = adjoints[0]
-        v = np.where(prob.b1_mask[None, :], -p / params.ell ** 2, 0.0)
-        psi = np.where(prob.b2_mask[None, :], p / params.gamma ** 2, 0.0)
-        return evaluate_functional_raw(prob, v, psi, leader_arr, state=state)
-    v = follower_feedback(prob, adjoints)
-    return evaluate_functional_raw(prob, v, None, leader_arr, state=state, index=0)
-
-
 def evaluate_functional_raw(prob: _Problem, follower, disturbance, leader_arr,
-                            state: np.ndarray | None = None, index: int = 0,
-                            debug: bool = False) -> float:
+                            state: np.ndarray | None = None, index: int = 0) -> float:
     """Cost functional value for explicit controls, raw-array flavour.
 
     ``follower``: tuple of edge traces (A/C/D) or an interior field (B);
     ``disturbance``: interior field (A/B) or None; ``index`` selects the
-    follower whose cost is evaluated in configuration D.
+    follower whose cost is evaluated in configuration D.  ``state``, when
+    given, is trusted to be the state of these controls.
     """
     cfg, params = prob.cfg, prob.params
     grid, tgrid = cfg.grid, cfg.tgrid
@@ -442,16 +398,11 @@ def evaluate_functional_raw(prob: _Problem, follower, disturbance, leader_arr,
     dt = tgrid.dt
 
     if state is None:
-        state = _state_solve_explicit(prob, follower, disturbance, leader_arr)
-    elif debug:
-        resolved = _state_solve_explicit(prob, follower, disturbance, leader_arr)
-        scale = max(float(np.max(np.abs(resolved))), 1.0)
-        if np.max(np.abs(resolved - state)) > 1e-10 * scale:
-            raise ValueError("supplied state is inconsistent with the given controls")
+        state = prob.state(follower, disturbance, leader_arr)
 
     value = _tracking_term(prob, state, which=index)
     if c == "A":
-        for (side, col, rho, ell), v in zip(prob.follower_edges, follower):
+        for v in follower:
             value += 0.5 * params.ell ** 2 * qmid_trace(v, v, dt, theta=cfg.theta)
         value -= 0.5 * params.gamma ** 2 * qmid_field(
             disturbance, disturbance, grid, dt, theta=cfg.theta)
@@ -461,65 +412,28 @@ def evaluate_functional_raw(prob: _Problem, follower, disturbance, leader_arr,
         value -= 0.5 * params.gamma ** 2 * qmid_field(
             disturbance, disturbance, grid, dt, mask=prob.b2_mask, theta=cfg.theta)
     else:
-        side, col, rho, ell = prob.follower_edges[index]
+        ell = prob.follower_edges[index][2]
         v = follower[index]
         terms = capped_weighted_sq(prob.log_g2, v)
         value += 0.5 * ell ** 2 * float(np.sum(dt * prob.wtrap * terms))
     return float(value)
 
 
-def _state_solve_explicit(prob: _Problem, follower, disturbance, leader_arr,
-                          y0=None) -> np.ndarray:
-    """State for explicitly given follower controls (not the feedback form).
-
-    The controls may carry one trailing batch axis; ``leader_arr`` then
-    carries a trailing axis of length 1 (see ``_stream_states``).
-    """
-    cfg = prob.cfg
-    grid, tgrid = cfg.grid, cfg.tgrid
-    c = cfg.configuration
-    y0 = cfg.y0 if y0 is None else y0
-    left = right = None
-
-    def add_bnd(side, vals):
-        nonlocal left, right
-        if side == LEFT:
-            left = vals if left is None else left + vals
-        else:
-            right = vals if right is None else right + vals
-
-    source = None
-    if c == "A":
-        source = disturbance if leader_arr is None else disturbance + leader_arr
-        for (side, col, rho, ell), v in zip(prob.follower_edges, follower):
-            add_bnd(side, rho * v)
-    elif c == "B":
-        source = np.zeros(np.broadcast_shapes(follower.shape, disturbance.shape))
-        source[:, prob.b1_mask] += follower[:, prob.b1_mask]
-        source[:, prob.b2_mask] += disturbance[:, prob.b2_mask]
-        if leader_arr is not None:
-            add_bnd(prob.leader_side, leader_arr)
-    else:
-        for (side, col, rho, ell), v in zip(prob.follower_edges, follower):
-            add_bnd(side, rho * v)
-        if leader_arr is not None:
-            add_bnd(prob.leader_side, leader_arr)
-    return march(grid, tgrid, y0, source, left, right, theta=cfg.theta)
-
-
 def evaluate_functional(cfg: ScenarioConfig, params: RobustParams, follower,
                         disturbance=None, leader=None, state: SpaceTimeField | None = None,
-                        index: int = 0, debug: bool = False) -> float:
+                        index: int = 0) -> float:
     """Public functional evaluation on typed controls.
 
     ``follower``: dict side->BoundaryTrace (A), SpaceTimeField (B),
-    BoundaryTrace (C) or tuple of two traces (D).
+    BoundaryTrace (C) or tuple of two traces (D).  The state is always solved
+    from the controls; a ``state`` given by the caller is checked against it
+    and rejected with ``ValueError`` when inconsistent.
     """
     prob = build_problem(cfg, params)
     c = cfg.configuration
     if c == "A":
         traces = tuple(follower[side].values if side in follower else np.zeros(cfg.tgrid.n_levels)
-                       for (side, _, _, _) in prob.follower_edges)
+                       for (side, _, _) in prob.follower_edges)
         dist = disturbance.interior if disturbance is not None else np.zeros(
             (cfg.tgrid.n_levels, cfg.grid.n_interior))
         fol = traces
@@ -533,9 +447,12 @@ def evaluate_functional(cfg: ScenarioConfig, params: RobustParams, follower,
         fol = tuple(tr.values for tr in follower)
         dist = None
     leader_arr = _leader_array(prob, leader)
-    st = state.interior if state is not None else None
-    return evaluate_functional_raw(prob, fol, dist, leader_arr, state=st,
-                                   index=index, debug=debug)
+    resolved = prob.state(fol, dist, leader_arr)
+    if state is not None:
+        scale = max(float(np.max(np.abs(resolved))), 1.0)
+        if np.max(np.abs(resolved - state.interior)) > 1e-10 * scale:
+            raise ValueError("supplied state is inconsistent with the given controls")
+    return evaluate_functional_raw(prob, fol, dist, leader_arr, state=resolved, index=index)
 
 
 # --- verification -------------------------------------------------------------
@@ -564,22 +481,21 @@ def gateaux_check(cfg: ScenarioConfig, params: RobustParams, v, psi, direction,
     vdir, psidir = direction
 
     base_traces = tuple(v[side].values if side in v else np.zeros(cfg.tgrid.n_levels)
-                        for (side, _, _, _) in prob.follower_edges)
+                        for (side, _, _) in prob.follower_edges)
     dir_traces = tuple(vdir[side].values if side in vdir else np.zeros(cfg.tgrid.n_levels)
-                       for (side, _, _, _) in prob.follower_edges)
+                       for (side, _, _) in prob.follower_edges)
     psi_base = psi.interior if psi is not None else np.zeros((cfg.tgrid.n_levels, cfg.grid.n_interior))
     psi_dir = psidir.interior
 
-    y_base = _state_solve_explicit(prob, base_traces, psi_base, leader_arr)
-    linearized = _state_solve_explicit(prob, dir_traces, psi_dir, None,
-                                       y0=np.zeros(cfg.grid.n_interior))
+    y_base = prob.state(base_traces, psi_base, leader_arr)
+    linearized = prob.state(dir_traces, psi_dir, None, y0=np.zeros(cfg.grid.n_interior))
     lin_norm = max(float(np.max(np.abs(linearized))), 1e-300)
     base_norm = float(np.max(np.abs(y_base)))
 
     discs, floors = [], []
     for lam in lambdas:
         pert_traces = tuple(b + lam * d for b, d in zip(base_traces, dir_traces))
-        y_pert = _state_solve_explicit(prob, pert_traces, psi_base + lam * psi_dir, leader_arr)
+        y_pert = prob.state(pert_traces, psi_base + lam * psi_dir, leader_arr)
         quotient = (y_pert - y_base) / lam
         discs.append(float(np.max(np.abs(quotient - linearized))) / lin_norm)
         floors.append(np.finfo(float).eps * base_norm / (lam * lin_norm))
@@ -642,7 +558,7 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
     # A/B: each perturbation yields the perturbed follower, then the perturbed
     # disturbance
     if c == "A":
-        vbar = tuple(sol.follower[side].values for (side, _, _, _) in prob.follower_edges)
+        vbar = tuple(sol.follower[side].values for (side, _, _) in prob.follower_edges)
         psibar = sol.disturbance.interior
 
         def controls():
@@ -675,7 +591,7 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
     else:
         vbars = ((sol.follower.values,) if c == "C"
                  else tuple(tr.values for tr in sol.follower))
-        state = _state_solve_explicit(prob, vbars, None, leader_arr)
+        state = prob.state(vbars, None, leader_arr)
         jbars = [evaluate_functional_raw(prob, vbars, None, leader_arr, state=state, index=i)
                  for i in range(len(vbars))]
         # rho_star is infinite at t = 0 and T: a deviation there has infinite
@@ -715,7 +631,7 @@ def _stream_states(prob: _Problem, leader_arr, controls, y0=None):
     """Yield (follower, disturbance, state) for each explicit control pair of ``controls``.
 
     ``controls`` is iterated a block at a time and each block is solved by
-    one batched march through ``_state_solve_explicit``.  Each state is handed
+    one batched march through ``_Problem.state``.  Each state is handed
     out as a contiguous copy of its column, so the reductions that follow sum
     in the same order as after a single solve.  A block is released before
     the next one is drawn, which bounds memory and keeps any random draws
@@ -731,8 +647,7 @@ def _stream_states(prob: _Problem, leader_arr, controls, y0=None):
     it = iter(controls)
     while block := list(itertools.islice(it, width)):
         fols, dists = zip(*block)
-        states = _state_solve_explicit(
-            prob,
+        states = prob.state(
             stacked(fols) if cfg.configuration == "B" else tuple(map(stacked, zip(*fols))),
             None if dists[0] is None else stacked(dists),
             lead, y0=y0)
@@ -756,7 +671,7 @@ def _stationarity_estimate(prob: _Problem, sol: SaddleSolution, leader_arr,
 
     # every direction yields the +step control, then the -step one
     if c == "A":
-        vbar = tuple(sol.follower[side].values for (side, _, _, _) in prob.follower_edges)
+        vbar = tuple(sol.follower[side].values for (side, _, _) in prob.follower_edges)
         psibar = sol.disturbance.interior
 
         def controls():
@@ -801,7 +716,7 @@ def _functional_weighted(prob: _Problem, index: int, u_i: np.ndarray,
                          state: np.ndarray) -> float:
     """Cost of follower ``index`` in the weighted variable u = rho_star * v, at its state."""
     cfg = prob.cfg
-    side, col, rho, ell = prob.follower_edges[index]
+    ell = prob.follower_edges[index][2]
     value = _tracking_term(prob, state, which=index)
     value += 0.5 * ell ** 2 * float(np.sum(cfg.tgrid.dt * prob.wtrap * u_i ** 2))
     return value

@@ -45,15 +45,16 @@ def test_adjoint_terminal_and_initial_conditions():
 
 
 def test_adjoint_boundary_underflow_config_c():
-    # the theta boundary datum carries rho_star^{-2}: exact zeros near t in {0, T}
-    cfg = scenario_c(n=10, k=50)
+    # the theta boundary datum carries rho_star^{-2}: exact zeros near t in {0, T};
+    # at s = 1 it underflows at every level, so a live s shows the rest is nonzero
+    cfg = scenario_c(n=10, k=50, s=0.01)
     rng = np.random.default_rng(5)
     pair = solve_adjoint(cfg, rng.standard_normal(cfg.grid.n_interior), params())
     t = cfg.tgrid.times()
     edge = pair.theta.values[:, -1]  # follower side is the right endpoint
     early_late = (t <= 0.02 * cfg.tgrid.horizon) | (t >= 0.98 * cfg.tgrid.horizon)
     assert np.all(edge[early_late] == 0.0)
-    assert np.any(edge[~early_late] != 0.0) or True
+    assert np.any(edge[~early_late] != 0.0)
 
 
 @pytest.mark.parametrize("conf", ["A", "B", "C", "D"])

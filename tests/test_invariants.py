@@ -56,7 +56,7 @@ def test_disturbance_concavity_three_point_second_difference():
     from stackheat.saddle import build_problem, evaluate_functional_raw
     prob = build_problem(cfg, p)
     rng = np.random.default_rng(11)
-    vbar = tuple(sol.follower[side].values for (side, _, _, _) in prob.follower_edges)
+    vbar = tuple(sol.follower[side].values for (side, _, _) in prob.follower_edges)
     psibar = sol.disturbance.interior
     dpsi = rng.standard_normal(psibar.shape)
     j0 = evaluate_functional_raw(prob, vbar, psibar, None)
@@ -106,3 +106,92 @@ def test_ladder_must_increase(tmp_path):
     with pytest.raises(ConfigError) as exc:
         parse_config(str(p))
     assert "increasing" in str(exc.value)
+
+
+def _with_edge_weights(cfg):
+    """The scenario with non-unit follower edge weights, so rho shows in every row."""
+    from stackheat.grids import LEFT, RIGHT, BoundarySet
+
+    c = cfg.configuration
+    if c == "A":
+        cfg.gamma_set = BoundarySet(((LEFT, 0.7),))
+    elif c == "C":
+        cfg.gamma2 = BoundarySet(((RIGHT, 0.8),))
+    elif c == "D":
+        cfg.gamma1 = BoundarySet(((RIGHT, 0.6),))
+        cfg.gamma2 = BoundarySet(((RIGHT, 1.3),))
+    return cfg
+
+
+@pytest.mark.parametrize("conf", ["A", "B", "C", "D"])
+def test_boundary_rows_carry_the_marched_controls(conf):
+    # state edges = leader + sum of rho * v; adjoint-pair edges = rho * feedback(phi)
+    from stackheat.grids import LEFT, BoundaryTrace
+    from stackheat.hum import solve_adjoint
+    from stackheat.weights import rho_star_inv_sq
+
+    from _scenarios import builders, random_leader
+
+    def col(side):
+        return 0 if side == LEFT else -1
+
+    def assert_edges(field, expected):
+        got = field.values[:, [0, -1]]
+        scale = max(float(np.max(np.abs(expected))), 1e-300)
+        assert np.max(np.abs(got - expected[:, [0, -1]])) <= 1e-13 * scale
+
+    kw = {"s": 0.002} if conf in ("C", "D") else {}
+    cfg = _with_edge_weights(builders()[conf](n=10, k=12, y0_kind="random",
+                                              target_kind="random", seed=3, **kw))
+    p = params(ell=3.0, gamma=10.0, ell2=4.0)
+    klev, dx = cfg.tgrid.n_levels, cfg.grid.dx
+    leader = random_leader(cfg, seed=9)
+    sol = solve_optimality(cfg, leader, p)
+
+    # (side, rho, ell, trace) per follower edge, from the returned traces
+    if conf == "A":
+        edges = [(side, cfg.gamma_set.weight(side), p.ell, tr.values)
+                 for side, tr in sol.follower.items()]
+    elif conf == "B":
+        edges = []
+    elif conf == "C":
+        tr = sol.follower
+        edges = [(tr.side, cfg.gamma2.weight(tr.side), p.ell, tr.values)]
+    else:
+        edges = [(tr.side, bs.weight(tr.side), ell, tr.values)
+                 for tr, bs, ell in zip(sol.follower, (cfg.gamma1, cfg.gamma2),
+                                        (p.ell, p.second_ell))]
+    expected = np.zeros((klev, cfg.grid.n_nodes))
+    for side, rho, _, v in edges:
+        expected[:, col(side)] += rho * v
+    if isinstance(leader, BoundaryTrace):
+        expected[:, col(leader.side)] += leader.values
+    assert_edges(sol.state, expected)
+    if conf != "B":
+        assert np.any(sol.state.values[1:-1, [0, -1]] != 0.0)
+
+    rng = np.random.default_rng(4)
+    pair = solve_adjoint(cfg, rng.standard_normal(cfg.grid.n_interior), p)
+    phi = pair.phi.interior
+    wtrap = np.ones(klev)
+    wtrap[[0, -1]] = 0.5
+
+    def feedback(side, rho, ell):
+        dn = -phi[:, col(side)] / dx
+        if conf == "A":
+            return rho * dn / ell ** 2
+        g2inv = np.asarray(rho_star_inv_sq(cfg.wspec, cfg.eta(), cfg.tgrid.times()))
+        mid = 0.5 * (dn[:-1] + dn[1:])
+        smooth = 0.5 * (np.concatenate([[0.0], mid]) + np.concatenate([mid, [0.0]]))
+        return rho * g2inv * smooth / (ell ** 2 * wtrap)
+
+    # A: one theta fed by every edge; B: no edge; C/D: one theta per follower
+    blocks = [edges] if conf in ("A", "B") else [[e] for e in edges]
+    assert len(pair.thetas) == len(blocks)
+    for theta, block in zip(pair.thetas, blocks):
+        expected = np.zeros((klev, cfg.grid.n_nodes))
+        for side, rho, ell, _ in block:
+            expected[:, col(side)] = rho * feedback(side, rho, ell)
+        assert_edges(theta, expected)
+        if block:
+            assert np.any(theta.values[1:-1, [0, -1]] != 0.0)

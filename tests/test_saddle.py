@@ -165,7 +165,7 @@ def test_functional_debug_mode_rejects_inconsistent_state():
     zero_psi = SpaceTimeField.zeros(cfg.grid, cfg.tgrid)
     bad_state = SpaceTimeField.from_function(cfg.grid, cfg.tgrid, lambda x, t: x + t + 1)
     with pytest.raises(ValueError):
-        evaluate_functional(cfg, params(), zero_v, zero_psi, state=bad_state, debug=True)
+        evaluate_functional(cfg, params(), zero_v, zero_psi, state=bad_state)
 
 
 # --- equilibrium quality --------------------------------------------------------
