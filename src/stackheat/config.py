@@ -29,7 +29,8 @@ from .scenario import (RobustParams, ScenarioConfig, make_initial, make_target,
                        validate_config)
 from .weights import WeightSpec
 
-_REGION_SECTIONS = ("omega", "obs", "obs1", "obs2", "b1", "b2")
+_REGION_ROLES = {"omega": "omega", "obs": "O_d", "obs1": "O_d", "obs2": "O_d",
+                 "b1": "B1", "b2": "B2"}
 
 _SCHEMA = {
     "scenario": {
@@ -117,9 +118,7 @@ class ScenarioRecipe:
     def build(self, n_interior: int, n_steps: int) -> ScenarioConfig:
         grid = SpatialGrid(n_interior, self.length)
         tgrid = TimeGrid(n_steps, self.horizon)
-        roles = {"omega": "omega", "obs": "O_d", "obs1": "O_d", "obs2": "O_d",
-                 "b1": "B1", "b2": "B2"}
-        region_objs = {name: Region(a, b, roles[name]) for name, a, b in self.regions}
+        region_objs = {name: Region(a, b, _REGION_ROLES[name]) for name, a, b in self.regions}
         side_objs = dict(self.sides)
         obs_key = "obs1" if self.configuration == "D" else "obs"
         target = make_target(grid, tgrid, region_objs[obs_key], self.target_kind,
@@ -214,7 +213,7 @@ def parse_config(path: str) -> ExperimentSpec:
     values = {sec: {} for sec in _SCHEMA}
     regions = {}
     for section in parser.sections():
-        if section.startswith("scenario.") and section.split(".", 1)[1] in _REGION_SECTIONS:
+        if section.startswith("scenario.") and section.split(".", 1)[1] in _REGION_ROLES:
             rname = section.split(".", 1)[1]
             body = dict(parser.items(section))
             for key in body:
@@ -225,12 +224,13 @@ def parse_config(path: str) -> ExperimentSpec:
             for key in ("a", "b"):
                 if key not in body:
                     raise ConfigError(f"{path}: [{section}] is missing {key!r}")
-            regions[rname] = (float(body["a"]), float(body["b"]))
+            regions[rname] = tuple(_parse_value(section, key, body[key], float, path)
+                                   for key in ("a", "b"))
             continue
         if section not in _SCHEMA:
             raise ConfigError(
                 f"{path}: unknown section [{section}]"
-                f"{_suggest(section, list(_SCHEMA) + ['scenario.' + r for r in _REGION_SECTIONS])}")
+                f"{_suggest(section, list(_SCHEMA) + ['scenario.' + r for r in _REGION_ROLES])}")
         schema = _SCHEMA[section]
         for key, raw in parser.items(section):
             if key not in schema:
@@ -238,6 +238,16 @@ def parse_config(path: str) -> ExperimentSpec:
                     f"{path}: unknown key {key!r} in [{section}]{_suggest(key, schema)}")
             values[section][key] = _parse_value(section, key, raw, schema[key], path)
 
+    try:
+        return _build_spec(path, values, regions)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a value the typed settings reject
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _build_spec(path: str, values: dict, regions: dict) -> ExperimentSpec:
+    """Typed, geometrically validated settings from the schema-checked values."""
     sc = values["scenario"]
     if "configuration" not in sc:
         raise ConfigError(f"{path}: [scenario] must set configuration = A|B|C|D")
@@ -261,10 +271,6 @@ def parse_config(path: str) -> ExperimentSpec:
         raise ConfigError(
             f"{path}: region section(s) {sorted(extra)} do not apply to configuration {conf}; "
             f"expected {sorted(_REGION_DEFAULTS[conf])}")
-
-    roles = {"omega": "omega", "obs": "O_d", "obs1": "O_d", "obs2": "O_d",
-             "b1": "B1", "b2": "B2"}
-    region_objs = {name: Region(a, b, roles[name]) for name, (a, b) in reg.items()}
 
     sides = dict(_SIDE_DEFAULTS[conf])
     for key in ("gamma", "gamma1", "gamma2"):

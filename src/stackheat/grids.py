@@ -147,7 +147,7 @@ class BoundaryTrace:
 
 
 # Role tags a region may carry; purely descriptive.
-REGION_ROLES = ("omega", "O_d", "B1", "B2", "S")
+REGION_ROLES = ("omega", "O_d", "B1", "B2")
 
 
 @dataclass(frozen=True)
@@ -166,9 +166,6 @@ class Region:
         if self.role not in REGION_ROLES:
             raise ValueError(f"unknown region role {self.role!r}")
 
-    def contains(self, x: float) -> bool:
-        return self.a <= x <= self.b
-
     def intersects(self, other: "Region") -> bool:
         return max(self.a, other.a) < min(self.b, other.b)
 
@@ -186,10 +183,6 @@ class Region:
                 f"region ({self.a}, {self.b}) contains no interior node at dx={grid.dx:.4g}"
             )
         return mask
-
-    @property
-    def measure(self) -> float:
-        return self.b - self.a
 
 
 @dataclass(frozen=True)

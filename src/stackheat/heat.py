@@ -44,14 +44,6 @@ def bavg(z: np.ndarray, theta: float) -> np.ndarray:
     return theta * z[:-1] + (1.0 - theta) * z[1:]
 
 
-def midpoint_transpose(m: np.ndarray, theta: float = 0.5) -> np.ndarray:
-    """Transpose of ``favg``: scatter K midpoint values back to K+1 levels."""
-    out = np.zeros((m.shape[0] + 1,) + m.shape[1:])
-    out[1:] += theta * m
-    out[:-1] += (1.0 - theta) * m
-    return out
-
-
 def trapezoid_time_weights(n_levels: int) -> np.ndarray:
     w = np.ones(n_levels)
     w[0] = w[-1] = 0.5

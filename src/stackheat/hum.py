@@ -117,8 +117,8 @@ def solve_adjoint(cfg: ScenarioConfig, phi_terminal: np.ndarray,
         return _theta_columns(prob, th)
 
     phi, thetas, iters, res, _ = picard_coupled(
-        prob, None,
-        lambda ths, _lead: _phi_backward(prob, ths, a),
+        prob,
+        lambda ths: _phi_backward(prob, ths, a),
         theta_forward,
         prob.n_adjoints)
     _, left, right = _theta_forcing(prob, phi)
@@ -290,7 +290,6 @@ def target_admissibility(cfg: ScenarioConfig):
     """Admissibility report of the scenario's target, or None when trivial."""
     if all(np.all(t.values == 0.0) for t in cfg.targets()):
         return None
-    conf = cfg.configuration if cfg.configuration in ("A", "B", "C") else "C"
     grid = cfg.grid
     masks = [reg.interior_mask(grid) for reg in cfg.observation_regions()]
 
@@ -299,8 +298,7 @@ def target_admissibility(cfg: ScenarioConfig):
         return sum(float(np.sum(tgt.interior[k][mask] ** 2) * grid.dx)
                    for mask, tgt in zip(masks, cfg.targets()))
 
-    return admissibility_check(conf, cfg.wspec, cfg.eta(), ydfun,
-                               refinements=(64, 128, 256))
+    return admissibility_check(cfg.configuration, cfg.wspec, cfg.eta(), ydfun)
 
 
 @dataclass
@@ -395,8 +393,7 @@ def observability_probe(cfg: ScenarioConfig, params: RobustParams,
     grid, tgrid = cfg.grid, cfg.tgrid
     theta_s = cfg.theta
     rng = np.random.default_rng(seed)
-    conf = cfg.configuration if cfg.configuration in ("A", "B", "C") else "C"
-    w_inv = np.asarray(target_weight_inv_sq(conf, cfg.wspec, cfg.eta(),
+    w_inv = np.asarray(target_weight_inv_sq(cfg.configuration, cfg.wspec, cfg.eta(),
                                             tgrid.midpoint_times()), dtype=float)
 
     def lhs_cross(pa: AdjointPair, pb: AdjointPair) -> float:

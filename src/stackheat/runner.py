@@ -7,6 +7,7 @@ emitted files are byte-identical across runs of the same config and seed.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 import warnings
@@ -18,7 +19,7 @@ from .csvio import write_csv, write_field_csv, write_manifest, write_trace_csv
 from .errors import ConfigError, StackheatError
 from .grids import SpaceTimeField, SpatialGrid, TimeGrid
 from .heat import solve_forward
-from .hum import HumSettings, hum_minimize, observability_probe, target_admissibility
+from .hum import hum_minimize, observability_probe, target_admissibility
 from .config import ExperimentSpec
 from .oracle import dense_optimality_solve
 from .products import l2_q
@@ -66,9 +67,14 @@ class _Emitter:
         self.files.append(name)
         return os.path.join(self.out_dir, name)
 
-    def finish(self):
+    def report(self, stages, verdicts) -> RunReport:
+        """Write ``verdicts.csv`` and the manifest; the command's report."""
+        write_csv(self.path("verdicts.csv"), ["check", "status", "reason", "value"],
+                  [[v.name, v.status, v.reason, "" if v.value is None else v.value]
+                   for v in verdicts])
         write_manifest(self.out_dir, self.files)
         self.files.append("manifest.csv")
+        return RunReport(self.out_dir, tuple(stages), tuple(verdicts), tuple(self.files))
 
 
 def _emit_saddle(em: _Emitter, cfg: ScenarioConfig, sol, prefix: str):
@@ -114,7 +120,7 @@ def _follower_norm(cfg: ScenarioConfig, sol) -> float:
 
 def _emit_weights(em: _Emitter, cfg: ScenarioConfig):
     t = cfg.tgrid.times()
-    conf = cfg.configuration if cfg.configuration in ("A", "B", "C") else "C"
+    conf = cfg.configuration
     eta = cfg.eta()
     tw = [target_weight(conf, cfg.wspec, eta, tk) if tk < cfg.tgrid.horizon else float("nan")
           for tk in t]
@@ -216,9 +222,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 coarse = timed("eps-law", lambda: hum_minimize(
-                    cfg, robust, HumSettings(epsilon=hum.epsilon * 100.0,
-                                             cg_tol=hum.cg_tol,
-                                             cg_max_iters=hum.cg_max_iters),
+                    cfg, robust, dataclasses.replace(hum, epsilon=hum.epsilon * 100.0),
                     check_admissibility=False))
             if coarse.terminal_residual_hminus1 == 0.0 and res.terminal_residual_hminus1 == 0.0:
                 verdicts.append(Verdict("epsilon_law", "skipped",
@@ -236,11 +240,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
         verdicts.append(Verdict("pipeline", "error", str(exc)))
         em.log(f"[error] {exc}")
 
-    write_csv(em.path("verdicts.csv"), ["check", "status", "reason", "value"],
-              [[v.name, v.status, v.reason, "" if v.value is None else v.value]
-               for v in verdicts])
-    em.finish()
-    report = RunReport(em.out_dir, tuple(stages), tuple(verdicts), tuple(em.files))
+    report = em.report(stages, verdicts)
     em.log(f"verdicts: {'all ok' if report.passed else 'FAILURES'} "
            f"({sum(v.status == 'pass' for v in verdicts)} pass, "
            f"{sum(v.status == 'fail' for v in verdicts)} fail, "
@@ -308,9 +308,7 @@ def eps_sweep(spec: ExperimentSpec, out_dir: str | None = None,
         for eps in sorted(spec.epsilon_ladder, reverse=True):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                res = hum_minimize(cfg, robust,
-                                   HumSettings(epsilon=eps, cg_tol=spec.hum.cg_tol,
-                                               cg_max_iters=spec.hum.cg_max_iters),
+                res = hum_minimize(cfg, robust, dataclasses.replace(spec.hum, epsilon=eps),
                                    warm_start=warm, check_admissibility=False)
             warm = res.phi_terminal
             residuals.append(res.terminal_residual_hminus1)
@@ -329,12 +327,7 @@ def eps_sweep(spec: ExperimentSpec, out_dir: str | None = None,
     write_csv(em.path("eps_sweep.csv"),
               ["epsilon [1]", "terminal_residual [Hminus1]", "internal_estimate [Hminus1]",
                "cg_iterations", "leader_norm_sq [control]", "residual_ratio [1]"], rows)
-    write_csv(em.path("verdicts.csv"), ["check", "status", "reason", "value"],
-              [[v.name, v.status, v.reason, "" if v.value is None else v.value]
-               for v in verdicts])
-    em.finish()
-    stages = (("eps-sweep", time.perf_counter() - t0),)
-    return RunReport(em.out_dir, stages, tuple(verdicts), tuple(em.files))
+    return em.report((("eps-sweep", time.perf_counter() - t0),), verdicts)
 
 
 def convergence_study(spec: ExperimentSpec, out_dir: str | None = None,
@@ -371,16 +364,11 @@ def convergence_study(spec: ExperimentSpec, out_dir: str | None = None,
 
     sweep_report = eps_sweep(spec, out_dir=em.out_dir, quiet=True)
     verdicts.extend(sweep_report.verdicts)
-    for name in sweep_report.files:
-        if name not in em.files and name != "manifest.csv":
-            em.files.append(name)
+    # the sweep's verdicts and manifest are rewritten for the whole study
+    em.files += [name for name in sweep_report.files
+                 if name not in ("verdicts.csv", "manifest.csv")]
 
-    write_csv(em.path("verdicts.csv"), ["check", "status", "reason", "value"],
-              [[v.name, v.status, v.reason, "" if v.value is None else v.value]
-               for v in verdicts])
-    em.files = sorted(set(em.files))
-    em.finish()
-    report = RunReport(em.out_dir, tuple(stages), tuple(verdicts), tuple(em.files))
+    report = em.report(stages, verdicts)
     em.log(f"convergence study: order {order:.3f}, "
            f"{'all ok' if report.passed else 'FAILURES'}")
     return report
@@ -404,9 +392,6 @@ def probe_run(spec: ExperimentSpec, out_dir: str | None = None,
     verdicts = (Verdict("probe_finite", "pass" if np.isfinite(rep.max_ratio) else "fail",
                         f"max ratio {rep.max_ratio:.4g}, refined {rep.refined_max:.4g}",
                         rep.max_ratio),)
-    write_csv(em.path("verdicts.csv"), ["check", "status", "reason", "value"],
-              [[v.name, v.status, v.reason, "" if v.value is None else v.value]
-               for v in verdicts])
-    em.finish()
+    report = em.report(stages, verdicts)
     em.log(f"probe: {rep.n_samples} samples, max ratio {rep.max_ratio:.4g}")
-    return RunReport(em.out_dir, stages, verdicts, tuple(em.files))
+    return report

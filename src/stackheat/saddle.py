@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .heat import (_assemble_field, march, march_backward, normal_derivative_o1,
                    trapezoid_time_weights)
 from .products import l2q_norm_interior, qmid_field, qmid_trace
 from .scenario import RobustParams, ScenarioConfig, require_valid
-from .weights import _LOG_CAP, rho_star_log, rho_star_inv_sq
+from .weights import _capped_exp, _exp_neg, rho_star_log, rho_star_inv_sq
 
 _CN = 0.5  # the optimality machinery is exact for the midpoint scheme
 
@@ -74,9 +74,7 @@ def capped_weighted_sq(log_w: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     out = np.zeros_like(v)
     nz = v != 0.0
-    with np.errstate(over="ignore"):
-        expo = log_w[nz] + 2.0 * np.log(np.abs(v[nz]))
-        out[nz] = np.where(expo >= _LOG_CAP, 1e300, np.exp(np.minimum(expo, _LOG_CAP)))
+    out[nz] = _capped_exp(log_w[nz] + 2.0 * np.log(np.abs(v[nz])))
     return out
 
 
@@ -131,6 +129,28 @@ class _Problem:
             rho * time_weight * smooth_trace(normal_derivative_o1(r, cfg.grid, side))
             / (ell ** 2 * self.wtrap)
             for (side, rho, ell), r in zip(self.follower_edges, adjoints)), None
+
+    def raw(self, follower, disturbance=None) -> tuple:
+        """Typed controls as the raw (follower, disturbance) that ``feedback`` returns.
+
+        The reverse of ``_package_solution``: ``follower`` is a dict side ->
+        BoundaryTrace (A), a SpaceTimeField (B), a BoundaryTrace (C) or a
+        tuple of traces (D).  A missing A edge and a missing A/B disturbance
+        read as zero.
+        """
+        cfg = self.cfg
+        klev = cfg.tgrid.n_levels
+        c = cfg.configuration
+        if c == "A":
+            follower = tuple(follower[side].values if side in follower else np.zeros(klev)
+                             for side, _, _ in self.follower_edges)
+        elif c == "B":
+            follower = follower.interior
+        else:
+            return tuple(tr.values for tr in ((follower,) if c == "C" else follower)), None
+        if disturbance is None:
+            return follower, np.zeros((klev, cfg.grid.n_interior))
+        return follower, disturbance.interior
 
     def forcing(self, follower, disturbance, leader) -> tuple:
         """(source, left, right) of the forward ``march`` driven by explicit controls.
@@ -201,8 +221,7 @@ def build_problem(cfg: ScenarioConfig, params: RobustParams) -> _Problem:
         t = tgrid.times()
         log_g2 = np.asarray(rho_star_log(cfg.wspec, eta, t), dtype=float)
         g2inv = np.asarray(rho_star_inv_sq(cfg.wspec, eta, t), dtype=float)
-        with np.errstate(under="ignore"):
-            ginv = np.where(np.isinf(log_g2), 0.0, np.exp(-np.minimum(log_g2, 1492.0) / 2.0))
+        ginv = _exp_neg(log_g2, 0.5)
 
     return _Problem(
         cfg=cfg, params=params, obs_masks=obs_masks, targets=targets,
@@ -274,7 +293,7 @@ class SaddleSolution:
         return float(np.median(self.contraction_ratios))
 
 
-def picard_coupled(prob: _Problem, leader, forward, backward, n_adjoints: int,
+def picard_coupled(prob: _Problem, forward, backward, n_adjoints: int,
                    sweeps: Optional[int] = None):
     """Generic lagged fixed-point loop shared by the optimality and adjoint systems.
 
@@ -294,7 +313,7 @@ def picard_coupled(prob: _Problem, leader, forward, backward, n_adjoints: int,
     bad_streak = 0
     state = None
     for it in range(1, max_iter + 1):
-        state = forward(adjoints, leader)
+        state = forward(adjoints)
         new_adjoints = backward(state)
         delta = float(np.sqrt(sum(
             l2q_norm_interior(a - b, grid, tgrid.dt) ** 2
@@ -313,15 +332,15 @@ def picard_coupled(prob: _Problem, leader, forward, backward, n_adjoints: int,
                 bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
                 if bad_streak >= 2 and delta <= 1e-6 * first_delta and sweeps is None:
                     # round-off floor reached; as converged as it gets
-                    state = forward(adjoints, leader)
+                    state = forward(adjoints)
                     return state, adjoints, it, delta / first_delta, tuple(ratios)
                 if bad_streak >= 5 and sweeps is None:
                     raise NonContractionError(ratio, it)
         if sweeps is None and delta <= tol * first_delta:
-            state = forward(adjoints, leader)
+            state = forward(adjoints)
             return state, adjoints, it, delta / first_delta, tuple(ratios)
     if sweeps is not None:
-        state = forward(adjoints, leader)
+        state = forward(adjoints)
         return state, adjoints, max_iter, deltas[-1] / max(first_delta, 1e-300), tuple(ratios)
     raise ConvergenceError(
         f"fixed-point iteration did not reach tol={tol} within {max_iter} sweeps "
@@ -338,8 +357,8 @@ def solve_optimality(cfg: ScenarioConfig, leader, params: RobustParams,
     prob = build_problem(cfg, params)
     leader_arr = _leader_array(prob, leader)
     state, adjoints, iters, res, ratios = picard_coupled(
-        prob, leader_arr,
-        lambda adj, lead: prob.state(*prob.feedback(adj, prob.g2inv), lead),
+        prob,
+        lambda adj: prob.state(*prob.feedback(adj, prob.g2inv), leader_arr),
         lambda st: _adjoint_solve(prob, st),
         prob.n_adjoints, sweeps=sweeps)
     return _package_solution(prob, leader_arr, state, adjoints, iters, res, ratios)
@@ -430,22 +449,7 @@ def evaluate_functional(cfg: ScenarioConfig, params: RobustParams, follower,
     and rejected with ``ValueError`` when inconsistent.
     """
     prob = build_problem(cfg, params)
-    c = cfg.configuration
-    if c == "A":
-        traces = tuple(follower[side].values if side in follower else np.zeros(cfg.tgrid.n_levels)
-                       for (side, _, _) in prob.follower_edges)
-        dist = disturbance.interior if disturbance is not None else np.zeros(
-            (cfg.tgrid.n_levels, cfg.grid.n_interior))
-        fol = traces
-    elif c == "B":
-        fol = follower.interior
-        dist = disturbance.interior if disturbance is not None else np.zeros_like(fol)
-    elif c == "C":
-        fol = (follower.values,)
-        dist = None
-    else:
-        fol = tuple(tr.values for tr in follower)
-        dist = None
+    fol, dist = prob.raw(follower, disturbance)
     leader_arr = _leader_array(prob, leader)
     resolved = prob.state(fol, dist, leader_arr)
     if state is not None:
@@ -478,14 +482,8 @@ def gateaux_check(cfg: ScenarioConfig, params: RobustParams, v, psi, direction,
         raise ValueError("the directional-derivative check is set in configuration A")
     prob = build_problem(cfg, params)
     leader_arr = _leader_array(prob, leader)
-    vdir, psidir = direction
-
-    base_traces = tuple(v[side].values if side in v else np.zeros(cfg.tgrid.n_levels)
-                        for (side, _, _) in prob.follower_edges)
-    dir_traces = tuple(vdir[side].values if side in vdir else np.zeros(cfg.tgrid.n_levels)
-                       for (side, _, _) in prob.follower_edges)
-    psi_base = psi.interior if psi is not None else np.zeros((cfg.tgrid.n_levels, cfg.grid.n_interior))
-    psi_dir = psidir.interior
+    base_traces, psi_base = prob.raw(v, psi)
+    dir_traces, psi_dir = prob.raw(*direction)
 
     y_base = prob.state(base_traces, psi_base, leader_arr)
     linearized = prob.state(dir_traces, psi_dir, None, y0=np.zeros(cfg.grid.n_interior))
@@ -512,7 +510,59 @@ class VerifyReport:
     functional_value: float
     concavity_estimates: tuple = ()
     passed: bool = True
-    worst_perturbation: tuple = ()  # (index, 'control'|'disturbance') of the offender
+    worst_perturbation: tuple = ()  # (perturbation index, player label) of the offender
+
+
+@dataclass(frozen=True)
+class _Player:
+    """One player of a follower equilibrium and its random unilateral deviation."""
+
+    label: str           # names the offender in ``VerifyReport.worst_perturbation``
+    index: int           # whose cost it plays on: the follower index in D, else 0
+    maximizes: bool      # the disturbance maximizes, every control minimizes
+    perturb: Callable    # magnitude -> perturbed (follower, disturbance)
+
+
+def _players(prob: _Problem, follower, disturbance, rng) -> list:
+    """The players of the equilibrium at the raw controls (follower, disturbance).
+
+    A/B: the control and the disturbance of a saddle point; C: the one
+    follower; D: the two followers of a Nash pair.
+    """
+    cfg = prob.cfg
+    c = cfg.configuration
+    klev, n = cfg.tgrid.n_levels, cfg.grid.n_interior
+    if c == "A":
+        return [
+            _Player("control", 0, False, lambda m: (
+                tuple(v + m * rng.standard_normal(klev) for v in follower), disturbance)),
+            _Player("disturbance", 0, True, lambda m: (
+                follower, disturbance + m * rng.standard_normal((klev, n)))),
+        ]
+    if c == "B":
+        def on(mask, m):
+            """m times a Gaussian draw on the mask's nodes, zero elsewhere."""
+            d = np.zeros((klev, n))
+            d[:, mask] = m * rng.standard_normal((klev, int(mask.sum())))
+            return d
+
+        return [
+            _Player("control", 0, False, lambda m: (follower + on(prob.b1_mask, m), disturbance)),
+            _Player("disturbance", 0, True,
+                    lambda m: (follower, disturbance + on(prob.b2_mask, m))),
+        ]
+    # rho_star is infinite at t = 0 and T: a deviation there has infinite
+    # cost, saturates every perturbed value at the cap and hides any
+    # violation, so the perturbations vanish on those levels
+    live = np.isfinite(prob.log_g2)
+
+    def deviate(i):
+        def perturb(m):
+            dv = np.where(live, m * rng.standard_normal(klev), 0.0)
+            return tuple(v + dv if j == i else v for j, v in enumerate(follower)), None
+        return perturb
+
+    return [_Player(f"control {i + 1}", i, False, deviate(i)) for i in range(len(follower))]
 
 
 def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: RobustParams,
@@ -522,109 +572,54 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
     """Check the defining inequalities of the equilibrium by random perturbation.
 
     A/B: both saddle inequalities; C: plain minimality; D: both unilateral
-    Nash conditions.  Additionally estimates the first-order stationarity of
-    the discrete functional by exact central differences (the functional is
-    quadratic in the well-scaled variables).  The perturbed states are solved
-    in batched blocks (``_stream_states``); every value equals the one of a
-    single solve bit for bit.
+    Nash conditions.  Each perturbation draws one magnitude and deviates
+    each player (``_players``) alone; the deviation is scored against that
+    player's cost at the equilibrium, which is computed from the controls in
+    ``sol``, not read from ``sol.functional_value``.  Additionally estimates
+    the first-order stationarity of the discrete functional by exact central
+    differences (the functional is quadratic in the well-scaled variables).
+    The perturbed states are solved in batched blocks (``_stream_states``);
+    every value equals the one of a single solve bit for bit.
     """
     prob = build_problem(cfg, params)
     leader_arr = _leader_array(prob, leader)
     rng = np.random.default_rng(seed)
-    c = cfg.configuration
-    grid, tgrid = cfg.grid, cfg.tgrid
-    klev, n = tgrid.n_levels, grid.n_interior
+    follower, disturbance = prob.raw(sol.follower, sol.disturbance)
+    state = prob.state(follower, disturbance, leader_arr)
+    jbars = [evaluate_functional_raw(prob, follower, disturbance, leader_arr, state=state, index=i)
+             for i in range(prob.n_adjoints)]
+    players = _players(prob, follower, disturbance, rng)
 
-    jbar = sol.functional_value
-    scale = 1.0 + abs(jbar)
-    min_viol = 0.0
-    max_viol = 0.0
-    worst = ()
-
-    def note_min(idx, kind, value):
-        nonlocal min_viol, worst
-        if value > min_viol:
-            min_viol, worst = value, (idx, kind)
-
-    def note_max(idx, value):
-        nonlocal max_viol, worst
-        if value > max_viol:
-            max_viol, worst = value, (idx, "disturbance")
-
-    def rand_mag():
+    def deviations():
         lo, hi = magnitudes
-        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+        for _ in range(n_perturbations):
+            m = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+            for player in players:
+                yield player.perturb(m)
 
-    # A/B: each perturbation yields the perturbed follower, then the perturbed
-    # disturbance
-    if c == "A":
-        vbar = tuple(sol.follower[side].values for (side, _, _) in prob.follower_edges)
-        psibar = sol.disturbance.interior
-
-        def controls():
-            for _ in range(n_perturbations):
-                m = rand_mag()
-                dv = tuple(m * rng.standard_normal(klev) for _ in vbar)
-                dpsi = m * rng.standard_normal((klev, n))
-                yield tuple(b + d for b, d in zip(vbar, dv)), psibar
-                yield vbar, psibar + dpsi
-    elif c == "B":
-        vbar = sol.follower.interior
-        psibar = sol.disturbance.interior
-
-        def controls():
-            for _ in range(n_perturbations):
-                m = rand_mag()
-                dv = np.zeros_like(vbar)
-                dv[:, prob.b1_mask] = m * rng.standard_normal((klev, int(prob.b1_mask.sum())))
-                dpsi = np.zeros_like(psibar)
-                dpsi[:, prob.b2_mask] = m * rng.standard_normal((klev, int(prob.b2_mask.sum())))
-                yield vbar + dv, psibar
-                yield vbar, psibar + dpsi
-
-    if c in ("A", "B"):
-        values = [evaluate_functional_raw(prob, f, d, leader_arr, state=y)
-                  for f, d, y in _stream_states(prob, leader_arr, controls())]
-        for k in range(n_perturbations):
-            note_min(k, "control", jbar - values[2 * k])
-            note_max(k, values[2 * k + 1] - jbar)
-    else:
-        vbars = ((sol.follower.values,) if c == "C"
-                 else tuple(tr.values for tr in sol.follower))
-        state = prob.state(vbars, None, leader_arr)
-        jbars = [evaluate_functional_raw(prob, vbars, None, leader_arr, state=state, index=i)
-                 for i in range(len(vbars))]
-        # rho_star is infinite at t = 0 and T: a deviation there has infinite
-        # cost, saturates every perturbed value at the cap and hides any
-        # violation, so the perturbations vanish on those levels
-        live = np.isfinite(prob.log_g2)
-
-        def controls():
-            for _ in range(n_perturbations):
-                m = rand_mag()
-                for i in range(len(vbars)):
-                    dv = np.where(live, m * rng.standard_normal(klev), 0.0)
-                    yield tuple(v + dv if j == i else v for j, v in enumerate(vbars)), None
-
-        values = [evaluate_functional_raw(prob, f, None, leader_arr, state=y, index=i)
-                  for (f, _, y), i in zip(_stream_states(prob, leader_arr, controls()),
-                                          itertools.cycle(range(len(vbars))))]
-        for k in range(n_perturbations):
-            for i in range(len(vbars)):
-                note_min(k, f"control {i + 1}", jbars[i] - values[k * len(vbars) + i])
+    violation = {False: 0.0, True: 0.0}  # worst per kind: minimizing, maximizing
+    worst = ()
+    scored = zip(_stream_states(prob, leader_arr, deviations()), itertools.cycle(players))
+    for j, ((f, d, y), player) in enumerate(scored):
+        value = evaluate_functional_raw(prob, f, d, leader_arr, state=y, index=player.index)
+        jbar = jbars[player.index]
+        gain = value - jbar if player.maximizes else jbar - value
+        if gain > violation[player.maximizes]:
+            violation[player.maximizes] = gain
+            worst = (j // len(players), player.label)
 
     max_dderiv = _stationarity_estimate(prob, sol, leader_arr, rng, n_directions)
 
     concavity = ()
-    if c == "A":
+    if cfg.configuration == "A":
         concavity = _concavity_estimates(prob, rng, 3)
 
-    passed = (min_viol <= slack and max_viol <= slack
-              and max_dderiv <= stationarity_tol * scale)
+    passed = (violation[False] <= slack and violation[True] <= slack
+              and max_dderiv <= stationarity_tol * (1.0 + abs(jbars[0])))
     if passed:
         worst = ()
-    return VerifyReport(n_perturbations, min_viol, max_viol, max_dderiv,
-                        jbar, concavity, passed, worst)
+    return VerifyReport(n_perturbations, violation[False], violation[True], max_dderiv,
+                        jbars[0], concavity, passed, worst)
 
 
 def _stream_states(prob: _Problem, leader_arr, controls, y0=None):
@@ -669,11 +664,9 @@ def _stationarity_estimate(prob: _Problem, sol: SaddleSolution, leader_arr,
     klev, n = cfg.tgrid.n_levels, cfg.grid.n_interior
     step = 1e-2
 
+    vbar, psibar = prob.raw(sol.follower, sol.disturbance)
     # every direction yields the +step control, then the -step one
     if c == "A":
-        vbar = tuple(sol.follower[side].values for (side, _, _) in prob.follower_edges)
-        psibar = sol.disturbance.interior
-
         def controls():
             for _ in range(n_directions):
                 dv = tuple(rng.standard_normal(klev) for _ in vbar)
@@ -681,9 +674,6 @@ def _stationarity_estimate(prob: _Problem, sol: SaddleSolution, leader_arr,
                 yield tuple(b + step * d for b, d in zip(vbar, dv)), psibar + step * dpsi
                 yield tuple(b - step * d for b, d in zip(vbar, dv)), psibar - step * dpsi
     elif c == "B":
-        vbar = sol.follower.interior
-        psibar = sol.disturbance.interior
-
         def controls():
             for _ in range(n_directions):
                 dv = np.where(prob.b1_mask[None, :], rng.standard_normal((klev, n)), 0.0)
@@ -695,8 +685,7 @@ def _stationarity_estimate(prob: _Problem, sol: SaddleSolution, leader_arr,
         values = [evaluate_functional_raw(prob, f, d, leader_arr, state=y)
                   for f, d, y in _stream_states(prob, leader_arr, controls())]
     else:
-        ubars = ((sol.follower_weighted.values,) if c == "C"
-                 else tuple(tr.values for tr in sol.follower_weighted))
+        ubars, _ = prob.raw(sol.follower_weighted)
         cases = []  # (follower index, perturbed weighted control)
         for i, ubar in enumerate(ubars):
             for _ in range(max(1, n_directions // len(ubars))):

@@ -48,11 +48,6 @@ class RobustParams:
             raise ValueError("ell2 must be positive when given")
 
     @property
-    def mu(self) -> float:
-        """Contraction parameter min(ell^2, gamma^2)."""
-        return min(self.ell, self.gamma) ** 2
-
-    @property
     def second_ell(self) -> float:
         return self.ell if self.ell2 is None else self.ell2
 
@@ -99,15 +94,6 @@ class ScenarioConfig:
     def leader_side(self) -> str:
         support = self.leader_set().support
         return support[0]
-
-    def follower_sets(self) -> tuple:
-        if self.configuration == "A":
-            return (self.gamma_set,)
-        if self.configuration == "C":
-            return (self.gamma2,)
-        if self.configuration == "D":
-            return (self.gamma1, self.gamma2)
-        return ()
 
     def observation_regions(self) -> tuple:
         if self.configuration == "D":

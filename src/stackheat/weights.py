@@ -19,6 +19,7 @@ from .grids import LEFT, RIGHT, SpatialGrid
 
 CAP = 1e300
 _LOG_CAP = math.log(CAP)
+_GROWTH_TOL = 1.05  # admissible growth of the weighted target integral per refinement
 
 
 @dataclass(frozen=True)
@@ -284,6 +285,18 @@ class BetaPhi:
     saturated: bool
 
 
+def _pointwise_weights(spec: WeightSpec, eta, x: float, den) -> tuple:
+    """(weight, xi, weight_star, xi_star, saturated) for one time denominator."""
+    e_sup = math.exp(2.0 * spec.lam * eta.sup)
+    e_here = math.exp(spec.lam * eta.value(x))
+    e_min = math.exp(spec.lam * eta.min_value)
+    a, sa = _capped_ratio(e_sup - e_here, den)
+    xi, sx = _capped_ratio(e_here, den)
+    a_star, ss = _capped_ratio(e_sup - e_min, den)
+    xi_star, sm = _capped_ratio(e_min, den)
+    return float(a), float(xi), float(a_star), float(xi_star), bool(sa | sx | ss | sm)
+
+
 def alpha_xi(spec: WeightSpec, eta: Eta0, x: float, t: float) -> AlphaXi:
     """Pointwise weights (alpha, xi) plus their extremal envelopes in space.
 
@@ -294,16 +307,7 @@ def alpha_xi(spec: WeightSpec, eta: Eta0, x: float, t: float) -> AlphaXi:
     T = spec.horizon
     if t <= 0.0 or t >= T:
         raise ValueError(f"alpha/xi weights are undefined at t={t}; use interior times")
-    den = l_of_t(t, T) ** spec.m
-    e_sup = math.exp(2.0 * spec.lam * eta.sup)
-    e_here = math.exp(spec.lam * eta.value(x))
-    e_min = math.exp(spec.lam * eta.min_value)
-    a, sa = _capped_ratio(e_sup - e_here, den)
-    xi, sx = _capped_ratio(e_here, den)
-    a_star, ss = _capped_ratio(e_sup - e_min, den)
-    xi_star, sm = _capped_ratio(e_min, den)
-    return AlphaXi(float(a), float(xi), float(a_star), float(xi_star),
-                   bool(sa | sx | ss | sm))
+    return AlphaXi(*_pointwise_weights(spec, eta, x, l_of_t(t, T) ** spec.m))
 
 
 def beta_weights(spec: WeightSpec, eta: Eta0, x: float, t: float) -> BetaPhi:
@@ -313,16 +317,7 @@ def beta_weights(spec: WeightSpec, eta: Eta0, x: float, t: float) -> BetaPhi:
         raise ValueError(f"beta weights are undefined at t={t} >= T")
     if t < 0:
         raise ValueError("t before 0")
-    den = lbar_of_t(t, T) ** spec.m
-    e_sup = math.exp(2.0 * spec.lam * eta.sup)
-    e_here = math.exp(spec.lam * eta.value(x))
-    e_min = math.exp(spec.lam * eta.min_value)
-    b, sb = _capped_ratio(e_sup - e_here, den)
-    phi, sp = _capped_ratio(e_here, den)
-    b_star, ss = _capped_ratio(e_sup - e_min, den)
-    phi_star, sm = _capped_ratio(e_min, den)
-    return BetaPhi(float(b), float(phi), float(b_star), float(phi_star),
-                   bool(sb | sp | ss | sm))
+    return BetaPhi(*_pointwise_weights(spec, eta, x, lbar_of_t(t, T) ** spec.m))
 
 
 def section3_weights(spec: WeightSpec, pair: EtaPair, x: float, t: float):
@@ -347,15 +342,26 @@ def section3_weights(spec: WeightSpec, pair: EtaPair, x: float, t: float):
     return float(a1), float(a2), float(x1), float(x2)
 
 
-def _alpha_bar_star_exponent(spec: WeightSpec, eta_bar: EtaBar, t, truncated: bool = False):
-    """s * alpha_bar_star(t); +inf where the denominator vanishes."""
-    T = spec.horizon
-    den = _quartic_den_trunc(t, T) if truncated else _quartic_den(t, T)
-    num = math.exp(2.0 * spec.lam * eta_bar.sup) - math.exp(spec.lam * eta_bar.min_value)
+def _log_weight(spec: WeightSpec, num: float, den):
+    """s * num / den; +inf where the denominator vanishes."""
     den = np.asarray(den, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
         expo = np.where(den > 0, spec.s * num / np.maximum(den, 1e-320), np.inf)
     return expo if expo.ndim else float(expo)
+
+
+def _exp_neg(expo, k: float):
+    """exp(-k * expo) computed from the exponent; exact 0 where expo is +inf or on underflow."""
+    expo = np.asarray(expo, dtype=float)
+    with np.errstate(under="ignore"):
+        out = np.where(np.isinf(expo), 0.0, np.exp(-np.minimum(k * expo, 746.0)))
+    return out if out.ndim else float(out)
+
+
+def _alpha_bar_star_exponent(spec: WeightSpec, eta_bar: EtaBar, t):
+    """s * alpha_bar_star(t); +inf where the denominator vanishes."""
+    num = math.exp(2.0 * spec.lam * eta_bar.sup) - math.exp(spec.lam * eta_bar.min_value)
+    return _log_weight(spec, num, _quartic_den(t, spec.horizon))
 
 
 def rho_star(spec: WeightSpec, eta_bar: EtaBar, t):
@@ -367,10 +373,7 @@ def rho_star(spec: WeightSpec, eta_bar: EtaBar, t):
 
 def rho_star_inv_sq(spec: WeightSpec, eta_bar: EtaBar, t):
     """exp(-s * alpha_bar_star), computed from the exponent; exact 0 on underflow."""
-    expo = np.asarray(_alpha_bar_star_exponent(spec, eta_bar, t), dtype=float)
-    with np.errstate(under="ignore"):
-        out = np.where(np.isinf(expo), 0.0, np.exp(-np.minimum(expo, 746.0)))
-    return out if out.ndim else float(out)
+    return _exp_neg(_alpha_bar_star_exponent(spec, eta_bar, t), 1.0)
 
 
 def rho_star_log(spec: WeightSpec, eta_bar: EtaBar, t):
@@ -379,25 +382,22 @@ def rho_star_log(spec: WeightSpec, eta_bar: EtaBar, t):
 
 
 def _target_exponent(configuration: str, spec: WeightSpec, eta, t):
-    """log of the target-admissibility weight for each configuration."""
+    """log of the target-admissibility weight for each configuration; D shares C's."""
     T = spec.horizon
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr >= T):
         raise ValueError("target weight undefined at t = T")
-    if configuration == "A":
-        num = math.exp(2.0 * spec.lam * eta.sup) - math.exp(spec.lam * eta.min_value)
-        den = np.asarray(lbar_of_t(t_arr, T), dtype=float) ** spec.m
-    elif configuration == "B":
+    if configuration == "B":
         num = math.exp(spec.lam * (eta.sup1 + eta.sup2)) - math.exp(spec.lam * eta.min2)
-        den = np.asarray(_quartic_den_trunc(t_arr, T), dtype=float)
-    elif configuration == "C":
-        num = math.exp(2.0 * spec.lam * eta.sup) - math.exp(spec.lam * eta.min_value)
-        den = np.asarray(_quartic_den_trunc(t_arr, T), dtype=float)
+        return _log_weight(spec, num, _quartic_den_trunc(t_arr, T))
+    if configuration == "A":
+        den = np.asarray(lbar_of_t(t_arr, T), dtype=float) ** spec.m
+    elif configuration in ("C", "D"):
+        den = _quartic_den_trunc(t_arr, T)
     else:
-        raise ValueError(f"target weight defined for configurations A/B/C, got {configuration!r}")
-    with np.errstate(divide="ignore", over="ignore"):
-        expo = np.where(den > 0, spec.s * num / np.maximum(den, 1e-320), np.inf)
-    return expo if expo.ndim else float(expo)
+        raise ValueError(f"target weight defined for configurations A-D, got {configuration!r}")
+    num = math.exp(2.0 * spec.lam * eta.sup) - math.exp(spec.lam * eta.min_value)
+    return _log_weight(spec, num, den)
 
 
 def target_weight(configuration: str, spec: WeightSpec, eta, t):
@@ -412,10 +412,7 @@ def target_weight(configuration: str, spec: WeightSpec, eta, t):
 
 def target_weight_inv_sq(configuration: str, spec: WeightSpec, eta, t):
     """Companion exp(-2 * log target), exact 0 on underflow."""
-    expo = np.asarray(_target_exponent(configuration, spec, eta, t), dtype=float)
-    with np.errstate(under="ignore"):
-        out = np.where(np.isinf(expo), 0.0, np.exp(-np.minimum(2.0 * expo, 746.0)))
-    return out if out.ndim else float(out)
+    return _exp_neg(_target_exponent(configuration, spec, eta, t), 2.0)
 
 
 @dataclass(frozen=True)
@@ -430,8 +427,7 @@ class AdmissibilityReport:
 
 
 def admissibility_check(configuration: str, spec: WeightSpec, eta, ydfun,
-                        region_measure: float = 1.0,
-                        refinements=(64, 128, 256), growth_tol: float = 1.05) -> AdmissibilityReport:
+                        refinements=(64, 128, 256)) -> AdmissibilityReport:
     """Numerically probe the weighted integral of the squared target in time.
 
     ``ydfun(t)`` returns the squared spatial L2 norm of the target over the
@@ -454,10 +450,9 @@ def admissibility_check(configuration: str, spec: WeightSpec, eta, ydfun,
             logy = np.where(y2 > 0, np.log(np.maximum(y2, 1e-320)), -np.inf)
         logterm = 2.0 * expo + logy
         logterm = np.where(np.isnan(logterm), -np.inf, logterm)  # 0 * inf tail
-        log_vals.append(float(logsumexp(logterm) + math.log(T / n)
-                              + math.log(max(region_measure, 1e-320))))
+        log_vals.append(float(logsumexp(logterm) + math.log(T / n)))
     ratios = tuple(math.exp(min(b - a, _LOG_CAP)) if np.isfinite(a) or np.isfinite(b)
                    else 1.0 for a, b in zip(log_vals, log_vals[1:]))
-    admissible = all(r <= growth_tol for r in ratios)
+    admissible = all(r <= _GROWTH_TOL for r in ratios)
     values = tuple(float(_capped_exp(v)) if np.isfinite(v) else 0.0 for v in log_vals)
     return AdmissibilityReport(values, ratios, admissible)

@@ -1,6 +1,9 @@
 """CLI and runner: pipeline verdicts, CSV determinism, study outputs."""
 
 import os
+
+import pytest
+
 from stackheat.cli import main
 from stackheat.config import parse_config
 from stackheat.csvio import sha256_of
@@ -116,6 +119,19 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", str(bad), "--quiet"]) == 2
     good = small_config(tmp_path, n=8, k=8)
     assert main(["sweep-eps", good, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("body", [
+    "[scenario.obs]\na = 0.9\nb = 0.2",        # a > b
+    "[robust]\nell = -1",                     # nonpositive weight
+    "[grid]\nn_interior = 1",                 # too few nodes
+    "[scenario.obs]\na = 0.401\nb = 0.402",   # no interior node at n = 50
+], ids=["reversed-region", "negative-ell", "one-node-grid", "empty-region"])
+def test_rejected_config_value_exits_2(tmp_path, body, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[scenario]\nconfiguration = A\n{body}\n", encoding="utf-8")
+    assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert f"config error: {bad}" in capsys.readouterr().err
 
 
 def test_stage_error_aborts_with_partial_manifest(tmp_path):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from stackheat.grids import (LEFT, BoundarySet, BoundaryTrace, Region,
+from stackheat.grids import (LEFT, RIGHT, BoundarySet, BoundaryTrace, Region,
                              SpaceTimeField, SpatialGrid, TimeGrid)
 from stackheat.oracle import dense_optimality_solve
-from stackheat.saddle import (evaluate_functional, gateaux_check,
+from stackheat.saddle import (build_problem, evaluate_functional, gateaux_check,
                               measure_contraction, solve_optimality, verify_saddle)
 from stackheat.scenario import (ScenarioConfig, make_initial,
                                 make_target, validate_config)
@@ -168,7 +168,65 @@ def test_functional_debug_mode_rejects_inconsistent_state():
         evaluate_functional(cfg, params(), zero_v, zero_psi, state=bad_state)
 
 
+# --- typed controls to raw arrays -------------------------------------------------
+
+def _assert_same_controls(got, want):
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_controls(g, w)
+    elif want is None:
+        assert got is None
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("conf", ["A", "B", "C", "D"])
+def test_raw_reverses_the_packaged_solution(conf):
+    # the typed controls of a solution unpack to exactly what feedback reads off its adjoints
+    live = {"s": 0.002} if conf in ("C", "D") else {}  # rho_star^-2 not underflowing
+    cfg = builders()[conf](n=8, k=8, y0_kind="random", target_kind="random", seed=1, **live)
+    p = params(ell=3.0, ell2=4.0)
+    sol = solve_optimality(cfg, random_leader(cfg, seed=2, amplitude=0.3), p)
+    prob = build_problem(cfg, p)
+    adjoints = tuple(a.interior for a in sol.adjoints)
+    _assert_same_controls(prob.raw(sol.follower, sol.disturbance),
+                          prob.feedback(adjoints, prob.g2inv))
+    if conf in ("C", "D"):
+        _assert_same_controls(prob.raw(sol.follower_weighted),
+                              prob.feedback(adjoints, prob.ginv))
+
+
+def test_raw_fills_missing_edge_and_disturbance_with_zeros():
+    cfg = scenario_a(n=6, k=5)
+    cfg.gamma_set = BoundarySet.from_sides(LEFT, RIGHT)
+    prob = build_problem(cfg, params())
+    left = BoundaryTrace(cfg.tgrid, LEFT, np.arange(cfg.tgrid.n_levels, dtype=float))
+    (v_left, v_right), psi = prob.raw({LEFT: left})
+    np.testing.assert_array_equal(v_left, left.values)
+    np.testing.assert_array_equal(v_right, np.zeros(cfg.tgrid.n_levels))
+    np.testing.assert_array_equal(psi, np.zeros((cfg.tgrid.n_levels, cfg.grid.n_interior)))
+    cfg_b = scenario_b(n=6, k=5)
+    fol = SpaceTimeField.from_function(cfg_b.grid, cfg_b.tgrid, lambda x, t: x * t)
+    v, psi = build_problem(cfg_b, params()).raw(fol)
+    np.testing.assert_array_equal(v, fol.interior)
+    np.testing.assert_array_equal(psi, np.zeros_like(fol.interior))
+
+
 # --- equilibrium quality --------------------------------------------------------
+
+@pytest.mark.parametrize("conf", ["A", "B"])
+def test_verify_computes_the_equilibrium_cost_from_the_controls(conf):
+    # a wrong functional_value on the solution must not move the verdict
+    import dataclasses
+    cfg = builders()[conf](n=10, k=10, y0_kind="random", target_kind="random", seed=2)
+    p = params()
+    sol = solve_optimality(cfg, None, p)
+    rep = verify_saddle(cfg, sol, None, p, n_perturbations=20, seed=3)
+    off = dataclasses.replace(sol, functional_value=sol.functional_value + 1.0)
+    assert rep.passed
+    assert verify_saddle(cfg, off, None, p, n_perturbations=20, seed=3) == rep
+
 
 def test_zero_data_equilibrium_perturbations():
     # J(0, psi) <= 0 and J(v, 0) >= 0: every perturbation moves the right way
