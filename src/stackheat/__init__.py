@@ -1,12 +1,13 @@
 """Robust Stackelberg control of the 1D heat equation.
 
-A leader control steers the state to zero at the final time (penalized HUM
-with conjugate gradient) while a follower solves a robust tracking problem
-against the worst disturbance (saddle point of a quadratic functional, found
-by fixed-point iteration on the coupled optimality system).  Four control
-configurations are supported: distributed leader with boundary follower,
-boundary leader with distributed follower, all-boundary with a weighted
-follower cost, and a two-follower Nash arrangement.
+A leader control steers the state to zero at the final time (penalized HUM,
+solved on a Krylov basis of its Gram operator) while a follower solves a
+robust tracking problem against the worst disturbance (saddle point of a
+quadratic functional, found by fixed-point iteration on the coupled
+optimality system).  Four control configurations are supported: distributed
+leader with boundary follower, boundary leader with distributed follower,
+all-boundary with a weighted follower cost, and a two-follower Nash
+arrangement.
 """
 
 from .grids import (BoundarySet, BoundaryTrace, Region, SpaceTimeField,
@@ -18,7 +19,7 @@ from .scenario import (RobustParams, ScenarioConfig, make_initial, make_target,
                        validate_config)
 from .saddle import (SaddleSolution, evaluate_functional, gateaux_check,
                      measure_contraction, solve_optimality, verify_saddle)
-from .hum import (AdjointPair, HumResult, HumSettings, gradient_check,
+from .hum import (AdjointPair, GramBasis, HumResult, HumSettings, gradient_check,
                   gram_apply, hum_minimize, observability_probe, observation,
                   solve_adjoint)
 from .weights import (AdmissibilityReport, Eta0, EtaBar, EtaPair, WeightSpec,

@@ -318,12 +318,17 @@ def _build_spec(path: str, values: dict, regions: dict) -> ExperimentSpec:
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError(f"{path}: [grid] ladder must be strictly increasing, got {ladder}")
 
+    eps_ladder = tuple(hv.get("epsilon_ladder", (1e-2, 1e-4, 1e-6)))
+    if not all(e > 0 for e in eps_ladder) or len(set(eps_ladder)) != len(eps_ladder):
+        raise ConfigError(
+            f"{path}: [hum] epsilon_ladder must hold distinct positive rungs, got {eps_ladder}")
+
     ov = values["output"]
     return ExperimentSpec(
         scenario=scenario, recipe=recipe, robust=robust, hum=hum, seed=seed,
         out_dir=ov.get("directory", "out"),
         ladder=ladder,
-        epsilon_ladder=tuple(hv.get("epsilon_ladder", (1e-2, 1e-4, 1e-6))),
+        epsilon_ladder=eps_ladder,
         probe_samples=ov.get("probe_samples", 100),
         verify_perturbations=ov.get("verify_perturbations", 100),
         source_path=path)

@@ -1,4 +1,4 @@
-"""Leader synthesis by penalized HUM with conjugate gradient.
+"""Leader synthesis by penalized HUM on a shared Krylov basis of the Gram operator.
 
 The quadratic functional  F_eps(a) = 1/2 <Gram a, a> + <b, a> + eps/2 |a|^2
 is minimized over adjoint terminal data a in the discrete H^1_0 inner
@@ -19,10 +19,16 @@ march.  By the scheme's summation-by-parts identity
 
 holds exactly (midpoint quadrature of the omega-restriction of phi in
 configuration A, of the boundary normal-derivative traces otherwise), so the
-operator is symmetric positive semidefinite to round-off and CG applies.
-The smooth squared penalty (eps/2)|a|^2 replaces the non-smooth norm penalty;
-the terminal residual then scales like sqrt(eps), which the epsilon-sweep
-study measures.
+operator is symmetric positive semidefinite to round-off and conjugate
+gradient applies.  The smooth squared penalty (eps/2)|a|^2 replaces the
+non-smooth norm penalty; the terminal residual then scales like sqrt(eps),
+which the epsilon-sweep study measures.
+
+Gram does not depend on eps, and Gram + eps I has the same Krylov space from b
+for every eps (shifted systems).  ``GramBasis`` stores that space once, with
+the Gram image of every basis vector, and ``hum_minimize`` takes the Galerkin
+solution on its leading vectors, which in exact arithmetic is the conjugate
+gradient iterate.  One basis thus serves every eps of a ladder.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConvergenceError
 from .grids import BoundaryTrace, SpaceTimeField
@@ -54,6 +61,8 @@ class HumSettings:
             raise ValueError("epsilon must be positive")
         if not self.cg_tol > 0:
             raise ValueError("cg_tol must be positive")
+        if self.cg_max_iters < 1:
+            raise ValueError("cg_max_iters must be >= 1")
 
 
 @dataclass
@@ -116,7 +125,7 @@ def solve_adjoint(cfg: ScenarioConfig, phi_terminal: np.ndarray,
         th = march(grid, tgrid, zeros, *_theta_forcing(prob, ph), theta=cfg.theta)
         return _theta_columns(prob, th)
 
-    phi, thetas, iters, res, _ = picard_coupled(
+    phi, thetas, iters, res, _, _ = picard_coupled(
         prob,
         lambda ths: _phi_backward(prob, ths, a),
         theta_forward,
@@ -197,7 +206,7 @@ class HumResult:
     phi_terminal: np.ndarray
     leader: object                      # SpaceTimeField (A) or BoundaryTrace
     terminal_residual_hminus1: float    # from an independent full forward solve
-    internal_residual_estimate: float   # from the CG algebra
+    internal_residual_estimate: float   # from the stored Gram images
     cg_iterations: int
     functional_value: float
     leader_norm_sq: float
@@ -205,15 +214,90 @@ class HumResult:
     trace: tuple                        # (iteration, functional, residual norm)
 
 
-def hum_minimize(cfg: ScenarioConfig, params: RobustParams,
-                 settings: HumSettings, warm_start: Optional[np.ndarray] = None,
-                 check_admissibility: bool = True) -> HumResult:
-    """Minimize the penalized HUM functional by conjugate gradient in H^1_0.
+# A new basis direction whose orthogonalized image is below this fraction of
+# the image itself is round-off: the Krylov space is invariant.
+_INVARIANT_TOL = 1e-14
 
-    Solves (Gram + eps I) a = -b where b is the Riesz vector of the data
-    terms, reconstructs the leader from the minimizer, and certifies the
-    terminal H^-1 residual by a from-scratch solve of the full optimality
-    system with the synthesized control.
+
+class GramBasis:
+    """Krylov basis of the Gram operator from the data vector, shared across eps.
+
+    Gram + eps I has the same Krylov space from b for every eps, so one basis
+    serves a whole epsilon ladder.  The vectors are H^1_0-orthonormal (fully
+    reorthogonalized) and each stored image is one real ``gram_apply``.  A
+    solve reads the leading vectors it needs and extends the basis only when
+    it runs out, so its result does not depend on what else was solved on the
+    same basis.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, params: RobustParams):
+        self.cfg, self.params = cfg, params
+        self.b = data_vector(cfg, params)
+        self.bnorm = h10_norm(self.b, cfg.grid)
+        self.vectors, self.images = [], []
+        self.rhs = []           # <v_i, b>
+        self.projected = []     # row i: <v_i, Gram v_j>, symmetrized, for j <= i
+        self._next = None if self.bnorm == 0.0 else self.b / self.bnorm
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def extend(self) -> bool:
+        """Add the next vector and its Gram image; False when the space is invariant."""
+        if self._next is None:
+            return False
+        grid = self.cfg.grid
+        v = self._next
+        g = gram_apply(self.cfg, v, self.params)
+        self.vectors.append(v)
+        self.images.append(g)
+        self.rhs.append(h10_inner(v, self.b, grid))
+        self.projected.append([0.5 * (h10_inner(vi, g, grid) + h10_inner(v, gi, grid))
+                               for vi, gi in zip(self.vectors, self.images)])
+        w = g
+        for _ in range(2):
+            for vi in self.vectors:
+                w = w - h10_inner(vi, w, grid) * vi
+        wnorm = h10_norm(w, grid)
+        if len(self.vectors) == grid.n_interior or wnorm <= _INVARIANT_TOL * h10_norm(g, grid):
+            self._next = None
+        else:
+            self._next = w / wnorm
+        return True
+
+    def galerkin(self, k: int, eps: float) -> tuple:
+        """(x, Gram x) of the Galerkin solution of (Gram + eps I) x = -b on k vectors."""
+        a = np.empty((k, k))
+        for i in range(k):
+            a[i, :i + 1] = self.projected[i]
+            a[:i, i] = a[i, :i]
+            a[i, i] += eps
+        if not a[k - 1, k - 1] > 0.0:
+            raise ConvergenceError(
+                f"Gram operator is not positive: Rayleigh quotient {a[k - 1, k - 1] - eps:.3g} "
+                f"of basis vector {k} with eps={eps:.3g}")
+        try:
+            y = cho_solve(cho_factor(a, lower=True), -np.asarray(self.rhs[:k]))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                f"projected Gram matrix plus eps={eps:.3g} is not positive definite "
+                f"on {k} basis vectors: {exc}") from exc
+        return y @ np.array(self.vectors[:k]), y @ np.array(self.images[:k])
+
+
+def hum_minimize(cfg: ScenarioConfig, params: RobustParams,
+                 settings: HumSettings, basis: Optional[GramBasis] = None,
+                 check_admissibility: bool = True) -> HumResult:
+    """Minimize the penalized HUM functional on a Krylov basis of the Gram operator.
+
+    Solves (Gram + eps I) a = -b, where b is the Riesz vector of the data
+    terms, by Galerkin projection on the leading vectors of ``basis`` (a new
+    one when None); mathematically these are the conjugate-gradient iterates.
+    Iteration k reads the explicit residual -b - Gram x - eps x off the
+    stored images of the first k vectors and stops at ``cg_tol``.  The leader
+    is reconstructed from the minimizer, and the terminal H^-1 residual is
+    certified by a from-scratch solve of the full optimality system with the
+    synthesized control.
     """
     if check_admissibility:
         rep = target_admissibility(cfg)
@@ -222,38 +306,28 @@ def hum_minimize(cfg: ScenarioConfig, params: RobustParams,
                 "weighted admissibility integral of the target grows under "
                 f"refinement (ratios {rep.ratios}); null control may be degraded",
                 RuntimeWarning, stacklevel=2)
+    if basis is None:
+        basis = GramBasis(cfg, params)
+    elif basis.cfg is not cfg or basis.params != params:
+        raise ValueError("the Gram basis was built for another scenario or parameters")
 
     grid = cfg.grid
     n = grid.n_interior
     eps = settings.epsilon
-
-    def op(a):
-        return gram_apply(cfg, a, params) + eps * a
-
-    b = data_vector(cfg, params)
-    bnorm = h10_norm(b, grid)
+    b, bnorm = basis.b, basis.bnorm
     if bnorm == 0.0:
         zero_leader = observation(cfg, solve_adjoint(cfg, np.zeros(n), params))
         return HumResult(np.zeros(n), zero_leader, 0.0, 0.0, 0, 0.0, 0.0, eps, ())
 
-    x = np.zeros(n) if warm_start is None else np.asarray(warm_start, dtype=float).copy()
-    ax = op(x) if x.any() else np.zeros(n)
-    r = -b - ax
-    p = r.copy()
-    rho = h10_inner(r, r, grid)
     trace = []
-    best = np.sqrt(rho)
+    best = bnorm
     stagnant = 0
-    it = 0
     for it in range(1, settings.cg_max_iters + 1):
-        ap = op(p)
-        alpha = rho / h10_inner(p, ap, grid)
-        x += alpha * p
-        ax += alpha * ap
-        r -= alpha * ap
-        rho_new = h10_inner(r, r, grid)
-        fval = 0.5 * h10_inner(x, ax, grid) + h10_inner(b, x, grid)
-        rnorm = np.sqrt(rho_new)
+        if it > len(basis) and not basis.extend():
+            break   # invariant Krylov space: the last Galerkin solution is exact
+        x, gx = basis.galerkin(it, eps)
+        rnorm = h10_norm(-b - gx - eps * x, grid)
+        fval = 0.5 * h10_inner(x, gx + eps * x, grid) + h10_inner(b, x, grid)
         trace.append((it, fval, rnorm))
         if rnorm <= settings.cg_tol * bnorm:
             break
@@ -265,25 +339,18 @@ def hum_minimize(cfg: ScenarioConfig, params: RobustParams,
                 raise ConvergenceError(
                     f"conjugate gradient stagnated at residual {rnorm:.3g} "
                     f"(target {settings.cg_tol * bnorm:.3g}) after {it} iterations")
-        p = r + (rho_new / rho) * p
-        rho = rho_new
     else:
         raise ConvergenceError(
             f"conjugate gradient did not converge in {settings.cg_max_iters} iterations")
 
-    # explicit residual for the internal certificate (recursion drift removed);
-    # Gram x + b = (op(x) + b) - eps x = -r_exact - eps x is the H10 lift of y(T)
-    ax_exact = op(x)
-    r_exact = -b - ax_exact
-    internal = h10_norm(-r_exact - eps * x, grid)
-    fval = 0.5 * h10_inner(x, ax_exact, grid) + h10_inner(b, x, grid)
-
+    # Gram x + b is the H10 lift of y(T), from the stored images
+    internal = h10_norm(gx + b, grid)
     pair = solve_adjoint(cfg, x, params)
     leader = observation(cfg, pair)
     terminal = _terminal_state(cfg, params, leader)
     residual = hminus1_norm(terminal, grid)
     hnorm2 = observation_pairing(cfg, pair, pair)
-    return HumResult(x, leader, residual, internal, it, fval, hnorm2, eps, tuple(trace))
+    return HumResult(x, leader, residual, internal, len(trace), fval, hnorm2, eps, tuple(trace))
 
 
 def target_admissibility(cfg: ScenarioConfig):

@@ -19,7 +19,7 @@ from .csvio import write_csv, write_field_csv, write_manifest, write_trace_csv
 from .errors import ConfigError, StackheatError
 from .grids import SpaceTimeField, SpatialGrid, TimeGrid
 from .heat import solve_forward
-from .hum import hum_minimize, observability_probe, target_admissibility
+from .hum import GramBasis, hum_minimize, observability_probe, target_admissibility
 from .config import ExperimentSpec
 from .oracle import dense_optimality_solve
 from .products import l2_q
@@ -98,10 +98,10 @@ def _emit_saddle(em: _Emitter, cfg: ScenarioConfig, sol, prefix: str):
     if sol.disturbance is not None:
         write_field_csv(em.path(f"{prefix}_disturbance.csv"), sol.disturbance, "psi")
     write_csv(em.path(f"{prefix}_summary.csv"),
-              ["configuration", "iterations", "relative_residual [1]",
+              ["configuration", "iterations", "exit_status", "relative_residual [1]",
                "contraction_ratio [1]", "functional_value [cost]",
                "follower_norm [control]", "disturbance_norm [control]"],
-              [[cfg.configuration, sol.iterations, sol.residual,
+              [[cfg.configuration, sol.iterations, sol.exit_status, sol.residual,
                 sol.contraction_ratio, sol.functional_value,
                 _follower_norm(cfg, sol),
                 0.0 if sol.disturbance is None
@@ -142,6 +142,16 @@ def _emit_leader(em: _Emitter, cfg: ScenarioConfig, leader, name="leader"):
         write_trace_csv(em.path(f"{name}.csv"), cfg.tgrid, leader.values, "h")
 
 
+def _synthesize(cfg: ScenarioConfig, robust, settings, basis=None) -> tuple:
+    """(basis, HumResult) of one leader synthesis; a new Gram basis when None."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        if basis is None:
+            basis = GramBasis(cfg, robust)
+        return basis, hum_minimize(cfg, robust, settings, basis=basis,
+                                   check_admissibility=False)
+
+
 def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
                    quiet: bool = False) -> RunReport:
     """Full pipeline: saddle solve at h = 0, HUM synthesis, verification.
@@ -175,11 +185,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
                 "target_admissibility", "pass" if adm.admissible else "fail",
                 f"refinement ratios {tuple(round(r, 3) for r in adm.ratios)}"))
 
-        # leader synthesis
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = timed("hum", lambda: hum_minimize(cfg, robust, hum,
-                                                    check_admissibility=False))
+        # leader synthesis; the eps-law stage reuses its Krylov basis
+        basis, res = timed("hum", lambda: _synthesize(cfg, robust, hum))
         _emit_leader(em, cfg, res.leader)
         write_csv(em.path("cg_trace.csv"),
                   ["iteration", "functional_value [cost]", "residual_norm [H10]"],
@@ -219,11 +226,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
             res.terminal_residual_hminus1))
 
         if hum.epsilon * 100.0 < 0.5:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                coarse = timed("eps-law", lambda: hum_minimize(
-                    cfg, robust, dataclasses.replace(hum, epsilon=hum.epsilon * 100.0),
-                    check_admissibility=False))
+            _, coarse = timed("eps-law", lambda: _synthesize(
+                cfg, robust, dataclasses.replace(hum, epsilon=hum.epsilon * 100.0), basis))
             if coarse.terminal_residual_hminus1 == 0.0 and res.terminal_residual_hminus1 == 0.0:
                 verdicts.append(Verdict("epsilon_law", "skipped",
                                         "terminal residual identically zero"))
@@ -301,16 +305,13 @@ def eps_sweep(spec: ExperimentSpec, out_dir: str | None = None,
     em = _Emitter(out_dir or spec.out_dir, quiet)
     verdicts = []
     rows = []
-    warm = None
+    basis = None
     residuals = []
     t0 = time.perf_counter()
     try:
         for eps in sorted(spec.epsilon_ladder, reverse=True):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                res = hum_minimize(cfg, robust, dataclasses.replace(spec.hum, epsilon=eps),
-                                   warm_start=warm, check_admissibility=False)
-            warm = res.phi_terminal
+            basis, res = _synthesize(cfg, robust, dataclasses.replace(spec.hum, epsilon=eps),
+                                     basis)
             residuals.append(res.terminal_residual_hminus1)
             ratio = "" if len(residuals) < 2 else residuals[-2] / max(residuals[-1], 1e-300)
             rows.append([eps, res.terminal_residual_hminus1,
@@ -319,9 +320,13 @@ def eps_sweep(spec: ExperimentSpec, out_dir: str | None = None,
             em.log(f"[eps-sweep] eps={eps:g}: residual {res.terminal_residual_hminus1:.4g}, "
                    f"{res.cg_iterations} CG iterations")
         ratios = [a / max(b, 1e-300) for a, b in zip(residuals, residuals[1:])]
-        ok = all(3.0 <= r <= 30.0 for r in ratios)
-        verdicts.append(Verdict("epsilon_law", "pass" if ok else "fail",
-                                f"successive residual ratios {[round(r, 2) for r in ratios]}"))
+        if not ratios:
+            verdicts.append(Verdict("epsilon_law", "skipped", "fewer than two rungs"))
+        else:
+            ok = all(3.0 <= r <= 30.0 for r in ratios)
+            verdicts.append(Verdict(
+                "epsilon_law", "pass" if ok else "fail",
+                f"successive residual ratios {[round(r, 2) for r in ratios]}"))
     except StackheatError as exc:
         verdicts.append(Verdict("eps_sweep", "error", str(exc)))
     write_csv(em.path("eps_sweep.csv"),

@@ -277,6 +277,7 @@ class SaddleSolution:
     adjoints: tuple
     iterations: int
     residual: float
+    exit_status: str                 # picard_coupled's: converged | round-off | fixed-sweeps
     contraction_ratios: tuple
     functional_value: float
     follower_weighted: object = None  # C/D: rho_star * v, the well-scaled variable
@@ -297,8 +298,12 @@ def picard_coupled(prob: _Problem, forward, backward, n_adjoints: int,
                    sweeps: Optional[int] = None):
     """Generic lagged fixed-point loop shared by the optimality and adjoint systems.
 
-    Returns (state, adjoints, iterations, residual, ratios).  ``sweeps`` forces
-    a fixed number of iterations (used when measuring contraction rates).
+    Returns (state, adjoints, iterations, residual, ratios, status).  The
+    status is "converged" when the relative correction reached the tolerance,
+    "round-off" when the corrections stopped contracting below 1e-6 of the
+    first one (accepted as the floor of the arithmetic) and "fixed-sweeps"
+    when ``sweeps`` forced the number of iterations (used when measuring
+    contraction rates).
     """
     cfg, params = prob.cfg, prob.params
     grid, tgrid = cfg.grid, cfg.tgrid
@@ -323,7 +328,7 @@ def picard_coupled(prob: _Problem, forward, backward, n_adjoints: int,
         if first_delta is None:
             first_delta = delta
             if delta == 0.0:
-                return state, adjoints, it, 0.0, ()
+                return state, adjoints, it, 0.0, (), "converged"
         else:
             prev = deltas[-2]
             if prev > 0:
@@ -331,17 +336,18 @@ def picard_coupled(prob: _Problem, forward, backward, n_adjoints: int,
                 ratios.append(ratio)
                 bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
                 if bad_streak >= 2 and delta <= 1e-6 * first_delta and sweeps is None:
-                    # round-off floor reached; as converged as it gets
+                    # round-off floor reached: accepted, under its own status
                     state = forward(adjoints)
-                    return state, adjoints, it, delta / first_delta, tuple(ratios)
+                    return state, adjoints, it, delta / first_delta, tuple(ratios), "round-off"
                 if bad_streak >= 5 and sweeps is None:
                     raise NonContractionError(ratio, it)
         if sweeps is None and delta <= tol * first_delta:
             state = forward(adjoints)
-            return state, adjoints, it, delta / first_delta, tuple(ratios)
+            return state, adjoints, it, delta / first_delta, tuple(ratios), "converged"
     if sweeps is not None:
         state = forward(adjoints)
-        return state, adjoints, max_iter, deltas[-1] / max(first_delta, 1e-300), tuple(ratios)
+        return (state, adjoints, max_iter, deltas[-1] / max(first_delta, 1e-300),
+                tuple(ratios), "fixed-sweeps")
     raise ConvergenceError(
         f"fixed-point iteration did not reach tol={tol} within {max_iter} sweeps "
         f"(last relative correction {deltas[-1] / max(first_delta, 1e-300):.3g})")
@@ -356,15 +362,16 @@ def solve_optimality(cfg: ScenarioConfig, leader, params: RobustParams,
     """
     prob = build_problem(cfg, params)
     leader_arr = _leader_array(prob, leader)
-    state, adjoints, iters, res, ratios = picard_coupled(
+    state, adjoints, iters, res, ratios, status = picard_coupled(
         prob,
         lambda adj: prob.state(*prob.feedback(adj, prob.g2inv), leader_arr),
         lambda st: _adjoint_solve(prob, st),
         prob.n_adjoints, sweeps=sweeps)
-    return _package_solution(prob, leader_arr, state, adjoints, iters, res, ratios)
+    return _package_solution(prob, leader_arr, state, adjoints, iters, res, ratios, status)
 
 
-def _package_solution(prob, leader_arr, state, adjoints, iters, res, ratios) -> SaddleSolution:
+def _package_solution(prob, leader_arr, state, adjoints, iters, res, ratios,
+                      status) -> SaddleSolution:
     """Typed solution; the controls are read off the adjoints once."""
     tgrid = prob.cfg.tgrid
     c = prob.cfg.configuration
@@ -390,7 +397,7 @@ def _package_solution(prob, leader_arr, state, adjoints, iters, res, ratios) -> 
         disturbance = prob.field(disturbance)
     return SaddleSolution(c, follower, disturbance, prob.field(state, left, right),
                           tuple(prob.field(a) for a in adjoints),
-                          iters, res, ratios, jval, follower_weighted)
+                          iters, res, status, ratios, jval, follower_weighted)
 
 
 # --- functional evaluation ---------------------------------------------------

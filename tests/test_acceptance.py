@@ -16,7 +16,7 @@ import pytest
 from stackheat.csvio import sha256_of
 from stackheat.grids import LEFT, BoundaryTrace, SpaceTimeField, SpatialGrid, TimeGrid
 from stackheat.heat import solve_forward
-from stackheat.hum import (HumSettings, gradient_check, gram_apply, hum_minimize,
+from stackheat.hum import (GramBasis, HumSettings, gradient_check, gram_apply, hum_minimize,
                            observability_probe, observation_pairing, solve_adjoint)
 from stackheat.oracle import dense_optimality_solve
 from stackheat.products import h10_inner, h10_norm
@@ -51,13 +51,12 @@ def _check_baseline(key: str, values, rel: float = 0.05) -> str:
 
 def _eps_sweep_residuals(cfg, p, epsilons=(1e-2, 1e-4, 1e-6)):
     import warnings
-    warm, out = None, []
+    basis, out = GramBasis(cfg, p), []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for eps in epsilons:
             res = hum_minimize(cfg, p, HumSettings(epsilon=eps, cg_tol=1e-11),
-                               warm_start=warm, check_admissibility=False)
-            warm = res.phi_terminal
+                               basis=basis, check_admissibility=False)
             out.append(res.terminal_residual_hminus1)
     return out
 

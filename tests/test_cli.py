@@ -1,5 +1,6 @@
 """CLI and runner: pipeline verdicts, CSV determinism, study outputs."""
 
+import csv
 import os
 
 import pytest
@@ -104,6 +105,25 @@ def test_eps_sweep_ratios(tmp_path):
     assert law.status == "pass", law.reason
 
 
+def test_one_rung_eps_sweep_skips_the_law(tmp_path):
+    spec = parse_config(small_config(tmp_path, n=8, k=8))
+    import dataclasses
+    spec = dataclasses.replace(spec, epsilon_ladder=(1e-3,))
+    report = eps_sweep(spec, out_dir=str(tmp_path / "sweep"), quiet=True)
+    law = [v for v in report.verdicts if v.name == "epsilon_law"][0]
+    assert (law.status, law.reason) == ("skipped", "fewer than two rungs")
+    with open(os.path.join(report.out_dir, "eps_sweep.csv")) as fh:
+        assert len(fh.read().splitlines()) == 2
+
+
+def test_summaries_report_the_picard_exit_status(tmp_path):
+    report = run_experiment(parse_config(small_config(tmp_path, n=8, k=8)), quiet=True)
+    for name in ("saddle_summary.csv", "controlled_summary.csv"):
+        with open(os.path.join(report.out_dir, name)) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["exit_status"] for r in rows] == ["converged"]
+
+
 def test_probe_run(tmp_path):
     spec = parse_config(small_config(tmp_path, n=8, k=8))
     import dataclasses
@@ -126,7 +146,11 @@ def test_cli_exit_codes(tmp_path):
     "[robust]\nell = -1",                     # nonpositive weight
     "[grid]\nn_interior = 1",                 # too few nodes
     "[scenario.obs]\na = 0.401\nb = 0.402",   # no interior node at n = 50
-], ids=["reversed-region", "negative-ell", "one-node-grid", "empty-region"])
+    "[hum]\nepsilon_ladder = 1e-2, 0",        # non-positive rung
+    "[hum]\nepsilon_ladder = 1e-2, 1e-4, 1e-2",  # duplicate rung
+    "[hum]\ncg_max_iters = 0",                # no iteration allowed
+], ids=["reversed-region", "negative-ell", "one-node-grid", "empty-region",
+        "zero-epsilon-rung", "duplicate-epsilon-rung", "zero-cg-iterations"])
 def test_rejected_config_value_exits_2(tmp_path, body, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text(f"[scenario]\nconfiguration = A\n{body}\n", encoding="utf-8")

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from stackheat.hum import (HumSettings, gradient_check, gram_apply, hum_minimize,
-                           observability_probe, observation, observation_pairing,
-                           solve_adjoint)
+from stackheat import hum as hum_module
+from stackheat.errors import ConvergenceError
+from stackheat.hum import (GramBasis, HumSettings, data_vector, gradient_check, gram_apply,
+                           hum_minimize, observability_probe, observation,
+                           observation_pairing, solve_adjoint)
 from stackheat.oracle import dense_adjoint_solve
 from stackheat.products import h10_inner, h10_norm
 
@@ -115,14 +117,10 @@ def test_hum_zero_data():
 
 
 def _residual_sweep(cfg, p, epsilons):
-    out = []
-    warm = None
-    for eps in epsilons:
-        res = hum_minimize(cfg, p, HumSettings(epsilon=eps, cg_tol=1e-11),
-                           warm_start=warm, check_admissibility=False)
-        warm = res.phi_terminal
-        out.append(res)
-    return out
+    basis = GramBasis(cfg, p)
+    return [hum_minimize(cfg, p, HumSettings(epsilon=eps, cg_tol=1e-11), basis=basis,
+                         check_admissibility=False)
+            for eps in epsilons]
 
 
 def test_hum_epsilon_law_config_a():
@@ -147,6 +145,96 @@ def test_hum_epsilon_law_config_b():
     res = [r.terminal_residual_hminus1 for r in results]
     for a, b in zip(res, res[1:]):
         assert 3.0 <= a / b <= 30.0
+
+
+_LADDER = (1e-2, 1e-4, 1e-6)
+
+
+def _solve(cfg, p, eps, basis=None, cg_tol=1e-11):
+    return hum_minimize(cfg, p, HumSettings(epsilon=eps, cg_tol=cg_tol), basis=basis,
+                        check_admissibility=False)
+
+
+@pytest.mark.parametrize("conf", "ABCD")
+def test_shared_basis_results_equal_lone_solves_bit_for_bit(conf):
+    cfg = builders()[conf](n=16, k=16)
+    p = params()
+    lone = {eps: _solve(cfg, p, eps) for eps in _LADDER}
+    for order in (_LADDER, _LADDER[::-1]):
+        basis = GramBasis(cfg, p)
+        for eps in order:
+            got, ref = _solve(cfg, p, eps, basis), lone[eps]
+            assert np.array_equal(got.phi_terminal, ref.phi_terminal)
+            assert np.array_equal(got.leader.values, ref.leader.values)
+            assert got.trace == ref.trace
+            assert (got.terminal_residual_hminus1, got.internal_residual_estimate,
+                    got.cg_iterations, got.functional_value, got.leader_norm_sq) == \
+                (ref.terminal_residual_hminus1, ref.internal_residual_estimate,
+                 ref.cg_iterations, ref.functional_value, ref.leader_norm_sq)
+
+
+@pytest.mark.parametrize("conf", "AB")
+def test_descending_ladder_applies_gram_as_often_as_its_smallest_rung(conf, monkeypatch):
+    cfg = builders()[conf](n=16, k=16)
+    p = params()
+    calls = []
+    real = hum_module.gram_apply
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hum_module, "gram_apply", counted)
+    smallest = _solve(cfg, p, _LADDER[-1])
+    lone = len(calls)
+    assert lone == smallest.cg_iterations > 0
+    calls.clear()
+    basis = GramBasis(cfg, p)
+    for eps in _LADDER:
+        _solve(cfg, p, eps, basis)
+    assert len(calls) == lone
+
+
+def _unit_orthogonal_to(b, grid, seed=0):
+    e1 = b / h10_norm(b, grid)
+    r = np.random.default_rng(seed).standard_normal(b.shape)
+    e2 = r - h10_inner(r, e1, grid) * e1
+    return e1, e2 / h10_norm(e2, grid)
+
+
+@pytest.mark.parametrize("kind", ["negative", "indefinite"])
+def test_non_positive_gram_operator_raises(kind, monkeypatch):
+    cfg = scenario_a(n=8, k=8)
+    p = params()
+    e1, e2 = _unit_orthogonal_to(data_vector(cfg, p), cfg.grid)
+
+    def indefinite(cfg, a, params):
+        # [[0.5, 1], [1, 0.5]] on span(e1, e2): positive diagonal, one negative eigenvalue
+        return 0.5 * a + h10_inner(a, e1, cfg.grid) * e2 + h10_inner(a, e2, cfg.grid) * e1
+
+    gram = indefinite if kind == "indefinite" else (lambda cfg, a, params: -a)
+    monkeypatch.setattr(hum_module, "gram_apply", gram)
+    with pytest.raises(ConvergenceError, match="not positive"):
+        _solve(cfg, p, 1e-4)
+
+
+def test_invariant_krylov_space_ends_with_the_exact_solution(monkeypatch):
+    # Gram = 2 I: the Krylov space of b is one-dimensional, so an unreachable
+    # tolerance still ends after one vector, at -b / (2 + eps)
+    cfg = scenario_a(n=8, k=8)
+    p = params()
+    monkeypatch.setattr(hum_module, "gram_apply", lambda cfg, a, params: 2.0 * a)
+    res = _solve(cfg, p, 1e-4, cg_tol=1e-300)
+    assert res.cg_iterations == 1
+    np.testing.assert_allclose(res.phi_terminal, -data_vector(cfg, p) / (2.0 + 1e-4),
+                               rtol=1e-14)
+
+
+def test_basis_of_another_scenario_is_rejected():
+    p = params()
+    basis = GramBasis(scenario_a(n=8, k=8), p)
+    with pytest.raises(ValueError, match="another scenario"):
+        _solve(scenario_a(n=8, k=8), p, 1e-4, basis)
 
 
 def test_hum_leader_formula_consistency_config_a():

@@ -5,7 +5,7 @@ import pytest
 
 from stackheat.errors import ConfigError, ConvergenceError, NonContractionError
 from stackheat.grids import Region
-from stackheat.hum import HumSettings, gram_apply, hum_minimize
+from stackheat.hum import GramBasis, HumSettings, gram_apply, hum_minimize
 from stackheat.products import h10_inner, h10_norm
 from stackheat.saddle import measure_contraction, solve_optimality, verify_saddle
 
@@ -70,13 +70,13 @@ def test_residual_floor_decreases_under_refinement():
     floors = []
     for n in (24, 50):
         cfg = scenario_a(n=n, k=n, T=1.0, y0_kind="sine", target_kind="sine_cutoff")
-        warm = None
+        p = params()
+        basis = GramBasis(cfg, p)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for eps in (1e-2, 1e-4, 1e-6):
-                res = hum_minimize(cfg, params(), HumSettings(epsilon=eps, cg_tol=1e-11),
-                                   warm_start=warm, check_admissibility=False)
-                warm = res.phi_terminal
+                res = hum_minimize(cfg, p, HumSettings(epsilon=eps, cg_tol=1e-11),
+                                   basis=basis, check_admissibility=False)
         floors.append(res.terminal_residual_hminus1)
     assert floors[1] < floors[0]
 

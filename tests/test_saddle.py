@@ -7,7 +7,8 @@ from stackheat.grids import (LEFT, RIGHT, BoundarySet, BoundaryTrace, Region,
                              SpaceTimeField, SpatialGrid, TimeGrid)
 from stackheat.oracle import dense_optimality_solve
 from stackheat.saddle import (build_problem, evaluate_functional, gateaux_check,
-                              measure_contraction, solve_optimality, verify_saddle)
+                              measure_contraction, picard_coupled, solve_optimality,
+                              verify_saddle)
 from stackheat.scenario import (ScenarioConfig, make_initial,
                                 make_target, validate_config)
 
@@ -343,6 +344,33 @@ def test_contraction_example_10_vs_5():
     r5 = measure_contraction(cfg, None, params(ell=5.0, gamma=5.0), sweeps=8)
     r10 = measure_contraction(cfg, None, params(ell=10.0, gamma=10.0), sweeps=8)
     assert np.median(r10) < np.median(r5)
+
+
+def test_picard_round_off_exit_has_its_own_status():
+    # scripted corrections 1, 1e-7, 2e-7, 4e-7: two growing ones below 1e-6
+    # of the first take the round-off exit at sweep 4
+    cfg = scenario_a(n=8, k=8)
+    prob = build_problem(cfg, params())
+    unit = np.ones((cfg.tgrid.n_levels, cfg.grid.n_interior))
+    steps = iter([1.0, 1e-7, 2e-7, 4e-7])
+    adjoint = [0.0 * unit]
+
+    def backward(state):
+        adjoint.append(adjoint[-1] + next(steps) * unit)
+        return (adjoint[-1],)
+
+    out = picard_coupled(prob, lambda adjoints: unit, backward, 1)
+    assert len(out) == 6 and out[5] == "round-off"
+    assert out[2] == 4
+    # the cumulative sums lose about 1e-9 relative to cancellation
+    assert out[3] == pytest.approx(4e-7, rel=1e-6)
+    assert out[4] == pytest.approx((1e-7, 2.0, 2.0), rel=1e-6)
+
+
+def test_solution_carries_the_picard_exit_status():
+    cfg = scenario_a(n=8, k=8)
+    assert solve_optimality(cfg, None, params()).exit_status == "converged"
+    assert solve_optimality(cfg, None, params(), sweeps=3).exit_status == "fixed-sweeps"
 
 
 # --- directional derivative of the control-to-state map -------------------------
