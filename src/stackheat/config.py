@@ -69,7 +69,6 @@ _SCHEMA = {
     "grid": {
         "n_interior": int,
         "n_steps": int,
-        "theta": float,
         "ladder": "ints",
     },
     "output": {
@@ -111,7 +110,6 @@ class ScenarioRecipe:
     target2_kind: str
     target2_amplitude: float
     wspec: WeightSpec
-    theta: float
     global_disturbance: bool
     seed: int
 
@@ -130,7 +128,7 @@ class ScenarioRecipe:
         return ScenarioConfig(
             configuration=self.configuration, grid=grid, tgrid=tgrid,
             y0=make_initial(grid, self.y0_kind, self.y0_amplitude, seed=self.seed),
-            target=target, target2=target2, wspec=self.wspec, theta=self.theta,
+            target=target, target2=target2, wspec=self.wspec,
             omega=region_objs.get("omega"), obs=region_objs.get("obs"),
             obs1=region_objs.get("obs1"), obs2=region_objs.get("obs2"),
             b1=region_objs.get("b1"), b2=region_objs.get("b2"),
@@ -260,7 +258,6 @@ def _build_spec(path: str, values: dict, regions: dict) -> ExperimentSpec:
     gr = values["grid"]
     grid = SpatialGrid(gr.get("n_interior", 50), length)
     tgrid = TimeGrid(gr.get("n_steps", 50), horizon)
-    theta = gr.get("theta", 0.5)
 
     seed = values["output"].get("seed", 0)
 
@@ -297,7 +294,7 @@ def _build_spec(path: str, values: dict, regions: dict) -> ExperimentSpec:
         target_amplitude=sc.get("target_amplitude", 1.0),
         target2_kind=sc.get("target2", "sine_cutoff"),
         target2_amplitude=sc.get("target2_amplitude", 1.0),
-        wspec=wspec, theta=theta,
+        wspec=wspec,
         global_disturbance=sc.get("global_disturbance", False), seed=seed)
 
     scenario = recipe.build(grid.n_interior, tgrid.n_steps)

@@ -103,7 +103,7 @@ def _phi_backward(prob: _Problem, thetas: tuple, terminal: np.ndarray) -> np.nda
     src = np.zeros((cfg.tgrid.n_levels, cfg.grid.n_interior))
     for mask, th in zip(prob.obs_masks, thetas):
         src[:, mask] += th[:, mask]
-    return march_backward(cfg.grid, cfg.tgrid, terminal, src, theta=cfg.theta)
+    return march_backward(cfg.grid, cfg.tgrid, terminal, src)
 
 
 def solve_adjoint(cfg: ScenarioConfig, phi_terminal: np.ndarray,
@@ -122,7 +122,7 @@ def solve_adjoint(cfg: ScenarioConfig, phi_terminal: np.ndarray,
     zeros = np.zeros(grid.n_interior)
 
     def theta_forward(ph):
-        th = march(grid, tgrid, zeros, *_theta_forcing(prob, ph), theta=cfg.theta)
+        th = march(grid, tgrid, zeros, *_theta_forcing(prob, ph))
         return _theta_columns(prob, th)
 
     phi, thetas, iters, res, _, _ = picard_coupled(
@@ -186,19 +186,23 @@ def data_vector(cfg: ScenarioConfig, params: RobustParams) -> np.ndarray:
     return neg_laplacian_solve(terminal, cfg.grid)
 
 
+def _observed(cfg: ScenarioConfig, phi: np.ndarray) -> tuple:
+    """(midpoint averages of the observation of phi, their quadrature weight).
+
+    A: phi on omega; B/C/D: the normal derivative of phi on the leader
+    endpoint.  The observation form is the weight times the sum of products.
+    """
+    grid, dt = cfg.grid, cfg.tgrid.dt
+    if cfg.configuration == "A":
+        return favg(phi, 0.5)[:, cfg.omega.interior_mask(grid)], dt * grid.dx
+    return favg(normal_derivative_o1(phi, grid, cfg.leader_side()), 0.5), dt
+
+
 def observation_pairing(cfg: ScenarioConfig, pa: AdjointPair, pb: AdjointPair) -> float:
     """The quadratic observation form: midpoint quadrature over omega or Gamma."""
-    grid, tgrid = cfg.grid, cfg.tgrid
-    theta = cfg.theta
-    if cfg.configuration == "A":
-        mask = cfg.omega.interior_mask(grid)
-        fa = favg(pa.phi.interior, theta)[:, mask]
-        fb = favg(pb.phi.interior, theta)[:, mask]
-        return float(tgrid.dt * grid.dx * np.sum(fa * fb))
-    side = cfg.leader_side()
-    da = normal_derivative_o1(pa.phi.interior, grid, side)
-    db = normal_derivative_o1(pb.phi.interior, grid, side)
-    return float(tgrid.dt * np.sum(favg(da, theta) * favg(db, theta)))
+    fa, weight = _observed(cfg, pa.phi.interior)
+    fb, _ = _observed(cfg, pb.phi.interior)
+    return float(weight * np.sum(fa * fb))
 
 
 @dataclass
@@ -444,75 +448,74 @@ class ProbeReport:
     ratios: tuple = ()
 
 
+# refined_max depends on this cut.  The observation form O is singular up to
+# round-off, and the largest eigenvalue of the pencil (L, O) on O's
+# eigenvectors above this fraction of its largest eigenvalue grows as the cut
+# falls.
+_OBSERVED_CUT = 1e-12
+
+
 def observability_probe(cfg: ScenarioConfig, params: RobustParams,
-                        n_samples: int = 100, seed: int = 0,
-                        refine_steps: int = 20, basis_cap: int = 40) -> ProbeReport:
-    """Sampled ratios of the observability inequality, plus a subspace refinement.
+                        n_samples: int = 100, seed: int = 0) -> ProbeReport:
+    """Sampled ratios of the observability inequality and the pencil's maximum.
 
-    For H^1_0-normalized Gaussian terminal data the ratio
+    For H^1_0-normalized Gaussian terminal data a the ratio
 
-        (|phi(0)|_{H10}^2 + integral of rho^{-2} |theta|^2) / observation(a, a)
+        L(a, a) / O(a, a),  L = |phi(0)|_{H10}^2 + integral of rho^{-2} |theta|^2,
+                            O = observation(a, a),
 
-    is degree-0 homogeneous; the report collects min/median/max over the
-    samples and refines the max by power iteration on the two quadratic forms
-    restricted to the span of the best samples.
+    is degree-0 homogeneous.  Both forms are quadratic in a, so they are
+    assembled once, as m x m matrices, from the adjoint pairs of the first
+    m = min(n_interior, n_samples) samples: m ``solve_adjoint`` calls in all.
+    A sample's ratio is c L c / c O c, with c a unit vector for the first m
+    samples and the sample's coordinates in them for a later one.  Samples
+    with a vanishing observation are skipped.  ``refined_max`` is the
+    largest eigenvalue of the pencil (L, O) on O's eigenvectors above
+    ``_OBSERVED_CUT`` times its largest eigenvalue, floored at the sampled
+    maximum.
     """
+    if n_samples < 1:
+        raise ConvergenceError(f"the probe needs at least one sample, got {n_samples}")
     grid, tgrid = cfg.grid, cfg.tgrid
-    theta_s = cfg.theta
     rng = np.random.default_rng(seed)
-    w_inv = np.asarray(target_weight_inv_sq(cfg.configuration, cfg.wspec, cfg.eta(),
-                                            tgrid.midpoint_times()), dtype=float)
-
-    def lhs_cross(pa: AdjointPair, pb: AdjointPair) -> float:
-        val = h10_inner(pa.phi.interior[0], pb.phi.interior[0], grid)
-        for ta, tb in zip(pa.thetas, pb.thetas):
-            fa, fb = favg(ta.interior, theta_s), favg(tb.interior, theta_s)
-            val += float(tgrid.dt * grid.dx * np.sum(w_inv[:, None] * fa * fb))
-        return val
-
-    samples, pairs, ratios = [], [], []
-    skipped = 0
+    data = []
     for _ in range(n_samples):
         a = rng.standard_normal(grid.n_interior)
-        a /= h10_norm(a, grid)
+        data.append(a / h10_norm(a, grid))
+    m = min(grid.n_interior, n_samples)
+
+    # one row per solved sample: the H10 differences of phi(0), the midpoint
+    # averages of each theta and of the observation
+    d0, thetas, obs = [], [], []
+    for a in data[:m]:
         pair = solve_adjoint(cfg, a, params)
-        denom = observation_pairing(cfg, pair, pair)
-        if denom <= 1e-300:
-            skipped += 1
-            continue
-        samples.append(a)
-        pairs.append(pair)
-        ratios.append(lhs_cross(pair, pair) / denom)
+        d0.append(np.diff(pair.phi.interior[0], prepend=0.0, append=0.0))
+        thetas.append([favg(th.interior, 0.5).ravel() for th in pair.thetas])
+        observed, weight = _observed(cfg, pair.phi.interior)
+        obs.append(observed.ravel())
+    d0, obs = np.array(d0), np.array(obs)
+    w_inv = np.repeat(target_weight_inv_sq(cfg.configuration, cfg.wspec, cfg.eta(),
+                                           tgrid.midpoint_times()), grid.n_interior)
+    lhs = d0 @ d0.T / grid.dx
+    for th in map(np.array, zip(*thetas)):
+        lhs += tgrid.dt * grid.dx * ((th * w_inv) @ th.T)
+    obs_form = weight * (obs @ obs.T)
 
-    if not ratios:
+    coords = np.eye(m)
+    if n_samples > m:
+        later = np.linalg.solve(np.array(data[:m]).T, np.array(data[m:]).T)
+        coords = np.hstack([coords, later])
+    num = np.sum(coords * (lhs @ coords), axis=0)
+    den = np.sum(coords * (obs_form @ coords), axis=0)
+    kept = den > 1e-300
+    if not kept.any():
         raise ConvergenceError("every probe sample had a vanishing observation")
-    ratios_arr = np.asarray(ratios)
-    best = int(np.argmax(ratios_arr))
+    ratios = num[kept] / den[kept]
 
-    order = np.argsort(ratios_arr)[::-1][:basis_cap]
-    basis = [pairs[i] for i in order]
-    nb = len(basis)
-    lmat = np.empty((nb, nb))
-    gmat = np.empty((nb, nb))
-    for i in range(nb):
-        for j in range(i, nb):
-            lmat[i, j] = lmat[j, i] = lhs_cross(basis[i], basis[j])
-            gmat[i, j] = gmat[j, i] = observation_pairing(cfg, basis[i], basis[j])
-    # prune directions with negligible observation energy, then power-iterate
-    evals, evecs = np.linalg.eigh(gmat)
-    keep = evals > max(evals.max(), 1e-300) * 1e-12
-    proj = evecs[:, keep] / np.sqrt(evals[keep])
-    lred = proj.T @ lmat @ proj
-    w0 = proj.T @ gmat[:, 0]
-    w = w0 / np.linalg.norm(w0) if np.linalg.norm(w0) > 0 else np.ones(int(keep.sum()))
-    refined = float(ratios_arr[best])
-    for _ in range(refine_steps):
-        w = lred @ w
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            break
-        w /= nrm
-        refined = max(refined, float(w @ lred @ w))
-    return ProbeReport(n_samples, skipped, float(ratios_arr.min()),
-                       float(np.median(ratios_arr)), float(ratios_arr.max()),
-                       refined, best, tuple(float(r) for r in ratios_arr))
+    evals, evecs = np.linalg.eigh(obs_form)
+    cut = evals > max(evals[-1], 1e-300) * _OBSERVED_CUT
+    proj = evecs[:, cut] / np.sqrt(evals[cut])
+    refined = np.max(np.linalg.eigvalsh(proj.T @ lhs @ proj), initial=ratios.max())
+    return ProbeReport(n_samples, int(n_samples - kept.sum()), float(ratios.min()),
+                       float(np.median(ratios)), float(ratios.max()), float(refined),
+                       int(np.argmax(ratios)), tuple(float(r) for r in ratios))

@@ -16,7 +16,7 @@ from .saddle import _leader_array, _Problem, build_problem
 from .scenario import RobustParams, ScenarioConfig
 
 
-def _dense_matrices(grid, tgrid, theta):
+def _dense_matrices(grid, tgrid):
     n = grid.n_interior
     lap = np.zeros((n, n))
     idx = np.arange(n)
@@ -24,8 +24,8 @@ def _dense_matrices(grid, tgrid, theta):
     lap[idx[:-1], idx[:-1] + 1] = 1.0
     lap[idx[1:], idx[1:] - 1] = 1.0
     lap /= grid.dx ** 2
-    m_plus = np.eye(n) - theta * tgrid.dt * lap
-    m_minus = np.eye(n) + (1.0 - theta) * tgrid.dt * lap
+    m_plus = np.eye(n) - 0.5 * tgrid.dt * lap
+    m_minus = np.eye(n) + 0.5 * tgrid.dt * lap
     return m_plus, m_minus
 
 
@@ -85,7 +85,7 @@ def dense_optimality_solve(cfg: ScenarioConfig, leader, params: RobustParams):
     n, K = grid.n_interior, tgrid.n_steps
     klev = K + 1
     dt, dx = tgrid.dt, grid.dx
-    m_plus, m_minus = _dense_matrices(grid, tgrid, cfg.theta)
+    m_plus, m_minus = _dense_matrices(grid, tgrid)
     c = cfg.configuration
     n_adj = prob.n_adjoints
     leader_arr = _leader_array(prob, leader)
@@ -172,7 +172,7 @@ def dense_adjoint_solve(cfg: ScenarioConfig, phi_terminal: np.ndarray, params: R
     n, K = grid.n_interior, tgrid.n_steps
     klev = K + 1
     dt, dx = tgrid.dt, grid.dx
-    m_plus, m_minus = _dense_matrices(grid, tgrid, cfg.theta)
+    m_plus, m_minus = _dense_matrices(grid, tgrid)
     n_th = prob.n_adjoints
     a = np.asarray(phi_terminal, dtype=float)
 

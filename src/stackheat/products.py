@@ -90,22 +90,22 @@ def hminus1_norm(u: np.ndarray, grid: SpatialGrid) -> float:
 # --- scheme-consistent midpoint quadratures -------------------------------
 
 def qmid_field(f: np.ndarray, g: np.ndarray, grid: SpatialGrid, dt: float,
-               mask: np.ndarray | None = None, theta: float = 0.5) -> float:
+               mask: np.ndarray | None = None) -> float:
     """Midpoint pairing dt*dx * sum_k favg(f)*favg(g) over interior nodes.
 
     ``f`` and ``g`` are interior nodal arrays of shape (n_levels, n_interior);
     both are treated as forward-in-time sequences.
     """
-    fa, ga = favg(f, theta), favg(g, theta)
+    fa, ga = favg(f, 0.5), favg(g, 0.5)
     prod = fa * ga
     if mask is not None:
         prod = prod[:, mask]
     return float(dt * grid.dx * prod.sum())
 
 
-def qmid_trace(u: np.ndarray, w: np.ndarray, dt: float, theta: float = 0.5) -> float:
+def qmid_trace(u: np.ndarray, w: np.ndarray, dt: float) -> float:
     """Midpoint pairing of two endpoint time traces (counting measure)."""
-    return float(dt * (favg(u, theta) * favg(w, theta)).sum())
+    return float(dt * (favg(u, 0.5) * favg(w, 0.5)).sum())
 
 
 def l2q_norm_interior(f: np.ndarray, grid: SpatialGrid, dt: float) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .hum import GramBasis, hum_minimize, observability_probe, target_admissibil
 from .config import ExperimentSpec
 from .oracle import dense_optimality_solve
 from .products import l2_q
-from .saddle import solve_optimality, verify_saddle
+from .saddle import SLACK, STATIONARITY_TOL, solve_optimality, verify_saddle
 from .scenario import ScenarioConfig
 from .weights import rho_star_inv_sq, target_weight, target_weight_inv_sq
 
@@ -144,12 +143,9 @@ def _emit_leader(em: _Emitter, cfg: ScenarioConfig, leader, name="leader"):
 
 def _synthesize(cfg: ScenarioConfig, robust, settings, basis=None) -> tuple:
     """(basis, HumResult) of one leader synthesis; a new Gram basis when None."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        if basis is None:
-            basis = GramBasis(cfg, robust)
-        return basis, hum_minimize(cfg, robust, settings, basis=basis,
-                                   check_admissibility=False)
+    if basis is None:
+        basis = GramBasis(cfg, robust)
+    return basis, hum_minimize(cfg, robust, settings, basis=basis, check_admissibility=False)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
@@ -207,11 +203,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
                             seed=spec.seed + 1000)
         kind = {"A": "saddle", "B": "saddle", "C": "minimality", "D": "nash"}[cfg.configuration]
         verdicts.append(Verdict(
-            f"{kind}_conditions", "pass" if rep.max_min_violation <= 1e-9
-            and rep.max_max_violation <= 1e-9 else "fail",
+            f"{kind}_conditions", "pass" if rep.max_min_violation <= SLACK
+            and rep.max_max_violation <= SLACK else "fail",
             f"worst violations: min {rep.max_min_violation:.3g}, "
             f"max {rep.max_max_violation:.3g} over {rep.n_perturbations} perturbations"))
-        stat_tol = 1e-8 * (1 + abs(rep.functional_value))
+        stat_tol = STATIONARITY_TOL * (1 + abs(rep.functional_value))
         verdicts.append(Verdict(
             "equilibrium_stationarity", "pass" if rep.max_directional_derivative <= stat_tol
             else "fail",

@@ -60,7 +60,6 @@ class ScenarioConfig:
     y0: np.ndarray
     target: SpaceTimeField
     wspec: WeightSpec = field(default_factory=WeightSpec)
-    theta: float = 0.5
     omega: Optional[Region] = None          # A: leader support
     obs: Optional[Region] = None            # O_d (A, B, C)
     obs1: Optional[Region] = None           # D
@@ -132,9 +131,6 @@ def validate_config(cfg: ScenarioConfig) -> list:
             errors.append(f"configuration {cfg.configuration} requires {name}")
             return False
         return True
-
-    if not 0.5 <= cfg.theta <= 1.0:
-        errors.append(f"theta_scheme {cfg.theta} outside [1/2, 1]")
 
     if cfg.configuration == "A":
         ok = need("omega", "the leader region omega") & need("obs", "the observation region O_d")

@@ -102,8 +102,7 @@ def test_criterion_3_saddle_verification():
     cfg = scenario_a(n=50, k=50, y0_kind="random", target_kind="random", seed=23)
     p = params(ell=10.0, gamma=10.0)
     sol = solve_optimality(cfg, None, p)
-    rep = verify_saddle(cfg, sol, None, p, n_perturbations=100, seed=29,
-                        magnitudes=(1e-3, 1.0))
+    rep = verify_saddle(cfg, sol, None, p, n_perturbations=100, seed=29)
     elapsed = time.perf_counter() - t0
     stat_tol = 1e-8 * (1 + abs(rep.functional_value))
     ok = (rep.max_min_violation <= 1e-9 and rep.max_max_violation <= 1e-9

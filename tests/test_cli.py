@@ -149,13 +149,31 @@ def test_cli_exit_codes(tmp_path):
     "[hum]\nepsilon_ladder = 1e-2, 0",        # non-positive rung
     "[hum]\nepsilon_ladder = 1e-2, 1e-4, 1e-2",  # duplicate rung
     "[hum]\ncg_max_iters = 0",                # no iteration allowed
+    "[grid]\ntheta = 0.75",                   # unknown key: the solvers are Crank-Nicolson
 ], ids=["reversed-region", "negative-ell", "one-node-grid", "empty-region",
-        "zero-epsilon-rung", "duplicate-epsilon-rung", "zero-cg-iterations"])
+        "zero-epsilon-rung", "duplicate-epsilon-rung", "zero-cg-iterations", "theta-key"])
 def test_rejected_config_value_exits_2(tmp_path, body, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text(f"[scenario]\nconfiguration = A\n{body}\n", encoding="utf-8")
     assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert f"config error: {bad}" in capsys.readouterr().err
+
+
+def test_run_lets_runtime_warnings_of_the_leader_synthesis_out(tmp_path, monkeypatch):
+    import warnings
+
+    import stackheat.runner as runner_module
+
+    real = runner_module.hum_minimize
+
+    def warning(*args, **kwargs):
+        warnings.warn("overflow in the leader synthesis", RuntimeWarning)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "hum_minimize", warning)
+    spec = parse_config(small_config(tmp_path, n=8, k=8))
+    with pytest.warns(RuntimeWarning, match="overflow in the leader synthesis"):
+        run_experiment(spec, out_dir=str(tmp_path / "o"), quiet=True)
 
 
 def test_stage_error_aborts_with_partial_manifest(tmp_path):

@@ -23,7 +23,6 @@ def test_minimal_config_a_defaults(tmp_path):
     assert spec.scenario.wspec.lam == 1.0
     assert spec.scenario.wspec.s == 1.0
     assert spec.scenario.wspec.m == 4
-    assert spec.scenario.theta == 0.5
     assert spec.scenario.grid.n_interior == 50
     assert spec.robust.ell == 10.0
     assert spec.hum.epsilon == 1e-4

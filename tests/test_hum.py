@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from stackheat import hum as hum_module
 from stackheat.errors import ConvergenceError
+from stackheat.heat import favg
 from stackheat.hum import (GramBasis, HumSettings, data_vector, gradient_check, gram_apply,
                            hum_minimize, observability_probe, observation,
                            observation_pairing, solve_adjoint)
 from stackheat.oracle import dense_adjoint_solve
 from stackheat.products import h10_inner, h10_norm
+from stackheat.weights import target_weight_inv_sq
 
 from _scenarios import builders, params, scenario_a, scenario_b, scenario_c
 
@@ -255,6 +258,27 @@ def test_hum_inadmissible_target_warns():
         hum_minimize(cfg, params(), HumSettings(epsilon=1e-2, cg_tol=1e-8))
 
 
+def _lhs_cross(cfg, pa, pb):
+    """|phi(0)|_{H10} pairing plus the rho^{-2}-weighted midpoint pairing of every theta."""
+    w = np.asarray(target_weight_inv_sq(cfg.configuration, cfg.wspec, cfg.eta(),
+                                        cfg.tgrid.midpoint_times()))
+    val = h10_inner(pa.phi.interior[0], pb.phi.interior[0], cfg.grid)
+    for ta, tb in zip(pa.thetas, pb.thetas):
+        fa, fb = favg(ta.interior, 0.5), favg(tb.interior, 0.5)
+        val += float(cfg.tgrid.dt * cfg.grid.dx * np.sum(w[:, None] * fa * fb))
+    return val
+
+
+def _probe_pairs(cfg, p, n_samples, seed):
+    """The probe's terminal data, drawn in its order, each with its own adjoint pair."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n_samples):
+        a = rng.standard_normal(cfg.grid.n_interior)
+        pairs.append(solve_adjoint(cfg, a / h10_norm(a, cfg.grid), p))
+    return pairs
+
+
 def test_probe_homogeneity_and_report():
     cfg = scenario_a(n=10, k=10)
     p = params()
@@ -263,25 +287,69 @@ def test_probe_homogeneity_and_report():
     assert np.isfinite(rep.max_ratio)
     assert rep.refined_max >= rep.max_ratio * (1 - 1e-12)
     # degree-0 homogeneity: scaling the datum leaves the ratio unchanged
-    from stackheat.hum import solve_adjoint as sa
     rng = np.random.default_rng(4)
     a = rng.standard_normal(cfg.grid.n_interior)
-    from stackheat.products import h10_inner as hi
 
     def ratio(v):
-        pair = sa(cfg, v, p)
-        den = observation_pairing(cfg, pair, pair)
-        from stackheat.weights import target_weight_inv_sq
-        from stackheat.heat import favg
-        w = np.asarray(target_weight_inv_sq("A", cfg.wspec, cfg.eta(),
-                                            cfg.tgrid.midpoint_times()))
-        num = hi(pair.phi.interior[0], pair.phi.interior[0], cfg.grid)
-        fa = favg(pair.theta.interior, cfg.theta)
-        num += float(cfg.tgrid.dt * cfg.grid.dx * np.sum(w[:, None] * fa * fa))
-        return num / den
+        pair = solve_adjoint(cfg, v, p)
+        return _lhs_cross(cfg, pair, pair) / observation_pairing(cfg, pair, pair)
 
     r1, r2 = ratio(a), ratio(2.0 * a)
     assert abs(r1 - r2) <= 1e-12 * abs(r1)
+
+
+@pytest.mark.parametrize("conf", "ABCD")
+def test_probe_ratios_match_per_sample_solves(conf):
+    # the first n ratios come off the assembled forms' diagonals, the later
+    # ones from coordinates in the first n data
+    cfg = builders()[conf](n=10, k=10)
+    p = params()
+    rep = observability_probe(cfg, p, n_samples=25, seed=3)
+    assert rep.skipped == 0 and len(rep.ratios) == 25
+    expected = np.array([_lhs_cross(cfg, q, q) / observation_pairing(cfg, q, q)
+                         for q in _probe_pairs(cfg, p, 25, 3)])
+    rel = np.abs(np.array(rep.ratios) - expected) / expected
+    assert rel[:10].max() <= 1e-12
+    assert rel[10:].max() <= 1e-8
+    assert rep.max_ratio == max(rep.ratios)
+    assert rep.argmax_sample == int(np.argmax(rep.ratios))
+
+
+@pytest.mark.parametrize("n_samples", [25, 6])
+def test_probe_solves_one_adjoint_pair_per_assembled_sample(n_samples, monkeypatch):
+    calls = []
+    real = hum_module.solve_adjoint
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hum_module, "solve_adjoint", counted)
+    cfg = scenario_a(n=10, k=10)
+    rep = observability_probe(cfg, params(), n_samples=n_samples, seed=0)
+    assert len(calls) == min(cfg.grid.n_interior, n_samples)
+    assert rep.n_samples == n_samples
+
+
+@pytest.mark.parametrize("conf, n_samples, rtol", [
+    ("A", 6, 1e-10),    # O well conditioned on six samples: nothing is cut
+    ("A", 25, 1e-4),    # O's smallest eigenvalue is 6e-11 of its largest
+    ("B", 25, 1e-4),    # three of O's ten eigenvalues fall below the cut
+])
+def test_refined_max_is_the_top_eigenvalue_of_the_pruned_pencil(conf, n_samples, rtol):
+    # the forms are assembled here pairwise from per-sample solves; the pencil
+    # eigenvalue amplifies their round-off by O's condition on the kept modes
+    cfg = builders()[conf](n=10, k=10)
+    p = params()
+    rep = observability_probe(cfg, p, n_samples=n_samples, seed=0)
+    pairs = _probe_pairs(cfg, p, min(cfg.grid.n_interior, n_samples), 0)
+    lmat = np.array([[_lhs_cross(cfg, pa, pb) for pb in pairs] for pa in pairs])
+    omat = np.array([[observation_pairing(cfg, pa, pb) for pb in pairs] for pa in pairs])
+    evals, evecs = np.linalg.eigh(omat)
+    v = evecs[:, evals > evals[-1] * hum_module._OBSERVED_CUT]
+    top = eigh(v.T @ lmat @ v, v.T @ omat @ v, eigvals_only=True)[-1]
+    assert top > rep.max_ratio
+    assert abs(rep.refined_max - top) <= rtol * top
 
 
 def test_probe_max_nonincreasing_when_weights_double():
