@@ -106,6 +106,8 @@ def march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
     diag = np.full(n, 1.0 + 2.0 * r)
 
     y = np.empty((klev, n) + batch)
+    if y.size == 0:
+        return y   # no column to march; gtsv given no right-hand side corrupts memory
     y[0] = lift(y0, 1)
     src_mid = None if source is None else tgrid.dt * favg(lift(source, 2), theta)
     left_mid = None if left is None else scale * favg(lift(left, 1), theta)
@@ -236,7 +238,10 @@ def normal_derivative_o1(interior: np.ndarray, grid: SpatialGrid, side: str) -> 
     transpose of the Dirichlet boundary injection of the theta scheme, so the
     coupled optimality and adjoint systems built with it satisfy the discrete
     duality identities to machine precision.  ``interior`` has shape
-    (n_levels, n_interior) or (n_interior,).
+    (n_interior,) or (n_levels, n_interior, *B) with optional trailing batch
+    axes ``B``; the stencil reads the space axis, so the result has shape
+    () or (n_levels, *B).
     """
+    u = np.asarray(interior)
     col = 0 if side == LEFT else -1
-    return -np.asarray(interior)[..., col] / grid.dx
+    return -(u[col] if u.ndim == 1 else u[:, col]) / grid.dx

@@ -45,7 +45,8 @@ from .errors import ConvergenceError
 from .grids import BoundaryTrace, SpaceTimeField
 from .heat import favg, march, march_backward, normal_derivative_o1
 from .products import h10_inner, h10_norm, hminus1_norm, neg_laplacian_solve
-from .saddle import _Problem, build_problem, picard_coupled, solve_optimality
+from .saddle import (_block_width, _picard_columns, _Problem, build_problem, picard_coupled,
+                     solve_optimality)
 from .scenario import RobustParams, ScenarioConfig
 from .weights import admissibility_check, target_weight_inv_sq
 
@@ -82,17 +83,19 @@ class AdjointPair:
 def _theta_forcing(prob: _Problem, phi: np.ndarray) -> tuple:
     """(source, left, right) of the theta march: forcing(feedback(phi)).
 
+    ``phi`` is (n_levels, n_interior, *B), with optional batch axes ``B``.
     In D both followers read phi and each drives its own theta, so follower
-    i's trace goes to column i of one batched march.
+    i's trace goes to column i of a last axis after ``B``, and one batched
+    march solves both.
     """
     follower, disturbance = prob.feedback((phi,) * prob.n_adjoints, prob.g2inv)
     if prob.n_adjoints > 1:
-        follower = tuple(v[:, None] * e for v, e in zip(follower, np.eye(prob.n_adjoints)))
+        follower = tuple(v[..., None] * e for v, e in zip(follower, np.eye(prob.n_adjoints)))
     return prob.forcing(follower, disturbance, None)
 
 
 def _theta_columns(prob: _Problem, a) -> tuple:
-    """One entry per theta component: ``a`` itself, or its batch columns in D."""
+    """One entry per theta component: ``a`` itself, or its follower columns in D."""
     if prob.n_adjoints == 1 or a is None:
         return (a,) * prob.n_adjoints
     return tuple(np.ascontiguousarray(a[..., i]) for i in range(prob.n_adjoints))
@@ -100,10 +103,25 @@ def _theta_columns(prob: _Problem, a) -> tuple:
 
 def _phi_backward(prob: _Problem, thetas: tuple, terminal: np.ndarray) -> np.ndarray:
     cfg = prob.cfg
-    src = np.zeros((cfg.tgrid.n_levels, cfg.grid.n_interior))
+    src = np.zeros(thetas[0].shape)
     for mask, th in zip(prob.obs_masks, thetas):
         src[:, mask] += th[:, mask]
     return march_backward(cfg.grid, cfg.tgrid, terminal, src)
+
+
+def _theta_forward(prob: _Problem, phi: np.ndarray) -> tuple:
+    """The theta component(s) marched forward from theta(0) = 0 under phi."""
+    cfg = prob.cfg
+    theta = march(cfg.grid, cfg.tgrid, np.zeros(cfg.grid.n_interior), *_theta_forcing(prob, phi))
+    return _theta_columns(prob, theta)
+
+
+def _adjoint_pair(prob: _Problem, phi, thetas, iterations, residual) -> AdjointPair:
+    """Typed pair of one column, with the thetas' marched boundary rows."""
+    _, left, right = _theta_forcing(prob, phi)
+    theta_fields = tuple(prob.field(th, lt, rt) for th, lt, rt in zip(
+        thetas, _theta_columns(prob, left), _theta_columns(prob, right)))
+    return AdjointPair(prob.field(phi), theta_fields, iterations, residual)
 
 
 def solve_adjoint(cfg: ScenarioConfig, phi_terminal: np.ndarray,
@@ -118,22 +136,34 @@ def solve_adjoint(cfg: ScenarioConfig, phi_terminal: np.ndarray,
     a = np.asarray(phi_terminal, dtype=float)
     if a.shape != (cfg.grid.n_interior,):
         raise ValueError(f"terminal datum must have {cfg.grid.n_interior} interior values")
-    grid, tgrid = cfg.grid, cfg.tgrid
-    zeros = np.zeros(grid.n_interior)
-
-    def theta_forward(ph):
-        th = march(grid, tgrid, zeros, *_theta_forcing(prob, ph))
-        return _theta_columns(prob, th)
-
     phi, thetas, iters, res, _, _ = picard_coupled(
         prob,
         lambda ths: _phi_backward(prob, ths, a),
-        theta_forward,
+        lambda ph: _theta_forward(prob, ph),
         prob.n_adjoints)
-    _, left, right = _theta_forcing(prob, phi)
-    theta_fields = tuple(prob.field(th, lt, rt) for th, lt, rt in zip(
-        thetas, _theta_columns(prob, left), _theta_columns(prob, right)))
-    return AdjointPair(prob.field(phi), theta_fields, iters, res)
+    return _adjoint_pair(prob, phi, thetas, iters, res)
+
+
+def solve_adjoints(cfg: ScenarioConfig, terminals, params: RobustParams) -> list:
+    """``solve_adjoint`` for k terminal data (k rows), one Picard iteration for all.
+
+    The data are the trailing batch columns of every phi and theta march, so
+    a sweep costs one batched march each way.  Each column stops on its own
+    rule (``saddle._picard_columns``) and leaves the batch then; the i-th
+    ``AdjointPair`` equals ``solve_adjoint`` of row i bit for bit.
+    """
+    prob = build_problem(cfg, params)
+    data = np.asarray(terminals, dtype=float)
+    if data.ndim != 2 or data.shape[1] != cfg.grid.n_interior:
+        raise ValueError(f"terminal data must be rows of {cfg.grid.n_interior} interior values")
+    columns = data.T
+    runs = _picard_columns(
+        prob,
+        lambda ths, cols: _phi_backward(prob, ths, columns[:, cols]),
+        lambda ph: _theta_forward(prob, ph),
+        prob.n_adjoints, width=len(data))
+    return [_adjoint_pair(prob, phi, thetas, iters, res)
+            for phi, thetas, iters, res, _, _ in runs]
 
 
 def observation(cfg: ScenarioConfig, pair: AdjointPair):
@@ -446,13 +476,38 @@ class ProbeReport:
     refined_max: float
     argmax_sample: int
     ratios: tuple = ()
+    # one (relative eigenvalue of O, pencil maximum, above the cut) per mode k,
+    # O's largest first; left out of the repr, which stays the summary
+    spectrum: tuple = dataclasses.field(default=(), repr=False)
 
 
 # refined_max depends on this cut.  The observation form O is singular up to
 # round-off, and the largest eigenvalue of the pencil (L, O) on O's
 # eigenvectors above this fraction of its largest eigenvalue grows as the cut
-# falls.
+# falls.  ProbeReport.spectrum shows that growth mode by mode.
 _OBSERVED_CUT = 1e-12
+
+
+def _pencil_spectrum(lhs: np.ndarray, obs_form: np.ndarray) -> tuple:
+    """(relative eigenvalue, pencil maximum, above the cut) for each of O's modes.
+
+    Row k (from 1) reads O's k-th largest eigenvalue over its largest, and
+    the largest eigenvalue of the pencil (L, O) on O's leading k
+    eigenvectors, which cannot fall as k grows (interlacing).  It is
+    infinite once a nonpositive eigenvalue of O joins: L/O is then unbounded
+    on the span.
+    """
+    evals, evecs = np.linalg.eigh(obs_form)
+    top = max(evals[-1], 1e-300)
+    rows = []
+    for k in range(1, len(evals) + 1):
+        lead = np.arange(len(evals)) >= len(evals) - k   # ascending, as eigh orders them
+        pencil = np.inf
+        if evals[-k] > 0.0:
+            proj = evecs[:, lead] / np.sqrt(evals[lead])
+            pencil = float(np.max(np.linalg.eigvalsh(proj.T @ lhs @ proj)))
+        rows.append((float(evals[-k] / top), pencil, bool(evals[-k] > top * _OBSERVED_CUT)))
+    return tuple(rows)
 
 
 def observability_probe(cfg: ScenarioConfig, params: RobustParams,
@@ -466,13 +521,16 @@ def observability_probe(cfg: ScenarioConfig, params: RobustParams,
 
     is degree-0 homogeneous.  Both forms are quadratic in a, so they are
     assembled once, as m x m matrices, from the adjoint pairs of the first
-    m = min(n_interior, n_samples) samples: m ``solve_adjoint`` calls in all.
-    A sample's ratio is c L c / c O c, with c a unit vector for the first m
-    samples and the sample's coordinates in them for a later one.  Samples
-    with a vanishing observation are skipped.  ``refined_max`` is the
-    largest eigenvalue of the pencil (L, O) on O's eigenvectors above
-    ``_OBSERVED_CUT`` times its largest eigenvalue, floored at the sampled
-    maximum.
+    m = min(n_interior, n_samples) samples.  Those pairs are solved as the
+    columns of ``solve_adjoints``, in blocks of ``saddle._block_width``
+    columns; each block's rows are kept and its pairs dropped before the
+    next block.  A sample's ratio is c L c / c O c, with c a unit vector for
+    the first m samples and the sample's coordinates in them for a later
+    one.  Samples with a vanishing observation are skipped.  ``spectrum``
+    holds the pencil maximum on O's leading k eigenvectors for every k
+    (``_pencil_spectrum``); ``refined_max`` is its value at the last mode
+    above ``_OBSERVED_CUT`` times O's largest eigenvalue, floored at the
+    sampled maximum.
     """
     if n_samples < 1:
         raise ConvergenceError(f"the probe needs at least one sample, got {n_samples}")
@@ -487,12 +545,15 @@ def observability_probe(cfg: ScenarioConfig, params: RobustParams,
     # one row per solved sample: the H10 differences of phi(0), the midpoint
     # averages of each theta and of the observation
     d0, thetas, obs = [], [], []
-    for a in data[:m]:
-        pair = solve_adjoint(cfg, a, params)
-        d0.append(np.diff(pair.phi.interior[0], prepend=0.0, append=0.0))
-        thetas.append([favg(th.interior, 0.5).ravel() for th in pair.thetas])
-        observed, weight = _observed(cfg, pair.phi.interior)
-        obs.append(observed.ravel())
+    width = _block_width(cfg)
+    for start in range(0, m, width):
+        pairs = solve_adjoints(cfg, data[start:min(start + width, m)], params)
+        for pair in pairs:
+            d0.append(np.diff(pair.phi.interior[0], prepend=0.0, append=0.0))
+            thetas.append([favg(th.interior, 0.5).ravel() for th in pair.thetas])
+            observed, weight = _observed(cfg, pair.phi.interior)
+            obs.append(observed.ravel())
+        del pairs   # release this block's fields before solving the next
     d0, obs = np.array(d0), np.array(obs)
     w_inv = np.repeat(target_weight_inv_sq(cfg.configuration, cfg.wspec, cfg.eta(),
                                            tgrid.midpoint_times()), grid.n_interior)
@@ -512,10 +573,9 @@ def observability_probe(cfg: ScenarioConfig, params: RobustParams,
         raise ConvergenceError("every probe sample had a vanishing observation")
     ratios = num[kept] / den[kept]
 
-    evals, evecs = np.linalg.eigh(obs_form)
-    cut = evals > max(evals[-1], 1e-300) * _OBSERVED_CUT
-    proj = evecs[:, cut] / np.sqrt(evals[cut])
-    refined = np.max(np.linalg.eigvalsh(proj.T @ lhs @ proj), initial=ratios.max())
+    spectrum = _pencil_spectrum(lhs, obs_form)
+    observed = [pencil for _, pencil, above in spectrum if above]
+    refined = max(observed[-1], ratios.max()) if observed else ratios.max()
     return ProbeReport(n_samples, int(n_samples - kept.sum()), float(ratios.min()),
                        float(np.median(ratios)), float(ratios.max()), float(refined),
-                       int(np.argmax(ratios)), tuple(float(r) for r in ratios))
+                       int(np.argmax(ratios)), tuple(float(r) for r in ratios), spectrum)

@@ -390,6 +390,10 @@ def probe_run(spec: ExperimentSpec, out_dir: str | None = None,
                "max_ratio [1]", "refined_max [1]", "argmax_sample"],
               [[rep.n_samples, rep.skipped, rep.min_ratio, rep.median_ratio,
                 rep.max_ratio, rep.refined_max, rep.argmax_sample]])
+    write_csv(em.path("probe_spectrum.csv"),
+              ["mode", "relative_eigenvalue [1]", "pencil_max [1]", "above_cut"],
+              [[k, rel, pencil, int(above)]
+               for k, (rel, pencil, above) in enumerate(rep.spectrum, start=1)])
     verdicts = (Verdict("probe_finite", "pass" if np.isfinite(rep.max_ratio) else "fail",
                         f"max ratio {rep.max_ratio:.4g}, refined {rep.refined_max:.4g}",
                         rep.max_ratio),)

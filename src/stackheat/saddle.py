@@ -44,10 +44,17 @@ from .products import l2q_norm_interior, qmid_field, qmid_trace
 from .scenario import RobustParams, ScenarioConfig, require_valid
 from .weights import _capped_exp, _exp_neg, rho_star_log, rho_star_inv_sq
 
-# verify_saddle solves its perturbed states in blocks of columns, each block
-# one batched march; the width keeps one (n_levels, n_interior, width) float
-# array within this many bytes (25 columns at n_interior = n_steps = 50).
+# verify_saddle solves its perturbed states, and the observability probe its
+# adjoint pairs, in blocks of columns, each block one batched solve; the width
+# keeps one (n_levels, n_interior, width) float array within this many bytes
+# (25 columns at n_interior = n_steps = 50).
 _BLOCK_BYTES = 512 * 1024
+
+
+def _block_width(cfg: ScenarioConfig) -> int:
+    """Columns per block: the most that keep one batched field within ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (8 * cfg.tgrid.n_levels * cfg.grid.n_interior))
+
 
 # Verification thresholds, read by the runner's verdicts too.  An equilibrium
 # passes when no perturbation of magnitude in PERTURBATION_MAGNITUDES gains
@@ -67,6 +74,14 @@ def smooth_trace(z: np.ndarray) -> np.ndarray:
     out[-1] = 0.5 * m[-1]
     out[1:-1] = 0.5 * (m[:-1] + m[1:])
     return out
+
+
+def _lead(v: np.ndarray, ndim: int) -> np.ndarray:
+    """``v`` padded with trailing length-1 axes to ``ndim`` axes.
+
+    It then broadcasts along the leading axes of an array with trailing batch axes.
+    """
+    return v if v.ndim == ndim else v.reshape(v.shape + (1,) * (ndim - v.ndim))
 
 
 def capped_weighted_sq(log_w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -112,7 +127,10 @@ class _Problem:
         C/D: v_i = rho_i * w * smooth(dr_i/dn) / (ell_i^2 * trapezoid weight),
              no disturbance.
         ``time_weight`` is w: rho_star^{-2} gives the control v, rho_star^{-1}
-        the well-scaled rho_star * v.  A and B do not use it.
+        the well-scaled rho_star * v.  A and B do not use it.  The adjoints
+        are (n_levels, n_interior, *B): trailing batch axes ``B`` are
+        independent columns, and every column's controls equal those of a
+        single-column call bit for bit.
         """
         cfg, params = self.cfg, self.params
         c = cfg.configuration
@@ -123,11 +141,12 @@ class _Problem:
                     q / params.gamma ** 2)
         if c == "B":
             p = adjoints[0]
-            return (np.where(self.b1_mask, -p / params.ell ** 2, 0.0),
-                    np.where(self.b2_mask, p / params.gamma ** 2, 0.0))
+            return (np.where(_lead(self.b1_mask, p.ndim - 1), -p / params.ell ** 2, 0.0),
+                    np.where(_lead(self.b2_mask, p.ndim - 1), p / params.gamma ** 2, 0.0))
         return tuple(
-            rho * time_weight * smooth_trace(normal_derivative_o1(r, cfg.grid, side))
-            / (ell ** 2 * self.wtrap)
+            rho * _lead(time_weight, r.ndim - 1)
+            * smooth_trace(normal_derivative_o1(r, cfg.grid, side))
+            / (ell ** 2 * _lead(self.wtrap, r.ndim - 1))
             for (side, rho, ell), r in zip(self.follower_edges, adjoints)), None
 
     def raw(self, follower, disturbance=None) -> tuple:
@@ -292,6 +311,120 @@ class SaddleSolution:
         return float(np.median(self.contraction_ratios))
 
 
+class _Column:
+    """Stopping rule of one Picard column: its first correction, ratios and streak.
+
+    A plain class: building a dataclass costs about 0.2 ms at every import.
+    """
+
+    def __init__(self):
+        self.first: Optional[float] = None
+        self.last = 0.0
+        self.ratios = []
+        self.bad_streak = 0
+
+    def stop(self, delta: float, it: int, tol: float, fixed: bool) -> Optional[str]:
+        """Record sweep ``it``'s correction; the exit status once the column stops.
+
+        "exact" when the first correction vanishes (the sweep's own state is
+        final), "round-off" when the corrections stopped contracting below
+        1e-6 of the first, "converged" at ``tol``; None while it goes on.
+        Raises ``NonContractionError`` after five growing corrections.  With
+        ``fixed`` (a forced sweep count) only "exact" stops a column.
+        """
+        prev, self.last = self.last, delta
+        if self.first is None:
+            self.first = delta
+            if delta == 0.0:
+                return "exact"
+        elif prev > 0:
+            ratio = delta / prev
+            self.ratios.append(ratio)
+            self.bad_streak = self.bad_streak + 1 if ratio >= 1.0 else 0
+            if self.bad_streak >= 2 and delta <= 1e-6 * self.first and not fixed:
+                return "round-off"
+            if self.bad_streak >= 5 and not fixed:
+                raise NonContractionError(ratio, it)
+        if not fixed and delta <= tol * self.first:
+            return "converged"
+        return None
+
+
+def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int,
+                    width: Optional[int] = None, sweeps: Optional[int] = None) -> list:
+    """Lagged fixed-point loop on independent columns, each stopping on its own.
+
+    With ``width`` the state and adjoint arrays carry one trailing batch axis
+    of that many columns; without it they have none (one column).  Each
+    sweep calls ``forward(adjoints, cols)`` and ``backward(state)`` once for
+    all active columns, ``cols`` naming the columns the trailing axis holds.
+    A column's correction is measured on a contiguous copy, so it sums in
+    the order of a single-column loop, and its stopping rule is its own
+    ``_Column``.  A column that stops leaves the active set after the final
+    forward solve of the columns that stop with it, so each column's result
+    equals the one-column loop's bit for bit.  Returns one (state, adjoints,
+    iterations, residual, ratios, status) per column, as ``picard_coupled``.
+    """
+    cfg, params = prob.cfg, prob.params
+    grid, tgrid = cfg.grid, cfg.tgrid
+    batch = () if width is None else (width,)
+    adjoints = tuple(np.zeros((tgrid.n_levels, grid.n_interior) + batch)
+                     for _ in range(n_adjoints))
+    cols = [0] if width is None else list(range(width))
+    runs = [_Column() for _ in cols]
+    results = [None] * len(cols)
+
+    def column(a, pos):
+        return a if width is None else np.ascontiguousarray(a[..., pos])
+
+    def take(arrays, pos):
+        return arrays if width is None else tuple(a[..., pos] for a in arrays)
+
+    tol = params.fixed_point_tol
+    fixed = sweeps is not None
+    max_iter = sweeps if fixed else params.max_iterations
+    for it in range(1, max_iter + 1):
+        state = forward(adjoints, cols)
+        new_adjoints = backward(state)
+        diffs = [a - b for a, b in zip(new_adjoints, adjoints)]
+        adjoints = new_adjoints
+        stopped = {}   # position -> status, for the columns needing a final forward solve
+        for pos, c in enumerate(cols):
+            delta = float(np.sqrt(sum(
+                l2q_norm_interior(column(d, pos), grid, tgrid.dt) ** 2 for d in diffs)))
+            status = runs[c].stop(delta, it, tol, fixed)
+            if status == "exact":
+                results[c] = (column(state, pos), tuple(column(a, pos) for a in adjoints),
+                              it, 0.0, (), "converged")
+            elif status is not None:
+                stopped[pos] = status
+        if stopped:
+            pos = list(stopped)
+            final_adjoints = take(adjoints, pos)
+            final = forward(final_adjoints, [cols[p] for p in pos])
+            for j, p in enumerate(pos):
+                run = runs[cols[p]]
+                results[cols[p]] = (column(final, j), tuple(column(a, j) for a in final_adjoints),
+                                    it, run.last / run.first, tuple(run.ratios), stopped[p])
+        keep = [pos for pos, c in enumerate(cols) if results[c] is None]
+        if not keep:
+            return results
+        if len(keep) < len(cols):
+            adjoints = take(adjoints, keep)
+            cols = [cols[p] for p in keep]
+    if fixed:
+        state = forward(adjoints, cols)
+        for pos, c in enumerate(cols):
+            run = runs[c]
+            results[c] = (column(state, pos), tuple(column(a, pos) for a in adjoints), max_iter,
+                          run.last / max(run.first, 1e-300), tuple(run.ratios), "fixed-sweeps")
+        return results
+    run = runs[cols[0]]
+    raise ConvergenceError(
+        f"fixed-point iteration did not reach tol={tol} within {max_iter} sweeps "
+        f"(last relative correction {run.last / max(run.first, 1e-300):.3g})")
+
+
 def picard_coupled(prob: _Problem, forward, backward, n_adjoints: int,
                    sweeps: Optional[int] = None):
     """Generic lagged fixed-point loop shared by the optimality and adjoint systems.
@@ -301,54 +434,11 @@ def picard_coupled(prob: _Problem, forward, backward, n_adjoints: int,
     "round-off" when the corrections stopped contracting below 1e-6 of the
     first one (accepted as the floor of the arithmetic) and "fixed-sweeps"
     when ``sweeps`` forced the number of iterations (used when measuring
-    contraction rates).
+    contraction rates).  This is the one-column case of ``_picard_columns``.
     """
-    cfg, params = prob.cfg, prob.params
-    grid, tgrid = cfg.grid, cfg.tgrid
-    shape = (tgrid.n_levels, grid.n_interior)
-    adjoints = tuple(np.zeros(shape) for _ in range(n_adjoints))
-
-    tol = params.fixed_point_tol
-    max_iter = params.max_iterations if sweeps is None else sweeps
-    first_delta = None
-    ratios = []
-    deltas = []
-    bad_streak = 0
-    state = None
-    for it in range(1, max_iter + 1):
-        state = forward(adjoints)
-        new_adjoints = backward(state)
-        delta = float(np.sqrt(sum(
-            l2q_norm_interior(a - b, grid, tgrid.dt) ** 2
-            for a, b in zip(new_adjoints, adjoints))))
-        adjoints = new_adjoints
-        deltas.append(delta)
-        if first_delta is None:
-            first_delta = delta
-            if delta == 0.0:
-                return state, adjoints, it, 0.0, (), "converged"
-        else:
-            prev = deltas[-2]
-            if prev > 0:
-                ratio = delta / prev
-                ratios.append(ratio)
-                bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
-                if bad_streak >= 2 and delta <= 1e-6 * first_delta and sweeps is None:
-                    # round-off floor reached: accepted, under its own status
-                    state = forward(adjoints)
-                    return state, adjoints, it, delta / first_delta, tuple(ratios), "round-off"
-                if bad_streak >= 5 and sweeps is None:
-                    raise NonContractionError(ratio, it)
-        if sweeps is None and delta <= tol * first_delta:
-            state = forward(adjoints)
-            return state, adjoints, it, delta / first_delta, tuple(ratios), "converged"
-    if sweeps is not None:
-        state = forward(adjoints)
-        return (state, adjoints, max_iter, deltas[-1] / max(first_delta, 1e-300),
-                tuple(ratios), "fixed-sweeps")
-    raise ConvergenceError(
-        f"fixed-point iteration did not reach tol={tol} within {max_iter} sweeps "
-        f"(last relative correction {deltas[-1] / max(first_delta, 1e-300):.3g})")
+    (out,) = _picard_columns(prob, lambda adjoints, _: forward(adjoints), backward,
+                             n_adjoints, sweeps=sweeps)
+    return out
 
 
 def solve_optimality(cfg: ScenarioConfig, leader, params: RobustParams,
@@ -635,7 +725,7 @@ def _stream_states(prob: _Problem, leader_arr, controls, y0=None):
     made inside ``controls`` in their original order.
     """
     cfg = prob.cfg
-    width = max(1, _BLOCK_BYTES // (8 * cfg.tgrid.n_levels * cfg.grid.n_interior))
+    width = _block_width(cfg)
     lead = None if leader_arr is None else leader_arr[..., None]
 
     def stacked(columns):

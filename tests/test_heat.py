@@ -176,6 +176,25 @@ def test_normal_derivative_o1_sign_convention():
     assert np.all(dn_left < 0) and np.all(dn_right < 0)
 
 
+def test_march_of_an_empty_batch_is_empty():
+    # gtsv handed zero right-hand sides corrupts the heap, so march must not call it
+    grid, tgrid = make_grids(n=10, k=3)
+    y = march(grid, tgrid, np.zeros((grid.n_interior, 0)))
+    assert y.shape == (tgrid.n_levels, grid.n_interior, 0)
+
+
+def test_normal_derivative_o1_reads_the_space_axis_of_a_batch():
+    grid, tgrid = make_grids(n=10, k=3)
+    u = np.random.default_rng(0).standard_normal((tgrid.n_levels, grid.n_interior, 2))
+    for side in (LEFT, RIGHT):
+        dn = normal_derivative_o1(u, grid, side)
+        assert dn.shape == (tgrid.n_levels, 2)
+        for j in range(2):
+            column = np.ascontiguousarray(u[..., j])
+            assert np.array_equal(dn[:, j], normal_derivative_o1(column, grid, side))
+            assert np.array_equal(dn[-1, j], normal_derivative_o1(column[-1], grid, side))
+
+
 def test_input_validation():
     grid, tgrid = make_grids()
     other = TimeGrid(7, 0.5)

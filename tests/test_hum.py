@@ -5,11 +5,12 @@ import pytest
 from scipy.linalg import eigh
 
 from stackheat import hum as hum_module
-from stackheat.errors import ConvergenceError
+from stackheat import saddle as saddle_module
+from stackheat.errors import ConvergenceError, NonContractionError
 from stackheat.heat import favg
 from stackheat.hum import (GramBasis, HumSettings, data_vector, gradient_check, gram_apply,
                            hum_minimize, observability_probe, observation,
-                           observation_pairing, solve_adjoint)
+                           observation_pairing, solve_adjoint, solve_adjoints)
 from stackheat.oracle import dense_adjoint_solve
 from stackheat.products import h10_inner, h10_norm
 from stackheat.weights import target_weight_inv_sq
@@ -315,20 +316,111 @@ def test_probe_ratios_match_per_sample_solves(conf):
     assert rep.argmax_sample == int(np.argmax(rep.ratios))
 
 
+def _count_probe_columns(monkeypatch) -> list:
+    """Record the number of columns of every ``solve_adjoints`` call the probe makes."""
+    calls = []
+    real = hum_module.solve_adjoints
+
+    def counted(cfg, terminals, params):
+        calls.append(len(terminals))
+        return real(cfg, terminals, params)
+
+    monkeypatch.setattr(hum_module, "solve_adjoints", counted)
+    return calls
+
+
 @pytest.mark.parametrize("n_samples", [25, 6])
 def test_probe_solves_one_adjoint_pair_per_assembled_sample(n_samples, monkeypatch):
-    calls = []
-    real = hum_module.solve_adjoint
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(hum_module, "solve_adjoint", counted)
+    calls = _count_probe_columns(monkeypatch)
     cfg = scenario_a(n=10, k=10)
     rep = observability_probe(cfg, params(), n_samples=n_samples, seed=0)
-    assert len(calls) == min(cfg.grid.n_interior, n_samples)
+    assert sum(calls) == min(cfg.grid.n_interior, n_samples)
     assert rep.n_samples == n_samples
+
+
+@pytest.mark.parametrize("conf", "ABCD")
+def test_probe_report_does_not_depend_on_the_block_width(conf, monkeypatch):
+    cfg = builders()[conf](n=10, k=10)
+    one_block = observability_probe(cfg, params(), n_samples=25, seed=1)
+    calls = _count_probe_columns(monkeypatch)
+    # three columns per block: blocks of 3, 3, 3 and 1 for the 10 solved samples
+    monkeypatch.setattr(saddle_module, "_BLOCK_BYTES",
+                        3 * 8 * cfg.tgrid.n_levels * cfg.grid.n_interior)
+    blocked = observability_probe(cfg, params(), n_samples=25, seed=1)
+    assert calls == [3, 3, 3, 1]
+    assert blocked == one_block
+    assert repr(blocked) == repr(one_block)
+
+
+def _lone_pencil_max(lhs, obs_form):
+    """The pencil value behind refined_max, computed on its own: the largest
+    eigenvalue of (L, O) on all of O's eigenvectors above the cut."""
+    evals, evecs = np.linalg.eigh(obs_form)
+    cut = evals > max(evals[-1], 1e-300) * hum_module._OBSERVED_CUT
+    proj = evecs[:, cut] / np.sqrt(evals[cut])
+    return float(np.max(np.linalg.eigvalsh(proj.T @ lhs @ proj))), int(cut.sum())
+
+
+@pytest.mark.parametrize("conf", "ABCD")
+def test_probe_spectrum_interlaces_and_carries_refined_max(conf, monkeypatch):
+    forms = []
+    real = hum_module._pencil_spectrum
+
+    def captured(lhs, obs_form):
+        forms.append((lhs.copy(), obs_form.copy()))
+        return real(lhs, obs_form)
+
+    monkeypatch.setattr(hum_module, "_pencil_spectrum", captured)
+    cfg = builders()[conf](n=10, k=10)
+    rep = observability_probe(cfg, params(), n_samples=25, seed=0)
+    assert len(rep.spectrum) == cfg.grid.n_interior
+    rel, pencil, above = map(np.array, zip(*rep.spectrum))
+    assert rel[0] == 1.0 and np.all(np.diff(rel) <= 0.0)
+    # the kept modes are a leading run: those above the cut
+    n_kept = int(above.sum())
+    assert above[:n_kept].all() and np.all(rel[:n_kept] > hum_module._OBSERVED_CUT)
+    assert not np.any(rel[n_kept:] > hum_module._OBSERVED_CUT)
+    # nested subspaces: the pencil maximum cannot fall as modes are added
+    # (up to the round-off of separate eigenvalue solves)
+    finite = np.isfinite(pencil)
+    assert np.all(pencil[finite] > 0.0) and np.all(rel[~finite] <= 0.0)
+    assert np.all(np.diff(pencil[finite]) >= -1e-12 * pencil[finite][1:])
+    lone, lone_kept = _lone_pencil_max(*forms[0])
+    assert lone_kept == n_kept
+    assert pencil[n_kept - 1] == lone
+    assert rep.refined_max == max(pencil[n_kept - 1], rep.max_ratio)
+
+
+@pytest.mark.parametrize("conf", "ABCD")
+def test_solve_adjoints_columns_equal_single_solves(conf):
+    # column 2 is a zero datum: it leaves the batch at sweep 1, the others go
+    # on; s = 0.01 keeps the C/D coupling live (at s = 1 it underflows to 0)
+    cfg = builders()[conf](n=10, k=10, **({"s": 0.01} if conf in "CD" else {}))
+    p = params()
+    data = np.random.default_rng(8).standard_normal((4, cfg.grid.n_interior))
+    data[2] = 0.0
+    pairs = solve_adjoints(cfg, data, p)
+    assert len(pairs) == 4
+    for a, pair in zip(data, pairs):
+        lone = solve_adjoint(cfg, a, p)
+        assert pair.iterations == lone.iterations
+        assert pair.residual == lone.residual
+        assert pair.phi.values.tobytes() == lone.phi.values.tobytes()
+        assert len(pair.thetas) == len(lone.thetas)
+        for th, th_lone in zip(pair.thetas, lone.thetas):
+            assert th.values.tobytes() == th_lone.values.tobytes()
+    assert pairs[2].iterations == 1 and np.all(pairs[2].phi.values == 0.0)
+    assert min(pair.iterations for i, pair in enumerate(pairs) if i != 2) > 1
+    assert solve_adjoints(cfg, data[:0], p) == []
+
+
+def test_solve_adjoints_refuses_a_non_contracting_batch():
+    cfg = scenario_a(n=10, k=10)
+    data = np.random.default_rng(9).standard_normal((3, cfg.grid.n_interior))
+    with pytest.raises(NonContractionError):
+        solve_adjoints(cfg, data, params(ell=0.05, gamma=0.05))
+    with pytest.raises(ValueError):
+        solve_adjoints(cfg, data[:, :-1], params())
 
 
 @pytest.mark.parametrize("conf, n_samples, rtol", [

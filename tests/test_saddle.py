@@ -6,7 +6,7 @@ import pytest
 from stackheat.grids import (LEFT, RIGHT, BoundarySet, BoundaryTrace, Region,
                              SpaceTimeField, SpatialGrid, TimeGrid)
 from stackheat.oracle import dense_optimality_solve
-from stackheat.saddle import (build_problem, evaluate_functional, gateaux_check,
+from stackheat.saddle import (_leader_array, build_problem, evaluate_functional, gateaux_check,
                               measure_contraction, picard_coupled, solve_optimality,
                               verify_saddle)
 from stackheat.scenario import (ScenarioConfig, make_initial,
@@ -365,6 +365,43 @@ def test_picard_round_off_exit_has_its_own_status():
     # the cumulative sums lose about 1e-9 relative to cancellation
     assert out[3] == pytest.approx(4e-7, rel=1e-6)
     assert out[4] == pytest.approx((1e-7, 2.0, 2.0), rel=1e-6)
+
+
+def _assert_column_bits(batched, single, j):
+    """``single`` equals column ``j`` of ``batched`` bit for bit, through tuples and Nones.
+
+    A length-1 batch axis (a shared input, such as the leader) serves every column.
+    """
+    if isinstance(single, tuple):
+        assert isinstance(batched, tuple) and len(batched) == len(single)
+        for b, s in zip(batched, single):
+            _assert_column_bits(b, s, j)
+    elif single is None:
+        assert batched is None
+    else:
+        column = batched[..., j if batched.shape[-1] > 1 else 0]
+        assert np.ascontiguousarray(column).tobytes() == np.asarray(single).tobytes()
+
+
+@pytest.mark.parametrize("conf", "ABCD")
+def test_batched_feedback_and_forcing_match_per_column_calls(conf):
+    # adjoints with a trailing batch axis of 3 columns; s = 0.01 keeps the
+    # C/D feedback weights live (at s = 1 they underflow to 0)
+    kw = {"s": 0.01} if conf in "CD" else {}
+    cfg = builders()[conf](n=10, k=10, **kw)
+    prob = build_problem(cfg, params())
+    rng = np.random.default_rng(11)
+    shape = (cfg.tgrid.n_levels, cfg.grid.n_interior, 3)
+    adjoints = tuple(rng.standard_normal(shape) for _ in range(prob.n_adjoints))
+    leader = _leader_array(prob, random_leader(cfg, seed=2))
+    for weight in (prob.g2inv, prob.ginv):
+        follower, disturbance = prob.feedback(adjoints, weight)
+        forcing = prob.forcing(follower, disturbance, leader[..., None])
+        for j in range(shape[-1]):
+            column = tuple(np.ascontiguousarray(a[..., j]) for a in adjoints)
+            fol_j, dist_j = prob.feedback(column, weight)
+            _assert_column_bits((follower, disturbance), (fol_j, dist_j), j)
+            _assert_column_bits(forcing, prob.forcing(fol_j, dist_j, leader), j)
 
 
 def test_solution_carries_the_picard_exit_status():
