@@ -314,6 +314,8 @@ def _build_spec(path: str, values: dict, regions: dict) -> ExperimentSpec:
     ladder = tuple(gr.get("ladder", ()))
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError(f"{path}: [grid] ladder must be strictly increasing, got {ladder}")
+    if 0 < len(ladder) < 3:
+        raise ConfigError(f"{path}: [grid] ladder needs at least 3 grids, got {ladder}")
 
     eps_ladder = tuple(hv.get("epsilon_ladder", (1e-2, 1e-4, 1e-6)))
     if not all(e > 0 for e in eps_ladder) or len(set(eps_ladder)) != len(eps_ladder):

@@ -45,8 +45,8 @@ from .errors import ConvergenceError
 from .grids import BoundaryTrace, SpaceTimeField
 from .heat import favg, march, march_backward, normal_derivative_o1
 from .products import h10_inner, h10_norm, hminus1_norm, neg_laplacian_solve
-from .saddle import (_block_width, _picard_columns, _Problem, build_problem, picard_coupled,
-                     solve_optimality)
+from .saddle import (SaddleSolution, _block_width, _picard_columns, _Problem, build_problem,
+                     picard_coupled, solve_optimality)
 from .scenario import RobustParams, ScenarioConfig
 from .weights import admissibility_check, target_weight_inv_sq
 
@@ -192,11 +192,6 @@ def homogeneous_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
         target2=None if cfg.target2 is None else zero_t.copy())
 
 
-def _terminal_state(cfg: ScenarioConfig, params: RobustParams, leader) -> np.ndarray:
-    sol = solve_optimality(cfg, leader, params)
-    return sol.state.interior[-1].copy()
-
-
 def gram_apply(cfg: ScenarioConfig, phi_terminal: np.ndarray,
                params: RobustParams) -> np.ndarray:
     """One application of the HUM duality operator (H^1_0 Riesz representative).
@@ -206,14 +201,8 @@ def gram_apply(cfg: ScenarioConfig, phi_terminal: np.ndarray,
     """
     pair = solve_adjoint(cfg, phi_terminal, params)
     leader = observation(cfg, pair)
-    terminal = _terminal_state(homogeneous_scenario(cfg), params, leader)
-    return neg_laplacian_solve(terminal, cfg.grid)
-
-
-def data_vector(cfg: ScenarioConfig, params: RobustParams) -> np.ndarray:
-    """Riesz vector of the data term: lift of the zero-leader terminal state."""
-    terminal = _terminal_state(cfg, params, None)
-    return neg_laplacian_solve(terminal, cfg.grid)
+    sol = solve_optimality(homogeneous_scenario(cfg), leader, params)
+    return neg_laplacian_solve(sol.state.interior[-1], cfg.grid)
 
 
 def _observed(cfg: ScenarioConfig, phi: np.ndarray) -> tuple:
@@ -246,6 +235,8 @@ class HumResult:
     leader_norm_sq: float
     epsilon: float
     trace: tuple                        # (iteration, functional, residual norm)
+    # the follower equilibrium under ``leader`` that certified the residual
+    controlled: SaddleSolution = dataclasses.field(repr=False)
 
 
 # A new basis direction whose orthogonalized image is below this fraction of
@@ -266,7 +257,10 @@ class GramBasis:
 
     def __init__(self, cfg: ScenarioConfig, params: RobustParams):
         self.cfg, self.params = cfg, params
-        self.b = data_vector(cfg, params)
+        # the zero-leader follower equilibrium; b, the Riesz vector of the data
+        # term, is the lift of its terminal state
+        self.free = solve_optimality(cfg, None, params)
+        self.b = neg_laplacian_solve(self.free.state.interior[-1], cfg.grid)
         self.bnorm = h10_norm(self.b, cfg.grid)
         self.vectors, self.images = [], []
         self.rhs = []           # <v_i, b>
@@ -331,7 +325,8 @@ def hum_minimize(cfg: ScenarioConfig, params: RobustParams,
     stored images of the first k vectors and stops at ``cg_tol``.  The leader
     is reconstructed from the minimizer, and the terminal H^-1 residual is
     certified by a from-scratch solve of the full optimality system with the
-    synthesized control.
+    synthesized control, whose follower equilibrium the result keeps as
+    ``controlled``.
     """
     if check_admissibility:
         rep = target_admissibility(cfg)
@@ -350,8 +345,11 @@ def hum_minimize(cfg: ScenarioConfig, params: RobustParams,
     eps = settings.epsilon
     b, bnorm = basis.b, basis.bnorm
     if bnorm == 0.0:
+        # solved with the zero leader, not read off basis.free (leader None):
+        # adding a zero leader turns a -0.0 into 0.0, which prints differently
         zero_leader = observation(cfg, solve_adjoint(cfg, np.zeros(n), params))
-        return HumResult(np.zeros(n), zero_leader, 0.0, 0.0, 0, 0.0, 0.0, eps, ())
+        return HumResult(np.zeros(n), zero_leader, 0.0, 0.0, 0, 0.0, 0.0, eps, (),
+                         solve_optimality(cfg, zero_leader, params))
 
     trace = []
     best = bnorm
@@ -381,10 +379,11 @@ def hum_minimize(cfg: ScenarioConfig, params: RobustParams,
     internal = h10_norm(gx + b, grid)
     pair = solve_adjoint(cfg, x, params)
     leader = observation(cfg, pair)
-    terminal = _terminal_state(cfg, params, leader)
-    residual = hminus1_norm(terminal, grid)
+    controlled = solve_optimality(cfg, leader, params)
+    residual = hminus1_norm(controlled.state.interior[-1], grid)
     hnorm2 = observation_pairing(cfg, pair, pair)
-    return HumResult(x, leader, residual, internal, len(trace), fval, hnorm2, eps, tuple(trace))
+    return HumResult(x, leader, residual, internal, len(trace), fval, hnorm2, eps, tuple(trace),
+                     controlled)
 
 
 def target_admissibility(cfg: ScenarioConfig):
@@ -430,7 +429,7 @@ def gradient_check(cfg: ScenarioConfig, params: RobustParams, settings: HumSetti
     grid = cfg.grid
     eps = settings.epsilon
     a = np.asarray(phi_terminal, dtype=float)
-    b = data_vector(cfg, params)
+    b = GramBasis(cfg, params).b
 
     def fval(v):
         gv = gram_apply(cfg, v, params)

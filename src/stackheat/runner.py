@@ -56,6 +56,7 @@ class _Emitter:
         self.out_dir = out_dir
         self.quiet = quiet
         self.files = []
+        self.stages = []      # (name, seconds)
         os.makedirs(out_dir, exist_ok=True)
 
     def log(self, msg: str):
@@ -66,14 +67,22 @@ class _Emitter:
         self.files.append(name)
         return os.path.join(self.out_dir, name)
 
-    def report(self, stages, verdicts) -> RunReport:
+    def timed(self, name: str, fn):
+        """``fn()``, its wall time recorded and logged as stage ``name``."""
+        t0 = time.perf_counter()
+        out = fn()
+        self.stages.append((name, time.perf_counter() - t0))
+        self.log(f"[{name}] done in {self.stages[-1][1]:.2f} s")
+        return out
+
+    def report(self, verdicts) -> RunReport:
         """Write ``verdicts.csv`` and the manifest; the command's report."""
         write_csv(self.path("verdicts.csv"), ["check", "status", "reason", "value"],
                   [[v.name, v.status, v.reason, "" if v.value is None else v.value]
                    for v in verdicts])
         write_manifest(self.out_dir, self.files)
         self.files.append("manifest.csv")
-        return RunReport(self.out_dir, tuple(stages), tuple(verdicts), tuple(self.files))
+        return RunReport(self.out_dir, tuple(self.stages), tuple(verdicts), tuple(self.files))
 
 
 def _emit_saddle(em: _Emitter, cfg: ScenarioConfig, sol, prefix: str):
@@ -141,36 +150,30 @@ def _emit_leader(em: _Emitter, cfg: ScenarioConfig, leader, name="leader"):
         write_trace_csv(em.path(f"{name}.csv"), cfg.tgrid, leader.values, "h")
 
 
-def _synthesize(cfg: ScenarioConfig, robust, settings, basis=None) -> tuple:
-    """(basis, HumResult) of one leader synthesis; a new Gram basis when None."""
-    if basis is None:
-        basis = GramBasis(cfg, robust)
-    return basis, hum_minimize(cfg, robust, settings, basis=basis, check_admissibility=False)
+# Accepted band of the terminal-residual ratio across a 100x epsilon step
+# (square-root law nominal 10), in `run`'s epsilon_law and in `sweep-eps`'s.
+def _obeys_eps_law(ratio: float) -> bool:
+    return 3.0 <= ratio <= 30.0
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
                    quiet: bool = False) -> RunReport:
     """Full pipeline: saddle solve at h = 0, HUM synthesis, verification.
 
+    Each follower equilibrium is solved once: the zero-leader one by the
+    saddle stage's ``GramBasis``, which the hum and eps-law stages share, and
+    the controlled one by the HUM certificate, which the verify stage checks.
     Any stage error aborts the remaining stages; the verdicts and the partial
     manifest are still written.
     """
     cfg, robust, hum = spec.scenario, spec.robust, spec.hum
     em = _Emitter(out_dir or spec.out_dir, quiet)
     verdicts = []
-    stages = []
-
-    def timed(name, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        stages.append((name, time.perf_counter() - t0))
-        em.log(f"[{name}] done in {stages[-1][1]:.2f} s")
-        return out
 
     try:
         # reference follower equilibrium for the zero leader
-        sol0 = timed("saddle", lambda: solve_optimality(cfg, None, robust))
-        _emit_saddle(em, cfg, sol0, "saddle")
+        basis = em.timed("saddle", lambda: GramBasis(cfg, robust))
+        _emit_saddle(em, cfg, basis.free, "saddle")
         _emit_weights(em, cfg)
 
         adm = target_admissibility(cfg)
@@ -181,8 +184,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
                 "target_admissibility", "pass" if adm.admissible else "fail",
                 f"refinement ratios {tuple(round(r, 3) for r in adm.ratios)}"))
 
-        # leader synthesis; the eps-law stage reuses its Krylov basis
-        basis, res = timed("hum", lambda: _synthesize(cfg, robust, hum))
+        res = em.timed("hum", lambda: hum_minimize(cfg, robust, hum, basis=basis,
+                                                   check_admissibility=False))
         _emit_leader(em, cfg, res.leader)
         write_csv(em.path("cg_trace.csv"),
                   ["iteration", "functional_value [cost]", "residual_norm [H10]"],
@@ -195,12 +198,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
                     res.internal_residual_estimate, res.leader_norm_sq,
                     res.functional_value]])
 
-        # verification of the full hierarchy
-        sol1 = timed("verify", lambda: solve_optimality(cfg, res.leader, robust))
-        _emit_saddle(em, cfg, sol1, "controlled")
-        rep = verify_saddle(cfg, sol1, res.leader, robust,
-                            n_perturbations=spec.verify_perturbations,
-                            seed=spec.seed + 1000)
+        # verification of the full hierarchy at the certified equilibrium
+        _emit_saddle(em, cfg, res.controlled, "controlled")
+        rep = em.timed("verify", lambda: verify_saddle(
+            cfg, res.controlled, res.leader, robust,
+            n_perturbations=spec.verify_perturbations, seed=spec.seed + 1000))
         kind = {"A": "saddle", "B": "saddle", "C": "minimality", "D": "nash"}[cfg.configuration]
         verdicts.append(Verdict(
             f"{kind}_conditions", "pass" if rep.max_min_violation <= SLACK
@@ -222,15 +224,16 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
             res.terminal_residual_hminus1))
 
         if hum.epsilon * 100.0 < 0.5:
-            _, coarse = timed("eps-law", lambda: _synthesize(
-                cfg, robust, dataclasses.replace(hum, epsilon=hum.epsilon * 100.0), basis))
+            coarse = em.timed("eps-law", lambda: hum_minimize(
+                cfg, robust, dataclasses.replace(hum, epsilon=hum.epsilon * 100.0),
+                basis=basis, check_admissibility=False))
             if coarse.terminal_residual_hminus1 == 0.0 and res.terminal_residual_hminus1 == 0.0:
                 verdicts.append(Verdict("epsilon_law", "skipped",
                                         "terminal residual identically zero"))
             else:
                 ratio = coarse.terminal_residual_hminus1 / max(res.terminal_residual_hminus1, 1e-300)
                 verdicts.append(Verdict(
-                    "epsilon_law", "pass" if 3.0 <= ratio <= 30.0 else "fail",
+                    "epsilon_law", "pass" if _obeys_eps_law(ratio) else "fail",
                     f"residual ratio across a 100x epsilon step: {ratio:.3g} "
                     "(square-root law nominal 10)", ratio))
         else:
@@ -240,7 +243,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
         verdicts.append(Verdict("pipeline", "error", str(exc)))
         em.log(f"[error] {exc}")
 
-    report = em.report(stages, verdicts)
+    report = em.report(verdicts)
     em.log(f"verdicts: {'all ok' if report.passed else 'FAILURES'} "
            f"({sum(v.status == 'pass' for v in verdicts)} pass, "
            f"{sum(v.status == 'fail' for v in verdicts)} fail, "
@@ -294,20 +297,16 @@ def _oracle_rows(spec: ExperimentSpec, ladder, max_unknowns: int = 64):
     return rows
 
 
-def eps_sweep(spec: ExperimentSpec, out_dir: str | None = None,
-              quiet: bool = False) -> RunReport:
-    """Terminal-residual law across the configured epsilon ladder."""
+def _sweep_eps(spec: ExperimentSpec, em: _Emitter) -> Verdict:
+    """Solve the epsilon ladder on one Gram basis, write ``eps_sweep.csv``; the law's verdict."""
     cfg, robust = spec.scenario, spec.robust
-    em = _Emitter(out_dir or spec.out_dir, quiet)
-    verdicts = []
-    rows = []
-    basis = None
-    residuals = []
-    t0 = time.perf_counter()
+    rows, residuals = [], []
+    rungs = sorted(spec.epsilon_ladder, reverse=True)
     try:
-        for eps in sorted(spec.epsilon_ladder, reverse=True):
-            basis, res = _synthesize(cfg, robust, dataclasses.replace(spec.hum, epsilon=eps),
-                                     basis)
+        basis = GramBasis(cfg, robust) if rungs else None
+        for eps in rungs:
+            res = hum_minimize(cfg, robust, dataclasses.replace(spec.hum, epsilon=eps),
+                               basis=basis, check_admissibility=False)
             residuals.append(res.terminal_residual_hminus1)
             ratio = "" if len(residuals) < 2 else residuals[-2] / max(residuals[-1], 1e-300)
             rows.append([eps, res.terminal_residual_hminus1,
@@ -317,33 +316,36 @@ def eps_sweep(spec: ExperimentSpec, out_dir: str | None = None,
                    f"{res.cg_iterations} CG iterations")
         ratios = [a / max(b, 1e-300) for a, b in zip(residuals, residuals[1:])]
         if not ratios:
-            verdicts.append(Verdict("epsilon_law", "skipped", "fewer than two rungs"))
+            verdict = Verdict("epsilon_law", "skipped", "fewer than two rungs")
         else:
-            ok = all(3.0 <= r <= 30.0 for r in ratios)
-            verdicts.append(Verdict(
-                "epsilon_law", "pass" if ok else "fail",
-                f"successive residual ratios {[round(r, 2) for r in ratios]}"))
+            verdict = Verdict(
+                "epsilon_law", "pass" if all(map(_obeys_eps_law, ratios)) else "fail",
+                f"successive residual ratios {[round(r, 2) for r in ratios]}")
     except StackheatError as exc:
-        verdicts.append(Verdict("eps_sweep", "error", str(exc)))
+        verdict = Verdict("eps_sweep", "error", str(exc))
     write_csv(em.path("eps_sweep.csv"),
               ["epsilon [1]", "terminal_residual [Hminus1]", "internal_estimate [Hminus1]",
                "cg_iterations", "leader_norm_sq [control]", "residual_ratio [1]"], rows)
-    return em.report((("eps-sweep", time.perf_counter() - t0),), verdicts)
+    return verdict
+
+
+def eps_sweep(spec: ExperimentSpec, out_dir: str | None = None,
+              quiet: bool = False) -> RunReport:
+    """Terminal-residual law across the configured epsilon ladder."""
+    em = _Emitter(out_dir or spec.out_dir, quiet)
+    return em.report([em.timed("eps-sweep", lambda: _sweep_eps(spec, em))])
 
 
 def convergence_study(spec: ExperimentSpec, out_dir: str | None = None,
                       quiet: bool = False) -> RunReport:
     """Heat-solver refinement ladder, tiny-grid oracle column and epsilon sweep."""
-    em = _Emitter(out_dir or spec.out_dir, quiet)
-    verdicts = []
-    stages = []
     ladder = spec.ladder or (25, 50, 100)
     if len(ladder) < 3:
         raise ConfigError("convergence study needs a ladder of at least 3 grids")
+    em = _Emitter(out_dir or spec.out_dir, quiet)
+    verdicts = []
 
-    t0 = time.perf_counter()
-    rows, errs, hs = _heat_ladder_rows(spec, ladder)
-    stages.append(("heat-ladder", time.perf_counter() - t0))
+    rows, errs, hs = em.timed("heat-ladder", lambda: _heat_ladder_rows(spec, ladder))
     write_csv(em.path("convergence.csv"),
               ["n_interior", "dx [space]", "n_steps", "max_error [state]",
                "observed_order [1]"], rows)
@@ -352,9 +354,7 @@ def convergence_study(spec: ExperimentSpec, out_dir: str | None = None,
                             f"observed space-time order {order:.3f} over ladder {ladder}",
                             order))
 
-    t0 = time.perf_counter()
-    orows = _oracle_rows(spec, ladder)
-    stages.append(("oracle", time.perf_counter() - t0))
+    orows = em.timed("oracle", lambda: _oracle_rows(spec, ladder))
     write_csv(em.path("oracle.csv"),
               ["n_interior", "n_steps", "dense_vs_fixed_point [relative]"], orows)
     discs = [r[2] for r in orows if isinstance(r[2], float)]
@@ -363,13 +363,9 @@ def convergence_study(spec: ExperimentSpec, out_dir: str | None = None,
         f"max dense-solve discrepancy {max(discs):.3g}" if discs else "no rung small enough",
         max(discs) if discs else None))
 
-    sweep_report = eps_sweep(spec, out_dir=em.out_dir, quiet=True)
-    verdicts.extend(sweep_report.verdicts)
-    # the sweep's verdicts and manifest are rewritten for the whole study
-    em.files += [name for name in sweep_report.files
-                 if name not in ("verdicts.csv", "manifest.csv")]
+    verdicts.append(em.timed("eps-sweep", lambda: _sweep_eps(spec, em)))
 
-    report = em.report(stages, verdicts)
+    report = em.report(verdicts)
     em.log(f"convergence study: order {order:.3f}, "
            f"{'all ok' if report.passed else 'FAILURES'}")
     return report
@@ -379,10 +375,8 @@ def probe_run(spec: ExperimentSpec, out_dir: str | None = None,
               quiet: bool = False) -> RunReport:
     """Observability-ratio sampling for the configured scenario."""
     em = _Emitter(out_dir or spec.out_dir, quiet)
-    t0 = time.perf_counter()
-    rep = observability_probe(spec.scenario, spec.robust,
-                              n_samples=spec.probe_samples, seed=spec.seed)
-    stages = (("probe", time.perf_counter() - t0),)
+    rep = em.timed("probe", lambda: observability_probe(
+        spec.scenario, spec.robust, n_samples=spec.probe_samples, seed=spec.seed))
     write_csv(em.path("probe_ratios.csv"), ["sample", "ratio [1]"],
               list(enumerate(rep.ratios)))
     write_csv(em.path("probe_summary.csv"),
@@ -397,6 +391,6 @@ def probe_run(spec: ExperimentSpec, out_dir: str | None = None,
     verdicts = (Verdict("probe_finite", "pass" if np.isfinite(rep.max_ratio) else "fail",
                         f"max ratio {rep.max_ratio:.4g}, refined {rep.refined_max:.4g}",
                         rep.max_ratio),)
-    report = em.report(stages, verdicts)
+    report = em.report(verdicts)
     em.log(f"probe: {rep.n_samples} samples, max ratio {rep.max_ratio:.4g}")
     return report

@@ -419,10 +419,11 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int,
             results[c] = (column(state, pos), tuple(column(a, pos) for a in adjoints), max_iter,
                           run.last / max(run.first, 1e-300), tuple(run.ratios), "fixed-sweeps")
         return results
-    run = runs[cols[0]]
+    last = max(runs[c].last / max(runs[c].first, 1e-300) for c in cols)
+    which = "last" if len(runs) == 1 else f"in {len(cols)} of {len(runs)} columns; largest last"
     raise ConvergenceError(
         f"fixed-point iteration did not reach tol={tol} within {max_iter} sweeps "
-        f"(last relative correction {run.last / max(run.first, 1e-300):.3g})")
+        f"({which} relative correction {last:.3g})")
 
 
 def picard_coupled(prob: _Problem, forward, backward, n_adjoints: int,

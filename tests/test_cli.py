@@ -150,8 +150,10 @@ def test_cli_exit_codes(tmp_path):
     "[hum]\nepsilon_ladder = 1e-2, 1e-4, 1e-2",  # duplicate rung
     "[hum]\ncg_max_iters = 0",                # no iteration allowed
     "[grid]\ntheta = 0.75",                   # unknown key: the solvers are Crank-Nicolson
+    "[grid]\nladder = 25, 50",                # a convergence ladder needs 3 grids
 ], ids=["reversed-region", "negative-ell", "one-node-grid", "empty-region",
-        "zero-epsilon-rung", "duplicate-epsilon-rung", "zero-cg-iterations", "theta-key"])
+        "zero-epsilon-rung", "duplicate-epsilon-rung", "zero-cg-iterations", "theta-key",
+        "short-ladder"])
 def test_rejected_config_value_exits_2(tmp_path, body, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text(f"[scenario]\nconfiguration = A\n{body}\n", encoding="utf-8")
@@ -174,6 +176,60 @@ def test_run_lets_runtime_warnings_of_the_leader_synthesis_out(tmp_path, monkeyp
     spec = parse_config(small_config(tmp_path, n=8, k=8))
     with pytest.warns(RuntimeWarning, match="overflow in the leader synthesis"):
         run_experiment(spec, out_dir=str(tmp_path / "o"), quiet=True)
+
+
+def test_run_solves_no_equilibrium_of_its_own(tmp_path, monkeypatch):
+    # the Gram basis holds the zero-leader equilibrium and the HUM result the
+    # controlled one; the runner solves neither again
+    import stackheat.runner as runner_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run solved a follower equilibrium a second time")
+
+    monkeypatch.setattr(runner_module, "solve_optimality", refuse)
+    report = run_experiment(parse_config(small_config(tmp_path, n=8, k=8)), quiet=True)
+    assert report.passed, [f"{v.name}: {v.reason}" for v in report.verdicts if not v.ok]
+
+
+def test_run_verify_stage_times_verify_saddle(tmp_path, monkeypatch):
+    import time
+
+    import stackheat.runner as runner_module
+
+    real = runner_module.verify_saddle
+    spent = []
+
+    def slow_verify(*args, **kwargs):
+        t0 = time.perf_counter()
+        time.sleep(0.05)   # longer than any n=8 equilibrium solve
+        out = real(*args, **kwargs)
+        spent.append(time.perf_counter() - t0)
+        return out
+
+    monkeypatch.setattr(runner_module, "verify_saddle", slow_verify)
+    report = run_experiment(parse_config(small_config(tmp_path, n=8, k=8)), quiet=True)
+    assert [name for name, _ in report.stages] == ["saddle", "hum", "verify", "eps-law"]
+    assert len(spent) == 1 and dict(report.stages)["verify"] >= spent[0]
+
+
+def test_convergence_study_times_its_eps_sweep_and_writes_verdicts_once(tmp_path,
+                                                                         monkeypatch):
+    import stackheat.runner as runner_module
+
+    real = runner_module.write_csv
+    written = []
+
+    def counting(path, *args, **kwargs):
+        written.append(os.path.basename(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "write_csv", counting)
+    spec = parse_config(small_config(tmp_path, n=8, k=8))
+    report = convergence_study(spec, out_dir=str(tmp_path / "conv"), quiet=True)
+    assert [name for name, _ in report.stages] == ["heat-ladder", "oracle", "eps-sweep"]
+    assert written.count("verdicts.csv") == 1
+    assert report.files == ("convergence.csv", "oracle.csv", "eps_sweep.csv", "verdicts.csv",
+                            "manifest.csv")
 
 
 def test_stage_error_aborts_with_partial_manifest(tmp_path):

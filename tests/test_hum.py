@@ -8,9 +8,9 @@ from stackheat import hum as hum_module
 from stackheat import saddle as saddle_module
 from stackheat.errors import ConvergenceError, NonContractionError
 from stackheat.heat import favg
-from stackheat.hum import (GramBasis, HumSettings, data_vector, gradient_check, gram_apply,
-                           hum_minimize, observability_probe, observation,
-                           observation_pairing, solve_adjoint, solve_adjoints)
+from stackheat.hum import (GramBasis, HumSettings, gradient_check, gram_apply, hum_minimize,
+                           observability_probe, observation, observation_pairing,
+                           solve_adjoint, solve_adjoints)
 from stackheat.oracle import dense_adjoint_solve
 from stackheat.products import h10_inner, h10_norm
 from stackheat.weights import target_weight_inv_sq
@@ -210,7 +210,7 @@ def _unit_orthogonal_to(b, grid, seed=0):
 def test_non_positive_gram_operator_raises(kind, monkeypatch):
     cfg = scenario_a(n=8, k=8)
     p = params()
-    e1, e2 = _unit_orthogonal_to(data_vector(cfg, p), cfg.grid)
+    e1, e2 = _unit_orthogonal_to(GramBasis(cfg, p).b, cfg.grid)
 
     def indefinite(cfg, a, params):
         # [[0.5, 1], [1, 0.5]] on span(e1, e2): positive diagonal, one negative eigenvalue
@@ -230,7 +230,7 @@ def test_invariant_krylov_space_ends_with_the_exact_solution(monkeypatch):
     monkeypatch.setattr(hum_module, "gram_apply", lambda cfg, a, params: 2.0 * a)
     res = _solve(cfg, p, 1e-4, cg_tol=1e-300)
     assert res.cg_iterations == 1
-    np.testing.assert_allclose(res.phi_terminal, -data_vector(cfg, p) / (2.0 + 1e-4),
+    np.testing.assert_allclose(res.phi_terminal, -GramBasis(cfg, p).b / (2.0 + 1e-4),
                                rtol=1e-14)
 
 
@@ -239,6 +239,42 @@ def test_basis_of_another_scenario_is_rejected():
     basis = GramBasis(scenario_a(n=8, k=8), p)
     with pytest.raises(ValueError, match="another scenario"):
         _solve(scenario_a(n=8, k=8), p, 1e-4, basis)
+
+
+def _assert_same_equilibrium(got, ref):
+    """Two ``SaddleSolution``s agree bit for bit, signed zeros included."""
+    def bits(fields):
+        return [f.values.tobytes() for f in fields]
+
+    def followers(sol):
+        f = sol.follower
+        return bits(f[side] for side in sorted(f)) if isinstance(f, dict) \
+            else bits(f if isinstance(f, tuple) else (f,))
+
+    assert bits((got.state,) + got.adjoints) == bits((ref.state,) + ref.adjoints)
+    assert followers(got) == followers(ref)
+    assert (got.iterations, got.exit_status, got.functional_value) == \
+        (ref.iterations, ref.exit_status, ref.functional_value)
+
+
+@pytest.mark.parametrize("conf", "ABCD")
+def test_basis_and_result_keep_the_equilibria_they_solved(conf):
+    # GramBasis.free is the zero-leader equilibrium and HumResult.controlled
+    # the one under the synthesized leader; each equals a fresh solve
+    cfg = builders()[conf](n=8, k=8)
+    p = params()
+    basis = GramBasis(cfg, p)
+    res = _solve(cfg, p, 1e-3, basis)
+    _assert_same_equilibrium(basis.free, saddle_module.solve_optimality(cfg, None, p))
+    _assert_same_equilibrium(res.controlled, saddle_module.solve_optimality(cfg, res.leader, p))
+
+
+def test_zero_data_result_keeps_the_zero_leader_equilibrium():
+    cfg = scenario_a(n=8, k=8, y0_kind="zero", target_kind="zero")
+    p = params()
+    res = _solve(cfg, p, 1e-3)
+    assert res.cg_iterations == 0
+    _assert_same_equilibrium(res.controlled, saddle_module.solve_optimality(cfg, res.leader, p))
 
 
 def test_hum_leader_formula_consistency_config_a():

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from stackheat.errors import ConvergenceError
 from stackheat.grids import (LEFT, RIGHT, BoundarySet, BoundaryTrace, Region,
                              SpaceTimeField, SpatialGrid, TimeGrid)
 from stackheat.oracle import dense_optimality_solve
-from stackheat.saddle import (_leader_array, build_problem, evaluate_functional, gateaux_check,
-                              measure_contraction, picard_coupled, solve_optimality,
-                              verify_saddle)
+from stackheat.saddle import (_leader_array, _picard_columns, build_problem, evaluate_functional,
+                              gateaux_check, measure_contraction, picard_coupled,
+                              solve_optimality, verify_saddle)
 from stackheat.scenario import (ScenarioConfig, make_initial,
                                 make_target, validate_config)
 
@@ -365,6 +366,29 @@ def test_picard_round_off_exit_has_its_own_status():
     # the cumulative sums lose about 1e-9 relative to cancellation
     assert out[3] == pytest.approx(4e-7, rel=1e-6)
     assert out[4] == pytest.approx((1e-7, 2.0, 2.0), rel=1e-6)
+
+
+def test_batch_out_of_sweeps_counts_its_unconverged_columns():
+    # scripted corrections: column 0 is exact at once, columns 1 and 2 contract
+    # at 0.5 and 0.9 and run out of sweeps with last relative corrections
+    # 0.5^3 and 0.9^3; the error counts both and gives the larger
+    cfg = scenario_a(n=8, k=8)
+    prob = build_problem(cfg, params(max_iterations=4))
+    amplitude, rate = np.array([0.0, 1.0, 1.0]), np.array([0.5, 0.5, 0.9])
+    unit = np.ones((cfg.tgrid.n_levels, cfg.grid.n_interior, 1))
+    sweep = {"cols": None, "count": 0}
+
+    def forward(adjoints, cols):
+        sweep["cols"], sweep["count"] = cols, sweep["count"] + 1
+        return np.zeros(unit.shape[:2] + (len(cols),))
+
+    def backward(state):
+        r, k = rate[sweep["cols"]], sweep["count"]
+        return (unit * amplitude[sweep["cols"]] * (1 - r ** k) / (1 - r),)
+
+    with pytest.raises(ConvergenceError, match=r"within 4 sweeps \(in 2 of 3 columns; "
+                                               r"largest last relative correction 0\.729\)"):
+        _picard_columns(prob, forward, backward, 1, width=3)
 
 
 def _assert_column_bits(batched, single, j):
