@@ -318,6 +318,8 @@ def _build_spec(path: str, values: dict, regions: dict) -> ExperimentSpec:
         raise ConfigError(f"{path}: [grid] ladder needs at least 3 grids, got {ladder}")
 
     eps_ladder = tuple(hv.get("epsilon_ladder", (1e-2, 1e-4, 1e-6)))
+    if not eps_ladder:
+        raise ConfigError(f"{path}: [hum] epsilon_ladder needs at least one rung")
     if not all(e > 0 for e in eps_ladder) or len(set(eps_ladder)) != len(eps_ladder):
         raise ConfigError(
             f"{path}: [hum] epsilon_ladder must hold distinct positive rungs, got {eps_ladder}")

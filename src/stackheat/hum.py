@@ -43,7 +43,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConvergenceError
 from .grids import BoundaryTrace, SpaceTimeField
-from .heat import favg, march, march_backward, normal_derivative_o1
+from .heat import favg, modal_march, modal_march_backward, normal_derivative_o1
 from .products import h10_inner, h10_norm, hminus1_norm, neg_laplacian_solve
 from .saddle import (SaddleSolution, _block_width, _picard_columns, _Problem, build_problem,
                      picard_coupled, solve_optimality)
@@ -106,13 +106,14 @@ def _phi_backward(prob: _Problem, thetas: tuple, terminal: np.ndarray) -> np.nda
     src = np.zeros(thetas[0].shape)
     for mask, th in zip(prob.obs_masks, thetas):
         src[:, mask] += th[:, mask]
-    return march_backward(cfg.grid, cfg.tgrid, terminal, src)
+    return modal_march_backward(cfg.grid, cfg.tgrid, terminal, src)
 
 
 def _theta_forward(prob: _Problem, phi: np.ndarray) -> tuple:
     """The theta component(s) marched forward from theta(0) = 0 under phi."""
     cfg = prob.cfg
-    theta = march(cfg.grid, cfg.tgrid, np.zeros(cfg.grid.n_interior), *_theta_forcing(prob, phi))
+    theta = modal_march(cfg.grid, cfg.tgrid, np.zeros(cfg.grid.n_interior),
+                        *_theta_forcing(prob, phi))
     return _theta_columns(prob, theta)
 
 
@@ -483,7 +484,8 @@ class ProbeReport:
 # refined_max depends on this cut.  The observation form O is singular up to
 # round-off, and the largest eigenvalue of the pencil (L, O) on O's
 # eigenvectors above this fraction of its largest eigenvalue grows as the cut
-# falls.  ProbeReport.spectrum shows that growth mode by mode.
+# falls.  ProbeReport.spectrum shows that growth mode by mode, and
+# probe_summary.csv reports the cut beside refined_max.
 _OBSERVED_CUT = 1e-12
 
 

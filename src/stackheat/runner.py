@@ -18,7 +18,8 @@ from .csvio import write_csv, write_field_csv, write_manifest, write_trace_csv
 from .errors import ConfigError, StackheatError
 from .grids import SpaceTimeField, SpatialGrid, TimeGrid
 from .heat import solve_forward
-from .hum import GramBasis, hum_minimize, observability_probe, target_admissibility
+from .hum import (_OBSERVED_CUT, GramBasis, hum_minimize, observability_probe,
+                  target_admissibility)
 from .config import ExperimentSpec
 from .oracle import dense_optimality_solve
 from .products import l2_q
@@ -381,9 +382,9 @@ def probe_run(spec: ExperimentSpec, out_dir: str | None = None,
               list(enumerate(rep.ratios)))
     write_csv(em.path("probe_summary.csv"),
               ["n_samples", "skipped", "min_ratio [1]", "median_ratio [1]",
-               "max_ratio [1]", "refined_max [1]", "argmax_sample"],
+               "max_ratio [1]", "refined_max [1]", "observed_cut [1]", "argmax_sample"],
               [[rep.n_samples, rep.skipped, rep.min_ratio, rep.median_ratio,
-                rep.max_ratio, rep.refined_max, rep.argmax_sample]])
+                rep.max_ratio, rep.refined_max, _OBSERVED_CUT, rep.argmax_sample]])
     write_csv(em.path("probe_spectrum.csv"),
               ["mode", "relative_eigenvalue [1]", "pencil_max [1]", "above_cut"],
               [[k, rel, pencil, int(above)]

@@ -10,7 +10,7 @@ proportional to 1/mu with mu = min(ell^2, gamma^2).
 Each configuration's coupling is written once, as methods of ``_Problem``:
 ``feedback`` reads the follower (and disturbance) off the adjoint(s),
 ``forcing`` turns explicit controls into the source and Dirichlet rows of a
-``march`` (``state`` runs that march), and ``field`` puts the marched rows
+march (``state`` runs that ``modal_march``), and ``field`` puts the marched rows
 back into a field.  The optimality system, the functional evaluation, the
 perturbation checks and the HUM adjoint pair (whose forward component is
 forcing(feedback(phi))) all go through them, so every solver applies the same
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NonContractionError
 from .grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField
-from .heat import (_assemble_field, march, march_backward, normal_derivative_o1,
+from .heat import (_assemble_field, modal_march, modal_march_backward, normal_derivative_o1,
                    trapezoid_time_weights)
 from .products import l2q_norm_interior, qmid_field, qmid_trace
 from .scenario import RobustParams, ScenarioConfig, require_valid
@@ -172,7 +172,7 @@ class _Problem:
         return follower, disturbance.interior
 
     def forcing(self, follower, disturbance, leader) -> tuple:
-        """(source, left, right) of the forward ``march`` driven by explicit controls.
+        """(source, left, right) of the forward march driven by explicit controls.
 
         ``follower`` and ``disturbance`` are laid out as ``feedback`` returns
         them and ``leader`` is the raw leader array or None.  They may carry
@@ -199,10 +199,10 @@ class _Problem:
         return source, edges.get(LEFT), edges.get(RIGHT)
 
     def state(self, follower, disturbance, leader, y0=None) -> np.ndarray:
-        """State for explicit controls: one ``march`` of ``forcing`` from ``y0``."""
+        """State for explicit controls: one ``modal_march`` of ``forcing`` from ``y0``."""
         cfg = self.cfg
         y0 = cfg.y0 if y0 is None else y0
-        return march(cfg.grid, cfg.tgrid, y0, *self.forcing(follower, disturbance, leader))
+        return modal_march(cfg.grid, cfg.tgrid, y0, *self.forcing(follower, disturbance, leader))
 
     def field(self, interior, left=None, right=None) -> SpaceTimeField:
         """Interior levels with the marched ``left``/``right`` rows (zero where None)."""
@@ -279,7 +279,7 @@ def _adjoint_solve(prob: _Problem, state: np.ndarray) -> tuple:
     for mask, target in zip(prob.obs_masks, prob.targets):
         src = np.zeros_like(state)
         src[:, mask] = state[:, mask] - target[:, mask]
-        out.append(march_backward(grid, tgrid, np.zeros(grid.n_interior), src))
+        out.append(modal_march_backward(grid, tgrid, np.zeros(grid.n_interior), src))
     return tuple(out)
 
 
@@ -311,9 +311,16 @@ class SaddleSolution:
         return float(np.median(self.contraction_ratios))
 
 
+# A correction below this fraction of the first is dominated by round-off, so
+# its ratio to the previous one measures noise, not the contraction rate.
+_RATIO_FLOOR = 1e-8
+
+
 class _Column:
     """Stopping rule of one Picard column: its first correction, ratios and streak.
 
+    ``ratios`` keeps the ratio of each correction of at least ``_RATIO_FLOOR``
+    of the first to the one before it; the stopping rules see every ratio.
     A plain class: building a dataclass costs about 0.2 ms at every import.
     """
 
@@ -339,7 +346,8 @@ class _Column:
                 return "exact"
         elif prev > 0:
             ratio = delta / prev
-            self.ratios.append(ratio)
+            if delta >= _RATIO_FLOOR * self.first:
+                self.ratios.append(ratio)
             self.bad_streak = self.bad_streak + 1 if ratio >= 1.0 else 0
             if self.bad_streak >= 2 and delta <= 1e-6 * self.first and not fixed:
                 return "round-off"

@@ -8,6 +8,7 @@ import pytest
 from stackheat.cli import main
 from stackheat.config import parse_config
 from stackheat.csvio import sha256_of
+from stackheat.hum import _OBSERVED_CUT
 from stackheat.runner import convergence_study, eps_sweep, probe_run, run_experiment
 
 
@@ -131,6 +132,10 @@ def test_probe_run(tmp_path):
     report = probe_run(spec, out_dir=str(tmp_path / "probe"), quiet=True)
     assert report.passed
     assert os.path.exists(os.path.join(report.out_dir, "probe_ratios.csv"))
+    # refined_max names the cut of the observation form it depends on
+    with open(os.path.join(report.out_dir, "probe_summary.csv")) as fh:
+        row, = csv.DictReader(fh)
+    assert float(row["observed_cut [1]"]) == _OBSERVED_CUT
 
 
 def test_cli_exit_codes(tmp_path):
@@ -148,12 +153,13 @@ def test_cli_exit_codes(tmp_path):
     "[scenario.obs]\na = 0.401\nb = 0.402",   # no interior node at n = 50
     "[hum]\nepsilon_ladder = 1e-2, 0",        # non-positive rung
     "[hum]\nepsilon_ladder = 1e-2, 1e-4, 1e-2",  # duplicate rung
+    "[hum]\nepsilon_ladder =",                # no rung: sweep-eps would solve nothing
     "[hum]\ncg_max_iters = 0",                # no iteration allowed
     "[grid]\ntheta = 0.75",                   # unknown key: the solvers are Crank-Nicolson
     "[grid]\nladder = 25, 50",                # a convergence ladder needs 3 grids
 ], ids=["reversed-region", "negative-ell", "one-node-grid", "empty-region",
-        "zero-epsilon-rung", "duplicate-epsilon-rung", "zero-cg-iterations", "theta-key",
-        "short-ladder"])
+        "zero-epsilon-rung", "duplicate-epsilon-rung", "empty-eps-ladder", "zero-cg-iterations",
+        "theta-key", "short-ladder"])
 def test_rejected_config_value_exits_2(tmp_path, body, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text(f"[scenario]\nconfiguration = A\n{body}\n", encoding="utf-8")

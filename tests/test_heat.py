@@ -8,8 +8,14 @@ from scipy.linalg import solve_banded
 
 from stackheat.errors import GridMismatchError
 from stackheat.grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField, SpatialGrid, TimeGrid
-from stackheat.heat import (bavg, favg, march, march_backward, normal_derivative,
-                            normal_derivative_o1, solve_backward, solve_forward)
+from stackheat.heat import (bavg, favg, march, march_backward, modal_march, modal_march_backward,
+                            normal_derivative, normal_derivative_o1, solve_backward,
+                            solve_forward)
+
+# each (forward, backward) pair of raw marches: the gtsv reference and the modal one
+MARCHES = pytest.mark.parametrize("marches", [(march, march_backward),
+                                              (modal_march, modal_march_backward)],
+                                  ids=["gtsv", "modal"])
 
 
 def make_grids(n=20, k=20, length=1.0, horizon=0.5):
@@ -176,11 +182,13 @@ def test_normal_derivative_o1_sign_convention():
     assert np.all(dn_left < 0) and np.all(dn_right < 0)
 
 
-def test_march_of_an_empty_batch_is_empty():
+@MARCHES
+def test_march_of_an_empty_batch_is_empty(marches):
     # gtsv handed zero right-hand sides corrupts the heap, so march must not call it
     grid, tgrid = make_grids(n=10, k=3)
-    y = march(grid, tgrid, np.zeros((grid.n_interior, 0)))
-    assert y.shape == (tgrid.n_levels, grid.n_interior, 0)
+    for solver in marches:
+        y = solver(grid, tgrid, np.zeros((grid.n_interior, 0)))
+        assert y.shape == (tgrid.n_levels, grid.n_interior, 0)
 
 
 def test_normal_derivative_o1_reads_the_space_axis_of_a_batch():
@@ -263,29 +271,52 @@ def test_march_matches_banded_reference_bitwise(n, theta):
     assert np.array_equal(q, q_ref)
 
 
+@MARCHES
 @pytest.mark.parametrize("theta", [0.5, 1.0])
-def test_batched_march_columns_equal_single_marches(theta):
+def test_batched_march_columns_equal_single_marches(theta, marches):
     rng = np.random.default_rng(5)
     grid, tgrid = make_grids(n=9, k=6)
     y0, src, left, right = random_march_data(rng, grid, tgrid, batch=(4,))
-    for solver in (march, march_backward):
+    for solver in marches:
         ys = solver(grid, tgrid, y0, src, left, right, theta)
         assert ys.shape == (tgrid.n_levels, grid.n_interior, 4)
         for j in range(4):
             single = solver(grid, tgrid, y0[:, j], src[..., j], left[:, j], right[:, j], theta)
             assert np.array_equal(ys[..., j], single)
     # inputs without the batch axis are shared by every column
-    ys = march(grid, tgrid, y0[:, 0], src, left[:, 0], right, theta)
+    forward = marches[0]
+    ys = forward(grid, tgrid, y0[:, 0], src, left[:, 0], right, theta)
     for j in range(4):
-        single = march(grid, tgrid, y0[:, 0], src[..., j], left[:, 0], right[:, j], theta)
+        single = forward(grid, tgrid, y0[:, 0], src[..., j], left[:, 0], right[:, j], theta)
         assert np.array_equal(ys[..., j], single)
 
 
-def test_march_rejects_nonfinite_source():
+@MARCHES
+def test_march_rejects_nonfinite_source(marches):
     grid, tgrid = make_grids(n=6, k=5)
     src = np.zeros((tgrid.n_levels, grid.n_interior))
     src[2, 3] = np.nan
-    with pytest.raises(ValueError):
-        march(grid, tgrid, np.zeros(grid.n_interior), src)
-    with pytest.raises(ValueError):
-        march_backward(grid, tgrid, np.zeros(grid.n_interior), src)
+    for solver in marches:
+        with pytest.raises(ValueError):
+            solver(grid, tgrid, np.zeros(grid.n_interior), src)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 64), k=st.integers(2, 64), theta=st.floats(0.5, 1.0),
+       width=st.integers(0, 4), present=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       seed=st.integers(0, 10 ** 6))
+def test_modal_march_agrees_with_gtsv(n, k, theta, width, present, seed):
+    rng = np.random.default_rng(seed)
+    grid, tgrid = make_grids(n=n, k=k)
+    y0, *forcing = random_march_data(rng, grid, tgrid, batch=(width,))
+    forcing = [f if p else None for f, p in zip(forcing, present)]
+    y = modal_march(grid, tgrid, y0, *forcing, theta=theta)
+    ref = march(grid, tgrid, y0, *forcing, theta=theta)
+    assert y.shape == ref.shape
+    assert np.max(np.abs(y - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
+    assert np.array_equal(y[0], y0)
+    # the backward march is the forward one on reversed data, exactly
+    reversed_forcing = [None if f is None else f[::-1] for f in forcing]
+    q = modal_march_backward(grid, tgrid, y0, *reversed_forcing, theta=theta)
+    assert np.array_equal(q, y[::-1])
+    assert np.array_equal(q[-1], y0)

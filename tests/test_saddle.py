@@ -1,8 +1,12 @@
 """Follower equilibria: oracle equivalence, stationarity, saddle inequalities."""
 
+import os
+
 import numpy as np
 import pytest
 
+from stackheat import heat, saddle
+from stackheat.config import parse_config
 from stackheat.errors import ConvergenceError
 from stackheat.grids import (LEFT, RIGHT, BoundarySet, BoundaryTrace, Region,
                              SpaceTimeField, SpatialGrid, TimeGrid)
@@ -345,6 +349,22 @@ def test_contraction_example_10_vs_5():
     r5 = measure_contraction(cfg, None, params(ell=5.0, gamma=5.0), sweeps=8)
     r10 = measure_contraction(cfg, None, params(ell=10.0, gamma=10.0), sweeps=8)
     assert np.median(r10) < np.median(r5)
+
+
+@pytest.mark.parametrize("demo", ["demo_a", "demo_b"])
+def test_contraction_ratio_does_not_depend_on_the_march(demo, monkeypatch):
+    # the two marches agree to round-off; the reported ratio must too, so it
+    # may not read ratios of corrections that are themselves round-off
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = parse_config(os.path.join(root, "configs", f"{demo}.ini"))
+    ratios = []
+    for fwd, bwd in ((heat.march, heat.march_backward),
+                     (heat.modal_march, heat.modal_march_backward)):
+        monkeypatch.setattr(saddle, "modal_march", fwd)
+        monkeypatch.setattr(saddle, "modal_march_backward", bwd)
+        ratios.append(solve_optimality(spec.scenario, None, spec.robust).contraction_ratio)
+    assert ratios[0] > 0
+    assert ratios[1] == pytest.approx(ratios[0], rel=1e-6)
 
 
 def test_picard_round_off_exit_has_its_own_status():
