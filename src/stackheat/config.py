@@ -20,7 +20,6 @@ from __future__ import annotations
 import configparser
 import difflib
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import ConfigError
 from .grids import LEFT, RIGHT, BoundarySet, Region, SpatialGrid, TimeGrid
@@ -28,9 +27,6 @@ from .hum import HumSettings
 from .scenario import (RobustParams, ScenarioConfig, make_initial, make_target,
                        validate_config)
 from .weights import WeightSpec
-
-_REGION_ROLES = {"omega": "omega", "obs": "O_d", "obs1": "O_d", "obs2": "O_d",
-                 "b1": "B1", "b2": "B2"}
 
 _SCHEMA = {
     "scenario": {
@@ -85,6 +81,7 @@ _REGION_DEFAULTS = {
     "C": {"obs": (0.3, 0.7)},
     "D": {"obs1": (0.2, 0.45), "obs2": (0.55, 0.8)},
 }
+_REGION_NAMES = {name for regions in _REGION_DEFAULTS.values() for name in regions}
 
 _SIDE_DEFAULTS = {
     "A": {"gamma": "left"},
@@ -116,7 +113,7 @@ class ScenarioRecipe:
     def build(self, n_interior: int, n_steps: int) -> ScenarioConfig:
         grid = SpatialGrid(n_interior, self.length)
         tgrid = TimeGrid(n_steps, self.horizon)
-        region_objs = {name: Region(a, b, _REGION_ROLES[name]) for name, a, b in self.regions}
+        region_objs = {name: Region(a, b) for name, a, b in self.regions}
         side_objs = dict(self.sides)
         obs_key = "obs1" if self.configuration == "D" else "obs"
         target = make_target(grid, tgrid, region_objs[obs_key], self.target_kind,
@@ -151,7 +148,6 @@ class ExperimentSpec:
     epsilon_ladder: tuple = (1e-2, 1e-4, 1e-6)
     probe_samples: int = 100
     verify_perturbations: int = 100
-    source_path: Optional[str] = None
 
 
 def _suggest(name, candidates):
@@ -211,7 +207,7 @@ def parse_config(path: str) -> ExperimentSpec:
     values = {sec: {} for sec in _SCHEMA}
     regions = {}
     for section in parser.sections():
-        if section.startswith("scenario.") and section.split(".", 1)[1] in _REGION_ROLES:
+        if section.startswith("scenario.") and section.split(".", 1)[1] in _REGION_NAMES:
             rname = section.split(".", 1)[1]
             body = dict(parser.items(section))
             for key in body:
@@ -228,7 +224,7 @@ def parse_config(path: str) -> ExperimentSpec:
         if section not in _SCHEMA:
             raise ConfigError(
                 f"{path}: unknown section [{section}]"
-                f"{_suggest(section, list(_SCHEMA) + ['scenario.' + r for r in _REGION_ROLES])}")
+                f"{_suggest(section, list(_SCHEMA) + ['scenario.' + r for r in _REGION_NAMES])}")
         schema = _SCHEMA[section]
         for key, raw in parser.items(section):
             if key not in schema:
@@ -260,6 +256,8 @@ def _build_spec(path: str, values: dict, regions: dict) -> ExperimentSpec:
     tgrid = TimeGrid(gr.get("n_steps", 50), horizon)
 
     seed = values["output"].get("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"{path}: [output] seed must be a nonnegative integer, got {seed}")
 
     reg = dict(_REGION_DEFAULTS[conf])
     reg.update({k: v for k, v in regions.items() if k in reg})
@@ -325,11 +323,13 @@ def _build_spec(path: str, values: dict, regions: dict) -> ExperimentSpec:
             f"{path}: [hum] epsilon_ladder must hold distinct positive rungs, got {eps_ladder}")
 
     ov = values["output"]
+    counts = {key: ov.get(key, 100) for key in ("probe_samples", "verify_perturbations")}
+    for key, count in counts.items():
+        if count < 1:
+            raise ConfigError(f"{path}: [output] {key} must be >= 1, got {count}")
     return ExperimentSpec(
         scenario=scenario, recipe=recipe, robust=robust, hum=hum, seed=seed,
         out_dir=ov.get("directory", "out"),
         ladder=ladder,
         epsilon_ladder=eps_ladder,
-        probe_samples=ov.get("probe_samples", 100),
-        verify_perturbations=ov.get("verify_perturbations", 100),
-        source_path=path)
+        **counts)

@@ -146,25 +146,18 @@ class BoundaryTrace:
         return cls(tgrid, side, np.zeros(tgrid.n_levels))
 
 
-# Role tags a region may carry; purely descriptive.
-REGION_ROLES = ("omega", "O_d", "B1", "B2")
-
-
 @dataclass(frozen=True)
 class Region:
-    """Open subinterval (a, b) of the domain with an optional role tag."""
+    """Open subinterval (a, b) of the domain."""
 
     a: float
     b: float
-    role: str = "omega"
 
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError(f"region must have a < b, got ({self.a}, {self.b})")
         if self.a < 0:
             raise ValueError(f"region start {self.a} below 0")
-        if self.role not in REGION_ROLES:
-            raise ValueError(f"unknown region role {self.role!r}")
 
     def intersects(self, other: "Region") -> bool:
         return max(self.a, other.a) < min(self.b, other.b)

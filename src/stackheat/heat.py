@@ -1,18 +1,19 @@
-"""Theta-scheme solvers for the 1D heat equation with Dirichlet data.
+"""Crank-Nicolson solvers for the 1D heat equation with Dirichlet data.
 
 Space is discretized by second-order central differences on the uniform grid,
-time by the one-parameter theta scheme (theta = 1/2 Crank-Nicolson, theta = 1
-implicit Euler); both are unconditionally stable on [1/2, 1].  Dirichlet data
-enters through the boundary rows of the stencil (ghost-free), so the interior
-update for a step k -> k+1 reads
+time by the Crank-Nicolson scheme, which is unconditionally stable.  Dirichlet
+data enters through the boundary rows of the stencil (ghost-free), so the
+interior update for a step k -> k+1 reads
 
-    (I - theta*dt*D) y^{k+1} = (I + (1-theta)*dt*D) y^k
+    (I - dt/2*D) y^{k+1} = (I + dt/2*D) y^k
         + dt * favg(source)^k + (dt/dx^2) * favg(boundary)^k at the edge rows
 
-with D the interior discrete Laplacian and favg the scheme's forward-in-time
-average theta*z^{k+1} + (1-theta)*z^k.  The backward solver is the exact time
-reversal of the forward one, so backward-solving reversed data reproduces the
-reversed forward solution to machine precision.
+with D the interior discrete Laplacian and favg the midpoint average
+(z^{k+1} + z^k)/2.  The feedback laws, the HUM Gram operator and the probe
+pair time levels with the midpoint quadrature, which is the scheme's exact
+duality.  The backward solver is the exact time reversal of the forward one,
+so backward-solving reversed data reproduces the reversed forward solution to
+machine precision.
 
 There are two raw marches with one contract.  ``march`` takes each time step
 as one direct call of LAPACK ``gtsv``, the routine that
@@ -46,25 +47,15 @@ from .grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField, SpatialGrid, Time
 _GTSV, = get_lapack_funcs(("gtsv",), (np.empty(0),))
 
 
-def favg(z: np.ndarray, theta: float) -> np.ndarray:
-    """Step average of a forward-in-time nodal sequence (levels 0..K -> K midpoints)."""
-    return theta * z[1:] + (1.0 - theta) * z[:-1]
-
-
-def bavg(z: np.ndarray, theta: float) -> np.ndarray:
-    """Step average of a backward-in-time nodal sequence (implicit level first)."""
-    return theta * z[:-1] + (1.0 - theta) * z[1:]
+def favg(z: np.ndarray) -> np.ndarray:
+    """Midpoint average of a nodal sequence in time (levels 0..K -> K midpoints)."""
+    return 0.5 * z[1:] + 0.5 * z[:-1]
 
 
 def trapezoid_time_weights(n_levels: int) -> np.ndarray:
     w = np.ones(n_levels)
     w[0] = w[-1] = 0.5
     return w
-
-
-def _check_theta(theta: float):
-    if not 0.5 <= theta <= 1.0:
-        raise ValueError(f"theta_scheme must lie in [1/2, 1], got {theta}")
 
 
 def _tridiagonal_solve(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
@@ -78,9 +69,9 @@ def _tridiagonal_solve(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
 
 
 def _explicit_apply(y: np.ndarray, r: float) -> np.ndarray:
-    """(I + (1-theta)*dt*D) y for an interior vector with zero extension.
+    """(I + dt/2*D) y for an interior vector with zero extension.
 
-    ``r`` is (1-theta)*dt/dx^2; ``y`` may carry trailing batch axes.
+    ``r`` is dt/(2 dx^2); ``y`` may carry trailing batch axes.
     """
     out = (1.0 - 2.0 * r) * y
     out[1:] += r * y[:-1]
@@ -103,8 +94,7 @@ def _lift(a, core: int, batch: tuple) -> np.ndarray:
 def march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
           source: np.ndarray | None = None,
           left: np.ndarray | None = None,
-          right: np.ndarray | None = None,
-          theta: float = 0.5) -> np.ndarray:
+          right: np.ndarray | None = None) -> np.ndarray:
     """Raw forward march on interior arrays; returns (n_levels, n_interior, *B).
 
     ``y0`` has shape (n_interior, *B), ``source`` (n_levels, n_interior, *B)
@@ -113,12 +103,10 @@ def march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
     without them (or with length-1 axes) is shared by every column.  This is
     the hot path shared by the public solvers and the coupled-system engines.
     """
-    _check_theta(theta)
     n, klev = grid.n_interior, tgrid.n_levels
     batch = _batch_shape(y0, source, left, right)
     scale = tgrid.dt / grid.dx ** 2
-    r = theta * tgrid.dt / grid.dx ** 2
-    r_explicit = (1.0 - theta) * tgrid.dt / grid.dx ** 2
+    r = 0.5 * tgrid.dt / grid.dx ** 2
     sub = np.full(n - 1, -r)
     diag = np.full(n, 1.0 + 2.0 * r)
 
@@ -126,12 +114,12 @@ def march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
     if y.size == 0:
         return y   # no column to march; gtsv given no right-hand side corrupts memory
     y[0] = _lift(y0, 1, batch)
-    src_mid = None if source is None else tgrid.dt * favg(_lift(source, 2, batch), theta)
-    left_mid = None if left is None else scale * favg(_lift(left, 1, batch), theta)
-    right_mid = None if right is None else scale * favg(_lift(right, 1, batch), theta)
+    src_mid = None if source is None else tgrid.dt * favg(_lift(source, 2, batch))
+    left_mid = None if left is None else scale * favg(_lift(left, 1, batch))
+    right_mid = None if right is None else scale * favg(_lift(right, 1, batch))
 
     for k in range(klev - 1):
-        rhs = _explicit_apply(y[k], r_explicit)
+        rhs = _explicit_apply(y[k], r)
         if src_mid is not None:
             rhs = rhs + src_mid[k]
         if left_mid is not None:
@@ -144,14 +132,13 @@ def march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
     return y
 
 
-def _reversed(forward, grid, tgrid, terminal, source, left, right, theta) -> np.ndarray:
+def _reversed(forward, grid, tgrid, terminal, source, left, right) -> np.ndarray:
     """Backward march (-q_t - Dq = f) as the ``forward`` march of time-reversed data."""
     rev = forward(
         grid, tgrid, terminal,
         source=None if source is None else source[::-1],
         left=None if left is None else left[::-1],
         right=None if right is None else right[::-1],
-        theta=theta,
     )
     return rev[::-1].copy()
 
@@ -159,19 +146,18 @@ def _reversed(forward, grid, tgrid, terminal, source, left, right, theta) -> np.
 def march_backward(grid: SpatialGrid, tgrid: TimeGrid, terminal: np.ndarray,
                    source: np.ndarray | None = None,
                    left: np.ndarray | None = None,
-                   right: np.ndarray | None = None,
-                   theta: float = 0.5) -> np.ndarray:
+                   right: np.ndarray | None = None) -> np.ndarray:
     """Raw backward march (-q_t - Dq = f): forward march on reversed data."""
-    return _reversed(march, grid, tgrid, terminal, source, left, right, theta)
+    return _reversed(march, grid, tgrid, terminal, source, left, right)
 
 
 @functools.lru_cache(maxsize=16)
-def _modal_basis(grid: SpatialGrid, tgrid: TimeGrid, theta: float) -> tuple:
+def _modal_basis(grid: SpatialGrid, tgrid: TimeGrid) -> tuple:
     """(S, lam, c): the orthonormal DST-I matrix and the per-mode step factors.
 
     S is symmetric and S D S = -diag(mu) / dx^2 with mu_j = 4 sin^2(j pi / (2(n+1))),
     so a step of the scheme is z^{k+1} = lam * z^k + c * (S h^k) per mode, with
-    lam = (1 - (1-theta) r mu) / (1 + theta r mu), c = 1 / (1 + theta r mu) and
+    lam = (1 - r mu / 2) / (1 + r mu / 2), c = 1 / (1 + r mu / 2) and
     r = dt/dx^2.  The arrays are shared by every caller, hence read-only.
     """
     n = grid.n_interior
@@ -180,8 +166,8 @@ def _modal_basis(grid: SpatialGrid, tgrid: TimeGrid, theta: float) -> tuple:
     # below 2 pi, so its rounding error does not grow like n^2
     s = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) % (2 * (n + 1)) * (np.pi / (n + 1)))
     rmu = tgrid.dt / grid.dx ** 2 * 4.0 * np.sin(j * (np.pi / (2 * (n + 1)))) ** 2
-    lam = (1.0 - (1.0 - theta) * rmu) / (1.0 + theta * rmu)
-    c = 1.0 / (1.0 + theta * rmu)
+    lam = (1.0 - 0.5 * rmu) / (1.0 + 0.5 * rmu)
+    c = 1.0 / (1.0 + 0.5 * rmu)
     for a in (s, lam, c):
         a.setflags(write=False)
     return s, lam, c
@@ -190,8 +176,7 @@ def _modal_basis(grid: SpatialGrid, tgrid: TimeGrid, theta: float) -> tuple:
 def modal_march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
                 source: np.ndarray | None = None,
                 left: np.ndarray | None = None,
-                right: np.ndarray | None = None,
-                theta: float = 0.5) -> np.ndarray:
+                right: np.ndarray | None = None) -> np.ndarray:
     """``march`` in the sine eigenbasis of D: same arguments, result and errors.
 
     The datum and the step sources (the right-hand side of ``march`` without
@@ -204,12 +189,11 @@ def modal_march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
     copy, and the recurrence is elementwise, so a column equals its lone
     march bit for bit.
     """
-    _check_theta(theta)
     n, klev = grid.n_interior, tgrid.n_levels
     batch = _batch_shape(y0, source, left, right)
     if math.prod(batch) == 0:
         return np.empty((klev, n) + batch)
-    s, lam, c = _modal_basis(grid, tgrid, theta)
+    s, lam, c = _modal_basis(grid, tgrid)
     scale = tgrid.dt / grid.dx ** 2
     # z is laid out (level, *batch, space), so each level is one contiguous block
     bat = tuple(range(1, 1 + len(batch)))
@@ -217,12 +201,12 @@ def modal_march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
     z = np.zeros((klev,) + batch + (n,))
     z[0] = y0
     if source is not None:
-        h = tgrid.dt * favg(_lift(source, 2, batch), theta)
+        h = tgrid.dt * favg(_lift(source, 2, batch))
         z[1:] = h.transpose((0,) + tuple(a + 1 for a in bat) + (1,))
     if left is not None:
-        z[1:, ..., 0] += scale * favg(_lift(left, 1, batch), theta)
+        z[1:, ..., 0] += scale * favg(_lift(left, 1, batch))
     if right is not None:
-        z[1:, ..., -1] += scale * favg(_lift(right, 1, batch), theta)
+        z[1:, ..., -1] += scale * favg(_lift(right, 1, batch))
     per_column = bat + (0, len(bat) + 1)
     w = np.empty_like(z)
     np.matmul(z.transpose(per_column), s, out=w.transpose(per_column))
@@ -239,10 +223,9 @@ def modal_march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
 def modal_march_backward(grid: SpatialGrid, tgrid: TimeGrid, terminal: np.ndarray,
                          source: np.ndarray | None = None,
                          left: np.ndarray | None = None,
-                         right: np.ndarray | None = None,
-                         theta: float = 0.5) -> np.ndarray:
+                         right: np.ndarray | None = None) -> np.ndarray:
     """``march_backward`` through ``modal_march``: the same reversal of its data."""
-    return _reversed(modal_march, grid, tgrid, terminal, source, left, right, theta)
+    return _reversed(modal_march, grid, tgrid, terminal, source, left, right)
 
 
 def _validate_inputs(grid, tgrid, initial, source, left, right):
@@ -285,8 +268,7 @@ def _assemble_field(grid, tgrid, interior, traces) -> SpaceTimeField:
 def solve_forward(grid: SpatialGrid, tgrid: TimeGrid, y0,
                   source: SpaceTimeField | None = None,
                   left: BoundaryTrace | None = None,
-                  right: BoundaryTrace | None = None,
-                  theta: float = 0.5) -> SpaceTimeField:
+                  right: BoundaryTrace | None = None) -> SpaceTimeField:
     """Solve y_t - y_xx = source with Dirichlet traces and initial datum y0.
 
     Level 0 of the result equals ``y0`` extended by the boundary data; the
@@ -294,15 +276,14 @@ def solve_forward(grid: SpatialGrid, tgrid: TimeGrid, y0,
     """
     y0, src, traces = _validate_inputs(grid, tgrid, y0, source, left, right)
     interior = modal_march(grid, tgrid, y0, src,
-                           traces.get(LEFT), traces.get(RIGHT), theta)
+                           traces.get(LEFT), traces.get(RIGHT))
     return _assemble_field(grid, tgrid, interior, traces)
 
 
 def solve_backward(grid: SpatialGrid, tgrid: TimeGrid, terminal,
                    source: SpaceTimeField | None = None,
                    left: BoundaryTrace | None = None,
-                   right: BoundaryTrace | None = None,
-                   theta: float = 0.5) -> SpaceTimeField:
+                   right: BoundaryTrace | None = None) -> SpaceTimeField:
     """Solve -q_t - q_xx = source backward from the terminal datum.
 
     Identical to ``solve_forward`` under the reversal t -> T - t; level
@@ -310,7 +291,7 @@ def solve_backward(grid: SpatialGrid, tgrid: TimeGrid, terminal,
     """
     qT, src, traces = _validate_inputs(grid, tgrid, terminal, source, left, right)
     interior = modal_march_backward(grid, tgrid, qT, src,
-                                    traces.get(LEFT), traces.get(RIGHT), theta)
+                                    traces.get(LEFT), traces.get(RIGHT))
     return _assemble_field(grid, tgrid, interior, traces)
 
 
@@ -337,7 +318,7 @@ def normal_derivative_o1(interior: np.ndarray, grid: SpatialGrid, side: str) -> 
     """First-order outward normal derivative of a homogeneous-Dirichlet field.
 
     This stencil (-u_1/dx at the left, -u_n/dx at the right) is the exact
-    transpose of the Dirichlet boundary injection of the theta scheme, so the
+    transpose of the Dirichlet boundary injection of the scheme, so the
     coupled optimality and adjoint systems built with it satisfy the discrete
     duality identities to machine precision.  ``interior`` has shape
     (n_interior,) or (n_levels, n_interior, *B) with optional trailing batch

@@ -34,7 +34,6 @@ gradient iterate.  One basis thus serves every eps of a ladder.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -214,8 +213,8 @@ def _observed(cfg: ScenarioConfig, phi: np.ndarray) -> tuple:
     """
     grid, dt = cfg.grid, cfg.tgrid.dt
     if cfg.configuration == "A":
-        return favg(phi, 0.5)[:, cfg.omega.interior_mask(grid)], dt * grid.dx
-    return favg(normal_derivative_o1(phi, grid, cfg.leader_side()), 0.5), dt
+        return favg(phi)[:, cfg.omega.interior_mask(grid)], dt * grid.dx
+    return favg(normal_derivative_o1(phi, grid, cfg.leader_side())), dt
 
 
 def observation_pairing(cfg: ScenarioConfig, pa: AdjointPair, pb: AdjointPair) -> float:
@@ -315,8 +314,7 @@ class GramBasis:
 
 
 def hum_minimize(cfg: ScenarioConfig, params: RobustParams,
-                 settings: HumSettings, basis: Optional[GramBasis] = None,
-                 check_admissibility: bool = True) -> HumResult:
+                 settings: HumSettings, basis: Optional[GramBasis] = None) -> HumResult:
     """Minimize the penalized HUM functional on a Krylov basis of the Gram operator.
 
     Solves (Gram + eps I) a = -b, where b is the Riesz vector of the data
@@ -329,13 +327,6 @@ def hum_minimize(cfg: ScenarioConfig, params: RobustParams,
     synthesized control, whose follower equilibrium the result keeps as
     ``controlled``.
     """
-    if check_admissibility:
-        rep = target_admissibility(cfg)
-        if rep is not None and not rep.admissible:
-            warnings.warn(
-                "weighted admissibility integral of the target grows under "
-                f"refinement (ratios {rep.ratios}); null control may be degraded",
-                RuntimeWarning, stacklevel=2)
     if basis is None:
         basis = GramBasis(cfg, params)
     elif basis.cfg is not cfg or basis.params != params:
@@ -551,7 +542,7 @@ def observability_probe(cfg: ScenarioConfig, params: RobustParams,
         pairs = solve_adjoints(cfg, data[start:min(start + width, m)], params)
         for pair in pairs:
             d0.append(np.diff(pair.phi.interior[0], prepend=0.0, append=0.0))
-            thetas.append([favg(th.interior, 0.5).ravel() for th in pair.thetas])
+            thetas.append([favg(th.interior).ravel() for th in pair.thetas])
             observed, weight = _observed(cfg, pair.phi.interior)
             obs.append(observed.ravel())
         del pairs   # release this block's fields before solving the next

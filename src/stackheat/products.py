@@ -5,7 +5,7 @@ Two families of time quadrature coexist on purpose:
 * trapezoid quadrature (``l2_q``, ``l2_region``, ``l2_boundary``) for norms,
   stopping criteria and reporting;
 * the scheme-consistent midpoint quadrature (``qmid_*``), which pairs step
-  averages of nodal sequences.  The theta scheme satisfies an exact
+  averages of nodal sequences.  The Crank-Nicolson scheme satisfies an exact
   summation-by-parts identity in this pairing, which is what makes the
   discrete optimality systems exactly stationary and the HUM Gram operator
   exactly symmetric.
@@ -96,7 +96,7 @@ def qmid_field(f: np.ndarray, g: np.ndarray, grid: SpatialGrid, dt: float,
     ``f`` and ``g`` are interior nodal arrays of shape (n_levels, n_interior);
     both are treated as forward-in-time sequences.
     """
-    fa, ga = favg(f, 0.5), favg(g, 0.5)
+    fa, ga = favg(f), favg(g)
     prod = fa * ga
     if mask is not None:
         prod = prod[:, mask]
@@ -105,7 +105,7 @@ def qmid_field(f: np.ndarray, g: np.ndarray, grid: SpatialGrid, dt: float,
 
 def qmid_trace(u: np.ndarray, w: np.ndarray, dt: float) -> float:
     """Midpoint pairing of two endpoint time traces (counting measure)."""
-    return float(dt * (favg(u, 0.5) * favg(w, 0.5)).sum())
+    return float(dt * (favg(u) * favg(w)).sum())
 
 
 def l2q_norm_interior(f: np.ndarray, grid: SpatialGrid, dt: float) -> float:

@@ -144,11 +144,11 @@ def _emit_weights(em: _Emitter, cfg: ScenarioConfig):
     write_csv(em.path("weights.csv"), header, rows)
 
 
-def _emit_leader(em: _Emitter, cfg: ScenarioConfig, leader, name="leader"):
+def _emit_leader(em: _Emitter, cfg: ScenarioConfig, leader):
     if isinstance(leader, SpaceTimeField):
-        write_field_csv(em.path(f"{name}.csv"), leader, "h")
+        write_field_csv(em.path("leader.csv"), leader, "h")
     else:
-        write_trace_csv(em.path(f"{name}.csv"), cfg.tgrid, leader.values, "h")
+        write_trace_csv(em.path("leader.csv"), cfg.tgrid, leader.values, "h")
 
 
 # Accepted band of the terminal-residual ratio across a 100x epsilon step
@@ -185,8 +185,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
                 "target_admissibility", "pass" if adm.admissible else "fail",
                 f"refinement ratios {tuple(round(r, 3) for r in adm.ratios)}"))
 
-        res = em.timed("hum", lambda: hum_minimize(cfg, robust, hum, basis=basis,
-                                                   check_admissibility=False))
+        res = em.timed("hum", lambda: hum_minimize(cfg, robust, hum, basis=basis))
         _emit_leader(em, cfg, res.leader)
         write_csv(em.path("cg_trace.csv"),
                   ["iteration", "functional_value [cost]", "residual_norm [H10]"],
@@ -227,7 +226,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
         if hum.epsilon * 100.0 < 0.5:
             coarse = em.timed("eps-law", lambda: hum_minimize(
                 cfg, robust, dataclasses.replace(hum, epsilon=hum.epsilon * 100.0),
-                basis=basis, check_admissibility=False))
+                basis=basis))
             if coarse.terminal_residual_hminus1 == 0.0 and res.terminal_residual_hminus1 == 0.0:
                 verdicts.append(Verdict("epsilon_law", "skipped",
                                         "terminal residual identically zero"))
@@ -276,13 +275,13 @@ def _heat_ladder_rows(spec: ExperimentSpec, ladder):
     return rows, errs, hs
 
 
-def _oracle_rows(spec: ExperimentSpec, ladder, max_unknowns: int = 64):
-    """Dense-vs-Picard discrepancy at every rung small enough for assembly.
+def _oracle_rows(spec: ExperimentSpec, ladder):
+    """Dense-vs-Picard discrepancy at every rung of at most 64 unknowns (n * K).
 
     When no ladder rung qualifies, the canonical tiny grids keep the oracle
     column populated.
     """
-    rungs = [(n, n) for n in ladder if n * n <= max_unknowns]
+    rungs = [(n, n) for n in ladder if n * n <= 64]
     if not rungs:
         rungs = [(4, 4), (4, 16), (8, 8)]
     rows = []
@@ -307,7 +306,7 @@ def _sweep_eps(spec: ExperimentSpec, em: _Emitter) -> Verdict:
         basis = GramBasis(cfg, robust) if rungs else None
         for eps in rungs:
             res = hum_minimize(cfg, robust, dataclasses.replace(spec.hum, epsilon=eps),
-                               basis=basis, check_admissibility=False)
+                               basis=basis)
             residuals.append(res.terminal_residual_hminus1)
             ratio = "" if len(residuals) < 2 else residuals[-2] / max(residuals[-1], 1e-300)
             rows.append([eps, res.terminal_residual_hminus1,

@@ -30,7 +30,6 @@ class WeightSpec:
     s: float = 1.0
     m: int = 4
     horizon: float = 1.0
-    eta_profile: str = "eta0"  # one of: eta0, eta_pair, eta_bar
 
     def __post_init__(self):
         if self.lam < 1.0:
@@ -41,8 +40,6 @@ class WeightSpec:
             raise ValueError(f"m must be an integer >= 2, got {self.m}")
         if not self.horizon > 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.eta_profile not in ("eta0", "eta_pair", "eta_bar"):
-            raise ValueError(f"unknown eta profile {self.eta_profile!r}")
 
 
 def _smoothstep(sigma):
@@ -420,10 +417,6 @@ class AdmissibilityReport:
     values: tuple
     ratios: tuple
     admissible: bool
-
-    def __str__(self):
-        vals = ", ".join(f"{v:.6g}" for v in self.values)
-        return f"weighted target integrals under refinement: [{vals}]; admissible={self.admissible}"
 
 
 def admissibility_check(configuration: str, spec: WeightSpec, eta, ydfun,

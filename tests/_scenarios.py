@@ -14,26 +14,26 @@ def grids(n=4, k=4, T=1.0):
 def scenario_a(n=4, k=4, T=1.0, y0_kind="sine", target_kind="sine_cutoff",
                amplitude=1.0, seed=0):
     grid, tgrid = grids(n, k, T)
-    obs = Region(0.4, 0.8, "O_d")
+    obs = Region(0.4, 0.8)
     return ScenarioConfig(
         configuration="A", grid=grid, tgrid=tgrid,
         y0=make_initial(grid, y0_kind, seed=seed),
         target=make_target(grid, tgrid, obs, target_kind, amplitude, seed=seed + 1),
         wspec=WeightSpec(horizon=T),
-        omega=Region(0.2, 0.6, "omega"), obs=obs,
+        omega=Region(0.2, 0.6), obs=obs,
         gamma_set=BoundarySet.from_sides(LEFT))
 
 
 def scenario_b(n=4, k=4, T=1.0, y0_kind="sine", target_kind="sine_cutoff",
                amplitude=1.0, seed=0, global_disturbance=False):
     grid, tgrid = grids(n, k, T)
-    obs = Region(0.6, 0.9, "O_d")
+    obs = Region(0.6, 0.9)
     return ScenarioConfig(
         configuration="B", grid=grid, tgrid=tgrid,
         y0=make_initial(grid, y0_kind, seed=seed),
         target=make_target(grid, tgrid, obs, target_kind, amplitude, seed=seed + 1),
         wspec=WeightSpec(horizon=T),
-        obs=obs, b1=Region(0.0, 0.3, "B1"), b2=Region(0.0, 0.25, "B2"),
+        obs=obs, b1=Region(0.0, 0.3), b2=Region(0.0, 0.25),
         gamma_set=BoundarySet.from_sides(LEFT),
         allow_global_disturbance=global_disturbance)
 
@@ -41,7 +41,7 @@ def scenario_b(n=4, k=4, T=1.0, y0_kind="sine", target_kind="sine_cutoff",
 def scenario_c(n=4, k=4, T=1.0, y0_kind="sine", target_kind="sine_cutoff",
                amplitude=1.0, seed=0, s=1.0):
     grid, tgrid = grids(n, k, T)
-    obs = Region(0.3, 0.7, "O_d")
+    obs = Region(0.3, 0.7)
     return ScenarioConfig(
         configuration="C", grid=grid, tgrid=tgrid,
         y0=make_initial(grid, y0_kind, seed=seed),
@@ -55,8 +55,8 @@ def scenario_c(n=4, k=4, T=1.0, y0_kind="sine", target_kind="sine_cutoff",
 def scenario_d(n=4, k=4, T=1.0, y0_kind="sine", target_kind="sine_cutoff",
                amplitude=1.0, seed=0, s=1.0):
     grid, tgrid = grids(n, k, T)
-    obs1 = Region(0.2, 0.45, "O_d")
-    obs2 = Region(0.55, 0.8, "O_d")
+    obs1 = Region(0.2, 0.45)
+    obs2 = Region(0.55, 0.8)
     return ScenarioConfig(
         configuration="D", grid=grid, tgrid=tgrid,
         y0=make_initial(grid, y0_kind, seed=seed),
@@ -73,13 +73,13 @@ def probe_scenario_a(n=10, k=10, T=1.0):
     """Wide leader region: the coupling's systematic effect on the probe
     ratios dominates the sign-indefinite per-sample O(1/mu) jitter."""
     grid, tgrid = grids(n, k, T)
-    obs = Region(0.3, 0.7, "O_d")
+    obs = Region(0.3, 0.7)
     return ScenarioConfig(
         configuration="A", grid=grid, tgrid=tgrid,
         y0=make_initial(grid, "zero"),
         target=make_target(grid, tgrid, obs, "zero"),
         wspec=WeightSpec(horizon=T),
-        omega=Region(0.1, 0.9, "omega"), obs=obs,
+        omega=Region(0.1, 0.9), obs=obs,
         gamma_set=BoundarySet.from_sides(LEFT))
 
 

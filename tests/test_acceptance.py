@@ -56,7 +56,7 @@ def _eps_sweep_residuals(cfg, p, epsilons=(1e-2, 1e-4, 1e-6)):
         warnings.simplefilter("ignore", RuntimeWarning)
         for eps in epsilons:
             res = hum_minimize(cfg, p, HumSettings(epsilon=eps, cg_tol=1e-11),
-                               basis=basis, check_admissibility=False)
+                               basis=basis)
             out.append(res.terminal_residual_hminus1)
     return out
 

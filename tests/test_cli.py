@@ -157,9 +157,12 @@ def test_cli_exit_codes(tmp_path):
     "[hum]\ncg_max_iters = 0",                # no iteration allowed
     "[grid]\ntheta = 0.75",                   # unknown key: the solvers are Crank-Nicolson
     "[grid]\nladder = 25, 50",                # a convergence ladder needs 3 grids
+    "[output]\nverify_perturbations = 0",     # a saddle check over no perturbation
+    "[output]\nprobe_samples = 0",            # a probe of no sample
+    "[output]\nseed = -1",                    # numpy rejects negative seeds
 ], ids=["reversed-region", "negative-ell", "one-node-grid", "empty-region",
         "zero-epsilon-rung", "duplicate-epsilon-rung", "empty-eps-ladder", "zero-cg-iterations",
-        "theta-key", "short-ladder"])
+        "theta-key", "short-ladder", "zero-perturbations", "zero-probe-samples", "negative-seed"])
 def test_rejected_config_value_exits_2(tmp_path, body, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text(f"[scenario]\nconfiguration = A\n{body}\n", encoding="utf-8")

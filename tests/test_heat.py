@@ -8,7 +8,7 @@ from scipy.linalg import solve_banded
 
 from stackheat.errors import GridMismatchError
 from stackheat.grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField, SpatialGrid, TimeGrid
-from stackheat.heat import (bavg, favg, march, march_backward, modal_march, modal_march_backward,
+from stackheat.heat import (favg, march, march_backward, modal_march, modal_march_backward,
                             normal_derivative, normal_derivative_o1, solve_backward,
                             solve_forward)
 
@@ -74,10 +74,10 @@ def test_backward_is_time_reversed_forward():
     left = BoundaryTrace(tgrid, LEFT, rng.standard_normal(tgrid.n_levels))
     datum = rng.standard_normal(grid.n_interior)
 
-    q = solve_backward(grid, tgrid, datum, source=src, left=left, theta=0.75)
+    q = solve_backward(grid, tgrid, datum, source=src, left=left)
     src_rev = SpaceTimeField(grid, tgrid, src.values[::-1])
     left_rev = BoundaryTrace(tgrid, LEFT, left.values[::-1])
-    y = solve_forward(grid, tgrid, datum, source=src_rev, left=left_rev, theta=0.75)
+    y = solve_forward(grid, tgrid, datum, source=src_rev, left=left_rev)
     assert np.array_equal(q.values, y.values[::-1])
     assert np.array_equal(q.values[-1][1:-1], datum)
 
@@ -91,9 +91,8 @@ def test_backward_separable_oracle():
     assert np.max(np.abs(q.values - exact)) < 2e-3
 
 
-@pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
-def test_discrete_summation_by_parts_identity(theta):
-    """Exact duality of the theta scheme, boundary-in-time terms included."""
+def test_discrete_summation_by_parts_identity():
+    """Exact duality of the Crank-Nicolson scheme, boundary-in-time terms included."""
     rng = np.random.default_rng(7)
     grid, tgrid = make_grids(n=9, k=8, horizon=0.3)
     dt, dx = tgrid.dt, grid.dx
@@ -110,34 +109,24 @@ def test_discrete_summation_by_parts_identity(theta):
     y0 = rng.standard_normal(grid.n_interior)
     qT = rng.standard_normal(grid.n_interior)
 
-    y = solve_forward(grid, tgrid, y0, source=f, left=gl, right=gr, theta=theta)
-    q = solve_backward(grid, tgrid, qT, source=g, left=hl, right=hr, theta=theta)
+    y = solve_forward(grid, tgrid, y0, source=f, left=gl, right=gr)
+    q = solve_backward(grid, tgrid, qT, source=g, left=hl, right=hr)
     yi, qi = y.interior, q.interior
 
     lhs = dx * (qi[-1] @ yi[-1] - qi[0] @ yi[0])
-    forward_terms = dt * dx * np.sum(favg(f.interior, theta) * bavg(qi, theta))
-    forward_terms += (dt / dx) * np.sum(favg(gl.values, theta) * bavg(qi[:, 0], theta))
-    forward_terms += (dt / dx) * np.sum(favg(gr.values, theta) * bavg(qi[:, -1], theta))
-    backward_terms = dt * dx * np.sum(bavg(g.interior, theta) * favg(yi, theta))
-    backward_terms += (dt / dx) * np.sum(bavg(hl.values, theta) * favg(yi[:, 0], theta))
-    backward_terms += (dt / dx) * np.sum(bavg(hr.values, theta) * favg(yi[:, -1], theta))
+    forward_terms = dt * dx * np.sum(favg(f.interior) * favg(qi))
+    forward_terms += (dt / dx) * np.sum(favg(gl.values) * favg(qi[:, 0]))
+    forward_terms += (dt / dx) * np.sum(favg(gr.values) * favg(qi[:, -1]))
+    backward_terms = dt * dx * np.sum(favg(g.interior) * favg(yi))
+    backward_terms += (dt / dx) * np.sum(favg(hl.values) * favg(yi[:, 0]))
+    backward_terms += (dt / dx) * np.sum(favg(hr.values) * favg(yi[:, -1]))
     rhs = forward_terms - backward_terms
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
 
-def test_implicit_euler_maximum_principle():
-    rng = np.random.default_rng(11)
-    grid, tgrid = make_grids(n=15, k=12)
-    src = SpaceTimeField(grid, tgrid, rng.uniform(0, 1, (tgrid.n_levels, grid.n_nodes)))
-    left = BoundaryTrace(tgrid, LEFT, rng.uniform(0, 1, tgrid.n_levels))
-    y0 = rng.uniform(0, 1, grid.n_interior)
-    y = solve_forward(grid, tgrid, y0, source=src, left=left, theta=1.0)
-    assert y.values.min() >= -1e-14
-
-
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10 ** 6), theta=st.floats(0.5, 1.0))
-def test_superposition(seed, theta):
+@given(seed=st.integers(0, 10 ** 6))
+def test_superposition(seed):
     rng = np.random.default_rng(seed)
     grid, tgrid = make_grids(n=7, k=6)
     shape = (tgrid.n_levels, grid.n_nodes)
@@ -147,10 +136,10 @@ def test_superposition(seed, theta):
     b0 = rng.standard_normal(grid.n_interior)
     tr = BoundaryTrace(tgrid, LEFT, rng.standard_normal(tgrid.n_levels))
 
-    ya = solve_forward(grid, tgrid, a0, source=f1, left=tr, theta=theta)
-    yb = solve_forward(grid, tgrid, b0, source=f2, theta=theta)
+    ya = solve_forward(grid, tgrid, a0, source=f1, left=tr)
+    yb = solve_forward(grid, tgrid, b0, source=f2)
     fsum = SpaceTimeField(grid, tgrid, f1.values + f2.values)
-    ysum = solve_forward(grid, tgrid, a0 + b0, source=fsum, left=tr, theta=theta)
+    ysum = solve_forward(grid, tgrid, a0 + b0, source=fsum, left=tr)
     assert np.allclose(ysum.interior, ya.interior + yb.interior,
                        rtol=1e-12, atol=1e-12)
 
@@ -206,8 +195,6 @@ def test_normal_derivative_o1_reads_the_space_axis_of_a_batch():
 def test_input_validation():
     grid, tgrid = make_grids()
     other = TimeGrid(7, 0.5)
-    with pytest.raises(ValueError):
-        solve_forward(grid, tgrid, np.zeros(grid.n_interior), theta=0.3)
     with pytest.raises(GridMismatchError):
         solve_forward(grid, tgrid, np.zeros(5))
     with pytest.raises(GridMismatchError):
@@ -258,36 +245,34 @@ def random_march_data(rng, grid, tgrid, batch=()):
             rng.standard_normal((klev,) + batch), rng.standard_normal((klev,) + batch))
 
 
-@pytest.mark.parametrize("theta", [0.5, 0.75, 1.0])
 @pytest.mark.parametrize("n", [2, 3, 50])
-def test_march_matches_banded_reference_bitwise(n, theta):
+def test_march_matches_banded_reference_bitwise(n):
     rng = np.random.default_rng(n)
     grid, tgrid = make_grids(n=n, k=7)
     y0, src, left, right = random_march_data(rng, grid, tgrid)
-    y = march(grid, tgrid, y0, src, left, right, theta)
-    assert np.array_equal(y, reference_march(grid, tgrid, y0, src, left, right, theta))
-    q = march_backward(grid, tgrid, y0, src, left, right, theta)
-    q_ref = reference_march(grid, tgrid, y0, src[::-1], left[::-1], right[::-1], theta)[::-1]
+    y = march(grid, tgrid, y0, src, left, right)
+    assert np.array_equal(y, reference_march(grid, tgrid, y0, src, left, right, 0.5))
+    q = march_backward(grid, tgrid, y0, src, left, right)
+    q_ref = reference_march(grid, tgrid, y0, src[::-1], left[::-1], right[::-1], 0.5)[::-1]
     assert np.array_equal(q, q_ref)
 
 
 @MARCHES
-@pytest.mark.parametrize("theta", [0.5, 1.0])
-def test_batched_march_columns_equal_single_marches(theta, marches):
+def test_batched_march_columns_equal_single_marches(marches):
     rng = np.random.default_rng(5)
     grid, tgrid = make_grids(n=9, k=6)
     y0, src, left, right = random_march_data(rng, grid, tgrid, batch=(4,))
     for solver in marches:
-        ys = solver(grid, tgrid, y0, src, left, right, theta)
+        ys = solver(grid, tgrid, y0, src, left, right)
         assert ys.shape == (tgrid.n_levels, grid.n_interior, 4)
         for j in range(4):
-            single = solver(grid, tgrid, y0[:, j], src[..., j], left[:, j], right[:, j], theta)
+            single = solver(grid, tgrid, y0[:, j], src[..., j], left[:, j], right[:, j])
             assert np.array_equal(ys[..., j], single)
     # inputs without the batch axis are shared by every column
     forward = marches[0]
-    ys = forward(grid, tgrid, y0[:, 0], src, left[:, 0], right, theta)
+    ys = forward(grid, tgrid, y0[:, 0], src, left[:, 0], right)
     for j in range(4):
-        single = forward(grid, tgrid, y0[:, 0], src[..., j], left[:, 0], right[:, j], theta)
+        single = forward(grid, tgrid, y0[:, 0], src[..., j], left[:, 0], right[:, j])
         assert np.array_equal(ys[..., j], single)
 
 
@@ -302,21 +287,21 @@ def test_march_rejects_nonfinite_source(marches):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 64), k=st.integers(2, 64), theta=st.floats(0.5, 1.0),
-       width=st.integers(0, 4), present=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+@given(n=st.integers(2, 64), k=st.integers(2, 64), width=st.integers(0, 4),
+       present=st.tuples(st.booleans(), st.booleans(), st.booleans()),
        seed=st.integers(0, 10 ** 6))
-def test_modal_march_agrees_with_gtsv(n, k, theta, width, present, seed):
+def test_modal_march_agrees_with_gtsv(n, k, width, present, seed):
     rng = np.random.default_rng(seed)
     grid, tgrid = make_grids(n=n, k=k)
     y0, *forcing = random_march_data(rng, grid, tgrid, batch=(width,))
     forcing = [f if p else None for f, p in zip(forcing, present)]
-    y = modal_march(grid, tgrid, y0, *forcing, theta=theta)
-    ref = march(grid, tgrid, y0, *forcing, theta=theta)
+    y = modal_march(grid, tgrid, y0, *forcing)
+    ref = march(grid, tgrid, y0, *forcing)
     assert y.shape == ref.shape
     assert np.max(np.abs(y - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
     assert np.array_equal(y[0], y0)
     # the backward march is the forward one on reversed data, exactly
     reversed_forcing = [None if f is None else f[::-1] for f in forcing]
-    q = modal_march_backward(grid, tgrid, y0, *reversed_forcing, theta=theta)
+    q = modal_march_backward(grid, tgrid, y0, *reversed_forcing)
     assert np.array_equal(q, y[::-1])
     assert np.array_equal(q[-1], y0)

@@ -122,8 +122,7 @@ def test_hum_zero_data():
 
 def _residual_sweep(cfg, p, epsilons):
     basis = GramBasis(cfg, p)
-    return [hum_minimize(cfg, p, HumSettings(epsilon=eps, cg_tol=1e-11), basis=basis,
-                         check_admissibility=False)
+    return [hum_minimize(cfg, p, HumSettings(epsilon=eps, cg_tol=1e-11), basis=basis)
             for eps in epsilons]
 
 
@@ -155,8 +154,7 @@ _LADDER = (1e-2, 1e-4, 1e-6)
 
 
 def _solve(cfg, p, eps, basis=None, cg_tol=1e-11):
-    return hum_minimize(cfg, p, HumSettings(epsilon=eps, cg_tol=cg_tol), basis=basis,
-                        check_admissibility=False)
+    return hum_minimize(cfg, p, HumSettings(epsilon=eps, cg_tol=cg_tol), basis=basis)
 
 
 @pytest.mark.parametrize("conf", "ABCD")
@@ -280,7 +278,7 @@ def test_zero_data_result_keeps_the_zero_leader_equilibrium():
 def test_hum_leader_formula_consistency_config_a():
     cfg = scenario_a(n=12, k=12, y0_kind="sine", target_kind="sine_cutoff")
     p = params()
-    res = hum_minimize(cfg, p, HumSettings(epsilon=1e-3), check_admissibility=False)
+    res = hum_minimize(cfg, p, HumSettings(epsilon=1e-3))
     pair = solve_adjoint(cfg, res.phi_terminal, p)
     h = observation(cfg, pair)
     mask = cfg.omega.interior_mask(cfg.grid)
@@ -289,19 +287,13 @@ def test_hum_leader_formula_consistency_config_a():
     assert isinstance(h.values if hasattr(h, "values") else None, np.ndarray)
 
 
-def test_hum_inadmissible_target_warns():
-    cfg = scenario_a(n=8, k=8, y0_kind="zero", target_kind="constant")
-    with pytest.warns(RuntimeWarning):
-        hum_minimize(cfg, params(), HumSettings(epsilon=1e-2, cg_tol=1e-8))
-
-
 def _lhs_cross(cfg, pa, pb):
     """|phi(0)|_{H10} pairing plus the rho^{-2}-weighted midpoint pairing of every theta."""
     w = np.asarray(target_weight_inv_sq(cfg.configuration, cfg.wspec, cfg.eta(),
                                         cfg.tgrid.midpoint_times()))
     val = h10_inner(pa.phi.interior[0], pb.phi.interior[0], cfg.grid)
     for ta, tb in zip(pa.thetas, pb.thetas):
-        fa, fb = favg(ta.interior, 0.5), favg(tb.interior, 0.5)
+        fa, fb = favg(ta.interior), favg(tb.interior)
         val += float(cfg.tgrid.dt * cfg.grid.dx * np.sum(w[:, None] * fa * fb))
     return val
 

@@ -32,8 +32,7 @@ def test_cg_iteration_budget_enforced():
     cfg = scenario_a(n=12, k=12, y0_kind="sine", target_kind="sine_cutoff")
     with pytest.raises(ConvergenceError):
         hum_minimize(cfg, params(), HumSettings(epsilon=1e-6, cg_tol=1e-13,
-                                                cg_max_iters=1),
-                     check_admissibility=False)
+                                                cg_max_iters=1))
 
 
 def test_contraction_monotone_across_mu_triple():
@@ -76,7 +75,7 @@ def test_residual_floor_decreases_under_refinement():
             warnings.simplefilter("ignore", RuntimeWarning)
             for eps in (1e-2, 1e-4, 1e-6):
                 res = hum_minimize(cfg, p, HumSettings(epsilon=eps, cg_tol=1e-11),
-                                   basis=basis, check_admissibility=False)
+                                   basis=basis)
         floors.append(res.terminal_residual_hminus1)
     assert floors[1] < floors[0]
 
@@ -85,7 +84,7 @@ def test_global_disturbance_variant_runs_through_hum():
     # open-question experiment flag: disturbance supported on all of Q
     cfg = scenario_b(n=10, k=10, y0_kind="sine", target_kind="sine_cutoff",
                      global_disturbance=True)
-    cfg.b2 = Region(0.0, 1.0, "B2")
+    cfg.b2 = Region(0.0, 1.0)
     p = params()
     rng = np.random.default_rng(2)
     a = rng.standard_normal(cfg.grid.n_interior)
@@ -93,8 +92,7 @@ def test_global_disturbance_variant_runs_through_hum():
     ga, gb = gram_apply(cfg, a, p), gram_apply(cfg, b, p)
     sym = abs(h10_inner(ga, b, cfg.grid) - h10_inner(gb, a, cfg.grid))
     assert sym <= 1e-12 * h10_norm(a, cfg.grid) * h10_norm(b, cfg.grid)
-    res = hum_minimize(cfg, p, HumSettings(epsilon=1e-3, cg_tol=1e-9),
-                       check_admissibility=False)
+    res = hum_minimize(cfg, p, HumSettings(epsilon=1e-3, cg_tol=1e-9))
     assert np.isfinite(res.terminal_residual_hminus1)
 
 

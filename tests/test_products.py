@@ -30,7 +30,7 @@ def test_l2q_constant():
 def test_l2_region_constant_area():
     grid, tgrid = make_grids(n=50)
     one = SpaceTimeField.from_function(grid, tgrid, lambda x, t: np.ones_like(x))
-    val = l2_region(one, one, Region(0.4, 0.8, "O_d"))
+    val = l2_region(one, one, Region(0.4, 0.8))
     assert abs(val - 0.4) < 2 * grid.dx
 
 
@@ -38,7 +38,7 @@ def test_l2_region_empty_after_clipping():
     grid, tgrid = SpatialGrid(4), TimeGrid(4, 1.0)
     one = SpaceTimeField.from_function(grid, tgrid, lambda x, t: np.ones_like(x))
     with pytest.raises(EmptyRegionError):
-        l2_region(one, one, Region(0.41, 0.42, "O_d"))
+        l2_region(one, one, Region(0.41, 0.42))
 
 
 def test_l2_boundary_weights():

@@ -28,12 +28,12 @@ def test_validate_config_a_ok():
 
 def test_validate_config_a_disjoint_regions():
     grid, tgrid = SpatialGrid(8), TimeGrid(4, 1.0)
-    obs = Region(0.5, 0.9, "O_d")
+    obs = Region(0.5, 0.9)
     cfg = ScenarioConfig(
         configuration="A", grid=grid, tgrid=tgrid,
         y0=make_initial(grid, "zero"),
         target=make_target(grid, tgrid, obs, "zero"),
-        omega=Region(0.1, 0.3, "omega"), obs=obs,
+        omega=Region(0.1, 0.3), obs=obs,
         gamma_set=BoundarySet.from_sides(LEFT))
     errs = validate_config(cfg)
     assert len(errs) == 1 and "Theorem 1" in errs[0]
@@ -42,11 +42,11 @@ def test_validate_config_a_disjoint_regions():
 def test_validate_config_b_ok_and_violations():
     assert validate_config(scenario_b()) == []
     cfg = scenario_b()
-    cfg.b1 = Region(0.1, 0.3, "B1")  # detached from the leader endpoint
+    cfg.b1 = Region(0.1, 0.3)  # detached from the leader endpoint
     errs = validate_config(cfg)
     assert any("Theorem 2" in e for e in errs)
     cfg2 = scenario_b()
-    cfg2.obs = Region(0.25, 0.5, "O_d")  # touches closure of B2
+    cfg2.obs = Region(0.25, 0.5)  # touches closure of B2
     cfg2.target = make_target(cfg2.grid, cfg2.tgrid, cfg2.obs, "zero")
     errs2 = validate_config(cfg2)
     assert any("Theorem 2" in e for e in errs2)
@@ -65,7 +65,7 @@ def test_validate_config_c_and_d():
 
 def test_global_disturbance_flag_downgrades_b2_checks():
     cfg = scenario_b(global_disturbance=True)
-    cfg.b2 = Region(0.0, 1.0, "B2")
+    cfg.b2 = Region(0.0, 1.0)
     assert validate_config(cfg) == []
 
 
