@@ -100,8 +100,9 @@ def march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
     ``y0`` has shape (n_interior, *B), ``source`` (n_levels, n_interior, *B)
     and ``left``/``right``, the Dirichlet boundary values per level,
     (n_levels, *B).  The trailing batch axes ``B`` are optional: an input
-    without them (or with length-1 axes) is shared by every column.  This is
-    the hot path shared by the public solvers and the coupled-system engines.
+    without them (or with length-1 axes) is shared by every column.  Each step
+    is one LAPACK ``gtsv`` solve; no solver of the package runs this march.
+    It is the reference that the tests hold ``modal_march`` to.
     """
     n, klev = grid.n_interior, tgrid.n_levels
     batch = _batch_shape(y0, source, left, right)

@@ -43,7 +43,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import ConvergenceError
 from .grids import BoundaryTrace, SpaceTimeField
 from .heat import favg, modal_march, modal_march_backward, normal_derivative_o1
-from .products import h10_inner, h10_norm, hminus1_norm, neg_laplacian_solve
+from .products import h10_diff, h10_dot, h10_inner, h10_norm, hminus1_norm, neg_laplacian_solve
 from .saddle import (SaddleSolution, _block_width, _picard_columns, _Problem, build_problem,
                      picard_coupled, solve_optimality)
 from .scenario import RobustParams, ScenarioConfig
@@ -253,6 +253,10 @@ class GramBasis:
     solve reads the leading vectors it needs and extends the basis only when
     it runs out, so its result does not depend on what else was solved on the
     same basis.
+
+    The node differences (``h10_diff``) of b, of every vector and of every
+    image are stored beside them, so an H^1_0 inner product with a stored
+    vector is one ``h10_dot``; each value equals ``h10_inner``'s bit for bit.
     """
 
     def __init__(self, cfg: ScenarioConfig, params: RobustParams):
@@ -265,6 +269,8 @@ class GramBasis:
         self.vectors, self.images = [], []
         self.rhs = []           # <v_i, b>
         self.projected = []     # row i: <v_i, Gram v_j>, symmetrized, for j <= i
+        self._db = h10_diff(self.b)
+        self._dvectors, self._dimages = [], []
         self._next = None if self.bnorm == 0.0 else self.b / self.bnorm
 
     def __len__(self) -> int:
@@ -277,15 +283,18 @@ class GramBasis:
         grid = self.cfg.grid
         v = self._next
         g = gram_apply(self.cfg, v, self.params)
+        dv, dg = h10_diff(v), h10_diff(g)
         self.vectors.append(v)
         self.images.append(g)
-        self.rhs.append(h10_inner(v, self.b, grid))
-        self.projected.append([0.5 * (h10_inner(vi, g, grid) + h10_inner(v, gi, grid))
-                               for vi, gi in zip(self.vectors, self.images)])
+        self._dvectors.append(dv)
+        self._dimages.append(dg)
+        self.rhs.append(h10_dot(dv, self._db, grid))
+        self.projected.append([0.5 * (h10_dot(dvi, dg, grid) + h10_dot(dv, dgi, grid))
+                               for dvi, dgi in zip(self._dvectors, self._dimages)])
         w = g
         for _ in range(2):
-            for vi in self.vectors:
-                w = w - h10_inner(vi, w, grid) * vi
+            for vi, dvi in zip(self.vectors, self._dvectors):
+                w = w - h10_dot(dvi, h10_diff(w), grid) * vi
         wnorm = h10_norm(w, grid)
         if len(self.vectors) == grid.n_interior or wnorm <= _INVARIANT_TOL * h10_norm(g, grid):
             self._next = None
@@ -382,13 +391,15 @@ def target_admissibility(cfg: ScenarioConfig):
     """Admissibility report of the scenario's target, or None when trivial."""
     if all(np.all(t.values == 0.0) for t in cfg.targets()):
         return None
-    grid = cfg.grid
+    grid, tgrid = cfg.grid, cfg.tgrid
     masks = [reg.interior_mask(grid) for reg in cfg.observation_regions()]
+    interiors = [tgt.interior for tgt in cfg.targets()]
+    # the squared target norm on the observation region(s), once per time level
+    levels = [sum(float(np.sum(y[k][mask] ** 2) * grid.dx) for mask, y in zip(masks, interiors))
+              for k in range(tgrid.n_levels)]
 
     def ydfun(t):
-        k = min(int(round(t / cfg.tgrid.dt)), cfg.tgrid.n_steps)
-        return sum(float(np.sum(tgt.interior[k][mask] ** 2) * grid.dx)
-                   for mask, tgt in zip(masks, cfg.targets()))
+        return levels[min(int(round(t / tgrid.dt)), tgrid.n_steps)]
 
     return admissibility_check(cfg.configuration, cfg.wspec, cfg.eta(), ydfun)
 
@@ -541,7 +552,7 @@ def observability_probe(cfg: ScenarioConfig, params: RobustParams,
     for start in range(0, m, width):
         pairs = solve_adjoints(cfg, data[start:min(start + width, m)], params)
         for pair in pairs:
-            d0.append(np.diff(pair.phi.interior[0], prepend=0.0, append=0.0))
+            d0.append(h10_diff(pair.phi.interior[0]))
             thetas.append([favg(th.interior).ravel() for th in pair.thetas])
             observed, weight = _observed(cfg, pair.phi.interior)
             obs.append(observed.ravel())

@@ -60,11 +60,27 @@ def l2_boundary(u: BoundaryTrace, w: BoundaryTrace, bset: BoundarySet) -> float:
     return float(weight * (wt @ (u.values * w.values)))
 
 
+def h10_diff(u: np.ndarray) -> np.ndarray:
+    """Node differences of an interior vector with its zero boundary values.
+
+    The bits of ``np.diff(u, prepend=0.0, append=0.0)``, the sign of zero
+    included, without building the padded copy.
+    """
+    d = np.empty(len(u) + 1)
+    d[0] = u[0] - 0.0
+    d[1:-1] = u[1:] - u[:-1]
+    d[-1] = 0.0 - u[-1]
+    return d
+
+
+def h10_dot(du: np.ndarray, dv: np.ndarray, grid: SpatialGrid) -> float:
+    """H^1_0 inner product of the vectors whose ``h10_diff`` are du and dv."""
+    return float((du @ dv) / grid.dx)
+
+
 def h10_inner(u: np.ndarray, v: np.ndarray, grid: SpatialGrid) -> float:
     """H^1_0 inner product of interior vectors (implicit zero boundary)."""
-    du = np.diff(u, prepend=0.0, append=0.0)
-    dv = np.diff(v, prepend=0.0, append=0.0)
-    return float((du @ dv) / grid.dx)
+    return h10_dot(h10_diff(u), h10_diff(v), grid)
 
 
 def h10_norm(u: np.ndarray, grid: SpatialGrid) -> float:

@@ -128,20 +128,19 @@ def _follower_norm(cfg: ScenarioConfig, sol) -> float:
 
 
 def _emit_weights(em: _Emitter, cfg: ScenarioConfig):
-    t = cfg.tgrid.times()
-    conf = cfg.configuration
-    eta = cfg.eta()
-    tw = [target_weight(conf, cfg.wspec, eta, tk) if tk < cfg.tgrid.horizon else float("nan")
-          for tk in t]
-    twi = [target_weight_inv_sq(conf, cfg.wspec, eta, min(tk, cfg.tgrid.horizon * (1 - 1e-12)))
-           for tk in t]
-    rows = [[tk, w, wi] for tk, w, wi in zip(t, tw, twi)]
+    """``weights.csv``: the target weights (nan at T, where undefined) and rho_star^-2 (C/D)."""
+    t, horizon = cfg.tgrid.times(), cfg.tgrid.horizon
+    conf, eta = cfg.configuration, cfg.eta()
+    live = t < horizon
+    tw = np.full(len(t), np.nan)
+    tw[live] = target_weight(conf, cfg.wspec, eta, t[live])
+    twi = target_weight_inv_sq(conf, cfg.wspec, eta, np.minimum(t, horizon * (1 - 1e-12)))
     header = ["t [time]", "target_weight [1]", "target_weight_inv_sq [1]"]
-    if cfg.configuration in ("C", "D"):
+    columns = [t, tw, twi]
+    if conf in ("C", "D"):
         header.append("rho_star_inv_sq [1]")
-        g2 = rho_star_inv_sq(cfg.wspec, eta, t)
-        rows = [row + [g] for row, g in zip(rows, g2)]
-    write_csv(em.path("weights.csv"), header, rows)
+        columns.append(rho_star_inv_sq(cfg.wspec, eta, t))
+    write_csv(em.path("weights.csv"), header, np.column_stack(columns))
 
 
 def _emit_leader(em: _Emitter, cfg: ScenarioConfig, leader):

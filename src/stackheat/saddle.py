@@ -680,8 +680,11 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
     the first-order stationarity of the discrete functional by exact central
     differences (the functional is quadratic in the well-scaled variables).
     The perturbed states are solved in batched blocks (``_stream_states``);
-    every value equals the one of a single solve bit for bit.
+    every value equals the one of a single solve bit for bit.  At least one
+    perturbation is required: none would pass without testing anything.
     """
+    if n_perturbations < 1:
+        raise ValueError(f"verification needs at least one perturbation, got {n_perturbations}")
     prob = build_problem(cfg, params)
     leader_arr = _leader_array(prob, leader)
     rng = np.random.default_rng(seed)

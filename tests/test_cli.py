@@ -256,6 +256,16 @@ def test_stage_error_aborts_with_partial_manifest(tmp_path):
     assert not os.path.exists(os.path.join(report.out_dir, "leader.csv"))
 
 
+def test_run_without_verify_perturbations_does_not_pass(tmp_path):
+    # parse_config rejects verify_perturbations = 0; a spec built in code
+    # must not get a vacuous saddle verdict either
+    import dataclasses
+    spec = parse_config(small_config(tmp_path, n=8, k=8))
+    bare = dataclasses.replace(spec, verify_perturbations=0)
+    with pytest.raises(ValueError, match="at least one perturbation"):
+        run_experiment(bare, out_dir=str(tmp_path / "bare"), quiet=True)
+
+
 def test_shipped_demo_configs_parse():
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     for name in ("demo_a", "demo_b", "demo_c", "demo_d"):

@@ -482,3 +482,26 @@ def test_probe_max_nonincreasing_when_weights_double():
         hi = observability_probe(cfg, params(ell=20.0, gamma=20.0),
                                  n_samples=100, seed=seed)
         assert hi.max_ratio <= lo.max_ratio
+
+
+@pytest.mark.parametrize("conf", "AB")
+def test_basis_caches_give_the_bits_of_h10_inner(conf):
+    # the stored node differences change no bit of rhs, projected or the
+    # next Gram-Schmidt vector against the h10_inner expressions
+    cfg = builders()[conf](n=8, k=8)
+    grid = cfg.grid
+    basis = GramBasis(cfg, params())
+    while basis.extend():
+        pass
+    vs, gs = basis.vectors, basis.images
+    assert len(vs) >= 3
+    for i, (v, g) in enumerate(zip(vs, gs)):
+        assert basis.rhs[i] == h10_inner(v, basis.b, grid)
+        assert basis.projected[i] == [0.5 * (h10_inner(vj, g, grid) + h10_inner(v, gj, grid))
+                                      for vj, gj in zip(vs[:i + 1], gs[:i + 1])]
+        if i + 1 < len(vs):
+            w = g
+            for _ in range(2):
+                for vj in vs[:i + 1]:
+                    w = w - h10_inner(vj, w, grid) * vj
+            assert (w / h10_norm(w, grid)).tobytes() == vs[i + 1].tobytes()

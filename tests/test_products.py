@@ -6,7 +6,7 @@ import pytest
 from stackheat.errors import EmptyRegionError
 from stackheat.grids import (LEFT, RIGHT, BoundarySet, BoundaryTrace, Region,
                              SpaceTimeField, SpatialGrid, TimeGrid)
-from stackheat.products import (h10_norm, hminus1_norm, l2_boundary, l2_q,
+from stackheat.products import (h10_diff, h10_norm, hminus1_norm, l2_boundary, l2_q,
                                 l2_region, neg_laplacian_solve)
 
 
@@ -92,3 +92,20 @@ def test_neg_laplacian_solve_matches_banded_reference_bitwise(n):
     u[0] = np.inf
     with pytest.raises(ValueError):
         neg_laplacian_solve(u, grid)
+
+
+@pytest.mark.parametrize("u", [
+    [0.7],
+    [-0.0],
+    [0.0, 1.0, -0.0],
+    [-0.0, 2.0, 0.0],
+    [5e-324, -5e-324, 2.2250738585072014e-308, 1e-310],
+    [1e300, -1e300, 1e300, 3.0],
+    [-1e300, 0.0, 0.0, -0.0, 1e300],
+])
+def test_h10_diff_has_the_bits_of_padded_np_diff(u):
+    u = np.array(u)
+    ref = np.diff(u, prepend=0.0, append=0.0)
+    got = h10_diff(u)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()   # signed zeros included

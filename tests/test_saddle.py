@@ -234,6 +234,16 @@ def test_verify_computes_the_equilibrium_cost_from_the_controls(conf):
     assert verify_saddle(cfg, off, None, p, n_perturbations=20, seed=3) == rep
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_verify_rejects_fewer_than_one_perturbation(count):
+    # a check over no perturbation would pass without testing anything
+    cfg = scenario_a(n=8, k=8)
+    p = params()
+    sol = solve_optimality(cfg, None, p)
+    with pytest.raises(ValueError, match="at least one perturbation"):
+        verify_saddle(cfg, sol, None, p, n_perturbations=count)
+
+
 def test_zero_data_equilibrium_perturbations():
     # J(0, psi) <= 0 and J(v, 0) >= 0: every perturbation moves the right way
     cfg = scenario_a(n=12, k=12, y0_kind="zero", target_kind="zero")
