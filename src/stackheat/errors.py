@@ -21,6 +21,10 @@ class ConfigError(StackheatError, ValueError):
     """Experiment configuration file is malformed or violates the schema."""
 
 
+class NonFiniteError(StackheatError, ValueError):
+    """A march produced non-finite values: non-finite data or overflow."""
+
+
 class NonContractionError(StackheatError, RuntimeError):
     """Picard iteration on a coupled system failed to contract.
 

@@ -15,22 +15,17 @@ duality.  The backward solver is the exact time reversal of the forward one,
 so backward-solving reversed data reproduces the reversed forward solution to
 machine precision.
 
-There are two raw marches with one contract.  ``march`` takes each time step
-as one direct call of LAPACK ``gtsv``, the routine that
-``scipy.linalg.solve_banded((1, 1), ...)`` calls for a tridiagonal matrix, so
-its results match that route bit for bit; it is the reference the tests
-compare against.  ``modal_march`` uses that D is diagonalized exactly by the
+The march, ``modal_march``, uses that D is diagonalized exactly by the
 orthonormal DST-I matrix S (the fast-Poisson idea of Buzbee, Golub & Nielson,
 SIAM J. Numer. Anal. 7, 1970): it transforms the datum and the step sources
 once, runs one scalar recurrence per mode and transforms back, so a march costs
-two matrix products and K vector updates instead of K tridiagonal solves.  It
-agrees with ``march`` to round-off, and every solver of the package
+two matrix products and K vector updates.  Every solver of the package
 (``solve_forward``/``solve_backward`` and the coupled systems) runs it.
 
-Both take trailing batch axes, and each column equals its single-column march
-bit for bit.  Instead of checking every step's data, a march checks its result
+The march takes trailing batch axes, and each column equals its single-column
+march bit for bit.  Instead of checking every step's data, it checks its result
 once and rejects non-finite values (non-finite data or overflow) with
-``ValueError``.
+``NonFiniteError``, a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -39,12 +34,9 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, NonFiniteError
 from .grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField, SpatialGrid, TimeGrid
-
-_GTSV, = get_lapack_funcs(("gtsv",), (np.empty(0),))
 
 
 def favg(z: np.ndarray) -> np.ndarray:
@@ -58,27 +50,6 @@ def trapezoid_time_weights(n_levels: int) -> np.ndarray:
     return w
 
 
-def _tridiagonal_solve(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-                       rhs: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system with LAPACK ``gtsv``; ``rhs`` is (n,) or (n, nrhs).
-
-    ``rhs`` may be overwritten.  Every caller's matrix is strictly diagonally
-    dominant, so ``gtsv`` never meets a zero pivot; callers check finiteness.
-    """
-    return _GTSV(sub, diag, sup, rhs, overwrite_b=True)[3]
-
-
-def _explicit_apply(y: np.ndarray, r: float) -> np.ndarray:
-    """(I + dt/2*D) y for an interior vector with zero extension.
-
-    ``r`` is dt/(2 dx^2); ``y`` may carry trailing batch axes.
-    """
-    out = (1.0 - 2.0 * r) * y
-    out[1:] += r * y[:-1]
-    out[:-1] += r * y[1:]
-    return out
-
-
 def _batch_shape(y0, source, left, right) -> tuple:
     """Broadcast shape of the trailing batch axes of a march's inputs."""
     inputs = ((y0, 1), (source, 2), (left, 1), (right, 1))
@@ -89,67 +60,6 @@ def _lift(a, core: int, batch: tuple) -> np.ndarray:
     """``a`` with missing batch axes inserted, so it broadcasts over ``batch``."""
     a = np.asarray(a, dtype=float)
     return a.reshape(a.shape[:core] + (1,) * (len(batch) - (a.ndim - core)) + a.shape[core:])
-
-
-def march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
-          source: np.ndarray | None = None,
-          left: np.ndarray | None = None,
-          right: np.ndarray | None = None) -> np.ndarray:
-    """Raw forward march on interior arrays; returns (n_levels, n_interior, *B).
-
-    ``y0`` has shape (n_interior, *B), ``source`` (n_levels, n_interior, *B)
-    and ``left``/``right``, the Dirichlet boundary values per level,
-    (n_levels, *B).  The trailing batch axes ``B`` are optional: an input
-    without them (or with length-1 axes) is shared by every column.  Each step
-    is one LAPACK ``gtsv`` solve; no solver of the package runs this march.
-    It is the reference that the tests hold ``modal_march`` to.
-    """
-    n, klev = grid.n_interior, tgrid.n_levels
-    batch = _batch_shape(y0, source, left, right)
-    scale = tgrid.dt / grid.dx ** 2
-    r = 0.5 * tgrid.dt / grid.dx ** 2
-    sub = np.full(n - 1, -r)
-    diag = np.full(n, 1.0 + 2.0 * r)
-
-    y = np.empty((klev, n) + batch)
-    if y.size == 0:
-        return y   # no column to march; gtsv given no right-hand side corrupts memory
-    y[0] = _lift(y0, 1, batch)
-    src_mid = None if source is None else tgrid.dt * favg(_lift(source, 2, batch))
-    left_mid = None if left is None else scale * favg(_lift(left, 1, batch))
-    right_mid = None if right is None else scale * favg(_lift(right, 1, batch))
-
-    for k in range(klev - 1):
-        rhs = _explicit_apply(y[k], r)
-        if src_mid is not None:
-            rhs = rhs + src_mid[k]
-        if left_mid is not None:
-            rhs[0] += left_mid[k]
-        if right_mid is not None:
-            rhs[-1] += right_mid[k]
-        y[k + 1] = _tridiagonal_solve(sub, diag, sub, rhs)
-    if not np.isfinite(y).all():
-        raise ValueError("march produced non-finite values: non-finite data or overflow")
-    return y
-
-
-def _reversed(forward, grid, tgrid, terminal, source, left, right) -> np.ndarray:
-    """Backward march (-q_t - Dq = f) as the ``forward`` march of time-reversed data."""
-    rev = forward(
-        grid, tgrid, terminal,
-        source=None if source is None else source[::-1],
-        left=None if left is None else left[::-1],
-        right=None if right is None else right[::-1],
-    )
-    return rev[::-1].copy()
-
-
-def march_backward(grid: SpatialGrid, tgrid: TimeGrid, terminal: np.ndarray,
-                   source: np.ndarray | None = None,
-                   left: np.ndarray | None = None,
-                   right: np.ndarray | None = None) -> np.ndarray:
-    """Raw backward march (-q_t - Dq = f): forward march on reversed data."""
-    return _reversed(march, grid, tgrid, terminal, source, left, right)
 
 
 @functools.lru_cache(maxsize=16)
@@ -178,13 +88,17 @@ def modal_march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
                 source: np.ndarray | None = None,
                 left: np.ndarray | None = None,
                 right: np.ndarray | None = None) -> np.ndarray:
-    """``march`` in the sine eigenbasis of D: same arguments, result and errors.
+    """Raw forward march on interior arrays; returns (n_levels, n_interior, *B).
 
-    The datum and the step sources (the right-hand side of ``march`` without
-    its explicit part) are transformed by S, each mode runs its scalar
-    recurrence, and the levels are transformed back; level 0 is the datum
-    itself, since S S y0 equals y0 only to round-off.  The result agrees with
-    ``march`` to round-off.  Each column's transforms are one
+    ``y0`` has shape (n_interior, *B), ``source`` (n_levels, n_interior, *B)
+    and ``left``/``right``, the Dirichlet boundary values per level,
+    (n_levels, *B).  The trailing batch axes ``B`` are optional: an input
+    without them (or with length-1 axes) is shared by every column.
+
+    The datum and the step sources (the right-hand side of a step without its
+    explicit part) are transformed by S, each mode runs its scalar recurrence,
+    and the levels are transformed back; level 0 is the datum itself, since
+    S S y0 equals y0 only to round-off.  Each column's transforms are one
     (n_levels, n) @ (n, n) product of the shape a lone march multiplies, on
     strided views of unit inner stride that BLAS reads and writes without a
     copy, and the recurrence is elementwise, so a column equals its lone
@@ -217,7 +131,7 @@ def modal_march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
     np.matmul(w.transpose(per_column), s, out=z.transpose(per_column))
     z[0] = y0
     if not np.isfinite(z).all():
-        raise ValueError("march produced non-finite values: non-finite data or overflow")
+        raise NonFiniteError("march produced non-finite values: non-finite data or overflow")
     return np.ascontiguousarray(z.transpose((0, len(bat) + 1) + bat))
 
 
@@ -225,8 +139,14 @@ def modal_march_backward(grid: SpatialGrid, tgrid: TimeGrid, terminal: np.ndarra
                          source: np.ndarray | None = None,
                          left: np.ndarray | None = None,
                          right: np.ndarray | None = None) -> np.ndarray:
-    """``march_backward`` through ``modal_march``: the same reversal of its data."""
-    return _reversed(modal_march, grid, tgrid, terminal, source, left, right)
+    """Raw backward march (-q_t - Dq = f): ``modal_march`` of time-reversed data."""
+    rev = modal_march(
+        grid, tgrid, terminal,
+        source=None if source is None else source[::-1],
+        left=None if left is None else left[::-1],
+        right=None if right is None else right[::-1],
+    )
+    return rev[::-1].copy()
 
 
 def _validate_inputs(grid, tgrid, initial, source, left, right):

@@ -17,9 +17,22 @@ Laplacian (one tridiagonal solve), consistent with the duality used by HUM.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .grids import BoundarySet, BoundaryTrace, Region, SpaceTimeField, SpatialGrid, check_same_grids
-from .heat import _tridiagonal_solve, favg, trapezoid_time_weights
+from .heat import favg, trapezoid_time_weights
+
+_GTSV, = get_lapack_funcs(("gtsv",), (np.empty(0),))
+
+
+def _tridiagonal_solve(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system with LAPACK ``gtsv``; ``rhs`` is (n,) or (n, nrhs).
+
+    ``rhs`` may be overwritten.  Every caller's matrix is strictly diagonally
+    dominant, so ``gtsv`` never meets a zero pivot; callers check finiteness.
+    """
+    return _GTSV(sub, diag, sup, rhs, overwrite_b=True)[3]
 
 
 def _space_weights(grid: SpatialGrid) -> np.ndarray:

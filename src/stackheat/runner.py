@@ -118,12 +118,10 @@ def _emit_saddle(em: _Emitter, cfg: ScenarioConfig, sol, prefix: str):
 
 
 def _follower_norm(cfg: ScenarioConfig, sol) -> float:
-    if cfg.configuration == "A":
-        return sum(float(np.sqrt(cfg.tgrid.dt * np.sum(tr.values ** 2)))
-                   for tr in sol.follower.values())
-    if cfg.configuration == "B":
-        return l2_q(sol.follower, sol.follower) ** 0.5
-    traces = (sol.follower,) if cfg.configuration == "C" else sol.follower
+    conf, f = cfg.configuration, sol.follower
+    if conf == "B":
+        return l2_q(f, f) ** 0.5
+    traces = f.values() if conf == "A" else (f,) if conf == "C" else f
     return sum(float(np.sqrt(cfg.tgrid.dt * np.sum(tr.values ** 2))) for tr in traces)
 
 
@@ -163,9 +161,13 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
     Each follower equilibrium is solved once: the zero-leader one by the
     saddle stage's ``GramBasis``, which the hum and eps-law stages share, and
     the controlled one by the HUM certificate, which the verify stage checks.
+    A spec with no verification perturbation is rejected before any stage.
     Any stage error aborts the remaining stages; the verdicts and the partial
     manifest are still written.
     """
+    if spec.verify_perturbations < 1:
+        raise ConfigError("verification needs at least one perturbation, "
+                          f"got verify_perturbations = {spec.verify_perturbations}")
     cfg, robust, hum = spec.scenario, spec.robust, spec.hum
     em = _Emitter(out_dir or spec.out_dir, quiet)
     verdicts = []

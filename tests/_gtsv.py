@@ -1,0 +1,80 @@
+"""The gtsv march: Crank-Nicolson one LAPACK tridiagonal solve per step.
+
+Each step is one direct call of LAPACK ``gtsv``, the routine that
+``scipy.linalg.solve_banded((1, 1), ...)`` calls for a tridiagonal matrix, so
+the results match that route bit for bit.  It takes the arguments of
+``heat.modal_march`` and returns its result to round-off; the tests hold the
+modal march to it.
+"""
+
+import numpy as np
+
+from stackheat.grids import SpatialGrid, TimeGrid
+from stackheat.heat import _batch_shape, _lift, favg
+from stackheat.products import _tridiagonal_solve
+
+
+def _explicit_apply(y: np.ndarray, r: float) -> np.ndarray:
+    """(I + dt/2*D) y for an interior vector with zero extension.
+
+    ``r`` is dt/(2 dx^2); ``y`` may carry trailing batch axes.
+    """
+    out = (1.0 - 2.0 * r) * y
+    out[1:] += r * y[:-1]
+    out[:-1] += r * y[1:]
+    return out
+
+
+def march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
+          source: np.ndarray | None = None,
+          left: np.ndarray | None = None,
+          right: np.ndarray | None = None) -> np.ndarray:
+    """Raw forward march on interior arrays; returns (n_levels, n_interior, *B).
+
+    ``y0`` has shape (n_interior, *B), ``source`` (n_levels, n_interior, *B)
+    and ``left``/``right``, the Dirichlet boundary values per level,
+    (n_levels, *B).  The trailing batch axes ``B`` are optional: an input
+    without them (or with length-1 axes) is shared by every column.  Each step
+    is one LAPACK ``gtsv`` solve.
+    """
+    n, klev = grid.n_interior, tgrid.n_levels
+    batch = _batch_shape(y0, source, left, right)
+    scale = tgrid.dt / grid.dx ** 2
+    r = 0.5 * tgrid.dt / grid.dx ** 2
+    sub = np.full(n - 1, -r)
+    diag = np.full(n, 1.0 + 2.0 * r)
+
+    y = np.empty((klev, n) + batch)
+    if y.size == 0:
+        return y   # no column to march; gtsv given no right-hand side corrupts memory
+    y[0] = _lift(y0, 1, batch)
+    src_mid = None if source is None else tgrid.dt * favg(_lift(source, 2, batch))
+    left_mid = None if left is None else scale * favg(_lift(left, 1, batch))
+    right_mid = None if right is None else scale * favg(_lift(right, 1, batch))
+
+    for k in range(klev - 1):
+        rhs = _explicit_apply(y[k], r)
+        if src_mid is not None:
+            rhs = rhs + src_mid[k]
+        if left_mid is not None:
+            rhs[0] += left_mid[k]
+        if right_mid is not None:
+            rhs[-1] += right_mid[k]
+        y[k + 1] = _tridiagonal_solve(sub, diag, sub, rhs)
+    if not np.isfinite(y).all():
+        raise ValueError("march produced non-finite values: non-finite data or overflow")
+    return y
+
+
+def march_backward(grid: SpatialGrid, tgrid: TimeGrid, terminal: np.ndarray,
+                   source: np.ndarray | None = None,
+                   left: np.ndarray | None = None,
+                   right: np.ndarray | None = None) -> np.ndarray:
+    """Raw backward march (-q_t - Dq = f): forward march on reversed data."""
+    rev = march(
+        grid, tgrid, terminal,
+        source=None if source is None else source[::-1],
+        left=None if left is None else left[::-1],
+        right=None if right is None else right[::-1],
+    )
+    return rev[::-1].copy()

@@ -266,6 +266,36 @@ def test_run_without_verify_perturbations_does_not_pass(tmp_path):
         run_experiment(bare, out_dir=str(tmp_path / "bare"), quiet=True)
 
 
+def test_run_rejects_a_spec_without_perturbations_before_any_stage(tmp_path):
+    # the spec is checked before the output directory is made or a stage runs
+    import dataclasses
+
+    from stackheat.errors import ConfigError
+    spec = parse_config(small_config(tmp_path, n=8, k=8))
+    bare = dataclasses.replace(spec, verify_perturbations=0)
+    with pytest.raises(ConfigError, match="at least one perturbation"):
+        run_experiment(bare, out_dir=str(tmp_path / "bare"), quiet=True)
+    assert not os.path.exists(tmp_path / "bare")
+
+
+def test_march_overflow_reaches_the_partial_manifest(tmp_path):
+    # a datum of 1e308 overflows in the march's transform; numpy's overflow
+    # warning is silenced here so the march's own non-finite check is what fails
+    import dataclasses
+
+    import numpy as np
+    spec = parse_config(small_config(tmp_path, n=8, k=8))
+    huge = dataclasses.replace(spec.scenario, y0=np.full(8, 1e308))
+    with np.errstate(over="ignore"):
+        report = run_experiment(dataclasses.replace(spec, scenario=huge),
+                                out_dir=str(tmp_path / "huge"), quiet=True)
+    assert not report.passed
+    assert [(v.name, v.status) for v in report.verdicts] == [("pipeline", "error")]
+    assert "non-finite" in report.verdicts[0].reason
+    assert os.path.exists(os.path.join(report.out_dir, "verdicts.csv"))
+    assert os.path.exists(os.path.join(report.out_dir, "manifest.csv"))
+
+
 def test_shipped_demo_configs_parse():
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     for name in ("demo_a", "demo_b", "demo_c", "demo_d"):

@@ -8,9 +8,10 @@ from scipy.linalg import solve_banded
 
 from stackheat.errors import GridMismatchError
 from stackheat.grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField, SpatialGrid, TimeGrid
-from stackheat.heat import (favg, march, march_backward, modal_march, modal_march_backward,
-                            normal_derivative, normal_derivative_o1, solve_backward,
-                            solve_forward)
+from stackheat.heat import (favg, modal_march, modal_march_backward, normal_derivative,
+                            normal_derivative_o1, solve_backward, solve_forward)
+
+from _gtsv import march, march_backward
 
 # each (forward, backward) pair of raw marches: the gtsv reference and the modal one
 MARCHES = pytest.mark.parametrize("marches", [(march, march_backward),

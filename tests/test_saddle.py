@@ -17,6 +17,7 @@ from stackheat.saddle import (_leader_array, _picard_columns, build_problem, eva
 from stackheat.scenario import (ScenarioConfig, make_initial,
                                 make_target, validate_config)
 
+import _gtsv
 from _scenarios import builders, params, random_leader, scenario_a, scenario_b, scenario_c, scenario_d
 
 
@@ -144,10 +145,9 @@ def test_functional_matches_dumb_quadrature_oracle():
     val = evaluate_functional(cfg, p, v, psi, leader)
 
     # independent re-implementation: explicit loops over midpoints
-    from stackheat.heat import march
     src = psi.interior + leader.interior
     bnd = v[LEFT].values  # rho = 1
-    y = march(cfg.grid, cfg.tgrid, cfg.y0, src, left=bnd)
+    y = _gtsv.march(cfg.grid, cfg.tgrid, cfg.y0, src, left=bnd)
     dt, dx = cfg.tgrid.dt, cfg.grid.dx
     mask = cfg.obs.interior_mask(cfg.grid)
     track = ctrl = dist = 0.0
@@ -368,7 +368,7 @@ def test_contraction_ratio_does_not_depend_on_the_march(demo, monkeypatch):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = parse_config(os.path.join(root, "configs", f"{demo}.ini"))
     ratios = []
-    for fwd, bwd in ((heat.march, heat.march_backward),
+    for fwd, bwd in ((_gtsv.march, _gtsv.march_backward),
                      (heat.modal_march, heat.modal_march_backward)):
         monkeypatch.setattr(saddle, "modal_march", fwd)
         monkeypatch.setattr(saddle, "modal_march_backward", bwd)
