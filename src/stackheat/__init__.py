@@ -31,4 +31,18 @@ from .runner import (RunReport, convergence_study, eps_sweep, probe_run,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AdjointPair", "AdmissibilityReport", "BoundarySet", "BoundaryTrace", "Eta0", "EtaBar",
+    "EtaPair", "ExperimentSpec", "GramBasis", "HumResult", "HumSettings", "Region",
+    "RobustParams", "RunReport", "SaddleSolution", "ScenarioConfig", "SpaceTimeField",
+    "SpatialGrid", "TimeGrid", "WeightSpec", "admissibility_check", "alpha_xi",
+    "beta_weights", "config", "convergence_study", "csvio", "eps_sweep", "errors",
+    "evaluate_functional", "gateaux_check", "gradient_check", "gram_apply", "grids",
+    "h10_inner", "h10_norm", "heat", "hminus1_norm", "hum", "hum_minimize", "l2_boundary",
+    "l2_q", "l2_region", "l_of_t", "make_initial", "make_target", "measure_contraction",
+    "normal_derivative", "observability_probe", "observation", "oracle", "parse_config",
+    "probe_run", "products", "rho_star", "rho_star_inv_sq", "run_experiment", "runner",
+    "saddle", "scenario", "section3_weights", "solve_adjoint", "solve_backward",
+    "solve_forward", "solve_optimality", "target_weight", "validate_config", "verify_saddle",
+    "weights",
+]

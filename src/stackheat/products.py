@@ -16,11 +16,13 @@ Laplacian (one tridiagonal solve), consistent with the duality used by HUM.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .grids import BoundarySet, BoundaryTrace, Region, SpaceTimeField, SpatialGrid, check_same_grids
-from .heat import favg, trapezoid_time_weights
+from .heat import trapezoid_time_weights
 
 _GTSV, = get_lapack_funcs(("gtsv",), (np.empty(0),))
 
@@ -117,24 +119,62 @@ def hminus1_norm(u: np.ndarray, grid: SpatialGrid) -> float:
 
 
 # --- scheme-consistent midpoint quadratures -------------------------------
+#
+# Both pairings take leading block axes: a (..., n_levels, n_interior) field or
+# a (..., n_levels) trace is a block of columns, each paired on its own, and a
+# lone column is the block of none.  Each column's value is the bits of its
+# lone pairing, because it sums the same products in the same memory order.
+
+def _favg_levels(z: np.ndarray, axis: int) -> np.ndarray:
+    """``heat.favg`` along the levels axis ``axis`` (-2 for fields, -1 for traces)."""
+    tail = (slice(None),) * (-1 - axis)
+    return 0.5 * z[(..., slice(1, None)) + tail] + 0.5 * z[(..., slice(None, -1)) + tail]
+
+
+def _column_sums(prod: np.ndarray, core: int):
+    """Sum of each column's last ``core`` axes, in C order; a float for a lone column.
+
+    Each column is first made one contiguous row: numpy sums a contiguous row
+    pairwise, as a lone ``sum`` does, but a row strided across the columns
+    of a block in plain sequence.
+    """
+    lead, tail = prod.shape[:prod.ndim - core], prod.shape[prod.ndim - core:]
+    rows = np.ascontiguousarray(prod).reshape(lead + (math.prod(tail),))  # a block may be empty
+    total = rows.sum(axis=-1)
+    return total if total.ndim else float(total)
+
 
 def qmid_field(f: np.ndarray, g: np.ndarray, grid: SpatialGrid, dt: float,
-               mask: np.ndarray | None = None) -> float:
+               mask: np.ndarray | None = None):
     """Midpoint pairing dt*dx * sum_k favg(f)*favg(g) over interior nodes.
 
-    ``f`` and ``g`` are interior nodal arrays of shape (n_levels, n_interior);
-    both are treated as forward-in-time sequences.
+    ``f`` and ``g`` are interior nodal arrays of shape (..., n_levels,
+    n_interior), both treated as forward-in-time sequences; ``mask`` selects
+    interior nodes.  Returns a float for one column and an array of the
+    leading shape for a block.  Each column sums its products level-major
+    without a mask and node-major with one: numpy lays out ``prod[:, mask]``
+    as (nodes, levels) in memory, and a lone sum runs in memory order.  So
+    a masked pairing first takes the nodes as C-contiguous (..., nodes,
+    n_levels) rows.  A self-pairing (``g is f``) averages once.
     """
-    fa, ga = favg(f), favg(g)
-    prod = fa * ga
+    pair = (f,) if g is f else (f, g)
+    levels = -2
     if mask is not None:
-        prod = prod[:, mask]
-    return float(dt * grid.dx * prod.sum())
+        nodes = np.flatnonzero(mask)
+        pair = tuple(np.take(np.swapaxes(a, -1, -2), nodes, axis=-2) for a in pair)
+        levels = -1
+    avg = [_favg_levels(a, levels) for a in pair]
+    prod = np.multiply(avg[0], avg[-1], out=avg[0])
+    return dt * grid.dx * _column_sums(prod, 2)
 
 
-def qmid_trace(u: np.ndarray, w: np.ndarray, dt: float) -> float:
-    """Midpoint pairing of two endpoint time traces (counting measure)."""
-    return float(dt * (favg(u) * favg(w)).sum())
+def qmid_trace(u: np.ndarray, w: np.ndarray, dt: float):
+    """Midpoint pairing of two endpoint time traces (counting measure).
+
+    ``u`` and ``w`` are (..., n_levels); a float for one trace, an array of
+    the leading shape for a block.
+    """
+    return dt * _column_sums(_favg_levels(u, -1) * _favg_levels(w, -1), 1)
 
 
 def l2q_norm_interior(f: np.ndarray, grid: SpatialGrid, dt: float) -> float:

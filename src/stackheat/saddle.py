@@ -26,6 +26,13 @@ first-order normal derivative, the exact transpose of the scheme's boundary
 injection, and configurations C/D acquire a three-point time smoothing of
 the adjoint trace.  Equilibria therefore pass perturbation checks at
 round-off level rather than at discretization level.
+
+The checks score their perturbed controls a block at a time: ``_blocks``
+solves a block by one batched march and hands it out with a leading block
+axis, and the functional (``evaluate_functional_raw`` and the quadratures
+it calls) takes that axis, a lone column being the block of one.  Each
+column is summed in the order of its lone evaluation, so every value has
+the same bits whatever the block width.
 """
 
 from __future__ import annotations
@@ -40,12 +47,13 @@ from .errors import ConvergenceError, NonContractionError
 from .grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField
 from .heat import (_assemble_field, modal_march, modal_march_backward, normal_derivative_o1,
                    trapezoid_time_weights)
-from .products import l2q_norm_interior, qmid_field, qmid_trace
+from .products import _column_sums, l2q_norm_interior, qmid_field, qmid_trace
 from .scenario import RobustParams, ScenarioConfig, require_valid
 from .weights import _capped_exp, _exp_neg, rho_star_log, rho_star_inv_sq
 
-# verify_saddle solves its perturbed states, and the observability probe its
-# adjoint pairs, in blocks of columns, each block one batched solve; the width
+# verify_saddle solves and scores its perturbed states, and the observability
+# probe solves its adjoint pairs, in blocks of columns, each block one batched
+# solve; the width
 # keeps one (n_levels, n_interior, width) float array within this many bytes
 # (25 columns at n_interior = n_steps = 50).
 _BLOCK_BYTES = 512 * 1024
@@ -85,11 +93,14 @@ def _lead(v: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def capped_weighted_sq(log_w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """w * v^2 evaluated from log w, saturated at 1e300, exact 0 at v = 0."""
+    """w * v^2 evaluated from log w, saturated at 1e300, exact 0 at v = 0.
+
+    ``v`` is (..., n_levels): leading axes are a block of traces sharing ``log_w``.
+    """
     v = np.asarray(v, dtype=float)
     out = np.zeros_like(v)
     nz = v != 0.0
-    out[nz] = _capped_exp(log_w[nz] + 2.0 * np.log(np.abs(v[nz])))
+    out[nz] = _capped_exp(np.broadcast_to(log_w, v.shape)[nz] + 2.0 * np.log(np.abs(v[nz])))
     return out
 
 
@@ -499,7 +510,7 @@ def _package_solution(prob, leader_arr, state, adjoints, iters, res, ratios,
 
 # --- functional evaluation ---------------------------------------------------
 
-def _tracking_term(prob: _Problem, state: np.ndarray, which: int = 0) -> float:
+def _tracking_term(prob: _Problem, state: np.ndarray, which: int = 0):
     cfg = prob.cfg
     mask, target = prob.obs_masks[which], prob.targets[which]
     diff = state - target
@@ -507,13 +518,19 @@ def _tracking_term(prob: _Problem, state: np.ndarray, which: int = 0) -> float:
 
 
 def evaluate_functional_raw(prob: _Problem, follower, disturbance, leader_arr,
-                            state: np.ndarray | None = None, index: int = 0) -> float:
+                            state: np.ndarray | None = None, index: int = 0):
     """Cost functional value for explicit controls, raw-array flavour.
 
     ``follower``: tuple of edge traces (A/C/D) or an interior field (B);
     ``disturbance``: interior field (A/B) or None; ``index`` selects the
     follower whose cost is evaluated in configuration D.  ``state``, when
     given, is trusted to be the state of these controls.
+
+    The controls and ``state`` may carry one leading block axis, as
+    ``_blocks`` hands them out: the value is then an array with one entry
+    per column, each the bits of that column's lone value (the quadratures
+    sum every column in its lone order).  A block brings its states; a lone
+    column returns a float.
     """
     cfg, params = prob.cfg, prob.params
     grid, tgrid = cfg.grid, cfg.tgrid
@@ -535,10 +552,9 @@ def evaluate_functional_raw(prob: _Problem, follower, disturbance, leader_arr,
             disturbance, disturbance, grid, dt, mask=prob.b2_mask)
     else:
         ell = prob.follower_edges[index][2]
-        v = follower[index]
-        terms = capped_weighted_sq(prob.log_g2, v)
-        value += 0.5 * ell ** 2 * float(np.sum(dt * prob.wtrap * terms))
-    return float(value)
+        terms = capped_weighted_sq(prob.log_g2, follower[index])
+        value += 0.5 * ell ** 2 * _column_sums(dt * prob.wtrap * terms, 1)
+    return value
 
 
 def evaluate_functional(cfg: ScenarioConfig, params: RobustParams, follower,
@@ -679,8 +695,10 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
     ``sol``, not read from ``sol.functional_value``.  Additionally estimates
     the first-order stationarity of the discrete functional by exact central
     differences (the functional is quadratic in the well-scaled variables).
-    The perturbed states are solved in batched blocks (``_stream_states``);
-    every value equals the one of a single solve bit for bit.  At least one
+    The perturbed controls are drawn, solved and scored a block at a time
+    (``_blocks``): each player's columns of a block are one strided slice,
+    scored by one ``evaluate_functional_raw`` call, and every value equals
+    the one of a single solve and evaluation bit for bit.  At least one
     perturbation is required: none would pass without testing anything.
     """
     if n_perturbations < 1:
@@ -701,16 +719,24 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
             for player in players:
                 yield player.perturb(m)
 
+    # column j of the sequence is perturbation j // npl of player j % npl
+    npl = len(players)
+    gains = []
+    for f, d, y in _blocks(prob, leader_arr, deviations()):
+        block = np.empty(len(y))
+        for k, player in enumerate(players):
+            rows = slice((k - len(gains)) % npl, None, npl)
+            value = evaluate_functional_raw(prob, _rows(f, rows), _rows(d, rows), leader_arr,
+                                            state=y[rows], index=player.index)
+            jbar = jbars[player.index]
+            block[rows] = value - jbar if player.maximizes else jbar - value
+        gains += block.tolist()
     violation = {False: 0.0, True: 0.0}  # worst per kind: minimizing, maximizing
     worst = ()
-    scored = zip(_stream_states(prob, leader_arr, deviations()), itertools.cycle(players))
-    for j, ((f, d, y), player) in enumerate(scored):
-        value = evaluate_functional_raw(prob, f, d, leader_arr, state=y, index=player.index)
-        jbar = jbars[player.index]
-        gain = value - jbar if player.maximizes else jbar - value
+    for j, (gain, player) in enumerate(zip(gains, itertools.cycle(players))):
         if gain > violation[player.maximizes]:
             violation[player.maximizes] = gain
-            worst = (j // len(players), player.label)
+            worst = (j // npl, player.label)
 
     max_dderiv = _stationarity_estimate(prob, sol, leader_arr, rng)
 
@@ -726,33 +752,48 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
                         jbars[0], concavity, passed, worst)
 
 
-def _stream_states(prob: _Problem, leader_arr, controls, y0=None):
-    """Yield (follower, disturbance, state) for each explicit control pair of ``controls``.
+def _blocks(prob: _Problem, leader_arr, controls, y0=None):
+    """Yield (followers, disturbances, states) for each block of ``controls``.
 
-    ``controls`` is iterated a block at a time and each block is solved by
-    one batched march through ``_Problem.state``.  Each state is handed
-    out as a contiguous copy of its column, so the reductions that follow sum
-    in the same order as after a single solve.  A block is released before
-    the next one is drawn, which bounds memory and keeps any random draws
-    made inside ``controls`` in their original order.
+    ``controls`` yields explicit (follower, disturbance) pairs laid out as
+    ``feedback`` returns them.  It is drawn ``_block_width`` pairs at a time,
+    and each block is solved by one batched march through
+    ``_Problem.state``.  The block is handed out with a leading block axis:
+    its followers and disturbances stacked in that layout (each edge trace
+    of A/C/D as its own (width, n_levels) array) and its states as one
+    (width, n_levels, n_interior) array.  The states are a view of the
+    march's (n_levels, n_interior, width) output, not a copy: the
+    quadratures sum each column in its lone order whatever the layout, and
+    a transposing copy of every block cost more than the scoring itself.
+    A block is released before the next one is drawn, which bounds memory
+    and keeps any random draws made inside ``controls`` in their original
+    order.
     """
     cfg = prob.cfg
     width = _block_width(cfg)
     lead = None if leader_arr is None else leader_arr[..., None]
 
-    def stacked(columns):
-        return np.stack(columns, axis=-1)
+    def trailing(a):
+        """The block axis moved last, where the march takes its columns."""
+        return np.moveaxis(a, 0, -1)
 
     it = iter(controls)
     while block := list(itertools.islice(it, width)):
         fols, dists = zip(*block)
-        states = prob.state(
-            stacked(fols) if cfg.configuration == "B" else tuple(map(stacked, zip(*fols))),
-            None if dists[0] is None else stacked(dists),
-            lead, y0=y0)
-        for j, (f, d) in enumerate(block):
-            yield f, d, np.ascontiguousarray(states[..., j])
-        del block, fols, dists, states  # release this block before drawing the next
+        fol = np.stack(fols) if cfg.configuration == "B" else tuple(map(np.stack, zip(*fols)))
+        dist = None if dists[0] is None else np.stack(dists)
+        del block, fols, dists
+        columns = trailing(fol) if cfg.configuration == "B" else tuple(map(trailing, fol))
+        states = prob.state(columns, None if dist is None else trailing(dist), lead, y0=y0)
+        yield fol, dist, np.moveaxis(states, -1, 0)
+        del fol, dist, states  # release this block before drawing the next
+
+
+def _rows(controls, rows):
+    """``rows`` of a block's followers or disturbances (an array, a tuple of arrays or None)."""
+    if controls is None:
+        return None
+    return tuple(a[rows] for a in controls) if isinstance(controls, tuple) else controls[rows]
 
 
 def _stationarity_estimate(prob: _Problem, sol: SaddleSolution, leader_arr, rng) -> float:
@@ -784,33 +825,37 @@ def _stationarity_estimate(prob: _Problem, sol: SaddleSolution, leader_arr, rng)
                 yield vbar + step * dv, psibar + step * dpsi
                 yield vbar - step * dv, psibar - step * dpsi
 
+    values = []
     if c in ("A", "B"):
-        values = [evaluate_functional_raw(prob, f, d, leader_arr, state=y)
-                  for f, d, y in _stream_states(prob, leader_arr, controls())]
+        for f, d, y in _blocks(prob, leader_arr, controls()):
+            values += evaluate_functional_raw(prob, f, d, leader_arr, state=y).tolist()
     else:
         ubars, _ = prob.raw(sol.follower_weighted)
-        cases = []  # (follower index, perturbed weighted control)
-        for i, ubar in enumerate(ubars):
-            for _ in range(max(1, STATIONARITY_DIRECTIONS // len(ubars))):
-                du = rng.standard_normal(klev)
-                cases += [(i, ubar + step * du), (i, ubar - step * du)]
-        controls = ((tuple(prob.ginv * (u_i if j == i else u) for j, u in enumerate(ubars)), None)
-                    for i, u_i in cases)
-        values = [_functional_weighted(prob, i, u_i, y) for (i, u_i), (_, _, y)
-                  in zip(cases, _stream_states(prob, leader_arr, controls))]
+        per_follower = max(1, STATIONARITY_DIRECTIONS // len(ubars))
+        dus = [[rng.standard_normal(klev) for _ in range(per_follower)] for _ in ubars]
+        for i, (ubar, du) in enumerate(zip(ubars, dus)):
+            # follower i's perturbed weighted controls, one row each
+            us = np.array([u for d in du for u in (ubar + step * d, ubar - step * d)])
+            controls = ((tuple(prob.ginv * (u_i if j == i else u) for j, u in enumerate(ubars)),
+                         None) for u_i in us)
+            start = 0
+            for _, _, y in _blocks(prob, leader_arr, controls):
+                values += _functional_weighted(prob, i, us[start:start + len(y)], y).tolist()
+                start += len(y)
     worst = 0.0
     for jp, jm in zip(values[0::2], values[1::2]):
         worst = max(worst, abs(jp - jm) / (2 * step))
     return worst
 
 
-def _functional_weighted(prob: _Problem, index: int, u_i: np.ndarray,
-                         state: np.ndarray) -> float:
-    """Cost of follower ``index`` in the weighted variable u = rho_star * v, at its state."""
-    cfg = prob.cfg
+def _functional_weighted(prob: _Problem, index: int, u_i: np.ndarray, state: np.ndarray):
+    """Cost of follower ``index`` in the weighted variable u = rho_star * v, at its state.
+
+    Takes a leading block axis as ``evaluate_functional_raw`` does.
+    """
     ell = prob.follower_edges[index][2]
     value = _tracking_term(prob, state, which=index)
-    value += 0.5 * ell ** 2 * float(np.sum(cfg.tgrid.dt * prob.wtrap * u_i ** 2))
+    value += 0.5 * ell ** 2 * _column_sums(prob.cfg.tgrid.dt * prob.wtrap * u_i ** 2, 1)
     return value
 
 
@@ -825,10 +870,11 @@ def _concavity_estimates(prob: _Problem, rng, count: int) -> tuple:
     zeros = tuple(np.zeros(klev) for _ in prob.follower_edges)
     controls = ((zeros, rng.standard_normal((klev, n))) for _ in range(count))
     mask = prob.obs_masks[0]
-    return tuple(
-        qmid_field(yprime, yprime, cfg.grid, cfg.tgrid.dt, mask=mask)
-        - params.gamma ** 2 * qmid_field(dpsi, dpsi, cfg.grid, cfg.tgrid.dt)
-        for _, dpsi, yprime in _stream_states(prob, None, controls, y0=np.zeros(n)))
+    estimates = []
+    for _, dpsi, yprime in _blocks(prob, None, controls, y0=np.zeros(n)):
+        estimates += (qmid_field(yprime, yprime, cfg.grid, cfg.tgrid.dt, mask=mask)
+                      - params.gamma ** 2 * qmid_field(dpsi, dpsi, cfg.grid, cfg.tgrid.dt)).tolist()
+    return tuple(estimates)
 
 
 def measure_contraction(cfg: ScenarioConfig, leader, params: RobustParams,

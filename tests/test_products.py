@@ -7,7 +7,7 @@ from stackheat.errors import EmptyRegionError
 from stackheat.grids import (LEFT, RIGHT, BoundarySet, BoundaryTrace, Region,
                              SpaceTimeField, SpatialGrid, TimeGrid)
 from stackheat.products import (h10_diff, h10_norm, hminus1_norm, l2_boundary, l2_q,
-                                l2_region, neg_laplacian_solve)
+                                l2_region, neg_laplacian_solve, qmid_field, qmid_trace)
 
 
 def make_grids(n=40, k=20):
@@ -109,3 +109,32 @@ def test_h10_diff_has_the_bits_of_padded_np_diff(u):
     got = h10_diff(u)
     assert got.shape == ref.shape and got.dtype == ref.dtype
     assert got.tobytes() == ref.tobytes()   # signed zeros included
+
+
+@pytest.mark.parametrize("layout", ["stacked", "strided", "march"])
+@pytest.mark.parametrize("masked", [False, True])
+def test_qmid_pairings_of_a_block_equal_lone_calls_bit_for_bit(layout, masked):
+    # a block of 9 columns laid out as the verification hands them out: stacked
+    # (C-contiguous), every other column of a stack, or a view of a march's
+    # (n_levels, n_interior, width) output with the columns innermost
+    grid, tgrid = make_grids(n=30, k=33)
+    rng = np.random.default_rng(4)
+    shape = (tgrid.n_levels, grid.n_interior)
+    mask = Region(0.2, 0.7).interior_mask(grid) if masked else None
+    f, g = (rng.standard_normal((18,) + shape) for _ in range(2))
+    if layout == "strided":
+        f, g = f[::2], g[::2]
+    else:
+        f, g = f[:9], g[:9]
+        if layout == "march":
+            f, g = (np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0) for a in (f, g))
+    for block, lone in ((qmid_field(f, g, grid, tgrid.dt, mask=mask),
+                         [qmid_field(a.copy(), b.copy(), grid, tgrid.dt, mask=mask)
+                          for a, b in zip(f, g)]),
+                        (qmid_field(f, f, grid, tgrid.dt, mask=mask),
+                         [qmid_field(a.copy(), a.copy(), grid, tgrid.dt, mask=mask) for a in f]),
+                        (qmid_trace(f[..., 0], g[..., 0], tgrid.dt),
+                         [qmid_trace(a[:, 0].copy(), b[:, 0].copy(), tgrid.dt)
+                          for a, b in zip(f, g)])):
+        assert isinstance(lone[0], float)
+        assert block.tobytes() == np.array(lone).tobytes()

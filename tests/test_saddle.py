@@ -12,8 +12,8 @@ from stackheat.grids import (LEFT, RIGHT, BoundarySet, BoundaryTrace, Region,
                              SpaceTimeField, SpatialGrid, TimeGrid)
 from stackheat.oracle import dense_optimality_solve
 from stackheat.saddle import (_leader_array, _picard_columns, build_problem, evaluate_functional,
-                              gateaux_check, measure_contraction, picard_coupled,
-                              solve_optimality, verify_saddle)
+                              evaluate_functional_raw, gateaux_check, measure_contraction,
+                              picard_coupled, solve_optimality, verify_saddle)
 from stackheat.scenario import (ScenarioConfig, make_initial,
                                 make_target, validate_config)
 
@@ -292,6 +292,91 @@ def test_verify_reports_offending_direction_when_rejected(config):
     rep = verify_saddle(cfg, bad, None, p, n_perturbations=30, seed=4)
     assert not rep.passed
     assert rep.worst_perturbation != ()
+
+
+def _verify_case(conf):
+    """A scenario with random data, and its parameters; C/D at s = 0.002, where
+    rho_star^-2 is live and capped_weighted_sq takes its exp/log path."""
+    if conf in "CD":
+        return (builders()[conf](n=10, k=12, y0_kind="random", target_kind="random",
+                                 seed=2, s=0.002), params(ell=3.0, ell2=4.0))
+    return builders()[conf](n=10, k=12, y0_kind="random", target_kind="random", seed=2), params()
+
+
+@pytest.mark.parametrize("conf", "ABCD")
+def test_verify_report_does_not_depend_on_the_block_width(conf, monkeypatch):
+    cfg, p = _verify_case(conf)
+    sol = solve_optimality(cfg, None, p)
+    import dataclasses
+    bad = dataclasses.replace(sol, follower=_broken_follower(cfg, sol, 0.5))
+    one_block = [verify_saddle(cfg, s, None, p, n_perturbations=13, seed=4) for s in (sol, bad)]
+    assert one_block[0].passed and one_block[1].worst_perturbation != ()
+    widths = []
+    real = saddle.modal_march
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        widths.append(out.shape[2:])
+        return out
+
+    monkeypatch.setattr(saddle, "modal_march", recorded)
+    # three columns per block: with two players they alternate across block
+    # boundaries, so a block's slice of a player starts at either column;
+    # one column per block: the other player's slice of each block is empty
+    for width in (3, 1):
+        widths.clear()
+        monkeypatch.setattr(saddle, "_BLOCK_BYTES",
+                            width * 8 * cfg.tgrid.n_levels * cfg.grid.n_interior)
+        blocked = [verify_saddle(cfg, s, None, p, n_perturbations=13, seed=4) for s in (sol, bad)]
+        assert max(widths) == (width,)
+        assert repr(blocked) == repr(one_block)
+
+
+def _random_controls(prob, rng, scale=1e-2):
+    """Small explicit (follower, disturbance), laid out as ``_Problem.feedback`` returns them.
+
+    Small, so that the tracking term is not drowned by the control costs and
+    a change in its last bit shows in the value.  C/D traces are rho_star^-1
+    times a draw, so their weighted cost is as small (and they vanish at
+    t = 0 and T, where rho_star is infinite).
+    """
+    cfg = prob.cfg
+    klev, n = cfg.tgrid.n_levels, cfg.grid.n_interior
+    c = cfg.configuration
+    if c == "B":
+        return scale * rng.standard_normal((klev, n)), scale * rng.standard_normal((klev, n))
+    weight = prob.ginv if c in "CD" else 1.0
+    follower = tuple(weight * scale * rng.standard_normal(klev) for _ in prob.follower_edges)
+    return follower, scale * rng.standard_normal((klev, n)) if c == "A" else None
+
+
+@pytest.mark.parametrize("conf", "ABCD")
+def test_block_functional_equals_lone_calls_bit_for_bit(conf):
+    # B's tracking, control and disturbance terms are all masked pairings,
+    # which a block must sum node-major, in the memory order of a lone sum
+    cfg, p = _verify_case(conf)
+    prob = build_problem(cfg, p)
+    leader = _leader_array(prob, random_leader(cfg, seed=3))
+    rng = np.random.default_rng(5)
+    cols = [_random_controls(prob, rng) for _ in range(7)]
+    (f, d, y), = saddle._blocks(prob, leader, iter(cols))
+    us = rng.standard_normal((len(cols), cfg.tgrid.n_levels))
+    every_other = slice(1, None, 2)   # a strided block, as verify_saddle scores each player
+    for index in range(prob.n_adjoints):
+        lone = np.array([evaluate_functional_raw(prob, fj, dj, leader, index=index)
+                         for fj, dj in cols])
+        block = evaluate_functional_raw(prob, f, d, leader, state=y, index=index)
+        assert block.tobytes() == lone.tobytes()
+        strided = evaluate_functional_raw(prob, saddle._rows(f, every_other),
+                                          saddle._rows(d, every_other), leader,
+                                          state=y[every_other], index=index)
+        assert strided.tobytes() == lone[every_other].tobytes()
+        if conf in "CD":
+            lone_weighted = np.array([
+                saddle._functional_weighted(prob, index, u, prob.state(fj, dj, leader))
+                for u, (fj, dj) in zip(us, cols)])
+            assert saddle._functional_weighted(prob, index, us, y).tobytes() \
+                == lone_weighted.tobytes()
 
 
 def test_saddle_verification_config_a():
