@@ -22,10 +22,12 @@ once, runs one scalar recurrence per mode and transforms back, so a march costs
 two matrix products and K vector updates.  Every solver of the package
 (``solve_forward``/``solve_backward`` and the coupled systems) runs it.
 
-The march takes trailing batch axes, and each column equals its single-column
-march bit for bit.  Instead of checking every step's data, it checks its result
-once and rejects non-finite values (non-finite data or overflow) with
-``NonFiniteError``, a ``ValueError``.
+Every array of a batch of independent columns puts the column axes first: a
+march takes ``y0`` (*B, n), ``source`` (*B, n_levels, n) and boundary values
+(*B, n_levels), and returns (*B, n_levels, n), each column one C-contiguous
+block that equals its single-column march bit for bit.  Instead of checking
+every step's data, the march checks its result once and rejects non-finite
+values (non-finite data or overflow) with ``NonFiniteError``, a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -39,27 +41,19 @@ from .errors import GridMismatchError, NonFiniteError
 from .grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField, SpatialGrid, TimeGrid
 
 
-def favg(z: np.ndarray) -> np.ndarray:
-    """Midpoint average of a nodal sequence in time (levels 0..K -> K midpoints)."""
-    return 0.5 * z[1:] + 0.5 * z[:-1]
+def favg(z: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Midpoint average of a nodal sequence in time along the levels axis ``axis``.
+
+    Levels 0..K become K midpoints.
+    """
+    lead = (slice(None),) * (axis % np.ndim(z))
+    return 0.5 * z[lead + (slice(1, None),)] + 0.5 * z[lead + (slice(None, -1),)]
 
 
 def trapezoid_time_weights(n_levels: int) -> np.ndarray:
     w = np.ones(n_levels)
     w[0] = w[-1] = 0.5
     return w
-
-
-def _batch_shape(y0, source, left, right) -> tuple:
-    """Broadcast shape of the trailing batch axes of a march's inputs."""
-    inputs = ((y0, 1), (source, 2), (left, 1), (right, 1))
-    return np.broadcast_shapes(*(np.shape(a)[core:] for a, core in inputs if a is not None))
-
-
-def _lift(a, core: int, batch: tuple) -> np.ndarray:
-    """``a`` with missing batch axes inserted, so it broadcasts over ``batch``."""
-    a = np.asarray(a, dtype=float)
-    return a.reshape(a.shape[:core] + (1,) * (len(batch) - (a.ndim - core)) + a.shape[core:])
 
 
 @functools.lru_cache(maxsize=16)
@@ -88,11 +82,11 @@ def modal_march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
                 source: np.ndarray | None = None,
                 left: np.ndarray | None = None,
                 right: np.ndarray | None = None) -> np.ndarray:
-    """Raw forward march on interior arrays; returns (n_levels, n_interior, *B).
+    """Raw forward march on interior arrays; returns (*B, n_levels, n_interior).
 
-    ``y0`` has shape (n_interior, *B), ``source`` (n_levels, n_interior, *B)
+    ``y0`` has shape (*B, n_interior), ``source`` (*B, n_levels, n_interior)
     and ``left``/``right``, the Dirichlet boundary values per level,
-    (n_levels, *B).  The trailing batch axes ``B`` are optional: an input
+    (*B, n_levels).  The leading batch axes ``B`` are optional: an input
     without them (or with length-1 axes) is shared by every column.
 
     The datum and the step sources (the right-hand side of a step without its
@@ -105,34 +99,38 @@ def modal_march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
     march bit for bit.
     """
     n, klev = grid.n_interior, tgrid.n_levels
-    batch = _batch_shape(y0, source, left, right)
-    if math.prod(batch) == 0:
-        return np.empty((klev, n) + batch)
+    batch = np.broadcast_shapes(*(np.shape(a)[:-core] for a, core in
+                                  ((y0, 1), (source, 2), (left, 1), (right, 1)) if a is not None))
+    size = math.prod(batch)
+    if size == 0:
+        return np.empty(batch + (klev, n))
     s, lam, c = _modal_basis(grid, tgrid)
     scale = tgrid.dt / grid.dx ** 2
-    # z is laid out (level, *batch, space), so each level is one contiguous block
-    bat = tuple(range(1, 1 + len(batch)))
-    y0 = _lift(y0, 1, batch).transpose(bat + (0,))
+    # z is laid out (level, *batch, space), so each level is one contiguous
+    # block; ``columns`` is the same memory seen as (*batch, level, space)
     z = np.zeros((klev,) + batch + (n,))
+    per_column = tuple(range(1, 1 + len(batch))) + (0, len(batch) + 1)
+    columns = z.transpose(per_column)
     z[0] = y0
     if source is not None:
-        h = tgrid.dt * favg(_lift(source, 2, batch))
-        z[1:] = h.transpose((0,) + tuple(a + 1 for a in bat) + (1,))
+        columns[..., 1:, :] = tgrid.dt * favg(source, -2)
     if left is not None:
-        z[1:, ..., 0] += scale * favg(_lift(left, 1, batch))
+        columns[..., 1:, 0] += scale * favg(left, -1)
     if right is not None:
-        z[1:, ..., -1] += scale * favg(_lift(right, 1, batch))
-    per_column = bat + (0, len(bat) + 1)
+        columns[..., 1:, -1] += scale * favg(right, -1)
     w = np.empty_like(z)
-    np.matmul(z.transpose(per_column), s, out=w.transpose(per_column))
+    np.matmul(columns, s, out=w.transpose(per_column))
     w[1:] *= c
-    for prev, cur in zip(w, w[1:]):
-        cur += lam * prev
-    np.matmul(w.transpose(per_column), s, out=z.transpose(per_column))
+    # each level is one row of the modes of every column in turn, so a step
+    # is two vector operations whatever the batch
+    rows, lam_rows = w.reshape(klev, -1), np.tile(lam, size)
+    for prev, cur in zip(rows, rows[1:]):
+        cur += lam_rows * prev
+    np.matmul(w.transpose(per_column), s, out=columns)
     z[0] = y0
     if not np.isfinite(z).all():
         raise NonFiniteError("march produced non-finite values: non-finite data or overflow")
-    return np.ascontiguousarray(z.transpose((0, len(bat) + 1) + bat))
+    return np.ascontiguousarray(columns)
 
 
 def modal_march_backward(grid: SpatialGrid, tgrid: TimeGrid, terminal: np.ndarray,
@@ -142,11 +140,11 @@ def modal_march_backward(grid: SpatialGrid, tgrid: TimeGrid, terminal: np.ndarra
     """Raw backward march (-q_t - Dq = f): ``modal_march`` of time-reversed data."""
     rev = modal_march(
         grid, tgrid, terminal,
-        source=None if source is None else source[::-1],
-        left=None if left is None else left[::-1],
-        right=None if right is None else right[::-1],
+        source=None if source is None else source[..., ::-1, :],
+        left=None if left is None else left[..., ::-1],
+        right=None if right is None else right[..., ::-1],
     )
-    return rev[::-1].copy()
+    return rev[..., ::-1, :].copy()
 
 
 def _validate_inputs(grid, tgrid, initial, source, left, right):
@@ -242,10 +240,7 @@ def normal_derivative_o1(interior: np.ndarray, grid: SpatialGrid, side: str) -> 
     transpose of the Dirichlet boundary injection of the scheme, so the
     coupled optimality and adjoint systems built with it satisfy the discrete
     duality identities to machine precision.  ``interior`` has shape
-    (n_interior,) or (n_levels, n_interior, *B) with optional trailing batch
-    axes ``B``; the stencil reads the space axis, so the result has shape
-    () or (n_levels, *B).
+    (*B, n_interior), a vector or a field with optional batch axes; the
+    stencil reads the last (space) axis, so the result has shape (*B,).
     """
-    u = np.asarray(interior)
-    col = 0 if side == LEFT else -1
-    return -(u[col] if u.ndim == 1 else u[:, col]) / grid.dx
+    return -interior[..., 0 if side == LEFT else -1] / grid.dx

@@ -13,7 +13,9 @@ copy of it: phi solves backward driven by theta on the observation
 region(s), and theta solves forward under forcing(feedback(phi)), the same
 two methods that couple state and adjoint in the optimality system.  In
 configuration D each follower drives its own theta, one column of a batched
-march.  By the scheme's summation-by-parts identity
+march.  As in ``saddle``, a batch of columns leads every array: phi and theta
+are (*B, n_levels, n_interior), and ``solve_adjoint`` is the batch of one
+datum of ``solve_adjoints``.  By the scheme's summation-by-parts identity
 
     <Gram a, b>_{H10} = observation-pairing(a, b)
 
@@ -45,7 +47,7 @@ from .grids import BoundaryTrace, SpaceTimeField
 from .heat import favg, modal_march, modal_march_backward, normal_derivative_o1
 from .products import h10_diff, h10_dot, h10_inner, h10_norm, hminus1_norm, neg_laplacian_solve
 from .saddle import (SaddleSolution, _block_width, _picard_columns, _Problem, build_problem,
-                     picard_coupled, solve_optimality)
+                     solve_optimality)
 from .scenario import RobustParams, ScenarioConfig
 from .weights import admissibility_check, target_weight_inv_sq
 
@@ -82,29 +84,29 @@ class AdjointPair:
 def _theta_forcing(prob: _Problem, phi: np.ndarray) -> tuple:
     """(source, left, right) of the theta march: forcing(feedback(phi)).
 
-    ``phi`` is (n_levels, n_interior, *B), with optional batch axes ``B``.
-    In D both followers read phi and each drives its own theta, so follower
-    i's trace goes to column i of a last axis after ``B``, and one batched
-    march solves both.
+    ``phi`` is (*B, n_levels, n_interior).  In D both followers read phi and
+    each drives its own theta, so follower i's trace goes to column i of a new
+    first axis, and one batched march solves both.
     """
     follower, disturbance = prob.feedback((phi,) * prob.n_adjoints, prob.g2inv)
     if prob.n_adjoints > 1:
-        follower = tuple(v[..., None] * e for v, e in zip(follower, np.eye(prob.n_adjoints)))
+        follower = tuple(np.multiply.outer(e, v)
+                         for v, e in zip(follower, np.eye(prob.n_adjoints)))
     return prob.forcing(follower, disturbance, None)
 
 
 def _theta_columns(prob: _Problem, a) -> tuple:
-    """One entry per theta component: ``a`` itself, or its follower columns in D."""
+    """One entry per theta component: ``a`` itself, or its follower slices in D."""
     if prob.n_adjoints == 1 or a is None:
         return (a,) * prob.n_adjoints
-    return tuple(np.ascontiguousarray(a[..., i]) for i in range(prob.n_adjoints))
+    return tuple(a)
 
 
 def _phi_backward(prob: _Problem, thetas: tuple, terminal: np.ndarray) -> np.ndarray:
     cfg = prob.cfg
     src = np.zeros(thetas[0].shape)
     for mask, th in zip(prob.obs_masks, thetas):
-        src[:, mask] += th[:, mask]
+        src[..., mask] += th[..., mask]
     return modal_march_backward(cfg.grid, cfg.tgrid, terminal, src)
 
 
@@ -130,36 +132,29 @@ def solve_adjoint(cfg: ScenarioConfig, phi_terminal: np.ndarray,
 
     phi solves backward with the theta source on the observation region(s);
     the theta component(s) solve forward driven by phi, with theta(0) = 0
-    enforced exactly.
+    enforced exactly.  The datum is solved as a batch of one (``solve_adjoints``).
     """
-    prob = build_problem(cfg, params)
     a = np.asarray(phi_terminal, dtype=float)
     if a.shape != (cfg.grid.n_interior,):
         raise ValueError(f"terminal datum must have {cfg.grid.n_interior} interior values")
-    phi, thetas, iters, res, _, _ = picard_coupled(
-        prob,
-        lambda ths: _phi_backward(prob, ths, a),
-        lambda ph: _theta_forward(prob, ph),
-        prob.n_adjoints)
-    return _adjoint_pair(prob, phi, thetas, iters, res)
+    return solve_adjoints(cfg, a[None], params)[0]
 
 
 def solve_adjoints(cfg: ScenarioConfig, terminals, params: RobustParams) -> list:
     """``solve_adjoint`` for k terminal data (k rows), one Picard iteration for all.
 
-    The data are the trailing batch columns of every phi and theta march, so
-    a sweep costs one batched march each way.  Each column stops on its own
-    rule (``saddle._picard_columns``) and leaves the batch then; the i-th
-    ``AdjointPair`` equals ``solve_adjoint`` of row i bit for bit.
+    The data are the batch columns of every phi and theta march, so a sweep
+    costs one batched march each way.  Each column stops on its own rule
+    (``saddle._picard_columns``) and leaves the batch then; the i-th
+    ``AdjointPair`` is that of row i alone, bit for bit.
     """
     prob = build_problem(cfg, params)
     data = np.asarray(terminals, dtype=float)
     if data.ndim != 2 or data.shape[1] != cfg.grid.n_interior:
         raise ValueError(f"terminal data must be rows of {cfg.grid.n_interior} interior values")
-    columns = data.T
     runs = _picard_columns(
         prob,
-        lambda ths, cols: _phi_backward(prob, ths, columns[:, cols]),
+        lambda ths, cols: _phi_backward(prob, ths, data[cols]),
         lambda ph: _theta_forward(prob, ph),
         prob.n_adjoints, width=len(data))
     return [_adjoint_pair(prob, phi, thetas, iters, res)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .grids import BoundarySet, BoundaryTrace, Region, SpaceTimeField, SpatialGrid, check_same_grids
-from .heat import trapezoid_time_weights
+from .heat import favg, trapezoid_time_weights
 
 _GTSV, = get_lapack_funcs(("gtsv",), (np.empty(0),))
 
@@ -125,12 +125,6 @@ def hminus1_norm(u: np.ndarray, grid: SpatialGrid) -> float:
 # lone column is the block of none.  Each column's value is the bits of its
 # lone pairing, because it sums the same products in the same memory order.
 
-def _favg_levels(z: np.ndarray, axis: int) -> np.ndarray:
-    """``heat.favg`` along the levels axis ``axis`` (-2 for fields, -1 for traces)."""
-    tail = (slice(None),) * (-1 - axis)
-    return 0.5 * z[(..., slice(1, None)) + tail] + 0.5 * z[(..., slice(None, -1)) + tail]
-
-
 def _column_sums(prod: np.ndarray, core: int):
     """Sum of each column's last ``core`` axes, in C order; a float for a lone column.
 
@@ -163,7 +157,7 @@ def qmid_field(f: np.ndarray, g: np.ndarray, grid: SpatialGrid, dt: float,
         nodes = np.flatnonzero(mask)
         pair = tuple(np.take(np.swapaxes(a, -1, -2), nodes, axis=-2) for a in pair)
         levels = -1
-    avg = [_favg_levels(a, levels) for a in pair]
+    avg = [favg(a, levels) for a in pair]
     prod = np.multiply(avg[0], avg[-1], out=avg[0])
     return dt * grid.dx * _column_sums(prod, 2)
 
@@ -174,7 +168,7 @@ def qmid_trace(u: np.ndarray, w: np.ndarray, dt: float):
     ``u`` and ``w`` are (..., n_levels); a float for one trace, an array of
     the leading shape for a block.
     """
-    return dt * _column_sums(_favg_levels(u, -1) * _favg_levels(w, -1), 1)
+    return dt * _column_sums(favg(u, -1) * favg(w, -1), 1)
 
 
 def l2q_norm_interior(f: np.ndarray, grid: SpatialGrid, dt: float) -> float:

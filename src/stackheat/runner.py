@@ -76,6 +76,22 @@ class _Emitter:
         self.log(f"[{name}] done in {self.stages[-1][1]:.2f} s")
         return out
 
+    def collect(self, stages) -> RunReport:
+        """Write the verdicts that ``stages`` yields, and the manifest; the command's report.
+
+        A stage error (``StackheatError``) ends ``stages`` with a
+        ``pipeline`` verdict of status error, after the verdicts and the
+        files of the stages before it.
+        """
+        verdicts = []
+        try:
+            for verdict in stages:
+                verdicts.append(verdict)
+        except StackheatError as exc:
+            verdicts.append(Verdict("pipeline", "error", str(exc)))
+            self.log(f"[error] {exc}")
+        return self.report(verdicts)
+
     def report(self, verdicts) -> RunReport:
         """Write ``verdicts.csv`` and the manifest; the command's report."""
         write_csv(self.path("verdicts.csv"), ["check", "status", "reason", "value"],
@@ -163,93 +179,89 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
     the controlled one by the HUM certificate, which the verify stage checks.
     A spec with no verification perturbation is rejected before any stage.
     Any stage error aborts the remaining stages; the verdicts and the partial
-    manifest are still written.
+    manifest are still written (``_Emitter.collect``).
     """
     if spec.verify_perturbations < 1:
         raise ConfigError("verification needs at least one perturbation, "
                           f"got verify_perturbations = {spec.verify_perturbations}")
-    cfg, robust, hum = spec.scenario, spec.robust, spec.hum
     em = _Emitter(out_dir or spec.out_dir, quiet)
-    verdicts = []
-
-    try:
-        # reference follower equilibrium for the zero leader
-        basis = em.timed("saddle", lambda: GramBasis(cfg, robust))
-        _emit_saddle(em, cfg, basis.free, "saddle")
-        _emit_weights(em, cfg)
-
-        adm = target_admissibility(cfg)
-        if adm is None:
-            verdicts.append(Verdict("target_admissibility", "skipped", "zero target"))
-        else:
-            verdicts.append(Verdict(
-                "target_admissibility", "pass" if adm.admissible else "fail",
-                f"refinement ratios {tuple(round(r, 3) for r in adm.ratios)}"))
-
-        res = em.timed("hum", lambda: hum_minimize(cfg, robust, hum, basis=basis))
-        _emit_leader(em, cfg, res.leader)
-        write_csv(em.path("cg_trace.csv"),
-                  ["iteration", "functional_value [cost]", "residual_norm [H10]"],
-                  list(res.trace))
-        write_csv(em.path("hum_summary.csv"),
-                  ["epsilon [1]", "cg_iterations", "terminal_residual [Hminus1]",
-                   "internal_estimate [Hminus1]", "leader_norm_sq [control]",
-                   "functional_value [cost]"],
-                  [[res.epsilon, res.cg_iterations, res.terminal_residual_hminus1,
-                    res.internal_residual_estimate, res.leader_norm_sq,
-                    res.functional_value]])
-
-        # verification of the full hierarchy at the certified equilibrium
-        _emit_saddle(em, cfg, res.controlled, "controlled")
-        rep = em.timed("verify", lambda: verify_saddle(
-            cfg, res.controlled, res.leader, robust,
-            n_perturbations=spec.verify_perturbations, seed=spec.seed + 1000))
-        kind = {"A": "saddle", "B": "saddle", "C": "minimality", "D": "nash"}[cfg.configuration]
-        verdicts.append(Verdict(
-            f"{kind}_conditions", "pass" if rep.max_min_violation <= SLACK
-            and rep.max_max_violation <= SLACK else "fail",
-            f"worst violations: min {rep.max_min_violation:.3g}, "
-            f"max {rep.max_max_violation:.3g} over {rep.n_perturbations} perturbations"))
-        stat_tol = STATIONARITY_TOL * (1 + abs(rep.functional_value))
-        verdicts.append(Verdict(
-            "equilibrium_stationarity", "pass" if rep.max_directional_derivative <= stat_tol
-            else "fail",
-            f"max directional derivative {rep.max_directional_derivative:.3g} "
-            f"(tolerance {stat_tol:.3g})", rep.max_directional_derivative))
-
-        scale = max(res.terminal_residual_hminus1, 1e-300)
-        agree = abs(res.internal_residual_estimate - res.terminal_residual_hminus1) / scale
-        verdicts.append(Verdict(
-            "residual_certificate", "pass" if agree <= 1e-8 else "fail",
-            f"independent vs CG-internal relative gap {agree:.3g}",
-            res.terminal_residual_hminus1))
-
-        if hum.epsilon * 100.0 < 0.5:
-            coarse = em.timed("eps-law", lambda: hum_minimize(
-                cfg, robust, dataclasses.replace(hum, epsilon=hum.epsilon * 100.0),
-                basis=basis))
-            if coarse.terminal_residual_hminus1 == 0.0 and res.terminal_residual_hminus1 == 0.0:
-                verdicts.append(Verdict("epsilon_law", "skipped",
-                                        "terminal residual identically zero"))
-            else:
-                ratio = coarse.terminal_residual_hminus1 / max(res.terminal_residual_hminus1, 1e-300)
-                verdicts.append(Verdict(
-                    "epsilon_law", "pass" if _obeys_eps_law(ratio) else "fail",
-                    f"residual ratio across a 100x epsilon step: {ratio:.3g} "
-                    "(square-root law nominal 10)", ratio))
-        else:
-            verdicts.append(Verdict("epsilon_law", "skipped",
-                                    "epsilon too large for a 100x comparison step"))
-    except StackheatError as exc:
-        verdicts.append(Verdict("pipeline", "error", str(exc)))
-        em.log(f"[error] {exc}")
-
-    report = em.report(verdicts)
+    report = em.collect(_run_stages(spec, em))
+    verdicts = report.verdicts
     em.log(f"verdicts: {'all ok' if report.passed else 'FAILURES'} "
            f"({sum(v.status == 'pass' for v in verdicts)} pass, "
            f"{sum(v.status == 'fail' for v in verdicts)} fail, "
            f"{sum(v.status == 'skipped' for v in verdicts)} skipped)")
     return report
+
+
+def _run_stages(spec: ExperimentSpec, em: _Emitter):
+    """``run``'s stages, writing their files; yields their verdicts."""
+    cfg, robust, hum = spec.scenario, spec.robust, spec.hum
+    # reference follower equilibrium for the zero leader
+    basis = em.timed("saddle", lambda: GramBasis(cfg, robust))
+    _emit_saddle(em, cfg, basis.free, "saddle")
+    _emit_weights(em, cfg)
+
+    adm = target_admissibility(cfg)
+    if adm is None:
+        yield Verdict("target_admissibility", "skipped", "zero target")
+    else:
+        yield Verdict(
+            "target_admissibility", "pass" if adm.admissible else "fail",
+            f"refinement ratios {tuple(round(r, 3) for r in adm.ratios)}")
+
+    res = em.timed("hum", lambda: hum_minimize(cfg, robust, hum, basis=basis))
+    _emit_leader(em, cfg, res.leader)
+    write_csv(em.path("cg_trace.csv"),
+              ["iteration", "functional_value [cost]", "residual_norm [H10]"],
+              list(res.trace))
+    write_csv(em.path("hum_summary.csv"),
+              ["epsilon [1]", "cg_iterations", "terminal_residual [Hminus1]",
+               "internal_estimate [Hminus1]", "leader_norm_sq [control]",
+               "functional_value [cost]"],
+              [[res.epsilon, res.cg_iterations, res.terminal_residual_hminus1,
+                res.internal_residual_estimate, res.leader_norm_sq,
+                res.functional_value]])
+
+    # verification of the full hierarchy at the certified equilibrium
+    _emit_saddle(em, cfg, res.controlled, "controlled")
+    rep = em.timed("verify", lambda: verify_saddle(
+        cfg, res.controlled, res.leader, robust,
+        n_perturbations=spec.verify_perturbations, seed=spec.seed + 1000))
+    kind = {"A": "saddle", "B": "saddle", "C": "minimality", "D": "nash"}[cfg.configuration]
+    yield Verdict(
+        f"{kind}_conditions", "pass" if rep.max_min_violation <= SLACK
+        and rep.max_max_violation <= SLACK else "fail",
+        f"worst violations: min {rep.max_min_violation:.3g}, "
+        f"max {rep.max_max_violation:.3g} over {rep.n_perturbations} perturbations")
+    stat_tol = STATIONARITY_TOL * (1 + abs(rep.functional_value))
+    yield Verdict(
+        "equilibrium_stationarity", "pass" if rep.max_directional_derivative <= stat_tol
+        else "fail",
+        f"max directional derivative {rep.max_directional_derivative:.3g} "
+        f"(tolerance {stat_tol:.3g})", rep.max_directional_derivative)
+
+    scale = max(res.terminal_residual_hminus1, 1e-300)
+    agree = abs(res.internal_residual_estimate - res.terminal_residual_hminus1) / scale
+    yield Verdict(
+        "residual_certificate", "pass" if agree <= 1e-8 else "fail",
+        f"independent vs CG-internal relative gap {agree:.3g}",
+        res.terminal_residual_hminus1)
+
+    if hum.epsilon * 100.0 < 0.5:
+        coarse = em.timed("eps-law", lambda: hum_minimize(
+            cfg, robust, dataclasses.replace(hum, epsilon=hum.epsilon * 100.0),
+            basis=basis))
+        if coarse.terminal_residual_hminus1 == 0.0 and res.terminal_residual_hminus1 == 0.0:
+            yield Verdict("epsilon_law", "skipped", "terminal residual identically zero")
+        else:
+            ratio = coarse.terminal_residual_hminus1 / max(res.terminal_residual_hminus1, 1e-300)
+            yield Verdict(
+                "epsilon_law", "pass" if _obeys_eps_law(ratio) else "fail",
+                f"residual ratio across a 100x epsilon step: {ratio:.3g} "
+                "(square-root law nominal 10)", ratio)
+    else:
+        yield Verdict("epsilon_law", "skipped", "epsilon too large for a 100x comparison step")
 
 
 def _heat_ladder_rows(spec: ExperimentSpec, ladder):
@@ -339,43 +351,54 @@ def eps_sweep(spec: ExperimentSpec, out_dir: str | None = None,
 
 def convergence_study(spec: ExperimentSpec, out_dir: str | None = None,
                       quiet: bool = False) -> RunReport:
-    """Heat-solver refinement ladder, tiny-grid oracle column and epsilon sweep."""
+    """Heat-solver refinement ladder, tiny-grid oracle column and epsilon sweep.
+
+    A stage error aborts the remaining stages, as in ``run_experiment``.
+    """
     ladder = spec.ladder or (25, 50, 100)
     if len(ladder) < 3:
         raise ConfigError("convergence study needs a ladder of at least 3 grids")
     em = _Emitter(out_dir or spec.out_dir, quiet)
-    verdicts = []
+    report = em.collect(_convergence_stages(spec, em, ladder))
+    em.log(f"convergence study: {'all ok' if report.passed else 'FAILURES'}")
+    return report
 
+
+def _convergence_stages(spec: ExperimentSpec, em: _Emitter, ladder):
+    """``converge``'s stages, writing their files; yields their verdicts."""
     rows, errs, hs = em.timed("heat-ladder", lambda: _heat_ladder_rows(spec, ladder))
     write_csv(em.path("convergence.csv"),
               ["n_interior", "dx [space]", "n_steps", "max_error [state]",
                "observed_order [1]"], rows)
     order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-    verdicts.append(Verdict("heat_solver_order", "pass" if order >= 1.9 else "fail",
-                            f"observed space-time order {order:.3f} over ladder {ladder}",
-                            order))
+    em.log(f"convergence study: order {order:.3f}")
+    yield Verdict("heat_solver_order", "pass" if order >= 1.9 else "fail",
+                  f"observed space-time order {order:.3f} over ladder {ladder}", order)
 
     orows = em.timed("oracle", lambda: _oracle_rows(spec, ladder))
     write_csv(em.path("oracle.csv"),
               ["n_interior", "n_steps", "dense_vs_fixed_point [relative]"], orows)
     discs = [r[2] for r in orows if isinstance(r[2], float)]
-    verdicts.append(Verdict(
+    yield Verdict(
         "oracle_equivalence", "pass" if discs and max(discs) <= 1e-10 else "fail",
         f"max dense-solve discrepancy {max(discs):.3g}" if discs else "no rung small enough",
-        max(discs) if discs else None))
+        max(discs) if discs else None)
 
-    verdicts.append(em.timed("eps-sweep", lambda: _sweep_eps(spec, em)))
-
-    report = em.report(verdicts)
-    em.log(f"convergence study: order {order:.3f}, "
-           f"{'all ok' if report.passed else 'FAILURES'}")
-    return report
+    yield em.timed("eps-sweep", lambda: _sweep_eps(spec, em))
 
 
 def probe_run(spec: ExperimentSpec, out_dir: str | None = None,
               quiet: bool = False) -> RunReport:
-    """Observability-ratio sampling for the configured scenario."""
+    """Observability-ratio sampling for the configured scenario.
+
+    A probe error is reported as in ``run_experiment``.
+    """
     em = _Emitter(out_dir or spec.out_dir, quiet)
+    return em.collect(_probe_stages(spec, em))
+
+
+def _probe_stages(spec: ExperimentSpec, em: _Emitter):
+    """``probe``'s stage, writing its files; yields its verdict."""
     rep = em.timed("probe", lambda: observability_probe(
         spec.scenario, spec.robust, n_samples=spec.probe_samples, seed=spec.seed))
     write_csv(em.path("probe_ratios.csv"), ["sample", "ratio [1]"],
@@ -389,9 +412,6 @@ def probe_run(spec: ExperimentSpec, out_dir: str | None = None,
               ["mode", "relative_eigenvalue [1]", "pencil_max [1]", "above_cut"],
               [[k, rel, pencil, int(above)]
                for k, (rel, pencil, above) in enumerate(rep.spectrum, start=1)])
-    verdicts = (Verdict("probe_finite", "pass" if np.isfinite(rep.max_ratio) else "fail",
-                        f"max ratio {rep.max_ratio:.4g}, refined {rep.refined_max:.4g}",
-                        rep.max_ratio),)
-    report = em.report(verdicts)
     em.log(f"probe: {rep.n_samples} samples, max ratio {rep.max_ratio:.4g}")
-    return report
+    yield Verdict("probe_finite", "pass" if np.isfinite(rep.max_ratio) else "fail",
+                  f"max ratio {rep.max_ratio:.4g}, refined {rep.refined_max:.4g}", rep.max_ratio)

@@ -27,12 +27,16 @@ injection, and configurations C/D acquire a three-point time smoothing of
 the adjoint trace.  Equilibria therefore pass perturbation checks at
 round-off level rather than at discretization level.
 
-The checks score their perturbed controls a block at a time: ``_blocks``
-solves a block by one batched march and hands it out with a leading block
-axis, and the functional (``evaluate_functional_raw`` and the quadratures
-it calls) takes that axis, a lone column being the block of one.  Each
-column is summed in the order of its lone evaluation, so every value has
-the same bits whatever the block width.
+A batch of independent columns leads every array: states and adjoints are
+(*B, n_levels, n_interior) and traces (*B, n_levels), the layout in which
+``heat.modal_march`` takes and returns them.  The coupling and the functional
+(``evaluate_functional_raw`` and the quadratures it calls) take a lone column
+or a batch.  Every coupled solve is a batch of the one Picard loop,
+``_picard_columns``: ``solve_optimality`` is a batch of one column.  The
+checks score their perturbed controls a block at a time: ``_blocks`` solves
+a block by one batched march.  Each column keeps the arithmetic and the
+summation order of its lone solve, so every value has the same bits whatever
+the batch width.
 """
 
 from __future__ import annotations
@@ -53,9 +57,8 @@ from .weights import _capped_exp, _exp_neg, rho_star_log, rho_star_inv_sq
 
 # verify_saddle solves and scores its perturbed states, and the observability
 # probe solves its adjoint pairs, in blocks of columns, each block one batched
-# solve; the width
-# keeps one (n_levels, n_interior, width) float array within this many bytes
-# (25 columns at n_interior = n_steps = 50).
+# solve.  The width keeps one (width, n_levels, n_interior) float array within
+# this many bytes (25 columns at n_interior = n_steps = 50).
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -75,21 +78,16 @@ STATIONARITY_DIRECTIONS = 20
 
 
 def smooth_trace(z: np.ndarray) -> np.ndarray:
-    """Midpoint-average followed by its transpose: the (1/4, 1/2, 1/4) stencil."""
-    m = 0.5 * (z[:-1] + z[1:])
-    out = np.zeros_like(z)
-    out[0] = 0.5 * m[0]
-    out[-1] = 0.5 * m[-1]
-    out[1:-1] = 0.5 * (m[:-1] + m[1:])
-    return out
+    """Midpoint-average followed by its transpose: the (1/4, 1/2, 1/4) stencil.
 
-
-def _lead(v: np.ndarray, ndim: int) -> np.ndarray:
-    """``v`` padded with trailing length-1 axes to ``ndim`` axes.
-
-    It then broadcasts along the leading axes of an array with trailing batch axes.
+    ``z`` is (*B, n_levels); each trace is smoothed along its last axis.
     """
-    return v if v.ndim == ndim else v.reshape(v.shape + (1,) * (ndim - v.ndim))
+    m = 0.5 * (z[..., :-1] + z[..., 1:])
+    out = np.zeros_like(z)
+    out[..., 0] = 0.5 * m[..., 0]
+    out[..., -1] = 0.5 * m[..., -1]
+    out[..., 1:-1] = 0.5 * (m[..., :-1] + m[..., 1:])
+    return out
 
 
 def capped_weighted_sq(log_w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -138,10 +136,9 @@ class _Problem:
         C/D: v_i = rho_i * w * smooth(dr_i/dn) / (ell_i^2 * trapezoid weight),
              no disturbance.
         ``time_weight`` is w: rho_star^{-2} gives the control v, rho_star^{-1}
-        the well-scaled rho_star * v.  A and B do not use it.  The adjoints
-        are (n_levels, n_interior, *B): trailing batch axes ``B`` are
-        independent columns, and every column's controls equal those of a
-        single-column call bit for bit.
+        the well-scaled rho_star * v.  A and B do not use it.  Every
+        column of a batch of adjoints gets the controls of a single-column
+        call bit for bit.
         """
         cfg, params = self.cfg, self.params
         c = cfg.configuration
@@ -152,12 +149,11 @@ class _Problem:
                     q / params.gamma ** 2)
         if c == "B":
             p = adjoints[0]
-            return (np.where(_lead(self.b1_mask, p.ndim - 1), -p / params.ell ** 2, 0.0),
-                    np.where(_lead(self.b2_mask, p.ndim - 1), p / params.gamma ** 2, 0.0))
+            return (np.where(self.b1_mask, -p / params.ell ** 2, 0.0),
+                    np.where(self.b2_mask, p / params.gamma ** 2, 0.0))
         return tuple(
-            rho * _lead(time_weight, r.ndim - 1)
-            * smooth_trace(normal_derivative_o1(r, cfg.grid, side))
-            / (ell ** 2 * _lead(self.wtrap, r.ndim - 1))
+            rho * time_weight * smooth_trace(normal_derivative_o1(r, cfg.grid, side))
+            / (ell ** 2 * self.wtrap)
             for (side, rho, ell), r in zip(self.follower_edges, adjoints)), None
 
     def raw(self, follower, disturbance=None) -> tuple:
@@ -187,7 +183,7 @@ class _Problem:
 
         ``follower`` and ``disturbance`` are laid out as ``feedback`` returns
         them and ``leader`` is the raw leader array or None.  They may carry
-        trailing batch axes (the leader then with length-1 ones).  A is
+        leading batch axes; a leader without them serves every column.  A is
         forced by psi + leader in the interior and rho * v on each follower
         edge, B by v on B1 and psi on B2 in the interior and the leader on
         its edge, C/D by rho_i * v_i and the leader on their edges.
@@ -199,8 +195,8 @@ class _Problem:
             source = disturbance if leader is None else disturbance + leader
         elif c == "B":
             source = np.zeros(np.broadcast_shapes(follower.shape, disturbance.shape))
-            source[:, self.b1_mask] += follower[:, self.b1_mask]
-            source[:, self.b2_mask] += disturbance[:, self.b2_mask]
+            source[..., self.b1_mask] += follower[..., self.b1_mask]
+            source[..., self.b2_mask] += disturbance[..., self.b2_mask]
         # B has no follower edges; a row starts from +0.0, so a vanishing row
         # is never written as -0
         for (side, rho, _), v in zip(self.follower_edges, follower):
@@ -289,7 +285,7 @@ def _adjoint_solve(prob: _Problem, state: np.ndarray) -> tuple:
     out = []
     for mask, target in zip(prob.obs_masks, prob.targets):
         src = np.zeros_like(state)
-        src[:, mask] = state[:, mask] - target[:, mask]
+        src[..., mask] = state[..., mask] - target[:, mask]
         out.append(modal_march_backward(grid, tgrid, np.zeros(grid.n_interior), src))
     return tuple(out)
 
@@ -305,7 +301,7 @@ class SaddleSolution:
     adjoints: tuple
     iterations: int
     residual: float
-    exit_status: str                 # picard_coupled's: converged | round-off | fixed-sweeps
+    exit_status: str                 # converged | round-off | fixed-sweeps (_picard_columns)
     contraction_ratios: tuple
     functional_value: float
     follower_weighted: object = None  # C/D: rho_star * v, the well-scaled variable
@@ -369,35 +365,36 @@ class _Column:
         return None
 
 
-def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int,
-                    width: Optional[int] = None, sweeps: Optional[int] = None) -> list:
-    """Lagged fixed-point loop on independent columns, each stopping on its own.
+def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: int,
+                    sweeps: Optional[int] = None) -> list:
+    """Lagged fixed-point loop on ``width`` independent columns, each stopping on its own.
 
-    With ``width`` the state and adjoint arrays carry one trailing batch axis
-    of that many columns; without it they have none (one column).  Each
-    sweep calls ``forward(adjoints, cols)`` and ``backward(state)`` once for
-    all active columns, ``cols`` naming the columns the trailing axis holds.
-    A column's correction is measured on a contiguous copy, so it sums in
-    the order of a single-column loop, and its stopping rule is its own
-    ``_Column``.  A column that stops leaves the active set after the final
-    forward solve of the columns that stop with it, so each column's result
-    equals the one-column loop's bit for bit.  Returns one (state, adjoints,
-    iterations, residual, ratios, status) per column, as ``picard_coupled``.
+    The state and adjoint arrays carry one leading batch axis.  Each sweep
+    calls ``forward(adjoints, cols)`` and ``backward(state)`` once for all
+    active columns, ``cols`` naming the columns the batch axis holds.  A
+    column is the C-contiguous block ``a[pos]`` of the march output, so its
+    correction sums in the order of a lone solve, and its stopping rule is
+    its own ``_Column``.  A column that stops leaves the active set after the
+    final forward solve of the columns that stop with it, so each column's
+    result equals a one-column loop's bit for bit.
+
+    Returns one (state, adjoints, iterations, residual, ratios, status) per
+    column.  The status is "converged" when the relative correction reached
+    the tolerance, "round-off" when the corrections stopped contracting below
+    1e-6 of the first one (accepted as the floor of the arithmetic) and
+    "fixed-sweeps" when ``sweeps`` forced the number of iterations (used when
+    measuring contraction rates).
     """
     cfg, params = prob.cfg, prob.params
     grid, tgrid = cfg.grid, cfg.tgrid
-    batch = () if width is None else (width,)
-    adjoints = tuple(np.zeros((tgrid.n_levels, grid.n_interior) + batch)
+    adjoints = tuple(np.zeros((width, tgrid.n_levels, grid.n_interior))
                      for _ in range(n_adjoints))
-    cols = [0] if width is None else list(range(width))
+    cols = list(range(width))
     runs = [_Column() for _ in cols]
-    results = [None] * len(cols)
-
-    def column(a, pos):
-        return a if width is None else np.ascontiguousarray(a[..., pos])
+    results = [None] * width
 
     def take(arrays, pos):
-        return arrays if width is None else tuple(a[..., pos] for a in arrays)
+        return arrays if len(pos) == len(cols) else tuple(a[pos] for a in arrays)
 
     tol = params.fixed_point_tol
     fixed = sweeps is not None
@@ -410,10 +407,10 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int,
         stopped = {}   # position -> status, for the columns needing a final forward solve
         for pos, c in enumerate(cols):
             delta = float(np.sqrt(sum(
-                l2q_norm_interior(column(d, pos), grid, tgrid.dt) ** 2 for d in diffs)))
+                l2q_norm_interior(d[pos], grid, tgrid.dt) ** 2 for d in diffs)))
             status = runs[c].stop(delta, it, tol, fixed)
             if status == "exact":
-                results[c] = (column(state, pos), tuple(column(a, pos) for a in adjoints),
+                results[c] = (state[pos], tuple(a[pos] for a in adjoints),
                               it, 0.0, (), "converged")
             elif status is not None:
                 stopped[pos] = status
@@ -423,7 +420,7 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int,
             final = forward(final_adjoints, [cols[p] for p in pos])
             for j, p in enumerate(pos):
                 run = runs[cols[p]]
-                results[cols[p]] = (column(final, j), tuple(column(a, j) for a in final_adjoints),
+                results[cols[p]] = (final[j], tuple(a[j] for a in final_adjoints),
                                     it, run.last / run.first, tuple(run.ratios), stopped[p])
         keep = [pos for pos, c in enumerate(cols) if results[c] is None]
         if not keep:
@@ -435,7 +432,7 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int,
         state = forward(adjoints, cols)
         for pos, c in enumerate(cols):
             run = runs[c]
-            results[c] = (column(state, pos), tuple(column(a, pos) for a in adjoints), max_iter,
+            results[c] = (state[pos], tuple(a[pos] for a in adjoints), max_iter,
                           run.last / max(run.first, 1e-300), tuple(run.ratios), "fixed-sweeps")
         return results
     last = max(runs[c].last / max(runs[c].first, 1e-300) for c in cols)
@@ -445,36 +442,21 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int,
         f"({which} relative correction {last:.3g})")
 
 
-def picard_coupled(prob: _Problem, forward, backward, n_adjoints: int,
-                   sweeps: Optional[int] = None):
-    """Generic lagged fixed-point loop shared by the optimality and adjoint systems.
-
-    Returns (state, adjoints, iterations, residual, ratios, status).  The
-    status is "converged" when the relative correction reached the tolerance,
-    "round-off" when the corrections stopped contracting below 1e-6 of the
-    first one (accepted as the floor of the arithmetic) and "fixed-sweeps"
-    when ``sweeps`` forced the number of iterations (used when measuring
-    contraction rates).  This is the one-column case of ``_picard_columns``.
-    """
-    (out,) = _picard_columns(prob, lambda adjoints, _: forward(adjoints), backward,
-                             n_adjoints, sweeps=sweeps)
-    return out
-
-
 def solve_optimality(cfg: ScenarioConfig, leader, params: RobustParams,
                      sweeps: Optional[int] = None) -> SaddleSolution:
     """Solve the follower optimality system for a fixed leader control.
 
     ``leader`` is a SpaceTimeField supported on omega (configuration A), a
     BoundaryTrace on the leader endpoint (B/C/D), or None for the zero leader.
+    The system is solved as a batch of one column, which the leader serves.
     """
     prob = build_problem(cfg, params)
     leader_arr = _leader_array(prob, leader)
-    state, adjoints, iters, res, ratios, status = picard_coupled(
+    (state, adjoints, iters, res, ratios, status), = _picard_columns(
         prob,
-        lambda adj: prob.state(*prob.feedback(adj, prob.g2inv), leader_arr),
+        lambda adj, _: prob.state(*prob.feedback(adj, prob.g2inv), leader_arr),
         lambda st: _adjoint_solve(prob, st),
-        prob.n_adjoints, sweeps=sweeps)
+        prob.n_adjoints, width=1, sweeps=sweeps)
     return _package_solution(prob, leader_arr, state, adjoints, iters, res, ratios, status)
 
 
@@ -760,32 +742,21 @@ def _blocks(prob: _Problem, leader_arr, controls, y0=None):
     and each block is solved by one batched march through
     ``_Problem.state``.  The block is handed out with a leading block axis:
     its followers and disturbances stacked in that layout (each edge trace
-    of A/C/D as its own (width, n_levels) array) and its states as one
-    (width, n_levels, n_interior) array.  The states are a view of the
-    march's (n_levels, n_interior, width) output, not a copy: the
-    quadratures sum each column in its lone order whatever the layout, and
-    a transposing copy of every block cost more than the scoring itself.
-    A block is released before the next one is drawn, which bounds memory
-    and keeps any random draws made inside ``controls`` in their original
-    order.
+    of A/C/D as its own (width, n_levels) array) and its states as the
+    march returns them.  A block is released before the next one is drawn,
+    which bounds memory and keeps any random draws made inside ``controls``
+    in their original order.
     """
     cfg = prob.cfg
     width = _block_width(cfg)
-    lead = None if leader_arr is None else leader_arr[..., None]
-
-    def trailing(a):
-        """The block axis moved last, where the march takes its columns."""
-        return np.moveaxis(a, 0, -1)
-
     it = iter(controls)
     while block := list(itertools.islice(it, width)):
         fols, dists = zip(*block)
         fol = np.stack(fols) if cfg.configuration == "B" else tuple(map(np.stack, zip(*fols)))
         dist = None if dists[0] is None else np.stack(dists)
         del block, fols, dists
-        columns = trailing(fol) if cfg.configuration == "B" else tuple(map(trailing, fol))
-        states = prob.state(columns, None if dist is None else trailing(dist), lead, y0=y0)
-        yield fol, dist, np.moveaxis(states, -1, 0)
+        states = prob.state(fol, dist, leader_arr, y0=y0)
+        yield fol, dist, states
         del fol, dist, states  # release this block before drawing the next
 
 

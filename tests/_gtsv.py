@@ -10,7 +10,7 @@ modal march to it.
 import numpy as np
 
 from stackheat.grids import SpatialGrid, TimeGrid
-from stackheat.heat import _batch_shape, _lift, favg
+from stackheat.heat import favg
 from stackheat.products import _tridiagonal_solve
 
 
@@ -29,16 +29,25 @@ def march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
           source: np.ndarray | None = None,
           left: np.ndarray | None = None,
           right: np.ndarray | None = None) -> np.ndarray:
-    """Raw forward march on interior arrays; returns (n_levels, n_interior, *B).
+    """Raw forward march on interior arrays; returns (*B, n_levels, n_interior).
 
-    ``y0`` has shape (n_interior, *B), ``source`` (n_levels, n_interior, *B)
+    ``y0`` has shape (*B, n_interior), ``source`` (*B, n_levels, n_interior)
     and ``left``/``right``, the Dirichlet boundary values per level,
-    (n_levels, *B).  The trailing batch axes ``B`` are optional: an input
+    (*B, n_levels).  The leading batch axes ``B`` are optional: an input
     without them (or with length-1 axes) is shared by every column.  Each step
-    is one LAPACK ``gtsv`` solve.
+    is one LAPACK ``gtsv`` solve on (n_interior, *B) right-hand sides: the
+    inputs are broadcast over the batch with its axes moved last, and the
+    result is laid out with them first again.
     """
     n, klev = grid.n_interior, tgrid.n_levels
-    batch = _batch_shape(y0, source, left, right)
+    inputs = ((y0, 1), (source, 2), (left, 1), (right, 1))
+    batch = np.broadcast_shapes(*(np.shape(a)[:-core] for a, core in inputs if a is not None))
+
+    def trailing(a, core):
+        """``a`` broadcast over the batch, the batch axes moved after its own."""
+        a = np.broadcast_to(a, batch + np.shape(a)[-core:])
+        return np.moveaxis(a, range(len(batch)), range(core, core + len(batch)))
+
     scale = tgrid.dt / grid.dx ** 2
     r = 0.5 * tgrid.dt / grid.dx ** 2
     sub = np.full(n - 1, -r)
@@ -46,11 +55,12 @@ def march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
 
     y = np.empty((klev, n) + batch)
     if y.size == 0:
-        return y   # no column to march; gtsv given no right-hand side corrupts memory
-    y[0] = _lift(y0, 1, batch)
-    src_mid = None if source is None else tgrid.dt * favg(_lift(source, 2, batch))
-    left_mid = None if left is None else scale * favg(_lift(left, 1, batch))
-    right_mid = None if right is None else scale * favg(_lift(right, 1, batch))
+        # no column to march; gtsv given no right-hand side corrupts memory
+        return np.moveaxis(y, (0, 1), (-2, -1))
+    y[0] = trailing(y0, 1)
+    src_mid = None if source is None else tgrid.dt * favg(trailing(source, 2))
+    left_mid = None if left is None else scale * favg(trailing(left, 1))
+    right_mid = None if right is None else scale * favg(trailing(right, 1))
 
     for k in range(klev - 1):
         rhs = _explicit_apply(y[k], r)
@@ -63,7 +73,7 @@ def march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
         y[k + 1] = _tridiagonal_solve(sub, diag, sub, rhs)
     if not np.isfinite(y).all():
         raise ValueError("march produced non-finite values: non-finite data or overflow")
-    return y
+    return np.ascontiguousarray(np.moveaxis(y, (0, 1), (-2, -1)))
 
 
 def march_backward(grid: SpatialGrid, tgrid: TimeGrid, terminal: np.ndarray,
@@ -73,8 +83,8 @@ def march_backward(grid: SpatialGrid, tgrid: TimeGrid, terminal: np.ndarray,
     """Raw backward march (-q_t - Dq = f): forward march on reversed data."""
     rev = march(
         grid, tgrid, terminal,
-        source=None if source is None else source[::-1],
-        left=None if left is None else left[::-1],
-        right=None if right is None else right[::-1],
+        source=None if source is None else source[..., ::-1, :],
+        left=None if left is None else left[..., ::-1],
+        right=None if right is None else right[..., ::-1],
     )
-    return rev[::-1].copy()
+    return rev[..., ::-1, :].copy()

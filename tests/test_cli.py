@@ -256,6 +256,25 @@ def test_stage_error_aborts_with_partial_manifest(tmp_path):
     assert not os.path.exists(os.path.join(report.out_dir, "leader.csv"))
 
 
+@pytest.mark.parametrize("command, written", [
+    ("probe", ["verdicts.csv"]),
+    ("converge", ["convergence.csv", "verdicts.csv"]),
+])
+def test_probe_and_converge_report_a_stage_error_as_run_does(tmp_path, command, written):
+    # no saddle point exists at ell = gamma = 0.05, so Picard refuses the
+    # probe's adjoint solves and converge's oracle rungs; the error is a
+    # pipeline verdict, written with the manifest of the files before it
+    config = small_config(tmp_path, extra="[robust]\nell = 0.05\ngamma = 0.05")
+    out = tmp_path / command
+    assert main([command, config, "--out", str(out), "--quiet"]) == 1
+    with open(out / "verdicts.csv") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert (last["check"], last["status"]) == ("pipeline", "error")
+    assert "not contracting" in last["reason"]
+    with open(out / "manifest.csv") as fh:
+        assert [row["file"] for row in csv.DictReader(fh)] == written
+
+
 def test_run_without_verify_perturbations_does_not_pass(tmp_path):
     # parse_config rejects verify_perturbations = 0; a spec built in code
     # must not get a vacuous saddle verdict either

@@ -177,20 +177,20 @@ def test_march_of_an_empty_batch_is_empty(marches):
     # gtsv handed zero right-hand sides corrupts the heap, so march must not call it
     grid, tgrid = make_grids(n=10, k=3)
     for solver in marches:
-        y = solver(grid, tgrid, np.zeros((grid.n_interior, 0)))
-        assert y.shape == (tgrid.n_levels, grid.n_interior, 0)
+        y = solver(grid, tgrid, np.zeros((0, grid.n_interior)))
+        assert y.shape == (0, tgrid.n_levels, grid.n_interior)
 
 
 def test_normal_derivative_o1_reads_the_space_axis_of_a_batch():
     grid, tgrid = make_grids(n=10, k=3)
-    u = np.random.default_rng(0).standard_normal((tgrid.n_levels, grid.n_interior, 2))
+    u = np.random.default_rng(0).standard_normal((2, tgrid.n_levels, grid.n_interior))
     for side in (LEFT, RIGHT):
         dn = normal_derivative_o1(u, grid, side)
-        assert dn.shape == (tgrid.n_levels, 2)
+        assert dn.shape == (2, tgrid.n_levels)
         for j in range(2):
-            column = np.ascontiguousarray(u[..., j])
-            assert np.array_equal(dn[:, j], normal_derivative_o1(column, grid, side))
-            assert np.array_equal(dn[-1, j], normal_derivative_o1(column[-1], grid, side))
+            column = u[j]
+            assert np.array_equal(dn[j], normal_derivative_o1(column, grid, side))
+            assert np.array_equal(dn[j, -1], normal_derivative_o1(column[-1], grid, side))
 
 
 def test_input_validation():
@@ -242,8 +242,8 @@ def reference_march(grid, tgrid, y0, source, left, right, theta):
 
 def random_march_data(rng, grid, tgrid, batch=()):
     klev, n = tgrid.n_levels, grid.n_interior
-    return (rng.standard_normal((n,) + batch), rng.standard_normal((klev, n) + batch),
-            rng.standard_normal((klev,) + batch), rng.standard_normal((klev,) + batch))
+    return (rng.standard_normal(batch + (n,)), rng.standard_normal(batch + (klev, n)),
+            rng.standard_normal(batch + (klev,)), rng.standard_normal(batch + (klev,)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 50])
@@ -265,16 +265,17 @@ def test_batched_march_columns_equal_single_marches(marches):
     y0, src, left, right = random_march_data(rng, grid, tgrid, batch=(4,))
     for solver in marches:
         ys = solver(grid, tgrid, y0, src, left, right)
-        assert ys.shape == (tgrid.n_levels, grid.n_interior, 4)
+        assert ys.shape == (4, tgrid.n_levels, grid.n_interior)
         for j in range(4):
-            single = solver(grid, tgrid, y0[:, j], src[..., j], left[:, j], right[:, j])
-            assert np.array_equal(ys[..., j], single)
+            single = solver(grid, tgrid, y0[j], src[j], left[j], right[j])
+            assert np.array_equal(ys[j], single)
+            assert ys[j].flags.c_contiguous
     # inputs without the batch axis are shared by every column
     forward = marches[0]
-    ys = forward(grid, tgrid, y0[:, 0], src, left[:, 0], right)
+    ys = forward(grid, tgrid, y0[0], src, left[0], right)
     for j in range(4):
-        single = forward(grid, tgrid, y0[:, 0], src[..., j], left[:, 0], right[:, j])
-        assert np.array_equal(ys[..., j], single)
+        single = forward(grid, tgrid, y0[0], src[j], left[0], right[j])
+        assert np.array_equal(ys[j], single)
 
 
 @MARCHES
@@ -300,9 +301,9 @@ def test_modal_march_agrees_with_gtsv(n, k, width, present, seed):
     ref = march(grid, tgrid, y0, *forcing)
     assert y.shape == ref.shape
     assert np.max(np.abs(y - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
-    assert np.array_equal(y[0], y0)
+    assert np.array_equal(y[:, 0], y0)
     # the backward march is the forward one on reversed data, exactly
-    reversed_forcing = [None if f is None else f[::-1] for f in forcing]
+    reversed_forcing = [None if f is None else np.flip(f, axis=1) for f in forcing]
     q = modal_march_backward(grid, tgrid, y0, *reversed_forcing)
-    assert np.array_equal(q, y[::-1])
-    assert np.array_equal(q[-1], y0)
+    assert np.array_equal(q, y[:, ::-1])
+    assert np.array_equal(q[:, -1], y0)

@@ -114,9 +114,9 @@ def test_h10_diff_has_the_bits_of_padded_np_diff(u):
 @pytest.mark.parametrize("layout", ["stacked", "strided", "march"])
 @pytest.mark.parametrize("masked", [False, True])
 def test_qmid_pairings_of_a_block_equal_lone_calls_bit_for_bit(layout, masked):
-    # a block of 9 columns laid out as the verification hands them out: stacked
-    # (C-contiguous), every other column of a stack, or a view of a march's
-    # (n_levels, n_interior, width) output with the columns innermost
+    # a block of 9 columns laid out stacked (C-contiguous, as the verification
+    # hands them out), every other column of a stack, or ("march") a view of
+    # an (n_levels, n_interior, width) array with the columns innermost
     grid, tgrid = make_grids(n=30, k=33)
     rng = np.random.default_rng(4)
     shape = (tgrid.n_levels, grid.n_interior)

@@ -13,7 +13,7 @@ from stackheat.grids import (LEFT, RIGHT, BoundarySet, BoundaryTrace, Region,
 from stackheat.oracle import dense_optimality_solve
 from stackheat.saddle import (_leader_array, _picard_columns, build_problem, evaluate_functional,
                               evaluate_functional_raw, gateaux_check, measure_contraction,
-                              picard_coupled, solve_optimality, verify_saddle)
+                              solve_optimality, verify_saddle)
 from stackheat.scenario import (ScenarioConfig, make_initial,
                                 make_target, validate_config)
 
@@ -316,7 +316,7 @@ def test_verify_report_does_not_depend_on_the_block_width(conf, monkeypatch):
 
     def recorded(*args, **kwargs):
         out = real(*args, **kwargs)
-        widths.append(out.shape[2:])
+        widths.append(out.shape[:-2])
         return out
 
     monkeypatch.setattr(saddle, "modal_march", recorded)
@@ -467,7 +467,7 @@ def test_picard_round_off_exit_has_its_own_status():
     # of the first take the round-off exit at sweep 4
     cfg = scenario_a(n=8, k=8)
     prob = build_problem(cfg, params())
-    unit = np.ones((cfg.tgrid.n_levels, cfg.grid.n_interior))
+    unit = np.ones((1, cfg.tgrid.n_levels, cfg.grid.n_interior))
     steps = iter([1.0, 1e-7, 2e-7, 4e-7])
     adjoint = [0.0 * unit]
 
@@ -475,7 +475,7 @@ def test_picard_round_off_exit_has_its_own_status():
         adjoint.append(adjoint[-1] + next(steps) * unit)
         return (adjoint[-1],)
 
-    out = picard_coupled(prob, lambda adjoints: unit, backward, 1)
+    out, = _picard_columns(prob, lambda adjoints, cols: unit, backward, 1, width=1)
     assert len(out) == 6 and out[5] == "round-off"
     assert out[2] == 4
     # the cumulative sums lose about 1e-9 relative to cancellation
@@ -490,16 +490,16 @@ def test_batch_out_of_sweeps_counts_its_unconverged_columns():
     cfg = scenario_a(n=8, k=8)
     prob = build_problem(cfg, params(max_iterations=4))
     amplitude, rate = np.array([0.0, 1.0, 1.0]), np.array([0.5, 0.5, 0.9])
-    unit = np.ones((cfg.tgrid.n_levels, cfg.grid.n_interior, 1))
+    unit = np.ones((1, cfg.tgrid.n_levels, cfg.grid.n_interior))
     sweep = {"cols": None, "count": 0}
 
     def forward(adjoints, cols):
         sweep["cols"], sweep["count"] = cols, sweep["count"] + 1
-        return np.zeros(unit.shape[:2] + (len(cols),))
+        return np.zeros((len(cols),) + unit.shape[1:])
 
     def backward(state):
         r, k = rate[sweep["cols"]], sweep["count"]
-        return (unit * amplitude[sweep["cols"]] * (1 - r ** k) / (1 - r),)
+        return (unit * (amplitude[sweep["cols"]] * (1 - r ** k) / (1 - r))[:, None, None],)
 
     with pytest.raises(ConvergenceError, match=r"within 4 sweeps \(in 2 of 3 columns; "
                                                r"largest last relative correction 0\.729\)"):
@@ -509,7 +509,7 @@ def test_batch_out_of_sweeps_counts_its_unconverged_columns():
 def _assert_column_bits(batched, single, j):
     """``single`` equals column ``j`` of ``batched`` bit for bit, through tuples and Nones.
 
-    A length-1 batch axis (a shared input, such as the leader) serves every column.
+    An input without the batch axis (a shared one, such as the leader) serves every column.
     """
     if isinstance(single, tuple):
         assert isinstance(batched, tuple) and len(batched) == len(single)
@@ -518,26 +518,26 @@ def _assert_column_bits(batched, single, j):
     elif single is None:
         assert batched is None
     else:
-        column = batched[..., j if batched.shape[-1] > 1 else 0]
+        column = batched[j] if batched.ndim > np.ndim(single) else batched
         assert np.ascontiguousarray(column).tobytes() == np.asarray(single).tobytes()
 
 
 @pytest.mark.parametrize("conf", "ABCD")
 def test_batched_feedback_and_forcing_match_per_column_calls(conf):
-    # adjoints with a trailing batch axis of 3 columns; s = 0.01 keeps the
+    # adjoints with a leading batch axis of 3 columns; s = 0.01 keeps the
     # C/D feedback weights live (at s = 1 they underflow to 0)
     kw = {"s": 0.01} if conf in "CD" else {}
     cfg = builders()[conf](n=10, k=10, **kw)
     prob = build_problem(cfg, params())
     rng = np.random.default_rng(11)
-    shape = (cfg.tgrid.n_levels, cfg.grid.n_interior, 3)
+    shape = (3, cfg.tgrid.n_levels, cfg.grid.n_interior)
     adjoints = tuple(rng.standard_normal(shape) for _ in range(prob.n_adjoints))
     leader = _leader_array(prob, random_leader(cfg, seed=2))
     for weight in (prob.g2inv, prob.ginv):
         follower, disturbance = prob.feedback(adjoints, weight)
-        forcing = prob.forcing(follower, disturbance, leader[..., None])
-        for j in range(shape[-1]):
-            column = tuple(np.ascontiguousarray(a[..., j]) for a in adjoints)
+        forcing = prob.forcing(follower, disturbance, leader)
+        for j in range(shape[0]):
+            column = tuple(a[j] for a in adjoints)
             fol_j, dist_j = prob.feedback(column, weight)
             _assert_column_bits((follower, disturbance), (fol_j, dist_j), j)
             _assert_column_bits(forcing, prob.forcing(fol_j, dist_j, leader), j)
