@@ -14,8 +14,7 @@ region(s), and theta solves forward under forcing(feedback(phi)), the same
 two methods that couple state and adjoint in the optimality system.  In
 configuration D each follower drives its own theta, one column of a batched
 march.  As in ``saddle``, a batch of columns leads every array: phi and theta
-are (*B, n_levels, n_interior), and ``solve_adjoint`` is the batch of one
-datum of ``solve_adjoints``.  By the scheme's summation-by-parts identity
+are (*B, n_levels, n_interior).  By the scheme's summation-by-parts identity
 
     <Gram a, b>_{H10} = observation-pairing(a, b)
 
@@ -30,7 +29,10 @@ Gram does not depend on eps, and Gram + eps I has the same Krylov space from b
 for every eps (shifted systems).  ``GramBasis`` stores that space once, with
 the Gram image of every basis vector, and ``hum_minimize`` takes the Galerkin
 solution on its leading vectors, which in exact arithmetic is the conjugate
-gradient iterate.  One basis thus serves every eps of a ladder.
+gradient iterate.  One basis thus serves every eps of a ladder, on the one
+``saddle._Problem`` it builds; the typed functions are the public edge.  A Gram
+image (``_gram``) is a raw pair solve, ``_Problem.observe``, the raw
+equilibrium of ``_Problem.homogeneous()`` and the lift.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConvergenceError
 from .grids import BoundaryTrace, SpaceTimeField
-from .heat import favg, modal_march, modal_march_backward, normal_derivative_o1
+from .heat import favg, modal_march, modal_march_backward
 from .products import h10_diff, h10_dot, h10_inner, h10_norm, hminus1_norm, neg_laplacian_solve
-from .saddle import (SaddleSolution, _block_width, _picard_columns, _Problem, build_problem,
-                     solve_optimality)
+from .saddle import (SaddleSolution, _block_width, _equilibrium, _picard_columns, _Problem,
+                     _solve, build_problem)
 from .scenario import RobustParams, ScenarioConfig
 from .weights import admissibility_check, target_weight_inv_sq
 
@@ -118,12 +120,24 @@ def _theta_forward(prob: _Problem, phi: np.ndarray) -> tuple:
     return _theta_columns(prob, theta)
 
 
-def _adjoint_pair(prob: _Problem, phi, thetas, iterations, residual) -> AdjointPair:
-    """Typed pair of one column, with the thetas' marched boundary rows."""
-    _, left, right = _theta_forcing(prob, phi)
-    theta_fields = tuple(prob.field(th, lt, rt) for th, lt, rt in zip(
-        thetas, _theta_columns(prob, left), _theta_columns(prob, right)))
-    return AdjointPair(prob.field(phi), theta_fields, iterations, residual)
+def _adjoint_pairs(prob: _Problem, terminals) -> list:
+    """Raw adjoint pairs of k terminal data (k rows), one Picard iteration for all.
+
+    The data are the batch columns of every phi and theta march, so a sweep
+    costs one batched march each way.  Each column stops on its own rule
+    (``saddle._picard_columns``) and leaves the batch then; the i-th
+    (phi, thetas, iterations, residual, ratios, status) is that of row i
+    alone, bit for bit.
+    """
+    n = prob.cfg.grid.n_interior
+    data = np.asarray(terminals, dtype=float)
+    if data.ndim != 2 or data.shape[1] != n:
+        raise ValueError(f"terminal data must be rows of {n} interior values")
+    return _picard_columns(
+        prob,
+        lambda ths, cols: _phi_backward(prob, ths, data[cols]),
+        lambda ph: _theta_forward(prob, ph),
+        prob.n_adjoints, width=len(data))
 
 
 def solve_adjoint(cfg: ScenarioConfig, phi_terminal: np.ndarray,
@@ -132,59 +146,28 @@ def solve_adjoint(cfg: ScenarioConfig, phi_terminal: np.ndarray,
 
     phi solves backward with the theta source on the observation region(s);
     the theta component(s) solve forward driven by phi, with theta(0) = 0
-    enforced exactly.  The datum is solved as a batch of one (``solve_adjoints``).
-    """
-    a = np.asarray(phi_terminal, dtype=float)
-    if a.shape != (cfg.grid.n_interior,):
-        raise ValueError(f"terminal datum must have {cfg.grid.n_interior} interior values")
-    return solve_adjoints(cfg, a[None], params)[0]
-
-
-def solve_adjoints(cfg: ScenarioConfig, terminals, params: RobustParams) -> list:
-    """``solve_adjoint`` for k terminal data (k rows), one Picard iteration for all.
-
-    The data are the batch columns of every phi and theta march, so a sweep
-    costs one batched march each way.  Each column stops on its own rule
-    (``saddle._picard_columns``) and leaves the batch then; the i-th
-    ``AdjointPair`` is that of row i alone, bit for bit.
+    enforced exactly.  The datum is solved as a batch of one (``_adjoint_pairs``).
     """
     prob = build_problem(cfg, params)
-    data = np.asarray(terminals, dtype=float)
-    if data.ndim != 2 or data.shape[1] != cfg.grid.n_interior:
-        raise ValueError(f"terminal data must be rows of {cfg.grid.n_interior} interior values")
-    runs = _picard_columns(
-        prob,
-        lambda ths, cols: _phi_backward(prob, ths, data[cols]),
-        lambda ph: _theta_forward(prob, ph),
-        prob.n_adjoints, width=len(data))
-    return [_adjoint_pair(prob, phi, thetas, iters, res)
-            for phi, thetas, iters, res, _, _ in runs]
+    phi, thetas, iterations, residual, _, _ = _adjoint_pairs(
+        prob, np.asarray(phi_terminal, dtype=float)[None])[0]
+    _, left, right = _theta_forcing(prob, phi)
+    theta_fields = tuple(prob.field(th, lt, rt) for th, lt, rt in zip(
+        thetas, _theta_columns(prob, left), _theta_columns(prob, right)))
+    return AdjointPair(prob.field(phi), theta_fields, iterations, residual)
+
+
+def _leader(prob: _Problem, h: np.ndarray):
+    """The raw leader ``h`` as a field on omega (A) or a trace on the leader endpoint."""
+    if prob.leader_side is None:
+        return prob.field(h)
+    return BoundaryTrace(prob.cfg.tgrid, prob.leader_side, h)
 
 
 def observation(cfg: ScenarioConfig, pair: AdjointPair):
-    """Leader control read off the adjoint pair.
-
-    A: phi restricted to omega.  B/C/D: minus the (first-order) outward normal
-    derivative of phi on the leader endpoint; the sign makes the Gram form the
-    square of the observation.
-    """
-    if cfg.configuration == "A":
-        vals = pair.phi.values.copy()
-        mask = cfg.omega.interior_mask(cfg.grid)
-        vals[:, 1:-1][:, ~mask] = 0.0
-        vals[:, [0, -1]] = 0.0
-        return SpaceTimeField(cfg.grid, cfg.tgrid, vals)
-    side = cfg.leader_side()
-    h = -normal_derivative_o1(pair.phi.interior, cfg.grid, side)
-    return BoundaryTrace(cfg.tgrid, side, h)
-
-
-def homogeneous_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Copy of the scenario with zero initial datum and zero target(s)."""
-    zero_t = SpaceTimeField.zeros(cfg.grid, cfg.tgrid)
-    return dataclasses.replace(
-        cfg, y0=np.zeros(cfg.grid.n_interior), target=zero_t,
-        target2=None if cfg.target2 is None else zero_t.copy())
+    """Leader control read off the adjoint pair (``_Problem.observe``; no weight enters)."""
+    prob = build_problem(cfg, RobustParams())
+    return _leader(prob, prob.observe(pair.phi.interior))
 
 
 def gram_apply(cfg: ScenarioConfig, phi_terminal: np.ndarray,
@@ -194,28 +177,33 @@ def gram_apply(cfg: ScenarioConfig, phi_terminal: np.ndarray,
     adjoint pair from the terminal datum -> leader control -> homogeneous
     optimality solve -> inverse-Laplacian lift of the terminal state.
     """
-    pair = solve_adjoint(cfg, phi_terminal, params)
-    leader = observation(cfg, pair)
-    sol = solve_optimality(homogeneous_scenario(cfg), leader, params)
-    return neg_laplacian_solve(sol.state.interior[-1], cfg.grid)
+    return _gram(build_problem(cfg, params), phi_terminal)
 
 
-def _observed(cfg: ScenarioConfig, phi: np.ndarray) -> tuple:
-    """(midpoint averages of the observation of phi, their quadrature weight).
+def _gram(prob: _Problem, phi_terminal: np.ndarray) -> np.ndarray:
+    """``gram_apply`` on ``prob``, with no typed value between its steps."""
+    phi = _adjoint_pairs(prob, np.asarray(phi_terminal, dtype=float)[None])[0][0]
+    state = _equilibrium(prob.homogeneous(), prob.observe(phi))[0]
+    return neg_laplacian_solve(state[-1], prob.cfg.grid)
 
-    A: phi on omega; B/C/D: the normal derivative of phi on the leader
-    endpoint.  The observation form is the weight times the sum of products.
+
+def _observed(prob: _Problem, phi: np.ndarray) -> tuple:
+    """(midpoint averages of the observation of phi, on omega's nodes in A; their weight).
+
+    The observation form is the weight times the sum of products.
     """
-    grid, dt = cfg.grid, cfg.tgrid.dt
-    if cfg.configuration == "A":
-        return favg(phi)[:, cfg.omega.interior_mask(grid)], dt * grid.dx
-    return favg(normal_derivative_o1(phi, grid, cfg.leader_side())), dt
+    grid, dt = prob.cfg.grid, prob.cfg.tgrid.dt
+    h = favg(prob.observe(phi))
+    if prob.leader_side is None:
+        return h[:, prob.omega_mask], dt * grid.dx
+    return h, dt
 
 
 def observation_pairing(cfg: ScenarioConfig, pa: AdjointPair, pb: AdjointPair) -> float:
     """The quadratic observation form: midpoint quadrature over omega or Gamma."""
-    fa, weight = _observed(cfg, pa.phi.interior)
-    fb, _ = _observed(cfg, pb.phi.interior)
+    prob = build_problem(cfg, RobustParams())
+    fa, weight = _observed(prob, pa.phi.interior)
+    fb, _ = _observed(prob, pb.phi.interior)
     return float(weight * np.sum(fa * fb))
 
 
@@ -244,7 +232,7 @@ class GramBasis:
 
     Gram + eps I has the same Krylov space from b for every eps, so one basis
     serves a whole epsilon ladder.  The vectors are H^1_0-orthonormal (fully
-    reorthogonalized) and each stored image is one real ``gram_apply``.  A
+    reorthogonalized) and each stored image is one real ``_gram`` on ``prob``.  A
     solve reads the leading vectors it needs and extends the basis only when
     it runs out, so its result does not depend on what else was solved on the
     same basis.
@@ -256,9 +244,10 @@ class GramBasis:
 
     def __init__(self, cfg: ScenarioConfig, params: RobustParams):
         self.cfg, self.params = cfg, params
+        self.prob = build_problem(cfg, params)
         # the zero-leader follower equilibrium; b, the Riesz vector of the data
         # term, is the lift of its terminal state
-        self.free = solve_optimality(cfg, None, params)
+        self.free = _solve(self.prob, None)
         self.b = neg_laplacian_solve(self.free.state.interior[-1], cfg.grid)
         self.bnorm = h10_norm(self.b, cfg.grid)
         self.vectors, self.images = [], []
@@ -277,7 +266,7 @@ class GramBasis:
             return False
         grid = self.cfg.grid
         v = self._next
-        g = gram_apply(self.cfg, v, self.params)
+        g = _gram(self.prob, v)
         dv, dg = h10_diff(v), h10_diff(g)
         self.vectors.append(v)
         self.images.append(g)
@@ -329,30 +318,25 @@ def hum_minimize(cfg: ScenarioConfig, params: RobustParams,
     is reconstructed from the minimizer, and the terminal H^-1 residual is
     certified by a from-scratch solve of the full optimality system with the
     synthesized control, whose follower equilibrium the result keeps as
-    ``controlled``.
+    ``controlled``; with zero data that is the zero leader's (a zero array, not
+    None: adding it turns a -0.0 into 0.0, which prints differently).
     """
     if basis is None:
         basis = GramBasis(cfg, params)
     elif basis.cfg is not cfg or basis.params != params:
         raise ValueError("the Gram basis was built for another scenario or parameters")
 
-    grid = cfg.grid
-    n = grid.n_interior
+    grid, prob = cfg.grid, basis.prob
     eps = settings.epsilon
     b, bnorm = basis.b, basis.bnorm
-    if bnorm == 0.0:
-        # solved with the zero leader, not read off basis.free (leader None):
-        # adding a zero leader turns a -0.0 into 0.0, which prints differently
-        zero_leader = observation(cfg, solve_adjoint(cfg, np.zeros(n), params))
-        return HumResult(np.zeros(n), zero_leader, 0.0, 0.0, 0, 0.0, 0.0, eps, (),
-                         solve_optimality(cfg, zero_leader, params))
-
-    trace = []
+    # zero data (b = 0) leave the loop at once, with the exact minimizer x = 0
+    x = gx = np.zeros(grid.n_interior)
+    fval, trace = 0.0, []
     best = bnorm
     stagnant = 0
     for it in range(1, settings.cg_max_iters + 1):
         if it > len(basis) and not basis.extend():
-            break   # invariant Krylov space: the last Galerkin solution is exact
+            break   # invariant (or empty) Krylov space: the last Galerkin solution is exact
         x, gx = basis.galerkin(it, eps)
         rnorm = h10_norm(-b - gx - eps * x, grid)
         fval = 0.5 * h10_inner(x, gx + eps * x, grid) + h10_inner(b, x, grid)
@@ -373,13 +357,13 @@ def hum_minimize(cfg: ScenarioConfig, params: RobustParams,
 
     # Gram x + b is the H10 lift of y(T), from the stored images
     internal = h10_norm(gx + b, grid)
-    pair = solve_adjoint(cfg, x, params)
-    leader = observation(cfg, pair)
-    controlled = solve_optimality(cfg, leader, params)
+    phi = _adjoint_pairs(prob, x[None])[0][0]
+    leader = prob.observe(phi)
+    observed, weight = _observed(prob, phi)
+    controlled = _solve(prob, leader)
     residual = hminus1_norm(controlled.state.interior[-1], grid)
-    hnorm2 = observation_pairing(cfg, pair, pair)
-    return HumResult(x, leader, residual, internal, len(trace), fval, hnorm2, eps, tuple(trace),
-                     controlled)
+    return HumResult(x, _leader(prob, leader), residual, internal, len(trace), fval,
+                     float(weight * np.sum(observed * observed)), eps, tuple(trace), controlled)
 
 
 def target_admissibility(cfg: ScenarioConfig):
@@ -422,25 +406,28 @@ def gradient_check(cfg: ScenarioConfig, params: RobustParams, settings: HumSetti
     large enough that the fixed-point solves' round-off floor (about
     tol/step relative) sits below the 1e-10 assertion level.  ``directions``
     overrides the seeded Gaussian sampling; a zero direction contributes
-    zero to both sides.
+    zero to both sides; at least one direction is required.
     """
     grid = cfg.grid
     eps = settings.epsilon
     a = np.asarray(phi_terminal, dtype=float)
-    b = GramBasis(cfg, params).b
+    if directions is None:
+        rng = np.random.default_rng(seed)
+        directions = [rng.standard_normal(grid.n_interior) for _ in range(n_directions)]
+    if len(directions) == 0:
+        raise ValueError("the gradient check needs at least one direction, got none")
+    basis = GramBasis(cfg, params)
+    prob, b = basis.prob, basis.b
 
     def fval(v):
-        gv = gram_apply(cfg, v, params)
+        gv = _gram(prob, v)
         return 0.5 * h10_inner(v, gv, grid) + h10_inner(b, v, grid) \
             + 0.5 * eps * h10_inner(v, v, grid)
 
     def central(d, h):
         return (fval(a + h * d) - fval(a - h * d)) / (2 * h)
 
-    grad = gram_apply(cfg, a, params) + b + eps * a
-    if directions is None:
-        rng = np.random.default_rng(seed)
-        directions = [rng.standard_normal(grid.n_interior) for _ in range(n_directions)]
+    grad = _gram(prob, a) + b + eps * a
     worst = 0.0
     spread = 0.0
     f0 = None
@@ -519,12 +506,12 @@ def observability_probe(cfg: ScenarioConfig, params: RobustParams,
 
     is degree-0 homogeneous.  Both forms are quadratic in a, so they are
     assembled once, as m x m matrices, from the adjoint pairs of the first
-    m = min(n_interior, n_samples) samples.  Those pairs are solved as the
-    columns of ``solve_adjoints``, in blocks of ``saddle._block_width``
-    columns; each block's rows are kept and its pairs dropped before the
-    next block.  A sample's ratio is c L c / c O c, with c a unit vector for
-    the first m samples and the sample's coordinates in them for a later
-    one.  Samples with a vanishing observation are skipped.  ``spectrum``
+    m = min(n_interior, n_samples) samples.  Those pairs are solved on one
+    problem as the columns of ``_adjoint_pairs``, in blocks of
+    ``saddle._block_width`` columns; each block's rows are kept and its
+    pairs dropped before the next block.  A sample's ratio is c L c / c O c,
+    with c a unit vector for the first m samples and the sample's coordinates
+    in them for a later one.  Samples with a vanishing observation are skipped.  ``spectrum``
     holds the pencil maximum on O's leading k eigenvectors for every k
     (``_pencil_spectrum``); ``refined_max`` is its value at the last mode
     above ``_OBSERVED_CUT`` times O's largest eigenvalue, floored at the
@@ -533,6 +520,7 @@ def observability_probe(cfg: ScenarioConfig, params: RobustParams,
     if n_samples < 1:
         raise ConvergenceError(f"the probe needs at least one sample, got {n_samples}")
     grid, tgrid = cfg.grid, cfg.tgrid
+    prob = build_problem(cfg, params)
     rng = np.random.default_rng(seed)
     data = []
     for _ in range(n_samples):
@@ -545,11 +533,11 @@ def observability_probe(cfg: ScenarioConfig, params: RobustParams,
     d0, thetas, obs = [], [], []
     width = _block_width(cfg)
     for start in range(0, m, width):
-        pairs = solve_adjoints(cfg, data[start:min(start + width, m)], params)
-        for pair in pairs:
-            d0.append(h10_diff(pair.phi.interior[0]))
-            thetas.append([favg(th.interior).ravel() for th in pair.thetas])
-            observed, weight = _observed(cfg, pair.phi.interior)
+        pairs = _adjoint_pairs(prob, data[start:min(start + width, m)])
+        for phi, ths, _, _, _, _ in pairs:
+            d0.append(h10_diff(phi[0]))
+            thetas.append([favg(th).ravel() for th in ths])
+            observed, weight = _observed(prob, phi)
             obs.append(observed.ravel())
         del pairs   # release this block's fields before solving the next
     d0, obs = np.array(d0), np.array(obs)

@@ -315,38 +315,37 @@ def _sweep_eps(spec: ExperimentSpec, em: _Emitter) -> Verdict:
     cfg, robust = spec.scenario, spec.robust
     rows, residuals = [], []
     rungs = sorted(spec.epsilon_ladder, reverse=True)
-    try:
-        basis = GramBasis(cfg, robust) if rungs else None
-        for eps in rungs:
-            res = hum_minimize(cfg, robust, dataclasses.replace(spec.hum, epsilon=eps),
-                               basis=basis)
-            residuals.append(res.terminal_residual_hminus1)
-            ratio = "" if len(residuals) < 2 else residuals[-2] / max(residuals[-1], 1e-300)
-            rows.append([eps, res.terminal_residual_hminus1,
-                         res.internal_residual_estimate, res.cg_iterations,
-                         res.leader_norm_sq, ratio])
-            em.log(f"[eps-sweep] eps={eps:g}: residual {res.terminal_residual_hminus1:.4g}, "
-                   f"{res.cg_iterations} CG iterations")
-        ratios = [a / max(b, 1e-300) for a, b in zip(residuals, residuals[1:])]
-        if not ratios:
-            verdict = Verdict("epsilon_law", "skipped", "fewer than two rungs")
-        else:
-            verdict = Verdict(
-                "epsilon_law", "pass" if all(map(_obeys_eps_law, ratios)) else "fail",
-                f"successive residual ratios {[round(r, 2) for r in ratios]}")
-    except StackheatError as exc:
-        verdict = Verdict("eps_sweep", "error", str(exc))
+    basis = GramBasis(cfg, robust) if rungs else None
+    for eps in rungs:
+        res = hum_minimize(cfg, robust, dataclasses.replace(spec.hum, epsilon=eps),
+                           basis=basis)
+        residuals.append(res.terminal_residual_hminus1)
+        ratio = "" if len(residuals) < 2 else residuals[-2] / max(residuals[-1], 1e-300)
+        rows.append([eps, res.terminal_residual_hminus1,
+                     res.internal_residual_estimate, res.cg_iterations,
+                     res.leader_norm_sq, ratio])
+        em.log(f"[eps-sweep] eps={eps:g}: residual {res.terminal_residual_hminus1:.4g}, "
+               f"{res.cg_iterations} CG iterations")
     write_csv(em.path("eps_sweep.csv"),
               ["epsilon [1]", "terminal_residual [Hminus1]", "internal_estimate [Hminus1]",
                "cg_iterations", "leader_norm_sq [control]", "residual_ratio [1]"], rows)
-    return verdict
+    ratios = [a / max(b, 1e-300) for a, b in zip(residuals, residuals[1:])]
+    if not ratios:
+        return Verdict("epsilon_law", "skipped", "fewer than two rungs")
+    return Verdict("epsilon_law", "pass" if all(map(_obeys_eps_law, ratios)) else "fail",
+                   f"successive residual ratios {[round(r, 2) for r in ratios]}")
+
+
+def _sweep_stage(spec: ExperimentSpec, em: _Emitter):
+    """The ``eps-sweep`` stage of ``sweep-eps`` and ``converge``; yields its verdict."""
+    yield em.timed("eps-sweep", lambda: _sweep_eps(spec, em))
 
 
 def eps_sweep(spec: ExperimentSpec, out_dir: str | None = None,
               quiet: bool = False) -> RunReport:
-    """Terminal-residual law across the configured epsilon ladder."""
+    """Terminal-residual law across the configured epsilon ladder; errors as in ``run``."""
     em = _Emitter(out_dir or spec.out_dir, quiet)
-    return em.report([em.timed("eps-sweep", lambda: _sweep_eps(spec, em))])
+    return em.collect(_sweep_stage(spec, em))
 
 
 def convergence_study(spec: ExperimentSpec, out_dir: str | None = None,
@@ -384,7 +383,7 @@ def _convergence_stages(spec: ExperimentSpec, em: _Emitter, ladder):
         f"max dense-solve discrepancy {max(discs):.3g}" if discs else "no rung small enough",
         max(discs) if discs else None)
 
-    yield em.timed("eps-sweep", lambda: _sweep_eps(spec, em))
+    yield from _sweep_stage(spec, em)
 
 
 def probe_run(spec: ExperimentSpec, out_dir: str | None = None,

@@ -10,12 +10,12 @@ proportional to 1/mu with mu = min(ell^2, gamma^2).
 Each configuration's coupling is written once, as methods of ``_Problem``:
 ``feedback`` reads the follower (and disturbance) off the adjoint(s),
 ``forcing`` turns explicit controls into the source and Dirichlet rows of a
-march (``state`` runs that ``modal_march``), and ``field`` puts the marched rows
-back into a field.  The optimality system, the functional evaluation, the
-perturbation checks and the HUM adjoint pair (whose forward component is
-forcing(feedback(phi))) all go through them, so every solver applies the same
-discrete control operator and the same transpose of it.  The dense oracle
-(``oracle.py``) assembles the same systems independently.
+march (``state`` runs that ``modal_march``), ``observe`` reads the leader off
+an adjoint and ``field`` puts the marched rows back into a field.  Every
+solver, HUM's included, goes through them, so all apply the same discrete
+control operator and the same transpose of it; the dense oracle (``oracle.py``)
+assembles the same systems independently.  The typed functions are the public
+edge, each building one ``_Problem``; internal code runs on the one it is given.
 
 Discretization follows discretize-then-optimize: the cost functionals are
 evaluated with the scheme-consistent midpoint quadrature (trapezoid-in-time
@@ -32,7 +32,7 @@ A batch of independent columns leads every array: states and adjoints are
 ``heat.modal_march`` takes and returns them.  The coupling and the functional
 (``evaluate_functional_raw`` and the quadratures it calls) take a lone column
 or a batch.  Every coupled solve is a batch of the one Picard loop,
-``_picard_columns``: ``solve_optimality`` is a batch of one column.  The
+``_picard_columns``: ``_equilibrium`` is a batch of one column.  The
 checks score their perturbed controls a block at a time: ``_blocks`` solves
 a block by one batched march.  Each column keeps the arithmetic and the
 summation order of its lone solve, so every value has the same bits whatever
@@ -42,7 +42,7 @@ the batch width.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -111,6 +111,7 @@ class _Problem:
 
     cfg: ScenarioConfig
     params: RobustParams
+    y0: np.ndarray          # interior initial datum (zero in ``homogeneous``)
     obs_masks: tuple
     targets: tuple          # interior arrays matching obs_masks
     follower_edges: tuple   # ((side, rho, ell), ...) one entry per follower edge
@@ -159,7 +160,7 @@ class _Problem:
     def raw(self, follower, disturbance=None) -> tuple:
         """Typed controls as the raw (follower, disturbance) that ``feedback`` returns.
 
-        The reverse of ``_package_solution``: ``follower`` is a dict side ->
+        The reverse of ``_solve``: ``follower`` is a dict side ->
         BoundaryTrace (A), a SpaceTimeField (B), a BoundaryTrace (C) or a
         tuple of traces (D).  A missing A edge and a missing A/B disturbance
         read as zero.
@@ -205,11 +206,22 @@ class _Problem:
             edges[self.leader_side] = edges.get(self.leader_side, 0.0) + leader
         return source, edges.get(LEFT), edges.get(RIGHT)
 
-    def state(self, follower, disturbance, leader, y0=None) -> np.ndarray:
+    def state(self, follower, disturbance, leader) -> np.ndarray:
         """State for explicit controls: one ``modal_march`` of ``forcing`` from ``y0``."""
         cfg = self.cfg
-        y0 = cfg.y0 if y0 is None else y0
-        return modal_march(cfg.grid, cfg.tgrid, y0, *self.forcing(follower, disturbance, leader))
+        return modal_march(cfg.grid, cfg.tgrid, self.y0,
+                           *self.forcing(follower, disturbance, leader))
+
+    def observe(self, phi: np.ndarray) -> np.ndarray:
+        """Leader control read off the adjoint: phi on omega (A), -dphi/dn on the leader edge."""
+        if self.leader_side is None:
+            return np.where(self.omega_mask, phi, 0.0)
+        return -normal_derivative_o1(phi, self.cfg.grid, self.leader_side)
+
+    def homogeneous(self) -> _Problem:
+        """The same coupling with zero initial datum and zero target(s)."""
+        return replace(self, y0=np.zeros_like(self.y0),
+                       targets=tuple(map(np.zeros_like, self.targets)))
 
     def field(self, interior, left=None, right=None) -> SpaceTimeField:
         """Interior levels with the marched ``left``/``right`` rows (zero where None)."""
@@ -248,7 +260,7 @@ def build_problem(cfg: ScenarioConfig, params: RobustParams) -> _Problem:
         ginv = _exp_neg(log_g2, 0.5)
 
     return _Problem(
-        cfg=cfg, params=params, obs_masks=obs_masks, targets=targets,
+        cfg=cfg, params=params, y0=cfg.y0, obs_masks=obs_masks, targets=targets,
         follower_edges=tuple(follower_edges),
         leader_side=None if c == "A" else cfg.leader_side(),
         g2inv=g2inv, ginv=ginv, log_g2=log_g2,
@@ -268,9 +280,7 @@ def _leader_array(prob: _Problem, leader) -> np.ndarray | None:
     if cfg.configuration == "A":
         if leader.grid != cfg.grid or leader.tgrid != cfg.tgrid:
             raise ValueError("leader field lives on a different grid")
-        vals = leader.interior.copy()
-        vals[:, ~prob.omega_mask] = 0.0
-        return vals
+        return np.where(prob.omega_mask, leader.interior, 0.0)
     if leader.tgrid != cfg.tgrid:
         raise ValueError("leader trace lives on a different time grid")
     if leader.side != prob.leader_side:
@@ -383,8 +393,10 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: i
     the tolerance, "round-off" when the corrections stopped contracting below
     1e-6 of the first one (accepted as the floor of the arithmetic) and
     "fixed-sweeps" when ``sweeps`` forced the number of iterations (used when
-    measuring contraction rates).
+    measuring contraction rates); a forced count must be at least 1.
     """
+    if sweeps is not None and sweeps < 1:
+        raise ValueError(f"a fixed sweep count must be at least 1, got {sweeps}")
     cfg, params = prob.cfg, prob.params
     grid, tgrid = cfg.grid, cfg.tgrid
     adjoints = tuple(np.zeros((width, tgrid.n_levels, grid.n_interior))
@@ -448,21 +460,23 @@ def solve_optimality(cfg: ScenarioConfig, leader, params: RobustParams,
 
     ``leader`` is a SpaceTimeField supported on omega (configuration A), a
     BoundaryTrace on the leader endpoint (B/C/D), or None for the zero leader.
-    The system is solved as a batch of one column, which the leader serves.
     """
     prob = build_problem(cfg, params)
-    leader_arr = _leader_array(prob, leader)
-    (state, adjoints, iters, res, ratios, status), = _picard_columns(
+    return _solve(prob, _leader_array(prob, leader), sweeps)
+
+
+def _equilibrium(prob: _Problem, leader_arr, sweeps: Optional[int] = None) -> tuple:
+    """Raw (state, adjoints, iterations, residual, ratios, status) under ``leader_arr``."""
+    return _picard_columns(
         prob,
         lambda adj, _: prob.state(*prob.feedback(adj, prob.g2inv), leader_arr),
         lambda st: _adjoint_solve(prob, st),
-        prob.n_adjoints, width=1, sweeps=sweeps)
-    return _package_solution(prob, leader_arr, state, adjoints, iters, res, ratios, status)
+        prob.n_adjoints, width=1, sweeps=sweeps)[0]
 
 
-def _package_solution(prob, leader_arr, state, adjoints, iters, res, ratios,
-                      status) -> SaddleSolution:
-    """Typed solution; the controls are read off the adjoints once."""
+def _solve(prob: _Problem, leader_arr, sweeps: Optional[int] = None) -> SaddleSolution:
+    """``_equilibrium`` as a typed solution; the controls are read off the adjoints once."""
+    state, adjoints, iters, res, ratios, status = _equilibrium(prob, leader_arr, sweeps)
     tgrid = prob.cfg.tgrid
     c = prob.cfg.configuration
     follower, disturbance = prob.feedback(adjoints, prob.g2inv)
@@ -587,7 +601,7 @@ def gateaux_check(cfg: ScenarioConfig, params: RobustParams, v, psi, direction,
     dir_traces, psi_dir = prob.raw(*direction)
 
     y_base = prob.state(base_traces, psi_base, leader_arr)
-    linearized = prob.state(dir_traces, psi_dir, None, y0=np.zeros(cfg.grid.n_interior))
+    linearized = prob.homogeneous().state(dir_traces, psi_dir, None)
     lin_norm = max(float(np.max(np.abs(linearized))), 1e-300)
     base_norm = float(np.max(np.abs(y_base)))
 
@@ -734,7 +748,7 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
                         jbars[0], concavity, passed, worst)
 
 
-def _blocks(prob: _Problem, leader_arr, controls, y0=None):
+def _blocks(prob: _Problem, leader_arr, controls):
     """Yield (followers, disturbances, states) for each block of ``controls``.
 
     ``controls`` yields explicit (follower, disturbance) pairs laid out as
@@ -755,7 +769,7 @@ def _blocks(prob: _Problem, leader_arr, controls, y0=None):
         fol = np.stack(fols) if cfg.configuration == "B" else tuple(map(np.stack, zip(*fols)))
         dist = None if dists[0] is None else np.stack(dists)
         del block, fols, dists
-        states = prob.state(fol, dist, leader_arr, y0=y0)
+        states = prob.state(fol, dist, leader_arr)
         yield fol, dist, states
         del fol, dist, states  # release this block before drawing the next
 
@@ -842,7 +856,7 @@ def _concavity_estimates(prob: _Problem, rng, count: int) -> tuple:
     controls = ((zeros, rng.standard_normal((klev, n))) for _ in range(count))
     mask = prob.obs_masks[0]
     estimates = []
-    for _, dpsi, yprime in _blocks(prob, None, controls, y0=np.zeros(n)):
+    for _, dpsi, yprime in _blocks(prob.homogeneous(), None, controls):
         estimates += (qmid_field(yprime, yprime, cfg.grid, cfg.tgrid.dt, mask=mask)
                       - params.gamma ** 2 * qmid_field(dpsi, dpsi, cfg.grid, cfg.tgrid.dt)).tolist()
     return tuple(estimates)
@@ -850,6 +864,5 @@ def _concavity_estimates(prob: _Problem, rng, count: int) -> tuple:
 
 def measure_contraction(cfg: ScenarioConfig, leader, params: RobustParams,
                         sweeps: int = 10) -> tuple:
-    """Residual ratios of the Picard iteration over a fixed number of sweeps."""
-    sol = solve_optimality(cfg, leader, params, sweeps=sweeps)
-    return sol.contraction_ratios
+    """Residual ratios of the Picard iteration over a fixed number (at least 1) of sweeps."""
+    return solve_optimality(cfg, leader, params, sweeps=sweeps).contraction_ratios

@@ -259,11 +259,13 @@ def test_stage_error_aborts_with_partial_manifest(tmp_path):
 @pytest.mark.parametrize("command, written", [
     ("probe", ["verdicts.csv"]),
     ("converge", ["convergence.csv", "verdicts.csv"]),
+    ("sweep-eps", ["verdicts.csv"]),
 ])
 def test_probe_and_converge_report_a_stage_error_as_run_does(tmp_path, command, written):
     # no saddle point exists at ell = gamma = 0.05, so Picard refuses the
-    # probe's adjoint solves and converge's oracle rungs; the error is a
-    # pipeline verdict, written with the manifest of the files before it
+    # probe's adjoint solves, converge's oracle rungs and the sweep's
+    # zero-leader solve; the error is a pipeline verdict, written with the
+    # manifest of the files before it
     config = small_config(tmp_path, extra="[robust]\nell = 0.05\ngamma = 0.05")
     out = tmp_path / command
     assert main([command, config, "--out", str(out), "--quiet"]) == 1

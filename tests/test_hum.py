@@ -1,16 +1,19 @@
 """HUM machinery: adjoint pairs, Gram duality, CG minimization, probe."""
 
+import os
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
 from stackheat import hum as hum_module
 from stackheat import saddle as saddle_module
+from stackheat.config import parse_config
 from stackheat.errors import ConvergenceError, NonContractionError
 from stackheat.heat import favg
-from stackheat.hum import (GramBasis, HumSettings, gradient_check, gram_apply, hum_minimize,
-                           observability_probe, observation, observation_pairing,
-                           solve_adjoint, solve_adjoints)
+from stackheat.hum import (GramBasis, HumSettings, _adjoint_pairs, gradient_check, gram_apply,
+                           hum_minimize, observability_probe, observation, observation_pairing,
+                           solve_adjoint)
 from stackheat.oracle import dense_adjoint_solve
 from stackheat.products import h10_inner, h10_norm
 from stackheat.weights import target_weight_inv_sq
@@ -112,6 +115,15 @@ def test_gradient_check_zero_direction():
     assert rep.max_relative_error == 0.0
 
 
+@pytest.mark.parametrize("kw", [{"n_directions": 0}, {"directions": []}])
+def test_gradient_check_refuses_zero_directions(kw):
+    # a check over no direction would pass without testing anything
+    cfg = scenario_a(n=8, k=8)
+    with pytest.raises(ValueError, match="at least one direction"):
+        gradient_check(cfg, params(), HumSettings(epsilon=1e-3),
+                       np.ones(cfg.grid.n_interior), **kw)
+
+
 def test_hum_zero_data():
     cfg = scenario_a(n=8, k=8, y0_kind="zero", target_kind="zero")
     res = hum_minimize(cfg, params(), HumSettings(epsilon=1e-4))
@@ -180,13 +192,13 @@ def test_descending_ladder_applies_gram_as_often_as_its_smallest_rung(conf, monk
     cfg = builders()[conf](n=16, k=16)
     p = params()
     calls = []
-    real = hum_module.gram_apply
+    real = hum_module._gram
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(hum_module, "gram_apply", counted)
+    monkeypatch.setattr(hum_module, "_gram", counted)
     smallest = _solve(cfg, p, _LADDER[-1])
     lone = len(calls)
     assert lone == smallest.cg_iterations > 0
@@ -210,12 +222,13 @@ def test_non_positive_gram_operator_raises(kind, monkeypatch):
     p = params()
     e1, e2 = _unit_orthogonal_to(GramBasis(cfg, p).b, cfg.grid)
 
-    def indefinite(cfg, a, params):
+    def indefinite(prob, a):
         # [[0.5, 1], [1, 0.5]] on span(e1, e2): positive diagonal, one negative eigenvalue
-        return 0.5 * a + h10_inner(a, e1, cfg.grid) * e2 + h10_inner(a, e2, cfg.grid) * e1
+        grid = prob.cfg.grid
+        return 0.5 * a + h10_inner(a, e1, grid) * e2 + h10_inner(a, e2, grid) * e1
 
-    gram = indefinite if kind == "indefinite" else (lambda cfg, a, params: -a)
-    monkeypatch.setattr(hum_module, "gram_apply", gram)
+    gram = indefinite if kind == "indefinite" else (lambda prob, a: -a)
+    monkeypatch.setattr(hum_module, "_gram", gram)
     with pytest.raises(ConvergenceError, match="not positive"):
         _solve(cfg, p, 1e-4)
 
@@ -225,11 +238,44 @@ def test_invariant_krylov_space_ends_with_the_exact_solution(monkeypatch):
     # tolerance still ends after one vector, at -b / (2 + eps)
     cfg = scenario_a(n=8, k=8)
     p = params()
-    monkeypatch.setattr(hum_module, "gram_apply", lambda cfg, a, params: 2.0 * a)
+    monkeypatch.setattr(hum_module, "_gram", lambda prob, a: 2.0 * a)
     res = _solve(cfg, p, 1e-4, cg_tol=1e-300)
     assert res.cg_iterations == 1
     np.testing.assert_allclose(res.phi_terminal, -GramBasis(cfg, p).b / (2.0 + 1e-4),
                                rtol=1e-14)
+
+
+def test_basis_and_hum_minimize_build_one_problem(monkeypatch):
+    # the basis builds and validates the scenario's problem once; its Gram
+    # images, the zero-leader solve and the certificate all run on it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = parse_config(os.path.join(root, "configs", "demo_a.ini")).recipe.build(8, 8)
+    p = params()
+    built = []
+    real = saddle_module.build_problem
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(saddle_module, "build_problem", counted)
+    monkeypatch.setattr(hum_module, "build_problem", counted)
+    res = _solve(cfg, p, 1e-4, GramBasis(cfg, p))
+    assert res.cg_iterations > 1
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("conf", "ABCD")
+def test_basis_images_equal_public_gram_apply_bit_for_bit(conf):
+    kw = {"s": 0.002} if conf in ("C", "D") else {}
+    cfg = builders()[conf](n=8, k=8, **kw)
+    p = params(ell=4.0) if conf in ("C", "D") else params()
+    basis = GramBasis(cfg, p)
+    while len(basis) < 3 and basis.extend():
+        pass
+    assert len(basis) == 3
+    for v, g in zip(basis.vectors, basis.images):
+        assert g.tobytes() == gram_apply(cfg, v, p).tobytes()
 
 
 def test_basis_of_another_scenario_is_rejected():
@@ -345,15 +391,15 @@ def test_probe_ratios_match_per_sample_solves(conf):
 
 
 def _count_probe_columns(monkeypatch) -> list:
-    """Record the number of columns of every ``solve_adjoints`` call the probe makes."""
+    """Record the number of columns of every ``_adjoint_pairs`` call the probe makes."""
     calls = []
-    real = hum_module.solve_adjoints
+    real = hum_module._adjoint_pairs
 
-    def counted(cfg, terminals, params):
+    def counted(prob, terminals):
         calls.append(len(terminals))
-        return real(cfg, terminals, params)
+        return real(prob, terminals)
 
-    monkeypatch.setattr(hum_module, "solve_adjoints", counted)
+    monkeypatch.setattr(hum_module, "_adjoint_pairs", counted)
     return calls
 
 
@@ -427,28 +473,29 @@ def test_solve_adjoints_columns_equal_single_solves(conf):
     p = params()
     data = np.random.default_rng(8).standard_normal((4, cfg.grid.n_interior))
     data[2] = 0.0
-    pairs = solve_adjoints(cfg, data, p)
+    prob = saddle_module.build_problem(cfg, p)
+    pairs = _adjoint_pairs(prob, data)
     assert len(pairs) == 4
-    for a, pair in zip(data, pairs):
+    for a, (phi, thetas, iterations, residual, _, _) in zip(data, pairs):
         lone = solve_adjoint(cfg, a, p)
-        assert pair.iterations == lone.iterations
-        assert pair.residual == lone.residual
-        assert pair.phi.values.tobytes() == lone.phi.values.tobytes()
-        assert len(pair.thetas) == len(lone.thetas)
-        for th, th_lone in zip(pair.thetas, lone.thetas):
-            assert th.values.tobytes() == th_lone.values.tobytes()
-    assert pairs[2].iterations == 1 and np.all(pairs[2].phi.values == 0.0)
-    assert min(pair.iterations for i, pair in enumerate(pairs) if i != 2) > 1
-    assert solve_adjoints(cfg, data[:0], p) == []
+        assert iterations == lone.iterations
+        assert residual == lone.residual
+        assert phi.tobytes() == lone.phi.interior.tobytes()
+        assert len(thetas) == len(lone.thetas)
+        for th, th_lone in zip(thetas, lone.thetas):
+            assert th.tobytes() == th_lone.interior.tobytes()
+    assert pairs[2][2] == 1 and np.all(pairs[2][0] == 0.0)
+    assert min(pair[2] for i, pair in enumerate(pairs) if i != 2) > 1
+    assert _adjoint_pairs(prob, data[:0]) == []
 
 
 def test_solve_adjoints_refuses_a_non_contracting_batch():
     cfg = scenario_a(n=10, k=10)
     data = np.random.default_rng(9).standard_normal((3, cfg.grid.n_interior))
     with pytest.raises(NonContractionError):
-        solve_adjoints(cfg, data, params(ell=0.05, gamma=0.05))
+        _adjoint_pairs(saddle_module.build_problem(cfg, params(ell=0.05, gamma=0.05)), data)
     with pytest.raises(ValueError):
-        solve_adjoints(cfg, data[:, :-1], params())
+        _adjoint_pairs(saddle_module.build_problem(cfg, params()), data[:, :-1])
 
 
 @pytest.mark.parametrize("conf, n_samples, rtol", [

@@ -462,6 +462,20 @@ def test_contraction_ratio_does_not_depend_on_the_march(demo, monkeypatch):
     assert ratios[1] == pytest.approx(ratios[0], rel=1e-6)
 
 
+@pytest.mark.parametrize("sweeps", [0, -1])
+def test_a_fixed_sweep_count_below_one_is_refused_before_any_march(sweeps, monkeypatch):
+    def no_march(*args, **kwargs):
+        raise AssertionError("marched before refusing the sweep count")
+
+    monkeypatch.setattr(saddle, "modal_march", no_march)
+    monkeypatch.setattr(saddle, "modal_march_backward", no_march)
+    cfg = scenario_a(n=8, k=8)
+    with pytest.raises(ValueError, match=f"got {sweeps}"):
+        solve_optimality(cfg, None, params(), sweeps=sweeps)
+    with pytest.raises(ValueError, match=f"got {sweeps}"):
+        measure_contraction(cfg, None, params(), sweeps=sweeps)
+
+
 def test_picard_round_off_exit_has_its_own_status():
     # scripted corrections 1, 1e-7, 2e-7, 4e-7: two growing ones below 1e-6
     # of the first take the round-off exit at sweep 4
