@@ -22,6 +22,15 @@ once, runs one scalar recurrence per mode and transforms back, so a march costs
 two matrix products and K vector updates.  Every solver of the package
 (``solve_forward``/``solve_backward`` and the coupled systems) runs it.
 
+Each (grid, tgrid) pair has a plan (``_Plan``, cached by ``_plan``): S, the
+step factors, the factors tiled per batch width, and one pair of work
+buffers grown to the widest batch marched so far.  A forward march writes its
+inputs and modal coefficients into those buffers in place and allocates
+only its result; the backward march adds one reversed copy.  Its bits rest
+on the order of operations that ``modal_march`` states.  Marches on one grid
+pair share its buffers, so they must not run at once in threads of one
+process; the package starts none.
+
 Every array of a batch of independent columns puts the column axes first: a
 march takes ``y0`` (*B, n), ``source`` (*B, n_levels, n) and boundary values
 (*B, n_levels), and returns (*B, n_levels, n), each column one C-contiguous
@@ -56,26 +65,76 @@ def trapezoid_time_weights(n_levels: int) -> np.ndarray:
     return w
 
 
-@functools.lru_cache(maxsize=16)
-def _modal_basis(grid: SpatialGrid, tgrid: TimeGrid) -> tuple:
-    """(S, lam, c): the orthonormal DST-I matrix and the per-mode step factors.
+class _Plan:
+    """What every march on one (grid, tgrid) pair shares: its factors and work buffers.
 
-    S is symmetric and S D S = -diag(mu) / dx^2 with mu_j = 4 sin^2(j pi / (2(n+1))),
-    so a step of the scheme is z^{k+1} = lam * z^k + c * (S h^k) per mode, with
+    ``s`` is the orthonormal DST-I matrix, symmetric, with
+    S D S = -diag(mu) / dx^2 and mu_j = 4 sin^2(j pi / (2(n+1))), so a step of
+    the scheme is z^{k+1} = lam * z^k + c * (S h^k) per mode, with
     lam = (1 - r mu / 2) / (1 + r mu / 2), c = 1 / (1 + r mu / 2) and
-    r = dt/dx^2.  The arrays are shared by every caller, hence read-only.
+    r = dt/dx^2.  These arrays are read-only.
+
+    The two work buffers are flat: ``z`` holds a batch's level-major inputs
+    (datum and step sources), ``w`` their modal coefficients.  They grow to
+    the widest batch marched so far and a narrower batch uses their leading
+    part, so the plan retains at most 2 x (widest batch x n_levels x n)
+    floats.  ``work`` hands out the views of one batch shape, built once.
     """
-    n = grid.n_interior
-    j = np.arange(1, n + 1)
-    # sin(jk pi/(n+1)) has period 2(n+1) in jk; reducing first keeps the argument
-    # below 2 pi, so its rounding error does not grow like n^2
-    s = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) % (2 * (n + 1)) * (np.pi / (n + 1)))
-    rmu = tgrid.dt / grid.dx ** 2 * 4.0 * np.sin(j * (np.pi / (2 * (n + 1)))) ** 2
-    lam = (1.0 - 0.5 * rmu) / (1.0 + 0.5 * rmu)
-    c = 1.0 / (1.0 + 0.5 * rmu)
-    for a in (s, lam, c):
-        a.setflags(write=False)
-    return s, lam, c
+
+    def __init__(self, grid: SpatialGrid, tgrid: TimeGrid):
+        n = grid.n_interior
+        j = np.arange(1, n + 1)
+        # sin(jk pi/(n+1)) has period 2(n+1) in jk; reducing first keeps the argument
+        # below 2 pi, so its rounding error does not grow like n^2
+        s = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) % (2 * (n + 1)) * (np.pi / (n + 1)))
+        rmu = tgrid.dt / grid.dx ** 2 * 4.0 * np.sin(j * (np.pi / (2 * (n + 1)))) ** 2
+        lam = (1.0 - 0.5 * rmu) / (1.0 + 0.5 * rmu)
+        c = 1.0 / (1.0 + 0.5 * rmu)
+        for a in (s, lam, c):
+            a.setflags(write=False)
+        self.s, self.lam, self.c = s, lam, c
+        self.shape = (tgrid.n_levels, n)
+        self.z = self.w = np.empty(0)
+        self._views = {}
+
+    def work(self, batch: tuple) -> tuple:
+        """(z, z_columns, w, w_columns, steps, lam_rows) for the batch shape ``batch``.
+
+        ``z``/``w`` are laid out (level, *batch, space), so each level is one
+        contiguous block; the ``_columns`` views are the same memory seen as
+        (*batch, level, space).  ``steps`` pairs each level row of ``w`` (the
+        modes of every column in turn) with the next, and ``lam_rows`` is
+        ``lam`` tiled to one such row.
+        """
+        views = self._views.get(batch)
+        if views is None:
+            klev, n = self.shape
+            size = math.prod(batch)
+            need = klev * size * n
+            if need > self.z.size:
+                self.z, self.w = np.empty(need), np.empty(need)
+                self._views.clear()
+            per_column = tuple(range(1, 1 + len(batch))) + (0, len(batch) + 1)
+            z, w = (buf[:need].reshape((klev,) + batch + (n,)) for buf in (self.z, self.w))
+            rows = list(w.reshape(klev, -1))
+            views = (z, z.transpose(per_column), w, w.transpose(per_column),
+                     list(zip(rows, rows[1:])), np.tile(self.lam, size))
+            self._views[batch] = views
+        return views
+
+
+@functools.lru_cache(maxsize=16)
+def _plan(grid: SpatialGrid, tgrid: TimeGrid) -> _Plan:
+    """The march plan of one (grid, tgrid) pair, shared by every march on it."""
+    return _Plan(grid, tgrid)
+
+
+def _batch_shape(inputs) -> tuple:
+    """Broadcast shape of the leading axes of (array, core axes) pairs; None is absent."""
+    shapes = {np.shape(a)[:-core] for a, core in inputs if a is not None} - {()}
+    if len(shapes) > 1:
+        return np.broadcast_shapes(*shapes)
+    return shapes.pop() if shapes else ()
 
 
 def modal_march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
@@ -90,54 +149,67 @@ def modal_march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
     without them (or with length-1 axes) is shared by every column.
 
     The datum and the step sources (the right-hand side of a step without its
-    explicit part) are transformed by S, each mode runs its scalar recurrence,
-    and the levels are transformed back; level 0 is the datum itself, since
-    S S y0 equals y0 only to round-off.  Each column's transforms are one
-    (n_levels, n) @ (n, n) product of the shape a lone march multiplies, on
-    strided views of unit inner stride that BLAS reads and writes without a
-    copy, and the recurrence is elementwise, so a column equals its lone
-    march bit for bit.
+    explicit part) are written into the plan's input buffer (``_Plan``) and
+    transformed by S into its modal buffer, each mode runs its scalar
+    recurrence there, and the levels are transformed back straight into the
+    result, the one array a march allocates at full size; level 0 is the
+    datum itself, since S S y0 equals y0 only to round-off.  The bits rest on
+    this order of operations: a step source is dt * (0.5 s^{k+1} + 0.5 s^k),
+    then an edge row gains (dt/dx^2) * favg(boundary); the modal level k+1
+    is c * (S h^k) before ``cur += lam * prev`` adds the previous level.
+    Each column's transforms are one (n_levels, n) @ (n, n) product of the
+    shape a lone march multiplies, on strided views of unit inner stride
+    that BLAS reads and writes without a copy, and the recurrence is
+    elementwise, so a column equals its lone march bit for bit.
+
+    Marches on one grid pair share the plan's buffers, so two must not run
+    at once in threads of one process (the package starts none).
     """
     n, klev = grid.n_interior, tgrid.n_levels
-    batch = np.broadcast_shapes(*(np.shape(a)[:-core] for a, core in
-                                  ((y0, 1), (source, 2), (left, 1), (right, 1)) if a is not None))
-    size = math.prod(batch)
-    if size == 0:
-        return np.empty(batch + (klev, n))
-    s, lam, c = _modal_basis(grid, tgrid)
-    scale = tgrid.dt / grid.dx ** 2
-    # z is laid out (level, *batch, space), so each level is one contiguous
-    # block; ``columns`` is the same memory seen as (*batch, level, space)
-    z = np.zeros((klev,) + batch + (n,))
-    per_column = tuple(range(1, 1 + len(batch))) + (0, len(batch) + 1)
-    columns = z.transpose(per_column)
+    batch = _batch_shape(((y0, 1), (source, 2), (left, 1), (right, 1)))
+    out = np.empty(batch + (klev, n))
+    if out.size == 0:
+        return out
+    plan = _plan(grid, tgrid)
+    z, columns, w, w_columns, steps, lam_rows = plan.work(batch)
     z[0] = y0
-    if source is not None:
-        columns[..., 1:, :] = tgrid.dt * favg(source, -2)
+    if source is None:
+        z[1:] = 0.0
+    else:
+        # dt * favg(source), rounded as favg rounds it; w is free until the transform
+        inputs, half = columns[..., 1:, :], w_columns[..., 1:, :]
+        np.multiply(source[..., 1:, :], 0.5, out=inputs)
+        np.multiply(source[..., :-1, :], 0.5, out=half)
+        inputs += half
+        inputs *= tgrid.dt
+    scale = tgrid.dt / grid.dx ** 2
     if left is not None:
         columns[..., 1:, 0] += scale * favg(left, -1)
     if right is not None:
         columns[..., 1:, -1] += scale * favg(right, -1)
-    w = np.empty_like(z)
-    np.matmul(columns, s, out=w.transpose(per_column))
-    w[1:] *= c
+    np.matmul(columns, plan.s, out=w_columns)
+    w[1:] *= plan.c
     # each level is one row of the modes of every column in turn, so a step
     # is two vector operations whatever the batch
-    rows, lam_rows = w.reshape(klev, -1), np.tile(lam, size)
-    for prev, cur in zip(rows, rows[1:]):
+    for prev, cur in steps:
         cur += lam_rows * prev
-    np.matmul(w.transpose(per_column), s, out=columns)
-    z[0] = y0
-    if not np.isfinite(z).all():
+    np.matmul(w_columns, plan.s, out=out)
+    out[..., 0, :] = y0
+    if not np.isfinite(out).all():
         raise NonFiniteError("march produced non-finite values: non-finite data or overflow")
-    return np.ascontiguousarray(columns)
+    return out
 
 
 def modal_march_backward(grid: SpatialGrid, tgrid: TimeGrid, terminal: np.ndarray,
                          source: np.ndarray | None = None,
                          left: np.ndarray | None = None,
                          right: np.ndarray | None = None) -> np.ndarray:
-    """Raw backward march (-q_t - Dq = f): ``modal_march`` of time-reversed data."""
+    """Raw backward march (-q_t - Dq = f): ``modal_march`` of time-reversed data.
+
+    The levels come back in natural order by one reversed copy: marching them
+    in that order instead moves bits, since a product row's rounding depends
+    on its position.
+    """
     rev = modal_march(
         grid, tgrid, terminal,
         source=None if source is None else source[..., ::-1, :],

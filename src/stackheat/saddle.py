@@ -289,15 +289,17 @@ def _leader_array(prob: _Problem, leader) -> np.ndarray | None:
 
 
 def _adjoint_solve(prob: _Problem, state: np.ndarray) -> tuple:
-    """Backward solve(s) driven by the tracking residual(s)."""
+    """Backward solve(s) driven by the tracking residual(s).
+
+    Residual i is column i of a new first axis, so D's two adjoints are one
+    batched march, each equal to its lone march bit for bit.
+    """
     cfg = prob.cfg
-    grid, tgrid = cfg.grid, cfg.tgrid
-    out = []
-    for mask, target in zip(prob.obs_masks, prob.targets):
-        src = np.zeros_like(state)
-        src[..., mask] = state[..., mask] - target[:, mask]
-        out.append(modal_march_backward(grid, tgrid, np.zeros(grid.n_interior), src))
-    return tuple(out)
+    grid = cfg.grid
+    src = np.zeros((len(prob.obs_masks),) + state.shape)
+    for residual, mask, target in zip(src, prob.obs_masks, prob.targets):
+        residual[..., mask] = state[..., mask] - target[:, mask]
+    return tuple(modal_march_backward(grid, cfg.tgrid, np.zeros(grid.n_interior), src))
 
 
 @dataclass

@@ -1,16 +1,20 @@
 """Heat solver: oracles, duality, stability and accuracy."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from stackheat.errors import GridMismatchError
+from stackheat import heat
+from stackheat.errors import GridMismatchError, NonFiniteError
 from stackheat.grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField, SpatialGrid, TimeGrid
 from stackheat.heat import (favg, modal_march, modal_march_backward, normal_derivative,
                             normal_derivative_o1, solve_backward, solve_forward)
 
+import _modal_reference
 from _gtsv import march, march_backward
 
 # each (forward, backward) pair of raw marches: the gtsv reference and the modal one
@@ -307,3 +311,109 @@ def test_modal_march_agrees_with_gtsv(n, k, width, present, seed):
     q = modal_march_backward(grid, tgrid, y0, *reversed_forcing)
     assert np.array_equal(q, y[:, ::-1])
     assert np.array_equal(q[:, -1], y0)
+
+
+# --- the modal march against its fresh-array reference, bit for bit -----------
+
+# every present/absent combination of (source, left, right)
+PRESENCE = list(itertools.product((False, True), repeat=3))
+
+
+def assert_equals_reference(grid, tgrid, y0, forcing):
+    """Forward and backward march of the data equal the reference march's bits."""
+    for new, ref in ((modal_march, _modal_reference.modal_march),
+                     (modal_march_backward, _modal_reference.modal_march_backward)):
+        got, want = new(grid, tgrid, y0, *forcing), ref(grid, tgrid, y0, *forcing)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 64), k=st.integers(2, 64), width=st.one_of(st.none(), st.integers(0, 4)),
+       present=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       shared_y0=st.booleans(), seed=st.integers(0, 10 ** 6))
+def test_modal_march_equals_its_reference_bit_for_bit(n, k, width, present, shared_y0, seed):
+    # width None: inputs without batch axes; shared_y0: one datum for every column
+    rng = np.random.default_rng(seed)
+    grid, tgrid = make_grids(n=n, k=k)
+    y0, *forcing = random_march_data(rng, grid, tgrid, batch=() if width is None else (width,))
+    if shared_y0:
+        y0 = rng.standard_normal(grid.n_interior)
+    assert_equals_reference(grid, tgrid, y0,
+                            [f if p else None for f, p in zip(forcing, present)])
+
+
+@pytest.mark.parametrize("present", PRESENCE)
+def test_a_width_25_march_equals_its_reference_bit_for_bit(present):
+    rng = np.random.default_rng(25)
+    grid, tgrid = make_grids(n=50, k=50)
+    y0, *forcing = random_march_data(rng, grid, tgrid, batch=(25,))
+    assert_equals_reference(grid, tgrid, y0,
+                            [f if p else None for f, p in zip(forcing, present)])
+
+
+# --- the plan's reused work buffers cannot leak into a result -----------------
+
+def test_a_march_result_is_unchanged_by_later_marches_on_any_grid():
+    rng = np.random.default_rng(11)
+    grid, tgrid = make_grids(n=12, k=9)
+    data = random_march_data(rng, grid, tgrid, batch=(3,))
+    results = [modal_march(grid, tgrid, *data), modal_march_backward(grid, tgrid, *data)]
+    kept = [r.copy() for r in results]
+    plan = heat._plan(grid, tgrid)
+    for r in results:
+        assert not np.shares_memory(r, plan.z) and not np.shares_memory(r, plan.w)
+    for g, t in ((grid, tgrid), make_grids(n=7, k=5)):
+        for width in (1, 5, 2):
+            later = random_march_data(rng, g, t, batch=(width,))
+            modal_march(g, t, *later)
+            modal_march_backward(g, t, *later)
+    for r, k in zip(results, kept):
+        assert np.array_equal(r, k)
+
+
+@pytest.mark.parametrize("present", PRESENCE)
+def test_a_march_after_a_non_finite_one_equals_the_reference(present):
+    rng = np.random.default_rng(13)
+    grid, tgrid = make_grids(n=9, k=6)
+    y0, src, left, right = random_march_data(rng, grid, tgrid, batch=(2,))
+    bad = src.copy()
+    bad[1, 3, 4] = np.nan
+    for solver in (modal_march_backward, modal_march):
+        with pytest.raises(NonFiniteError):
+            solver(grid, tgrid, y0, bad, left, right)
+    assert_equals_reference(grid, tgrid, y0,
+                            [f if p else None for f, p in zip((src, left, right), present)])
+
+
+def test_the_plan_keeps_one_buffer_pair_sized_for_the_widest_batch():
+    rng = np.random.default_rng(17)
+    grid, tgrid = SpatialGrid(23, 2.0), TimeGrid(19, 0.75)
+    heat._plan.cache_clear()
+    for width in range(1, 26):
+        modal_march(grid, tgrid, *random_march_data(rng, grid, tgrid, batch=(width,)))
+    plan = heat._plan(grid, tgrid)
+    size = 25 * tgrid.n_levels * grid.n_interior
+    assert plan.z.shape == plan.w.shape == (size,)
+    z, w = plan.z, plan.w
+    # a narrower batch marches in the pair's leading part, and every cached
+    # view is a view of the pair
+    data = random_march_data(rng, grid, tgrid, batch=(4,))
+    assert np.array_equal(modal_march(grid, tgrid, *data),
+                          _modal_reference.modal_march(grid, tgrid, *data))
+    assert plan.z is z and plan.w is w
+    for views in plan._views.values():
+        for v in views[:4]:
+            assert v.base is z or v.base is w
+
+
+def test_an_unsourced_march_after_a_sourced_one_equals_the_reference():
+    rng = np.random.default_rng(19)
+    grid, tgrid = make_grids(n=14, k=10)
+    y0, src, left, right = random_march_data(rng, grid, tgrid, batch=(3,))
+    for solver, ref in ((modal_march, _modal_reference.modal_march),
+                        (modal_march_backward, _modal_reference.modal_march_backward)):
+        for forcing in ((None, None, None), (None, left, None), (None, None, right)):
+            solver(grid, tgrid, y0, src, left, right)
+            assert np.array_equal(solver(grid, tgrid, y0, *forcing),
+                                  ref(grid, tgrid, y0, *forcing))

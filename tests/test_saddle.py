@@ -304,6 +304,34 @@ def _verify_case(conf):
 
 
 @pytest.mark.parametrize("conf", "ABCD")
+def test_adjoints_are_one_batched_march_equal_to_lone_marches(conf, monkeypatch):
+    # D's two tracking residuals are the columns of one backward march; each
+    # equals the lone march of its residual bit for bit
+    cfg = builders()[conf](n=10, k=12, y0_kind="random", target_kind="random", seed=3)
+    prob = build_problem(cfg, params())
+    grid, tgrid = cfg.grid, cfg.tgrid
+    state = np.random.default_rng(8).standard_normal((2, tgrid.n_levels, grid.n_interior))
+    real, shapes = saddle.modal_march_backward, []
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(saddle, "modal_march_backward", recorded)
+    adjoints = saddle._adjoint_solve(prob, state)
+    regions = len(prob.obs_masks)
+    assert len(adjoints) == regions == prob.n_adjoints
+    assert shapes == [(regions,) + state.shape]
+    for adj, mask, target in zip(adjoints, prob.obs_masks, prob.targets):
+        for j in range(len(state)):
+            src = np.zeros(state.shape[1:])
+            src[..., mask] = state[j][..., mask] - target[:, mask]
+            assert np.array_equal(adj[j], real(grid, tgrid, np.zeros(grid.n_interior), src))
+            assert adj[j].flags.c_contiguous
+
+
+@pytest.mark.parametrize("conf", "ABCD")
 def test_verify_report_does_not_depend_on_the_block_width(conf, monkeypatch):
     cfg, p = _verify_case(conf)
     sol = solve_optimality(cfg, None, p)
