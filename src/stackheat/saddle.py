@@ -313,7 +313,7 @@ class SaddleSolution:
     adjoints: tuple
     iterations: int
     residual: float
-    exit_status: str                 # converged | round-off | fixed-sweeps (_picard_columns)
+    exit_status: str                 # converged | round-off (_picard_columns)
     contraction_ratios: tuple
     functional_value: float
     follower_weighted: object = None  # C/D: rho_star * v, the well-scaled variable
@@ -349,14 +349,13 @@ class _Column:
         self.ratios = []
         self.bad_streak = 0
 
-    def stop(self, delta: float, it: int, tol: float, fixed: bool) -> Optional[str]:
+    def stop(self, delta: float, it: int, tol: float) -> Optional[str]:
         """Record sweep ``it``'s correction; the exit status once the column stops.
 
         "exact" when the first correction vanishes (the sweep's own state is
         final), "round-off" when the corrections stopped contracting below
         1e-6 of the first, "converged" at ``tol``; None while it goes on.
-        Raises ``NonContractionError`` after five growing corrections.  With
-        ``fixed`` (a forced sweep count) only "exact" stops a column.
+        Raises ``NonContractionError`` after five growing corrections.
         """
         prev, self.last = self.last, delta
         if self.first is None:
@@ -368,17 +367,16 @@ class _Column:
             if delta >= _RATIO_FLOOR * self.first:
                 self.ratios.append(ratio)
             self.bad_streak = self.bad_streak + 1 if ratio >= 1.0 else 0
-            if self.bad_streak >= 2 and delta <= 1e-6 * self.first and not fixed:
+            if self.bad_streak >= 2 and delta <= 1e-6 * self.first:
                 return "round-off"
-            if self.bad_streak >= 5 and not fixed:
+            if self.bad_streak >= 5:
                 raise NonContractionError(ratio, it)
-        if not fixed and delta <= tol * self.first:
+        if delta <= tol * self.first:
             return "converged"
         return None
 
 
-def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: int,
-                    sweeps: Optional[int] = None) -> list:
+def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: int) -> list:
     """Lagged fixed-point loop on ``width`` independent columns, each stopping on its own.
 
     The state and adjoint arrays carry one leading batch axis.  Each sweep
@@ -392,13 +390,11 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: i
 
     Returns one (state, adjoints, iterations, residual, ratios, status) per
     column.  The status is "converged" when the relative correction reached
-    the tolerance, "round-off" when the corrections stopped contracting below
-    1e-6 of the first one (accepted as the floor of the arithmetic) and
-    "fixed-sweeps" when ``sweeps`` forced the number of iterations (used when
-    measuring contraction rates); a forced count must be at least 1.
+    the tolerance and "round-off" when the corrections stopped contracting
+    below 1e-6 of the first one (accepted as the floor of the arithmetic).
+    The ratios are the contraction rate of the solve: every ratio of a
+    correction of at least ``_RATIO_FLOOR`` of the first.
     """
-    if sweeps is not None and sweeps < 1:
-        raise ValueError(f"a fixed sweep count must be at least 1, got {sweeps}")
     cfg, params = prob.cfg, prob.params
     grid, tgrid = cfg.grid, cfg.tgrid
     adjoints = tuple(np.zeros((width, tgrid.n_levels, grid.n_interior))
@@ -411,8 +407,7 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: i
         return arrays if len(pos) == len(cols) else tuple(a[pos] for a in arrays)
 
     tol = params.fixed_point_tol
-    fixed = sweeps is not None
-    max_iter = sweeps if fixed else params.max_iterations
+    max_iter = params.max_iterations
     for it in range(1, max_iter + 1):
         state = forward(adjoints, cols)
         new_adjoints = backward(state)
@@ -422,7 +417,7 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: i
         for pos, c in enumerate(cols):
             delta = float(np.sqrt(sum(
                 l2q_norm_interior(d[pos], grid, tgrid.dt) ** 2 for d in diffs)))
-            status = runs[c].stop(delta, it, tol, fixed)
+            status = runs[c].stop(delta, it, tol)
             if status == "exact":
                 results[c] = (state[pos], tuple(a[pos] for a in adjoints),
                               it, 0.0, (), "converged")
@@ -442,13 +437,6 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: i
         if len(keep) < len(cols):
             adjoints = take(adjoints, keep)
             cols = [cols[p] for p in keep]
-    if fixed:
-        state = forward(adjoints, cols)
-        for pos, c in enumerate(cols):
-            run = runs[c]
-            results[c] = (state[pos], tuple(a[pos] for a in adjoints), max_iter,
-                          run.last / max(run.first, 1e-300), tuple(run.ratios), "fixed-sweeps")
-        return results
     last = max(runs[c].last / max(runs[c].first, 1e-300) for c in cols)
     which = "last" if len(runs) == 1 else f"in {len(cols)} of {len(runs)} columns; largest last"
     raise ConvergenceError(
@@ -456,29 +444,28 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: i
         f"({which} relative correction {last:.3g})")
 
 
-def solve_optimality(cfg: ScenarioConfig, leader, params: RobustParams,
-                     sweeps: Optional[int] = None) -> SaddleSolution:
+def solve_optimality(cfg: ScenarioConfig, leader, params: RobustParams) -> SaddleSolution:
     """Solve the follower optimality system for a fixed leader control.
 
     ``leader`` is a SpaceTimeField supported on omega (configuration A), a
     BoundaryTrace on the leader endpoint (B/C/D), or None for the zero leader.
     """
     prob = build_problem(cfg, params)
-    return _solve(prob, _leader_array(prob, leader), sweeps)
+    return _solve(prob, _leader_array(prob, leader))
 
 
-def _equilibrium(prob: _Problem, leader_arr, sweeps: Optional[int] = None) -> tuple:
+def _equilibrium(prob: _Problem, leader_arr) -> tuple:
     """Raw (state, adjoints, iterations, residual, ratios, status) under ``leader_arr``."""
     return _picard_columns(
         prob,
         lambda adj, _: prob.state(*prob.feedback(adj, prob.g2inv), leader_arr),
         lambda st: _adjoint_solve(prob, st),
-        prob.n_adjoints, width=1, sweeps=sweeps)[0]
+        prob.n_adjoints, width=1)[0]
 
 
-def _solve(prob: _Problem, leader_arr, sweeps: Optional[int] = None) -> SaddleSolution:
+def _solve(prob: _Problem, leader_arr) -> SaddleSolution:
     """``_equilibrium`` as a typed solution; the controls are read off the adjoints once."""
-    state, adjoints, iters, res, ratios, status = _equilibrium(prob, leader_arr, sweeps)
+    state, adjoints, iters, res, ratios, status = _equilibrium(prob, leader_arr)
     tgrid = prob.cfg.tgrid
     c = prob.cfg.configuration
     follower, disturbance = prob.feedback(adjoints, prob.g2inv)
@@ -625,7 +612,6 @@ class VerifyReport:
     max_max_violation: float      # worst violation of the maximizing inequality (A/B)
     max_directional_derivative: float
     functional_value: float
-    concavity_estimates: tuple = ()
     passed: bool = True
     worst_perturbation: tuple = ()  # (perturbation index, player label) of the offender
 
@@ -737,17 +723,12 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
             worst = (j // npl, player.label)
 
     max_dderiv = _stationarity_estimate(prob, sol, leader_arr, rng)
-
-    concavity = ()
-    if cfg.configuration == "A":
-        concavity = _concavity_estimates(prob, rng, 3)
-
     passed = (violation[False] <= SLACK and violation[True] <= SLACK
               and max_dderiv <= STATIONARITY_TOL * (1.0 + abs(jbars[0])))
     if passed:
         worst = ()
     return VerifyReport(n_perturbations, violation[False], violation[True], max_dderiv,
-                        jbars[0], concavity, passed, worst)
+                        jbars[0], passed, worst)
 
 
 def _blocks(prob: _Problem, leader_arr, controls):
@@ -845,26 +826,3 @@ def _functional_weighted(prob: _Problem, index: int, u_i: np.ndarray, state: np.
     value += 0.5 * ell ** 2 * _column_sums(prob.cfg.tgrid.dt * prob.wtrap * u_i ** 2, 1)
     return value
 
-
-def _concavity_estimates(prob: _Problem, rng, count: int) -> tuple:
-    """Second derivatives of the disturbance map along ``count`` random directions.
-
-    Each is |y'|^2_obs - gamma^2 |psi'|^2, negative where the functional is
-    concave in the disturbance.
-    """
-    cfg, params = prob.cfg, prob.params
-    klev, n = cfg.tgrid.n_levels, cfg.grid.n_interior
-    zeros = tuple(np.zeros(klev) for _ in prob.follower_edges)
-    controls = ((zeros, rng.standard_normal((klev, n))) for _ in range(count))
-    mask = prob.obs_masks[0]
-    estimates = []
-    for _, dpsi, yprime in _blocks(prob.homogeneous(), None, controls):
-        estimates += (qmid_field(yprime, yprime, cfg.grid, cfg.tgrid.dt, mask=mask)
-                      - params.gamma ** 2 * qmid_field(dpsi, dpsi, cfg.grid, cfg.tgrid.dt)).tolist()
-    return tuple(estimates)
-
-
-def measure_contraction(cfg: ScenarioConfig, leader, params: RobustParams,
-                        sweeps: int = 10) -> tuple:
-    """Residual ratios of the Picard iteration over a fixed number (at least 1) of sweeps."""
-    return solve_optimality(cfg, leader, params, sweeps=sweeps).contraction_ratios

@@ -20,8 +20,7 @@ from stackheat.hum import (GramBasis, HumSettings, gradient_check, gram_apply, h
                            observability_probe, observation_pairing, solve_adjoint)
 from stackheat.oracle import dense_optimality_solve
 from stackheat.products import h10_inner, h10_norm
-from stackheat.saddle import (gateaux_check, measure_contraction,
-                              solve_optimality, verify_saddle)
+from stackheat.saddle import gateaux_check, solve_optimality, verify_saddle
 
 from _scenarios import (builders, params, probe_scenario_a, random_leader,
                         scenario_a, scenario_b, scenario_c, scenario_d)
@@ -116,8 +115,9 @@ def test_criterion_4_contraction_trend():
     oks, pairs = [], []
     for seed in (0, 1, 2):
         cfg = scenario_a(n=16, k=16, y0_kind="random", target_kind="random", seed=seed)
-        slow = np.median(measure_contraction(cfg, None, params(ell=5.0, gamma=5.0), sweeps=8))
-        fast = np.median(measure_contraction(cfg, None, params(ell=20.0, gamma=20.0), sweeps=8))
+        slow = np.median(solve_optimality(cfg, None, params(ell=5.0, gamma=5.0)).contraction_ratios)
+        fast = np.median(
+            solve_optimality(cfg, None, params(ell=20.0, gamma=20.0)).contraction_ratios)
         oks.append(fast < slow)
         pairs.append((slow, fast))
     detail = ", ".join(f"mu=25: {s:.2e} vs mu=400: {f:.2e}" for s, f in pairs)

@@ -12,7 +12,7 @@ PUBLIC = [
     "beta_weights", "config", "convergence_study", "csvio", "eps_sweep", "errors",
     "evaluate_functional", "gateaux_check", "gradient_check", "gram_apply", "grids",
     "h10_inner", "h10_norm", "heat", "hminus1_norm", "hum", "hum_minimize", "l2_boundary",
-    "l2_q", "l2_region", "l_of_t", "make_initial", "make_target", "measure_contraction",
+    "l2_q", "l2_region", "l_of_t", "make_initial", "make_target",
     "normal_derivative", "observability_probe", "observation", "oracle", "parse_config",
     "probe_run", "products", "rho_star", "rho_star_inv_sq", "run_experiment", "runner",
     "saddle", "scenario", "section3_weights", "solve_adjoint", "solve_backward",

@@ -86,8 +86,6 @@ def test_seed_changes_sampled_outputs(tmp_path):
 
 
 def test_convergence_study(tmp_path):
-    spec = parse_config(small_config(
-        tmp_path, extra="", n=12, k=12))
     spec = parse_config(small_config(tmp_path, n=12, k=12))
     report = convergence_study(spec, out_dir=str(tmp_path / "conv"), quiet=True)
     assert report.passed, [v.reason for v in report.verdicts if not v.ok]

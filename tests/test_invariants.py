@@ -7,7 +7,7 @@ from stackheat.errors import ConfigError, ConvergenceError, NonContractionError
 from stackheat.grids import Region
 from stackheat.hum import GramBasis, HumSettings, gram_apply, hum_minimize
 from stackheat.products import h10_inner, h10_norm
-from stackheat.saddle import measure_contraction, solve_optimality, verify_saddle
+from stackheat.saddle import solve_optimality
 
 from _scenarios import params, scenario_a, scenario_b
 
@@ -39,7 +39,7 @@ def test_contraction_monotone_across_mu_triple():
     # mu in {25, 100, 400}: measured ratio non-increasing
     for seed in (0, 1):
         cfg = scenario_a(n=12, k=12, y0_kind="random", target_kind="random", seed=seed)
-        meds = [np.median(measure_contraction(cfg, None, params(ell=e, gamma=e), sweeps=8))
+        meds = [np.median(solve_optimality(cfg, None, params(ell=e, gamma=e)).contraction_ratios)
                 for e in (5.0, 10.0, 20.0)]
         assert meds[0] > meds[1] > meds[2]
 
@@ -49,8 +49,6 @@ def test_disturbance_concavity_three_point_second_difference():
     cfg = scenario_a(n=14, k=14, y0_kind="random", target_kind="random", seed=5)
     p = params()
     sol = solve_optimality(cfg, None, p)
-    rep = verify_saddle(cfg, sol, None, p, n_perturbations=5, seed=3)
-    assert all(c < 0 for c in rep.concavity_estimates)
 
     from stackheat.saddle import build_problem, evaluate_functional_raw
     prob = build_problem(cfg, p)

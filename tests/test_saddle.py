@@ -12,8 +12,8 @@ from stackheat.grids import (LEFT, RIGHT, BoundarySet, BoundaryTrace, Region,
                              SpaceTimeField, SpatialGrid, TimeGrid)
 from stackheat.oracle import dense_optimality_solve
 from stackheat.saddle import (_leader_array, _picard_columns, build_problem, evaluate_functional,
-                              evaluate_functional_raw, gateaux_check, measure_contraction,
-                              solve_optimality, verify_saddle)
+                              evaluate_functional_raw, gateaux_check, solve_optimality,
+                              verify_saddle)
 from stackheat.scenario import (ScenarioConfig, make_initial,
                                 make_target, validate_config)
 
@@ -415,7 +415,6 @@ def test_saddle_verification_config_a():
     assert rep.max_min_violation <= 1e-9
     assert rep.max_max_violation <= 1e-9
     assert rep.max_directional_derivative <= 1e-8 * (1 + abs(rep.functional_value))
-    assert all(c < 0 for c in rep.concavity_estimates)
     assert rep.passed
 
 
@@ -460,17 +459,17 @@ def test_nash_conditions_config_d_default_weights():
 def test_contraction_ratio_decreases_with_mu():
     for seed in (0, 1, 2):
         cfg = scenario_a(n=12, k=12, y0_kind="random", target_kind="random", seed=seed)
-        slow = measure_contraction(cfg, None, params(ell=5.0, gamma=5.0,
-                                                     max_iterations=400), sweeps=8)
-        fast = measure_contraction(cfg, None, params(ell=20.0, gamma=20.0,
-                                                     max_iterations=400), sweeps=8)
+        slow = solve_optimality(cfg, None, params(ell=5.0, gamma=5.0,
+                                                  max_iterations=400)).contraction_ratios
+        fast = solve_optimality(cfg, None, params(ell=20.0, gamma=20.0,
+                                                  max_iterations=400)).contraction_ratios
         assert np.median(fast) < np.median(slow)
 
 
 def test_contraction_example_10_vs_5():
     cfg = scenario_a(n=10, k=10, y0_kind="random", target_kind="random", seed=4)
-    r5 = measure_contraction(cfg, None, params(ell=5.0, gamma=5.0), sweeps=8)
-    r10 = measure_contraction(cfg, None, params(ell=10.0, gamma=10.0), sweeps=8)
+    r5 = solve_optimality(cfg, None, params(ell=5.0, gamma=5.0)).contraction_ratios
+    r10 = solve_optimality(cfg, None, params(ell=10.0, gamma=10.0)).contraction_ratios
     assert np.median(r10) < np.median(r5)
 
 
@@ -488,20 +487,6 @@ def test_contraction_ratio_does_not_depend_on_the_march(demo, monkeypatch):
         ratios.append(solve_optimality(spec.scenario, None, spec.robust).contraction_ratio)
     assert ratios[0] > 0
     assert ratios[1] == pytest.approx(ratios[0], rel=1e-6)
-
-
-@pytest.mark.parametrize("sweeps", [0, -1])
-def test_a_fixed_sweep_count_below_one_is_refused_before_any_march(sweeps, monkeypatch):
-    def no_march(*args, **kwargs):
-        raise AssertionError("marched before refusing the sweep count")
-
-    monkeypatch.setattr(saddle, "modal_march", no_march)
-    monkeypatch.setattr(saddle, "modal_march_backward", no_march)
-    cfg = scenario_a(n=8, k=8)
-    with pytest.raises(ValueError, match=f"got {sweeps}"):
-        solve_optimality(cfg, None, params(), sweeps=sweeps)
-    with pytest.raises(ValueError, match=f"got {sweeps}"):
-        measure_contraction(cfg, None, params(), sweeps=sweeps)
 
 
 def test_picard_round_off_exit_has_its_own_status():
@@ -588,7 +573,6 @@ def test_batched_feedback_and_forcing_match_per_column_calls(conf):
 def test_solution_carries_the_picard_exit_status():
     cfg = scenario_a(n=8, k=8)
     assert solve_optimality(cfg, None, params()).exit_status == "converged"
-    assert solve_optimality(cfg, None, params(), sweeps=3).exit_status == "fixed-sweeps"
 
 
 # --- directional derivative of the control-to-state map -------------------------
