@@ -12,16 +12,13 @@ arrangement.
 
 from .grids import (BoundarySet, BoundaryTrace, Region, SpaceTimeField,
                     SpatialGrid, TimeGrid)
-from .heat import normal_derivative, solve_backward, solve_forward
-from .products import (h10_inner, h10_norm, hminus1_norm, l2_boundary, l2_q,
-                       l2_region)
+from .heat import solve_backward, solve_forward
+from .products import h10_inner, h10_norm, hminus1_norm, l2_q
 from .scenario import (RobustParams, ScenarioConfig, make_initial, make_target,
                        validate_config)
-from .saddle import (SaddleSolution, evaluate_functional, gateaux_check, solve_optimality,
-                     verify_saddle)
-from .hum import (AdjointPair, GramBasis, HumResult, HumSettings, gradient_check,
-                  gram_apply, hum_minimize, observability_probe, observation,
-                  solve_adjoint)
+from .saddle import SaddleSolution, evaluate_functional, solve_optimality, verify_saddle
+from .hum import (AdjointPair, GramBasis, HumResult, HumSettings, gram_apply, hum_minimize,
+                  observability_probe, observation, solve_adjoint)
 from .weights import (AdmissibilityReport, Eta0, EtaBar, EtaPair, WeightSpec,
                       admissibility_check, alpha_xi, beta_weights, l_of_t,
                       rho_star, rho_star_inv_sq, section3_weights, target_weight)
@@ -35,14 +32,12 @@ __all__ = [
     "AdjointPair", "AdmissibilityReport", "BoundarySet", "BoundaryTrace", "Eta0", "EtaBar",
     "EtaPair", "ExperimentSpec", "GramBasis", "HumResult", "HumSettings", "Region",
     "RobustParams", "RunReport", "SaddleSolution", "ScenarioConfig", "SpaceTimeField",
-    "SpatialGrid", "TimeGrid", "WeightSpec", "admissibility_check", "alpha_xi",
-    "beta_weights", "config", "convergence_study", "csvio", "eps_sweep", "errors",
-    "evaluate_functional", "gateaux_check", "gradient_check", "gram_apply", "grids",
-    "h10_inner", "h10_norm", "heat", "hminus1_norm", "hum", "hum_minimize", "l2_boundary",
-    "l2_q", "l2_region", "l_of_t", "make_initial", "make_target",
-    "normal_derivative", "observability_probe", "observation", "oracle", "parse_config",
-    "probe_run", "products", "rho_star", "rho_star_inv_sq", "run_experiment", "runner",
-    "saddle", "scenario", "section3_weights", "solve_adjoint", "solve_backward",
-    "solve_forward", "solve_optimality", "target_weight", "validate_config", "verify_saddle",
-    "weights",
+    "SpatialGrid", "TimeGrid", "WeightSpec", "admissibility_check", "alpha_xi", "beta_weights",
+    "config", "convergence_study", "csvio", "eps_sweep", "errors", "evaluate_functional",
+    "gram_apply", "grids", "h10_inner", "h10_norm", "heat", "hminus1_norm", "hum",
+    "hum_minimize", "l2_q", "l_of_t", "make_initial", "make_target", "observability_probe",
+    "observation", "oracle", "parse_config", "probe_run", "products", "rho_star",
+    "rho_star_inv_sq", "run_experiment", "runner", "saddle", "scenario", "section3_weights",
+    "solve_adjoint", "solve_backward", "solve_forward", "solve_optimality", "target_weight",
+    "validate_config", "verify_saddle", "weights",
 ]

@@ -54,7 +54,6 @@ _SCHEMA = {
     "hum": {
         "epsilon": float,
         "cg_tol": float,
-        "cg_max_iters": int,
         "epsilon_ladder": "floats",
     },
     "weights": {
@@ -282,6 +281,10 @@ def _build_spec(path: str, values: dict, regions: dict) -> ExperimentSpec:
 
     if conf != "D" and ("target2" in sc or "target2_amplitude" in sc):
         raise ConfigError(f"{path}: target2 applies to configuration D only")
+    if conf != "D" and "ell2" in values["robust"]:
+        raise ConfigError(f"{path}: [robust] ell2 applies to configuration D only")
+    if conf != "B" and "global_disturbance" in sc:
+        raise ConfigError(f"{path}: [scenario] global_disturbance applies to configuration B only")
 
     recipe = ScenarioRecipe(
         configuration=conf, length=length, horizon=horizon,
@@ -306,8 +309,7 @@ def _build_spec(path: str, values: dict, regions: dict) -> ExperimentSpec:
                           fixed_point_tol=rv.get("fixed_point_tol", 1e-13),
                           max_iterations=rv.get("max_iterations", 400))
     hv = values["hum"]
-    hum = HumSettings(epsilon=hv.get("epsilon", 1e-4), cg_tol=hv.get("cg_tol", 1e-10),
-                      cg_max_iters=hv.get("cg_max_iters", 5000))
+    hum = HumSettings(epsilon=hv.get("epsilon", 1e-4), cg_tol=hv.get("cg_tol", 1e-10))
 
     ladder = tuple(gr.get("ladder", ()))
     if any(b <= a for a, b in zip(ladder, ladder[1:])):

@@ -20,7 +20,9 @@ orthonormal DST-I matrix S (the fast-Poisson idea of Buzbee, Golub & Nielson,
 SIAM J. Numer. Anal. 7, 1970): it transforms the datum and the step sources
 once, runs one scalar recurrence per mode and transforms back, so a march costs
 two matrix products and K vector updates.  Every solver of the package
-(``solve_forward``/``solve_backward`` and the coupled systems) runs it.
+(``solve_forward``/``solve_backward`` and the coupled systems) runs it.  The
+one normal derivative, ``normal_derivative_o1``, is first order: the exact
+transpose of the boundary rows, so the coupled systems keep the duality.
 
 Each (grid, tgrid) pair has a plan (``_Plan``, cached by ``_plan``): S, the
 step factors, the factors tiled per batch width, and one pair of work
@@ -284,25 +286,6 @@ def solve_backward(grid: SpatialGrid, tgrid: TimeGrid, terminal,
     interior = modal_march_backward(grid, tgrid, qT, src,
                                     traces.get(LEFT), traces.get(RIGHT))
     return _assemble_field(grid, tgrid, interior, traces)
-
-
-def normal_derivative(field: SpaceTimeField, side: str) -> BoundaryTrace:
-    """Outward normal derivative at one endpoint, second-order one-sided stencil.
-
-    Exact on quadratics.  At the left endpoint the outward normal is -x, at
-    the right it is +x.
-    """
-    if field.grid.n_nodes < 4:
-        raise ValueError("normal derivative needs at least 3 interior nodes")
-    v = field.values
-    dx = field.grid.dx
-    if side == LEFT:
-        vals = (3.0 * v[:, 0] - 4.0 * v[:, 1] + v[:, 2]) / (2.0 * dx)
-    elif side == RIGHT:
-        vals = (3.0 * v[:, -1] - 4.0 * v[:, -2] + v[:, -3]) / (2.0 * dx)
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    return BoundaryTrace(field.tgrid, side, vals)
 
 
 def normal_derivative_o1(interior: np.ndarray, grid: SpatialGrid, side: str) -> np.ndarray:

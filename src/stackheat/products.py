@@ -2,8 +2,8 @@
 
 Two families of time quadrature coexist on purpose:
 
-* trapezoid quadrature (``l2_q``, ``l2_region``, ``l2_boundary``) for norms,
-  stopping criteria and reporting;
+* trapezoid quadrature (``l2_q``) for the follower and disturbance norms
+  that ``run`` reports;
 * the scheme-consistent midpoint quadrature (``qmid_*``), which pairs step
   averages of nodal sequences.  The Crank-Nicolson scheme satisfies an exact
   summation-by-parts identity in this pairing, which is what makes the
@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .grids import BoundarySet, BoundaryTrace, Region, SpaceTimeField, SpatialGrid, check_same_grids
+from .grids import SpaceTimeField, SpatialGrid, check_same_grids
 from .heat import favg, trapezoid_time_weights
 
 _GTSV, = get_lapack_funcs(("gtsv",), (np.empty(0),))
@@ -49,30 +49,6 @@ def l2_q(f: SpaceTimeField, g: SpaceTimeField) -> float:
     wt = trapezoid_time_weights(f.tgrid.n_levels) * f.tgrid.dt
     wx = _space_weights(f.grid)
     return float(np.einsum("k,i,ki->", wt, wx, f.values * g.values))
-
-
-def l2_region(f: SpaceTimeField, g: SpaceTimeField, region: Region) -> float:
-    """Trapezoid-in-time integral of f*g restricted to the region's nodes.
-
-    Characteristic-function quadrature: every interior node inside the region
-    carries the full dx weight, no partial cells.
-    """
-    check_same_grids(f, g)
-    mask = region.interior_mask(f.grid)
-    wt = trapezoid_time_weights(f.tgrid.n_levels) * f.tgrid.dt
-    prod = (f.interior * g.interior)[:, mask].sum(axis=1) * f.grid.dx
-    return float(wt @ prod)
-
-
-def l2_boundary(u: BoundaryTrace, w: BoundaryTrace, bset: BoundarySet) -> float:
-    """Endpoint sum weighted by the boundary-set weights, trapezoid in time."""
-    if u.tgrid != w.tgrid:
-        raise ValueError("traces live on different time grids")
-    if u.side != w.side:
-        raise ValueError(f"traces live on different sides: {u.side!r} vs {w.side!r}")
-    weight = bset.weight(u.side)
-    wt = trapezoid_time_weights(u.tgrid.n_levels) * u.tgrid.dt
-    return float(weight * (wt @ (u.values * w.values)))
 
 
 def h10_diff(u: np.ndarray) -> np.ndarray:

@@ -67,10 +67,11 @@ def _block_width(cfg: ScenarioConfig) -> int:
     return max(1, _BLOCK_BYTES // (8 * cfg.tgrid.n_levels * cfg.grid.n_interior))
 
 
-# Verification thresholds, read by the runner's verdicts too.  An equilibrium
-# passes when no perturbation of magnitude in PERTURBATION_MAGNITUDES gains
-# more than SLACK, and no directional derivative over STATIONARITY_DIRECTIONS
-# random directions exceeds STATIONARITY_TOL * (1 + |J|).
+# Verification thresholds.  An equilibrium passes when no perturbation of
+# magnitude in PERTURBATION_MAGNITUDES gains more than SLACK, and no
+# directional derivative over STATIONARITY_DIRECTIONS random directions
+# exceeds STATIONARITY_TOL * (1 + |J|).  ``VerifyReport`` states the two
+# rules, and the runner's verdicts read them there.
 SLACK = 1e-9
 STATIONARITY_TOL = 1e-8
 PERTURBATION_MAGNITUDES = (1e-3, 1.0)
@@ -566,54 +567,30 @@ def evaluate_functional(cfg: ScenarioConfig, params: RobustParams, follower,
 # --- verification -------------------------------------------------------------
 
 @dataclass
-class GateauxReport:
-    lambdas: tuple
-    discrepancies: tuple      # relative, per lambda
-    noise_floors: tuple       # cancellation floor eps*|y|/(lambda*|y'|)
-    max_discrepancy: float
-    initial_level_max: float  # max |y'| at level 0 (must vanish)
-
-
-def gateaux_check(cfg: ScenarioConfig, params: RobustParams, v, psi, direction,
-                  lambdas=(1.0, 1e-3, 1e-6), leader=None) -> GateauxReport:
-    """Difference quotients of the control-to-state map against the linearized solve.
-
-    The map is affine, so the quotient equals the linearized solution up to
-    floating-point cancellation; the report carries the theoretical noise
-    floor so the step-independence is interpretable.
-    """
-    if cfg.configuration != "A":
-        raise ValueError("the directional-derivative check is set in configuration A")
-    prob = build_problem(cfg, params)
-    leader_arr = _leader_array(prob, leader)
-    base_traces, psi_base = prob.raw(v, psi)
-    dir_traces, psi_dir = prob.raw(*direction)
-
-    y_base = prob.state(base_traces, psi_base, leader_arr)
-    linearized = prob.homogeneous().state(dir_traces, psi_dir, None)
-    lin_norm = max(float(np.max(np.abs(linearized))), 1e-300)
-    base_norm = float(np.max(np.abs(y_base)))
-
-    discs, floors = [], []
-    for lam in lambdas:
-        pert_traces = tuple(b + lam * d for b, d in zip(base_traces, dir_traces))
-        y_pert = prob.state(pert_traces, psi_base + lam * psi_dir, leader_arr)
-        quotient = (y_pert - y_base) / lam
-        discs.append(float(np.max(np.abs(quotient - linearized))) / lin_norm)
-        floors.append(np.finfo(float).eps * base_norm / (lam * lin_norm))
-    return GateauxReport(tuple(lambdas), tuple(discs), tuple(floors),
-                         max(discs), float(np.max(np.abs(linearized[0]))))
-
-
-@dataclass
 class VerifyReport:
     n_perturbations: int
     max_min_violation: float      # worst violation of the minimizing inequalities
     max_max_violation: float      # worst violation of the maximizing inequality (A/B)
     max_directional_derivative: float
     functional_value: float
-    passed: bool = True
     worst_perturbation: tuple = ()  # (perturbation index, player label) of the offender
+
+    @property
+    def conditions_hold(self) -> bool:
+        """No deviation, minimizing or maximizing, gains more than ``SLACK``."""
+        return self.max_min_violation <= SLACK and self.max_max_violation <= SLACK
+
+    @property
+    def stationarity_tol(self) -> float:
+        return STATIONARITY_TOL * (1.0 + abs(self.functional_value))
+
+    @property
+    def stationary(self) -> bool:
+        return self.max_directional_derivative <= self.stationarity_tol
+
+    @property
+    def passed(self) -> bool:
+        return self.conditions_hold and self.stationary
 
 
 @dataclass(frozen=True)
@@ -722,13 +699,9 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
             violation[player.maximizes] = gain
             worst = (j // npl, player.label)
 
-    max_dderiv = _stationarity_estimate(prob, sol, leader_arr, rng)
-    passed = (violation[False] <= SLACK and violation[True] <= SLACK
-              and max_dderiv <= STATIONARITY_TOL * (1.0 + abs(jbars[0])))
-    if passed:
-        worst = ()
-    return VerifyReport(n_perturbations, violation[False], violation[True], max_dderiv,
-                        jbars[0], passed, worst)
+    report = VerifyReport(n_perturbations, violation[False], violation[True],
+                          _stationarity_estimate(prob, sol, leader_arr, rng), jbars[0], worst)
+    return replace(report, worst_perturbation=()) if report.passed else report
 
 
 def _blocks(prob: _Problem, leader_arr, controls):

@@ -1,0 +1,133 @@
+"""Verification instruments that only the tests call.
+
+``gradient_check`` holds the assembled HUM gradient to central differences
+of the penalized functional, ``observation_pairing`` is the quadratic
+observation form that the Gram operator must equal, and ``gateaux_check``
+holds difference quotients of the control-to-state map to its linearized
+solve.  Each runs on the package's private raw solves, as the package's own
+stages do.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from stackheat.hum import AdjointPair, GramBasis, HumSettings, _gram, _observed
+from stackheat.products import h10_inner, h10_norm
+from stackheat.saddle import build_problem
+from stackheat.scenario import RobustParams, ScenarioConfig
+
+# The gradient agreement is asserted across STEPS.  F_eps is exactly
+# quadratic, so the central difference carries no truncation error at any
+# step; its step-independence is measured over QUADRATIC_STEPS, chosen large
+# enough that the fixed-point solves' round-off floor (about tol/step
+# relative) sits below the 1e-10 assertion level.
+STEPS = (1e-4, 1e-5, 1e-6)
+QUADRATIC_STEPS = (0.5, 0.1, 0.02)
+GRADIENT_TOL = 1e-6
+
+# the steps of the Gateaux difference quotients
+LAMBDAS = (1.0, 1e-3, 1e-6)
+
+
+@dataclass
+class GradientCheckReport:
+    directions: int
+    max_relative_error: float
+    quadratic_spread: float   # spread of the central difference across QUADRATIC_STEPS
+    passed: bool
+
+
+def gradient_check(cfg: ScenarioConfig, params: RobustParams, settings: HumSettings,
+                   phi_terminal: np.ndarray, n_directions: int = 10, seed: int = 0,
+                   directions=None) -> GradientCheckReport:
+    """Assembled gradient of F_eps against central differences of the scalar.
+
+    ``directions`` overrides the seeded Gaussian sampling; a zero direction
+    contributes zero to both sides; at least one direction is required.
+    """
+    grid = cfg.grid
+    eps = settings.epsilon
+    a = np.asarray(phi_terminal, dtype=float)
+    if directions is None:
+        rng = np.random.default_rng(seed)
+        directions = [rng.standard_normal(grid.n_interior) for _ in range(n_directions)]
+    if len(directions) == 0:
+        raise ValueError("the gradient check needs at least one direction, got none")
+    basis = GramBasis(cfg, params)
+    prob, b = basis.prob, basis.b
+
+    def fval(v):
+        gv = _gram(prob, v)
+        return 0.5 * h10_inner(v, gv, grid) + h10_inner(b, v, grid) \
+            + 0.5 * eps * h10_inner(v, v, grid)
+
+    def central(d, h):
+        return (fval(a + h * d) - fval(a - h * d)) / (2 * h)
+
+    grad = _gram(prob, a) + b + eps * a
+    worst = 0.0
+    spread = 0.0
+    f0 = None
+    for d in directions:
+        d = np.asarray(d, dtype=float)
+        nrm = h10_norm(d, grid)
+        if nrm == 0.0:
+            # both sides vanish identically; check the difference at base
+            f0 = fval(a) if f0 is None else f0
+            worst = max(worst, abs(fval(a) - f0))
+            continue
+        d = d / nrm
+        exact = h10_inner(grad, d, grid)
+        scale = max(abs(exact), 1e-300)
+        fd = [central(d, h) for h in STEPS]
+        worst = max(worst, max(abs(f - exact) for f in fd) / scale)
+        fq = [central(d, h) for h in QUADRATIC_STEPS]
+        spread = max(spread, (max(fq) - min(fq)) / scale)
+    return GradientCheckReport(len(directions), worst, spread, worst <= GRADIENT_TOL)
+
+
+def observation_pairing(cfg: ScenarioConfig, pa: AdjointPair, pb: AdjointPair) -> float:
+    """The quadratic observation form: midpoint quadrature over omega or Gamma."""
+    prob = build_problem(cfg, RobustParams())
+    fa, weight = _observed(prob, pa.phi.interior)
+    fb, _ = _observed(prob, pb.phi.interior)
+    return float(weight * np.sum(fa * fb))
+
+
+@dataclass
+class GateauxReport:
+    discrepancies: tuple      # relative, per step of LAMBDAS
+    noise_floors: tuple       # cancellation floor eps*|y|/(lambda*|y'|)
+    max_discrepancy: float
+    initial_level_max: float  # max |y'| at level 0 (must vanish)
+
+
+def gateaux_check(cfg: ScenarioConfig, params: RobustParams, v, psi, direction) -> GateauxReport:
+    """Difference quotients of the control-to-state map against the linearized solve.
+
+    Set in configuration A with the zero leader.  The map is affine, so the
+    quotient equals the linearized solution up to floating-point
+    cancellation; the report carries the theoretical noise floor so the
+    step-independence is interpretable.
+    """
+    if cfg.configuration != "A":
+        raise ValueError("the directional-derivative check is set in configuration A")
+    prob = build_problem(cfg, params)
+    base_traces, psi_base = prob.raw(v, psi)
+    dir_traces, psi_dir = prob.raw(*direction)
+
+    y_base = prob.state(base_traces, psi_base, None)
+    linearized = prob.homogeneous().state(dir_traces, psi_dir, None)
+    lin_norm = max(float(np.max(np.abs(linearized))), 1e-300)
+    base_norm = float(np.max(np.abs(y_base)))
+
+    discs, floors = [], []
+    for lam in LAMBDAS:
+        pert_traces = tuple(b + lam * d for b, d in zip(base_traces, dir_traces))
+        y_pert = prob.state(pert_traces, psi_base + lam * psi_dir, None)
+        quotient = (y_pert - y_base) / lam
+        discs.append(float(np.max(np.abs(quotient - linearized))) / lin_norm)
+        floors.append(np.finfo(float).eps * base_norm / (lam * lin_norm))
+    return GateauxReport(tuple(discs), tuple(floors), max(discs),
+                         float(np.max(np.abs(linearized[0]))))

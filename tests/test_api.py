@@ -1,6 +1,12 @@
 """The public surface of the package: what ``from stackheat import *`` exports."""
 
+import os
+import re
+
 import stackheat
+from stackheat.config import _SCHEMA
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 # The library's entry points plus the submodules that ``__init__`` imports.  A
 # change that drops or adds one of them must say so by editing this list.
@@ -8,19 +14,45 @@ PUBLIC = [
     "AdjointPair", "AdmissibilityReport", "BoundarySet", "BoundaryTrace", "Eta0", "EtaBar",
     "EtaPair", "ExperimentSpec", "GramBasis", "HumResult", "HumSettings", "Region",
     "RobustParams", "RunReport", "SaddleSolution", "ScenarioConfig", "SpaceTimeField",
-    "SpatialGrid", "TimeGrid", "WeightSpec", "admissibility_check", "alpha_xi",
-    "beta_weights", "config", "convergence_study", "csvio", "eps_sweep", "errors",
-    "evaluate_functional", "gateaux_check", "gradient_check", "gram_apply", "grids",
-    "h10_inner", "h10_norm", "heat", "hminus1_norm", "hum", "hum_minimize", "l2_boundary",
-    "l2_q", "l2_region", "l_of_t", "make_initial", "make_target",
-    "normal_derivative", "observability_probe", "observation", "oracle", "parse_config",
-    "probe_run", "products", "rho_star", "rho_star_inv_sq", "run_experiment", "runner",
-    "saddle", "scenario", "section3_weights", "solve_adjoint", "solve_backward",
-    "solve_forward", "solve_optimality", "target_weight", "validate_config", "verify_saddle",
-    "weights",
+    "SpatialGrid", "TimeGrid", "WeightSpec", "admissibility_check", "alpha_xi", "beta_weights",
+    "config", "convergence_study", "csvio", "eps_sweep", "errors", "evaluate_functional",
+    "gram_apply", "grids", "h10_inner", "h10_norm", "heat", "hminus1_norm", "hum",
+    "hum_minimize", "l2_q", "l_of_t", "make_initial", "make_target", "observability_probe",
+    "observation", "oracle", "parse_config", "probe_run", "products", "rho_star",
+    "rho_star_inv_sq", "run_experiment", "runner", "saddle", "scenario", "section3_weights",
+    "solve_adjoint", "solve_backward", "solve_forward", "solve_optimality", "target_weight",
+    "validate_config", "verify_saddle", "weights",
 ]
 
 
 def test_public_surface_is_pinned():
     assert sorted(stackheat.__all__) == PUBLIC
 
+
+def test_every_exported_name_resolves():
+    # a stale entry breaks ``from stackheat import *``, which the pinned list does not see
+    exec("from stackheat import *", {})
+
+
+def _readme_block(heading: str, lang: str, index: int = 0) -> str:
+    """The ``index``-th fenced ``lang`` block of the README section under ``heading``."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"```{lang}\n(.*?)```", section, re.S)[index]
+
+
+def test_readme_entry_point_imports_run():
+    exec(_readme_block("Library entry points", "python"), {})
+
+
+def test_readme_schema_lists_exactly_the_config_keys():
+    # the full schema is the second ini block of the section, after the minimal file
+    listed, section = {}, None
+    for line in _readme_block("Configuration files", "ini", 1).splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line and "." not in section:   # region subsections take a and b
+            listed.setdefault(section, set()).add(line.split("=", 1)[0].strip())
+    assert listed == {sec: set(keys) for sec, keys in _SCHEMA.items()}

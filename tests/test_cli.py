@@ -152,15 +152,19 @@ def test_cli_exit_codes(tmp_path):
     "[hum]\nepsilon_ladder = 1e-2, 0",        # non-positive rung
     "[hum]\nepsilon_ladder = 1e-2, 1e-4, 1e-2",  # duplicate rung
     "[hum]\nepsilon_ladder =",                # no rung: sweep-eps would solve nothing
-    "[hum]\ncg_max_iters = 0",                # no iteration allowed
+    "[hum]\ncg_tol = 0",                      # a nonpositive CG tolerance
+    "[hum]\ncg_max_iters = 5000",             # unknown key: the Krylov basis bounds the CG
     "[grid]\ntheta = 0.75",                   # unknown key: the solvers are Crank-Nicolson
     "[grid]\nladder = 25, 50",                # a convergence ladder needs 3 grids
     "[output]\nverify_perturbations = 0",     # a saddle check over no perturbation
     "[output]\nprobe_samples = 0",            # a probe of no sample
     "[output]\nseed = -1",                    # numpy rejects negative seeds
+    "[robust]\nell2 = 12.0",                  # a second follower outside D
+    "global_disturbance = true",              # [scenario]: the B variant outside B
 ], ids=["reversed-region", "negative-ell", "one-node-grid", "empty-region",
-        "zero-epsilon-rung", "duplicate-epsilon-rung", "empty-eps-ladder", "zero-cg-iterations",
-        "theta-key", "short-ladder", "zero-perturbations", "zero-probe-samples", "negative-seed"])
+        "zero-epsilon-rung", "duplicate-epsilon-rung", "empty-eps-ladder", "zero-cg-tol",
+        "cg-max-iters-key", "theta-key", "short-ladder", "zero-perturbations",
+        "zero-probe-samples", "negative-seed", "ell2-outside-d", "global-disturbance-outside-b"])
 def test_rejected_config_value_exits_2(tmp_path, body, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text(f"[scenario]\nconfiguration = A\n{body}\n", encoding="utf-8")

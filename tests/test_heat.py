@@ -11,8 +11,8 @@ from scipy.linalg import solve_banded
 from stackheat import heat
 from stackheat.errors import GridMismatchError, NonFiniteError
 from stackheat.grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField, SpatialGrid, TimeGrid
-from stackheat.heat import (favg, modal_march, modal_march_backward, normal_derivative,
-                            normal_derivative_o1, solve_backward, solve_forward)
+from stackheat.heat import (favg, modal_march, modal_march_backward, normal_derivative_o1,
+                            solve_backward, solve_forward)
 
 import _modal_reference
 from _gtsv import march, march_backward
@@ -147,25 +147,6 @@ def test_superposition(seed):
     ysum = solve_forward(grid, tgrid, a0 + b0, source=fsum, left=tr)
     assert np.allclose(ysum.interior, ya.interior + yb.interior,
                        rtol=1e-12, atol=1e-12)
-
-
-def test_normal_derivative_exact_on_quadratics():
-    grid, tgrid = make_grids(n=12, k=3)
-    f = SpaceTimeField.from_function(grid, tgrid, lambda x, t: x ** 2)
-    assert np.allclose(normal_derivative(f, RIGHT).values, 2.0, atol=1e-12)
-    assert np.allclose(normal_derivative(f, LEFT).values, 0.0, atol=1e-12)
-    const = SpaceTimeField.from_function(grid, tgrid, lambda x, t: np.full_like(x, 3.0))
-    assert np.allclose(normal_derivative(const, LEFT).values, 0.0, atol=1e-13)
-
-
-def test_normal_derivative_second_order_on_sine():
-    errs = []
-    for n in (20, 40):
-        grid = SpatialGrid(n)
-        tgrid = TimeGrid(2, 1.0)
-        f = SpaceTimeField.from_function(grid, tgrid, lambda x, t: np.sin(np.pi * x))
-        errs.append(abs(normal_derivative(f, RIGHT).values[0] - (-np.pi)))
-    assert errs[1] < errs[0] / 3.0
 
 
 def test_normal_derivative_o1_sign_convention():

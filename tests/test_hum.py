@@ -11,13 +11,13 @@ from stackheat import saddle as saddle_module
 from stackheat.config import parse_config
 from stackheat.errors import ConvergenceError, NonContractionError
 from stackheat.heat import favg
-from stackheat.hum import (GramBasis, HumSettings, _adjoint_pairs, gradient_check, gram_apply,
-                           hum_minimize, observability_probe, observation, observation_pairing,
-                           solve_adjoint)
+from stackheat.hum import (GramBasis, HumSettings, _adjoint_pairs, gram_apply, hum_minimize,
+                           observability_probe, observation, solve_adjoint)
 from stackheat.oracle import dense_adjoint_solve
 from stackheat.products import h10_inner, h10_norm
 from stackheat.weights import target_weight_inv_sq
 
+from _instruments import gradient_check, observation_pairing
 from _scenarios import builders, params, scenario_a, scenario_b, scenario_c
 
 

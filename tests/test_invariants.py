@@ -28,13 +28,6 @@ def test_max_iterations_exceeded():
                                 max_iterations=2))
 
 
-def test_cg_iteration_budget_enforced():
-    cfg = scenario_a(n=12, k=12, y0_kind="sine", target_kind="sine_cutoff")
-    with pytest.raises(ConvergenceError):
-        hum_minimize(cfg, params(), HumSettings(epsilon=1e-6, cg_tol=1e-13,
-                                                cg_max_iters=1))
-
-
 def test_contraction_monotone_across_mu_triple():
     # mu in {25, 100, 400}: measured ratio non-increasing
     for seed in (0, 1):

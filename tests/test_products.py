@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from stackheat.errors import EmptyRegionError
-from stackheat.grids import (LEFT, RIGHT, BoundarySet, BoundaryTrace, Region,
-                             SpaceTimeField, SpatialGrid, TimeGrid)
-from stackheat.products import (h10_diff, h10_norm, hminus1_norm, l2_boundary, l2_q,
-                                l2_region, neg_laplacian_solve, qmid_field, qmid_trace)
+from stackheat.grids import Region, SpaceTimeField, SpatialGrid, TimeGrid
+from stackheat.products import (h10_diff, h10_norm, hminus1_norm, l2_q, neg_laplacian_solve,
+                                qmid_field, qmid_trace)
 
 
 def make_grids(n=40, k=20):
@@ -27,27 +26,9 @@ def test_l2q_constant():
     assert l2_q(one, one) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_l2_region_constant_area():
-    grid, tgrid = make_grids(n=50)
-    one = SpaceTimeField.from_function(grid, tgrid, lambda x, t: np.ones_like(x))
-    val = l2_region(one, one, Region(0.4, 0.8))
-    assert abs(val - 0.4) < 2 * grid.dx
-
-
 def test_l2_region_empty_after_clipping():
-    grid, tgrid = SpatialGrid(4), TimeGrid(4, 1.0)
-    one = SpaceTimeField.from_function(grid, tgrid, lambda x, t: np.ones_like(x))
     with pytest.raises(EmptyRegionError):
-        l2_region(one, one, Region(0.41, 0.42))
-
-
-def test_l2_boundary_weights():
-    grid, tgrid = make_grids()
-    u = BoundaryTrace(tgrid, LEFT, np.ones(tgrid.n_levels))
-    bset = BoundarySet.from_sides(LEFT, weight=2.0)
-    assert l2_boundary(u, u, bset) == pytest.approx(2.0, rel=1e-12)
-    off = BoundarySet.from_sides(RIGHT)
-    assert l2_boundary(u, u, off) == 0.0
+        Region(0.41, 0.42).interior_mask(SpatialGrid(4))
 
 
 def test_h10_norm_of_hat():

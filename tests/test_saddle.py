@@ -12,12 +12,12 @@ from stackheat.grids import (LEFT, RIGHT, BoundarySet, BoundaryTrace, Region,
                              SpaceTimeField, SpatialGrid, TimeGrid)
 from stackheat.oracle import dense_optimality_solve
 from stackheat.saddle import (_leader_array, _picard_columns, build_problem, evaluate_functional,
-                              evaluate_functional_raw, gateaux_check, solve_optimality,
-                              verify_saddle)
+                              evaluate_functional_raw, solve_optimality, verify_saddle)
 from stackheat.scenario import (ScenarioConfig, make_initial,
                                 make_target, validate_config)
 
 import _gtsv
+from _instruments import gateaux_check
 from _scenarios import builders, params, random_leader, scenario_a, scenario_b, scenario_c, scenario_d
 
 
