@@ -17,8 +17,8 @@ from .products import h10_inner, h10_norm, hminus1_norm, l2_q
 from .scenario import (RobustParams, ScenarioConfig, make_initial, make_target,
                        validate_config)
 from .saddle import SaddleSolution, evaluate_functional, solve_optimality, verify_saddle
-from .hum import (AdjointPair, GramBasis, HumResult, HumSettings, gram_apply, hum_minimize,
-                  observability_probe, observation, solve_adjoint)
+from .hum import (AdjointPair, GramBasis, HumResult, HumSettings, gram_apply, hum_ladder,
+                  hum_minimize, observability_probe, observation, solve_adjoint)
 from .weights import (AdmissibilityReport, Eta0, EtaBar, EtaPair, WeightSpec,
                       admissibility_check, alpha_xi, beta_weights, l_of_t,
                       rho_star, rho_star_inv_sq, section3_weights, target_weight)
@@ -35,9 +35,9 @@ __all__ = [
     "SpatialGrid", "TimeGrid", "WeightSpec", "admissibility_check", "alpha_xi", "beta_weights",
     "config", "convergence_study", "csvio", "eps_sweep", "errors", "evaluate_functional",
     "gram_apply", "grids", "h10_inner", "h10_norm", "heat", "hminus1_norm", "hum",
-    "hum_minimize", "l2_q", "l_of_t", "make_initial", "make_target", "observability_probe",
-    "observation", "oracle", "parse_config", "probe_run", "products", "rho_star",
-    "rho_star_inv_sq", "run_experiment", "runner", "saddle", "scenario", "section3_weights",
-    "solve_adjoint", "solve_backward", "solve_forward", "solve_optimality", "target_weight",
-    "validate_config", "verify_saddle", "weights",
+    "hum_ladder", "hum_minimize", "l2_q", "l_of_t", "make_initial", "make_target",
+    "observability_probe", "observation", "oracle", "parse_config", "probe_run", "products",
+    "rho_star", "rho_star_inv_sq", "run_experiment", "runner", "saddle", "scenario",
+    "section3_weights", "solve_adjoint", "solve_backward", "solve_forward", "solve_optimality",
+    "target_weight", "validate_config", "verify_saddle", "weights",
 ]

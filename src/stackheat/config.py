@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import configparser
 import difflib
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -320,9 +321,10 @@ def _build_spec(path: str, values: dict, regions: dict) -> ExperimentSpec:
     eps_ladder = tuple(hv.get("epsilon_ladder", (1e-2, 1e-4, 1e-6)))
     if not eps_ladder:
         raise ConfigError(f"{path}: [hum] epsilon_ladder needs at least one rung")
-    if not all(e > 0 for e in eps_ladder) or len(set(eps_ladder)) != len(eps_ladder):
-        raise ConfigError(
-            f"{path}: [hum] epsilon_ladder must hold distinct positive rungs, got {eps_ladder}")
+    if (not all(e > 0 and math.isfinite(e) for e in eps_ladder)
+            or len(set(eps_ladder)) != len(eps_ladder)):
+        raise ConfigError(f"{path}: [hum] epsilon_ladder must hold distinct positive finite "
+                          f"rungs, got {eps_ladder}")
 
     ov = values["output"]
     counts = {key: ov.get(key, 100) for key in ("probe_samples", "verify_perturbations")}

@@ -25,13 +25,15 @@ one normal derivative, ``normal_derivative_o1``, is first order: the exact
 transpose of the boundary rows, so the coupled systems keep the duality.
 
 Each (grid, tgrid) pair has a plan (``_Plan``, cached by ``_plan``): S, the
-step factors, the factors tiled per batch width, and one pair of work
-buffers grown to the widest batch marched so far.  A forward march writes its
-inputs and modal coefficients into those buffers in place and allocates
-only its result; the backward march adds one reversed copy.  Its bits rest
-on the order of operations that ``modal_march`` states.  Marches on one grid
-pair share its buffers, so they must not run at once in threads of one
-process; the package starts none.
+step factors, one pair of work buffers grown to the widest batch marched so
+far and, per batch shape, the factors tiled to one level row and a few
+scratch rows (``_Work``).  A forward march writes its inputs and modal
+coefficients into those buffers in place, forms its boundary averages and
+each level's product in the scratch rows and allocates only its result; the
+backward march adds one reversed copy.  Its bits rest on the order of
+operations that ``modal_march`` states.  Marches on one grid pair share its
+buffers, so they must not run at once in threads of one process; the package
+starts none.
 
 Every array of a batch of independent columns puts the column axes first: a
 march takes ``y0`` (*B, n), ``source`` (*B, n_levels, n) and boundary values
@@ -43,6 +45,7 @@ values (non-finite data or overflow) with ``NonFiniteError``, a ``ValueError``.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 
@@ -67,6 +70,18 @@ def trapezoid_time_weights(n_levels: int) -> np.ndarray:
     return w
 
 
+# What a march of one batch shape works in: z/w laid out (level, *batch,
+# space), so each level is one contiguous block, and the same memory seen as
+# (*batch, level, space) (the ``_columns`` views); ``w_rows`` is w with each
+# level one row (the modes of every column in turn), ``steps`` pairs each row
+# with the next, ``lam_rows``/``c_rows`` are lam/c tiled to one row and
+# ``product`` is a scratch row of that length; ``edge`` (*batch, level) and
+# ``edge_avg`` (*batch, level - 1) are scratch for a boundary row and its
+# midpoint averages.
+_Work = collections.namedtuple("_Work", "z z_columns w w_columns w_rows steps lam_rows c_rows "
+                                        "product edge edge_avg")
+
+
 class _Plan:
     """What every march on one (grid, tgrid) pair shares: its factors and work buffers.
 
@@ -80,7 +95,9 @@ class _Plan:
     (datum and step sources), ``w`` their modal coefficients.  They grow to
     the widest batch marched so far and a narrower batch uses their leading
     part, so the plan retains at most 2 x (widest batch x n_levels x n)
-    floats.  ``work`` hands out the views of one batch shape, built once.
+    floats.  ``work`` hands out the ``_Work`` of one batch shape, built once;
+    its tiled factors and scratch rows add about 5 x (batch x max(n,
+    n_levels)) floats per batch shape.
     """
 
     def __init__(self, grid: SpatialGrid, tgrid: TimeGrid):
@@ -99,15 +116,8 @@ class _Plan:
         self.z = self.w = np.empty(0)
         self._views = {}
 
-    def work(self, batch: tuple) -> tuple:
-        """(z, z_columns, w, w_columns, steps, lam_rows) for the batch shape ``batch``.
-
-        ``z``/``w`` are laid out (level, *batch, space), so each level is one
-        contiguous block; the ``_columns`` views are the same memory seen as
-        (*batch, level, space).  ``steps`` pairs each level row of ``w`` (the
-        modes of every column in turn) with the next, and ``lam_rows`` is
-        ``lam`` tiled to one such row.
-        """
+    def work(self, batch: tuple) -> _Work:
+        """The views and scratch rows of the batch shape ``batch`` (``_Work``), built once."""
         views = self._views.get(batch)
         if views is None:
             klev, n = self.shape
@@ -118,9 +128,11 @@ class _Plan:
                 self._views.clear()
             per_column = tuple(range(1, 1 + len(batch))) + (0, len(batch) + 1)
             z, w = (buf[:need].reshape((klev,) + batch + (n,)) for buf in (self.z, self.w))
-            rows = list(w.reshape(klev, -1))
-            views = (z, z.transpose(per_column), w, w.transpose(per_column),
-                     list(zip(rows, rows[1:])), np.tile(self.lam, size))
+            w_rows = w.reshape(klev, -1)
+            views = _Work(z, z.transpose(per_column), w, w.transpose(per_column), w_rows,
+                          list(zip(w_rows, w_rows[1:])), np.tile(self.lam, size),
+                          np.tile(self.c, size), np.empty(size * n),
+                          np.empty(batch + (klev,)), np.empty(batch + (klev - 1,)))
             self._views[batch] = views
         return views
 
@@ -156,9 +168,13 @@ def modal_march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
     recurrence there, and the levels are transformed back straight into the
     result, the one array a march allocates at full size; level 0 is the
     datum itself, since S S y0 equals y0 only to round-off.  The bits rest on
-    this order of operations: a step source is dt * (0.5 s^{k+1} + 0.5 s^k),
-    then an edge row gains (dt/dx^2) * favg(boundary); the modal level k+1
-    is c * (S h^k) before ``cur += lam * prev`` adds the previous level.
+    this order of operations: a step source is dt * (0.5 s^{k+1} + 0.5 s^k)
+    (every level halved into the modal buffer, then neighbouring halves
+    added into the input buffer), then an edge row gains
+    (dt/dx^2) * (0.5 b^{k+1} + 0.5 b^k), formed in scratch rows; the modal
+    level k+1 is (S h^k) * c before ``cur + lam * prev`` adds the previous
+    level, the product formed in a scratch row.  A sum or product of two
+    values rounds the same in either order, so only the grouping matters.
     Each column's transforms are one (n_levels, n) @ (n, n) product of the
     shape a lone march multiplies, on strided views of unit inner stride
     that BLAS reads and writes without a copy, and the recurrence is
@@ -173,28 +189,34 @@ def modal_march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
     if out.size == 0:
         return out
     plan = _plan(grid, tgrid)
-    z, columns, w, w_columns, steps, lam_rows = plan.work(batch)
+    wk = plan.work(batch)
+    z, columns, w_columns = wk.z, wk.z_columns, wk.w_columns
     z[0] = y0
     if source is None:
         z[1:] = 0.0
     else:
-        # dt * favg(source), rounded as favg rounds it; w is free until the transform
-        inputs, half = columns[..., 1:, :], w_columns[..., 1:, :]
-        np.multiply(source[..., 1:, :], 0.5, out=inputs)
-        np.multiply(source[..., :-1, :], 0.5, out=half)
-        inputs += half
+        # dt * favg(source), rounded as favg rounds it: every level halved into
+        # w (free until the transform), neighbouring halves added into z
+        half = np.multiply(source, 0.5, out=w_columns)
+        inputs = np.add(half[..., 1:, :], half[..., :-1, :], out=columns[..., 1:, :])
         inputs *= tgrid.dt
     scale = tgrid.dt / grid.dx ** 2
-    if left is not None:
-        columns[..., 1:, 0] += scale * favg(left, -1)
-    if right is not None:
-        columns[..., 1:, -1] += scale * favg(right, -1)
+    for side, values in ((0, left), (-1, right)):
+        if values is not None:
+            # (dt/dx^2) * favg(values), formed in the plan's scratch rows
+            half = np.multiply(values, 0.5, out=wk.edge)
+            avg = np.add(half[..., 1:], half[..., :-1], out=wk.edge_avg)
+            avg *= scale
+            row = columns[..., 1:, side]
+            np.add(row, avg, out=row)
     np.matmul(columns, plan.s, out=w_columns)
-    w[1:] *= plan.c
+    rows = wk.w_rows[1:]
+    np.multiply(rows, wk.c_rows, out=rows)
     # each level is one row of the modes of every column in turn, so a step
-    # is two vector operations whatever the batch
-    for prev, cur in steps:
-        cur += lam_rows * prev
+    # is two vector operations whatever the batch, into the scratch row
+    lam_rows, product = wk.lam_rows, wk.product
+    for prev, cur in wk.steps:
+        np.add(cur, np.multiply(lam_rows, prev, product), cur)
     np.matmul(w_columns, plan.s, out=out)
     out[..., 0, :] = y0
     if not np.isfinite(out).all():

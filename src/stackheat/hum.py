@@ -30,7 +30,11 @@ for every eps (shifted systems).  ``GramBasis`` stores that space once, with
 the Gram image of every basis vector, and ``hum_minimize`` takes the Galerkin
 solution on its leading vectors, which in exact arithmetic is the conjugate
 gradient iterate.  One basis thus serves every eps of a ladder, on the one
-``saddle._Problem`` it builds; the typed functions are the public edge.  A Gram
+``saddle._Problem`` it builds; the typed functions are the public edge.
+``hum_ladder`` runs every rung's Galerkin iteration on one basis and then
+certifies the rungs as one batch: one ``_adjoint_pairs`` over their
+minimizers and one ``saddle._equilibria`` over their leaders, each column
+the bits of its lone solve; ``hum_minimize`` is its one-rung case.  A Gram
 image (``_gram``) is a raw pair solve, ``_Problem.observe``, the raw
 equilibrium of ``_Problem.homogeneous()`` and the lift.  The instruments that
 check the duality and the gradient from outside (the observation pairing and
@@ -41,18 +45,19 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 from .errors import ConvergenceError
 from .grids import BoundaryTrace, SpaceTimeField
 from .heat import favg, modal_march, modal_march_backward
 from .products import h10_diff, h10_dot, h10_inner, h10_norm, hminus1_norm, neg_laplacian_solve
-from .saddle import (SaddleSolution, _block_width, _equilibrium, _picard_columns, _Problem,
-                     _solve, build_problem)
+from .saddle import (SaddleSolution, _block_width, _equilibria, _equilibrium, _picard_columns,
+                     _Problem, _solution, _solve, build_problem)
 from .scenario import RobustParams, ScenarioConfig
 from .weights import admissibility_check, target_weight_inv_sq
 
@@ -63,10 +68,11 @@ class HumSettings:
     cg_tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not self.cg_tol > 0:
-            raise ValueError("cg_tol must be positive")
+        # the Galerkin solve calls LAPACK directly, which does not check finiteness
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not (self.cg_tol > 0 and math.isfinite(self.cg_tol)):
+            raise ValueError(f"cg_tol must be positive and finite, got {self.cg_tol}")
 
 
 @dataclass
@@ -105,10 +111,15 @@ def _theta_columns(prob: _Problem, a) -> tuple:
 
 
 def _phi_backward(prob: _Problem, thetas: tuple, terminal: np.ndarray) -> np.ndarray:
+    """phi marched backward from ``terminal``, driven by theta on the observation region(s).
+
+    The source is 0.0 + theta on each region, one masked addition per theta
+    (the +0.0 turns a -0.0 of theta into +0.0), and +0.0 elsewhere.
+    """
     cfg = prob.cfg
     src = np.zeros(thetas[0].shape)
     for mask, th in zip(prob.obs_masks, thetas):
-        src[..., mask] += th[..., mask]
+        np.add(src, th, out=src, where=mask)
     return modal_march_backward(cfg.grid, cfg.tgrid, terminal, src)
 
 
@@ -214,6 +225,8 @@ class HumResult:
     controlled: SaddleSolution = dataclasses.field(repr=False)
 
 
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
+
 # A new basis direction whose orthogonalized image is below this fraction of
 # the image itself is round-off: the Krylov space is invariant.
 _INVARIANT_TOL = 1e-14
@@ -289,12 +302,15 @@ class GramBasis:
             raise ConvergenceError(
                 f"Gram operator is not positive: Rayleigh quotient {a[k - 1, k - 1] - eps:.3g} "
                 f"of basis vector {k} with eps={eps:.3g}")
-        try:
-            y = cho_solve(cho_factor(a, lower=True), -np.asarray(self.rhs[:k]))
-        except np.linalg.LinAlgError as exc:
+        # LAPACK's Cholesky factor and solve, as scipy's cho_factor(a, lower=True)
+        # and cho_solve call them, without their per-call checks and dispatch
+        factor, info = _POTRF(a, lower=1, clean=0, overwrite_a=1)
+        if info > 0:
             raise ConvergenceError(
                 f"projected Gram matrix plus eps={eps:.3g} is not positive definite "
-                f"on {k} basis vectors: {exc}") from exc
+                f"on {k} basis vectors: {info}-th leading minor of the array is not "
+                "positive definite")
+        y, _ = _POTRS(factor, -np.asarray(self.rhs[:k]), lower=1, overwrite_b=1)
         return y @ np.array(self.vectors[:k]), y @ np.array(self.images[:k])
 
 
@@ -313,14 +329,50 @@ def hum_minimize(cfg: ScenarioConfig, params: RobustParams,
     the full optimality system with the synthesized control, whose follower
     equilibrium the result keeps as ``controlled``; with zero data that is
     the zero leader's (a zero array, not None: adding it turns a -0.0 into
-    0.0, which prints differently).
+    0.0, which prints differently).  It is the one-rung case of ``hum_ladder``.
     """
+    return hum_ladder(cfg, params, (settings,), basis)[0]
+
+
+def hum_ladder(cfg: ScenarioConfig, params: RobustParams, rungs,
+               basis: Optional[GramBasis] = None) -> tuple:
+    """``hum_minimize`` for each ``HumSettings`` of ``rungs`` on one basis; one result each.
+
+    Each rung runs its Galerkin iteration on the shared ``basis`` (a new one
+    when None), and then all rungs are certified as one batch: one
+    ``_adjoint_pairs`` over their minimizers and one follower equilibrium
+    over their leaders, each column the bits of its lone solve.  So every
+    result equals a lone ``hum_minimize`` on a fresh basis bit for bit.
+    """
+    if not rungs:
+        return ()
     if basis is None:
         basis = GramBasis(cfg, params)
     elif basis.cfg is not cfg or basis.params != params:
         raise ValueError("the Gram basis was built for another scenario or parameters")
 
     grid, prob = cfg.grid, basis.prob
+    solves = [_galerkin_iteration(basis, settings) for settings in rungs]
+    phis = [pair[0] for pair in _adjoint_pairs(prob, [x for x, _, _, _ in solves])]
+    leaders = np.stack([prob.observe(phi) for phi in phis])
+    results = []
+    for settings, (x, gx, fval, trace), phi, leader, raw in zip(
+            rungs, solves, phis, leaders, _equilibria(prob, leaders)):
+        # Gram x + b is the H10 lift of y(T), from the stored images
+        internal = h10_norm(gx + basis.b, grid)
+        observed, weight = _observed(prob, phi)
+        controlled = _solution(prob, leader, raw)
+        residual = hminus1_norm(controlled.state.interior[-1], grid)
+        results.append(HumResult(
+            x, _leader(prob, leader), residual, internal, len(trace), fval,
+            float(weight * np.sum(observed * observed)), settings.epsilon, tuple(trace),
+            controlled))
+    return tuple(results)
+
+
+def _galerkin_iteration(basis: GramBasis, settings: HumSettings) -> tuple:
+    """(x, Gram x, functional, trace) of ``hum_minimize``'s iteration on ``basis``."""
+    grid = basis.cfg.grid
     eps = settings.epsilon
     b, bnorm = basis.b, basis.bnorm
     # zero data (b = 0) leave the loop at once, with the exact minimizer x = 0
@@ -345,16 +397,7 @@ def hum_minimize(cfg: ScenarioConfig, params: RobustParams,
                 raise ConvergenceError(
                     f"conjugate gradient stagnated at residual {rnorm:.3g} "
                     f"(target {settings.cg_tol * bnorm:.3g}) after {it} iterations")
-
-    # Gram x + b is the H10 lift of y(T), from the stored images
-    internal = h10_norm(gx + b, grid)
-    phi = _adjoint_pairs(prob, x[None])[0][0]
-    leader = prob.observe(phi)
-    observed, weight = _observed(prob, phi)
-    controlled = _solve(prob, leader)
-    residual = hminus1_norm(controlled.state.interior[-1], grid)
-    return HumResult(x, _leader(prob, leader), residual, internal, len(trace), fval,
-                     float(weight * np.sum(observed * observed)), eps, tuple(trace), controlled)
+    return x, gx, fval, trace
 
 
 def target_admissibility(cfg: ScenarioConfig):

@@ -18,7 +18,7 @@ from .csvio import write_csv, write_field_csv, write_manifest, write_trace_csv
 from .errors import ConfigError, StackheatError
 from .grids import SpaceTimeField, SpatialGrid, TimeGrid
 from .heat import solve_forward
-from .hum import (_OBSERVED_CUT, GramBasis, hum_minimize, observability_probe,
+from .hum import (_OBSERVED_CUT, GramBasis, hum_ladder, hum_minimize, observability_probe,
                   target_admissibility)
 from .config import ExperimentSpec
 from .oracle import dense_optimality_solve
@@ -308,20 +308,17 @@ def _oracle_rows(spec: ExperimentSpec, ladder):
 
 
 def _sweep_eps(spec: ExperimentSpec, em: _Emitter) -> Verdict:
-    """Solve the epsilon ladder on one Gram basis, write ``eps_sweep.csv``; the law's verdict."""
-    cfg, robust = spec.scenario, spec.robust
+    """Solve the epsilon ladder (``hum_ladder``), write ``eps_sweep.csv``; the law's verdict."""
     rows, residuals = [], []
-    rungs = sorted(spec.epsilon_ladder, reverse=True)
-    basis = GramBasis(cfg, robust) if rungs else None
-    for eps in rungs:
-        res = hum_minimize(cfg, robust, dataclasses.replace(spec.hum, epsilon=eps),
-                           basis=basis)
+    rungs = [dataclasses.replace(spec.hum, epsilon=eps)
+             for eps in sorted(spec.epsilon_ladder, reverse=True)]
+    for res in hum_ladder(spec.scenario, spec.robust, rungs):
         residuals.append(res.terminal_residual_hminus1)
         ratio = "" if len(residuals) < 2 else residuals[-2] / max(residuals[-1], 1e-300)
-        rows.append([eps, res.terminal_residual_hminus1,
+        rows.append([res.epsilon, res.terminal_residual_hminus1,
                      res.internal_residual_estimate, res.cg_iterations,
                      res.leader_norm_sq, ratio])
-        em.log(f"[eps-sweep] eps={eps:g}: residual {res.terminal_residual_hminus1:.4g}, "
+        em.log(f"[eps-sweep] eps={res.epsilon:g}: residual {res.terminal_residual_hminus1:.4g}, "
                f"{res.cg_iterations} CG iterations")
     write_csv(em.path("eps_sweep.csv"),
               ["epsilon [1]", "terminal_residual [Hminus1]", "internal_estimate [Hminus1]",

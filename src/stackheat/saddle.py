@@ -32,11 +32,12 @@ A batch of independent columns leads every array: states and adjoints are
 ``heat.modal_march`` takes and returns them.  The coupling and the functional
 (``evaluate_functional_raw`` and the quadratures it calls) take a lone column
 or a batch.  Every coupled solve is a batch of the one Picard loop,
-``_picard_columns``: ``_equilibrium`` is a batch of one column.  The
-checks score their perturbed controls a block at a time: ``_blocks`` solves
-a block by one batched march.  Each column keeps the arithmetic and the
-summation order of its lone solve, so every value has the same bits whatever
-the batch width.
+``_picard_columns``: ``_equilibria`` solves one column per leader (HUM
+certifies an epsilon ladder so) and ``_equilibrium`` is its one-column
+case.  The checks score their perturbed controls a block at a time:
+``_blocks`` solves a block by one batched march.  Each column keeps the
+arithmetic and the summation order of its lone solve, so every value has the
+same bits whatever the batch width.
 """
 
 from __future__ import annotations
@@ -150,9 +151,12 @@ class _Problem:
                           for side, rho, ell in self.follower_edges),
                     q / params.gamma ** 2)
         if c == "B":
+            # each control is its quotient on its region, +0.0 elsewhere
             p = adjoints[0]
-            return (np.where(self.b1_mask, -p / params.ell ** 2, 0.0),
-                    np.where(self.b2_mask, p / params.gamma ** 2, 0.0))
+            follower, disturbance = np.zeros(p.shape), np.zeros(p.shape)
+            np.divide(-p, params.ell ** 2, out=follower, where=self.b1_mask)
+            np.divide(p, params.gamma ** 2, out=disturbance, where=self.b2_mask)
+            return follower, disturbance
         return tuple(
             rho * time_weight * smooth_trace(normal_derivative_o1(r, cfg.grid, side))
             / (ell ** 2 * self.wtrap)
@@ -196,9 +200,10 @@ class _Problem:
         if c == "A":
             source = disturbance if leader is None else disturbance + leader
         elif c == "B":
+            # 0.0 + v on B1, then + psi on B2, one masked addition each
             source = np.zeros(np.broadcast_shapes(follower.shape, disturbance.shape))
-            source[..., self.b1_mask] += follower[..., self.b1_mask]
-            source[..., self.b2_mask] += disturbance[..., self.b2_mask]
+            np.add(source, follower, out=source, where=self.b1_mask)
+            np.add(source, disturbance, out=source, where=self.b2_mask)
         # B has no follower edges; a row starts from +0.0, so a vanishing row
         # is never written as -0
         for (side, rho, _), v in zip(self.follower_edges, follower):
@@ -292,14 +297,15 @@ def _leader_array(prob: _Problem, leader) -> np.ndarray | None:
 def _adjoint_solve(prob: _Problem, state: np.ndarray) -> tuple:
     """Backward solve(s) driven by the tracking residual(s).
 
-    Residual i is column i of a new first axis, so D's two adjoints are one
-    batched march, each equal to its lone march bit for bit.
+    Each residual is one masked subtraction: state - target on its region,
+    +0.0 elsewhere.  Residual i is column i of a new first axis, so D's two
+    adjoints are one batched march, each equal to its lone march bit for bit.
     """
     cfg = prob.cfg
     grid = cfg.grid
     src = np.zeros((len(prob.obs_masks),) + state.shape)
     for residual, mask, target in zip(src, prob.obs_masks, prob.targets):
-        residual[..., mask] = state[..., mask] - target[:, mask]
+        np.subtract(state, target, out=residual, where=mask)
     return tuple(modal_march_backward(grid, cfg.tgrid, np.zeros(grid.n_interior), src))
 
 
@@ -455,18 +461,39 @@ def solve_optimality(cfg: ScenarioConfig, leader, params: RobustParams) -> Saddl
     return _solve(prob, _leader_array(prob, leader))
 
 
+def _equilibria(prob: _Problem, leaders) -> list:
+    """Raw (state, adjoints, iterations, residual, ratios, status) under each leader.
+
+    ``leaders`` stacks one raw leader per column on a leading axis, or is None
+    for one column under the zero leader.  The columns are one
+    ``_picard_columns`` loop, so each equals its lone solve bit for bit.
+    """
+    width = 1 if leaders is None else len(leaders)
+
+    def forward(adjoints, cols):
+        leader = leaders if leaders is None or len(cols) == width else leaders[cols]
+        return prob.state(*prob.feedback(adjoints, prob.g2inv), leader)
+
+    return _picard_columns(prob, forward, lambda st: _adjoint_solve(prob, st),
+                           prob.n_adjoints, width)
+
+
 def _equilibrium(prob: _Problem, leader_arr) -> tuple:
-    """Raw (state, adjoints, iterations, residual, ratios, status) under ``leader_arr``."""
-    return _picard_columns(
-        prob,
-        lambda adj, _: prob.state(*prob.feedback(adj, prob.g2inv), leader_arr),
-        lambda st: _adjoint_solve(prob, st),
-        prob.n_adjoints, width=1)[0]
+    """``_equilibria`` of the one raw leader ``leader_arr`` (None: the zero leader)."""
+    return _equilibria(prob, None if leader_arr is None else leader_arr[None])[0]
 
 
 def _solve(prob: _Problem, leader_arr) -> SaddleSolution:
-    """``_equilibrium`` as a typed solution; the controls are read off the adjoints once."""
-    state, adjoints, iters, res, ratios, status = _equilibrium(prob, leader_arr)
+    """``_equilibrium`` as a typed solution (``_solution``)."""
+    return _solution(prob, leader_arr, _equilibrium(prob, leader_arr))
+
+
+def _solution(prob: _Problem, leader_arr, raw: tuple) -> SaddleSolution:
+    """The raw equilibrium ``raw`` under ``leader_arr`` as a typed solution.
+
+    The controls are read off the adjoints once.
+    """
+    state, adjoints, iters, res, ratios, status = raw
     tgrid = prob.cfg.tgrid
     c = prob.cfg.configuration
     follower, disturbance = prob.feedback(adjoints, prob.g2inv)

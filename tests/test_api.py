@@ -17,11 +17,11 @@ PUBLIC = [
     "SpatialGrid", "TimeGrid", "WeightSpec", "admissibility_check", "alpha_xi", "beta_weights",
     "config", "convergence_study", "csvio", "eps_sweep", "errors", "evaluate_functional",
     "gram_apply", "grids", "h10_inner", "h10_norm", "heat", "hminus1_norm", "hum",
-    "hum_minimize", "l2_q", "l_of_t", "make_initial", "make_target", "observability_probe",
-    "observation", "oracle", "parse_config", "probe_run", "products", "rho_star",
-    "rho_star_inv_sq", "run_experiment", "runner", "saddle", "scenario", "section3_weights",
-    "solve_adjoint", "solve_backward", "solve_forward", "solve_optimality", "target_weight",
-    "validate_config", "verify_saddle", "weights",
+    "hum_ladder", "hum_minimize", "l2_q", "l_of_t", "make_initial", "make_target",
+    "observability_probe", "observation", "oracle", "parse_config", "probe_run", "products",
+    "rho_star", "rho_star_inv_sq", "run_experiment", "runner", "saddle", "scenario",
+    "section3_weights", "solve_adjoint", "solve_backward", "solve_forward", "solve_optimality",
+    "target_weight", "validate_config", "verify_saddle", "weights",
 ]
 
 

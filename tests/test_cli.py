@@ -144,32 +144,57 @@ def test_cli_exit_codes(tmp_path):
     assert main(["sweep-eps", good, "--out", str(tmp_path / "o"), "--quiet"]) == 0
 
 
-@pytest.mark.parametrize("body", [
-    "[scenario.obs]\na = 0.9\nb = 0.2",        # a > b
-    "[robust]\nell = -1",                     # nonpositive weight
-    "[grid]\nn_interior = 1",                 # too few nodes
-    "[scenario.obs]\na = 0.401\nb = 0.402",   # no interior node at n = 50
-    "[hum]\nepsilon_ladder = 1e-2, 0",        # non-positive rung
-    "[hum]\nepsilon_ladder = 1e-2, 1e-4, 1e-2",  # duplicate rung
-    "[hum]\nepsilon_ladder =",                # no rung: sweep-eps would solve nothing
-    "[hum]\ncg_tol = 0",                      # a nonpositive CG tolerance
-    "[hum]\ncg_max_iters = 5000",             # unknown key: the Krylov basis bounds the CG
-    "[grid]\ntheta = 0.75",                   # unknown key: the solvers are Crank-Nicolson
-    "[grid]\nladder = 25, 50",                # a convergence ladder needs 3 grids
-    "[output]\nverify_perturbations = 0",     # a saddle check over no perturbation
-    "[output]\nprobe_samples = 0",            # a probe of no sample
-    "[output]\nseed = -1",                    # numpy rejects negative seeds
-    "[robust]\nell2 = 12.0",                  # a second follower outside D
-    "global_disturbance = true",              # [scenario]: the B variant outside B
+@pytest.mark.parametrize("body, reason", [
+    ("[scenario.obs]\na = 0.9\nb = 0.2",         # a > b
+     "region must have a < b, got (0.9, 0.2)"),
+    ("[robust]\nell = -1",                      # nonpositive weight
+     "ell and gamma must be positive"),
+    ("[grid]\nn_interior = 1",                  # too few nodes
+     "n_interior must be >= 2, got 1"),
+    ("[scenario.obs]\na = 0.401\nb = 0.402",    # no interior node at n = 50
+     "region (0.401, 0.402) contains no interior node"),
+    ("[hum]\nepsilon_ladder = 1e-2, 0",         # non-positive rung
+     "epsilon_ladder must hold distinct positive finite rungs, got (0.01, 0.0)"),
+    ("[hum]\nepsilon_ladder = 1e-2, 1e-4, 1e-2",  # duplicate rung
+     "epsilon_ladder must hold distinct positive finite rungs, got (0.01, 0.0001, 0.01)"),
+    ("[hum]\nepsilon_ladder =",                 # no rung: sweep-eps would solve nothing
+     "epsilon_ladder needs at least one rung"),
+    ("[hum]\ncg_tol = 0",                       # a nonpositive CG tolerance
+     "cg_tol must be positive and finite, got 0.0"),
+    ("[hum]\ncg_max_iters = 5000",              # unknown key: the Krylov basis bounds the CG
+     "unknown key 'cg_max_iters' in [hum]"),
+    ("[grid]\ntheta = 0.75",                    # unknown key: the solvers are Crank-Nicolson
+     "unknown key 'theta' in [grid]"),
+    ("[grid]\nladder = 25, 50",                 # a convergence ladder needs 3 grids
+     "[grid] ladder needs at least 3 grids, got (25, 50)"),
+    ("[output]\nverify_perturbations = 0",      # a saddle check over no perturbation
+     "[output] verify_perturbations must be >= 1, got 0"),
+    ("[output]\nprobe_samples = 0",             # a probe of no sample
+     "[output] probe_samples must be >= 1, got 0"),
+    ("[output]\nseed = -1",                     # numpy rejects negative seeds
+     "[output] seed must be a nonnegative integer, got -1"),
+    ("[robust]\nell2 = 12.0",                   # a second follower outside D
+     "[robust] ell2 applies to configuration D only"),
+    ("global_disturbance = true",               # [scenario]: the B variant outside B
+     "[scenario] global_disturbance applies to configuration B only"),
+    ("[hum]\nepsilon = inf",                    # LAPACK would factor a non-finite matrix
+     "epsilon must be positive and finite, got inf"),
+    ("[hum]\ncg_tol = inf",                     # would end the CG after one iteration
+     "cg_tol must be positive and finite, got inf"),
+    ("[hum]\nepsilon_ladder = 1e-2, inf",       # a rung sweep-eps cannot solve
+     "epsilon_ladder must hold distinct positive finite rungs, got (0.01, inf)"),
 ], ids=["reversed-region", "negative-ell", "one-node-grid", "empty-region",
         "zero-epsilon-rung", "duplicate-epsilon-rung", "empty-eps-ladder", "zero-cg-tol",
         "cg-max-iters-key", "theta-key", "short-ladder", "zero-perturbations",
-        "zero-probe-samples", "negative-seed", "ell2-outside-d", "global-disturbance-outside-b"])
-def test_rejected_config_value_exits_2(tmp_path, body, capsys):
+        "zero-probe-samples", "negative-seed", "ell2-outside-d", "global-disturbance-outside-b",
+        "inf-epsilon", "inf-cg-tol", "inf-epsilon-rung"])
+def test_rejected_config_value_exits_2(tmp_path, body, reason, capsys):
+    # the reason proves the row is rejected for what it tests, not for another error
     bad = tmp_path / "bad.ini"
     bad.write_text(f"[scenario]\nconfiguration = A\n{body}\n", encoding="utf-8")
     assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
-    assert f"config error: {bad}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {bad}: " in err and reason in err
 
 
 def test_run_lets_runtime_warnings_of_the_leader_synthesis_out(tmp_path, monkeypatch):

@@ -1,20 +1,22 @@
 """HUM machinery: adjoint pairs, Gram duality, CG minimization, probe."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from stackheat import hum as hum_module
 from stackheat import saddle as saddle_module
 from stackheat.config import parse_config
 from stackheat.errors import ConvergenceError, NonContractionError
 from stackheat.heat import favg
-from stackheat.hum import (GramBasis, HumSettings, _adjoint_pairs, gram_apply, hum_minimize,
-                           observability_probe, observation, solve_adjoint)
+from stackheat.hum import (GramBasis, HumSettings, _adjoint_pairs, gram_apply, hum_ladder,
+                           hum_minimize, observability_probe, observation, solve_adjoint)
 from stackheat.oracle import dense_adjoint_solve
 from stackheat.products import h10_inner, h10_norm
+from stackheat.runner import eps_sweep
 from stackheat.weights import target_weight_inv_sq
 
 from _instruments import gradient_check, observation_pairing
@@ -209,6 +211,27 @@ def test_descending_ladder_applies_gram_as_often_as_its_smallest_rung(conf, monk
     assert len(calls) == lone
 
 
+@pytest.mark.parametrize("conf", "AB")
+def test_galerkin_solve_equals_scipy_cholesky_bit_for_bit(conf):
+    # the basis calls LAPACK's potrf/potrs itself; scipy's cho_factor and
+    # cho_solve stay the reference for its bits
+    cfg = builders()[conf](n=16, k=16)
+    basis = GramBasis(cfg, params())
+    while basis.extend():
+        pass
+    assert len(basis) >= 5
+    for k in range(1, len(basis) + 1):
+        for eps in _LADDER:
+            a = np.empty((k, k))
+            for i, row in enumerate(basis.projected[:k]):
+                a[i, :i + 1] = a[:i + 1, i] = row
+            a[np.diag_indices(k)] += eps
+            y = cho_solve(cho_factor(a, lower=True), -np.asarray(basis.rhs[:k]))
+            x, gx = basis.galerkin(k, eps)
+            assert x.tobytes() == (y @ np.array(basis.vectors[:k])).tobytes()
+            assert gx.tobytes() == (y @ np.array(basis.images[:k])).tobytes()
+
+
 def _unit_orthogonal_to(b, grid, seed=0):
     e1 = b / h10_norm(b, grid)
     r = np.random.default_rng(seed).standard_normal(b.shape)
@@ -319,6 +342,54 @@ def test_zero_data_result_keeps_the_zero_leader_equilibrium():
     res = _solve(cfg, p, 1e-3)
     assert res.cg_iterations == 0
     _assert_same_equilibrium(res.controlled, saddle_module.solve_optimality(cfg, res.leader, p))
+
+
+@pytest.mark.parametrize("conf", "ABCD")
+def test_batched_ladder_equals_lone_solves_bit_for_bit(conf):
+    # the ladder certifies its rungs as one batch; each rung keeps the bits of
+    # a lone hum_minimize on a fresh basis, its controlled equilibrium included
+    cfg = builders()[conf](n=16, k=16)
+    p = params()
+    ladder = hum_ladder(cfg, p, [HumSettings(epsilon=eps, cg_tol=1e-11) for eps in _LADDER])
+    assert [r.epsilon for r in ladder] == list(_LADDER)
+    for got in ladder:
+        ref = _solve(cfg, p, got.epsilon)
+        assert np.array_equal(got.phi_terminal, ref.phi_terminal)
+        assert np.array_equal(got.leader.values, ref.leader.values)
+        _assert_same_equilibrium(got.controlled, ref.controlled)
+        assert got.trace == ref.trace
+        assert (got.terminal_residual_hminus1, got.internal_residual_estimate,
+                got.cg_iterations, got.functional_value, got.leader_norm_sq) == \
+            (ref.terminal_residual_hminus1, ref.internal_residual_estimate,
+             ref.cg_iterations, ref.functional_value, ref.leader_norm_sq)
+
+
+def _recording_widths(picard_columns, seen):
+    """``picard_columns`` that records the width of every call in ``seen``."""
+    def recorded(prob, forward, backward, n_adjoints, width):
+        seen.append(width)
+        return picard_columns(prob, forward, backward, n_adjoints, width)
+    return recorded
+
+
+@pytest.mark.parametrize("conf", "AB")
+def test_sweep_eps_certifies_its_ladder_in_one_batch(conf, tmp_path, monkeypatch):
+    # one Picard loop over every rung's leader certifies the ladder, and one
+    # over their minimizers solves the adjoint pairs; every other loop is a
+    # lone column (the zero-leader solve and the Gram images)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = parse_config(os.path.join(root, "configs", f"demo_{conf.lower()}.ini"))
+    spec = dataclasses.replace(spec, scenario=spec.recipe.build(16, 16))
+    widths = {saddle_module: [], hum_module: []}   # per binding of _picard_columns
+    for module, seen in widths.items():
+        monkeypatch.setattr(module, "_picard_columns",
+                            _recording_widths(module._picard_columns, seen))
+    report = eps_sweep(spec, out_dir=str(tmp_path / "sweep"), quiet=True)
+    assert "pipeline" not in [v.name for v in report.verdicts]
+    rungs = len(spec.epsilon_ladder)
+    assert rungs > 1
+    for seen in widths.values():
+        assert [w for w in seen if w != 1] == [rungs]
 
 
 def test_hum_leader_formula_consistency_config_a():
