@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .config import parse_config
@@ -26,7 +27,13 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    ``parse_args`` fills a new namespace on every call, so the calls share no
+    state through it.
+    """
     parser = argparse.ArgumentParser(
         prog="stackheat",
         description="Robust Stackelberg control of the 1D heat equation: "

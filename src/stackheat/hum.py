@@ -59,7 +59,7 @@ from .products import h10_diff, h10_dot, h10_inner, h10_norm, hminus1_norm, neg_
 from .saddle import (SaddleSolution, _block_width, _equilibria, _equilibrium, _picard_columns,
                      _Problem, _solution, _solve, build_problem)
 from .scenario import RobustParams, ScenarioConfig
-from .weights import admissibility_check, target_weight_inv_sq
+from .weights import _admissibility, target_weight_inv_sq
 
 
 @dataclass(frozen=True)
@@ -405,16 +405,16 @@ def target_admissibility(cfg: ScenarioConfig):
     if all(np.all(t.values == 0.0) for t in cfg.targets()):
         return None
     grid, tgrid = cfg.grid, cfg.tgrid
-    masks = [reg.interior_mask(grid) for reg in cfg.observation_regions()]
-    interiors = [tgt.interior for tgt in cfg.targets()]
-    # the squared target norm on the observation region(s), once per time level
-    levels = [sum(float(np.sum(y[k][mask] ** 2) * grid.dx) for mask, y in zip(masks, interiors))
-              for k in range(tgrid.n_levels)]
+    # the squared target norm on the observation region(s), one entry per time
+    # level; each row is summed pairwise, as a lone np.sum of it would be
+    levels = sum(np.sum(tgt.interior[:, reg.interior_mask(grid)] ** 2, axis=1) * grid.dx
+                 for reg, tgt in zip(cfg.observation_regions(), cfg.targets()))
 
-    def ydfun(t):
-        return levels[min(int(round(t / tgrid.dt)), tgrid.n_steps)]
+    def profile(tm):
+        # the nearest level of each midpoint; rint rounds half to even, as round does
+        return levels[np.minimum(np.rint(tm / tgrid.dt).astype(int), tgrid.n_steps)]
 
-    return admissibility_check(cfg.configuration, cfg.wspec, cfg.eta(), ydfun)
+    return _admissibility(cfg.configuration, cfg.wspec, cfg.eta(), profile)
 
 
 @dataclass

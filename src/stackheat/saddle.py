@@ -43,6 +43,7 @@ same bits whatever the batch width.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -722,8 +723,10 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
     violation = {False: 0.0, True: 0.0}  # worst per kind: minimizing, maximizing
     worst = ()
     for j, (gain, player) in enumerate(zip(gains, itertools.cycle(players))):
-        if gain > violation[player.maximizes]:
-            violation[player.maximizes] = gain
+        # a nan gain is a violation too, and the first non-finite one is the worst
+        kind = player.maximizes
+        if math.isfinite(violation[kind]) and not gain <= violation[kind]:
+            violation[kind] = gain
             worst = (j // npl, player.label)
 
     report = VerifyReport(n_perturbations, violation[False], violation[True],
@@ -810,10 +813,9 @@ def _stationarity_estimate(prob: _Problem, sol: SaddleSolution, leader_arr, rng)
             for _, _, y in _blocks(prob, leader_arr, controls):
                 values += _functional_weighted(prob, i, us[start:start + len(y)], y).tolist()
                 start += len(y)
-    worst = 0.0
-    for jp, jm in zip(values[0::2], values[1::2]):
-        worst = max(worst, abs(jp - jm) / (2 * step))
-    return worst
+    # np.max propagates a nan derivative, which then fails the stationarity rule
+    derivatives = np.abs(np.subtract(values[0::2], values[1::2])) / (2 * step)
+    return float(np.max(derivatives, initial=0.0))
 
 
 def _functional_weighted(prob: _Problem, index: int, u_i: np.ndarray, state: np.ndarray):

@@ -14,6 +14,7 @@ arrangement, each with its own tracking region and target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,14 +39,18 @@ class RobustParams:
     ell2: Optional[float] = None  # second follower weight (configuration D)
 
     def __post_init__(self):
-        if not (self.ell > 0 and self.gamma > 0):
-            raise ValueError("ell and gamma must be positive")
-        if not self.fixed_point_tol > 0:
-            raise ValueError("fixed_point_tol must be positive")
+        # an infinite weight makes J nan, and an infinite tolerance would stop
+        # every Picard solve after one sweep as converged
+        if not (0 < self.ell < math.inf and 0 < self.gamma < math.inf):
+            raise ValueError("ell and gamma must be positive and finite, "
+                             f"got ell = {self.ell}, gamma = {self.gamma}")
+        if not 0 < self.fixed_point_tol < math.inf:
+            raise ValueError(
+                f"fixed_point_tol must be positive and finite, got {self.fixed_point_tol}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.ell2 is not None and not self.ell2 > 0:
-            raise ValueError("ell2 must be positive when given")
+        if self.ell2 is not None and not 0 < self.ell2 < math.inf:
+            raise ValueError(f"ell2 must be positive and finite when given, got {self.ell2}")
 
     @property
     def second_ell(self) -> float:

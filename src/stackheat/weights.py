@@ -20,6 +20,7 @@ from .grids import LEFT, RIGHT, SpatialGrid
 CAP = 1e300
 _LOG_CAP = math.log(CAP)
 _GROWTH_TOL = 1.05  # admissible growth of the weighted target integral per refinement
+_REFINEMENTS = (64, 128, 256)  # midpoint counts of the admissibility quadrature's time grids
 
 
 @dataclass(frozen=True)
@@ -420,7 +421,7 @@ class AdmissibilityReport:
 
 
 def admissibility_check(configuration: str, spec: WeightSpec, eta, ydfun,
-                        refinements=(64, 128, 256)) -> AdmissibilityReport:
+                        refinements=_REFINEMENTS) -> AdmissibilityReport:
     """Numerically probe the weighted integral of the squared target in time.
 
     ``ydfun(t)`` returns the squared spatial L2 norm of the target over the
@@ -430,7 +431,15 @@ def admissibility_check(configuration: str, spec: WeightSpec, eta, ydfun,
     refinement flags an inadmissible target.  A polynomial-in-(T-t) tail can
     never beat the exponential blow-up of the weight, so such targets are
     reported as inadmissible rather than assigned a finite threshold.
+    ``ydfun`` is sampled point by point; ``_admissibility`` does the rest.
     """
+    return _admissibility(configuration, spec, eta,
+                          lambda tm: [float(ydfun(t)) for t in tm], refinements)
+
+
+def _admissibility(configuration: str, spec: WeightSpec, eta, profile,
+                   refinements=_REFINEMENTS) -> AdmissibilityReport:
+    """``admissibility_check`` of ``profile(tm)``: the squared norms at the midpoints ``tm``."""
     from scipy.special import logsumexp
 
     T = spec.horizon
@@ -438,7 +447,7 @@ def admissibility_check(configuration: str, spec: WeightSpec, eta, ydfun,
     for n in refinements:
         tm = (np.arange(n) + 0.5) * (T / n)
         expo = np.asarray(_target_exponent(configuration, spec, eta, tm), dtype=float)
-        y2 = np.asarray([max(float(ydfun(t)), 0.0) for t in tm])
+        y2 = np.maximum(np.asarray(profile(tm), dtype=float), 0.0)
         with np.errstate(divide="ignore"):
             logy = np.where(y2 > 0, np.log(np.maximum(y2, 1e-320)), -np.inf)
         logterm = 2.0 * expo + logy

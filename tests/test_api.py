@@ -56,3 +56,33 @@ def test_readme_schema_lists_exactly_the_config_keys():
         elif "=" in line and "." not in section:   # region subsections take a and b
             listed.setdefault(section, set()).add(line.split("=", 1)[0].strip())
     assert listed == {sec: set(keys) for sec, keys in _SCHEMA.items()}
+
+
+def _readme_stages() -> dict:
+    """command -> its stage names, from the README's stage table (parentheticals dropped)."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    table = section.split("| command | stages |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    stages = {}
+    for row in table.splitlines():
+        command, cell = (c.strip() for c in row.strip("|").split("|"))
+        stages[command.strip("`")] = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", cell))
+    return stages
+
+
+def test_readme_stage_table_matches_each_command(tmp_path):
+    from stackheat.config import parse_config
+    from stackheat.runner import convergence_study, eps_sweep, probe_run, run_experiment
+
+    config = tmp_path / "tiny.ini"
+    config.write_text("[scenario]\nconfiguration = A\n[grid]\nn_interior = 8\nn_steps = 8\n"
+                      "ladder = 4, 6, 8\n[output]\nprobe_samples = 4\nverify_perturbations = 2\n",
+                      encoding="utf-8")
+    spec = parse_config(str(config))
+    commands = {"run": run_experiment, "converge": convergence_study, "probe": probe_run,
+                "sweep-eps": eps_sweep}
+    ran = {name: [stage for stage, _ in command(spec, out_dir=str(tmp_path / name),
+                                                quiet=True).stages]
+           for name, command in commands.items()}
+    assert _readme_stages() == ran

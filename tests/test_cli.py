@@ -8,6 +8,7 @@ import pytest
 from stackheat.cli import main
 from stackheat.config import parse_config
 from stackheat.csvio import sha256_of
+from stackheat.errors import ConfigError
 from stackheat.hum import _OBSERVED_CUT
 from stackheat.runner import convergence_study, eps_sweep, probe_run, run_experiment
 
@@ -183,18 +184,72 @@ def test_cli_exit_codes(tmp_path):
      "cg_tol must be positive and finite, got inf"),
     ("[hum]\nepsilon_ladder = 1e-2, inf",       # a rung sweep-eps cannot solve
      "epsilon_ladder must hold distinct positive finite rungs, got (0.01, inf)"),
+    ("[robust]\nfixed_point_tol = inf",         # every Picard solve would stop after one sweep
+     "fixed_point_tol must be positive and finite, got inf"),
+    ("[robust]\nell = inf",                     # J would be nan
+     "ell and gamma must be positive and finite, got ell = inf, gamma = 10.0"),
+    ("[robust]\ngamma = inf",                   # J would be nan
+     "ell and gamma must be positive and finite, got ell = 10.0, gamma = inf"),
+    ("configuration = D\n[robust]\nell2 = inf",  # the second follower's J would be nan
+     "ell2 must be positive and finite when given, got inf"),
 ], ids=["reversed-region", "negative-ell", "one-node-grid", "empty-region",
         "zero-epsilon-rung", "duplicate-epsilon-rung", "empty-eps-ladder", "zero-cg-tol",
         "cg-max-iters-key", "theta-key", "short-ladder", "zero-perturbations",
         "zero-probe-samples", "negative-seed", "ell2-outside-d", "global-disturbance-outside-b",
-        "inf-epsilon", "inf-cg-tol", "inf-epsilon-rung"])
+        "inf-epsilon", "inf-cg-tol", "inf-epsilon-rung", "inf-fixed-point-tol", "inf-ell",
+        "inf-gamma", "inf-ell2"])
 def test_rejected_config_value_exits_2(tmp_path, body, reason, capsys):
     # the reason proves the row is rejected for what it tests, not for another error
     bad = tmp_path / "bad.ini"
-    bad.write_text(f"[scenario]\nconfiguration = A\n{body}\n", encoding="utf-8")
+    conf = "" if body.startswith("configuration =") else "configuration = A\n"
+    bad.write_text(f"[scenario]\n{conf}{body}\n", encoding="utf-8")
     assert main(["run", str(bad), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert f"config error: {bad}: " in err and reason in err
+
+
+def test_main_calls_share_no_parser_state(monkeypatch):
+    # the parser is built once per process; each call parses into a fresh namespace
+    import stackheat.cli as cli
+
+    parsed = []
+
+    def stop(args):
+        parsed.append(vars(args).copy())
+        raise ConfigError("parsed")   # exit 2 before any stage runs
+
+    monkeypatch.setattr(cli, "_load", stop)
+    assert main(["run", "a.ini", "--seed", "5", "--out", "o", "--quiet"]) == 2
+    assert main(["probe", "b.ini"]) == 2
+    assert parsed == [
+        {"command": "run", "config": "a.ini", "seed": 5, "out": "o", "quiet": True},
+        {"command": "probe", "config": "b.ini", "seed": None, "out": None, "quiet": False}]
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("conf", "AB")
+def test_run_fails_its_saddle_verdicts_on_a_nan_functional(conf, tmp_path, monkeypatch):
+    # nan > violation is False, so a nan gain once slipped past the check: here
+    # every perturbed cost is nan and the equilibrium's own is finite; both
+    # verdicts fail, and their reasons show the nan
+    import numpy as np
+
+    import stackheat.saddle as saddle_module
+
+    real = saddle_module.evaluate_functional_raw
+
+    def nan_on_blocks(*args, **kwargs):
+        value = real(*args, **kwargs)
+        return value * np.nan if np.ndim(value) else value
+
+    monkeypatch.setattr(saddle_module, "evaluate_functional_raw", nan_on_blocks)
+    report = run_experiment(parse_config(small_config(tmp_path, conf, n=8, k=8)), quiet=True)
+    verdicts = {v.name: v for v in report.verdicts}
+    assert verdicts["saddle_conditions"].status == "fail"
+    assert "min nan, max nan" in verdicts["saddle_conditions"].reason
+    assert verdicts["equilibrium_stationarity"].status == "fail"
+    assert "derivative nan" in verdicts["equilibrium_stationarity"].reason
+    assert not report.passed
 
 
 def test_run_lets_runtime_warnings_of_the_leader_synthesis_out(tmp_path, monkeypatch):
@@ -202,13 +257,13 @@ def test_run_lets_runtime_warnings_of_the_leader_synthesis_out(tmp_path, monkeyp
 
     import stackheat.runner as runner_module
 
-    real = runner_module.hum_minimize
+    real = runner_module.hum_ladder
 
     def warning(*args, **kwargs):
         warnings.warn("overflow in the leader synthesis", RuntimeWarning)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(runner_module, "hum_minimize", warning)
+    monkeypatch.setattr(runner_module, "hum_ladder", warning)
     spec = parse_config(small_config(tmp_path, n=8, k=8))
     with pytest.warns(RuntimeWarning, match="overflow in the leader synthesis"):
         run_experiment(spec, out_dir=str(tmp_path / "o"), quiet=True)
@@ -244,8 +299,22 @@ def test_run_verify_stage_times_verify_saddle(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner_module, "verify_saddle", slow_verify)
     report = run_experiment(parse_config(small_config(tmp_path, n=8, k=8)), quiet=True)
-    assert [name for name, _ in report.stages] == ["saddle", "hum", "verify", "eps-law"]
+    # the hum stage certifies the eps-law step too, in the same batch
+    assert [name for name, _ in report.stages] == ["saddle", "hum", "verify"]
     assert len(spent) == 1 and dict(report.stages)["verify"] >= spent[0]
+
+
+def test_run_with_a_large_epsilon_solves_one_rung_and_skips_the_law(tmp_path):
+    import dataclasses
+
+    spec = parse_config(small_config(tmp_path, n=8, k=8))
+    spec = dataclasses.replace(spec, hum=dataclasses.replace(spec.hum, epsilon=0.01))
+    report = run_experiment(spec, quiet=True)
+    law = {v.name: v for v in report.verdicts}["epsilon_law"]
+    assert (law.status, law.reason) == ("skipped",
+                                        "epsilon too large for a 100x comparison step")
+    assert [name for name, _ in report.stages] == ["saddle", "hum", "verify"]
+    assert report.passed
 
 
 def test_convergence_study_times_its_eps_sweep_and_writes_verdicts_once(tmp_path,

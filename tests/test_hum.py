@@ -1,5 +1,6 @@
 """HUM machinery: adjoint pairs, Gram duality, CG minimization, probe."""
 
+import csv
 import dataclasses
 import os
 
@@ -13,11 +14,12 @@ from stackheat.config import parse_config
 from stackheat.errors import ConvergenceError, NonContractionError
 from stackheat.heat import favg
 from stackheat.hum import (GramBasis, HumSettings, _adjoint_pairs, gram_apply, hum_ladder,
-                           hum_minimize, observability_probe, observation, solve_adjoint)
+                           hum_minimize, observability_probe, observation, solve_adjoint,
+                           target_admissibility)
 from stackheat.oracle import dense_adjoint_solve
 from stackheat.products import h10_inner, h10_norm
-from stackheat.runner import eps_sweep
-from stackheat.weights import target_weight_inv_sq
+from stackheat.runner import eps_sweep, run_experiment
+from stackheat.weights import admissibility_check, target_weight_inv_sq
 
 from _instruments import gradient_check, observation_pairing
 from _scenarios import builders, params, scenario_a, scenario_b, scenario_c
@@ -390,6 +392,59 @@ def test_sweep_eps_certifies_its_ladder_in_one_batch(conf, tmp_path, monkeypatch
     assert rungs > 1
     for seen in widths.values():
         assert [w for w in seen if w != 1] == [rungs]
+
+
+@pytest.mark.parametrize("conf", "ABCD")
+def test_run_certifies_its_eps_pair_in_one_batch(conf, tmp_path, monkeypatch):
+    # the hum stage solves eps and the eps-law step 100 eps on the saddle
+    # stage's basis and certifies both as one width-2 batch; its summary row
+    # and the law's ratio keep the bits of two lone hum_minimize solves
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = parse_config(os.path.join(root, "configs", f"demo_{conf.lower()}.ini"))
+    spec = dataclasses.replace(spec, scenario=spec.recipe.build(16, 16), verify_perturbations=5)
+    cfg, robust, hum = spec.scenario, spec.robust, spec.hum
+    fine = hum_minimize(cfg, robust, hum)
+    coarse = hum_minimize(cfg, robust, dataclasses.replace(hum, epsilon=hum.epsilon * 100.0))
+    widths = {saddle_module: [], hum_module: []}   # per binding of _picard_columns
+    for module, seen in widths.items():
+        monkeypatch.setattr(module, "_picard_columns",
+                            _recording_widths(module._picard_columns, seen))
+    report = run_experiment(spec, out_dir=str(tmp_path / "run"), quiet=True)
+    for seen in widths.values():
+        assert [w for w in seen if w != 1] == [2]
+    with open(tmp_path / "run" / "hum_summary.csv", newline="", encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    assert [float(v) for v in row.values()] == [
+        fine.epsilon, fine.cg_iterations, fine.terminal_residual_hminus1,
+        fine.internal_residual_estimate, fine.leader_norm_sq, fine.functional_value]
+    law = {v.name: v for v in report.verdicts}["epsilon_law"]
+    assert law.status == "pass"
+    assert law.value == coarse.terminal_residual_hminus1 / fine.terminal_residual_hminus1
+
+
+def _pointwise_admissibility(cfg):
+    """``target_admissibility`` as a per-level loop and a per-point ``admissibility_check``."""
+    grid, tgrid = cfg.grid, cfg.tgrid
+    masks = [reg.interior_mask(grid) for reg in cfg.observation_regions()]
+    interiors = [tgt.interior for tgt in cfg.targets()]
+    levels = [sum(float(np.sum(y[k][mask] ** 2) * grid.dx) for mask, y in zip(masks, interiors))
+              for k in range(tgrid.n_levels)]
+
+    def ydfun(t):
+        return levels[min(int(round(t / tgrid.dt)), tgrid.n_steps)]
+
+    return admissibility_check(cfg.configuration, cfg.wspec, cfg.eta(), ydfun)
+
+
+@pytest.mark.parametrize("conf", "ABCD")
+@pytest.mark.parametrize("n", [16, 50])
+def test_target_admissibility_equals_the_pointwise_check(conf, n):
+    # one masked reduction per region and one lookup of every midpoint give
+    # the bits of the per-level sums and the per-point profile
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = parse_config(os.path.join(root, "configs", f"demo_{conf.lower()}.ini"))
+    cfg = spec.recipe.build(n, n)
+    assert target_admissibility(cfg) == _pointwise_admissibility(cfg)
 
 
 def test_hum_leader_formula_consistency_config_a():
