@@ -18,22 +18,29 @@ machine precision.
 The march, ``modal_march``, uses that D is diagonalized exactly by the
 orthonormal DST-I matrix S (the fast-Poisson idea of Buzbee, Golub & Nielson,
 SIAM J. Numer. Anal. 7, 1970): it transforms the datum and the step sources
-once, runs one scalar recurrence per mode and transforms back, so a march costs
-two matrix products and K vector updates.  Every solver of the package
-(``solve_forward``/``solve_backward`` and the coupled systems) runs it.  The
-one normal derivative, ``normal_derivative_o1``, is first order: the exact
-transpose of the boundary rows, so the coupled systems keep the duality.
+once, runs one scalar recurrence per mode (``_recurrence``, the core) and
+transforms back, so a march costs two matrix products and K vector updates.
+``solve_forward``/``solve_backward`` and every march of explicit controls
+run it.  The coupled systems' Picard sweeps (``saddle``, ``hum``) never
+leave the modal coefficients: ``_modal_levels`` is the core alone, fed modal
+sources and edge values, forward or backward, and they transform back once,
+at exit.  The one normal derivative, ``normal_derivative_o1``, is first
+order: the exact transpose of the boundary rows, so the coupled systems keep
+the duality.
 
 Each (grid, tgrid) pair has a plan (``_Plan``, cached by ``_plan``): S, the
 step factors, one pair of work buffers grown to the widest batch marched so
 far and, per batch shape, the factors tiled to one level row and a few
 scratch rows (``_Work``).  A forward march writes its inputs and modal
 coefficients into those buffers in place, forms its boundary averages and
-each level's product in the scratch rows and allocates only its result; the
-backward march adds one reversed copy.  Its bits rest on the order of
-operations that ``modal_march`` states.  Marches on one grid pair share its
-buffers, so they must not run at once in threads of one process; the package
-starts none.
+each level's product in the scratch rows and allocates only its result;
+``modal_march_backward`` adds one reversed copy.  A ``_modal_levels`` march
+has no result array: it forms its inputs in the plan's buffers, runs a
+backward recurrence from the last level down, in place, and returns the
+levels as a view of the plan's buffer.  The bits
+of ``modal_march`` rest on the order of operations it states.  Marches on
+one grid pair share its buffers, so they must not run at once in threads of
+one process; the package starts none.
 
 Every array of a batch of independent columns puts the column axes first: a
 march takes ``y0`` (*B, n), ``source`` (*B, n_levels, n) and boundary values
@@ -151,6 +158,72 @@ def _batch_shape(inputs) -> tuple:
     return shapes.pop() if shapes else ()
 
 
+def _recurrence(wk: _Work, backward: bool = False) -> None:
+    """The march's core, in place on the modal buffer ``wk.w``: one scalar recurrence per mode.
+
+    Every level but the datum's (level 0, or the last one ``backward``)
+    holds a step's modal input S h; it is multiplied by c, and then each
+    level in marching order gains lam times the level before it.  Each level
+    is one row of the modes of every column in turn, so a step is two vector
+    operations whatever the batch, the product formed in the scratch row.
+    """
+    rows = wk.w_rows[:-1] if backward else wk.w_rows[1:]
+    np.multiply(rows, wk.c_rows, out=rows)
+    lam_rows, product = wk.lam_rows, wk.product
+    if backward:
+        for cur, prev in reversed(wk.steps):
+            np.add(cur, np.multiply(lam_rows, prev, product), cur)
+    else:
+        for prev, cur in wk.steps:
+            np.add(cur, np.multiply(lam_rows, prev, product), cur)
+
+
+def _modal_levels(grid: SpatialGrid, tgrid: TimeGrid, wk: _Work, datum: np.ndarray | None,
+                  source: np.ndarray | None = None, edges: dict | None = None,
+                  backward: bool = False) -> np.ndarray:
+    """A march on modal coefficients, in the plan's buffers: no product with S.
+
+    ``wk`` is the plan's ``_Work`` of the batch shape.  ``datum`` is the modal
+    initial (or, ``backward``, terminal) datum (*B, n), None for zero;
+    ``source`` the modal source per level (*B, n_levels, n), None for none;
+    ``edges`` maps a side to its Dirichlet values per level (*B, n_levels).
+    A step's modal input is dt * favg(source) plus, per edge,
+    (dt/dx^2) * favg(values) times the edge's column of S (a rank-one
+    update, formed in ``wk.z_columns``).  So ``source`` may itself be
+    ``wk.z_columns``, the scratch the caller forms it in.  The recurrence
+    runs in place (``_recurrence``); a backward march runs it from the last
+    level down, so both directions return their levels in time order.
+
+    Returns ``wk.w_columns``, the (*B, n_levels, n) modal levels: a view of
+    the plan's buffer, valid until the next march on the grid pair.  Like
+    ``modal_march`` it rejects non-finite values with ``NonFiniteError``.
+    """
+    levels = wk.w_columns
+    inputs = levels[..., :-1, :] if backward else levels[..., 1:, :]
+    if source is None:
+        inputs[...] = 0.0
+    else:
+        half = np.multiply(source, 0.5, out=wk.z_columns)
+        np.add(half[..., 1:, :], half[..., :-1, :], out=inputs)
+        inputs *= tgrid.dt
+    if edges:
+        s = _plan(grid, tgrid).s
+        scale = tgrid.dt / grid.dx ** 2
+        rank = wk.z_columns[..., 1:, :]
+        for side, values in edges.items():
+            half = np.multiply(values, 0.5, out=wk.edge)
+            avg = np.add(half[..., 1:], half[..., :-1], out=wk.edge_avg)
+            avg *= scale
+            # S is symmetric: the edge's column of S is its row
+            np.multiply(avg[..., None], s[0 if side == LEFT else -1], out=rank)
+            np.add(inputs, rank, out=inputs)
+    levels[..., -1 if backward else 0, :] = 0.0 if datum is None else datum
+    _recurrence(wk, backward)
+    if not np.isfinite(wk.w).all():
+        raise NonFiniteError("march produced non-finite values: non-finite data or overflow")
+    return levels
+
+
 def modal_march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
                 source: np.ndarray | None = None,
                 left: np.ndarray | None = None,
@@ -210,13 +283,7 @@ def modal_march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
             row = columns[..., 1:, side]
             np.add(row, avg, out=row)
     np.matmul(columns, plan.s, out=w_columns)
-    rows = wk.w_rows[1:]
-    np.multiply(rows, wk.c_rows, out=rows)
-    # each level is one row of the modes of every column in turn, so a step
-    # is two vector operations whatever the batch, into the scratch row
-    lam_rows, product = wk.lam_rows, wk.product
-    for prev, cur in wk.steps:
-        np.add(cur, np.multiply(lam_rows, prev, product), cur)
+    _recurrence(wk)
     np.matmul(w_columns, plan.s, out=out)
     out[..., 0, :] = y0
     if not np.isfinite(out).all():

@@ -10,11 +10,16 @@ the inverse Dirichlet Laplacian.
 
 The adjoint pair uses the follower coupling of ``saddle._Problem`` and no
 copy of it: phi solves backward driven by theta on the observation
-region(s), and theta solves forward under forcing(feedback(phi)), the same
-two methods that couple state and adjoint in the optimality system.  In
-configuration D each follower drives its own theta, one column of a batched
-march.  As in ``saddle``, a batch of columns leads every array: phi and theta
-are (*B, n_levels, n_interior).  By the scheme's summation-by-parts identity
+region(s), and theta solves forward under feedback(phi), read and written
+through the same ``_Problem.modal`` operators and ``edge_controls``/
+``edge_rows`` methods that couple state and adjoint in the optimality
+system.  Its Picard sweeps run on DST modal coefficients, as the optimality
+system's do: phi's source is one projector product per observation region,
+theta's the diagonal 1/gamma^2 (A), B's drive projector or the edge rows,
+and the fields are transformed back once, at exit.  In configuration D each
+follower drives its own theta, one column of a batched march.  As in
+``saddle``, a batch of columns leads every array: phi and theta are
+(*B, n_levels, n_interior).  By the scheme's summation-by-parts identity
 
     <Gram a, b>_{H10} = observation-pairing(a, b)
 
@@ -35,10 +40,15 @@ gradient iterate.  One basis thus serves every eps of a ladder, on the one
 certifies the rungs as one batch: one ``_adjoint_pairs`` over their
 minimizers and one ``saddle._equilibria`` over their leaders, each column
 the bits of its lone solve; ``hum_minimize`` is its one-rung case.  A Gram
-image (``_gram``) is a raw pair solve, ``_Problem.observe``, the raw
-equilibrium of ``_Problem.homogeneous()`` and the lift.  The instruments that
-check the duality and the gradient from outside (the observation pairing and
-a finite-difference gradient check) are test code, in ``tests/_instruments.py``.
+image (``_gram``) stays on modal coefficients from the datum to the
+terminal state: a raw pair solve, the leader read off the modal phi (as
+``_Problem.observe`` reads it), the raw equilibrium of
+``_Problem.homogeneous`` (built once per problem, so once per basis) and the
+lift of the one level it transforms back, the terminal one.  The
+instruments that check the duality and the gradient from outside (the
+observation pairing and a finite-difference gradient check) and the
+physical-space reference of the Picard coupling are test code, in
+``tests/_instruments.py``.
 """
 
 from __future__ import annotations
@@ -53,11 +63,11 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import ConvergenceError
-from .grids import BoundaryTrace, SpaceTimeField
-from .heat import favg, modal_march, modal_march_backward
+from .grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField
+from .heat import _modal_levels, _plan, favg
 from .products import h10_diff, h10_dot, h10_inner, h10_norm, hminus1_norm, neg_laplacian_solve
-from .saddle import (SaddleSolution, _block_width, _equilibria, _equilibrium, _picard_columns,
-                     _Problem, _solution, _solve, build_problem)
+from .saddle import (SaddleSolution, _block_width, _equilibria, _equilibria_hat, _normal_hat,
+                     _normals_hat, _picard_columns, _Problem, _solution, _solve, build_problem)
 from .scenario import RobustParams, ScenarioConfig
 from .weights import _admissibility, target_weight_inv_sq
 
@@ -89,66 +99,82 @@ class AdjointPair:
         return self.thetas[0]
 
 
-def _theta_forcing(prob: _Problem, phi: np.ndarray) -> tuple:
-    """(source, left, right) of the theta march: forcing(feedback(phi)).
+def _phi_hat(prob: _Problem, thetas: tuple, terminals: np.ndarray) -> np.ndarray:
+    """Modal phi of a sweep: marched backward from ``terminals``, driven by theta on the region(s).
 
-    ``phi`` is (*B, n_levels, n_interior).  In D both followers read phi and
-    each drives its own theta, so follower i's trace goes to column i of a new
-    first axis, and one batched march solves both.
+    The source is sum_i P_i theta_i, the observation projectors of
+    ``_Problem.modal`` (one product per region, D's second formed in the
+    march's modal buffer, free until the march fills it).  Returns the
+    transient levels of the march (``heat._modal_levels``).
     """
-    follower, disturbance = prob.feedback((phi,) * prob.n_adjoints, prob.g2inv)
-    if prob.n_adjoints > 1:
-        follower = tuple(np.multiply.outer(e, v)
-                         for v, e in zip(follower, np.eye(prob.n_adjoints)))
-    return prob.forcing(follower, disturbance, None)
+    cfg, m = prob.cfg, prob.modal
+    wk = _plan(cfg.grid, cfg.tgrid).work(thetas[0].shape[:-2])
+    source = np.matmul(thetas[0], m.obs[0], out=wk.z_columns)
+    for th, proj in zip(thetas[1:], m.obs[1:]):
+        source += np.matmul(th, proj, out=wk.w_columns)
+    return _modal_levels(cfg.grid, cfg.tgrid, wk, terminals, source, backward=True)
 
 
-def _theta_columns(prob: _Problem, a) -> tuple:
-    """One entry per theta component: ``a`` itself, or its follower slices in D."""
-    if prob.n_adjoints == 1 or a is None:
-        return (a,) * prob.n_adjoints
-    return tuple(a)
+def _thetas_hat(prob: _Problem, phi: np.ndarray) -> tuple:
+    """Modal theta component(s) of a sweep, marched forward from 0 under feedback(phi).
 
-
-def _phi_backward(prob: _Problem, thetas: tuple, terminal: np.ndarray) -> np.ndarray:
-    """phi marched backward from ``terminal``, driven by theta on the observation region(s).
-
-    The source is 0.0 + theta on each region, one masked addition per theta
-    (the +0.0 turns a -0.0 of theta into +0.0), and +0.0 elsewhere.
+    As in the optimality system's state (``saddle._state_hat``): A is driven
+    by phi / gamma^2 and B by its drive projector in the interior, and
+    A/C/D by rho * v on each follower edge.  In D both followers read phi
+    and each drives its own theta, so follower i's trace goes to column i
+    of a new first axis, and one batched march solves both.  Returns the
+    transient levels of each.
     """
-    cfg = prob.cfg
-    src = np.zeros(thetas[0].shape)
-    for mask, th in zip(prob.obs_masks, thetas):
-        np.add(src, th, out=src, where=mask)
-    return modal_march_backward(cfg.grid, cfg.tgrid, terminal, src)
+    cfg, m = prob.cfg, prob.modal
+    c, k = cfg.configuration, prob.n_adjoints
+    wk = _plan(cfg.grid, cfg.tgrid).work((k,) + phi.shape[:-2])
+    follower = prob.edge_controls(_normals_hat(prob, (phi,) * k), prob.g2inv)
+    if k > 1:
+        follower = tuple(np.multiply.outer(e, v) for v, e in zip(follower, np.eye(k)))
+    source = None
+    if c == "A":
+        source = np.divide(phi, prob.params.gamma ** 2, out=wk.z_columns[0])
+    elif c == "B":
+        source = np.matmul(phi, m.drive, out=wk.z_columns[0])
+    return tuple(_modal_levels(cfg.grid, cfg.tgrid, wk, None, source,
+                               prob.edge_rows(follower, None)))
 
 
-def _theta_forward(prob: _Problem, phi: np.ndarray) -> tuple:
-    """The theta component(s) marched forward from theta(0) = 0 under phi."""
-    cfg = prob.cfg
-    theta = modal_march(cfg.grid, cfg.tgrid, np.zeros(cfg.grid.n_interior),
-                        *_theta_forcing(prob, phi))
-    return _theta_columns(prob, theta)
+def _pairs_hat(prob: _Problem, data: np.ndarray, finish) -> list:
+    """``saddle._picard_columns`` of the adjoint pairs of the rows of ``data``, on modal coefficients.
+
+    ``finish(phi, thetas, cols)`` maps the final modal phi and thetas of the
+    columns ``cols`` to what the results keep.
+    """
+    # one (1, n) product per row, the shape of a lone datum's
+    terminals = np.matmul(data[:, None, :], prob.modal.s)[:, 0]
+    return _picard_columns(
+        prob, lambda ths, cols: _phi_hat(prob, ths, terminals[cols]),
+        lambda phi: _thetas_hat(prob, phi), prob.n_adjoints, width=len(data), finish=finish)
 
 
 def _adjoint_pairs(prob: _Problem, terminals) -> list:
     """Raw adjoint pairs of k terminal data (k rows), one Picard iteration for all.
 
     The data are the batch columns of every phi and theta march, so a sweep
-    costs one batched march each way.  Each column stops on its own rule
-    (``saddle._picard_columns``) and leaves the batch then; the i-th
-    (phi, thetas, iterations, residual, ratios, status) is that of row i
-    alone, bit for bit.
+    costs one batched march each way, on modal coefficients (``_pairs_hat``).
+    Each column stops on its own rule (``saddle._picard_columns``) and
+    leaves the batch then; the i-th (phi, thetas, iterations, residual,
+    ratios, status) is that of row i alone, bit for bit.  The fields come
+    back in space once, at exit, phi's last level being the datum itself.
     """
     n = prob.cfg.grid.n_interior
     data = np.asarray(terminals, dtype=float)
     if data.ndim != 2 or data.shape[1] != n:
         raise ValueError(f"terminal data must be rows of {n} interior values")
-    return _picard_columns(
-        prob,
-        lambda ths, cols: _phi_backward(prob, ths, data[cols]),
-        lambda ph: _theta_forward(prob, ph),
-        prob.n_adjoints, width=len(data))
+    s = prob.modal.s
+
+    def physical(phi, thetas, cols):
+        phi = np.matmul(phi, s)
+        phi[..., -1, :] = data[cols]
+        return phi, tuple(np.matmul(th, s) for th in thetas)
+
+    return _pairs_hat(prob, data, physical)
 
 
 def solve_adjoint(cfg: ScenarioConfig, phi_terminal: np.ndarray,
@@ -162,10 +188,15 @@ def solve_adjoint(cfg: ScenarioConfig, phi_terminal: np.ndarray,
     prob = build_problem(cfg, params)
     phi, thetas, iterations, residual, _, _ = _adjoint_pairs(
         prob, np.asarray(phi_terminal, dtype=float)[None])[0]
-    _, left, right = _theta_forcing(prob, phi)
-    theta_fields = tuple(prob.field(th, lt, rt) for th, lt, rt in zip(
-        thetas, _theta_columns(prob, left), _theta_columns(prob, right)))
-    return AdjointPair(prob.field(phi), theta_fields, iterations, residual)
+    # theta i's Dirichlet rows: rho * v on its follower's edge (every edge in A)
+    follower, _ = prob.feedback((phi,) * len(thetas), prob.g2inv)
+    theta_fields = []
+    for i, th in enumerate(thetas):
+        own = follower if len(thetas) == 1 else tuple(
+            v if j == i else 0.0 * v for j, v in enumerate(follower))
+        rows = prob.edge_rows(own, None)
+        theta_fields.append(prob.field(th, rows.get(LEFT), rows.get(RIGHT)))
+    return AdjointPair(prob.field(phi), tuple(theta_fields), iterations, residual)
 
 
 def _leader(prob: _Problem, h: np.ndarray):
@@ -192,10 +223,27 @@ def gram_apply(cfg: ScenarioConfig, phi_terminal: np.ndarray,
 
 
 def _gram(prob: _Problem, phi_terminal: np.ndarray) -> np.ndarray:
-    """``gram_apply`` on ``prob``, with no typed value between its steps."""
-    phi = _adjoint_pairs(prob, np.asarray(phi_terminal, dtype=float)[None])[0][0]
-    state = _equilibrium(prob.homogeneous(), prob.observe(phi))[0]
-    return neg_laplacian_solve(state[-1], prob.cfg.grid)
+    """``gram_apply`` on ``prob``, on modal coefficients from the datum to the terminal state.
+
+    The adjoint pair's exit reads the leader off the modal phi (the omega
+    projector in A, one row of S on the leader edge otherwise); the
+    equilibrium of ``prob.homogeneous`` under it transforms back only its
+    terminal level, which the inverse Laplacian lifts.
+    """
+    m = prob.modal
+
+    def leader(phi, thetas, cols):
+        if prob.leader_side is None:
+            return np.matmul(phi, m.omega), ()
+        # _Problem.observe: -dphi/dn on the leader edge
+        return -_normal_hat(prob, phi, prob.leader_side), ()
+
+    def terminal(state, adjoints, cols):
+        return np.matmul(state[..., -1, :], m.s), ()
+
+    drive = _pairs_hat(prob, np.asarray(phi_terminal, dtype=float)[None], leader)[0][0]
+    state = _equilibria_hat(prob.homogeneous, drive[None], 1, terminal)[0][0]
+    return neg_laplacian_solve(state, prob.cfg.grid)
 
 
 def _observed(prob: _Problem, phi: np.ndarray) -> tuple:

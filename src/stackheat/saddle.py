@@ -8,14 +8,20 @@ adjoint(s) from the tracking residual, repeat; the map contracts at a rate
 proportional to 1/mu with mu = min(ell^2, gamma^2).
 
 Each configuration's coupling is written once, as methods of ``_Problem``:
-``feedback`` reads the follower (and disturbance) off the adjoint(s),
-``forcing`` turns explicit controls into the source and Dirichlet rows of a
-march (``state`` runs that ``modal_march``), ``observe`` reads the leader off
-an adjoint and ``field`` puts the marched rows back into a field.  Every
-solver, HUM's included, goes through them, so all apply the same discrete
-control operator and the same transpose of it; the dense oracle (``oracle.py``)
-assembles the same systems independently.  The typed functions are the public
-edge, each building one ``_Problem``; internal code runs on the one it is given.
+``feedback`` reads the follower (and disturbance) off the adjoint(s) through
+``edge_controls``, ``forcing`` turns explicit controls into the source and
+Dirichlet rows (``edge_rows``) of a march (``state`` runs that
+``modal_march``), ``observe`` reads the leader off an adjoint and ``field``
+puts the marched rows back into a field.  The Picard sweeps run the same
+coupling on DST modal coefficients: ``_Problem.modal`` holds its products
+with S, built once per problem from the same masks, edges and weights (one
+projector P = S diag(coef) S per observed or driven region, S's edge rows
+for the edge reads and writes, A's diagonal 1/gamma^2), and a sweep reads
+and writes the edges through ``edge_controls`` and ``edge_rows``.  So every
+solver, HUM's included, applies the same discrete control operator and the
+same transpose of it; the dense oracle (``oracle.py``) assembles the same
+systems independently, in space.  The typed functions are the public edge,
+each building one ``_Problem``; internal code runs on the one it is given.
 
 Discretization follows discretize-then-optimize: the cost functionals are
 evaluated with the scheme-consistent midpoint quadrature (trapezoid-in-time
@@ -34,7 +40,11 @@ A batch of independent columns leads every array: states and adjoints are
 or a batch.  Every coupled solve is a batch of the one Picard loop,
 ``_picard_columns``: ``_equilibria`` solves one column per leader (HUM
 certifies an epsilon ladder so) and ``_equilibrium`` is its one-column
-case.  The checks score their perturbed controls a block at a time:
+case.  A sweep costs two modal marches (``_state_hat``, ``_adjoints_hat``)
+with no transform: its stopping norm is taken on the coefficients
+(Parseval), and the fields are transformed back once, at exit
+(``_equilibria_hat``'s ``finish``).  The checks score their perturbed
+controls a block at a time, in space:
 ``_blocks`` solves a block by one batched march.  Each column keeps the
 arithmetic and the summation order of its lone solve, so every value has the
 same bits whatever the batch width.
@@ -42,6 +52,8 @@ same bits whatever the batch width.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -51,8 +63,8 @@ import numpy as np
 
 from .errors import ConvergenceError, NonContractionError
 from .grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField
-from .heat import (_assemble_field, modal_march, modal_march_backward, normal_derivative_o1,
-                   trapezoid_time_weights)
+from .heat import (_assemble_field, _modal_levels, _plan, modal_march,
+                   normal_derivative_o1, trapezoid_time_weights)
 from .products import _column_sums, l2q_norm_interior, qmid_field, qmid_trace
 from .scenario import RobustParams, ScenarioConfig, require_valid
 from .weights import _capped_exp, _exp_neg, rho_star_log, rho_star_inv_sq
@@ -105,11 +117,26 @@ def capped_weighted_sq(log_w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+# The coupling of a Picard sweep on DST modal coefficients (``_Problem.modal``),
+# with S the march plan's orthonormal DST-I matrix and every projector
+# P = S diag(coef) S built once per problem:
+# - ``s``: S itself;
+# - ``obs``: one P per observation region (its mask), the tracking residual's
+#   product;
+# - ``drive``: B's distributed feedback, coef -1/ell^2 on B1 plus 1/gamma^2 on
+#   B2; None elsewhere (A's is the diagonal 1/gamma^2, C/D have none);
+# - ``omega``: A's leader region, the leader read off a modal adjoint;
+# - ``y0``: S y0 (None for zero) and ``targets``: S (mask * target) per level
+#   and region (None for zero).
+_Modal = collections.namedtuple("_Modal", "s obs drive omega y0 targets")
+
+
 @dataclass
 class _Problem:
     """Precomputed masks, feedback coefficients and data arrays for one scenario.
 
-    Its methods are the scenario's coupling, shared by every solver.
+    Its methods are the scenario's coupling, shared by every solver; ``modal``
+    holds the same coupling as products with S for the Picard sweeps.
     """
 
     cfg: ScenarioConfig
@@ -126,6 +153,7 @@ class _Problem:
     b1_mask: Optional[np.ndarray]
     b2_mask: Optional[np.ndarray]
     wtrap: np.ndarray                # trapezoid time weights
+    modal: _Modal
 
     @property
     def n_adjoints(self) -> int:
@@ -146,11 +174,6 @@ class _Problem:
         """
         cfg, params = self.cfg, self.params
         c = cfg.configuration
-        if c == "A":
-            q = adjoints[0]
-            return (tuple(rho * normal_derivative_o1(q, cfg.grid, side) / ell ** 2
-                          for side, rho, ell in self.follower_edges),
-                    q / params.gamma ** 2)
         if c == "B":
             # each control is its quotient on its region, +0.0 elsewhere
             p = adjoints[0]
@@ -158,10 +181,28 @@ class _Problem:
             np.divide(-p, params.ell ** 2, out=follower, where=self.b1_mask)
             np.divide(p, params.gamma ** 2, out=disturbance, where=self.b2_mask)
             return follower, disturbance
-        return tuple(
-            rho * time_weight * smooth_trace(normal_derivative_o1(r, cfg.grid, side))
-            / (ell ** 2 * self.wtrap)
-            for (side, rho, ell), r in zip(self.follower_edges, adjoints)), None
+        follower = self.edge_controls(tuple(
+            normal_derivative_o1(r, cfg.grid, side)
+            for (side, _, _), r in zip(self.follower_edges, self.readers(adjoints))), time_weight)
+        return follower, (adjoints[0] / params.gamma ** 2 if c == "A" else None)
+
+    def readers(self, adjoints: tuple) -> tuple:
+        """The adjoint each follower edge reads: q for every edge in A, its own r_i in C/D."""
+        if self.cfg.configuration == "A":
+            return adjoints * len(self.follower_edges)
+        return adjoints
+
+    def edge_controls(self, normals: tuple, time_weight) -> tuple:
+        """Follower controls (A/C/D) from the normal derivative of each one's adjoint at its edge.
+
+        A: rho * dn / ell^2; C/D: rho * w * smooth(dn) / (ell^2 * trapezoid
+        weight), ``time_weight`` being w (see ``feedback``).
+        """
+        if self.cfg.configuration == "A":
+            return tuple(rho * dn / ell ** 2
+                         for (_, rho, ell), dn in zip(self.follower_edges, normals))
+        return tuple(rho * time_weight * smooth_trace(dn) / (ell ** 2 * self.wtrap)
+                     for (_, rho, ell), dn in zip(self.follower_edges, normals))
 
     def raw(self, follower, disturbance=None) -> tuple:
         """Typed controls as the raw (follower, disturbance) that ``feedback`` returns.
@@ -196,7 +237,6 @@ class _Problem:
         its edge, C/D by rho_i * v_i and the leader on their edges.
         """
         c = self.cfg.configuration
-        edges = {}
         source = None
         if c == "A":
             source = disturbance if leader is None else disturbance + leader
@@ -205,13 +245,21 @@ class _Problem:
             source = np.zeros(np.broadcast_shapes(follower.shape, disturbance.shape))
             np.add(source, follower, out=source, where=self.b1_mask)
             np.add(source, disturbance, out=source, where=self.b2_mask)
-        # B has no follower edges; a row starts from +0.0, so a vanishing row
-        # is never written as -0
+        edges = self.edge_rows(follower, leader)
+        return source, edges.get(LEFT), edges.get(RIGHT)
+
+    def edge_rows(self, follower, leader) -> dict:
+        """Dirichlet values per side: rho * v per follower edge (A/C/D) plus the leader's edge.
+
+        B has no follower edges.  A row starts from +0.0, so a vanishing row
+        is never written as -0.
+        """
+        edges = {}
         for (side, rho, _), v in zip(self.follower_edges, follower):
             edges[side] = edges.get(side, 0.0) + rho * v
         if self.leader_side is not None and leader is not None:
             edges[self.leader_side] = edges.get(self.leader_side, 0.0) + leader
-        return source, edges.get(LEFT), edges.get(RIGHT)
+        return edges
 
     def state(self, follower, disturbance, leader) -> np.ndarray:
         """State for explicit controls: one ``modal_march`` of ``forcing`` from ``y0``."""
@@ -225,10 +273,16 @@ class _Problem:
             return np.where(self.omega_mask, phi, 0.0)
         return -normal_derivative_o1(phi, self.cfg.grid, self.leader_side)
 
+    @functools.cached_property
     def homogeneous(self) -> _Problem:
-        """The same coupling with zero initial datum and zero target(s)."""
+        """The same coupling with zero initial datum and zero target(s), built once.
+
+        It shares this problem's modal operators, so a ``hum.GramBasis``
+        builds both once for all its Gram images.
+        """
         return replace(self, y0=np.zeros_like(self.y0),
-                       targets=tuple(map(np.zeros_like, self.targets)))
+                       targets=tuple(map(np.zeros_like, self.targets)),
+                       modal=self.modal._replace(y0=None, targets=(None,) * len(self.targets)))
 
     def field(self, interior, left=None, right=None) -> SpaceTimeField:
         """Interior levels with the marched ``left``/``right`` rows (zero where None)."""
@@ -266,16 +320,35 @@ def build_problem(cfg: ScenarioConfig, params: RobustParams) -> _Problem:
         g2inv = np.asarray(rho_star_inv_sq(cfg.wspec, eta, t), dtype=float)
         ginv = _exp_neg(log_g2, 0.5)
 
+    omega_mask = cfg.omega.interior_mask(grid) if c == "A" else None
+    b1_mask = cfg.b1.interior_mask(grid) if c == "B" else None
+    b2_mask = (np.ones(grid.n_interior, dtype=bool) if cfg.allow_global_disturbance
+               else cfg.b2.interior_mask(grid)) if c == "B" else None
+    s = _plan(grid, tgrid).s
+
+    def projector(coef):
+        return (s * coef) @ s
+
+    def modal(values):
+        return values @ s if np.any(values) else None
+
+    drive = None
+    if c == "B":
+        # the coefficients of feedback's two masked quotients, as forcing adds them
+        coef = np.zeros(grid.n_interior)
+        coef[b1_mask] -= 1.0 / params.ell ** 2
+        coef[b2_mask] += 1.0 / params.gamma ** 2
+        drive = projector(coef)
     return _Problem(
         cfg=cfg, params=params, y0=cfg.y0, obs_masks=obs_masks, targets=targets,
         follower_edges=tuple(follower_edges),
         leader_side=None if c == "A" else cfg.leader_side(),
         g2inv=g2inv, ginv=ginv, log_g2=log_g2,
-        omega_mask=cfg.omega.interior_mask(grid) if c == "A" else None,
-        b1_mask=cfg.b1.interior_mask(grid) if c == "B" else None,
-        b2_mask=(np.ones(grid.n_interior, dtype=bool) if cfg.allow_global_disturbance
-                 else cfg.b2.interior_mask(grid)) if c == "B" else None,
+        omega_mask=omega_mask, b1_mask=b1_mask, b2_mask=b2_mask,
         wtrap=trapezoid_time_weights(tgrid.n_levels),
+        modal=_Modal(s, tuple(projector(m) for m in obs_masks), drive,
+                     projector(omega_mask) if c == "A" else None, modal(cfg.y0),
+                     tuple(modal(np.where(m, t, 0.0)) for m, t in zip(obs_masks, targets))),
     )
 
 
@@ -295,19 +368,68 @@ def _leader_array(prob: _Problem, leader) -> np.ndarray | None:
     return leader.values
 
 
-def _adjoint_solve(prob: _Problem, state: np.ndarray) -> tuple:
-    """Backward solve(s) driven by the tracking residual(s).
+# --- the Picard sweeps on modal coefficients -----------------------------------
+#
+# A sweep's fields are their DST modal coefficients: a march is one
+# ``heat._modal_levels`` (no product with S), and the coupling between the
+# marches is ``_Problem.modal``: one product per observed or driven region,
+# one row of S per edge read, a rank-one update per edge write.  Every product
+# runs on each column's (n_levels, n) block, the shape of a lone solve, and
+# the rest is elementwise, so every column keeps the bits of its lone solve.
+# Every march returns the transient levels of the plan's buffer, and
+# ``_picard_columns`` copies the adjoints (or thetas) into the arrays it keeps.
 
-    Each residual is one masked subtraction: state - target on its region,
-    +0.0 elsewhere.  Residual i is column i of a new first axis, so D's two
-    adjoints are one batched march, each equal to its lone march bit for bit.
+def _normal_hat(prob: _Problem, levels: np.ndarray, side: str) -> np.ndarray:
+    """``normal_derivative_o1`` at ``side`` of the field whose modal levels are ``levels``.
+
+    The field's edge value is its modal levels times one row of S.
     """
-    cfg = prob.cfg
-    grid = cfg.grid
-    src = np.zeros((len(prob.obs_masks),) + state.shape)
-    for residual, mask, target in zip(src, prob.obs_masks, prob.targets):
-        np.subtract(state, target, out=residual, where=mask)
-    return tuple(modal_march_backward(grid, cfg.tgrid, np.zeros(grid.n_interior), src))
+    return -(levels @ prob.modal.s[0 if side == LEFT else -1]) / prob.cfg.grid.dx
+
+
+def _normals_hat(prob: _Problem, adjoints: tuple) -> tuple:
+    """``_normal_hat`` of each follower edge's adjoint (``_Problem.readers``)."""
+    return tuple(_normal_hat(prob, r, side)
+                 for (side, _, _), r in zip(prob.follower_edges, prob.readers(adjoints)))
+
+
+def _state_hat(prob: _Problem, adjoints: tuple, drive) -> np.ndarray:
+    """Modal state of a sweep under the feedback of the modal ``adjoints``.
+
+    ``drive`` is the leader's part: its modal levels in A (an interior
+    source), its edge values in B/C/D; None for the zero leader.  Returns
+    the transient levels of the march (``heat._modal_levels``).
+    """
+    cfg, m = prob.cfg, prob.modal
+    c = cfg.configuration
+    wk = _plan(cfg.grid, cfg.tgrid).work(adjoints[0].shape[:-2])
+    source = None
+    if c == "A":
+        source = np.divide(adjoints[0], prob.params.gamma ** 2, out=wk.z_columns)
+        if drive is not None:
+            source += drive
+    elif c == "B":
+        source = np.matmul(adjoints[0], m.drive, out=wk.z_columns)
+    follower = prob.edge_controls(_normals_hat(prob, adjoints), prob.g2inv)
+    edges = prob.edge_rows(follower, None if c == "A" else drive)
+    return _modal_levels(cfg.grid, cfg.tgrid, wk, m.y0, source, edges)
+
+
+def _adjoints_hat(prob: _Problem, state: np.ndarray) -> tuple:
+    """Modal adjoint(s) of a sweep: each region's tracking residual marched backward from 0.
+
+    Residual i is P_i y - S (mask_i * target_i), formed by one product into
+    the plan's scratch; it is column i of a new first axis, so D's two
+    adjoints are one batched march.
+    """
+    cfg, m = prob.cfg, prob.modal
+    wk = _plan(cfg.grid, cfg.tgrid).work((len(m.obs),) + state.shape[:-2])
+    source = wk.z_columns
+    for residual, proj, target in zip(source, m.obs, m.targets):
+        np.matmul(state, proj, out=residual)
+        if target is not None:
+            residual -= target
+    return tuple(_modal_levels(cfg.grid, cfg.tgrid, wk, None, source, backward=True))
 
 
 @dataclass
@@ -384,27 +506,36 @@ class _Column:
         return None
 
 
-def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: int) -> list:
+def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: int,
+                    finish) -> list:
     """Lagged fixed-point loop on ``width`` independent columns, each stopping on its own.
 
     The state and adjoint arrays carry one leading batch axis.  Each sweep
     calls ``forward(adjoints, cols)`` and ``backward(state)`` once for all
-    active columns, ``cols`` naming the columns the batch axis holds.  A
-    column is the C-contiguous block ``a[pos]`` of the march output, so its
-    correction sums in the order of a lone solve, and its stopping rule is
-    its own ``_Column``.  A column that stops leaves the active set after the
-    final forward solve of the columns that stop with it, so each column's
-    result equals a one-column loop's bit for bit.
+    active columns, ``cols`` naming the columns the batch axis holds.  The
+    state need only last until ``backward`` has read it, and the new
+    adjoints until the loop has copied them into its own arrays, which it
+    keeps from sweep to sweep.  A column's correction is the difference of
+    its blocks ``a[pos]``, summed in the order of a lone solve (on modal
+    coefficients it is the field's norm by Parseval), and its stopping rule
+    is its own ``_Column``.  A column that stops leaves the active set after
+    the final forward solve of the columns that stop with it, which
+    ``finish(state, adjoints, cols)`` turns into the (state, adjoints) its
+    results keep, so each column's result equals a one-column loop's bit for
+    bit.
 
     Returns one (state, adjoints, iterations, residual, ratios, status) per
     column.  The status is "converged" when the relative correction reached
-    the tolerance and "round-off" when the corrections stopped contracting
-    below 1e-6 of the first one (accepted as the floor of the arithmetic).
-    The ratios are the contraction rate of the solve: every ratio of a
-    correction of at least ``_RATIO_FLOOR`` of the first.
+    the tolerance (or the first correction vanished) and "round-off" when
+    the corrections stopped contracting below 1e-6 of the first one
+    (accepted as the floor of the arithmetic).  The ratios are the
+    contraction rate of the solve: every ratio of a correction of at least
+    ``_RATIO_FLOOR`` of the first.
     """
     cfg, params = prob.cfg, prob.params
     grid, tgrid = cfg.grid, cfg.tgrid
+    if not width:
+        return []
     adjoints = tuple(np.zeros((width, tgrid.n_levels, grid.n_interior))
                      for _ in range(n_adjoints))
     cols = list(range(width))
@@ -417,28 +548,30 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: i
     tol = params.fixed_point_tol
     max_iter = params.max_iterations
     for it in range(1, max_iter + 1):
-        state = forward(adjoints, cols)
-        new_adjoints = backward(state)
-        diffs = [a - b for a, b in zip(new_adjoints, adjoints)]
-        adjoints = new_adjoints
+        new_adjoints = backward(forward(adjoints, cols))
         stopped = {}   # position -> status, for the columns needing a final forward solve
         for pos, c in enumerate(cols):
             delta = float(np.sqrt(sum(
-                l2q_norm_interior(d[pos], grid, tgrid.dt) ** 2 for d in diffs)))
+                l2q_norm_interior(a[pos] - b[pos], grid, tgrid.dt) ** 2
+                for a, b in zip(new_adjoints, adjoints))))
             status = runs[c].stop(delta, it, tol)
-            if status == "exact":
-                results[c] = (state[pos], tuple(a[pos] for a in adjoints),
-                              it, 0.0, (), "converged")
-            elif status is not None:
+            if status is not None:
                 stopped[pos] = status
+        for a, b in zip(adjoints, new_adjoints):
+            a[...] = b
         if stopped:
             pos = list(stopped)
+            final_cols = [cols[p] for p in pos]
             final_adjoints = take(adjoints, pos)
-            final = forward(final_adjoints, [cols[p] for p in pos])
+            final, final_adjoints = finish(forward(final_adjoints, final_cols),
+                                           final_adjoints, final_cols)
             for j, p in enumerate(pos):
                 run = runs[cols[p]]
-                results[cols[p]] = (final[j], tuple(a[j] for a in final_adjoints),
-                                    it, run.last / run.first, tuple(run.ratios), stopped[p])
+                # an exact column's first correction vanished: residual 0, no ratio
+                exact = stopped[p] == "exact"
+                results[cols[p]] = (final[j], tuple(a[j] for a in final_adjoints), it,
+                                    0.0 if exact else run.last / run.first, tuple(run.ratios),
+                                    "converged" if exact else stopped[p])
         keep = [pos for pos, c in enumerate(cols) if results[c] is None]
         if not keep:
             return results
@@ -467,16 +600,36 @@ def _equilibria(prob: _Problem, leaders) -> list:
 
     ``leaders`` stacks one raw leader per column on a leading axis, or is None
     for one column under the zero leader.  The columns are one
-    ``_picard_columns`` loop, so each equals its lone solve bit for bit.
+    ``_picard_columns`` loop on modal coefficients (``_equilibria_hat``), so
+    each equals its lone solve bit for bit; the fields come back in space
+    once, at exit, the state's level 0 being ``y0`` itself.
     """
-    width = 1 if leaders is None else len(leaders)
+    s = prob.modal.s
 
+    def physical(state, adjoints, cols):
+        y = np.matmul(state, s)
+        y[..., 0, :] = prob.y0
+        return y, tuple(np.matmul(a, s) for a in adjoints)
+
+    drive = leaders
+    if leaders is not None and prob.leader_side is None:
+        drive = np.matmul(leaders, s)   # A's leader is an interior source
+    return _equilibria_hat(prob, drive, 1 if leaders is None else len(leaders), physical)
+
+
+def _equilibria_hat(prob: _Problem, drive, width: int, finish) -> list:
+    """``_picard_columns`` of the optimality system on modal coefficients.
+
+    ``drive`` stacks one leader per column as ``_state_hat`` takes it (None:
+    the zero leader), and ``finish`` maps the final modal state and adjoints
+    to what the results keep (``_picard_columns``).
+    """
     def forward(adjoints, cols):
-        leader = leaders if leaders is None or len(cols) == width else leaders[cols]
-        return prob.state(*prob.feedback(adjoints, prob.g2inv), leader)
+        return _state_hat(prob, adjoints,
+                          drive if drive is None or len(cols) == width else drive[cols])
 
-    return _picard_columns(prob, forward, lambda st: _adjoint_solve(prob, st),
-                           prob.n_adjoints, width)
+    return _picard_columns(prob, forward, lambda state: _adjoints_hat(prob, state),
+                           prob.n_adjoints, width=width, finish=finish)
 
 
 def _equilibrium(prob: _Problem, leader_arr) -> tuple:

@@ -6,16 +6,97 @@ observation form that the Gram operator must equal, and ``gateaux_check``
 holds difference quotients of the control-to-state map to its linearized
 solve.  Each runs on the package's private raw solves, as the package's own
 stages do.
+
+The ``reference_*`` functions are the Picard coupling in physical space:
+every sweep marches explicit sources (``_Problem.forcing`` of the feedback,
+the masked tracking residuals, theta on the observation regions) through
+``heat.modal_march``/``modal_march_backward``, four products with S per
+sweep.  They share the package's ``_Problem`` coupling methods and its
+``_picard_columns`` loop, and the package's sweeps on DST modal
+coefficients are held to them at round-off.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from stackheat import heat
 from stackheat.hum import AdjointPair, GramBasis, HumSettings, _gram, _observed
-from stackheat.products import h10_inner, h10_norm
-from stackheat.saddle import build_problem
+from stackheat.products import h10_inner, h10_norm, neg_laplacian_solve
+from stackheat.saddle import _picard_columns, build_problem
 from stackheat.scenario import RobustParams, ScenarioConfig
+
+# the march pair the references run; the equilibria also take another pair
+MARCHES = (heat.modal_march, heat.modal_march_backward)
+
+
+def _keep(state, adjoints, cols):
+    return state, adjoints
+
+
+def reference_adjoint_solve(prob, state: np.ndarray, marches=MARCHES) -> tuple:
+    """Backward solve(s) driven by the tracking residual(s): state - target on each region."""
+    cfg = prob.cfg
+    grid = cfg.grid
+    src = np.zeros((len(prob.obs_masks),) + state.shape)
+    for residual, mask, target in zip(src, prob.obs_masks, prob.targets):
+        np.subtract(state, target, out=residual, where=mask)
+    return tuple(marches[1](grid, cfg.tgrid, np.zeros(grid.n_interior), src))
+
+
+def reference_equilibria(prob, leaders, marches=MARCHES) -> list:
+    """``saddle._equilibria`` in physical space: raw equilibria under each stacked leader."""
+    cfg = prob.cfg
+    width = 1 if leaders is None else len(leaders)
+
+    def forward(adjoints, cols):
+        leader = leaders if leaders is None or len(cols) == width else leaders[cols]
+        return marches[0](cfg.grid, cfg.tgrid, prob.y0,
+                          *prob.forcing(*prob.feedback(adjoints, prob.g2inv), leader))
+
+    return _picard_columns(prob, forward, lambda st: reference_adjoint_solve(prob, st, marches),
+                           prob.n_adjoints, width=width, finish=_keep)
+
+
+def _theta_forcing(prob, phi: np.ndarray) -> tuple:
+    """(source, left, right) of the theta march: forcing(feedback(phi)), D's followers as columns."""
+    follower, disturbance = prob.feedback((phi,) * prob.n_adjoints, prob.g2inv)
+    if prob.n_adjoints > 1:
+        follower = tuple(np.multiply.outer(e, v)
+                         for v, e in zip(follower, np.eye(prob.n_adjoints)))
+    return prob.forcing(follower, disturbance, None)
+
+
+def _phi_backward(prob, thetas: tuple, terminal: np.ndarray) -> np.ndarray:
+    """phi marched backward from ``terminal``, driven by theta on the observation region(s)."""
+    cfg = prob.cfg
+    src = np.zeros(thetas[0].shape)
+    for mask, th in zip(prob.obs_masks, thetas):
+        np.add(src, th, out=src, where=mask)
+    return MARCHES[1](cfg.grid, cfg.tgrid, terminal, src)
+
+
+def _theta_forward(prob, phi: np.ndarray) -> tuple:
+    """The theta component(s) marched forward from theta(0) = 0 under phi."""
+    cfg = prob.cfg
+    theta = MARCHES[0](cfg.grid, cfg.tgrid, np.zeros(cfg.grid.n_interior),
+                       *_theta_forcing(prob, phi))
+    return (theta,) if prob.n_adjoints == 1 else tuple(theta)
+
+
+def reference_adjoint_pairs(prob, terminals) -> list:
+    """``hum._adjoint_pairs`` in physical space: raw (phi, thetas, ...) per row of ``terminals``."""
+    data = np.asarray(terminals, dtype=float)
+    return _picard_columns(prob, lambda ths, cols: _phi_backward(prob, ths, data[cols]),
+                           lambda ph: _theta_forward(prob, ph), prob.n_adjoints,
+                           width=len(data), finish=_keep)
+
+
+def reference_gram(prob, phi_terminal: np.ndarray) -> np.ndarray:
+    """``hum._gram`` in physical space: pair, observation, homogeneous equilibrium, lift."""
+    phi = reference_adjoint_pairs(prob, np.asarray(phi_terminal, dtype=float)[None])[0][0]
+    state = reference_equilibria(prob.homogeneous, prob.observe(phi)[None])[0][0]
+    return neg_laplacian_solve(state[-1], prob.cfg.grid)
 
 # The gradient agreement is asserted across STEPS.  F_eps is exactly
 # quadratic, so the central difference carries no truncation error at any
@@ -118,7 +199,7 @@ def gateaux_check(cfg: ScenarioConfig, params: RobustParams, v, psi, direction) 
     dir_traces, psi_dir = prob.raw(*direction)
 
     y_base = prob.state(base_traces, psi_base, None)
-    linearized = prob.homogeneous().state(dir_traces, psi_dir, None)
+    linearized = prob.homogeneous.state(dir_traces, psi_dir, None)
     lin_norm = max(float(np.max(np.abs(linearized))), 1e-300)
     base_norm = float(np.max(np.abs(y_base)))
 

@@ -290,6 +290,28 @@ def test_basis_and_hum_minimize_build_one_problem(monkeypatch):
     assert len(built) == 1
 
 
+def test_gram_images_share_one_homogeneous_problem(monkeypatch):
+    # the zero-data problem of the Gram images, and its modal operators, are
+    # built once per basis, not once per image
+    cfg = scenario_a(n=8, k=8)
+    basis = GramBasis(cfg, params())
+    built = []
+    real = saddle_module.replace
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(saddle_module, "replace", counted)
+    while basis.extend():
+        pass
+    assert len(basis) > 2
+    assert len(built) == 1
+    hom = basis.prob.homogeneous
+    assert hom is basis.prob.homogeneous
+    assert hom.modal.obs is basis.prob.modal.obs and hom.modal.y0 is None
+
+
 @pytest.mark.parametrize("conf", "ABCD")
 def test_basis_images_equal_public_gram_apply_bit_for_bit(conf):
     kw = {"s": 0.002} if conf in ("C", "D") else {}
@@ -368,9 +390,9 @@ def test_batched_ladder_equals_lone_solves_bit_for_bit(conf):
 
 def _recording_widths(picard_columns, seen):
     """``picard_columns`` that records the width of every call in ``seen``."""
-    def recorded(prob, forward, backward, n_adjoints, width):
+    def recorded(prob, forward, backward, n_adjoints, width, finish):
         seen.append(width)
-        return picard_columns(prob, forward, backward, n_adjoints, width)
+        return picard_columns(prob, forward, backward, n_adjoints, width, finish)
     return recorded
 
 

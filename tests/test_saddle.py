@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from stackheat import heat, saddle
+from stackheat import heat, hum, saddle
 from stackheat.config import parse_config
 from stackheat.errors import ConvergenceError
 from stackheat.grids import (LEFT, RIGHT, BoundarySet, BoundaryTrace, Region,
@@ -17,7 +17,7 @@ from stackheat.scenario import (ScenarioConfig, make_initial,
                                 make_target, validate_config)
 
 import _gtsv
-from _instruments import gateaux_check
+from _instruments import gateaux_check, reference_equilibria
 from _scenarios import builders, params, random_leader, scenario_a, scenario_b, scenario_c, scenario_d
 
 
@@ -305,30 +305,47 @@ def _verify_case(conf):
 
 @pytest.mark.parametrize("conf", "ABCD")
 def test_adjoints_are_one_batched_march_equal_to_lone_marches(conf, monkeypatch):
-    # D's two tracking residuals are the columns of one backward march; each
-    # equals the lone march of its residual bit for bit
-    cfg = builders()[conf](n=10, k=12, y0_kind="random", target_kind="random", seed=3)
+    # each modal sweep march of a batch is one march, D's two adjoints (and
+    # two thetas) the columns of one; every column equals its lone solve bit
+    # for bit at every width; s = 0.01 keeps the C/D feedback live
+    kw = {"s": 0.01} if conf in "CD" else {}
+    cfg = builders()[conf](n=10, k=12, y0_kind="random", target_kind="random", seed=3, **kw)
     prob = build_problem(cfg, params())
-    grid, tgrid = cfg.grid, cfg.tgrid
-    state = np.random.default_rng(8).standard_normal((2, tgrid.n_levels, grid.n_interior))
-    real, shapes = saddle.modal_march_backward, []
+    klev, n = cfg.tgrid.n_levels, cfg.grid.n_interior
+    rng = np.random.default_rng(8)
+    fields = rng.standard_normal((prob.n_adjoints, 25, klev, n))
+    drive = _leader_array(prob, random_leader(cfg, seed=2))
+    drive = np.stack([drive if prob.leader_side else drive @ prob.modal.s] * 25)
+    data = rng.standard_normal((25, n)) @ prob.modal.s
+    sweeps = {   # each a march of the columns ``cols``
+        "state": lambda cols: saddle._state_hat(prob, tuple(fields[:, cols]), drive[cols]),
+        "adjoints": lambda cols: saddle._adjoints_hat(prob, fields[0, cols]),
+        "phi": lambda cols: hum._phi_hat(prob, tuple(fields[:, cols]), data[cols]),
+        "thetas": lambda cols: hum._thetas_hat(prob, fields[0, cols]),
+    }
+    real, shapes = heat._modal_levels, []
 
     def recorded(*args, **kwargs):
         out = real(*args, **kwargs)
         shapes.append(out.shape)
         return out
 
-    monkeypatch.setattr(saddle, "modal_march_backward", recorded)
-    adjoints = saddle._adjoint_solve(prob, state)
-    regions = len(prob.obs_masks)
-    assert len(adjoints) == regions == prob.n_adjoints
-    assert shapes == [(regions,) + state.shape]
-    for adj, mask, target in zip(adjoints, prob.obs_masks, prob.targets):
-        for j in range(len(state)):
-            src = np.zeros(state.shape[1:])
-            src[..., mask] = state[j][..., mask] - target[:, mask]
-            assert np.array_equal(adj[j], real(grid, tgrid, np.zeros(grid.n_interior), src))
-            assert adj[j].flags.c_contiguous
+    for module in (saddle, hum):
+        monkeypatch.setattr(module, "_modal_levels", recorded)
+
+    def copies(out):
+        """The levels a sweep returned, copied out of the plan's buffer, one array each."""
+        return [np.copy(a) for a in (out if isinstance(out, tuple) else (out,))]
+
+    for name, sweep in sweeps.items():
+        stack = {"state": (), "phi": ()}.get(name, (prob.n_adjoints,))
+        for width in (1, 2, 3, 25):
+            shapes.clear()
+            batched = copies(sweep(np.arange(width)))
+            assert shapes == [stack + (width, klev, n)], name
+            for j in range(width):
+                lone = copies(sweep([j]))
+                assert [a[0].tobytes() for a in lone] == [a[j].tobytes() for a in batched], name
 
 
 @pytest.mark.parametrize("conf", "ABCD")
@@ -474,19 +491,22 @@ def test_contraction_example_10_vs_5():
 
 
 @pytest.mark.parametrize("demo", ["demo_a", "demo_b"])
-def test_contraction_ratio_does_not_depend_on_the_march(demo, monkeypatch):
-    # the two marches agree to round-off; the reported ratio must too, so it
-    # may not read ratios of corrections that are themselves round-off
+def test_contraction_ratio_does_not_depend_on_the_march(demo):
+    # the modal sweeps and the physical coupling on the gtsv march agree to
+    # round-off; the reported ratio must too, so it may not read ratios of
+    # corrections that are themselves round-off
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = parse_config(os.path.join(root, "configs", f"{demo}.ini"))
-    ratios = []
-    for fwd, bwd in ((_gtsv.march, _gtsv.march_backward),
-                     (heat.modal_march, heat.modal_march_backward)):
-        monkeypatch.setattr(saddle, "modal_march", fwd)
-        monkeypatch.setattr(saddle, "modal_march_backward", bwd)
-        ratios.append(solve_optimality(spec.scenario, None, spec.robust).contraction_ratio)
-    assert ratios[0] > 0
-    assert ratios[1] == pytest.approx(ratios[0], rel=1e-6)
+    prob = build_problem(spec.scenario, spec.robust)
+    ratios = reference_equilibria(prob, None, (_gtsv.march, _gtsv.march_backward))[0][4]
+    modal = solve_optimality(spec.scenario, None, spec.robust).contraction_ratio
+    assert np.median(ratios) > 0
+    assert modal == pytest.approx(float(np.median(ratios)), rel=1e-6)
+
+
+def _keep(state, adjoints, cols):
+    """A ``finish`` that keeps the final state and adjoints as they are."""
+    return state, adjoints
 
 
 def test_picard_round_off_exit_has_its_own_status():
@@ -502,7 +522,7 @@ def test_picard_round_off_exit_has_its_own_status():
         adjoint.append(adjoint[-1] + next(steps) * unit)
         return (adjoint[-1],)
 
-    out, = _picard_columns(prob, lambda adjoints, cols: unit, backward, 1, width=1)
+    out, = _picard_columns(prob, lambda adjoints, cols: unit, backward, 1, width=1, finish=_keep)
     assert len(out) == 6 and out[5] == "round-off"
     assert out[2] == 4
     # the cumulative sums lose about 1e-9 relative to cancellation
@@ -521,16 +541,18 @@ def test_batch_out_of_sweeps_counts_its_unconverged_columns():
     sweep = {"cols": None, "count": 0}
 
     def forward(adjoints, cols):
-        sweep["cols"], sweep["count"] = cols, sweep["count"] + 1
+        # the exact column's final forward solve is no sweep: backward counts them
+        sweep["cols"] = cols
         return np.zeros((len(cols),) + unit.shape[1:])
 
     def backward(state):
+        sweep["count"] += 1
         r, k = rate[sweep["cols"]], sweep["count"]
         return (unit * (amplitude[sweep["cols"]] * (1 - r ** k) / (1 - r))[:, None, None],)
 
     with pytest.raises(ConvergenceError, match=r"within 4 sweeps \(in 2 of 3 columns; "
                                                r"largest last relative correction 0\.729\)"):
-        _picard_columns(prob, forward, backward, 1, width=3)
+        _picard_columns(prob, forward, backward, 1, width=3, finish=_keep)
 
 
 def _assert_column_bits(batched, single, j):
