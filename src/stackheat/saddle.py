@@ -14,7 +14,8 @@ Dirichlet rows (``edge_rows``) of a march (``state`` runs that
 ``modal_march``), ``observe`` reads the leader off an adjoint and ``field``
 puts the marched rows back into a field.  The Picard sweeps run the same
 coupling on DST modal coefficients: ``_Problem.modal`` holds its products
-with S, built once per problem from the same masks, edges and weights (one
+with S, built once per problem on first use from the same masks, edges and
+weights, so a caller that never sweeps builds none of them (one
 projector P = S diag(coef) S per observed or driven region, S's edge rows
 for the edge reads and writes, A's diagonal 1/gamma^2), and a sweep reads
 and writes the edges through ``edge_controls`` and ``edge_rows``.  So every
@@ -119,7 +120,7 @@ def capped_weighted_sq(log_w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 # The coupling of a Picard sweep on DST modal coefficients (``_Problem.modal``),
 # with S the march plan's orthonormal DST-I matrix and every projector
-# P = S diag(coef) S built once per problem:
+# P = S diag(coef) S built once per problem (``_modal_operators``):
 # - ``s``: S itself;
 # - ``obs``: one P per observation region (its mask), the tracking residual's
 #   product;
@@ -153,7 +154,6 @@ class _Problem:
     b1_mask: Optional[np.ndarray]
     b2_mask: Optional[np.ndarray]
     wtrap: np.ndarray                # trapezoid time weights
-    modal: _Modal
 
     @property
     def n_adjoints(self) -> int:
@@ -274,15 +274,21 @@ class _Problem:
         return -normal_derivative_o1(phi, self.cfg.grid, self.leader_side)
 
     @functools.cached_property
+    def modal(self) -> _Modal:
+        """The coupling as products with S (``_Modal``), built on first use."""
+        return _modal_operators(self)
+
+    @functools.cached_property
     def homogeneous(self) -> _Problem:
         """The same coupling with zero initial datum and zero target(s), built once.
 
         It shares this problem's modal operators, so a ``hum.GramBasis``
         builds both once for all its Gram images.
         """
-        return replace(self, y0=np.zeros_like(self.y0),
-                       targets=tuple(map(np.zeros_like, self.targets)),
-                       modal=self.modal._replace(y0=None, targets=(None,) * len(self.targets)))
+        twin = replace(self, y0=np.zeros_like(self.y0),
+                       targets=tuple(map(np.zeros_like, self.targets)))
+        twin.modal = self.modal._replace(y0=None, targets=(None,) * len(self.targets))
+        return twin
 
     def field(self, interior, left=None, right=None) -> SpaceTimeField:
         """Interior levels with the marched ``left``/``right`` rows (zero where None)."""
@@ -324,7 +330,20 @@ def build_problem(cfg: ScenarioConfig, params: RobustParams) -> _Problem:
     b1_mask = cfg.b1.interior_mask(grid) if c == "B" else None
     b2_mask = (np.ones(grid.n_interior, dtype=bool) if cfg.allow_global_disturbance
                else cfg.b2.interior_mask(grid)) if c == "B" else None
-    s = _plan(grid, tgrid).s
+    return _Problem(
+        cfg=cfg, params=params, y0=cfg.y0, obs_masks=obs_masks, targets=targets,
+        follower_edges=tuple(follower_edges),
+        leader_side=None if c == "A" else cfg.leader_side(),
+        g2inv=g2inv, ginv=ginv, log_g2=log_g2,
+        omega_mask=omega_mask, b1_mask=b1_mask, b2_mask=b2_mask,
+        wtrap=trapezoid_time_weights(tgrid.n_levels),
+    )
+
+
+def _modal_operators(prob: _Problem) -> _Modal:
+    """``prob``'s coupling as products with S (``_Modal``): what ``_Problem.modal`` builds."""
+    cfg, params = prob.cfg, prob.params
+    s = _plan(cfg.grid, cfg.tgrid).s
 
     def projector(coef):
         return (s * coef) @ s
@@ -333,23 +352,16 @@ def build_problem(cfg: ScenarioConfig, params: RobustParams) -> _Problem:
         return values @ s if np.any(values) else None
 
     drive = None
-    if c == "B":
+    if cfg.configuration == "B":
         # the coefficients of feedback's two masked quotients, as forcing adds them
-        coef = np.zeros(grid.n_interior)
-        coef[b1_mask] -= 1.0 / params.ell ** 2
-        coef[b2_mask] += 1.0 / params.gamma ** 2
+        coef = np.zeros(cfg.grid.n_interior)
+        coef[prob.b1_mask] -= 1.0 / params.ell ** 2
+        coef[prob.b2_mask] += 1.0 / params.gamma ** 2
         drive = projector(coef)
-    return _Problem(
-        cfg=cfg, params=params, y0=cfg.y0, obs_masks=obs_masks, targets=targets,
-        follower_edges=tuple(follower_edges),
-        leader_side=None if c == "A" else cfg.leader_side(),
-        g2inv=g2inv, ginv=ginv, log_g2=log_g2,
-        omega_mask=omega_mask, b1_mask=b1_mask, b2_mask=b2_mask,
-        wtrap=trapezoid_time_weights(tgrid.n_levels),
-        modal=_Modal(s, tuple(projector(m) for m in obs_masks), drive,
-                     projector(omega_mask) if c == "A" else None, modal(cfg.y0),
-                     tuple(modal(np.where(m, t, 0.0)) for m, t in zip(obs_masks, targets))),
-    )
+    return _Modal(s, tuple(projector(m) for m in prob.obs_masks), drive,
+                  None if prob.omega_mask is None else projector(prob.omega_mask),
+                  modal(prob.y0),
+                  tuple(modal(np.where(m, t, 0.0)) for m, t in zip(prob.obs_masks, prob.targets)))
 
 
 def _leader_array(prob: _Problem, leader) -> np.ndarray | None:
@@ -522,7 +534,10 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: i
     the final forward solve of the columns that stop with it, which
     ``finish(state, adjoints, cols)`` turns into the (state, adjoints) its
     results keep, so each column's result equals a one-column loop's bit for
-    bit.
+    bit.  A column whose first correction vanishes ("exact") stops on the
+    first sweep's state, of the same zero adjoints: the loop keeps a copy of
+    it apart from the buffer ``backward`` may overwrite, instead of solving
+    it again.
 
     Returns one (state, adjoints, iterations, residual, ratios, status) per
     column.  The status is "converged" when the relative correction reached
@@ -548,8 +563,11 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: i
     tol = params.fixed_point_tol
     max_iter = params.max_iterations
     for it in range(1, max_iter + 1):
-        new_adjoints = backward(forward(adjoints, cols))
-        stopped = {}   # position -> status, for the columns needing a final forward solve
+        state = forward(adjoints, cols)
+        if it == 1:
+            first_state = state.copy()
+        new_adjoints = backward(state)
+        stopped = {}   # position -> status, for the columns that stop at this sweep
         for pos, c in enumerate(cols):
             delta = float(np.sqrt(sum(
                 l2q_norm_interior(a[pos] - b[pos], grid, tgrid.dt) ** 2
@@ -563,8 +581,11 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: i
             pos = list(stopped)
             final_cols = [cols[p] for p in pos]
             final_adjoints = take(adjoints, pos)
-            final, final_adjoints = finish(forward(final_adjoints, final_cols),
-                                           final_adjoints, final_cols)
+            if it == 1 and all(status == "exact" for status in stopped.values()):
+                state = first_state[pos]
+            else:
+                state = forward(final_adjoints, final_cols)
+            final, final_adjoints = finish(state, final_adjoints, final_cols)
             for j, p in enumerate(pos):
                 run = runs[cols[p]]
                 # an exact column's first correction vanished: residual 0, no ratio

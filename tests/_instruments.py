@@ -5,7 +5,9 @@ of the penalized functional, ``observation_pairing`` is the quadratic
 observation form that the Gram operator must equal, and ``gateaux_check``
 holds difference quotients of the control-to-state map to its linearized
 solve.  Each runs on the package's private raw solves, as the package's own
-stages do.
+stages do.  ``reference_write_csv`` is the CSV writer that formats an
+ndarray one ``%``-format per row, the reference of ``csvio``'s vectorized
+formatter.
 
 The ``reference_*`` functions are the Picard coupling in physical space:
 every sweep marches explicit sources (``_Problem.forcing`` of the feedback,
@@ -16,11 +18,13 @@ sweep.  They share the package's ``_Problem`` coupling methods and its
 coefficients are held to them at round-off.
 """
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from stackheat import heat
+from stackheat.csvio import fmt
 from stackheat.hum import AdjointPair, GramBasis, HumSettings, _gram, _observed
 from stackheat.products import h10_inner, h10_norm, neg_laplacian_solve
 from stackheat.saddle import _picard_columns, build_problem
@@ -212,3 +216,20 @@ def gateaux_check(cfg: ScenarioConfig, params: RobustParams, v, psi, direction) 
         floors.append(np.finfo(float).eps * base_norm / (lam * lin_norm))
     return GateauxReport(tuple(discs), tuple(floors), max(discs),
                          float(np.max(np.abs(linearized[0]))))
+
+
+def reference_write_csv(path: str, header, rows):
+    """``csvio.write_csv`` with an ndarray written one ``%.17g`` line per row.
+
+    ``"%.17g" % x`` and ``fmt`` go through the same float-to-string routine
+    of Python, so this prints the bytes of the per-value path.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            fh.writelines(line % tuple(row) for row in rows.tolist())
+        else:
+            for row in rows:
+                writer.writerow([fmt(v) for v in row])

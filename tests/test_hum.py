@@ -312,6 +312,49 @@ def test_gram_images_share_one_homogeneous_problem(monkeypatch):
     assert hom.modal.obs is basis.prob.modal.obs and hom.modal.y0 is None
 
 
+
+def test_exact_adjoint_pair_of_a_gram_image_marches_once_each_way(monkeypatch):
+    # demo C's follower weight underflows, so a Gram image's adjoint pair
+    # stops "exact" on its first sweep: one phi march and one theta march.
+    # Its phi is that sweep's, kept apart from the theta march's buffer, and
+    # equals a fresh phi march of the same zero thetas bit for bit.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = parse_config(os.path.join(root, "configs", "demo_c.ini"))
+    prob = saddle_module.build_problem(spec.recipe.build(12, 12), spec.robust)
+    datum = np.random.default_rng(5).standard_normal((1, prob.cfg.grid.n_interior))
+    backward = []
+    real = hum_module._modal_levels
+
+    def counted(*args, **kwargs):
+        backward.append(kwargs.get("backward", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hum_module, "_modal_levels", counted)
+    monkeypatch.setattr(saddle_module, "_modal_levels", counted)
+    (phi, thetas, iterations, residual, _, status), = hum_module._pairs_hat(
+        prob, datum, lambda phi, thetas, cols: (phi, thetas))
+    assert (iterations, residual, status) == (1, 0.0, "converged")
+    assert backward == [True, False]   # phi, then theta; no second phi march
+    assert not np.any(thetas[0])
+    zero = (np.zeros((1,) + phi.shape),)
+    fresh = hum_module._phi_hat(prob, zero, datum @ prob.modal.s)[0]
+    assert np.array_equal(phi, fresh) and np.array_equal(np.signbit(phi), np.signbit(fresh))
+
+    # a whole image: the pair's two marches, then 2 per sweep of the
+    # homogeneous equilibrium and its final forward solve
+    sweeps = []
+    real_eq = hum_module._equilibria_hat
+
+    def recorded(*args, **kwargs):
+        out = real_eq(*args, **kwargs)
+        sweeps.append(out[0][2])
+        return out
+
+    monkeypatch.setattr(hum_module, "_equilibria_hat", recorded)
+    backward.clear()
+    hum_module._gram(prob, datum[0])
+    assert len(backward) == 2 + 2 * sweeps[0] + 1
+
 @pytest.mark.parametrize("conf", "ABCD")
 def test_basis_images_equal_public_gram_apply_bit_for_bit(conf):
     kw = {"s": 0.002} if conf in ("C", "D") else {}

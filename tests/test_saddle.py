@@ -234,6 +234,28 @@ def test_verify_computes_the_equilibrium_cost_from_the_controls(conf):
     assert verify_saddle(cfg, off, None, p, n_perturbations=20, seed=3) == rep
 
 
+
+def test_verify_saddle_builds_no_modal_projector(monkeypatch):
+    # the checks march in space, so on demo A they build none of the Picard
+    # sweeps' modal operators (_Problem.modal is built on first use)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = parse_config(os.path.join(root, "configs", "demo_a.ini"))
+    cfg, p = spec.recipe.build(12, 12), spec.robust
+    sol = solve_optimality(cfg, None, p)
+    built = []
+    real = saddle._modal_operators
+
+    def counted(prob):
+        built.append(prob)
+        return real(prob)
+
+    monkeypatch.setattr(saddle, "_modal_operators", counted)
+    assert verify_saddle(cfg, sol, None, p, n_perturbations=20, seed=3).passed
+    evaluate_functional(cfg, p, sol.follower, sol.disturbance, None)
+    assert built == []
+    solve_optimality(cfg, None, p)   # a sweep builds them
+    assert len(built) == 1
+
 @pytest.mark.parametrize("count", [0, -1])
 def test_verify_rejects_fewer_than_one_perturbation(count):
     # a check over no perturbation would pass without testing anything
