@@ -25,9 +25,10 @@ subnormals and ``weights.csv``'s 1e300 entries), and values whose scaled
 fraction lies within 1e-9 of one half, where the error bound could flip the
 rounding.  ``tests/test_csvio.py`` holds the two paths to the same bytes.
 
-Each file is hashed from the bytes just written; ``write_manifest`` reuses
-that hash while the file's stat still matches what was written, and re-reads
-the file otherwise.
+Each writer returns the sha256 and the size of the bytes it wrote, and
+``write_manifest`` lists what its caller collected from those returns: the
+manifest attests to the bytes each command wrote, so a file changed
+afterwards no longer matches its row.  The writers make no directory.
 """
 
 from __future__ import annotations
@@ -238,18 +239,11 @@ def _format_rows(rows: np.ndarray) -> bytes:
 
 # --- files ------------------------------------------------------------------------
 
-# (stat stamp, sha256) of each file ``write_csv`` wrote, by absolute path,
-# until ``write_manifest`` takes it
-_written = {}
+def write_csv(path: str, header, rows) -> tuple:
+    """Header row and data rows; (sha256, size) of the bytes written.
 
-
-def _stamp(path: str) -> tuple:
-    st = os.stat(path)
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def write_csv(path: str, header, rows):
-    """Header row and data rows; ``rows`` is a list of rows or a 2-D float array."""
+    ``rows`` is a list of rows or a 2-D float array.
+    """
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
@@ -258,22 +252,21 @@ def write_csv(path: str, header, rows):
     else:
         writer.writerows([fmt(v) for v in row] for row in rows)
         data = text.getvalue().encode("utf-8")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(data)
-    _written[os.path.abspath(path)] = (_stamp(path), hashlib.sha256(data).hexdigest())
+    return hashlib.sha256(data).hexdigest(), len(data)
 
 
-def write_field_csv(path: str, field: SpaceTimeField, name: str = "u"):
-    """One row per time level, one column per node (units: state values)."""
+def write_field_csv(path: str, field: SpaceTimeField, name: str = "u") -> tuple:
+    """One row per time level, one column per node (units: state values); as ``write_csv``."""
     xs = field.grid.nodes()
     header = ["t [time]"] + [f"{name}(x={x:.8g}) [state]" for x in xs]
-    write_csv(path, header, np.column_stack([field.tgrid.times(), field.values]))
+    return write_csv(path, header, np.column_stack([field.tgrid.times(), field.values]))
 
 
-def write_trace_csv(path: str, tgrid, values, name: str = "v"):
+def write_trace_csv(path: str, tgrid, values, name: str = "v") -> tuple:
     header = ["t [time]", f"{name} [control]"]
-    write_csv(path, header, np.column_stack([tgrid.times(), values]))
+    return write_csv(path, header, np.column_stack([tgrid.times(), values]))
 
 
 def sha256_of(path: str) -> str:
@@ -284,20 +277,8 @@ def sha256_of(path: str) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir: str, filenames) -> str:
-    """Manifest of emitted files with content hashes; returns its path.
-
-    A file that ``write_csv`` wrote keeps the hash of the bytes written
-    while its device, inode, size and modification time are as written; any
-    other file is read and hashed.
-    """
+def write_manifest(out_dir: str, entries) -> str:
+    """``manifest.csv`` of the (file, sha256, bytes) ``entries``, sorted by file; its path."""
     path = os.path.join(out_dir, "manifest.csv")
-    rows = []
-    for name in sorted(filenames):
-        fp = os.path.join(out_dir, name)
-        stamp = _stamp(fp)
-        known = _written.pop(os.path.abspath(fp), None)
-        digest = known[1] if known is not None and known[0] == stamp else sha256_of(fp)
-        rows.append([name, digest, stamp[2]])
-    write_csv(path, ["file", "sha256", "bytes"], rows)
+    write_csv(path, ["file", "sha256", "bytes"], sorted(entries))
     return path

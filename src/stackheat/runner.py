@@ -55,7 +55,7 @@ class _Emitter:
     def __init__(self, out_dir: str, quiet: bool):
         self.out_dir = out_dir
         self.quiet = quiet
-        self.files = []
+        self.written = []     # (name, sha256, size) of each file written, in order
         self.stages = []      # (name, seconds)
         os.makedirs(out_dir, exist_ok=True)
 
@@ -63,9 +63,9 @@ class _Emitter:
         if not self.quiet:
             print(msg)
 
-    def path(self, name: str) -> str:
-        self.files.append(name)
-        return os.path.join(self.out_dir, name)
+    def write(self, writer, name: str, *args):
+        """``writer(path of name, *args)``; the (sha256, size) it returns is listed once written."""
+        self.written.append((name, *writer(os.path.join(self.out_dir, name), *args)))
 
     def timed(self, name: str, fn):
         """``fn()``, its wall time recorded and logged as stage ``name``."""
@@ -93,43 +93,43 @@ class _Emitter:
 
     def report(self, verdicts) -> RunReport:
         """Write ``verdicts.csv`` and the manifest; the command's report."""
-        write_csv(self.path("verdicts.csv"), ["check", "status", "reason", "value"],
-                  [[v.name, v.status, v.reason, "" if v.value is None else v.value]
-                   for v in verdicts])
-        write_manifest(self.out_dir, self.files)
-        self.files.append("manifest.csv")
-        return RunReport(self.out_dir, tuple(self.stages), tuple(verdicts), tuple(self.files))
+        self.write(write_csv, "verdicts.csv", ["check", "status", "reason", "value"],
+                   [[v.name, v.status, v.reason, "" if v.value is None else v.value]
+                    for v in verdicts])
+        write_manifest(self.out_dir, self.written)
+        files = tuple(name for name, _, _ in self.written) + ("manifest.csv",)
+        return RunReport(self.out_dir, tuple(self.stages), tuple(verdicts), files)
 
 
 def _emit_saddle(em: _Emitter, cfg: ScenarioConfig, sol, prefix: str):
-    write_field_csv(em.path(f"{prefix}_state.csv"), sol.state, "y")
+    em.write(write_field_csv, f"{prefix}_state.csv", sol.state, "y")
     for i, adj in enumerate(sol.adjoints, start=1):
         suffix = "" if len(sol.adjoints) == 1 else str(i)
-        write_field_csv(em.path(f"{prefix}_adjoint{suffix}.csv"), adj, "q")
+        em.write(write_field_csv, f"{prefix}_adjoint{suffix}.csv", adj, "q")
     if cfg.configuration == "A":
         for side, tr in sol.follower.items():
-            write_trace_csv(em.path(f"{prefix}_follower_{side}.csv"), cfg.tgrid,
-                            tr.values, "v")
+            em.write(write_trace_csv, f"{prefix}_follower_{side}.csv", cfg.tgrid,
+                     tr.values, "v")
     elif cfg.configuration == "B":
-        write_field_csv(em.path(f"{prefix}_follower.csv"), sol.follower, "v")
+        em.write(write_field_csv, f"{prefix}_follower.csv", sol.follower, "v")
     elif cfg.configuration == "C":
-        write_trace_csv(em.path(f"{prefix}_follower.csv"), cfg.tgrid,
-                        sol.follower.values, "v")
+        em.write(write_trace_csv, f"{prefix}_follower.csv", cfg.tgrid,
+                 sol.follower.values, "v")
     else:
         for i, tr in enumerate(sol.follower, start=1):
-            write_trace_csv(em.path(f"{prefix}_follower{i}.csv"), cfg.tgrid,
-                            tr.values, f"v{i}")
+            em.write(write_trace_csv, f"{prefix}_follower{i}.csv", cfg.tgrid,
+                     tr.values, f"v{i}")
     if sol.disturbance is not None:
-        write_field_csv(em.path(f"{prefix}_disturbance.csv"), sol.disturbance, "psi")
-    write_csv(em.path(f"{prefix}_summary.csv"),
-              ["configuration", "iterations", "exit_status", "relative_residual [1]",
-               "contraction_ratio [1]", "functional_value [cost]",
-               "follower_norm [control]", "disturbance_norm [control]"],
-              [[cfg.configuration, sol.iterations, sol.exit_status, sol.residual,
-                sol.contraction_ratio, sol.functional_value,
-                _follower_norm(cfg, sol),
-                0.0 if sol.disturbance is None
-                else l2_q(sol.disturbance, sol.disturbance) ** 0.5]])
+        em.write(write_field_csv, f"{prefix}_disturbance.csv", sol.disturbance, "psi")
+    em.write(write_csv, f"{prefix}_summary.csv",
+             ["configuration", "iterations", "exit_status", "relative_residual [1]",
+              "contraction_ratio [1]", "functional_value [cost]",
+              "follower_norm [control]", "disturbance_norm [control]"],
+             [[cfg.configuration, sol.iterations, sol.exit_status, sol.residual,
+               sol.contraction_ratio, sol.functional_value,
+               _follower_norm(cfg, sol),
+               0.0 if sol.disturbance is None
+               else l2_q(sol.disturbance, sol.disturbance) ** 0.5]])
 
 
 def _follower_norm(cfg: ScenarioConfig, sol) -> float:
@@ -153,14 +153,14 @@ def _emit_weights(em: _Emitter, cfg: ScenarioConfig):
     if conf in ("C", "D"):
         header.append("rho_star_inv_sq [1]")
         columns.append(rho_star_inv_sq(cfg.wspec, eta, t))
-    write_csv(em.path("weights.csv"), header, np.column_stack(columns))
+    em.write(write_csv, "weights.csv", header, np.column_stack(columns))
 
 
 def _emit_leader(em: _Emitter, cfg: ScenarioConfig, leader):
     if isinstance(leader, SpaceTimeField):
-        write_field_csv(em.path("leader.csv"), leader, "h")
+        em.write(write_field_csv, "leader.csv", leader, "h")
     else:
-        write_trace_csv(em.path("leader.csv"), cfg.tgrid, leader.values, "h")
+        em.write(write_trace_csv, "leader.csv", cfg.tgrid, leader.values, "h")
 
 
 # Accepted band of the terminal-residual ratio across a 100x epsilon step
@@ -217,16 +217,16 @@ def _run_stages(spec: ExperimentSpec, em: _Emitter):
         rungs.append(dataclasses.replace(hum, epsilon=hum.epsilon * 100.0))
     res, *coarse = em.timed("hum", lambda: hum_ladder(cfg, robust, rungs, basis=basis))
     _emit_leader(em, cfg, res.leader)
-    write_csv(em.path("cg_trace.csv"),
-              ["iteration", "functional_value [cost]", "residual_norm [H10]"],
-              list(res.trace))
-    write_csv(em.path("hum_summary.csv"),
-              ["epsilon [1]", "cg_iterations", "terminal_residual [Hminus1]",
-               "internal_estimate [Hminus1]", "leader_norm_sq [control]",
-               "functional_value [cost]"],
-              [[res.epsilon, res.cg_iterations, res.terminal_residual_hminus1,
-                res.internal_residual_estimate, res.leader_norm_sq,
-                res.functional_value]])
+    em.write(write_csv, "cg_trace.csv",
+             ["iteration", "functional_value [cost]", "residual_norm [H10]"],
+             list(res.trace))
+    em.write(write_csv, "hum_summary.csv",
+             ["epsilon [1]", "cg_iterations", "terminal_residual [Hminus1]",
+              "internal_estimate [Hminus1]", "leader_norm_sq [control]",
+              "functional_value [cost]"],
+             [[res.epsilon, res.cg_iterations, res.terminal_residual_hminus1,
+               res.internal_residual_estimate, res.leader_norm_sq,
+               res.functional_value]])
 
     # verification of the full hierarchy at the certified equilibrium
     _emit_saddle(em, cfg, res.controlled, "controlled")
@@ -321,9 +321,9 @@ def _sweep_eps(spec: ExperimentSpec, em: _Emitter) -> Verdict:
                      res.leader_norm_sq, ratio])
         em.log(f"[eps-sweep] eps={res.epsilon:g}: residual {res.terminal_residual_hminus1:.4g}, "
                f"{res.cg_iterations} CG iterations")
-    write_csv(em.path("eps_sweep.csv"),
-              ["epsilon [1]", "terminal_residual [Hminus1]", "internal_estimate [Hminus1]",
-               "cg_iterations", "leader_norm_sq [control]", "residual_ratio [1]"], rows)
+    em.write(write_csv, "eps_sweep.csv",
+             ["epsilon [1]", "terminal_residual [Hminus1]", "internal_estimate [Hminus1]",
+              "cg_iterations", "leader_norm_sq [control]", "residual_ratio [1]"], rows)
     ratios = [a / max(b, 1e-300) for a, b in zip(residuals, residuals[1:])]
     if not ratios:
         return Verdict("epsilon_law", "skipped", "fewer than two rungs")
@@ -361,17 +361,17 @@ def convergence_study(spec: ExperimentSpec, out_dir: str | None = None,
 def _convergence_stages(spec: ExperimentSpec, em: _Emitter, ladder):
     """``converge``'s stages, writing their files; yields their verdicts."""
     rows, errs, hs = em.timed("heat-ladder", lambda: _heat_ladder_rows(spec, ladder))
-    write_csv(em.path("convergence.csv"),
-              ["n_interior", "dx [space]", "n_steps", "max_error [state]",
-               "observed_order [1]"], rows)
+    em.write(write_csv, "convergence.csv",
+             ["n_interior", "dx [space]", "n_steps", "max_error [state]",
+              "observed_order [1]"], rows)
     order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     em.log(f"convergence study: order {order:.3f}")
     yield Verdict("heat_solver_order", "pass" if order >= 1.9 else "fail",
                   f"observed space-time order {order:.3f} over ladder {ladder}", order)
 
     orows = em.timed("oracle", lambda: _oracle_rows(spec, ladder))
-    write_csv(em.path("oracle.csv"),
-              ["n_interior", "n_steps", "dense_vs_fixed_point [relative]"], orows)
+    em.write(write_csv, "oracle.csv",
+             ["n_interior", "n_steps", "dense_vs_fixed_point [relative]"], orows)
     worst = max(r[2] for r in orows)
     yield Verdict("oracle_equivalence", "pass" if worst <= 1e-10 else "fail",
                   f"max dense-solve discrepancy {worst:.3g}", worst)
@@ -393,17 +393,17 @@ def _probe_stages(spec: ExperimentSpec, em: _Emitter):
     """``probe``'s stage, writing its files; yields its verdict."""
     rep = em.timed("probe", lambda: observability_probe(
         spec.scenario, spec.robust, n_samples=spec.probe_samples, seed=spec.seed))
-    write_csv(em.path("probe_ratios.csv"), ["sample", "ratio [1]"],
-              list(enumerate(rep.ratios)))
-    write_csv(em.path("probe_summary.csv"),
-              ["n_samples", "skipped", "min_ratio [1]", "median_ratio [1]",
-               "max_ratio [1]", "refined_max [1]", "observed_cut [1]", "argmax_sample"],
-              [[rep.n_samples, rep.skipped, rep.min_ratio, rep.median_ratio,
-                rep.max_ratio, rep.refined_max, _OBSERVED_CUT, rep.argmax_sample]])
-    write_csv(em.path("probe_spectrum.csv"),
-              ["mode", "relative_eigenvalue [1]", "pencil_max [1]", "above_cut"],
-              [[k, rel, pencil, int(above)]
-               for k, (rel, pencil, above) in enumerate(rep.spectrum, start=1)])
+    em.write(write_csv, "probe_ratios.csv", ["sample", "ratio [1]"],
+             list(enumerate(rep.ratios)))
+    em.write(write_csv, "probe_summary.csv",
+             ["n_samples", "skipped", "min_ratio [1]", "median_ratio [1]",
+              "max_ratio [1]", "refined_max [1]", "observed_cut [1]", "argmax_sample"],
+             [[rep.n_samples, rep.skipped, rep.min_ratio, rep.median_ratio,
+               rep.max_ratio, rep.refined_max, _OBSERVED_CUT, rep.argmax_sample]])
+    em.write(write_csv, "probe_spectrum.csv",
+             ["mode", "relative_eigenvalue [1]", "pencil_max [1]", "above_cut"],
+             [[k, rel, pencil, int(above)]
+              for k, (rel, pencil, above) in enumerate(rep.spectrum, start=1)])
     em.log(f"probe: {rep.n_samples} samples, max ratio {rep.max_ratio:.4g}")
     yield Verdict("probe_finite", "pass" if np.isfinite(rep.max_ratio) else "fail",
                   f"max ratio {rep.max_ratio:.4g}, refined {rep.refined_max:.4g}", rep.max_ratio)

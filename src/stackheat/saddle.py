@@ -40,7 +40,7 @@ A batch of independent columns leads every array: states and adjoints are
 (``evaluate_functional_raw`` and the quadratures it calls) take a lone column
 or a batch.  Every coupled solve is a batch of the one Picard loop,
 ``_picard_columns``: ``_equilibria`` solves one column per leader (HUM
-certifies an epsilon ladder so) and ``_equilibrium`` is its one-column
+certifies an epsilon ladder so) and ``_solve`` types its one-column
 case.  A sweep costs two modal marches (``_state_hat``, ``_adjoints_hat``)
 with no transform: its stopping norm is taken on the coefficients
 (Parseval), and the fields are transformed back once, at exit
@@ -653,14 +653,10 @@ def _equilibria_hat(prob: _Problem, drive, width: int, finish) -> list:
                            prob.n_adjoints, width=width, finish=finish)
 
 
-def _equilibrium(prob: _Problem, leader_arr) -> tuple:
-    """``_equilibria`` of the one raw leader ``leader_arr`` (None: the zero leader)."""
-    return _equilibria(prob, None if leader_arr is None else leader_arr[None])[0]
-
-
 def _solve(prob: _Problem, leader_arr) -> SaddleSolution:
-    """``_equilibrium`` as a typed solution (``_solution``)."""
-    return _solution(prob, leader_arr, _equilibrium(prob, leader_arr))
+    """The equilibrium under the one raw leader ``leader_arr`` (None: the zero leader), typed."""
+    raw = _equilibria(prob, None if leader_arr is None else leader_arr[None])[0]
+    return _solution(prob, leader_arr, raw)
 
 
 def _solution(prob: _Problem, leader_arr, raw: tuple) -> SaddleSolution:
@@ -672,7 +668,7 @@ def _solution(prob: _Problem, leader_arr, raw: tuple) -> SaddleSolution:
     tgrid = prob.cfg.tgrid
     c = prob.cfg.configuration
     follower, disturbance = prob.feedback(adjoints, prob.g2inv)
-    _, left, right = prob.forcing(follower, disturbance, leader_arr)
+    edges = prob.edge_rows(follower, leader_arr)
     jval = evaluate_functional_raw(prob, follower, disturbance, leader_arr, state=state)
 
     def traces(values):
@@ -691,7 +687,8 @@ def _solution(prob: _Problem, leader_arr, raw: tuple) -> SaddleSolution:
             follower, follower_weighted = follower[0], follower_weighted[0]
     if disturbance is not None:
         disturbance = prob.field(disturbance)
-    return SaddleSolution(c, follower, disturbance, prob.field(state, left, right),
+    return SaddleSolution(c, follower, disturbance,
+                          prob.field(state, edges.get(LEFT), edges.get(RIGHT)),
                           tuple(prob.field(a) for a in adjoints),
                           iters, res, status, ratios, jval, follower_weighted)
 

@@ -7,7 +7,7 @@ holds difference quotients of the control-to-state map to its linearized
 solve.  Each runs on the package's private raw solves, as the package's own
 stages do.  ``reference_write_csv`` is the CSV writer that formats an
 ndarray one ``%``-format per row, the reference of ``csvio``'s vectorized
-formatter.
+formatter; it returns the hash and size of the file read back.
 
 The ``reference_*`` functions are the Picard coupling in physical space:
 every sweep marches explicit sources (``_Problem.forcing`` of the feedback,
@@ -19,12 +19,13 @@ coefficients are held to them at round-off.
 """
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from stackheat import heat
-from stackheat.csvio import fmt
+from stackheat.csvio import fmt, sha256_of
 from stackheat.hum import AdjointPair, GramBasis, HumSettings, _gram, _observed
 from stackheat.products import h10_inner, h10_norm, neg_laplacian_solve
 from stackheat.saddle import _picard_columns, build_problem
@@ -218,11 +219,12 @@ def gateaux_check(cfg: ScenarioConfig, params: RobustParams, v, psi, direction) 
                          float(np.max(np.abs(linearized[0]))))
 
 
-def reference_write_csv(path: str, header, rows):
+def reference_write_csv(path: str, header, rows) -> tuple:
     """``csvio.write_csv`` with an ndarray written one ``%.17g`` line per row.
 
     ``"%.17g" % x`` and ``fmt`` go through the same float-to-string routine
-    of Python, so this prints the bytes of the per-value path.
+    of Python, so this prints the bytes of the per-value path.  Returns
+    (sha256, size) of the file as read back.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -233,3 +235,4 @@ def reference_write_csv(path: str, header, rows):
         else:
             for row in rows:
                 writer.writerow([fmt(v) for v in row])
+    return sha256_of(path), os.path.getsize(path)

@@ -1,19 +1,22 @@
 """CSV emission: the ndarray rows and the per-value rows print the same bytes."""
 
+import csv
 import dataclasses
 import decimal
 import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackheat import csvio
 from stackheat import runner as runner_module
 from stackheat.config import parse_config
-from stackheat.csvio import sha256_of, write_csv, write_manifest
-from stackheat.runner import _Emitter, _emit_weights, run_experiment
+from stackheat.csvio import sha256_of, write_csv
+from stackheat.runner import (_Emitter, _emit_weights, convergence_study, eps_sweep,
+                              probe_run, run_experiment)
 from stackheat.weights import rho_star_inv_sq, target_weight, target_weight_inv_sq
 
 from _instruments import reference_write_csv
@@ -158,12 +161,72 @@ def test_run_outputs_equal_the_per_row_writer_byte_for_byte(tmp_path, monkeypatc
                 assert a.read() == b.read(), (conf, name)
 
 
-def test_manifest_rehashes_a_file_changed_after_it_was_written(tmp_path):
-    write_csv(str(tmp_path / "a.csv"), ["x"], np.arange(3.0)[:, None])
-    write_csv(str(tmp_path / "b.csv"), ["x"], [[1.5]])
-    with open(tmp_path / "b.csv", "a", encoding="utf-8") as fh:
-        fh.write("2.5\n")
-    write_manifest(str(tmp_path), ["a.csv", "b.csv"])
-    rows = (tmp_path / "manifest.csv").read_text(encoding="utf-8").splitlines()[1:]
-    assert rows == [f"{name},{sha256_of(str(tmp_path / name))},"
-                    f"{os.path.getsize(tmp_path / name)}" for name in ("a.csv", "b.csv")]
+_COMMANDS = {"run": run_experiment, "probe": probe_run, "sweep-eps": eps_sweep,
+             "converge": convergence_study}
+
+
+def _manifest(out_dir: str) -> list:
+    """The (file, sha256, bytes) rows of ``manifest.csv``."""
+    with open(os.path.join(out_dir, "manifest.csv"), encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def _stale_rows(out_dir: str) -> list:
+    """Files whose manifest row differs from their sha256 and size on disk."""
+    return [name for name, digest, size in _manifest(out_dir)
+            if (digest, int(size)) != (sha256_of(os.path.join(out_dir, name)),
+                                       os.path.getsize(os.path.join(out_dir, name)))]
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_manifest_lists_the_bytes_each_command_wrote(tmp_path, command):
+    # one row per file of the report, sorted, each its file's hash and size;
+    # a file changed after the command no longer matches its row
+    report = _COMMANDS[command](_demo_spec("a", 12), out_dir=str(tmp_path / command),
+                                quiet=True)
+    listed = [row[0] for row in _manifest(report.out_dir)]
+    assert report.files[-1] == "manifest.csv"
+    assert listed == sorted(report.files[:-1]) and "verdicts.csv" in listed
+    assert _stale_rows(report.out_dir) == []
+    with open(os.path.join(report.out_dir, "verdicts.csv"), "a", encoding="utf-8") as fh:
+        fh.write("changed,pass,,\n")
+    assert _stale_rows(report.out_dir) == ["verdicts.csv"]
+
+
+def test_a_file_changed_before_the_manifest_keeps_the_row_of_its_written_bytes(
+        tmp_path, monkeypatch):
+    # the rows come from what the writers returned, not from the files on disk
+    real = runner_module.write_manifest
+
+    def change_then_write(out_dir, entries):
+        with open(os.path.join(out_dir, "verdicts.csv"), "a", encoding="utf-8") as fh:
+            fh.write("changed,pass,,\n")
+        return real(out_dir, entries)
+
+    monkeypatch.setattr(runner_module, "write_manifest", change_then_write)
+    report = run_experiment(_demo_spec("a", 12), out_dir=str(tmp_path / "run"), quiet=True)
+    assert _stale_rows(report.out_dir) == ["verdicts.csv"]
+
+
+def test_run_makes_its_directory_once_and_stats_no_file_it_writes(tmp_path, monkeypatch):
+    out = str(tmp_path / "run")
+    made, stated = [], []
+    real_makedirs, real_stat = os.makedirs, os.stat
+
+    def makedirs(name, *args, **kwargs):
+        made.append(name)
+        return real_makedirs(name, *args, **kwargs)
+
+    def stat(path, *args, **kwargs):
+        stated.append(path)
+        return real_stat(path, *args, **kwargs)
+
+    spec = _demo_spec("a", 12)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "makedirs", makedirs)
+        patch.setattr(os, "stat", stat)
+        report = run_experiment(spec, out_dir=out, quiet=True)
+    assert made == [out] and "leader.csv" in report.files
+    inside = [p for p in stated if not isinstance(p, int)
+              and os.path.abspath(os.fsdecode(p)).startswith(out + os.sep)]
+    assert inside == []
