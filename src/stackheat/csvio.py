@@ -28,7 +28,9 @@ rounding.  ``tests/test_csvio.py`` holds the two paths to the same bytes.
 Each writer returns the sha256 and the size of the bytes it wrote, and
 ``write_manifest`` lists what its caller collected from those returns: the
 manifest attests to the bytes each command wrote, so a file changed
-afterwards no longer matches its row.  The writers make no directory.
+afterwards no longer matches its row.  The writers make no directory.  The
+hash of a file as read back, the tests' reference for those rows, is
+``tests/_instruments.sha256_of``.
 """
 
 from __future__ import annotations
@@ -267,14 +269,6 @@ def write_field_csv(path: str, field: SpaceTimeField, name: str = "u") -> tuple:
 def write_trace_csv(path: str, tgrid, values, name: str = "v") -> tuple:
     header = ["t [time]", f"{name} [control]"]
     return write_csv(path, header, np.column_stack([tgrid.times(), values]))
-
-
-def sha256_of(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def write_manifest(out_dir: str, entries) -> str:

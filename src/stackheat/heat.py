@@ -37,7 +37,11 @@ each level's product in the scratch rows and allocates only its result;
 ``modal_march_backward`` adds one reversed copy.  A ``_modal_levels`` march
 has no result array: it forms its inputs in the plan's buffers, runs a
 backward recurrence from the last level down, in place, and returns the
-levels as a view of the plan's buffer.  The bits
+levels as a view of the plan's buffer.  A ``_Work`` also carries its plan's
+S, dt and dt/dx^2, so ``_modal_levels`` takes no grid and looks up no plan:
+a caller that sweeps holds its plan (``saddle._Problem.modal``) and takes
+``plan.work(batch)`` for every march.  It keeps no ``_Work``, because a
+wider batch replaces the plan's buffers and with them every view.  The bits
 of ``modal_march`` rest on the order of operations it states.  Marches on
 one grid pair share its buffers, so they must not run at once in threads of
 one process; the package starts none.
@@ -84,9 +88,10 @@ def trapezoid_time_weights(n_levels: int) -> np.ndarray:
 # with the next, ``lam_rows``/``c_rows`` are lam/c tiled to one row and
 # ``product`` is a scratch row of that length; ``edge`` (*batch, level) and
 # ``edge_avg`` (*batch, level - 1) are scratch for a boundary row and its
-# midpoint averages.
+# midpoint averages; ``s``, ``dt`` and ``r`` = dt/dx^2 are the plan's, so a
+# march given its ``_Work`` needs no grid.
 _Work = collections.namedtuple("_Work", "z z_columns w w_columns w_rows steps lam_rows c_rows "
-                                        "product edge edge_avg")
+                                        "product edge edge_avg s dt r")
 
 
 class _Plan:
@@ -113,7 +118,8 @@ class _Plan:
         # sin(jk pi/(n+1)) has period 2(n+1) in jk; reducing first keeps the argument
         # below 2 pi, so its rounding error does not grow like n^2
         s = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) % (2 * (n + 1)) * (np.pi / (n + 1)))
-        rmu = tgrid.dt / grid.dx ** 2 * 4.0 * np.sin(j * (np.pi / (2 * (n + 1)))) ** 2
+        self.dt, self.r = tgrid.dt, tgrid.dt / grid.dx ** 2
+        rmu = self.r * 4.0 * np.sin(j * (np.pi / (2 * (n + 1)))) ** 2
         lam = (1.0 - 0.5 * rmu) / (1.0 + 0.5 * rmu)
         c = 1.0 / (1.0 + 0.5 * rmu)
         for a in (s, lam, c):
@@ -139,7 +145,8 @@ class _Plan:
             views = _Work(z, z.transpose(per_column), w, w.transpose(per_column), w_rows,
                           list(zip(w_rows, w_rows[1:])), np.tile(self.lam, size),
                           np.tile(self.c, size), np.empty(size * n),
-                          np.empty(batch + (klev,)), np.empty(batch + (klev - 1,)))
+                          np.empty(batch + (klev,)), np.empty(batch + (klev - 1,)),
+                          self.s, self.dt, self.r)
             self._views[batch] = views
         return views
 
@@ -167,24 +174,25 @@ def _recurrence(wk: _Work, backward: bool = False) -> None:
     is one row of the modes of every column in turn, so a step is two vector
     operations whatever the batch, the product formed in the scratch row.
     """
+    multiply, add = np.multiply, np.add
     rows = wk.w_rows[:-1] if backward else wk.w_rows[1:]
-    np.multiply(rows, wk.c_rows, out=rows)
+    multiply(rows, wk.c_rows, out=rows)
     lam_rows, product = wk.lam_rows, wk.product
     if backward:
         for cur, prev in reversed(wk.steps):
-            np.add(cur, np.multiply(lam_rows, prev, product), cur)
+            add(cur, multiply(lam_rows, prev, product), cur)
     else:
         for prev, cur in wk.steps:
-            np.add(cur, np.multiply(lam_rows, prev, product), cur)
+            add(cur, multiply(lam_rows, prev, product), cur)
 
 
-def _modal_levels(grid: SpatialGrid, tgrid: TimeGrid, wk: _Work, datum: np.ndarray | None,
-                  source: np.ndarray | None = None, edges: dict | None = None,
-                  backward: bool = False) -> np.ndarray:
+def _modal_levels(wk: _Work, datum: np.ndarray | None, source: np.ndarray | None = None,
+                  edges: dict | None = None, backward: bool = False) -> np.ndarray:
     """A march on modal coefficients, in the plan's buffers: no product with S.
 
-    ``wk`` is the plan's ``_Work`` of the batch shape.  ``datum`` is the modal
-    initial (or, ``backward``, terminal) datum (*B, n), None for zero;
+    ``wk`` is the plan's ``_Work`` of the batch shape; it carries S, dt and
+    dt/dx^2, so the march reads no grid and looks up no plan.  ``datum`` is
+    the modal initial (or, ``backward``, terminal) datum (*B, n), None for zero;
     ``source`` the modal source per level (*B, n_levels, n), None for none;
     ``edges`` maps a side to its Dirichlet values per level (*B, n_levels).
     A step's modal input is dt * favg(source) plus, per edge,
@@ -205,17 +213,15 @@ def _modal_levels(grid: SpatialGrid, tgrid: TimeGrid, wk: _Work, datum: np.ndarr
     else:
         half = np.multiply(source, 0.5, out=wk.z_columns)
         np.add(half[..., 1:, :], half[..., :-1, :], out=inputs)
-        inputs *= tgrid.dt
+        inputs *= wk.dt
     if edges:
-        s = _plan(grid, tgrid).s
-        scale = tgrid.dt / grid.dx ** 2
         rank = wk.z_columns[..., 1:, :]
         for side, values in edges.items():
             half = np.multiply(values, 0.5, out=wk.edge)
             avg = np.add(half[..., 1:], half[..., :-1], out=wk.edge_avg)
-            avg *= scale
+            avg *= wk.r
             # S is symmetric: the edge's column of S is its row
-            np.multiply(avg[..., None], s[0 if side == LEFT else -1], out=rank)
+            np.multiply(avg[..., None], wk.s[0 if side == LEFT else -1], out=rank)
             np.add(inputs, rank, out=inputs)
     levels[..., -1 if backward else 0, :] = 0.0 if datum is None else datum
     _recurrence(wk, backward)
@@ -261,8 +267,7 @@ def modal_march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
     out = np.empty(batch + (klev, n))
     if out.size == 0:
         return out
-    plan = _plan(grid, tgrid)
-    wk = plan.work(batch)
+    wk = _plan(grid, tgrid).work(batch)
     z, columns, w_columns = wk.z, wk.z_columns, wk.w_columns
     z[0] = y0
     if source is None:
@@ -272,19 +277,18 @@ def modal_march(grid: SpatialGrid, tgrid: TimeGrid, y0: np.ndarray,
         # w (free until the transform), neighbouring halves added into z
         half = np.multiply(source, 0.5, out=w_columns)
         inputs = np.add(half[..., 1:, :], half[..., :-1, :], out=columns[..., 1:, :])
-        inputs *= tgrid.dt
-    scale = tgrid.dt / grid.dx ** 2
+        inputs *= wk.dt
     for side, values in ((0, left), (-1, right)):
         if values is not None:
             # (dt/dx^2) * favg(values), formed in the plan's scratch rows
             half = np.multiply(values, 0.5, out=wk.edge)
             avg = np.add(half[..., 1:], half[..., :-1], out=wk.edge_avg)
-            avg *= scale
+            avg *= wk.r
             row = columns[..., 1:, side]
             np.add(row, avg, out=row)
-    np.matmul(columns, plan.s, out=w_columns)
+    np.matmul(columns, wk.s, out=w_columns)
     _recurrence(wk)
-    np.matmul(w_columns, plan.s, out=out)
+    np.matmul(w_columns, wk.s, out=out)
     out[..., 0, :] = y0
     if not np.isfinite(out).all():
         raise NonFiniteError("march produced non-finite values: non-finite data or overflow")

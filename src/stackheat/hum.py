@@ -64,7 +64,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .errors import ConvergenceError
 from .grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField
-from .heat import _modal_levels, _plan, favg
+from .heat import _modal_levels, favg
 from .products import h10_diff, h10_dot, h10_inner, h10_norm, hminus1_norm, neg_laplacian_solve
 from .saddle import (SaddleSolution, _block_width, _equilibria, _equilibria_hat, _normal_hat,
                      _normals_hat, _picard_columns, _Problem, _solution, _solve, build_problem)
@@ -107,12 +107,12 @@ def _phi_hat(prob: _Problem, thetas: tuple, terminals: np.ndarray) -> np.ndarray
     march's modal buffer, free until the march fills it).  Returns the
     transient levels of the march (``heat._modal_levels``).
     """
-    cfg, m = prob.cfg, prob.modal
-    wk = _plan(cfg.grid, cfg.tgrid).work(thetas[0].shape[:-2])
+    m = prob.modal
+    wk = m.plan.work(thetas[0].shape[:-2])
     source = np.matmul(thetas[0], m.obs[0], out=wk.z_columns)
     for th, proj in zip(thetas[1:], m.obs[1:]):
         source += np.matmul(th, proj, out=wk.w_columns)
-    return _modal_levels(cfg.grid, cfg.tgrid, wk, terminals, source, backward=True)
+    return _modal_levels(wk, terminals, source, backward=True)
 
 
 def _thetas_hat(prob: _Problem, phi: np.ndarray) -> tuple:
@@ -127,7 +127,7 @@ def _thetas_hat(prob: _Problem, phi: np.ndarray) -> tuple:
     """
     cfg, m = prob.cfg, prob.modal
     c, k = cfg.configuration, prob.n_adjoints
-    wk = _plan(cfg.grid, cfg.tgrid).work((k,) + phi.shape[:-2])
+    wk = m.plan.work((k,) + phi.shape[:-2])
     follower = prob.edge_controls(_normals_hat(prob, (phi,) * k), prob.g2inv)
     if k > 1:
         follower = tuple(np.multiply.outer(e, v) for v, e in zip(follower, np.eye(k)))
@@ -136,8 +136,7 @@ def _thetas_hat(prob: _Problem, phi: np.ndarray) -> tuple:
         source = np.divide(phi, prob.params.gamma ** 2, out=wk.z_columns[0])
     elif c == "B":
         source = np.matmul(phi, m.drive, out=wk.z_columns[0])
-    return tuple(_modal_levels(cfg.grid, cfg.tgrid, wk, None, source,
-                               prob.edge_rows(follower, None)))
+    return tuple(_modal_levels(wk, None, source, prob.edge_rows(follower, None)))
 
 
 def _pairs_hat(prob: _Problem, data: np.ndarray, finish) -> list:
@@ -148,9 +147,13 @@ def _pairs_hat(prob: _Problem, data: np.ndarray, finish) -> list:
     """
     # one (1, n) product per row, the shape of a lone datum's
     terminals = np.matmul(data[:, None, :], prob.modal.s)[:, 0]
-    return _picard_columns(
-        prob, lambda ths, cols: _phi_hat(prob, ths, terminals[cols]),
-        lambda phi: _thetas_hat(prob, phi), prob.n_adjoints, width=len(data), finish=finish)
+    width = len(data)
+
+    def forward(thetas, cols):
+        return _phi_hat(prob, thetas, terminals if len(cols) == width else terminals[cols])
+
+    return _picard_columns(prob, forward, lambda phi: _thetas_hat(prob, phi), prob.n_adjoints,
+                           width=width, finish=finish)
 
 
 def _adjoint_pairs(prob: _Problem, terminals) -> list:

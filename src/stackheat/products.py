@@ -148,8 +148,3 @@ def qmid_trace(u: np.ndarray, w: np.ndarray, dt: float):
     the leading shape for a block.
     """
     return dt * _column_sums(favg(u, -1) * favg(w, -1), 1)
-
-
-def l2q_norm_interior(f: np.ndarray, grid: SpatialGrid, dt: float) -> float:
-    """Plain nodal L2(Q) norm of an interior array; used for stopping tests."""
-    return float(np.sqrt(dt * grid.dx * (f * f).sum()))

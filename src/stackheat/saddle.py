@@ -43,10 +43,14 @@ or a batch.  Every coupled solve is a batch of the one Picard loop,
 certifies an epsilon ladder so) and ``_solve`` types its one-column
 case.  A sweep costs two modal marches (``_state_hat``, ``_adjoints_hat``)
 with no transform: its stopping norm is taken on the coefficients
-(Parseval), and the fields are transformed back once, at exit
-(``_equilibria_hat``'s ``finish``).  The checks score their perturbed
-controls a block at a time, in space:
-``_blocks`` solves a block by one batched march.  Each column keeps the
+(Parseval), each column's in one scratch array the loop allocates once, and
+the fields are transformed back once, at exit (``_equilibria_hat``'s
+``finish``).  Everything a sweep reads is bound once per problem in
+``_Problem.modal``: the march plan, whose ``work`` each march takes (a
+sweep looks up no plan), S, dx and the S row of each follower edge; the
+edges' control divisors are ``_Problem.edge_gains``.  The checks score
+their perturbed controls a block at a time, in space: ``_blocks`` solves a
+block by one batched march.  Each column keeps the
 arithmetic and the summation order of its lone solve, so every value has the
 same bits whatever the batch width.
 """
@@ -66,7 +70,7 @@ from .errors import ConvergenceError, NonContractionError
 from .grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField
 from .heat import (_assemble_field, _modal_levels, _plan, modal_march,
                    normal_derivative_o1, trapezoid_time_weights)
-from .products import _column_sums, l2q_norm_interior, qmid_field, qmid_trace
+from .products import _column_sums, qmid_field, qmid_trace
 from .scenario import RobustParams, ScenarioConfig, require_valid
 from .weights import _capped_exp, _exp_neg, rho_star_log, rho_star_inv_sq
 
@@ -121,7 +125,11 @@ def capped_weighted_sq(log_w: np.ndarray, v: np.ndarray) -> np.ndarray:
 # The coupling of a Picard sweep on DST modal coefficients (``_Problem.modal``),
 # with S the march plan's orthonormal DST-I matrix and every projector
 # P = S diag(coef) S built once per problem (``_modal_operators``):
-# - ``s``: S itself;
+# - ``plan``: the problem's march plan (``heat._Plan``), whose ``work`` each
+#   sweep march takes anew: a wider batch replaces the plan's buffers, so no
+#   ``_Work`` is kept;
+# - ``s``: S itself, and ``dx`` the grid's spacing;
+# - ``rows``: the row of S each follower edge reads (its edge value);
 # - ``obs``: one P per observation region (its mask), the tracking residual's
 #   product;
 # - ``drive``: B's distributed feedback, coef -1/ell^2 on B1 plus 1/gamma^2 on
@@ -129,7 +137,7 @@ def capped_weighted_sq(log_w: np.ndarray, v: np.ndarray) -> np.ndarray:
 # - ``omega``: A's leader region, the leader read off a modal adjoint;
 # - ``y0``: S y0 (None for zero) and ``targets``: S (mask * target) per level
 #   and region (None for zero).
-_Modal = collections.namedtuple("_Modal", "s obs drive omega y0 targets")
+_Modal = collections.namedtuple("_Modal", "plan s dx rows obs drive omega y0 targets")
 
 
 @dataclass
@@ -146,6 +154,7 @@ class _Problem:
     obs_masks: tuple
     targets: tuple          # interior arrays matching obs_masks
     follower_edges: tuple   # ((side, rho, ell), ...) one entry per follower edge
+    edge_gains: tuple       # ((rho, ell^2 (A) or ell^2 * wtrap (C/D)), ...) per follower edge
     leader_side: Optional[str]
     g2inv: Optional[np.ndarray]      # rho_star^{-2} at the time levels (C/D)
     ginv: Optional[np.ndarray]       # rho_star^{-1}
@@ -199,10 +208,9 @@ class _Problem:
         weight), ``time_weight`` being w (see ``feedback``).
         """
         if self.cfg.configuration == "A":
-            return tuple(rho * dn / ell ** 2
-                         for (_, rho, ell), dn in zip(self.follower_edges, normals))
-        return tuple(rho * time_weight * smooth_trace(dn) / (ell ** 2 * self.wtrap)
-                     for (_, rho, ell), dn in zip(self.follower_edges, normals))
+            return tuple(rho * dn / div for (rho, div), dn in zip(self.edge_gains, normals))
+        return tuple(rho * time_weight * smooth_trace(dn) / div
+                     for (rho, div), dn in zip(self.edge_gains, normals))
 
     def raw(self, follower, disturbance=None) -> tuple:
         """Typed controls as the raw (follower, disturbance) that ``feedback`` returns.
@@ -326,24 +334,29 @@ def build_problem(cfg: ScenarioConfig, params: RobustParams) -> _Problem:
         g2inv = np.asarray(rho_star_inv_sq(cfg.wspec, eta, t), dtype=float)
         ginv = _exp_neg(log_g2, 0.5)
 
+    wtrap = trapezoid_time_weights(tgrid.n_levels)
+    # the divisor of each edge's control in ``edge_controls``, formed once
+    edge_gains = tuple((rho, ell ** 2 if c == "A" else ell ** 2 * wtrap)
+                       for _, rho, ell in follower_edges)
     omega_mask = cfg.omega.interior_mask(grid) if c == "A" else None
     b1_mask = cfg.b1.interior_mask(grid) if c == "B" else None
     b2_mask = (np.ones(grid.n_interior, dtype=bool) if cfg.allow_global_disturbance
                else cfg.b2.interior_mask(grid)) if c == "B" else None
     return _Problem(
         cfg=cfg, params=params, y0=cfg.y0, obs_masks=obs_masks, targets=targets,
-        follower_edges=tuple(follower_edges),
+        follower_edges=tuple(follower_edges), edge_gains=edge_gains,
         leader_side=None if c == "A" else cfg.leader_side(),
         g2inv=g2inv, ginv=ginv, log_g2=log_g2,
         omega_mask=omega_mask, b1_mask=b1_mask, b2_mask=b2_mask,
-        wtrap=trapezoid_time_weights(tgrid.n_levels),
+        wtrap=wtrap,
     )
 
 
 def _modal_operators(prob: _Problem) -> _Modal:
     """``prob``'s coupling as products with S (``_Modal``): what ``_Problem.modal`` builds."""
     cfg, params = prob.cfg, prob.params
-    s = _plan(cfg.grid, cfg.tgrid).s
+    plan = _plan(cfg.grid, cfg.tgrid)
+    s = plan.s
 
     def projector(coef):
         return (s * coef) @ s
@@ -358,7 +371,8 @@ def _modal_operators(prob: _Problem) -> _Modal:
         coef[prob.b1_mask] -= 1.0 / params.ell ** 2
         coef[prob.b2_mask] += 1.0 / params.gamma ** 2
         drive = projector(coef)
-    return _Modal(s, tuple(projector(m) for m in prob.obs_masks), drive,
+    rows = tuple(s[0 if side == LEFT else -1] for side, _, _ in prob.follower_edges)
+    return _Modal(plan, s, cfg.grid.dx, rows, tuple(projector(m) for m in prob.obs_masks), drive,
                   None if prob.omega_mask is None else projector(prob.omega_mask),
                   modal(prob.y0),
                   tuple(modal(np.where(m, t, 0.0)) for m, t in zip(prob.obs_masks, prob.targets)))
@@ -388,6 +402,7 @@ def _leader_array(prob: _Problem, leader) -> np.ndarray | None:
 # one row of S per edge read, a rank-one update per edge write.  Every product
 # runs on each column's (n_levels, n) block, the shape of a lone solve, and
 # the rest is elementwise, so every column keeps the bits of its lone solve.
+# Each march takes its ``_Work`` from the plan ``_Problem.modal`` holds.
 # Every march returns the transient levels of the plan's buffer, and
 # ``_picard_columns`` copies the adjoints (or thetas) into the arrays it keeps.
 
@@ -396,13 +411,14 @@ def _normal_hat(prob: _Problem, levels: np.ndarray, side: str) -> np.ndarray:
 
     The field's edge value is its modal levels times one row of S.
     """
-    return -(levels @ prob.modal.s[0 if side == LEFT else -1]) / prob.cfg.grid.dx
+    m = prob.modal
+    return -(levels @ m.s[0 if side == LEFT else -1]) / m.dx
 
 
 def _normals_hat(prob: _Problem, adjoints: tuple) -> tuple:
-    """``_normal_hat`` of each follower edge's adjoint (``_Problem.readers``)."""
-    return tuple(_normal_hat(prob, r, side)
-                 for (side, _, _), r in zip(prob.follower_edges, prob.readers(adjoints)))
+    """``_normal_hat`` of each follower edge's adjoint (``_Problem.readers``), by its bound row."""
+    m = prob.modal
+    return tuple(-(r @ row) / m.dx for row, r in zip(m.rows, prob.readers(adjoints)))
 
 
 def _state_hat(prob: _Problem, adjoints: tuple, drive) -> np.ndarray:
@@ -414,7 +430,7 @@ def _state_hat(prob: _Problem, adjoints: tuple, drive) -> np.ndarray:
     """
     cfg, m = prob.cfg, prob.modal
     c = cfg.configuration
-    wk = _plan(cfg.grid, cfg.tgrid).work(adjoints[0].shape[:-2])
+    wk = m.plan.work(adjoints[0].shape[:-2])
     source = None
     if c == "A":
         source = np.divide(adjoints[0], prob.params.gamma ** 2, out=wk.z_columns)
@@ -424,7 +440,7 @@ def _state_hat(prob: _Problem, adjoints: tuple, drive) -> np.ndarray:
         source = np.matmul(adjoints[0], m.drive, out=wk.z_columns)
     follower = prob.edge_controls(_normals_hat(prob, adjoints), prob.g2inv)
     edges = prob.edge_rows(follower, None if c == "A" else drive)
-    return _modal_levels(cfg.grid, cfg.tgrid, wk, m.y0, source, edges)
+    return _modal_levels(wk, m.y0, source, edges)
 
 
 def _adjoints_hat(prob: _Problem, state: np.ndarray) -> tuple:
@@ -434,14 +450,14 @@ def _adjoints_hat(prob: _Problem, state: np.ndarray) -> tuple:
     the plan's scratch; it is column i of a new first axis, so D's two
     adjoints are one batched march.
     """
-    cfg, m = prob.cfg, prob.modal
-    wk = _plan(cfg.grid, cfg.tgrid).work((len(m.obs),) + state.shape[:-2])
+    m = prob.modal
+    wk = m.plan.work((len(m.obs),) + state.shape[:-2])
     source = wk.z_columns
     for residual, proj, target in zip(source, m.obs, m.targets):
         np.matmul(state, proj, out=residual)
         if target is not None:
             residual -= target
-    return tuple(_modal_levels(cfg.grid, cfg.tgrid, wk, None, source, backward=True))
+    return tuple(_modal_levels(wk, None, source, backward=True))
 
 
 @dataclass
@@ -528,10 +544,11 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: i
     state need only last until ``backward`` has read it, and the new
     adjoints until the loop has copied them into its own arrays, which it
     keeps from sweep to sweep.  A column's correction is the difference of
-    its blocks ``a[pos]``, summed in the order of a lone solve (on modal
-    coefficients it is the field's norm by Parseval), and its stopping rule
-    is its own ``_Column``.  A column that stops leaves the active set after
-    the final forward solve of the columns that stop with it, which
+    its blocks ``a[pos]``, squared and summed in one (n_levels, n) scratch
+    array in the order of a lone solve (on modal coefficients it is the
+    field's norm by Parseval), and its stopping rule is its own
+    ``_Column``.  A column that stops leaves the active set after the final
+    forward solve of the columns that stop with it, which
     ``finish(state, adjoints, cols)`` turns into the (state, adjoints) its
     results keep, so each column's result equals a one-column loop's bit for
     bit.  A column whose first correction vanishes ("exact") stops on the
@@ -553,6 +570,10 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: i
         return []
     adjoints = tuple(np.zeros((width, tgrid.n_levels, grid.n_interior))
                      for _ in range(n_adjoints))
+    # a column's correction is formed here: sqrt of the sum over its adjoints of
+    # the squared nodal L2(Q) norm sqrt(dt * dx * sum(d * d)) of its difference d
+    diff = np.empty((tgrid.n_levels, grid.n_interior))
+    dtdx = tgrid.dt * grid.dx
     cols = list(range(width))
     runs = [_Column() for _ in cols]
     results = [None] * width
@@ -569,9 +590,12 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: i
         new_adjoints = backward(state)
         stopped = {}   # position -> status, for the columns that stop at this sweep
         for pos, c in enumerate(cols):
-            delta = float(np.sqrt(sum(
-                l2q_norm_interior(a[pos] - b[pos], grid, tgrid.dt) ** 2
-                for a, b in zip(new_adjoints, adjoints))))
+            total = 0
+            for a, b in zip(new_adjoints, adjoints):
+                d = np.subtract(a[pos], b[pos], out=diff)
+                np.multiply(d, d, out=d)
+                total += float(np.sqrt(dtdx * d.sum())) ** 2
+            delta = float(np.sqrt(total))
             status = runs[c].stop(delta, it, tol)
             if status is not None:
                 stopped[pos] = status

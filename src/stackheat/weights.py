@@ -437,11 +437,30 @@ def admissibility_check(configuration: str, spec: WeightSpec, eta, ydfun,
                           lambda tm: [float(ydfun(t)) for t in tm], refinements)
 
 
+def _logsumexp(a: np.ndarray):
+    """log(sum(exp(a))) of a nonempty real vector: ``scipy.special.logsumexp``'s algorithm.
+
+    The m entries tied at the maximum are taken out of the sum and the rest
+    shifted by it, s = sum(exp(a - max)) / m, so the value is
+    log1p(s) + log(m) + max.  Where that is not finite (an infinite or nan
+    maximum, or every entry -inf) it is log(sum(exp(a))) instead.  The same
+    numpy operations in the same order, so the bits of scipy's value,
+    without its array-API dispatch or the import of ``scipy.special``.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(a)
+        ties = a == top
+        s = np.sum(np.exp(np.where(ties, -np.inf, a) - top))
+        m = float(np.count_nonzero(ties))
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + top
+        return out if np.isfinite(out) else np.log(np.sum(np.exp(a)))
+
+
 def _admissibility(configuration: str, spec: WeightSpec, eta, profile,
                    refinements=_REFINEMENTS) -> AdmissibilityReport:
     """``admissibility_check`` of ``profile(tm)``: the squared norms at the midpoints ``tm``."""
-    from scipy.special import logsumexp
-
     T = spec.horizon
     log_vals = []
     for n in refinements:
@@ -452,7 +471,7 @@ def _admissibility(configuration: str, spec: WeightSpec, eta, profile,
             logy = np.where(y2 > 0, np.log(np.maximum(y2, 1e-320)), -np.inf)
         logterm = 2.0 * expo + logy
         logterm = np.where(np.isnan(logterm), -np.inf, logterm)  # 0 * inf tail
-        log_vals.append(float(logsumexp(logterm) + math.log(T / n)))
+        log_vals.append(float(_logsumexp(logterm) + math.log(T / n)))
     ratios = tuple(math.exp(min(b - a, _LOG_CAP)) if np.isfinite(a) or np.isfinite(b)
                    else 1.0 for a, b in zip(log_vals, log_vals[1:]))
     admissible = all(r <= _GROWTH_TOL for r in ratios)

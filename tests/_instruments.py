@@ -7,7 +7,9 @@ holds difference quotients of the control-to-state map to its linearized
 solve.  Each runs on the package's private raw solves, as the package's own
 stages do.  ``reference_write_csv`` is the CSV writer that formats an
 ndarray one ``%``-format per row, the reference of ``csvio``'s vectorized
-formatter; it returns the hash and size of the file read back.
+formatter; it returns the hash (``sha256_of``) and size of the file read
+back.  ``l2q_norm_interior`` is the nodal L2(Q) norm that a Picard column's
+correction (``saddle._picard_columns``) must equal bit for bit.
 
 The ``reference_*`` functions are the Picard coupling in physical space:
 every sweep marches explicit sources (``_Problem.forcing`` of the feedback,
@@ -19,13 +21,14 @@ coefficients are held to them at round-off.
 """
 
 import csv
+import hashlib
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from stackheat import heat
-from stackheat.csvio import fmt, sha256_of
+from stackheat.csvio import fmt
 from stackheat.hum import AdjointPair, GramBasis, HumSettings, _gram, _observed
 from stackheat.products import h10_inner, h10_norm, neg_laplacian_solve
 from stackheat.saddle import _picard_columns, build_problem
@@ -33,6 +36,24 @@ from stackheat.scenario import RobustParams, ScenarioConfig
 
 # the march pair the references run; the equilibria also take another pair
 MARCHES = (heat.modal_march, heat.modal_march_backward)
+
+
+def l2q_norm_interior(f: np.ndarray, grid, dt: float) -> float:
+    """Plain nodal L2(Q) norm of an interior array, sqrt(dt * dx * sum(f * f)).
+
+    A Picard column's correction is the root of the sum of its squares over
+    the column's adjoints.
+    """
+    return float(np.sqrt(dt * grid.dx * (f * f).sum()))
+
+
+def sha256_of(path: str) -> str:
+    """Hex sha256 of a file's bytes as read back."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(65536), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def _keep(state, adjoints, cols):

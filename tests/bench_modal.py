@@ -1,0 +1,56 @@
+"""Timings of the modal Picard sweep's parts at n = K = 50, with pytest-benchmark.
+
+Run with ``python -m pytest tests/bench_modal.py``; the tier-1 run does not
+collect this file (it is not named ``test_*``).  It times one modal march
+(``heat._modal_levels``) of width 1 and of width 25, one Gram image
+(``hum._gram``) per demo configuration and one width-25 block of adjoint
+pairs (``hum._adjoint_pairs``) on demos A and B, the block the probe solves
+at this grid.  Pin the BLAS threads (``OPENBLAS_NUM_THREADS=1``) to compare
+runs.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from stackheat import heat, hum, saddle
+from stackheat.config import parse_config
+from stackheat.grids import LEFT, RIGHT
+
+N = 50
+WIDTH = 25
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _problem(demo):
+    spec = parse_config(os.path.join(ROOT, "configs", f"demo_{demo}.ini"))
+    prob = saddle.build_problem(spec.recipe.build(N, N), spec.robust)
+    prob.modal   # built once, outside the timing
+    return prob
+
+
+@pytest.mark.parametrize("width", [1, WIDTH])
+def test_modal_levels(benchmark, width):
+    prob = _problem("a")
+    rng = np.random.default_rng(0)
+    klev = prob.cfg.tgrid.n_levels
+    datum = rng.standard_normal((width, N))
+    source = rng.standard_normal((width, klev, N))
+    edges = {LEFT: rng.standard_normal((width, klev)), RIGHT: rng.standard_normal((width, klev))}
+    plan = prob.modal.plan
+    benchmark(lambda: heat._modal_levels(plan.work((width,)), datum, source, edges))
+
+
+@pytest.mark.parametrize("demo", "abcd")
+def test_gram_image(benchmark, demo):
+    prob = _problem(demo)
+    datum = np.random.default_rng(1).standard_normal(N)
+    benchmark(hum._gram, prob, datum)
+
+
+@pytest.mark.parametrize("demo", "ab")
+def test_adjoint_pair_block(benchmark, demo):
+    prob = _problem(demo)
+    data = np.random.default_rng(2).standard_normal((WIDTH, N))
+    benchmark(hum._adjoint_pairs, prob, data)

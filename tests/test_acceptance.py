@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from stackheat.csvio import sha256_of
 from stackheat.grids import LEFT, BoundaryTrace, SpaceTimeField, SpatialGrid, TimeGrid
 from stackheat.heat import solve_forward
 from stackheat.hum import (GramBasis, HumSettings, gram_apply, hum_minimize, observability_probe,
@@ -22,7 +21,7 @@ from stackheat.oracle import dense_optimality_solve
 from stackheat.products import h10_inner, h10_norm
 from stackheat.saddle import solve_optimality, verify_saddle
 
-from _instruments import gateaux_check, gradient_check, observation_pairing
+from _instruments import gateaux_check, gradient_check, observation_pairing, sha256_of
 from _scenarios import (builders, params, probe_scenario_a, random_leader,
                         scenario_a, scenario_b, scenario_c, scenario_d)
 

@@ -7,10 +7,11 @@ import pytest
 
 from stackheat.cli import main
 from stackheat.config import parse_config
-from stackheat.csvio import sha256_of
 from stackheat.errors import ConfigError
 from stackheat.hum import _OBSERVED_CUT
 from stackheat.runner import convergence_study, eps_sweep, probe_run, run_experiment
+
+from _instruments import sha256_of
 
 
 def small_config(tmp_path, conf="A", n=12, k=12, extra="", name="exp.ini"):

@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from stackheat import csvio
 from stackheat import runner as runner_module
 from stackheat.config import parse_config
-from stackheat.csvio import sha256_of, write_csv
+from stackheat.csvio import write_csv
 from stackheat.runner import (_Emitter, _emit_weights, convergence_study, eps_sweep,
                               probe_run, run_experiment)
 from stackheat.weights import rho_star_inv_sq, target_weight, target_weight_inv_sq
 
-from _instruments import reference_write_csv
+from _instruments import reference_write_csv, sha256_of
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

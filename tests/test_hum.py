@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, eigh
 
+from stackheat import heat
 from stackheat import hum as hum_module
 from stackheat import saddle as saddle_module
 from stackheat.config import parse_config
@@ -311,6 +312,31 @@ def test_gram_images_share_one_homogeneous_problem(monkeypatch):
     assert hom is basis.prob.homogeneous
     assert hom.modal.obs is basis.prob.modal.obs and hom.modal.y0 is None
 
+
+
+@pytest.mark.parametrize("demo", "abcd")
+def test_picard_solves_march_on_the_plan_their_problem_holds(demo, monkeypatch):
+    # once prob.modal is built, no Picard solve looks up a plan: with every
+    # binding of heat._plan raising, a Gram image, an equilibrium and a block
+    # of adjoint pairs run on the plan prob.modal holds, with the same bits
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = parse_config(os.path.join(root, "configs", f"demo_{demo}.ini"))
+    prob = saddle_module.build_problem(spec.recipe.build(12, 12), spec.robust)
+    data = np.random.default_rng(4).standard_normal((3, prob.cfg.grid.n_interior))
+
+    def solves():
+        return [hum_module._gram(prob, data[0]), saddle_module._equilibria(prob, None)[0][0],
+                *(pair[0] for pair in hum_module._adjoint_pairs(prob, data))]
+
+    before = solves()
+
+    def forbidden(*args):
+        raise AssertionError("a Picard solve looked up its march plan")
+
+    for module in (heat, saddle_module, hum_module):
+        monkeypatch.setattr(module, "_plan", forbidden, raising=False)
+    after = solves()
+    assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
 
 
 def test_exact_adjoint_pair_of_a_gram_image_marches_once_each_way(monkeypatch):

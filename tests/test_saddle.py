@@ -17,7 +17,7 @@ from stackheat.scenario import (ScenarioConfig, make_initial,
                                 make_target, validate_config)
 
 import _gtsv
-from _instruments import gateaux_check, reference_equilibria
+from _instruments import gateaux_check, l2q_norm_interior, reference_equilibria
 from _scenarios import builders, params, random_leader, scenario_a, scenario_b, scenario_c, scenario_d
 
 
@@ -550,6 +550,49 @@ def test_picard_round_off_exit_has_its_own_status():
     # the cumulative sums lose about 1e-9 relative to cancellation
     assert out[3] == pytest.approx(4e-7, rel=1e-6)
     assert out[4] == pytest.approx((1e-7, 2.0, 2.0), rel=1e-6)
+
+
+@pytest.mark.parametrize("conf", "AD")
+@pytest.mark.parametrize("width", [1, 2, 25])
+def test_picard_correction_is_the_root_of_the_summed_squared_norms(conf, width, monkeypatch):
+    # a column's correction is sqrt(sum over its adjoints (one in A, two in D)
+    # of l2q_norm_interior(new - old)^2), bit for bit, at every width and as
+    # columns stop one by one; the scripted adjoints move by random fields
+    # shrinking at each column's own rate
+    cfg = builders()[conf](n=12, k=10, y0_kind="random", target_kind="random", seed=3)
+    prob = build_problem(cfg, params(fixed_point_tol=1e-6))
+    shape = (cfg.tgrid.n_levels, cfg.grid.n_interior)
+    rng = np.random.default_rng(width)
+    rate = rng.uniform(0.05, 0.5, width)
+    sweep = {"count": 0}
+    expected, got = [], []
+
+    def forward(adjoints, cols):
+        sweep["old"], sweep["cols"] = [a.copy() for a in adjoints], list(cols)
+        return np.zeros((len(cols),) + shape)
+
+    def backward(state):
+        sweep["count"] += 1
+        scale = rate[sweep["cols"]] ** sweep["count"]
+        new = tuple(old + scale[:, None, None] * rng.standard_normal(old.shape)
+                    for old in sweep["old"])
+        for pos in range(len(scale)):
+            expected.append(float(np.sqrt(sum(
+                l2q_norm_interior(a[pos] - b[pos], cfg.grid, cfg.tgrid.dt) ** 2
+                for a, b in zip(new, sweep["old"])))))
+        return new
+
+    real = saddle._Column.stop
+
+    def recorded(self, delta, it, tol):
+        got.append(delta)
+        return real(self, delta, it, tol)
+
+    monkeypatch.setattr(saddle._Column, "stop", recorded)
+    out = _picard_columns(prob, forward, backward, prob.n_adjoints, width=width, finish=_keep)
+    assert [r[5] for r in out] == ["converged"] * width
+    assert len(got) == len(expected) >= sweep["count"] > 1
+    assert [d.hex() for d in got] == [d.hex() for d in expected]
 
 
 def test_batch_out_of_sweeps_counts_its_unconverged_columns():

@@ -215,3 +215,34 @@ def test_eta0_profiles():
     for sides in ((LEFT,), (RIGHT,), (LEFT, RIGHT)):
         eta = Eta0(length=2.0, vanishing=sides)
         assert eta.check(SpatialGrid(40, 2.0)) == []
+
+
+def _logsumexp_cases():
+    """Random vectors of several scales, with ties, with -inf entries and with
+    one +inf, -inf or nan entry, plus constant vectors of each special value."""
+    rng = np.random.default_rng(0)
+    cases = []
+    for n in (1, 2, 3, 64, 128, 256):
+        for _ in range(20):
+            cases.append(rng.standard_normal(n) * rng.choice([1e-3, 1.0, 50.0, 800.0]))
+            cases.append(np.round(rng.standard_normal(n) * 3.0))   # ties at the maximum
+            holes = rng.standard_normal(n) * 300.0
+            holes[rng.integers(0, n, size=max(1, n // 3))] = -np.inf
+            cases.append(holes)
+            special = rng.standard_normal(n)
+            special[rng.integers(0, n)] = rng.choice([np.inf, -np.inf, np.nan])
+            cases.append(special)
+        cases += [np.full(n, v) for v in (-np.inf, np.inf, np.nan, 0.0, 2.5, 710.0, -745.0)]
+    return cases
+
+
+def test_logsumexp_port_has_the_bits_of_scipys():
+    # the admissibility quadrature's logsumexp is a numpy port of scipy's
+    # algorithm for real input: the same value, nan payload and type
+    from scipy.special import logsumexp
+
+    from stackheat.weights import _logsumexp
+
+    for a in _logsumexp_cases():
+        ours, theirs = _logsumexp(a), logsumexp(a)
+        assert type(ours) is type(theirs) and ours.tobytes() == theirs.tobytes(), a
