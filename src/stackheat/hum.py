@@ -35,7 +35,10 @@ for every eps (shifted systems).  ``GramBasis`` stores that space once, with
 the Gram image of every basis vector, and ``hum_minimize`` takes the Galerkin
 solution on its leading vectors, which in exact arithmetic is the conjugate
 gradient iterate.  One basis thus serves every eps of a ladder, on the one
-``saddle._Problem`` it builds; the typed functions are the public edge.
+``saddle._Problem`` it builds; the typed functions are the public edge.  The
+Galerkin solve factors the small projected matrix itself: a lower Cholesky
+factor on Python floats, grown one row per basis vector and kept per eps, so
+the module needs numpy alone.
 ``hum_ladder`` runs every rung's Galerkin iteration on one basis and then
 certifies the rungs as one batch: one ``_adjoint_pairs`` over their
 minimizers and one ``saddle._equilibria`` over their leaders, each column
@@ -60,7 +63,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import ConvergenceError
 from .grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField
@@ -78,7 +80,7 @@ class HumSettings:
     cg_tol: float = 1e-10
 
     def __post_init__(self):
-        # the Galerkin solve calls LAPACK directly, which does not check finiteness
+        # the Galerkin solve's Cholesky factor does not check finiteness
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not (self.cg_tol > 0 and math.isfinite(self.cg_tol)):
@@ -276,8 +278,6 @@ class HumResult:
     controlled: SaddleSolution = dataclasses.field(repr=False)
 
 
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty(0),))
-
 # A new basis direction whose orthogonalized image is below this fraction of
 # the image itself is round-off: the Krylov space is invariant.
 _INVARIANT_TOL = 1e-14
@@ -296,6 +296,8 @@ class GramBasis:
     The node differences (``h10_diff``) of b, of every vector and of every
     image are stored beside them, so an H^1_0 inner product with a stored
     vector is one ``h10_dot``; each value equals ``h10_inner``'s bit for bit.
+    The vectors and images are the leading rows of two (n_interior,
+    n_interior) buffers, which a Galerkin solution combines as they are.
     """
 
     def __init__(self, cfg: ScenarioConfig, params: RobustParams):
@@ -306,26 +308,37 @@ class GramBasis:
         self.free = _solve(self.prob, None)
         self.b = neg_laplacian_solve(self.free.state.interior[-1], cfg.grid)
         self.bnorm = h10_norm(self.b, cfg.grid)
-        self.vectors, self.images = [], []
+        n = cfg.grid.n_interior
+        self._vrows, self._grows = np.empty((n, n)), np.empty((n, n))
         self.rhs = []           # <v_i, b>
         self.projected = []     # row i: <v_i, Gram v_j>, symmetrized, for j <= i
         self._db = h10_diff(self.b)
         self._dvectors, self._dimages = [], []
         self._next = None if self.bnorm == 0.0 else self.b / self.bnorm
+        # per eps: the rows of the lower Cholesky factor of projected + eps I
+        # built so far, and the forward solution z of L z = -rhs on them
+        self._cholesky = {}
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.rhs)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self._vrows[:len(self)]
+
+    @property
+    def images(self) -> np.ndarray:
+        return self._grows[:len(self)]
 
     def extend(self) -> bool:
         """Add the next vector and its Gram image; False when the space is invariant."""
         if self._next is None:
             return False
-        grid = self.cfg.grid
+        grid, k = self.cfg.grid, len(self)
         v = self._next
         g = _gram(self.prob, v)
         dv, dg = h10_diff(v), h10_diff(g)
-        self.vectors.append(v)
-        self.images.append(g)
+        self._vrows[k], self._grows[k] = v, g
         self._dvectors.append(dv)
         self._dimages.append(dg)
         self.rhs.append(h10_dot(dv, self._db, grid))
@@ -336,33 +349,45 @@ class GramBasis:
             for vi, dvi in zip(self.vectors, self._dvectors):
                 w = w - h10_dot(dvi, h10_diff(w), grid) * vi
         wnorm = h10_norm(w, grid)
-        if len(self.vectors) == grid.n_interior or wnorm <= _INVARIANT_TOL * h10_norm(g, grid):
+        if k + 1 == grid.n_interior or wnorm <= _INVARIANT_TOL * h10_norm(g, grid):
             self._next = None
         else:
             self._next = w / wnorm
         return True
 
     def galerkin(self, k: int, eps: float) -> tuple:
-        """(x, Gram x) of the Galerkin solution of (Gram + eps I) x = -b on k vectors."""
-        a = np.empty((k, k))
-        for i in range(k):
-            a[i, :i + 1] = self.projected[i]
-            a[:i, i] = a[i, :i]
-            a[i, i] += eps
-        if not a[k - 1, k - 1] > 0.0:
-            raise ConvergenceError(
-                f"Gram operator is not positive: Rayleigh quotient {a[k - 1, k - 1] - eps:.3g} "
-                f"of basis vector {k} with eps={eps:.3g}")
-        # LAPACK's Cholesky factor and solve, as scipy's cho_factor(a, lower=True)
-        # and cho_solve call them, without their per-call checks and dispatch
-        factor, info = _POTRF(a, lower=1, clean=0, overwrite_a=1)
-        if info > 0:
-            raise ConvergenceError(
-                f"projected Gram matrix plus eps={eps:.3g} is not positive definite "
-                f"on {k} basis vectors: {info}-th leading minor of the array is not "
-                "positive definite")
-        y, _ = _POTRS(factor, -np.asarray(self.rhs[:k]), lower=1, overwrite_b=1)
-        return y @ np.array(self.vectors[:k]), y @ np.array(self.images[:k])
+        """(x, Gram x) of the Galerkin solution of (Gram + eps I) x = -b on k vectors.
+
+        The lower Cholesky factor L of the projected matrix plus eps I grows
+        one row per new k, and with it the forward solution z of L z = -rhs;
+        the back substitution of L^T y = z runs on Python floats.  Rows are
+        always built in order 0, 1, ..., so a result does not depend on which
+        other k and eps were solved first.
+        """
+        rows, z = self._cholesky.setdefault(eps, ([], []))
+        for i in range(len(rows), k):
+            proj = self.projected[i]
+            if not proj[i] + eps > 0.0:
+                raise ConvergenceError(
+                    f"Gram operator is not positive: Rayleigh quotient {proj[i]:.3g} "
+                    f"of basis vector {i + 1} with eps={eps:.3g}")
+            row = []
+            for j, lj in enumerate(rows):
+                row.append((proj[j] - sum(a * c for a, c in zip(row, lj))) / lj[j])
+            pivot = proj[i] + eps - sum(a * a for a in row)
+            if not pivot > 0.0:
+                raise ConvergenceError(
+                    f"projected Gram matrix plus eps={eps:.3g} is not positive definite "
+                    f"on {k} basis vectors: {i + 1}-th leading minor of the array is not "
+                    "positive definite")
+            row.append(math.sqrt(pivot))
+            z.append((-self.rhs[i] - sum(a * c for a, c in zip(row, z))) / row[i])
+            rows.append(row)
+        y = z[:k]
+        for i in range(k - 1, -1, -1):
+            y[i] = (y[i] - sum(rows[m][i] * y[m] for m in range(i + 1, k))) / rows[i][i]
+        y = np.array(y)
+        return y @ self._vrows[:k], y @ self._grows[:k]
 
 
 def hum_minimize(cfg: ScenarioConfig, params: RobustParams,

@@ -14,31 +14,21 @@ Two families of time quadrature coexist on purpose:
   exactly symmetric.
 
 The H^-1 norm is realized through the exact inverse of the discrete Dirichlet
-Laplacian (one tridiagonal solve), consistent with the duality used by HUM.
+Laplacian, consistent with the duality used by HUM.  That inverse is one
+Thomas solve on Python floats with the operations of LAPACK ``gtsv`` (no row
+interchange, since the matrix is strictly diagonally dominant), so its result
+has the bits of ``scipy.linalg.solve_banded`` without importing scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .grids import SpaceTimeField, SpatialGrid, check_same_grids
 from .heat import favg, trapezoid_time_weights
-
-_GTSV, = get_lapack_funcs(("gtsv",), (np.empty(0),))
-
-
-def _tridiagonal_solve(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-                       rhs: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system with LAPACK ``gtsv``; ``rhs`` is (n,) or (n, nrhs).
-
-    ``rhs`` may be overwritten.  Every caller's matrix is strictly diagonally
-    dominant, so ``gtsv`` never meets a zero pivot; callers check finiteness.
-    """
-    return _GTSV(sub, diag, sup, rhs, overwrite_b=True)[3]
-
 
 def _space_weights(grid: SpatialGrid) -> np.ndarray:
     w = np.full(grid.n_nodes, grid.dx)
@@ -81,14 +71,44 @@ def h10_norm(u: np.ndarray, grid: SpatialGrid) -> float:
     return float(np.sqrt(max(h10_inner(u, u, grid), 0.0)))
 
 
+@functools.lru_cache(maxsize=None)
+def _factors(n: int, dx: float) -> tuple:
+    """(off-diagonal, elimination factors, pivots) of -D on n interior nodes.
+
+    ``gtsv``'s elimination without row interchange, done once per grid: the
+    factor of row i is off/d[i], and it leaves d[i+1] - factor*off as the
+    next pivot.
+    """
+    h2 = dx ** 2
+    off, d = -1.0 / h2, [2.0 / h2] * n
+    fact = []
+    for i in range(n - 1):
+        fact.append(off / d[i])
+        d[i + 1] -= fact[i] * off
+    return off, tuple(fact), tuple(d)
+
+
 def neg_laplacian_solve(u: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Solve -D z = u on the interior nodes (homogeneous Dirichlet)."""
-    u = np.array(u, dtype=float)  # a copy: gtsv overwrites its right-hand side
+    """Solve -D z = u on the interior nodes (homogeneous Dirichlet).
+
+    The forward and back sweeps of ``gtsv`` on Python floats, in its order of
+    operations, so the result has its bits; ``- 0.0 * b[i + 2]`` is its
+    zeroed fill-in term, which sets the sign of a zero.
+    """
+    u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise ValueError("right-hand side contains non-finite entries")
-    n, h2 = grid.n_interior, grid.dx ** 2
-    off = np.full(n - 1, -1.0) / h2
-    return _tridiagonal_solve(off, np.full(n, 2.0) / h2, off, u)
+    n = grid.n_interior
+    off, fact, d = _factors(n, grid.dx)
+    b = u.tolist()
+    x = b[0]
+    for i in range(1, n):
+        x = b[i] = b[i] - fact[i - 1] * x
+    b[-1] /= d[-1]
+    b[-2] = (b[-2] - off * b[-1]) / d[-2]   # a grid has n >= 2 interior nodes
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - off * b[i + 1] - 0.0 * b[i + 2]) / d[i]
+    return np.fromiter(b, float, n)
 
 
 def hminus1_norm(u: np.ndarray, grid: SpatialGrid) -> float:

@@ -8,10 +8,22 @@ modal march to it.
 """
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from stackheat.grids import SpatialGrid, TimeGrid
 from stackheat.heat import favg
-from stackheat.products import _tridiagonal_solve
+
+_GTSV, = get_lapack_funcs(("gtsv",), (np.empty(0),))
+
+
+def _tridiagonal_solve(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system with LAPACK ``gtsv``; ``rhs`` is (n,) or (n, nrhs).
+
+    ``rhs`` may be overwritten.  The march's matrix is strictly diagonally
+    dominant, so ``gtsv`` never meets a zero pivot; ``march`` checks finiteness.
+    """
+    return _GTSV(sub, diag, sup, rhs, overwrite_b=True)[3]
 
 
 def _explicit_apply(y: np.ndarray, r: float) -> np.ndarray:

@@ -5,10 +5,16 @@ collect this file (it is not named ``test_*``).  It times one modal march
 (``heat._modal_levels``) of width 1 and of width 25, one Gram image
 (``hum._gram``) per demo configuration and one width-25 block of adjoint
 pairs (``hum._adjoint_pairs``) on demos A and B, the block the probe solves
-at this grid.  Pin the BLAS threads (``OPENBLAS_NUM_THREADS=1``) to compare
-runs.
+at this grid.  It also times the two linear-algebra kernels: the inverse
+Dirichlet Laplacian (``products.neg_laplacian_solve``) at n = 50 and 200, and
+demo A's ladder of Galerkin solves (``hum.GramBasis.galerkin`` for k = 1 ...
+kmax and each eps of the config's ladder, on a basis that has solved nothing
+yet), where kmax is the most vectors a rung of ``sweep-eps`` uses.  Pin the
+BLAS threads (``OPENBLAS_NUM_THREADS=1``) to compare runs.
 """
 
+import copy
+import dataclasses
 import os
 
 import numpy as np
@@ -16,7 +22,8 @@ import pytest
 
 from stackheat import heat, hum, saddle
 from stackheat.config import parse_config
-from stackheat.grids import LEFT, RIGHT
+from stackheat.grids import LEFT, RIGHT, SpatialGrid
+from stackheat.products import neg_laplacian_solve
 
 N = 50
 WIDTH = 25
@@ -54,3 +61,29 @@ def test_adjoint_pair_block(benchmark, demo):
     prob = _problem(demo)
     data = np.random.default_rng(2).standard_normal((WIDTH, N))
     benchmark(hum._adjoint_pairs, prob, data)
+
+
+@pytest.mark.parametrize("n", [N, 200])
+def test_neg_laplacian_solve(benchmark, n):
+    u = np.random.default_rng(3).standard_normal(n)
+    benchmark(neg_laplacian_solve, u, SpatialGrid(n))
+
+
+def test_galerkin_ladder(benchmark):
+    spec = parse_config(os.path.join(ROOT, "configs", "demo_a.ini"))
+    cfg = spec.recipe.build(N, N)
+    grown = hum.GramBasis(cfg, spec.robust)
+    rungs = [dataclasses.replace(spec.hum, epsilon=eps) for eps in spec.epsilon_ladder]
+    for settings in rungs:
+        hum._galerkin_iteration(grown, settings)
+    kmax = len(grown)
+    fresh = hum.GramBasis(cfg, spec.robust)
+    while len(fresh) < kmax:
+        fresh.extend()
+
+    def ladder(basis):
+        for eps in spec.epsilon_ladder:
+            for k in range(1, kmax + 1):
+                basis.galerkin(k, eps)
+
+    benchmark.pedantic(ladder, setup=lambda: ((copy.deepcopy(fresh),), {}), rounds=200)

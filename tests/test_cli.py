@@ -2,9 +2,12 @@
 
 import csv
 import os
+import subprocess
+import sys
 
 import pytest
 
+import stackheat
 from stackheat.cli import main
 from stackheat.config import parse_config
 from stackheat.errors import ConfigError
@@ -419,3 +422,27 @@ def test_shipped_demo_configs_parse():
     for name in ("demo_a", "demo_b", "demo_c", "demo_d"):
         spec = parse_config(os.path.join(here, "configs", f"{name}.ini"))
         assert spec.scenario.grid.n_interior == 50
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # a fresh interpreter: the other tests import scipy into this one
+    demo = os.path.join(os.path.dirname(__file__), "..", "configs", "demo_b.ini")
+    with open(demo, encoding="utf-8") as fh:
+        text = fh.read()
+    text = text.replace("n_interior = 50", "n_interior = 8").replace("n_steps = 50", "n_steps = 8")
+    cfg = tmp_path / "demo_b8.ini"
+    cfg.write_text(text, encoding="utf-8")
+    script = (
+        "import sys\n"
+        "import stackheat\n"
+        "from stackheat.cli import main\n"
+        "codes = [main([cmd, sys.argv[1], '--out', sys.argv[2] + '/' + cmd, '--quiet'])\n"
+        "         for cmd in ('run', 'sweep-eps', 'probe', 'converge')]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(stackheat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path)],
+                         capture_output=True, text=True, env=env, check=True, timeout=300).stdout
+    assert out.strip() == "[0, 0, 0, 0] []"
+    for cmd in ("run", "sweep-eps", "probe", "converge"):
+        assert os.path.exists(tmp_path / cmd / "manifest.csv")

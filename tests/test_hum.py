@@ -1,5 +1,6 @@
 """HUM machinery: adjoint pairs, Gram duality, CG minimization, probe."""
 
+import copy
 import csv
 import dataclasses
 import os
@@ -214,14 +215,19 @@ def test_descending_ladder_applies_gram_as_often_as_its_smallest_rung(conf, monk
     assert len(calls) == lone
 
 
-@pytest.mark.parametrize("conf", "AB")
-def test_galerkin_solve_equals_scipy_cholesky_bit_for_bit(conf):
-    # the basis calls LAPACK's potrf/potrs itself; scipy's cho_factor and
-    # cho_solve stay the reference for its bits
-    cfg = builders()[conf](n=16, k=16)
-    basis = GramBasis(cfg, params())
+def _grown_basis(conf, n):
+    basis = GramBasis(builders()[conf](n=n, k=n), params())
     while basis.extend():
         pass
+    return basis
+
+
+@pytest.mark.parametrize("n", [16, 50])
+@pytest.mark.parametrize("conf", "ABCD")
+def test_galerkin_solve_agrees_with_scipy_cholesky(conf, n):
+    # the basis factors the projected matrix itself, on Python floats; scipy's
+    # cho_factor and cho_solve are the reference to round-off
+    basis = _grown_basis(conf, n)
     assert len(basis) >= 5
     for k in range(1, len(basis) + 1):
         for eps in _LADDER:
@@ -230,9 +236,22 @@ def test_galerkin_solve_equals_scipy_cholesky_bit_for_bit(conf):
                 a[i, :i + 1] = a[:i + 1, i] = row
             a[np.diag_indices(k)] += eps
             y = cho_solve(cho_factor(a, lower=True), -np.asarray(basis.rhs[:k]))
-            x, gx = basis.galerkin(k, eps)
-            assert x.tobytes() == (y @ np.array(basis.vectors[:k])).tobytes()
-            assert gx.tobytes() == (y @ np.array(basis.images[:k])).tobytes()
+            for got, ref in zip(basis.galerkin(k, eps), (y @ basis.vectors[:k], y @ basis.images[:k])):
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("conf", "ABCD")
+def test_galerkin_solve_does_not_depend_on_call_order(conf):
+    # each (k, eps) on a basis that solved nothing before, against one basis
+    # that solves them all: descending k and eps, then a shuffled order
+    grown = _grown_basis(conf, 16)
+    cases = [(k, eps) for k in range(1, len(grown) + 1) for eps in _LADDER]
+    lone = {case: copy.deepcopy(grown).galerkin(*case) for case in cases}
+    shared = copy.deepcopy(grown)
+    order = cases[::-1] + [cases[i] for i in np.random.default_rng(5).permutation(len(cases))]
+    for case in order:
+        for got, ref in zip(shared.galerkin(*case), lone[case]):
+            assert got.tobytes() == ref.tobytes()
 
 
 def _unit_orthogonal_to(b, grid, seed=0):

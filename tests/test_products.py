@@ -56,23 +56,37 @@ def test_neg_laplacian_solve_exact_for_quadratic():
     assert np.allclose(z, x * (1 - x), atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3, 30])
+def _right_hand_sides(n):
+    rng = np.random.default_rng(n)
+    yield rng.standard_normal(n)
+    yield np.full(n, -0.0)
+    yield rng.choice([0.0, -0.0], n)                                     # mixed signed zeros
+    yield rng.choice([5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, -0.0], n)
+    yield rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 3, n)        # 1e-12 to 1e3
+    u = rng.standard_normal(n)
+    u[rng.random(n) < 0.5] = -0.0
+    yield u
+
+
+@pytest.mark.parametrize("n", [2, 3, 30, 50, 200])
 def test_neg_laplacian_solve_matches_banded_reference_bitwise(n):
     from scipy.linalg import solve_banded
 
     grid = SpatialGrid(n)
-    u = np.random.default_rng(n).standard_normal(n)
     ab = np.zeros((3, n))
     ab[0, 1:] = -1.0
     ab[1, :] = 2.0
     ab[2, :-1] = -1.0
-    ref = solve_banded((1, 1), ab / grid.dx ** 2, u)
-    u_before = u.copy()
-    assert np.array_equal(neg_laplacian_solve(u, grid), ref)
-    assert np.array_equal(u, u_before)
-    u[0] = np.inf
-    with pytest.raises(ValueError):
-        neg_laplacian_solve(u, grid)
+    for u in _right_hand_sides(n):
+        ref = solve_banded((1, 1), ab / grid.dx ** 2, u)
+        u_before = u.copy()
+        got = neg_laplacian_solve(u, grid)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()   # signed zeros included
+        assert u.tobytes() == u_before.tobytes()
+    for bad in (np.inf, -np.inf, np.nan):
+        u[0] = bad
+        with pytest.raises(ValueError):
+            neg_laplacian_solve(u, grid)
 
 
 @pytest.mark.parametrize("u", [
