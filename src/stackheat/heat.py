@@ -28,12 +28,14 @@ at exit.  The one normal derivative, ``normal_derivative_o1``, is first
 order: the exact transpose of the boundary rows, so the coupled systems keep
 the duality.
 
-Each (grid, tgrid) pair has a plan (``_Plan``, cached by ``_plan``): S, the
-step factors, one pair of work buffers grown to the widest batch marched so
-far and, per batch shape, the factors tiled to one level row and a few
-scratch rows (``_Work``).  A forward march writes its inputs and modal
-coefficients into those buffers in place, forms its boundary averages and
-each level's product in the scratch rows and allocates only its result;
+S and the eigenvalues mu of -D it shows are cached per grid (``_dst``);
+``products`` and ``hum`` read them too.  Each (grid, tgrid) pair has a plan
+(``_Plan``, cached by ``_plan``): S, the step factors, one pair of work
+buffers grown to the widest batch marched so far and, per batch shape, the
+factors tiled to one level row and a few scratch rows (``_Work``).  A
+forward march writes its inputs and modal coefficients into those buffers in
+place, forms its boundary averages and each level's product in the scratch
+rows and allocates only its result;
 ``modal_march_backward`` adds one reversed copy.  A ``_modal_levels`` march
 has no result array: it forms its inputs in the plan's buffers, runs a
 backward recurrence from the last level down, in place, and returns the
@@ -94,12 +96,29 @@ _Work = collections.namedtuple("_Work", "z z_columns w w_columns w_rows steps la
                                         "product edge edge_avg s dt r")
 
 
+@functools.lru_cache(maxsize=16)
+def _dst(grid: SpatialGrid) -> tuple:
+    """(S, mu) of ``grid``: the orthonormal DST-I matrix and the eigenvalues of -D it shows.
+
+    S is symmetric, with S D S = -diag(mu) / dx^2 and
+    mu_j = 4 sin^2(j pi / (2(n+1))).  Both arrays are read-only.
+    """
+    n = grid.n_interior
+    j = np.arange(1, n + 1)
+    # sin(jk pi/(n+1)) has period 2(n+1) in jk; reducing first keeps the argument
+    # below 2 pi, so its rounding error does not grow like n^2
+    s = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) % (2 * (n + 1)) * (np.pi / (n + 1)))
+    mu = 4.0 * np.sin(j * (np.pi / (2 * (n + 1)))) ** 2
+    for a in (s, mu):
+        a.setflags(write=False)
+    return s, mu
+
+
 class _Plan:
     """What every march on one (grid, tgrid) pair shares: its factors and work buffers.
 
-    ``s`` is the orthonormal DST-I matrix, symmetric, with
-    S D S = -diag(mu) / dx^2 and mu_j = 4 sin^2(j pi / (2(n+1))), so a step of
-    the scheme is z^{k+1} = lam * z^k + c * (S h^k) per mode, with
+    ``s`` is the grid's S (``_dst``), so a step of the scheme is
+    z^{k+1} = lam * z^k + c * (S h^k) per mode, with
     lam = (1 - r mu / 2) / (1 + r mu / 2), c = 1 / (1 + r mu / 2) and
     r = dt/dx^2.  These arrays are read-only.
 
@@ -113,19 +132,16 @@ class _Plan:
     """
 
     def __init__(self, grid: SpatialGrid, tgrid: TimeGrid):
-        n = grid.n_interior
-        j = np.arange(1, n + 1)
-        # sin(jk pi/(n+1)) has period 2(n+1) in jk; reducing first keeps the argument
-        # below 2 pi, so its rounding error does not grow like n^2
-        s = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) % (2 * (n + 1)) * (np.pi / (n + 1)))
+        self.s, mu = _dst(grid)
         self.dt, self.r = tgrid.dt, tgrid.dt / grid.dx ** 2
-        rmu = self.r * 4.0 * np.sin(j * (np.pi / (2 * (n + 1)))) ** 2
+        # r * (4 sin^2) has the bits of (r * 4) sin^2: a product by 4 is exact
+        rmu = self.r * mu
         lam = (1.0 - 0.5 * rmu) / (1.0 + 0.5 * rmu)
         c = 1.0 / (1.0 + 0.5 * rmu)
-        for a in (s, lam, c):
+        for a in (lam, c):
             a.setflags(write=False)
-        self.s, self.lam, self.c = s, lam, c
-        self.shape = (tgrid.n_levels, n)
+        self.lam, self.c = lam, c
+        self.shape = (tgrid.n_levels, grid.n_interior)
         self.z = self.w = np.empty(0)
         self._views = {}
 

@@ -42,13 +42,18 @@ the module needs numpy alone.
 ``hum_ladder`` runs every rung's Galerkin iteration on one basis and then
 certifies the rungs as one batch: one ``_adjoint_pairs`` over their
 minimizers and one ``saddle._equilibria`` over their leaders, each column
-the bits of its lone solve; ``hum_minimize`` is its one-rung case.  A Gram
-image (``_gram``) stays on modal coefficients from the datum to the
-terminal state: a raw pair solve, the leader read off the modal phi (as
-``_Problem.observe`` reads it), the raw equilibrium of
-``_Problem.homogeneous`` (built once per problem, so once per basis) and the
-lift of the one level it transforms back, the terminal one.  The
-instruments that check the duality and the gradient from outside (the
+the bits of its lone solve; ``hum_minimize`` is its one-rung case.
+
+The basis, b and the Galerkin iteration live in the H^1_0 coordinates of
+``_coordinates``, where the H^1_0 product is the Euclidean one and the
+inverse Laplacian a diagonal scale of modal coefficients.  So a Gram image
+(``_gram``) transforms no level: a raw pair solve from the datum's modal
+coefficients, the leader read off the modal phi (as ``_Problem.observe``
+reads it), and the raw equilibrium of ``_Problem.homogeneous`` (built once
+per problem, so once per basis) up to its modal terminal level.
+``gram_apply`` and ``HumResult.phi_terminal`` are physical.
+
+The instruments that check the duality and the gradient from outside (the
 observation pairing and a finite-difference gradient check) and the
 physical-space reference of the Picard coupling are test code, in
 ``tests/_instruments.py``.
@@ -66,8 +71,8 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField
-from .heat import _modal_levels, favg
-from .products import h10_diff, h10_dot, h10_inner, h10_norm, hminus1_norm, neg_laplacian_solve
+from .heat import _dst, _modal_levels, favg
+from .products import h10_norm, hminus1_norm
 from .saddle import (SaddleSolution, _block_width, _equilibria, _equilibria_hat, _normal_hat,
                      _normals_hat, _picard_columns, _Problem, _solution, _solve, build_problem)
 from .scenario import RobustParams, ScenarioConfig
@@ -141,15 +146,14 @@ def _thetas_hat(prob: _Problem, phi: np.ndarray) -> tuple:
     return tuple(_modal_levels(wk, None, source, prob.edge_rows(follower, None)))
 
 
-def _pairs_hat(prob: _Problem, data: np.ndarray, finish) -> list:
-    """``saddle._picard_columns`` of the adjoint pairs of the rows of ``data``, on modal coefficients.
+def _pairs_hat(prob: _Problem, terminals: np.ndarray, finish) -> list:
+    """``saddle._picard_columns`` of the adjoint pairs of the modal terminal data ``terminals``.
 
+    Each row of ``terminals`` is one datum's modal coefficients.
     ``finish(phi, thetas, cols)`` maps the final modal phi and thetas of the
     columns ``cols`` to what the results keep.
     """
-    # one (1, n) product per row, the shape of a lone datum's
-    terminals = np.matmul(data[:, None, :], prob.modal.s)[:, 0]
-    width = len(data)
+    width = len(terminals)
 
     def forward(thetas, cols):
         return _phi_hat(prob, thetas, terminals if len(cols) == width else terminals[cols])
@@ -179,7 +183,8 @@ def _adjoint_pairs(prob: _Problem, terminals) -> list:
         phi[..., -1, :] = data[cols]
         return phi, tuple(np.matmul(th, s) for th in thetas)
 
-    return _pairs_hat(prob, data, physical)
+    # one (1, n) product per row, the shape of a lone datum's
+    return _pairs_hat(prob, np.matmul(data[:, None, :], s)[:, 0], physical)
 
 
 def solve_adjoint(cfg: ScenarioConfig, phi_terminal: np.ndarray,
@@ -217,25 +222,43 @@ def observation(cfg: ScenarioConfig, pair: AdjointPair):
     return _leader(prob, prob.observe(pair.phi.interior))
 
 
+def _coordinates(grid) -> tuple:
+    """(S, scale) of the H^1_0 coordinates c = scale * (S u) of interior vectors u.
+
+    S (-D) S = diag(mu) / dx^2 (``heat._dst``; the fast-Poisson idea of
+    Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), so with
+    scale = sqrt(mu / dx) the H^1_0 product dx * u.(-D)v is the Euclidean
+    product of the coordinates, and the lift (-D)^-1 y has the coordinates
+    dx * (S y) / scale.
+    """
+    s, mu = _dst(grid)
+    return s, np.sqrt(mu / grid.dx)
+
+
 def gram_apply(cfg: ScenarioConfig, phi_terminal: np.ndarray,
                params: RobustParams) -> np.ndarray:
     """One application of the HUM duality operator (H^1_0 Riesz representative).
 
     adjoint pair from the terminal datum -> leader control -> homogeneous
-    optimality solve -> inverse-Laplacian lift of the terminal state.
+    optimality solve -> inverse-Laplacian lift of the terminal state, on the
+    coordinates of the datum (``_gram``).
     """
-    return _gram(build_problem(cfg, params), phi_terminal)
+    s, scale = _coordinates(cfg.grid)
+    c = scale * (np.asarray(phi_terminal, dtype=float) @ s)
+    return (_gram(build_problem(cfg, params), c) / scale) @ s
 
 
-def _gram(prob: _Problem, phi_terminal: np.ndarray) -> np.ndarray:
-    """``gram_apply`` on ``prob``, on modal coefficients from the datum to the terminal state.
+def _gram(prob: _Problem, c: np.ndarray) -> np.ndarray:
+    """``gram_apply`` on ``prob`` in the coordinates c (``_coordinates``), on modal coefficients.
 
-    The adjoint pair's exit reads the leader off the modal phi (the omega
-    projector in A, one row of S on the leader edge otherwise); the
-    equilibrium of ``prob.homogeneous`` under it transforms back only its
-    terminal level, which the inverse Laplacian lifts.
+    The datum's modal coefficients are c / scale.  The adjoint pair's exit
+    reads the leader off the modal phi (the omega projector in A, one row of
+    S on the leader edge otherwise), and the coordinates of the lifted
+    terminal state of ``prob.homogeneous``'s equilibrium under it are its
+    modal terminal level times dx / scale: no level is transformed back.
     """
     m = prob.modal
+    _, scale = _coordinates(prob.cfg.grid)
 
     def leader(phi, thetas, cols):
         if prob.leader_side is None:
@@ -243,12 +266,11 @@ def _gram(prob: _Problem, phi_terminal: np.ndarray) -> np.ndarray:
         # _Problem.observe: -dphi/dn on the leader edge
         return -_normal_hat(prob, phi, prob.leader_side), ()
 
-    def terminal(state, adjoints, cols):
-        return np.matmul(state[..., -1, :], m.s), ()
+    def lifted(state, adjoints, cols):
+        return m.dx * state[..., -1, :] / scale, ()
 
-    drive = _pairs_hat(prob, np.asarray(phi_terminal, dtype=float)[None], leader)[0][0]
-    state = _equilibria_hat(prob.homogeneous, drive[None], 1, terminal)[0][0]
-    return neg_laplacian_solve(state, prob.cfg.grid)
+    drive = _pairs_hat(prob, (c / scale)[None], leader)[0][0]
+    return _equilibria_hat(prob.homogeneous, drive[None], 1, lifted)[0][0]
 
 
 def _observed(prob: _Problem, phi: np.ndarray) -> tuple:
@@ -287,33 +309,31 @@ class GramBasis:
     """Krylov basis of the Gram operator from the data vector, shared across eps.
 
     Gram + eps I has the same Krylov space from b for every eps, so one basis
-    serves a whole epsilon ladder.  The vectors are H^1_0-orthonormal (fully
-    reorthogonalized) and each stored image is one real ``_gram`` on ``prob``.  A
-    solve reads the leading vectors it needs and extends the basis only when
-    it runs out, so its result does not depend on what else was solved on the
-    same basis.
+    serves a whole epsilon ladder.  A solve reads the leading vectors it
+    needs and extends the basis only when it runs out, so its result does not
+    depend on what else was solved on the same basis.
 
-    The node differences (``h10_diff``) of b, of every vector and of every
-    image are stored beside them, so an H^1_0 inner product with a stored
-    vector is one ``h10_dot``; each value equals ``h10_inner``'s bit for bit.
-    The vectors and images are the leading rows of two (n_interior,
-    n_interior) buffers, which a Galerkin solution combines as they are.
+    ``b``, the vectors and their images are held in the H^1_0 coordinates of
+    ``_coordinates``, where the H^1_0 product is the Euclidean one: the
+    vectors are orthonormal (classical Gram-Schmidt, run twice), and each
+    stored image is one real ``_gram`` on ``prob``.  The vectors and images
+    are the leading rows of two (n_interior, n_interior) buffers, which a
+    Galerkin solution combines as they are.
     """
 
     def __init__(self, cfg: ScenarioConfig, params: RobustParams):
         self.cfg, self.params = cfg, params
         self.prob = build_problem(cfg, params)
         # the zero-leader follower equilibrium; b, the Riesz vector of the data
-        # term, is the lift of its terminal state
+        # term, holds the coordinates of the lift of its terminal state
         self.free = _solve(self.prob, None)
-        self.b = neg_laplacian_solve(self.free.state.interior[-1], cfg.grid)
-        self.bnorm = h10_norm(self.b, cfg.grid)
+        s, scale = _coordinates(cfg.grid)
+        self.b = cfg.grid.dx * (self.free.state.interior[-1] @ s) / scale
+        self.bnorm = float(np.linalg.norm(self.b))
         n = cfg.grid.n_interior
         self._vrows, self._grows = np.empty((n, n)), np.empty((n, n))
         self.rhs = []           # <v_i, b>
         self.projected = []     # row i: <v_i, Gram v_j>, symmetrized, for j <= i
-        self._db = h10_diff(self.b)
-        self._dvectors, self._dimages = [], []
         self._next = None if self.bnorm == 0.0 else self.b / self.bnorm
         # per eps: the rows of the lower Cholesky factor of projected + eps I
         # built so far, and the forward solution z of L z = -rhs on them
@@ -334,22 +354,18 @@ class GramBasis:
         """Add the next vector and its Gram image; False when the space is invariant."""
         if self._next is None:
             return False
-        grid, k = self.cfg.grid, len(self)
+        k = len(self)
         v = self._next
         g = _gram(self.prob, v)
-        dv, dg = h10_diff(v), h10_diff(g)
         self._vrows[k], self._grows[k] = v, g
-        self._dvectors.append(dv)
-        self._dimages.append(dg)
-        self.rhs.append(h10_dot(dv, self._db, grid))
-        self.projected.append([0.5 * (h10_dot(dvi, dg, grid) + h10_dot(dv, dgi, grid))
-                               for dvi, dgi in zip(self._dvectors, self._dimages)])
+        self.rhs.append(float(v @ self.b))
+        vs, gs = self.vectors, self.images   # rhs counts v now: rows 0..k
+        self.projected.append((0.5 * (vs @ g + gs @ v)).tolist())
         w = g
         for _ in range(2):
-            for vi, dvi in zip(self.vectors, self._dvectors):
-                w = w - h10_dot(dvi, h10_diff(w), grid) * vi
-        wnorm = h10_norm(w, grid)
-        if k + 1 == grid.n_interior or wnorm <= _INVARIANT_TOL * h10_norm(g, grid):
+            w = w - (vs @ w) @ vs
+        wnorm = np.linalg.norm(w)
+        if k + 1 == self.cfg.grid.n_interior or wnorm <= _INVARIANT_TOL * np.linalg.norm(g):
             self._next = None
         else:
             self._next = w / wnorm
@@ -428,31 +444,32 @@ def hum_ladder(cfg: ScenarioConfig, params: RobustParams, rungs,
         raise ValueError("the Gram basis was built for another scenario or parameters")
 
     grid, prob = cfg.grid, basis.prob
+    s, scale = _coordinates(grid)
     solves = [_galerkin_iteration(basis, settings) for settings in rungs]
-    phis = [pair[0] for pair in _adjoint_pairs(prob, [x for x, _, _, _ in solves])]
+    minimizers = [(x / scale) @ s for x, _, _, _ in solves]
+    phis = [pair[0] for pair in _adjoint_pairs(prob, minimizers)]
     leaders = np.stack([prob.observe(phi) for phi in phis])
     results = []
-    for settings, (x, gx, fval, trace), phi, leader, raw in zip(
-            rungs, solves, phis, leaders, _equilibria(prob, leaders)):
-        # Gram x + b is the H10 lift of y(T), from the stored images
-        internal = h10_norm(gx + basis.b, grid)
+    for settings, (_, gx, fval, trace), a, phi, leader, raw in zip(
+            rungs, solves, minimizers, phis, leaders, _equilibria(prob, leaders)):
+        # Gram x + b holds the coordinates of the lift of y(T), from the stored images
+        internal = float(np.linalg.norm(gx + basis.b))
         observed, weight = _observed(prob, phi)
         controlled = _solution(prob, leader, raw)
         residual = hminus1_norm(controlled.state.interior[-1], grid)
         results.append(HumResult(
-            x, _leader(prob, leader), residual, internal, len(trace), fval,
+            a, _leader(prob, leader), residual, internal, len(trace), fval,
             float(weight * np.sum(observed * observed)), settings.epsilon, tuple(trace),
             controlled))
     return tuple(results)
 
 
 def _galerkin_iteration(basis: GramBasis, settings: HumSettings) -> tuple:
-    """(x, Gram x, functional, trace) of ``hum_minimize``'s iteration on ``basis``."""
-    grid = basis.cfg.grid
+    """(x, Gram x, functional, trace) of ``hum_minimize`` on ``basis``, x in its coordinates."""
     eps = settings.epsilon
     b, bnorm = basis.b, basis.bnorm
     # zero data (b = 0) leave the loop at once, with the exact minimizer x = 0
-    x = gx = np.zeros(grid.n_interior)
+    x = gx = np.zeros(basis.cfg.grid.n_interior)
     fval, trace = 0.0, []
     best = bnorm
     stagnant = 0
@@ -460,8 +477,8 @@ def _galerkin_iteration(basis: GramBasis, settings: HumSettings) -> tuple:
         if it > len(basis) and not basis.extend():
             break   # invariant (or empty) Krylov space: the last Galerkin solution is exact
         x, gx = basis.galerkin(it, eps)
-        rnorm = h10_norm(-b - gx - eps * x, grid)
-        fval = 0.5 * h10_inner(x, gx + eps * x, grid) + h10_inner(b, x, grid)
+        rnorm = float(np.linalg.norm(-b - gx - eps * x))
+        fval = float(0.5 * (x @ (gx + eps * x)) + b @ x)
         trace.append((it, fval, rnorm))
         if rnorm <= settings.cg_tol * bnorm:
             break
@@ -571,19 +588,20 @@ def observability_probe(cfg: ScenarioConfig, params: RobustParams,
         data.append(a / h10_norm(a, grid))
     m = min(grid.n_interior, n_samples)
 
-    # one row per solved sample: the H10 differences of phi(0), the midpoint
-    # averages of each theta and of the observation
-    d0, thetas, obs = [], [], []
+    # one row per solved sample: phi(0), the midpoint averages of each theta
+    # and of the observation
+    phi0, thetas, obs = [], [], []
     width = _block_width(cfg)
     for start in range(0, m, width):
         pairs = _adjoint_pairs(prob, data[start:min(start + width, m)])
         for phi, ths, _, _, _, _ in pairs:
-            d0.append(h10_diff(phi[0]))
+            phi0.append(phi[0].copy())   # not a view: the block's fields are released
             thetas.append([favg(th).ravel() for th in ths])
             observed, weight = _observed(prob, phi)
             obs.append(observed.ravel())
         del pairs   # release this block's fields before solving the next
-    d0, obs = np.array(d0), np.array(obs)
+    d0 = np.diff(np.array(phi0), prepend=0.0, append=0.0)   # the H10 differences of phi(0)
+    obs = np.array(obs)
     w_inv = np.repeat(target_weight_inv_sq(cfg.configuration, cfg.wspec, cfg.eta(),
                                            tgrid.midpoint_times()), grid.n_interior)
     lhs = d0 @ d0.T / grid.dx

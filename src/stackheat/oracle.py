@@ -4,7 +4,9 @@ Stacks every unknown level of the state and adjoint(s) into one vector and
 solves the coupled linear system directly.  This is the independent oracle
 the fixed-point solvers are tested against: both must produce the same
 discrete solution to near machine precision.  Cost grows like the cube of
-n_interior * n_steps, so keep it to desk-size grids.
+n_interior * n_steps, so keep it to desk-size grids.  The same assembly of
+the observability adjoint pair, which no command runs, is test code
+(``dense_adjoint_solve`` in ``tests/_instruments.py``).
 """
 
 from __future__ import annotations
@@ -159,82 +161,3 @@ def dense_optimality_solve(cfg: ScenarioConfig, leader, params: RobustParams):
         q = sol[ny + block * na: ny + (block + 1) * na].reshape(K, n)
         adjoints.append(np.vstack([q, np.zeros((1, n))]))
     return state, tuple(adjoints)
-
-
-def dense_adjoint_solve(cfg: ScenarioConfig, phi_terminal: np.ndarray, params: RobustParams):
-    """Direct solve of the observability adjoint pair; returns interior arrays.
-
-    Output: (phi levels 0..K, thetas tuple of levels 0..K) with
-    phi[K] = phi_terminal and theta[0] = 0.
-    """
-    prob = build_problem(cfg, params)
-    grid, tgrid = cfg.grid, cfg.tgrid
-    n, K = grid.n_interior, tgrid.n_steps
-    klev = K + 1
-    dt, dx = tgrid.dt, grid.dx
-    m_plus, m_minus = _dense_matrices(grid, tgrid)
-    n_th = prob.n_adjoints
-    a = np.asarray(phi_terminal, dtype=float)
-
-    nphi = K * n                    # phi levels 0..K-1
-    nth = K * n                     # theta levels 1..K per block
-    dim = nphi + n_th * nth
-    A = np.zeros((dim, dim))
-    rhs = np.zeros(dim)
-
-    def ps(k):
-        return slice(k * n, (k + 1) * n)
-
-    def ts(block, k):
-        return slice(nphi + block * nth + (k - 1) * n, nphi + block * nth + k * n)
-
-    # phi equations (backward), k = 0..K-1
-    for k in range(K):
-        rows = ps(k)
-        A[rows, ps(k)] += m_plus
-        if k + 1 <= K - 1:
-            A[rows, ps(k + 1)] -= m_minus
-        else:
-            rhs[rows] += m_minus @ a
-        for block in range(n_th):
-            sel = np.diag(prob.obs_masks[block].astype(float))
-            for j in (k, k + 1):
-                if j >= 1:
-                    A[rows, ts(block, j)] -= 0.5 * dt * sel
-                # j == 0: theta(0) = 0
-
-    # theta equations (forward), block i, step k = 0..K-1
-    src, fb = _coupling_blocks(prob)
-    bscale = dt / dx ** 2
-    for block in range(n_th):
-        for k in range(K):
-            rows = slice(nphi + block * nth + k * n, nphi + block * nth + (k + 1) * n)
-            A[rows, ts(block, k + 1)] += m_plus
-            if k >= 1:
-                A[rows, ts(block, k)] -= m_minus
-            for bidx, mat in src:
-                for j in (k, k + 1):
-                    if j <= K - 1:
-                        A[rows, ps(j)] -= 0.5 * dt * mat
-                    else:
-                        rhs[rows] += 0.5 * dt * mat @ a
-            for fblock, row, fmat in fb:
-                if fblock != block:
-                    continue
-                for j in (k, k + 1):
-                    coeff = 0.5 * bscale
-                    for l in range(klev):
-                        if fmat[j, l] == 0.0:
-                            continue
-                        if l <= K - 1:
-                            A[nphi + block * nth + k * n + row, ps(l)][row] -= coeff * fmat[j, l]
-                        else:
-                            rhs[nphi + block * nth + k * n + row] += coeff * fmat[j, l] * a[row]
-
-    sol = np.linalg.solve(A, rhs)
-    phi = np.vstack([sol[:nphi].reshape(K, n), a[None, :]])
-    thetas = []
-    for block in range(n_th):
-        th = sol[nphi + block * nth: nphi + (block + 1) * nth].reshape(K, n)
-        thetas.append(np.vstack([np.zeros((1, n)), th]))
-    return phi, tuple(thetas)

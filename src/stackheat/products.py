@@ -13,22 +13,21 @@ Two families of time quadrature coexist on purpose:
   discrete optimality systems exactly stationary and the HUM Gram operator
   exactly symmetric.
 
-The H^-1 norm is realized through the exact inverse of the discrete Dirichlet
-Laplacian, consistent with the duality used by HUM.  That inverse is one
-Thomas solve on Python floats with the operations of LAPACK ``gtsv`` (no row
-interchange, since the matrix is strictly diagonally dominant), so its result
-has the bits of ``scipy.linalg.solve_banded`` without importing scipy.
+The H^1_0 product is the node-difference form.  The H^-1 norm is realized
+through the exact inverse of the discrete Dirichlet Laplacian, consistent
+with the duality used by HUM: the DST-I matrix S of ``heat._dst``
+diagonalizes -D, so the inverse is a diagonal scale of S u, and the norm is
+one product with S and one weighted sum of squares.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .grids import SpaceTimeField, SpatialGrid, check_same_grids
-from .heat import favg, trapezoid_time_weights
+from .heat import _dst, favg, trapezoid_time_weights
 
 def _space_weights(grid: SpatialGrid) -> np.ndarray:
     w = np.full(grid.n_nodes, grid.dx)
@@ -44,77 +43,34 @@ def l2_q(f: SpaceTimeField, g: SpaceTimeField) -> float:
     return float(np.einsum("k,i,ki->", wt, wx, f.values * g.values))
 
 
-def h10_diff(u: np.ndarray) -> np.ndarray:
-    """Node differences of an interior vector with its zero boundary values.
-
-    The bits of ``np.diff(u, prepend=0.0, append=0.0)``, the sign of zero
-    included, without building the padded copy.
-    """
-    d = np.empty(len(u) + 1)
-    d[0] = u[0] - 0.0
-    d[1:-1] = u[1:] - u[:-1]
-    d[-1] = 0.0 - u[-1]
-    return d
-
-
-def h10_dot(du: np.ndarray, dv: np.ndarray, grid: SpatialGrid) -> float:
-    """H^1_0 inner product of the vectors whose ``h10_diff`` are du and dv."""
-    return float((du @ dv) / grid.dx)
-
-
 def h10_inner(u: np.ndarray, v: np.ndarray, grid: SpatialGrid) -> float:
-    """H^1_0 inner product of interior vectors (implicit zero boundary)."""
-    return h10_dot(h10_diff(u), h10_diff(v), grid)
+    """H^1_0 inner product of interior vectors (implicit zero boundary).
+
+    The node differences have the bits of ``np.diff(u, prepend=0.0,
+    append=0.0)`` at a quarter of its cost per call: the probe norms every
+    sample.
+    """
+    pu = np.concatenate(([0.0], u, [0.0]))
+    pv = np.concatenate(([0.0], v, [0.0]))
+    return float(((pu[1:] - pu[:-1]) @ (pv[1:] - pv[:-1])) / grid.dx)
 
 
 def h10_norm(u: np.ndarray, grid: SpatialGrid) -> float:
     return float(np.sqrt(max(h10_inner(u, u, grid), 0.0)))
 
 
-@functools.lru_cache(maxsize=None)
-def _factors(n: int, dx: float) -> tuple:
-    """(off-diagonal, elimination factors, pivots) of -D on n interior nodes.
+def hminus1_norm(u: np.ndarray, grid: SpatialGrid) -> float:
+    """Dual norm via the discrete Laplacian inverse: |u|_{-1} = |z|_{1,0}, -Dz = u.
 
-    ``gtsv``'s elimination without row interchange, done once per grid: the
-    factor of row i is off/d[i], and it leaves d[i+1] - factor*off as the
-    next pivot.
-    """
-    h2 = dx ** 2
-    off, d = -1.0 / h2, [2.0 / h2] * n
-    fact = []
-    for i in range(n - 1):
-        fact.append(off / d[i])
-        d[i + 1] -= fact[i] * off
-    return off, tuple(fact), tuple(d)
-
-
-def neg_laplacian_solve(u: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """Solve -D z = u on the interior nodes (homogeneous Dirichlet).
-
-    The forward and back sweeps of ``gtsv`` on Python floats, in its order of
-    operations, so the result has its bits; ``- 0.0 * b[i + 2]`` is its
-    zeroed fill-in term, which sets the sign of a zero.
+    With S and mu of ``heat._dst``, S (-D) S = diag(mu) / dx^2, so
+    |z|_{1,0}^2 = dx * u.z = dx^3 * sum_j (S u)_j^2 / mu_j.
     """
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
-        raise ValueError("right-hand side contains non-finite entries")
-    n = grid.n_interior
-    off, fact, d = _factors(n, grid.dx)
-    b = u.tolist()
-    x = b[0]
-    for i in range(1, n):
-        x = b[i] = b[i] - fact[i - 1] * x
-    b[-1] /= d[-1]
-    b[-2] = (b[-2] - off * b[-1]) / d[-2]   # a grid has n >= 2 interior nodes
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - off * b[i + 1] - 0.0 * b[i + 2]) / d[i]
-    return np.fromiter(b, float, n)
-
-
-def hminus1_norm(u: np.ndarray, grid: SpatialGrid) -> float:
-    """Dual norm via the discrete Laplacian inverse: |u|_{-1} = |z|_{1,0}, -Dz = u."""
-    z = neg_laplacian_solve(u, grid)
-    return h10_norm(z, grid)
+        raise ValueError("argument contains non-finite entries")
+    s, mu = _dst(grid)
+    uh = u @ s
+    return float(np.sqrt(grid.dx ** 3 * np.sum(uh * uh / mu)))
 
 
 # --- scheme-consistent midpoint quadratures -------------------------------

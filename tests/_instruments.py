@@ -10,6 +10,10 @@ ndarray one ``%``-format per row, the reference of ``csvio``'s vectorized
 formatter; it returns the hash (``sha256_of``) and size of the file read
 back.  ``l2q_norm_interior`` is the nodal L2(Q) norm that a Picard column's
 correction (``saddle._picard_columns``) must equal bit for bit.
+``to_coords``/``to_physical`` convert interior vectors to and from the
+H^1_0 coordinates that ``hum._gram`` and ``hum.GramBasis`` work in.
+``dense_adjoint_solve`` is the direct solve of the observability adjoint
+pair on a tiny grid, the oracle ``solve_adjoint`` is held to.
 
 The ``reference_*`` functions are the Picard coupling in physical space:
 every sweep marches explicit sources (``_Problem.forcing`` of the feedback,
@@ -17,7 +21,8 @@ the masked tracking residuals, theta on the observation regions) through
 ``heat.modal_march``/``modal_march_backward``, four products with S per
 sweep.  They share the package's ``_Problem`` coupling methods and its
 ``_picard_columns`` loop, and the package's sweeps on DST modal
-coefficients are held to them at round-off.
+coefficients are held to them at round-off.  ``reference_gram`` lifts the
+terminal state by a banded solve of the Dirichlet Laplacian.
 """
 
 import csv
@@ -26,11 +31,13 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from stackheat import heat
 from stackheat.csvio import fmt
 from stackheat.hum import AdjointPair, GramBasis, HumSettings, _gram, _observed
-from stackheat.products import h10_inner, h10_norm, neg_laplacian_solve
+from stackheat.oracle import _coupling_blocks, _dense_matrices
+from stackheat.products import h10_inner, h10_norm
 from stackheat.saddle import _picard_columns, build_problem
 from stackheat.scenario import RobustParams, ScenarioConfig
 
@@ -45,6 +52,26 @@ def l2q_norm_interior(f: np.ndarray, grid, dt: float) -> float:
     the column's adjoints.
     """
     return float(np.sqrt(dt * grid.dx * (f * f).sum()))
+
+
+def to_coords(u: np.ndarray, grid) -> np.ndarray:
+    """H^1_0 coordinates sqrt(mu / dx) * (S u) of interior vector(s) ``u`` (``heat._dst``)."""
+    s, mu = heat._dst(grid)
+    return np.sqrt(mu / grid.dx) * (np.asarray(u, dtype=float) @ s)
+
+
+def to_physical(c: np.ndarray, grid) -> np.ndarray:
+    """The interior vector(s) whose H^1_0 coordinates are ``c``: ``to_coords`` inverted."""
+    s, mu = heat._dst(grid)
+    return (np.asarray(c, dtype=float) / np.sqrt(mu / grid.dx)) @ s
+
+
+def banded_lift(u: np.ndarray, grid) -> np.ndarray:
+    """Solve -D z = u on the interior nodes (homogeneous Dirichlet), banded."""
+    ab = np.zeros((3, grid.n_interior))
+    ab[0, 1:] = ab[2, :-1] = -1.0
+    ab[1] = 2.0
+    return solve_banded((1, 1), ab / grid.dx ** 2, u)
 
 
 def sha256_of(path: str) -> str:
@@ -119,10 +146,10 @@ def reference_adjoint_pairs(prob, terminals) -> list:
 
 
 def reference_gram(prob, phi_terminal: np.ndarray) -> np.ndarray:
-    """``hum._gram`` in physical space: pair, observation, homogeneous equilibrium, lift."""
+    """``hum.gram_apply`` in physical space: pair, observation, homogeneous equilibrium, lift."""
     phi = reference_adjoint_pairs(prob, np.asarray(phi_terminal, dtype=float)[None])[0][0]
     state = reference_equilibria(prob.homogeneous, prob.observe(phi)[None])[0][0]
-    return neg_laplacian_solve(state[-1], prob.cfg.grid)
+    return banded_lift(state[-1], prob.cfg.grid)
 
 # The gradient agreement is asserted across STEPS.  F_eps is exactly
 # quadratic, so the central difference carries no truncation error at any
@@ -162,17 +189,20 @@ def gradient_check(cfg: ScenarioConfig, params: RobustParams, settings: HumSetti
     if len(directions) == 0:
         raise ValueError("the gradient check needs at least one direction, got none")
     basis = GramBasis(cfg, params)
-    prob, b = basis.prob, basis.b
+    prob, b = basis.prob, to_physical(basis.b, grid)
+
+    def gram(v):
+        return to_physical(_gram(prob, to_coords(v, grid)), grid)
 
     def fval(v):
-        gv = _gram(prob, v)
+        gv = gram(v)
         return 0.5 * h10_inner(v, gv, grid) + h10_inner(b, v, grid) \
             + 0.5 * eps * h10_inner(v, v, grid)
 
     def central(d, h):
         return (fval(a + h * d) - fval(a - h * d)) / (2 * h)
 
-    grad = _gram(prob, a) + b + eps * a
+    grad = gram(a) + b + eps * a
     worst = 0.0
     spread = 0.0
     f0 = None
@@ -257,3 +287,82 @@ def reference_write_csv(path: str, header, rows) -> tuple:
             for row in rows:
                 writer.writerow([fmt(v) for v in row])
     return sha256_of(path), os.path.getsize(path)
+
+
+def dense_adjoint_solve(cfg: ScenarioConfig, phi_terminal: np.ndarray, params: RobustParams):
+    """Direct solve of the observability adjoint pair; returns interior arrays.
+
+    Output: (phi levels 0..K, thetas tuple of levels 0..K) with
+    phi[K] = phi_terminal and theta[0] = 0.
+    """
+    prob = build_problem(cfg, params)
+    grid, tgrid = cfg.grid, cfg.tgrid
+    n, K = grid.n_interior, tgrid.n_steps
+    klev = K + 1
+    dt, dx = tgrid.dt, grid.dx
+    m_plus, m_minus = _dense_matrices(grid, tgrid)
+    n_th = prob.n_adjoints
+    a = np.asarray(phi_terminal, dtype=float)
+
+    nphi = K * n                    # phi levels 0..K-1
+    nth = K * n                     # theta levels 1..K per block
+    dim = nphi + n_th * nth
+    A = np.zeros((dim, dim))
+    rhs = np.zeros(dim)
+
+    def ps(k):
+        return slice(k * n, (k + 1) * n)
+
+    def ts(block, k):
+        return slice(nphi + block * nth + (k - 1) * n, nphi + block * nth + k * n)
+
+    # phi equations (backward), k = 0..K-1
+    for k in range(K):
+        rows = ps(k)
+        A[rows, ps(k)] += m_plus
+        if k + 1 <= K - 1:
+            A[rows, ps(k + 1)] -= m_minus
+        else:
+            rhs[rows] += m_minus @ a
+        for block in range(n_th):
+            sel = np.diag(prob.obs_masks[block].astype(float))
+            for j in (k, k + 1):
+                if j >= 1:
+                    A[rows, ts(block, j)] -= 0.5 * dt * sel
+                # j == 0: theta(0) = 0
+
+    # theta equations (forward), block i, step k = 0..K-1
+    src, fb = _coupling_blocks(prob)
+    bscale = dt / dx ** 2
+    for block in range(n_th):
+        for k in range(K):
+            rows = slice(nphi + block * nth + k * n, nphi + block * nth + (k + 1) * n)
+            A[rows, ts(block, k + 1)] += m_plus
+            if k >= 1:
+                A[rows, ts(block, k)] -= m_minus
+            for bidx, mat in src:
+                for j in (k, k + 1):
+                    if j <= K - 1:
+                        A[rows, ps(j)] -= 0.5 * dt * mat
+                    else:
+                        rhs[rows] += 0.5 * dt * mat @ a
+            for fblock, row, fmat in fb:
+                if fblock != block:
+                    continue
+                for j in (k, k + 1):
+                    coeff = 0.5 * bscale
+                    for l in range(klev):
+                        if fmat[j, l] == 0.0:
+                            continue
+                        if l <= K - 1:
+                            A[nphi + block * nth + k * n + row, ps(l)][row] -= coeff * fmat[j, l]
+                        else:
+                            rhs[nphi + block * nth + k * n + row] += coeff * fmat[j, l] * a[row]
+
+    sol = np.linalg.solve(A, rhs)
+    phi = np.vstack([sol[:nphi].reshape(K, n), a[None, :]])
+    thetas = []
+    for block in range(n_th):
+        th = sol[nphi + block * nth: nphi + (block + 1) * nth].reshape(K, n)
+        thetas.append(np.vstack([np.zeros((1, n)), th]))
+    return phi, tuple(thetas)

@@ -5,12 +5,11 @@ collect this file (it is not named ``test_*``).  It times one modal march
 (``heat._modal_levels``) of width 1 and of width 25, one Gram image
 (``hum._gram``) per demo configuration and one width-25 block of adjoint
 pairs (``hum._adjoint_pairs``) on demos A and B, the block the probe solves
-at this grid.  It also times the two linear-algebra kernels: the inverse
-Dirichlet Laplacian (``products.neg_laplacian_solve``) at n = 50 and 200, and
-demo A's ladder of Galerkin solves (``hum.GramBasis.galerkin`` for k = 1 ...
-kmax and each eps of the config's ladder, on a basis that has solved nothing
-yet), where kmax is the most vectors a rung of ``sweep-eps`` uses.  Pin the
-BLAS threads (``OPENBLAS_NUM_THREADS=1``) to compare runs.
+at this grid.  It also times demo A's ladder of Galerkin solves
+(``hum.GramBasis.galerkin`` for k = 1 ... kmax and each eps of the config's
+ladder, on a basis that has solved nothing yet), where kmax is the most
+vectors a rung of ``sweep-eps`` uses.  Pin the BLAS threads
+(``OPENBLAS_NUM_THREADS=1``) to compare runs.
 """
 
 import copy
@@ -22,8 +21,7 @@ import pytest
 
 from stackheat import heat, hum, saddle
 from stackheat.config import parse_config
-from stackheat.grids import LEFT, RIGHT, SpatialGrid
-from stackheat.products import neg_laplacian_solve
+from stackheat.grids import LEFT, RIGHT
 
 N = 50
 WIDTH = 25
@@ -61,12 +59,6 @@ def test_adjoint_pair_block(benchmark, demo):
     prob = _problem(demo)
     data = np.random.default_rng(2).standard_normal((WIDTH, N))
     benchmark(hum._adjoint_pairs, prob, data)
-
-
-@pytest.mark.parametrize("n", [N, 200])
-def test_neg_laplacian_solve(benchmark, n):
-    u = np.random.default_rng(3).standard_normal(n)
-    benchmark(neg_laplacian_solve, u, SpatialGrid(n))
 
 
 def test_galerkin_ladder(benchmark):

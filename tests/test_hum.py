@@ -18,12 +18,12 @@ from stackheat.heat import favg
 from stackheat.hum import (GramBasis, HumSettings, _adjoint_pairs, gram_apply, hum_ladder,
                            hum_minimize, observability_probe, observation, solve_adjoint,
                            target_admissibility)
-from stackheat.oracle import dense_adjoint_solve
 from stackheat.products import h10_inner, h10_norm
 from stackheat.runner import eps_sweep, run_experiment
 from stackheat.weights import admissibility_check, target_weight_inv_sq
 
-from _instruments import gradient_check, observation_pairing
+from _instruments import (dense_adjoint_solve, gradient_check, observation_pairing, to_coords,
+                          to_physical)
 from _scenarios import builders, params, scenario_a, scenario_b, scenario_c
 
 
@@ -264,13 +264,14 @@ def _unit_orthogonal_to(b, grid, seed=0):
 @pytest.mark.parametrize("kind", ["negative", "indefinite"])
 def test_non_positive_gram_operator_raises(kind, monkeypatch):
     cfg = scenario_a(n=8, k=8)
+    grid = cfg.grid
     p = params()
-    e1, e2 = _unit_orthogonal_to(GramBasis(cfg, p).b, cfg.grid)
+    e1, e2 = _unit_orthogonal_to(to_physical(GramBasis(cfg, p).b, grid), grid)
 
-    def indefinite(prob, a):
+    def indefinite(prob, c):
         # [[0.5, 1], [1, 0.5]] on span(e1, e2): positive diagonal, one negative eigenvalue
-        grid = prob.cfg.grid
-        return 0.5 * a + h10_inner(a, e1, grid) * e2 + h10_inner(a, e2, grid) * e1
+        a = to_physical(c, grid)
+        return to_coords(0.5 * a + h10_inner(a, e1, grid) * e2 + h10_inner(a, e2, grid) * e1, grid)
 
     gram = indefinite if kind == "indefinite" else (lambda prob, a: -a)
     monkeypatch.setattr(hum_module, "_gram", gram)
@@ -284,10 +285,13 @@ def test_invariant_krylov_space_ends_with_the_exact_solution(monkeypatch):
     cfg = scenario_a(n=8, k=8)
     p = params()
     monkeypatch.setattr(hum_module, "_gram", lambda prob, a: 2.0 * a)
-    res = _solve(cfg, p, 1e-4, cg_tol=1e-300)
+    basis = GramBasis(cfg, p)
+    res = _solve(cfg, p, 1e-4, basis, cg_tol=1e-300)
     assert res.cg_iterations == 1
-    np.testing.assert_allclose(res.phi_terminal, -GramBasis(cfg, p).b / (2.0 + 1e-4),
-                               rtol=1e-14)
+    # in the basis's coordinates, and phi_terminal is its physical form
+    x, _ = basis.galerkin(1, 1e-4)
+    np.testing.assert_allclose(x, -basis.b / (2.0 + 1e-4), rtol=1e-14)
+    assert res.phi_terminal.tobytes() == to_physical(x, cfg.grid).tobytes()
 
 
 def test_basis_and_hum_minimize_build_one_problem(monkeypatch):
@@ -377,7 +381,7 @@ def test_exact_adjoint_pair_of_a_gram_image_marches_once_each_way(monkeypatch):
     monkeypatch.setattr(hum_module, "_modal_levels", counted)
     monkeypatch.setattr(saddle_module, "_modal_levels", counted)
     (phi, thetas, iterations, residual, _, status), = hum_module._pairs_hat(
-        prob, datum, lambda phi, thetas, cols: (phi, thetas))
+        prob, datum @ prob.modal.s, lambda phi, thetas, cols: (phi, thetas))
     assert (iterations, residual, status) == (1, 0.0, "converged")
     assert backward == [True, False]   # phi, then theta; no second phi march
     assert not np.any(thetas[0])
@@ -401,7 +405,9 @@ def test_exact_adjoint_pair_of_a_gram_image_marches_once_each_way(monkeypatch):
     assert len(backward) == 2 + 2 * sweeps[0] + 1
 
 @pytest.mark.parametrize("conf", "ABCD")
-def test_basis_images_equal_public_gram_apply_bit_for_bit(conf):
+def test_basis_images_are_gram_images(conf):
+    # each stored image is _gram of its vector, bit for bit, and the public
+    # gram_apply of the physical vector is the physical image to round-off
     kw = {"s": 0.002} if conf in ("C", "D") else {}
     cfg = builders()[conf](n=8, k=8, **kw)
     p = params(ell=4.0) if conf in ("C", "D") else params()
@@ -410,7 +416,9 @@ def test_basis_images_equal_public_gram_apply_bit_for_bit(conf):
         pass
     assert len(basis) == 3
     for v, g in zip(basis.vectors, basis.images):
-        assert g.tobytes() == gram_apply(cfg, v, p).tobytes()
+        assert g.tobytes() == hum_module._gram(basis.prob, v).tobytes()
+        got, ref = gram_apply(cfg, to_physical(v, cfg.grid), p), to_physical(g, cfg.grid)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_basis_of_another_scenario_is_rejected():
@@ -768,23 +776,21 @@ def test_probe_max_nonincreasing_when_weights_double():
 
 
 @pytest.mark.parametrize("conf", "AB")
-def test_basis_caches_give_the_bits_of_h10_inner(conf):
-    # the stored node differences change no bit of rhs, projected or the
-    # next Gram-Schmidt vector against the h10_inner expressions
+def test_basis_is_h10_orthonormal_and_projects_by_h10_inner(conf):
+    # in physical form the basis vectors are H^1_0-orthonormal, and rhs and
+    # projected are h10_inner of the physical vectors, b and images
     cfg = builders()[conf](n=8, k=8)
     grid = cfg.grid
     basis = GramBasis(cfg, params())
     while basis.extend():
         pass
-    vs, gs = basis.vectors, basis.images
+    vs, gs, b = (to_physical(a, grid) for a in (basis.vectors, basis.images, basis.b))
     assert len(vs) >= 3
+    gram = np.array([[h10_inner(v, w, grid) for w in vs] for v in vs])
+    assert np.max(np.abs(gram - np.eye(len(vs)))) <= 1e-12
+    bnorm, gnorm = h10_norm(b, grid), max(h10_norm(g, grid) for g in gs)
     for i, (v, g) in enumerate(zip(vs, gs)):
-        assert basis.rhs[i] == h10_inner(v, basis.b, grid)
-        assert basis.projected[i] == [0.5 * (h10_inner(vj, g, grid) + h10_inner(v, gj, grid))
-                                      for vj, gj in zip(vs[:i + 1], gs[:i + 1])]
-        if i + 1 < len(vs):
-            w = g
-            for _ in range(2):
-                for vj in vs[:i + 1]:
-                    w = w - h10_inner(vj, w, grid) * vj
-            assert (w / h10_norm(w, grid)).tobytes() == vs[i + 1].tobytes()
+        assert abs(basis.rhs[i] - h10_inner(v, b, grid)) <= 1e-12 * bnorm
+        ref = [0.5 * (h10_inner(vj, g, grid) + h10_inner(v, gj, grid))
+               for vj, gj in zip(vs[:i + 1], gs[:i + 1])]
+        assert np.max(np.abs(np.subtract(basis.projected[i], ref))) <= 1e-12 * gnorm

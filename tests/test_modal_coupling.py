@@ -14,7 +14,8 @@ from stackheat import saddle as saddle_module
 from stackheat.hum import HumSettings, gram_apply, hum_minimize, solve_adjoint
 from stackheat.saddle import _leader_array, build_problem, solve_optimality
 
-from _instruments import (reference_adjoint_pairs, reference_equilibria, reference_gram)
+from _instruments import (reference_adjoint_pairs, reference_equilibria, reference_gram,
+                          to_coords, to_physical)
 from _scenarios import builders, params, random_leader
 
 REL = 1e-12
@@ -75,7 +76,8 @@ def test_hum_leader_agrees_with_the_physical_coupling(conf, n, s, monkeypatch):
     got = hum_minimize(cfg, p, settings)
     # the whole HUM solve on the physical coupling: Gram images, the free
     # equilibrium, the certificate's adjoint pairs and equilibria
-    monkeypatch.setattr(hum_module, "_gram", reference_gram)
+    monkeypatch.setattr(hum_module, "_gram", lambda prob, c: to_coords(
+        reference_gram(prob, to_physical(c, cfg.grid)), cfg.grid))
     monkeypatch.setattr(hum_module, "_adjoint_pairs", reference_adjoint_pairs)
     monkeypatch.setattr(hum_module, "_equilibria", reference_equilibria)
     monkeypatch.setattr(saddle_module, "_equilibria", reference_equilibria)
