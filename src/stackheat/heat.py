@@ -24,9 +24,10 @@ transforms back, so a march costs two matrix products and K vector updates.
 run it.  The coupled systems' Picard sweeps (``saddle``, ``hum``) never
 leave the modal coefficients: ``_modal_levels`` is the core alone, fed modal
 sources and edge values, forward or backward, and they transform back once,
-at exit.  The one normal derivative, ``normal_derivative_o1``, is first
-order: the exact transpose of the boundary rows, so the coupled systems keep
-the duality.
+at exit.  ``saddle.verify_saddle`` marches its deviations' responses the
+same way and reads them back on the observed nodes only.  The one normal
+derivative, ``normal_derivative_o1``, is first order: the exact transpose of
+the boundary rows, so the coupled systems keep the duality.
 
 S and the eigenvalues mu of -D it shows are cached per grid (``_dst``);
 ``products`` and ``hum`` read them too.  Each (grid, tgrid) pair has a plan

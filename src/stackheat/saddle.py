@@ -48,11 +48,20 @@ the fields are transformed back once, at exit (``_equilibria_hat``'s
 ``finish``).  Everything a sweep reads is bound once per problem in
 ``_Problem.modal``: the march plan, whose ``work`` each march takes (a
 sweep looks up no plan), S, dx and the S row of each follower edge; the
-edges' control divisors are ``_Problem.edge_gains``.  The checks score
-their perturbed controls a block at a time, in space: ``_blocks`` solves a
-block by one batched march.  Each column keeps the
-arithmetic and the summation order of its lone solve, so every value has the
-same bits whatever the batch width.
+edges' control divisors are ``_Problem.edge_gains``.
+
+``verify_saddle`` marches the equilibrium's state once, in space, and every
+perturbed state as that state plus the response of the homogeneous problem
+to the deviation alone (the state is affine in the controls).  The
+responses are ``_modal_levels`` marches in the grid pair's plan, a block of
+deviations at a time, so the checks build no ``_Problem.modal``: an edge
+deviation enters as a rank-one row of S, a field deviation by one product
+with the rows of S at its nodes, and a response is read back on the
+observed nodes only (``_Readout``).  Each perturbed value is a direct
+evaluation of the functional, a tracking term on those nodes plus
+``_control_costs``, with no expansion in the deviation and no adjoint.
+Each column keeps the arithmetic and the summation order of its lone solve,
+so every value has the same bits whatever the batch width.
 """
 
 from __future__ import annotations
@@ -74,10 +83,13 @@ from .products import _column_sums, qmid_field, qmid_trace
 from .scenario import RobustParams, ScenarioConfig, require_valid
 from .weights import _capped_exp, _exp_neg, rho_star_log, rho_star_inv_sq
 
-# verify_saddle solves and scores its perturbed states, and the observability
-# probe solves its adjoint pairs, in blocks of columns, each block one batched
-# solve.  The width keeps one (width, n_levels, n_interior) float array within
-# this many bytes (25 columns at n_interior = n_steps = 50).
+# verify_saddle draws and scores its deviations, and the observability probe
+# solves its adjoint pairs, in blocks of columns, each block one batched march
+# (verify's, one per player).  The width keeps one (width, n_levels,
+# n_interior) float array within this many bytes (25 columns at
+# n_interior = n_steps = 50); a block of verify's holds a few such arrays: the
+# field draws, their perturbed controls and the march's two buffers, while its
+# responses are read back on the observed nodes only.
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -95,6 +107,7 @@ SLACK = 1e-9
 STATIONARITY_TOL = 1e-8
 PERTURBATION_MAGNITUDES = (1e-3, 1.0)
 STATIONARITY_DIRECTIONS = 20
+_STEP = 1e-2   # the step of the stationarity check's central differences
 
 
 def smooth_trace(z: np.ndarray) -> np.ndarray:
@@ -733,37 +746,47 @@ def evaluate_functional_raw(prob: _Problem, follower, disturbance, leader_arr,
     ``follower``: tuple of edge traces (A/C/D) or an interior field (B);
     ``disturbance``: interior field (A/B) or None; ``index`` selects the
     follower whose cost is evaluated in configuration D.  ``state``, when
-    given, is trusted to be the state of these controls.
+    given, is trusted to be the state of these controls.  The value is the
+    tracking term of ``state`` plus ``_control_costs``.
 
-    The controls and ``state`` may carry one leading block axis, as
-    ``_blocks`` hands them out: the value is then an array with one entry
-    per column, each the bits of that column's lone value (the quadratures
-    sum every column in its lone order).  A block brings its states; a lone
-    column returns a float.
+    The controls and ``state`` may carry one leading block axis: the value
+    is then an array with one entry per column, each the bits of that
+    column's lone value (the quadratures sum every column in its lone
+    order).  A block brings its states; a lone column returns a float.
     """
-    cfg, params = prob.cfg, prob.params
-    grid, tgrid = cfg.grid, cfg.tgrid
-    c = cfg.configuration
-    dt = tgrid.dt
-
     if state is None:
         state = prob.state(follower, disturbance, leader_arr)
-
     value = _tracking_term(prob, state, which=index)
-    if c == "A":
-        for v in follower:
-            value += 0.5 * params.ell ** 2 * qmid_trace(v, v, dt)
-        value -= 0.5 * params.gamma ** 2 * qmid_field(disturbance, disturbance, grid, dt)
-    elif c == "B":
-        value += 0.5 * params.ell ** 2 * qmid_field(
-            follower, follower, grid, dt, mask=prob.b1_mask)
-        value -= 0.5 * params.gamma ** 2 * qmid_field(
-            disturbance, disturbance, grid, dt, mask=prob.b2_mask)
-    else:
-        ell = prob.follower_edges[index][2]
-        terms = capped_weighted_sq(prob.log_g2, follower[index])
-        value += 0.5 * ell ** 2 * _column_sums(dt * prob.wtrap * terms, 1)
+    for term in _control_costs(prob, follower, disturbance, index):
+        value += term
     return value
+
+
+def _control_costs(prob: _Problem, follower, disturbance, index: int = 0) -> tuple:
+    """The control terms of the functional, signed, in the order it adds them.
+
+    A: 0.5 ell^2 |v|^2 per follower edge, then -0.5 gamma^2 |psi|^2;
+    B: 0.5 ell^2 |v|^2 on B1, then -0.5 gamma^2 |psi|^2 on B2;
+    C/D: 0.5 ell_i^2 times follower ``index``'s rho_star^2-weighted norm
+    (trapezoid in time, capped by ``capped_weighted_sq``).  A control with a
+    leading block axis gives one value per column, one without it a float,
+    so a deviation's terms can pair a block of one control with the others
+    as they are.  Subtracting a term adds its negative exactly, so the sum
+    has the bits of adding and subtracting the unsigned terms.
+    """
+    cfg, params = prob.cfg, prob.params
+    grid, dt = cfg.grid, cfg.tgrid.dt
+    c = cfg.configuration
+    if c == "A":
+        return tuple(0.5 * params.ell ** 2 * qmid_trace(v, v, dt) for v in follower) + (
+            -0.5 * params.gamma ** 2 * qmid_field(disturbance, disturbance, grid, dt),)
+    if c == "B":
+        return (0.5 * params.ell ** 2 * qmid_field(follower, follower, grid, dt, mask=prob.b1_mask),
+                -0.5 * params.gamma ** 2 * qmid_field(disturbance, disturbance, grid, dt,
+                                                      mask=prob.b2_mask))
+    ell = prob.follower_edges[index][2]
+    terms = capped_weighted_sq(prob.log_g2, follower[index])
+    return (0.5 * ell ** 2 * _column_sums(dt * prob.wtrap * terms, 1),)
 
 
 def evaluate_functional(cfg: ScenarioConfig, params: RobustParams, follower,
@@ -823,49 +846,166 @@ class _Player:
     label: str           # names the offender in ``VerifyReport.worst_perturbation``
     index: int           # whose cost it plays on: the follower index in D, else 0
     maximizes: bool      # the disturbance maximizes, every control minimizes
-    perturb: Callable    # magnitude -> perturbed (follower, disturbance)
+    draw: Callable       # magnitude -> one deviation of its control
+    forcing: Callable    # stacked deviations -> (source, rows, edges) of ``_Readout.response``
+    controls: Callable   # stacked deviations -> the perturbed (follower, disturbance)
 
 
 def _players(prob: _Problem, follower, disturbance, rng) -> list:
     """The players of the equilibrium at the raw controls (follower, disturbance).
 
     A/B: the control and the disturbance of a saddle point; C: the one
-    follower; D: the two followers of a Nash pair.
+    follower; D: the two followers of a Nash pair.  A deviation is drawn in
+    the layout its response march takes it: A's control as one row per
+    follower edge, A's disturbance as an interior field, B's control and
+    disturbance on their regions' nodes only, a C/D follower as its trace.
+    Its values are those of the perturbed controls ``controls`` returns, and
+    the draws are made in the order and with the bits of drawing those.
     """
     cfg = prob.cfg
     c = cfg.configuration
     klev, n = cfg.tgrid.n_levels, cfg.grid.n_interior
+    s = _plan(cfg.grid, cfg.tgrid).s
     if c == "A":
+        sides = [(side, rho) for side, rho, _ in prob.follower_edges]
         return [
-            _Player("control", 0, False, lambda m: (
-                tuple(v + m * rng.standard_normal(klev) for v in follower), disturbance)),
-            _Player("disturbance", 0, True, lambda m: (
-                follower, disturbance + m * rng.standard_normal((klev, n)))),
+            _Player("control", 0, False,
+                    lambda m: np.array([m * rng.standard_normal(klev) for _ in follower]),
+                    lambda dv: (None, None, {side: rho * dv[:, e]
+                                             for e, (side, rho) in enumerate(sides)}),
+                    lambda dv: (tuple(v + dv[:, e] for e, v in enumerate(follower)),
+                                disturbance)),
+            _Player("disturbance", 0, True,
+                    lambda m: m * rng.standard_normal((klev, n)),
+                    lambda dpsi: (dpsi, s, None),
+                    lambda dpsi: (follower, disturbance + dpsi)),
         ]
     if c == "B":
-        def on(mask, m):
-            """m times a Gaussian draw on the mask's nodes, zero elsewhere."""
-            d = np.zeros((klev, n))
-            d[:, mask] = m * rng.standard_normal((klev, int(mask.sum())))
-            return d
+        b1, b2 = np.flatnonzero(prob.b1_mask), np.flatnonzero(prob.b2_mask)
+        rows1, rows2 = s[b1], s[b2]
+
+        def plus(base, nodes, d):
+            """``base`` plus each deviation of the block ``d`` on ``nodes``, one column each."""
+            out = np.repeat(base[None], len(d), axis=0)
+            out[..., nodes] += d
+            return out
 
         return [
-            _Player("control", 0, False, lambda m: (follower + on(prob.b1_mask, m), disturbance)),
+            _Player("control", 0, False,
+                    lambda m: m * rng.standard_normal((klev, len(b1))),
+                    lambda dv: (dv, rows1, None),
+                    lambda dv: (plus(follower, b1, dv), disturbance)),
             _Player("disturbance", 0, True,
-                    lambda m: (follower, disturbance + on(prob.b2_mask, m))),
+                    lambda m: m * rng.standard_normal((klev, len(b2))),
+                    lambda dpsi: (dpsi, rows2, None),
+                    lambda dpsi: (follower, plus(disturbance, b2, dpsi))),
         ]
     # rho_star is infinite at t = 0 and T: a deviation there has infinite
     # cost, saturates every perturbed value at the cap and hides any
     # violation, so the perturbations vanish on those levels
     live = np.isfinite(prob.log_g2)
 
-    def deviate(i):
-        def perturb(m):
-            dv = np.where(live, m * rng.standard_normal(klev), 0.0)
-            return tuple(v + dv if j == i else v for j, v in enumerate(follower)), None
-        return perturb
+    def deviate(i, side, rho):
+        return _Player(f"control {i + 1}", i, False,
+                       lambda m: np.where(live, m * rng.standard_normal(klev), 0.0),
+                       lambda dv: (None, None, {side: rho * dv}),
+                       lambda dv: (tuple(v + dv if j == i else v for j, v in enumerate(follower)),
+                                   None))
 
-    return [_Player(f"control {i + 1}", i, False, deviate(i)) for i in range(len(follower))]
+    return [deviate(i, side, rho) for i, (side, rho, _) in enumerate(prob.follower_edges)]
+
+
+class _Readout:
+    """The checks' view of a problem: its observed nodes and its response marches.
+
+    ``plan`` is the grid pair's march plan (``heat._plan``), whose S and
+    buffers every response march takes, so the checks build no
+    ``_Problem.modal``.  Per observation region, ``nodes`` are its interior
+    nodes, ``columns`` the columns of S at them (the product that reads
+    modal levels back there) and ``targets`` its target there.
+    """
+
+    def __init__(self, prob: _Problem):
+        cfg = prob.cfg
+        self.prob = prob
+        self.plan = _plan(cfg.grid, cfg.tgrid)
+        self.nodes = tuple(np.flatnonzero(m) for m in prob.obs_masks)
+        self.columns = tuple(np.ascontiguousarray(self.plan.s[:, k]) for k in self.nodes)
+        self.targets = tuple(t[..., k] for t, k in zip(prob.targets, self.nodes))
+
+    def residual(self, state: np.ndarray, which: int) -> np.ndarray:
+        """``state`` less the target on region ``which``'s nodes: (*B, n_levels, n_obs)."""
+        return state[..., self.nodes[which]] - self.targets[which]
+
+    def response(self, which: int, source, rows, edges) -> np.ndarray:
+        """The responses L delta to a block of deviations, on region ``which``'s nodes.
+
+        ``source`` (w, n_levels, m) is a field deviation on the m nodes whose
+        rows of S are ``rows``, and ``edges`` maps a side to its Dirichlet
+        deviation (w, n_levels); either may be None.  The block is one
+        ``_modal_levels`` march from a zero datum: the field enters by one
+        product with ``rows``, formed in the march's scratch, and an edge as
+        the march's rank-one row of S, with no transform.  The levels are
+        read back by one product with ``columns``.  Returns
+        (w, n_levels, n_obs), each column the bits of its lone response.
+        """
+        width = len(source if source is not None else next(iter(edges.values())))
+        wk = self.plan.work((width,))
+        if source is not None:
+            source = np.matmul(source, rows, out=wk.z_columns)
+        return _modal_levels(wk, None, source, edges) @ self.columns[which]
+
+
+def _block_values(prob: _Problem, observed: np.ndarray, costs: tuple) -> np.ndarray:
+    """Functional values of a block of perturbed states from their observed residuals.
+
+    ``observed`` is (w, n_levels, n_obs): each column's state less the
+    target on the nodes of the region its cost observes.  A value is the
+    tracking term, the midpoint pairing of ``observed`` with itself, plus
+    each of ``costs`` (``_control_costs`` of the perturbed controls, or C/D's
+    weighted cost); each column has the bits of its lone value.
+    """
+    cfg = prob.cfg
+    value = 0.5 * qmid_field(observed, observed, cfg.grid, cfg.tgrid.dt)
+    for term in costs:
+        value += term
+    return value
+
+
+def _player_values(readout: _Readout, residuals: list, player: _Player,
+                   deviations: np.ndarray) -> np.ndarray:
+    """The player's cost at each of its stacked ``deviations``: one response march."""
+    prob = readout.prob
+    observed = readout.response(player.index, *player.forcing(deviations))
+    observed += residuals[player.index]
+    return _block_values(prob, observed,
+                         _control_costs(prob, *player.controls(deviations), player.index))
+
+
+def _deviation_values(readout: _Readout, state: np.ndarray, players: list,
+                      n_perturbations: int, rng) -> np.ndarray:
+    """The value of every deviation, (n_perturbations, n_players), in the order drawn.
+
+    Each perturbation draws one magnitude and deviates each player alone;
+    the value is that player's cost, from the equilibrium's ``state``.  The
+    draws are made ``_block_width`` perturbations at a time, each player's
+    deviations of a block are one response march (``_player_values``), and
+    a block is released before the next one is drawn.
+    """
+    prob = readout.prob
+    residuals = [readout.residual(state, i) for i in range(prob.n_adjoints)]
+    lo, hi = PERTURBATION_MAGNITUDES
+    width = _block_width(prob.cfg)
+    values = np.empty((n_perturbations, len(players)))
+    for start in range(0, n_perturbations, width):
+        block = []
+        for _ in range(min(width, n_perturbations - start)):
+            m = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+            block.append([player.draw(m) for player in players])
+        for k, (player, drawn) in enumerate(zip(players, zip(*block))):
+            values[start:start + len(block), k] = _player_values(readout, residuals, player,
+                                                                 np.stack(drawn))
+    return values
 
 
 def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: RobustParams,
@@ -879,11 +1019,13 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
     ``sol``, not read from ``sol.functional_value``.  Additionally estimates
     the first-order stationarity of the discrete functional by exact central
     differences (the functional is quadratic in the well-scaled variables).
-    The perturbed controls are drawn, solved and scored a block at a time
-    (``_blocks``): each player's columns of a block are one strided slice,
-    scored by one ``evaluate_functional_raw`` call, and every value equals
-    the one of a single solve and evaluation bit for bit.  At least one
-    perturbation is required: none would pass without testing anything.
+    The equilibrium's state is one march in space; every perturbed state is
+    that state plus the response to its deviation alone, read on the
+    observed nodes (``_Readout``), and the checks score their perturbed
+    controls a block at a time (``_deviation_values``,
+    ``_stationarity_values``).  Every value has the bits of its lone
+    evaluation, whatever the block width.  At least one perturbation is
+    required: none would pass without testing anything.
     """
     if n_perturbations < 1:
         raise ValueError(f"verification needs at least one perturbation, got {n_perturbations}")
@@ -895,26 +1037,14 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
     jbars = [evaluate_functional_raw(prob, follower, disturbance, leader_arr, state=state, index=i)
              for i in range(prob.n_adjoints)]
     players = _players(prob, follower, disturbance, rng)
+    readout = _Readout(prob)
 
-    def deviations():
-        lo, hi = PERTURBATION_MAGNITUDES
-        for _ in range(n_perturbations):
-            m = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-            for player in players:
-                yield player.perturb(m)
-
-    # column j of the sequence is perturbation j // npl of player j % npl
+    # entry j of the gains is perturbation j // npl of player j % npl
+    values = _deviation_values(readout, state, players, n_perturbations, rng)
+    jbar = np.array([jbars[player.index] for player in players])
+    maximizes = np.array([player.maximizes for player in players])
+    gains = np.where(maximizes, values - jbar, jbar - values).ravel().tolist()
     npl = len(players)
-    gains = []
-    for f, d, y in _blocks(prob, leader_arr, deviations()):
-        block = np.empty(len(y))
-        for k, player in enumerate(players):
-            rows = slice((k - len(gains)) % npl, None, npl)
-            value = evaluate_functional_raw(prob, _rows(f, rows), _rows(d, rows), leader_arr,
-                                            state=y[rows], index=player.index)
-            jbar = jbars[player.index]
-            block[rows] = value - jbar if player.maximizes else jbar - value
-        gains += block.tolist()
     violation = {False: 0.0, True: 0.0}  # worst per kind: minimizing, maximizing
     worst = ()
     for j, (gain, player) in enumerate(zip(gains, itertools.cycle(players))):
@@ -924,102 +1054,84 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
             violation[kind] = gain
             worst = (j // npl, player.label)
 
-    report = VerifyReport(n_perturbations, violation[False], violation[True],
-                          _stationarity_estimate(prob, sol, leader_arr, rng), jbars[0], worst)
+    pairs = _stationarity_values(readout, state, sol, leader_arr, rng)
+    # np.max propagates a nan derivative, which then fails the stationarity rule
+    derivative = float(np.max(np.abs(pairs[:, 0] - pairs[:, 1]) / (2 * _STEP), initial=0.0))
+    report = VerifyReport(n_perturbations, violation[False], violation[True], derivative,
+                          jbars[0], worst)
     return replace(report, worst_perturbation=()) if report.passed else report
 
 
-def _blocks(prob: _Problem, leader_arr, controls):
-    """Yield (followers, disturbances, states) for each block of ``controls``.
+def _stationarity_values(readout: _Readout, state: np.ndarray, sol: SaddleSolution,
+                         leader_arr, rng) -> np.ndarray:
+    """The functional at x + step d and at x - step d, one row per random direction d.
 
-    ``controls`` yields explicit (follower, disturbance) pairs laid out as
-    ``feedback`` returns them.  It is drawn ``_block_width`` pairs at a time,
-    and each block is solved by one batched march through
-    ``_Problem.state``.  The block is handed out with a leading block axis:
-    its followers and disturbances stacked in that layout (each edge trace
-    of A/C/D as its own (width, n_levels) array) and its states as the
-    march returns them.  A block is released before the next one is drawn,
-    which bounds memory and keeps any random draws made inside ``controls``
-    in their original order.
+    Central differences of these are exact for the quadratic functionals.
+    A/B: each of STATIONARITY_DIRECTIONS directions deviates both controls
+    of the saddle at once, from the equilibrium's ``state``, and its two
+    points share one response: y(x +- step d) = y(x) +- L(step d).  C/D: the
+    derivative is taken in the rho_star-weighted control variable
+    u = rho_star * v, whose feedback formula is finite through the weight's
+    over/underflow range: the directions are split between the followers,
+    each deviating one, and scored on its weighted cost from the state of
+    the weighted controls, a march of its own.  The directions are drawn
+    ``_block_width`` at a time, each block one response march.
     """
-    cfg = prob.cfg
-    width = _block_width(cfg)
-    it = iter(controls)
-    while block := list(itertools.islice(it, width)):
-        fols, dists = zip(*block)
-        fol = np.stack(fols) if cfg.configuration == "B" else tuple(map(np.stack, zip(*fols)))
-        dist = None if dists[0] is None else np.stack(dists)
-        del block, fols, dists
-        states = prob.state(fol, dist, leader_arr)
-        yield fol, dist, states
-        del fol, dist, states  # release this block before drawing the next
-
-
-def _rows(controls, rows):
-    """``rows`` of a block's followers or disturbances (an array, a tuple of arrays or None)."""
-    if controls is None:
-        return None
-    return tuple(a[rows] for a in controls) if isinstance(controls, tuple) else controls[rows]
-
-
-def _stationarity_estimate(prob: _Problem, sol: SaddleSolution, leader_arr, rng) -> float:
-    """Max |directional derivative| over STATIONARITY_DIRECTIONS random directions.
-
-    Central differences are exact for the quadratic functionals.  For C/D the
-    derivative is taken in the rho_star-weighted control variable, whose
-    feedback formula is finite through the weight's over/underflow range.
-    """
+    prob = readout.prob
     cfg = prob.cfg
     c = cfg.configuration
     klev, n = cfg.tgrid.n_levels, cfg.grid.n_interior
-    step = 1e-2
+    width = _block_width(cfg)
+    pairs = []
 
-    vbar, psibar = prob.raw(sol.follower, sol.disturbance)
-    # every direction yields the +step control, then the -step one
-    if c == "A":
-        def controls():
-            for _ in range(STATIONARITY_DIRECTIONS):
-                dv = tuple(rng.standard_normal(klev) for _ in vbar)
-                dpsi = rng.standard_normal((klev, n))
-                yield tuple(b + step * d for b, d in zip(vbar, dv)), psibar + step * dpsi
-                yield tuple(b - step * d for b, d in zip(vbar, dv)), psibar - step * dpsi
-    elif c == "B":
-        def controls():
-            for _ in range(STATIONARITY_DIRECTIONS):
-                dv = np.where(prob.b1_mask[None, :], rng.standard_normal((klev, n)), 0.0)
-                dpsi = np.where(prob.b2_mask[None, :], rng.standard_normal((klev, n)), 0.0)
-                yield vbar + step * dv, psibar + step * dpsi
-                yield vbar - step * dv, psibar - step * dpsi
+    def score(residual, r, plus, minus):
+        """The values at the block's +step and -step points, of response ``r`` and costs."""
+        pairs.append(np.stack([_block_values(prob, residual + r, plus),
+                               _block_values(prob, residual - r, minus)], axis=-1))
 
-    values = []
     if c in ("A", "B"):
-        for f, d, y in _blocks(prob, leader_arr, controls()):
-            values += evaluate_functional_raw(prob, f, d, leader_arr, state=y).tolist()
+        vbar, psibar = prob.raw(sol.follower, sol.disturbance)
+        residual = readout.residual(state, 0)
+        for start in range(0, STATIONARITY_DIRECTIONS, width):
+            count = min(width, STATIONARITY_DIRECTIONS - start)
+            if c == "A":
+                dv, dpsi = map(np.stack, zip(*(
+                    (np.array([rng.standard_normal(klev) for _ in vbar]),
+                     rng.standard_normal((klev, n))) for _ in range(count))))
+                source = dpsi
+                edges = {side: rho * (_STEP * dv[:, e])
+                         for e, (side, rho, _) in enumerate(prob.follower_edges)}
+
+                def at(step):
+                    return (tuple(b + step * dv[:, e] for e, b in enumerate(vbar)),
+                            psibar + step * dpsi)
+            else:
+                dv, dpsi = map(np.stack, zip(*(
+                    (np.where(prob.b1_mask[None, :], rng.standard_normal((klev, n)), 0.0),
+                     np.where(prob.b2_mask[None, :], rng.standard_normal((klev, n)), 0.0))
+                    for _ in range(count))))
+                # B's source is v on B1 plus psi on B2, and each direction vanishes off its region
+                source, edges = dv + dpsi, None
+
+                def at(step):
+                    return vbar + step * dv, psibar + step * dpsi
+            # b + (-step) d has the bits of b - step d
+            score(residual, readout.response(0, _STEP * source, readout.plan.s, edges),
+                  _control_costs(prob, *at(_STEP)), _control_costs(prob, *at(-_STEP)))
     else:
         ubars, _ = prob.raw(sol.follower_weighted)
+        weighted = prob.state(tuple(prob.ginv * u for u in ubars), None, leader_arr)
         per_follower = max(1, STATIONARITY_DIRECTIONS // len(ubars))
-        dus = [[rng.standard_normal(klev) for _ in range(per_follower)] for _ in ubars]
-        for i, (ubar, du) in enumerate(zip(ubars, dus)):
-            # follower i's perturbed weighted controls, one row each
-            us = np.array([u for d in du for u in (ubar + step * d, ubar - step * d)])
-            controls = ((tuple(prob.ginv * (u_i if j == i else u) for j, u in enumerate(ubars)),
-                         None) for u_i in us)
-            start = 0
-            for _, _, y in _blocks(prob, leader_arr, controls):
-                values += _functional_weighted(prob, i, us[start:start + len(y)], y).tolist()
-                start += len(y)
-    # np.max propagates a nan derivative, which then fails the stationarity rule
-    derivatives = np.abs(np.subtract(values[0::2], values[1::2])) / (2 * step)
-    return float(np.max(derivatives, initial=0.0))
+        dus = [np.array([rng.standard_normal(klev) for _ in range(per_follower)]) for _ in ubars]
+        dt = cfg.tgrid.dt
 
+        def cost(ell, u):
+            return (0.5 * ell ** 2 * _column_sums(dt * prob.wtrap * u ** 2, 1),)
 
-def _functional_weighted(prob: _Problem, index: int, u_i: np.ndarray, state: np.ndarray):
-    """Cost of follower ``index`` in the weighted variable u = rho_star * v, at its state.
-
-    Takes a leading block axis as ``evaluate_functional_raw`` does.
-    """
-    ell = prob.follower_edges[index][2]
-    value = _tracking_term(prob, state, which=index)
-    value += 0.5 * ell ** 2 * _column_sums(prob.cfg.tgrid.dt * prob.wtrap * u_i ** 2, 1)
-    return value
-
+        for i, (ubar, du, (side, rho, ell)) in enumerate(zip(ubars, dus, prob.follower_edges)):
+            residual = readout.residual(weighted, i)
+            for start in range(0, per_follower, width):
+                d = du[start:start + width]
+                r = readout.response(i, None, None, {side: rho * (prob.ginv * (_STEP * d))})
+                score(residual, r, cost(ell, ubar + _STEP * d), cost(ell, ubar - _STEP * d))
+    return np.concatenate(pairs)

@@ -8,8 +8,10 @@ pairs (``hum._adjoint_pairs``) on demos A and B, the block the probe solves
 at this grid.  It also times demo A's ladder of Galerkin solves
 (``hum.GramBasis.galerkin`` for k = 1 ... kmax and each eps of the config's
 ladder, on a basis that has solved nothing yet), where kmax is the most
-vectors a rung of ``sweep-eps`` uses.  Pin the BLAS threads
-(``OPENBLAS_NUM_THREADS=1``) to compare runs.
+vectors a rung of ``sweep-eps`` uses.  Last, it times ``verify_saddle`` on
+each demo's zero-leader equilibrium with 100 perturbations, the check
+``run`` makes.  Pin the BLAS threads (``OPENBLAS_NUM_THREADS=1``) to compare
+runs.
 """
 
 import copy
@@ -79,3 +81,11 @@ def test_galerkin_ladder(benchmark):
                 basis.galerkin(k, eps)
 
     benchmark.pedantic(ladder, setup=lambda: ((copy.deepcopy(fresh),), {}), rounds=200)
+
+
+@pytest.mark.parametrize("demo", "abcd")
+def test_verify_saddle(benchmark, demo):
+    spec = parse_config(os.path.join(ROOT, "configs", f"demo_{demo}.ini"))
+    cfg = spec.recipe.build(N, N)
+    sol = saddle.solve_optimality(cfg, None, spec.robust)
+    benchmark(saddle.verify_saddle, cfg, sol, None, spec.robust, n_perturbations=100, seed=0)

@@ -240,13 +240,13 @@ def test_run_fails_its_saddle_verdicts_on_a_nan_functional(conf, tmp_path, monke
 
     import stackheat.saddle as saddle_module
 
-    real = saddle_module.evaluate_functional_raw
+    real = saddle_module._block_values
 
     def nan_on_blocks(*args, **kwargs):
-        value = real(*args, **kwargs)
-        return value * np.nan if np.ndim(value) else value
+        return real(*args, **kwargs) * np.nan
 
-    monkeypatch.setattr(saddle_module, "evaluate_functional_raw", nan_on_blocks)
+    # every perturbed and stationarity value is a block value
+    monkeypatch.setattr(saddle_module, "_block_values", nan_on_blocks)
     report = run_experiment(parse_config(small_config(tmp_path, conf, n=8, k=8)), quiet=True)
     verdicts = {v.name: v for v in report.verdicts}
     assert verdicts["saddle_conditions"].status == "fail"

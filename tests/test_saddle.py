@@ -11,13 +11,15 @@ from stackheat.errors import ConvergenceError
 from stackheat.grids import (LEFT, RIGHT, BoundarySet, BoundaryTrace, Region,
                              SpaceTimeField, SpatialGrid, TimeGrid)
 from stackheat.oracle import dense_optimality_solve
+from stackheat.products import qmid_field
 from stackheat.saddle import (_leader_array, _picard_columns, build_problem, evaluate_functional,
                               evaluate_functional_raw, solve_optimality, verify_saddle)
 from stackheat.scenario import (ScenarioConfig, make_initial,
                                 make_target, validate_config)
 
 import _gtsv
-from _instruments import gateaux_check, l2q_norm_interior, reference_equilibria
+from _instruments import (gateaux_check, l2q_norm_interior, reference_deviation_values,
+                          reference_equilibria, reference_stationarity_values)
 from _scenarios import builders, params, random_leader, scenario_a, scenario_b, scenario_c, scenario_d
 
 
@@ -379,17 +381,16 @@ def test_verify_report_does_not_depend_on_the_block_width(conf, monkeypatch):
     one_block = [verify_saddle(cfg, s, None, p, n_perturbations=13, seed=4) for s in (sol, bad)]
     assert one_block[0].passed and one_block[1].worst_perturbation != ()
     widths = []
-    real = saddle.modal_march
+    real = saddle._modal_levels
 
     def recorded(*args, **kwargs):
         out = real(*args, **kwargs)
         widths.append(out.shape[:-2])
         return out
 
-    monkeypatch.setattr(saddle, "modal_march", recorded)
-    # three columns per block: with two players they alternate across block
-    # boundaries, so a block's slice of a player starts at either column;
-    # one column per block: the other player's slice of each block is empty
+    monkeypatch.setattr(saddle, "_modal_levels", recorded)
+    # three deviations per response march: 13 perturbations leave a last
+    # block of one; one per march: every response is a lone march
     for width in (3, 1):
         widths.clear()
         monkeypatch.setattr(saddle, "_BLOCK_BYTES",
@@ -399,51 +400,122 @@ def test_verify_report_does_not_depend_on_the_block_width(conf, monkeypatch):
         assert repr(blocked) == repr(one_block)
 
 
-def _random_controls(prob, rng, scale=1e-2):
-    """Small explicit (follower, disturbance), laid out as ``_Problem.feedback`` returns them.
+@pytest.mark.parametrize("conf", "ABCD")
+def test_verify_marches_the_base_state_once_and_every_response_in_blocks(conf, monkeypatch):
+    # the equilibrium's state is the one march in space (C/D add the state of
+    # the weighted controls for the stationarity check); every deviation is a
+    # column of a modal response march no wider than a block, and the two
+    # points of a stationarity direction share one column
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = parse_config(os.path.join(root, "configs", f"demo_{conf.lower()}.ini"))
+    cfg, p = spec.recipe.build(50, 50), spec.robust
+    sol = solve_optimality(cfg, None, p)
+    spatial, widths = [], []
+    real_march, real_levels = saddle.modal_march, saddle._modal_levels
 
-    Small, so that the tracking term is not drowned by the control costs and
-    a change in its last bit shows in the value.  C/D traces are rho_star^-1
-    times a draw, so their weighted cost is as small (and they vanish at
-    t = 0 and T, where rho_star is infinite).
-    """
-    cfg = prob.cfg
-    klev, n = cfg.tgrid.n_levels, cfg.grid.n_interior
-    c = cfg.configuration
-    if c == "B":
-        return scale * rng.standard_normal((klev, n)), scale * rng.standard_normal((klev, n))
-    weight = prob.ginv if c in "CD" else 1.0
-    follower = tuple(weight * scale * rng.standard_normal(klev) for _ in prob.follower_edges)
-    return follower, scale * rng.standard_normal((klev, n)) if c == "A" else None
+    def march(*args, **kwargs):
+        out = real_march(*args, **kwargs)
+        spatial.append(out.shape)
+        return out
+
+    def levels(*args, **kwargs):
+        out = real_levels(*args, **kwargs)
+        widths.append(out.shape[:-2])
+        return out
+
+    monkeypatch.setattr(saddle, "modal_march", march)
+    monkeypatch.setattr(saddle, "_modal_levels", levels)
+    n_perturbations = 60
+    assert verify_saddle(cfg, sol, None, p, n_perturbations=n_perturbations, seed=3).passed
+    assert spatial == [(cfg.tgrid.n_levels, cfg.grid.n_interior)] * (2 if conf in "CD" else 1)
+    players = 1 if conf == "C" else 2
+    assert all(len(w) == 1 and 1 <= w[0] <= saddle._block_width(cfg) for w in widths)
+    assert sum(w[0] for w in widths) == n_perturbations * players + saddle.STATIONARITY_DIRECTIONS
+    assert len(widths) > players   # 60 perturbations are more than one block at n = 50
+
+
+@pytest.mark.parametrize("n", [12, 50])
+@pytest.mark.parametrize("conf", "ABCD")
+def test_verify_values_agree_with_the_physical_scorer(conf, n, monkeypatch):
+    # every perturbed and stationarity value, read off the base state plus the
+    # response on the observed nodes, agrees with marching the perturbed
+    # controls whole; at C/D's live weight the perturbed costs still swamp the
+    # tracking term (up to 1e116 at n = 50), so the tracking terms are held to
+    # the reference on their own
+    kw = {"s": 0.002} if conf in "CD" else {}
+    cfg = builders()[conf](n=n, k=n, y0_kind="random", target_kind="random", seed=2, **kw)
+    p = params(ell=3.0, ell2=4.0) if conf in "CD" else params()
+    prob = build_problem(cfg, p)
+    leader = _leader_array(prob, random_leader(cfg, seed=3))
+    sol = saddle._solve(prob, leader)
+    f, d = prob.raw(sol.follower, sol.disturbance)
+    state = prob.state(f, d, leader)
+    scale = max(abs(evaluate_functional_raw(prob, f, d, leader, state=state, index=i))
+                for i in range(prob.n_adjoints))
+
+    rng = np.random.default_rng(4)
+    ref_values, ref_tracking = reference_deviation_values(prob, leader, f, d, rng, 100)
+    ref_pairs, ref_pair_tracking = reference_stationarity_values(prob, sol, leader, rng)
+
+    tracking = []
+    real = saddle._block_values
+
+    def recorded(prob, observed, costs):
+        tracking.append(0.5 * qmid_field(observed, observed, cfg.grid, cfg.tgrid.dt))
+        return real(prob, observed, costs)
+
+    monkeypatch.setattr(saddle, "_block_values", recorded)
+    rng = np.random.default_rng(4)
+    readout = saddle._Readout(prob)
+    players = saddle._players(prob, f, d, rng)
+    values = saddle._deviation_values(readout, state, players, 100, rng)
+    # each block scores its players in turn
+    value_tracking = np.stack([np.concatenate(tracking[k::len(players)])
+                               for k in range(len(players))], axis=1)
+    tracking.clear()
+    pairs = saddle._stationarity_values(readout, state, sol, leader, rng)
+    # each block scores its +step points, then its -step points
+    pair_tracking = np.stack([np.concatenate(tracking[0::2]), np.concatenate(tracking[1::2])],
+                             axis=1)
+
+    assert values.shape == ref_values.shape and pairs.shape == ref_pairs.shape
+    assert np.max(np.abs(values - ref_values)) <= 1e-12 * scale
+    assert np.max(np.abs(pairs - ref_pairs)) <= 1e-12 * scale
+    for new, ref in ((value_tracking, ref_tracking), (pair_tracking, ref_pair_tracking)):
+        assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("conf", "ABCD")
-def test_block_functional_equals_lone_calls_bit_for_bit(conf):
-    # B's tracking, control and disturbance terms are all masked pairings,
-    # which a block must sum node-major, in the memory order of a lone sum
+def test_block_functional_equals_lone_calls_bit_for_bit(conf, monkeypatch):
+    # a block of one player's deviations, a strided slice of it and each
+    # deviation alone score the same bits: the response march, its read-back
+    # and the quadratures (B's masked costs node-major) keep each column's
+    # lone arithmetic; so do the stationarity values at every block width
     cfg, p = _verify_case(conf)
     prob = build_problem(cfg, p)
     leader = _leader_array(prob, random_leader(cfg, seed=3))
+    sol = saddle._solve(prob, leader)
+    f, d = prob.raw(sol.follower, sol.disturbance)
+    state = prob.state(f, d, leader)
+    readout = saddle._Readout(prob)
+    residuals = [readout.residual(state, i) for i in range(prob.n_adjoints)]
     rng = np.random.default_rng(5)
-    cols = [_random_controls(prob, rng) for _ in range(7)]
-    (f, d, y), = saddle._blocks(prob, leader, iter(cols))
-    us = rng.standard_normal((len(cols), cfg.tgrid.n_levels))
-    every_other = slice(1, None, 2)   # a strided block, as verify_saddle scores each player
-    for index in range(prob.n_adjoints):
-        lone = np.array([evaluate_functional_raw(prob, fj, dj, leader, index=index)
-                         for fj, dj in cols])
-        block = evaluate_functional_raw(prob, f, d, leader, state=y, index=index)
+    every_other = slice(1, None, 2)
+    for player in saddle._players(prob, f, d, rng):
+        deviations = np.stack([player.draw(m) for m in rng.uniform(1e-3, 1.0, 7)])
+        block = saddle._player_values(readout, residuals, player, deviations)
+        lone = np.concatenate([saddle._player_values(readout, residuals, player, deviations[j:j + 1])
+                               for j in range(len(deviations))])
+        strided = saddle._player_values(readout, residuals, player, deviations[every_other])
         assert block.tobytes() == lone.tobytes()
-        strided = evaluate_functional_raw(prob, saddle._rows(f, every_other),
-                                          saddle._rows(d, every_other), leader,
-                                          state=y[every_other], index=index)
         assert strided.tobytes() == lone[every_other].tobytes()
-        if conf in "CD":
-            lone_weighted = np.array([
-                saddle._functional_weighted(prob, index, u, prob.state(fj, dj, leader))
-                for u, (fj, dj) in zip(us, cols)])
-            assert saddle._functional_weighted(prob, index, us, y).tobytes() \
-                == lone_weighted.tobytes()
+    pairs = []
+    for width in (saddle.STATIONARITY_DIRECTIONS, 3, 1):
+        monkeypatch.setattr(saddle, "_BLOCK_BYTES",
+                            width * 8 * cfg.tgrid.n_levels * cfg.grid.n_interior)
+        pairs.append(saddle._stationarity_values(readout, state, sol, leader,
+                                                 np.random.default_rng(6)).tobytes())
+    assert pairs[1:] == pairs[:1] * 2
 
 
 def test_saddle_verification_config_a():
