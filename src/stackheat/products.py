@@ -117,6 +117,32 @@ def qmid_field(f: np.ndarray, g: np.ndarray, grid: SpatialGrid, dt: float,
     return dt * grid.dx * _column_sums(prod, 2)
 
 
+def _view(flat: np.ndarray, shape) -> np.ndarray:
+    """The leading part of the flat buffer ``flat`` as a C-contiguous array of ``shape``."""
+    return flat[:math.prod(shape)].reshape(shape)
+
+
+def qmid_field_inplace(f: np.ndarray, scratch: np.ndarray, grid: SpatialGrid, dt: float,
+                       levels: int = -2) -> np.ndarray:
+    """``qmid_field(f, f, grid, dt)`` of a (w, ., .) block, with no temporary of its size.
+
+    ``levels`` is the axis of ``f``'s time levels: -2 for level-major
+    columns, -1 for node-major ones, the layout of a masked pairing.  ``f``
+    is halved in place, its neighbouring halves are added into the leading
+    part of the flat ``scratch`` and squared there, and each column's
+    contiguous row is summed: ``favg``'s rounding and ``_column_sums``'
+    order, so each column has the bits of ``qmid_field``.
+    """
+    shape = list(f.shape)
+    shape[levels] -= 1
+    avg = _view(scratch, shape)
+    f *= 0.5
+    lead = (slice(None),) * (levels % f.ndim)
+    np.add(f[lead + (slice(1, None),)], f[lead + (slice(None, -1),)], out=avg)
+    np.multiply(avg, avg, out=avg)
+    return dt * grid.dx * _column_sums(avg, 2)
+
+
 def qmid_trace(u: np.ndarray, w: np.ndarray, dt: float):
     """Midpoint pairing of two endpoint time traces (counting measure).
 

@@ -52,16 +52,15 @@ edges' control divisors are ``_Problem.edge_gains``.
 
 ``verify_saddle`` marches the equilibrium's state once, in space, and every
 perturbed state as that state plus the response of the homogeneous problem
-to the deviation alone (the state is affine in the controls).  The
-responses are ``_modal_levels`` marches in the grid pair's plan, a block of
-deviations at a time, so the checks build no ``_Problem.modal``: an edge
-deviation enters as a rank-one row of S, a field deviation by one product
-with the rows of S at its nodes, and a response is read back on the
-observed nodes only (``_Readout``).  Each perturbed value is a direct
-evaluation of the functional, a tracking term on those nodes plus
-``_control_costs``, with no expansion in the deviation and no adjoint.
-Each column keeps the arithmetic and the summation order of its lone solve,
-so every value has the same bits whatever the batch width.
+to the deviation alone (the state is affine in the controls): a
+``_modal_levels`` march of a block of deviations, read back on the observed
+nodes only (``_Readout``).  Each perturbed value is a direct evaluation of
+the functional, a tracking term on those nodes plus ``_control_costs``,
+with no adjoint.  A call draws, forces, reads back and scores every block
+in a few flat buffers that its ``_Readout`` owns and releases with it, so
+no block allocates an array of its size, and each value keeps the
+elementwise operations and summation order of its lone evaluation: the
+same bits whatever the block width.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -79,7 +78,7 @@ from .errors import ConvergenceError, NonContractionError
 from .grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField
 from .heat import (_assemble_field, _modal_levels, _plan, modal_march,
                    normal_derivative_o1, trapezoid_time_weights)
-from .products import _column_sums, qmid_field, qmid_trace
+from .products import _column_sums, _view, qmid_field, qmid_field_inplace, qmid_trace
 from .scenario import RobustParams, ScenarioConfig, require_valid
 from .weights import _capped_exp, _exp_neg, rho_star_log, rho_star_inv_sq
 
@@ -87,9 +86,9 @@ from .weights import _capped_exp, _exp_neg, rho_star_log, rho_star_inv_sq
 # solves its adjoint pairs, in blocks of columns, each block one batched march
 # (verify's, one per player).  The width keeps one (width, n_levels,
 # n_interior) float array within this many bytes (25 columns at
-# n_interior = n_steps = 50); a block of verify's holds a few such arrays: the
-# field draws, their perturbed controls and the march's two buffers, while its
-# responses are read back on the observed nodes only.
+# n_interior = n_steps = 50).  A verify call owns a few buffers of a block
+# (``_Readout``), allocated once per call and released with it; a scratch kept
+# for the process raised peak RSS and moved the page faults to the CSV writer.
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -839,99 +838,103 @@ class VerifyReport:
         return self.conditions_hold and self.stationary
 
 
-@dataclass(frozen=True)
-class _Player:
-    """One player of a follower equilibrium and its random unilateral deviation."""
-
-    label: str           # names the offender in ``VerifyReport.worst_perturbation``
-    index: int           # whose cost it plays on: the follower index in D, else 0
-    maximizes: bool      # the disturbance maximizes, every control minimizes
-    draw: Callable       # magnitude -> one deviation of its control
-    forcing: Callable    # stacked deviations -> (source, rows, edges) of ``_Readout.response``
-    controls: Callable   # stacked deviations -> the perturbed (follower, disturbance)
+# A player of a follower equilibrium and its random unilateral deviation: ``label``
+# names an offender, ``index`` is whose cost it plays on (the follower in D, else 0),
+# the disturbance alone ``maximizes``; ``draw(out, m)`` draws one deviation of
+# ``shape`` and magnitude m into ``out``, and ``forcing(block)`` and ``costs(readout,
+# block)`` are a block's ``_Readout.response`` inputs and perturbed ``_control_costs``.
+_Player = collections.namedtuple("_Player", "label index maximizes shape draw forcing costs")
 
 
 def _players(prob: _Problem, follower, disturbance, rng) -> list:
     """The players of the equilibrium at the raw controls (follower, disturbance).
 
     A/B: the control and the disturbance of a saddle point; C: the one
-    follower; D: the two followers of a Nash pair.  A deviation is drawn in
-    the layout its response march takes it: A's control as one row per
-    follower edge, A's disturbance as an interior field, B's control and
-    disturbance on their regions' nodes only, a C/D follower as its trace.
-    Its values are those of the perturbed controls ``controls`` returns, and
-    the draws are made in the order and with the bits of drawing those.
+    follower; D: the two followers of a Nash pair.  A deviation is drawn,
+    with the bits of drawing the perturbed control whole, in the layout its
+    march takes: A's control one row per edge, A's disturbance a field, B's
+    on its region's nodes only, a C/D follower its trace.  The terms of the
+    players it leaves alone are their lone ``_control_costs``, formed once.
     """
-    cfg = prob.cfg
+    cfg, params = prob.cfg, prob.params
     c = cfg.configuration
-    klev, n = cfg.tgrid.n_levels, cfg.grid.n_interior
+    klev, n, dt = cfg.tgrid.n_levels, cfg.grid.n_interior, cfg.tgrid.dt
     s = _plan(cfg.grid, cfg.tgrid).s
+    # rho_star is infinite at t = 0 and T (C/D): a deviation there has infinite
+    # cost, saturates every perturbed value at the cap and hides any
+    # violation, so the perturbations vanish on those levels
+    dead = False if prob.log_g2 is None else ~np.isfinite(prob.log_g2)
+
+    def draw(out, m):
+        rng.standard_normal(out=out)
+        out *= m
+        np.copyto(out, 0.0, where=dead)
+
+    if c in ("A", "B"):
+        fixed = _control_costs(prob, follower, disturbance)
+        ell2, gamma2 = 0.5 * params.ell ** 2, -0.5 * params.gamma ** 2
     if c == "A":
         sides = [(side, rho) for side, rho, _ in prob.follower_edges]
         return [
-            _Player("control", 0, False,
-                    lambda m: np.array([m * rng.standard_normal(klev) for _ in follower]),
+            _Player("control", 0, False, (len(sides), klev), draw,
                     lambda dv: (None, None, {side: rho * dv[:, e]
                                              for e, (side, rho) in enumerate(sides)}),
-                    lambda dv: (tuple(v + dv[:, e] for e, v in enumerate(follower)),
-                                disturbance)),
-            _Player("disturbance", 0, True,
-                    lambda m: m * rng.standard_normal((klev, n)),
+                    lambda readout, dv: tuple(ell2 * qmid_trace(u, u, dt) for u in (
+                        v + dv[:, e] for e, v in enumerate(follower))) + fixed[-1:]),
+            _Player("disturbance", 0, True, (klev, n), draw,
                     lambda dpsi: (dpsi, s, None),
-                    lambda dpsi: (follower, disturbance + dpsi)),
+                    lambda readout, dpsi: fixed[:-1] + (readout.cost(gamma2, disturbance, dpsi),)),
         ]
     if c == "B":
         b1, b2 = np.flatnonzero(prob.b1_mask), np.flatnonzero(prob.b2_mask)
         rows1, rows2 = s[b1], s[b2]
-
-        def plus(base, nodes, d):
-            """``base`` plus each deviation of the block ``d`` on ``nodes``, one column each."""
-            out = np.repeat(base[None], len(d), axis=0)
-            out[..., nodes] += d
-            return out
-
+        # a region's cost sums node-major, as qmid_field(mask=...) does
+        v1, psi2 = follower[:, b1].T, disturbance[:, b2].T
         return [
-            _Player("control", 0, False,
-                    lambda m: m * rng.standard_normal((klev, len(b1))),
+            _Player("control", 0, False, (klev, len(b1)), draw,
                     lambda dv: (dv, rows1, None),
-                    lambda dv: (plus(follower, b1, dv), disturbance)),
-            _Player("disturbance", 0, True,
-                    lambda m: m * rng.standard_normal((klev, len(b2))),
+                    lambda readout, dv: (readout.cost(ell2, v1, dv.transpose(0, 2, 1), -1),
+                                         fixed[1])),
+            _Player("disturbance", 0, True, (klev, len(b2)), draw,
                     lambda dpsi: (dpsi, rows2, None),
-                    lambda dpsi: (follower, plus(disturbance, b2, dpsi))),
+                    lambda readout, dpsi: (fixed[0], readout.cost(
+                        gamma2, psi2, dpsi.transpose(0, 2, 1), -1))),
         ]
-    # rho_star is infinite at t = 0 and T: a deviation there has infinite
-    # cost, saturates every perturbed value at the cap and hides any
-    # violation, so the perturbations vanish on those levels
-    live = np.isfinite(prob.log_g2)
 
     def deviate(i, side, rho):
-        return _Player(f"control {i + 1}", i, False,
-                       lambda m: np.where(live, m * rng.standard_normal(klev), 0.0),
+        return _Player(f"control {i + 1}", i, False, (klev,), draw,
                        lambda dv: (None, None, {side: rho * dv}),
-                       lambda dv: (tuple(v + dv if j == i else v for j, v in enumerate(follower)),
-                                   None))
+                       lambda readout, dv: _control_costs(prob, tuple(
+                           v + dv if j == i else v for j, v in enumerate(follower)), None, i))
 
     return [deviate(i, side, rho) for i, (side, rho, _) in enumerate(prob.follower_edges)]
 
 
 class _Readout:
-    """The checks' view of a problem: its observed nodes and its response marches.
+    """The checks' view of a problem: its observed nodes, response marches and scratch.
 
-    ``plan`` is the grid pair's march plan (``heat._plan``), whose S and
-    buffers every response march takes, so the checks build no
-    ``_Problem.modal``.  Per observation region, ``nodes`` are its interior
-    nodes, ``columns`` the columns of S at them (the product that reads
-    modal levels back there) and ``targets`` its target there.
+    ``plan`` is the grid pair's march plan (``heat._plan``).  Per observation
+    region, ``nodes`` are its interior nodes, ``columns`` the columns of S at
+    them and ``targets`` its target there.  The scratch, one
+    ``verify_saddle`` call's, holds ``width`` columns: ``draws`` a block per
+    player, the flat ``field`` their perturbed controls (and, with ``avg``,
+    B's whole stationarity draws), ``avg`` their midpoint averages and
+    ``readback`` their responses on the observed nodes.
     """
 
-    def __init__(self, prob: _Problem):
+    def __init__(self, prob: _Problem, players: list):
         cfg = prob.cfg
-        self.prob = prob
+        self.prob, self.players = prob, players
         self.plan = _plan(cfg.grid, cfg.tgrid)
+        self.width = _block_width(cfg)
         self.nodes = tuple(np.flatnonzero(m) for m in prob.obs_masks)
         self.columns = tuple(np.ascontiguousarray(self.plan.s[:, k]) for k in self.nodes)
         self.targets = tuple(t[..., k] for t, k in zip(prob.targets, self.nodes))
+        self.draws = tuple(np.empty((self.width,) + player.shape) for player in players)
+        rows = self.width * cfg.tgrid.n_levels
+        observed = rows * max(map(len, self.nodes))
+        whole = rows * cfg.grid.n_interior if cfg.configuration in "AB" else observed
+        self.field, self.avg, self.readback = np.empty(whole), np.empty(whole), np.empty(observed)
 
     def residual(self, state: np.ndarray, which: int) -> np.ndarray:
         """``state`` less the target on region ``which``'s nodes: (*B, n_levels, n_obs)."""
@@ -943,30 +946,32 @@ class _Readout:
         ``source`` (w, n_levels, m) is a field deviation on the m nodes whose
         rows of S are ``rows``, and ``edges`` maps a side to its Dirichlet
         deviation (w, n_levels); either may be None.  The block is one
-        ``_modal_levels`` march from a zero datum: the field enters by one
-        product with ``rows``, formed in the march's scratch, and an edge as
-        the march's rank-one row of S, with no transform.  The levels are
-        read back by one product with ``columns``.  Returns
-        (w, n_levels, n_obs), each column the bits of its lone response.
+        ``_modal_levels`` march from a zero datum, the field entering by one
+        product with ``rows`` in the march's scratch, read back into
+        ``readback`` by one product with ``columns``: (w, n_levels, n_obs),
+        each column the bits of its lone response.
         """
         width = len(source if source is not None else next(iter(edges.values())))
         wk = self.plan.work((width,))
         if source is not None:
             source = np.matmul(source, rows, out=wk.z_columns)
-        return _modal_levels(wk, None, source, edges) @ self.columns[which]
+        levels = _modal_levels(wk, None, source, edges)
+        return np.matmul(levels, self.columns[which],
+                         out=_view(self.readback, levels.shape[:-1] + self.nodes[which].shape))
+
+    def cost(self, coef, base: np.ndarray, delta: np.ndarray, levels: int = -2) -> np.ndarray:
+        """``coef`` times each column's midpoint norm of base + delta (w, a, b), in ``field``.
+
+        ``delta`` may be ``field``'s own block; ``levels`` is ``qmid_field_inplace``'s."""
+        cfg = self.prob.cfg
+        f = np.add(base, delta, out=_view(self.field, delta.shape))
+        return coef * qmid_field_inplace(f, self.avg, cfg.grid, cfg.tgrid.dt, levels)
 
 
-def _block_values(prob: _Problem, observed: np.ndarray, costs: tuple) -> np.ndarray:
-    """Functional values of a block of perturbed states from their observed residuals.
-
-    ``observed`` is (w, n_levels, n_obs): each column's state less the
-    target on the nodes of the region its cost observes.  A value is the
-    tracking term, the midpoint pairing of ``observed`` with itself, plus
-    each of ``costs`` (``_control_costs`` of the perturbed controls, or C/D's
-    weighted cost); each column has the bits of its lone value.
-    """
-    cfg = prob.cfg
-    value = 0.5 * qmid_field(observed, observed, cfg.grid, cfg.tgrid.dt)
+def _block_values(readout: _Readout, observed: np.ndarray, costs: tuple) -> np.ndarray:
+    """Each column's tracking term of ``observed`` (a readout buffer, consumed) plus ``costs``."""
+    cfg = readout.prob.cfg
+    value = 0.5 * qmid_field_inplace(observed, readout.avg, cfg.grid, cfg.tgrid.dt)
     for term in costs:
         value += term
     return value
@@ -975,36 +980,31 @@ def _block_values(prob: _Problem, observed: np.ndarray, costs: tuple) -> np.ndar
 def _player_values(readout: _Readout, residuals: list, player: _Player,
                    deviations: np.ndarray) -> np.ndarray:
     """The player's cost at each of its stacked ``deviations``: one response march."""
-    prob = readout.prob
     observed = readout.response(player.index, *player.forcing(deviations))
     observed += residuals[player.index]
-    return _block_values(prob, observed,
-                         _control_costs(prob, *player.controls(deviations), player.index))
+    return _block_values(readout, observed, player.costs(readout, deviations))
 
 
-def _deviation_values(readout: _Readout, state: np.ndarray, players: list,
-                      n_perturbations: int, rng) -> np.ndarray:
+def _deviation_values(readout: _Readout, state: np.ndarray, n_perturbations: int,
+                      rng) -> np.ndarray:
     """The value of every deviation, (n_perturbations, n_players), in the order drawn.
 
-    Each perturbation draws one magnitude and deviates each player alone;
-    the value is that player's cost, from the equilibrium's ``state``.  The
-    draws are made ``_block_width`` perturbations at a time, each player's
-    deviations of a block are one response march (``_player_values``), and
-    a block is released before the next one is drawn.
+    Each perturbation draws one magnitude and deviates each of ``readout.players``
+    alone, scored on its cost from the equilibrium's ``state``: ``readout.width``
+    perturbations at a time into ``readout.draws``, a march per player and block.
     """
-    prob = readout.prob
-    residuals = [readout.residual(state, i) for i in range(prob.n_adjoints)]
+    residuals = [readout.residual(state, i) for i in range(readout.prob.n_adjoints)]
+    players = readout.players
     lo, hi = PERTURBATION_MAGNITUDES
-    width = _block_width(prob.cfg)
     values = np.empty((n_perturbations, len(players)))
-    for start in range(0, n_perturbations, width):
-        block = []
-        for _ in range(min(width, n_perturbations - start)):
+    for start in range(0, n_perturbations, readout.width):
+        blocks = [d[:n_perturbations - start] for d in readout.draws]
+        for row in range(len(blocks[0])):
             m = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-            block.append([player.draw(m) for player in players])
-        for k, (player, drawn) in enumerate(zip(players, zip(*block))):
-            values[start:start + len(block), k] = _player_values(readout, residuals, player,
-                                                                 np.stack(drawn))
+            for player, block in zip(players, blocks):
+                player.draw(block[row], m)
+        for k, (player, block) in enumerate(zip(players, blocks)):
+            values[start:start + len(block), k] = _player_values(readout, residuals, player, block)
     return values
 
 
@@ -1019,12 +1019,10 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
     ``sol``, not read from ``sol.functional_value``.  Additionally estimates
     the first-order stationarity of the discrete functional by exact central
     differences (the functional is quadratic in the well-scaled variables).
-    The equilibrium's state is one march in space; every perturbed state is
-    that state plus the response to its deviation alone, read on the
-    observed nodes (``_Readout``), and the checks score their perturbed
-    controls a block at a time (``_deviation_values``,
-    ``_stationarity_values``).  Every value has the bits of its lone
-    evaluation, whatever the block width.  At least one perturbation is
+    The checks draw and score a block of deviations at a time in the
+    buffers of a ``_Readout`` that the call owns and releases, so no block
+    allocates an array of its size, and every value has the bits of its
+    lone evaluation whatever the block width.  At least one perturbation is
     required: none would pass without testing anything.
     """
     if n_perturbations < 1:
@@ -1037,10 +1035,10 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
     jbars = [evaluate_functional_raw(prob, follower, disturbance, leader_arr, state=state, index=i)
              for i in range(prob.n_adjoints)]
     players = _players(prob, follower, disturbance, rng)
-    readout = _Readout(prob)
+    readout = _Readout(prob, players)
 
     # entry j of the gains is perturbation j // npl of player j % npl
-    values = _deviation_values(readout, state, players, n_perturbations, rng)
+    values = _deviation_values(readout, state, n_perturbations, rng)
     jbar = np.array([jbars[player.index] for player in players])
     maximizes = np.array([player.maximizes for player in players])
     gains = np.where(maximizes, values - jbar, jbar - values).ravel().tolist()
@@ -1070,54 +1068,56 @@ def _stationarity_values(readout: _Readout, state: np.ndarray, sol: SaddleSoluti
     A/B: each of STATIONARITY_DIRECTIONS directions deviates both controls
     of the saddle at once, from the equilibrium's ``state``, and its two
     points share one response: y(x +- step d) = y(x) +- L(step d).  C/D: the
-    derivative is taken in the rho_star-weighted control variable
-    u = rho_star * v, whose feedback formula is finite through the weight's
-    over/underflow range: the directions are split between the followers,
-    each deviating one, and scored on its weighted cost from the state of
-    the weighted controls, a march of its own.  The directions are drawn
-    ``_block_width`` at a time, each block one response march.
+    derivative is taken in the rho_star-weighted control u = rho_star * v,
+    whose feedback is finite through the weight's over/underflow range: the
+    directions are split between the followers, each deviating one, scored
+    on its weighted cost from the state of the weighted controls.  The
+    directions are drawn ``readout.width`` at a time, each block one march.
     """
-    prob = readout.prob
-    cfg = prob.cfg
+    prob, cfg = readout.prob, readout.prob.cfg
     c = cfg.configuration
     klev, n = cfg.tgrid.n_levels, cfg.grid.n_interior
-    width = _block_width(cfg)
+    width = readout.width
     pairs = []
 
     def score(residual, r, plus, minus):
         """The values at the block's +step and -step points, of response ``r`` and costs."""
-        pairs.append(np.stack([_block_values(prob, residual + r, plus),
-                               _block_values(prob, residual - r, minus)], axis=-1))
+        point = _view(readout.field, r.shape)
+        pairs.append(np.stack([_block_values(readout, op(residual, r, out=point), costs)
+                               for op, costs in ((np.add, plus), (np.subtract, minus))], axis=-1))
 
     if c in ("A", "B"):
-        vbar, psibar = prob.raw(sol.follower, sol.disturbance)
+        control, disturbance = readout.players
         residual = readout.residual(state, 0)
         for start in range(0, STATIONARITY_DIRECTIONS, width):
             count = min(width, STATIONARITY_DIRECTIONS - start)
+            dv, dpsi = (d[:count] for d in readout.draws)
+            # B draws each direction's v and psi whole, into field and avg
+            drawn = (dv, dpsi) if c == "A" else [_view(buf, (count, klev, n))
+                                                 for buf in (readout.field, readout.avg)]
+            for i in range(count):
+                for d in drawn:
+                    rng.standard_normal(out=d[i])
+            if c == "B":
+                for f, d, mask in zip(drawn, (dv, dpsi), (prob.b1_mask, prob.b2_mask)):
+                    # the costs read the region's nodes; "clip" takes them unbuffered
+                    np.take(f, np.flatnonzero(mask), axis=2, out=d, mode="clip")
+                    f[..., ~mask] = 0.0   # as np.where draws it
+                # B's source is v on B1 plus psi on B2
+                source = np.add(*drawn, out=drawn[0])
+                forcing = (np.multiply(_STEP, source, out=source), readout.plan.s, None)
+            dv *= _STEP
+            dpsi *= _STEP
             if c == "A":
-                dv, dpsi = map(np.stack, zip(*(
-                    (np.array([rng.standard_normal(klev) for _ in vbar]),
-                     rng.standard_normal((klev, n))) for _ in range(count))))
-                source = dpsi
-                edges = {side: rho * (_STEP * dv[:, e])
-                         for e, (side, rho, _) in enumerate(prob.follower_edges)}
-
-                def at(step):
-                    return (tuple(b + step * dv[:, e] for e, b in enumerate(vbar)),
-                            psibar + step * dpsi)
-            else:
-                dv, dpsi = map(np.stack, zip(*(
-                    (np.where(prob.b1_mask[None, :], rng.standard_normal((klev, n)), 0.0),
-                     np.where(prob.b2_mask[None, :], rng.standard_normal((klev, n)), 0.0))
-                    for _ in range(count))))
-                # B's source is v on B1 plus psi on B2, and each direction vanishes off its region
-                source, edges = dv + dpsi, None
-
-                def at(step):
-                    return vbar + step * dv, psibar + step * dpsi
-            # b + (-step) d has the bits of b - step d
-            score(residual, readout.response(0, _STEP * source, readout.plan.s, edges),
-                  _control_costs(prob, *at(_STEP)), _control_costs(prob, *at(-_STEP)))
+                forcing = disturbance.forcing(dpsi)[:2] + control.forcing(dv)[2:]
+            r = readout.response(0, *forcing)
+            points = []
+            for _ in range(2):   # +step, then -step: -(step d) has the bits of (-step) d
+                points.append(control.costs(readout, dv)[:-1]
+                              + disturbance.costs(readout, dpsi)[-1:])
+                for d in (dv, dpsi):
+                    np.negative(d, out=d)
+            score(residual, r, *points)
     else:
         ubars, _ = prob.raw(sol.follower_weighted)
         weighted = prob.state(tuple(prob.ginv * u for u in ubars), None, leader_arr)

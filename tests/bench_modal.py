@@ -10,13 +10,18 @@ at this grid.  It also times demo A's ladder of Galerkin solves
 ladder, on a basis that has solved nothing yet), where kmax is the most
 vectors a rung of ``sweep-eps`` uses.  Last, it times ``verify_saddle`` on
 each demo's zero-leader equilibrium with 100 perturbations, the check
-``run`` makes.  Pin the BLAS threads (``OPENBLAS_NUM_THREADS=1``) to compare
-runs.
+``run`` makes, and stores in ``extra_info`` two counts of one warm call:
+its minor page faults (``minor_faults``, the ``ru_minflt`` delta of
+``getrusage``, on Linux only) and its ``tracemalloc`` peak in bytes
+(``tracemalloc_peak_bytes``).  Pin the BLAS threads
+(``OPENBLAS_NUM_THREADS=1``) to compare runs.
 """
 
 import copy
 import dataclasses
 import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,4 +93,21 @@ def test_verify_saddle(benchmark, demo):
     spec = parse_config(os.path.join(ROOT, "configs", f"demo_{demo}.ini"))
     cfg = spec.recipe.build(N, N)
     sol = saddle.solve_optimality(cfg, None, spec.robust)
-    benchmark(saddle.verify_saddle, cfg, sol, None, spec.robust, n_perturbations=100, seed=0)
+
+    def call():
+        return saddle.verify_saddle(cfg, sol, None, spec.robust, n_perturbations=100, seed=0)
+
+    call()   # the grid pair's march plan and its buffers exist from here on
+    if sys.platform.startswith("linux"):
+        import resource
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        call()
+        benchmark.extra_info["minor_faults"] = (
+            resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    tracemalloc.start()
+    try:
+        call()
+        benchmark.extra_info["tracemalloc_peak_bytes"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark(call)

@@ -5,7 +5,8 @@ import pytest
 
 from stackheat.errors import EmptyRegionError
 from stackheat.grids import Region, SpaceTimeField, SpatialGrid, TimeGrid
-from stackheat.products import h10_norm, hminus1_norm, l2_q, qmid_field, qmid_trace
+from stackheat.products import (h10_norm, hminus1_norm, l2_q, qmid_field, qmid_field_inplace,
+                                qmid_trace)
 
 from _instruments import banded_lift
 
@@ -113,3 +114,32 @@ def test_qmid_pairings_of_a_block_equal_lone_calls_bit_for_bit(layout, masked):
                           for a, b in zip(f, g)])):
         assert isinstance(lone[0], float)
         assert block.tobytes() == np.array(lone).tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 7, 25])
+@pytest.mark.parametrize("masked", [False, True])
+def test_qmid_field_inplace_equals_qmid_field_bit_for_bit(width, masked):
+    # the in-place pairing of a block, level-major or (masked) node-major on
+    # the mask's nodes as verify lays a region's controls out, has the bits
+    # of qmid_field, special values included: column j holds -0.0, a
+    # subnormal, +-inf or nan at a few places, and the scratch starts as nan
+    grid, tgrid = make_grids(n=30, k=33)
+    rng = np.random.default_rng(6)
+    f = rng.standard_normal((width, tgrid.n_levels, grid.n_interior))
+    special = [-0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, -0.0]
+    for j, column in enumerate(f.reshape(width, -1)):
+        column[rng.choice(column.size, 3, replace=False)] = special[j % len(special)]
+    f[0, :, :3] = -0.0   # a column with whole rows of -0.0, and its last rows subnormal
+    f[0, -2:] = 1e-320
+    scratch = np.full(f.size, np.nan)
+    mask, levels, block = None, -2, f.copy()
+    if masked:
+        mask, levels = Region(0.2, 0.7).interior_mask(grid), -1
+        block = np.take(np.swapaxes(f, -1, -2), np.flatnonzero(mask), axis=-2)
+    with np.errstate(all="ignore"):
+        ref = qmid_field(f, f, grid, tgrid.dt, mask=mask)
+        got = qmid_field_inplace(block, scratch, grid, tgrid.dt, levels)
+    assert got.shape == (width,) and block.flags.c_contiguous
+    assert got.tobytes() == ref.tobytes()
+    if width > 1:   # finite columns and non-finite ones both occur
+        assert np.isfinite(ref).any() and not np.isfinite(ref).all()

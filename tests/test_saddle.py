@@ -1,6 +1,10 @@
 """Follower equilibria: oracle equivalence, stationarity, saddle inequalities."""
 
+import inspect
 import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -460,15 +464,16 @@ def test_verify_values_agree_with_the_physical_scorer(conf, n, monkeypatch):
     tracking = []
     real = saddle._block_values
 
-    def recorded(prob, observed, costs):
+    def recorded(readout, observed, costs):
+        # before the scorer consumes the readout's buffer
         tracking.append(0.5 * qmid_field(observed, observed, cfg.grid, cfg.tgrid.dt))
-        return real(prob, observed, costs)
+        return real(readout, observed, costs)
 
     monkeypatch.setattr(saddle, "_block_values", recorded)
     rng = np.random.default_rng(4)
-    readout = saddle._Readout(prob)
     players = saddle._players(prob, f, d, rng)
-    values = saddle._deviation_values(readout, state, players, 100, rng)
+    readout = saddle._Readout(prob, players)
+    values = saddle._deviation_values(readout, state, 100, rng)
     # each block scores its players in turn
     value_tracking = np.stack([np.concatenate(tracking[k::len(players)])
                                for k in range(len(players))], axis=1)
@@ -497,12 +502,15 @@ def test_block_functional_equals_lone_calls_bit_for_bit(conf, monkeypatch):
     sol = saddle._solve(prob, leader)
     f, d = prob.raw(sol.follower, sol.disturbance)
     state = prob.state(f, d, leader)
-    readout = saddle._Readout(prob)
-    residuals = [readout.residual(state, i) for i in range(prob.n_adjoints)]
     rng = np.random.default_rng(5)
+    players = saddle._players(prob, f, d, rng)
+    readout = saddle._Readout(prob, players)
+    residuals = [readout.residual(state, i) for i in range(prob.n_adjoints)]
     every_other = slice(1, None, 2)
-    for player in saddle._players(prob, f, d, rng):
-        deviations = np.stack([player.draw(m) for m in rng.uniform(1e-3, 1.0, 7)])
+    for player in players:
+        deviations = np.empty((7,) + player.shape)
+        for out, m in zip(deviations, rng.uniform(1e-3, 1.0, 7)):
+            player.draw(out, m)
         block = saddle._player_values(readout, residuals, player, deviations)
         lone = np.concatenate([saddle._player_values(readout, residuals, player, deviations[j:j + 1])
                                for j in range(len(deviations))])
@@ -513,9 +521,75 @@ def test_block_functional_equals_lone_calls_bit_for_bit(conf, monkeypatch):
     for width in (saddle.STATIONARITY_DIRECTIONS, 3, 1):
         monkeypatch.setattr(saddle, "_BLOCK_BYTES",
                             width * 8 * cfg.tgrid.n_levels * cfg.grid.n_interior)
+        # a readout's buffers are as wide as the block width when it is built
+        readout = saddle._Readout(prob, players)
         pairs.append(saddle._stationarity_values(readout, state, sol, leader,
                                                  np.random.default_rng(6)).tobytes())
     assert pairs[1:] == pairs[:1] * 2
+
+
+def _verify_capture(root, cases) -> list:
+    """``verify_saddle`` on each (demo, n) in turn, in this process: its report and the bytes
+    of the deviation and stationarity values it scored.
+
+    Each case is the demo's zero-leader equilibrium at n = K = n, checked
+    with 100 perturbations and seed 0.  The source of this function is also
+    the script a fresh interpreter runs.
+    """
+    import os
+
+    from stackheat import saddle
+    from stackheat.config import parse_config
+
+    real, seen = (saddle._deviation_values, saddle._stationarity_values), []
+
+    def keep(scorer):
+        def kept(*args):
+            values = scorer(*args)
+            seen.append(values.tobytes())
+            return values
+        return kept
+
+    saddle._deviation_values, saddle._stationarity_values = map(keep, real)
+    try:
+        out = []
+        for demo, n in cases:
+            spec = parse_config(os.path.join(root, "configs", f"demo_{demo}.ini"))
+            cfg = spec.recipe.build(n, n)
+            sol = saddle.solve_optimality(cfg, None, spec.robust)
+            seen.clear()
+            report = saddle.verify_saddle(cfg, sol, None, spec.robust, n_perturbations=100, seed=0)
+            out.append((repr(report), tuple(seen)))
+        return out
+    finally:
+        saddle._deviation_values, saddle._stationarity_values = real
+
+
+def test_verify_scratch_leaks_nothing_between_players_blocks_or_calls():
+    # a call's buffers serve both players, every block and the stationarity
+    # check, and the next call starts on fresh ones: A, B, A on a smaller grid
+    # and A again in one process each equal the same call made alone in a
+    # fresh interpreter, bit for bit
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cases = [("a", 50), ("b", 50), ("a", 12), ("a", 50)]
+    script = inspect.getsource(_verify_capture) + (
+        "import pickle, sys\n"
+        "case = (sys.argv[2], int(sys.argv[3]))\n"
+        "sys.stdout.write(pickle.dumps(_verify_capture(sys.argv[1], [case])).hex())\n")
+    src = os.path.dirname(os.path.dirname(saddle.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    fresh = {case: subprocess.Popen([sys.executable, "-c", script, root, case[0], str(case[1])],
+                                    stdout=subprocess.PIPE, env=env, text=True)
+             for case in dict.fromkeys(cases)}
+    reused = _verify_capture(root, cases)
+    for case, proc in fresh.items():
+        out, _ = proc.communicate(timeout=300)
+        assert proc.returncode == 0
+        fresh[case] = pickle.loads(bytes.fromhex(out))[0]
+    for case, got in zip(cases, reused):
+        assert len(got[1]) == 2   # the deviation values, then the stationarity pairs
+        assert got == fresh[case]
+    assert reused[0] == reused[3]
 
 
 def test_saddle_verification_config_a():
