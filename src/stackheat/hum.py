@@ -48,9 +48,18 @@ The basis, b and the Galerkin iteration live in the H^1_0 coordinates of
 ``_coordinates``, where the H^1_0 product is the Euclidean one and the
 inverse Laplacian a diagonal scale of modal coefficients.  So a Gram image
 (``_gram``) transforms no level: a raw pair solve from the datum's modal
-coefficients, the leader read off the modal phi (as ``_Problem.observe``
-reads it), and the raw equilibrium of ``_Problem.homogeneous`` (built once
-per problem, so once per basis) up to its modal terminal level.
+coefficients, the leader read off the modal phi (``_leader_hat``, as
+``_Problem.observe`` reads it), and the raw equilibrium of
+``_Problem.homogeneous`` (built once per problem, so once per basis) up to
+its modal terminal level.  The pair (phi backward, theta forward) and the
+equilibrium (y forward, p backward) are the same coupling with the roles
+transposed, so where a block holds two columns (``saddle._block_width``)
+they are the two columns of one Picard loop (``_gram_columns``): a sweep is
+one batched backward-time march of [phi, p] and one batched forward-time
+march of [theta, y], and the equilibrium follows the leader of the pair's
+current phi until the pair stops.  Where it holds one (n = 200), the march
+is bound by arithmetic rather than by numpy calls, and the pair is solved
+first and the equilibrium under its leader after it.
 ``gram_apply`` and ``HumResult.phi_terminal`` are physical.
 
 The instruments that check the duality and the gradient from outside (the
@@ -248,29 +257,142 @@ def gram_apply(cfg: ScenarioConfig, phi_terminal: np.ndarray,
     return (_gram(build_problem(cfg, params), c) / scale) @ s
 
 
+def _leader_hat(prob: _Problem, phi: np.ndarray) -> np.ndarray:
+    """The leader read off the modal ``phi`` (``_Problem.observe``), as ``_state_hat`` takes it.
+
+    A: its modal levels on omega (the omega projector); otherwise -dphi/dn on
+    the leader edge (one row of S).
+    """
+    if prob.leader_side is None:
+        return np.matmul(phi, prob.modal.omega)
+    return -_normal_hat(prob, phi, prob.leader_side)
+
+
 def _gram(prob: _Problem, c: np.ndarray) -> np.ndarray:
     """``gram_apply`` on ``prob`` in the coordinates c (``_coordinates``), on modal coefficients.
 
-    The datum's modal coefficients are c / scale.  The adjoint pair's exit
-    reads the leader off the modal phi (the omega projector in A, one row of
-    S on the leader edge otherwise), and the coordinates of the lifted
-    terminal state of ``prob.homogeneous``'s equilibrium under it are its
-    modal terminal level times dx / scale: no level is transformed back.
+    The datum's modal coefficients are c / scale.  The leader is read off
+    the adjoint pair's modal phi (``_leader_hat``), and the coordinates of
+    the lifted terminal state of ``prob.homogeneous``'s equilibrium under it
+    are its modal terminal level times dx / scale: no level is transformed
+    back.  The pair and the equilibrium are the two columns of one Picard
+    loop (``_gram_columns``) when a block holds two columns
+    (``saddle._block_width``); otherwise the pair is solved first and the
+    equilibrium under its leader after it.
     """
     m = prob.modal
     _, scale = _coordinates(prob.cfg.grid)
+    datum = c / scale
+    if _block_width(prob.cfg) >= 2:
+        return m.dx * _gram_columns(prob, datum) / scale
 
     def leader(phi, thetas, cols):
-        if prob.leader_side is None:
-            return np.matmul(phi, m.omega), ()
-        # _Problem.observe: -dphi/dn on the leader edge
-        return -_normal_hat(prob, phi, prob.leader_side), ()
+        return _leader_hat(prob, phi), ()
 
     def lifted(state, adjoints, cols):
         return m.dx * state[..., -1, :] / scale, ()
 
-    drive = _pairs_hat(prob, (c / scale)[None], leader)[0][0]
+    drive = _pairs_hat(prob, datum[None], leader)[0][0]
     return _equilibria_hat(prob.homogeneous, drive[None], 1, lifted)[0][0]
+
+
+def _gram_columns(prob: _Problem, datum: np.ndarray) -> np.ndarray:
+    """Modal terminal level of a Gram image's equilibrium: the pair and it as one Picard loop.
+
+    The adjoint pair of ``datum`` (phi backward, theta forward) and the
+    homogeneous equilibrium (y forward, p backward) are the same coupling with
+    the roles transposed, so they are columns 0 and 1 of one
+    ``saddle._picard_columns`` loop: its state is the backward-time fields
+    [phi, p], one batched march with one product per observation projector,
+    and its adjoints the forward-time fields [theta, y], one batched march.
+    Each column stops on its own rule: the pair's on theta, the
+    equilibrium's on y.  The equilibrium is driven by the leader read off
+    the pair's current phi (``_leader_hat``), and from the pair's exit on by
+    the leader of its final phi.  The first sweep's sources would be
+    products of the loop's zero adjoints, so none is formed; at exit only
+    the final phi of a pair that leaves the equilibrium running is marched,
+    since no other final state is read.  In D the pair's two thetas and the
+    equilibrium's two p's take the two slots of a second batch axis; the
+    equilibrium's y has a second slot and the pair's phi a zero one, which
+    the marches keep zero.
+    """
+    hom = prob.homogeneous
+    cfg, m, k = hom.cfg, hom.modal, hom.n_adjoints
+    slot = () if k == 1 else (k,)
+    lead = (0,) * len(slot)   # a column's first slot: its phi, theta_1 or y
+    terminals = np.zeros((2,) + slot + (cfg.grid.n_interior,))
+    terminals[(0,) + lead] = datum
+    # D: writes[col][slot, i] is 1 where follower i's control enters that slot
+    # of the column, theta_i in the pair and y in the equilibrium (as the
+    # np.eye rows of _thetas_hat scale them), 0 elsewhere
+    writes = np.stack([np.eye(k), np.outer(np.eye(k)[0], np.ones(k))])
+    marched = []   # the columns of the last backward-time march, which the forward one follows
+    frozen = []    # the leader of the pair's final phi
+
+    def backward_time(adjoints, cols):
+        first = not marched
+        marched[:] = cols
+        wk = m.plan.work((len(cols),) + slot)
+        source = wk.z_columns
+        if first:
+            source = None   # the loop's first adjoints are zero, and so is every product of them
+        elif k == 1:
+            np.matmul(adjoints[0], m.obs[0], out=source)
+        else:
+            # phi: P_1 theta_1 + P_2 theta_2, as _phi_hat sums it; p_i: P_i y
+            for j, col in enumerate(cols):
+                np.matmul(adjoints[0][j], m.obs[0], out=source[j, 0])
+                np.matmul(adjoints[1 - col][j], m.obs[1], out=source[j, 1])
+                if col == 0:
+                    source[j, 0] += source[j, 1]
+                    source[j, 1] = 0.0
+        return _modal_levels(wk, terminals[cols] if cols[0] == 0 else None, source, backward=True)
+
+    def forward_time(state):
+        cols = marched
+        wk = m.plan.work((len(cols),) + slot)
+        eq = cols.index(1) if 1 in cols else None
+        drive = None
+        if eq is not None:
+            drive = _leader_hat(hom, state[(0,) + lead]) if cols[0] == 0 else frozen[0]
+        source = None
+        if cfg.configuration == "A":
+            source = np.divide(state, hom.params.gamma ** 2, out=wk.z_columns)
+            if eq is not None:
+                source[eq] += drive
+        elif cfg.configuration == "B":
+            source = np.matmul(state, m.drive, out=wk.z_columns)
+        if k == 1:
+            follower = hom.edge_controls(_normals_hat(hom, (state,)), hom.g2inv)
+        else:
+            # follower i reads phi in the pair and p_i in the equilibrium
+            normals = list(_normals_hat(hom, (state[:, 0], state[:, 1])))
+            if cols[0] == 0:
+                normals[1][0] = _normal_hat(hom, state[0, 0], hom.follower_edges[1][0])
+            follower = tuple(g[..., None] * v[:, None]
+                             for g, v in zip(np.moveaxis(writes[cols], -1, 0),
+                                             hom.edge_controls(normals, hom.g2inv)))
+        leader = None
+        if hom.leader_side is not None and eq is not None:
+            leader = np.zeros((len(cols),) + slot + (cfg.tgrid.n_levels,))
+            leader[(eq,) + lead] = drive
+        levels = _modal_levels(wk, None, source, hom.edge_rows(follower, leader))
+        return (levels,) if k == 1 else (levels[:, 0], levels[:, 1])
+
+    def final_phi(adjoints, cols):
+        # at exit only the phi of a pair that leaves the equilibrium running is read
+        return backward_time(adjoints, cols) if 1 in marched and 1 not in cols else None
+
+    def finish(state, adjoints, cols):
+        final = []
+        for j, col in enumerate(cols):
+            if col == 0 and state is not None:
+                frozen.append(_leader_hat(hom, state[(j,) + lead]))
+            final.append(adjoints[0][j, -1] if col == 1 else None)
+        return final, adjoints
+
+    return _picard_columns(hom, backward_time, forward_time, k, width=2, finish=finish,
+                           final_forward=final_phi)[1][0]
 
 
 def _observed(prob: _Problem, phi: np.ndarray) -> tuple:

@@ -84,11 +84,13 @@ from .weights import _capped_exp, _exp_neg, rho_star_log, rho_star_inv_sq
 
 # verify_saddle draws and scores its deviations, and the observability probe
 # solves its adjoint pairs, in blocks of columns, each block one batched march
-# (verify's, one per player).  The width keeps one (width, n_levels,
-# n_interior) float array within this many bytes (25 columns at
-# n_interior = n_steps = 50).  A verify call owns a few buffers of a block
-# (``_Readout``), allocated once per call and released with it; a scratch kept
-# for the process raised peak RSS and moved the page faults to the CSV writer.
+# (verify's, one per player); a Gram image marches its adjoint pair and its
+# equilibrium as two columns when a block holds two (``hum._gram``).  The
+# width keeps one (width, n_levels, n_interior) float array within this many
+# bytes (25 columns at n_interior = n_steps = 50).  A verify call owns a few
+# buffers of a block (``_Readout``), allocated once per call and released with
+# it; a scratch kept for the process raised peak RSS and moved the page faults
+# to the CSV writer.
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -547,7 +549,7 @@ class _Column:
 
 
 def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: int,
-                    finish) -> list:
+                    finish, final_forward=None) -> list:
     """Lagged fixed-point loop on ``width`` independent columns, each stopping on its own.
 
     The state and adjoint arrays carry one leading batch axis.  Each sweep
@@ -562,11 +564,15 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: i
     ``_Column``.  A column that stops leaves the active set after the final
     forward solve of the columns that stop with it, which
     ``finish(state, adjoints, cols)`` turns into the (state, adjoints) its
-    results keep, so each column's result equals a one-column loop's bit for
-    bit.  A column whose first correction vanishes ("exact") stops on the
-    first sweep's state, of the same zero adjoints: the loop keeps a copy of
-    it apart from the buffer ``backward`` may overwrite, instead of solving
-    it again.
+    results keep (``final_forward``, when given, makes that final solve in
+    place of ``forward``), so each column's result equals a one-column
+    loop's bit for bit when the columns are independent.  The callbacks may
+    couple them: ``hum._gram_columns`` reads one column's drive off another
+    column's state, and the driven column's correction, which its stopping
+    rule sees, carries that drive's movement.  A column whose first correction
+    vanishes ("exact") stops on the first sweep's state, of the same zero
+    adjoints: the loop keeps a copy of it apart from the buffer ``backward``
+    may overwrite, instead of solving it again.
 
     Returns one (state, adjoints, iterations, residual, ratios, status) per
     column.  The status is "converged" when the relative correction reached
@@ -620,7 +626,7 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: i
             if it == 1 and all(status == "exact" for status in stopped.values()):
                 state = first_state[pos]
             else:
-                state = forward(final_adjoints, final_cols)
+                state = (final_forward or forward)(final_adjoints, final_cols)
             final, final_adjoints = finish(state, final_adjoints, final_cols)
             for j, p in enumerate(pos):
                 run = runs[cols[p]]

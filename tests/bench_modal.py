@@ -5,7 +5,14 @@ collect this file (it is not named ``test_*``).  It times one modal march
 (``heat._modal_levels``) of width 1 and of width 25, one Gram image
 (``hum._gram``) per demo configuration and one width-25 block of adjoint
 pairs (``hum._adjoint_pairs``) on demos A and B, the block the probe solves
-at this grid.  It also times demo A's ladder of Galerkin solves
+at this grid.  Each Gram image stores in ``extra_info`` its
+``_modal_levels`` calls (``modal_levels_calls``) and the batch shape of each
+(``modal_levels_batches``, in call order), which repeat exactly: its adjoint
+pair and equilibrium march as the two columns of one Picard loop, so demo A
+makes 13 marches (ten of width 2, then three of width 1), B 8 (all of width
+2), C 4 and D 4 (two of two columns, then two of one; D's columns carry two
+slots each), where the pair solve and then the equilibrium solve made 22,
+18, 7 and 7 marches of one column.  It also times demo A's ladder of Galerkin solves
 (``hum.GramBasis.galerkin`` for k = 1 ... kmax and each eps of the config's
 ladder, on a basis that has solved nothing yet), where kmax is the most
 vectors a rung of ``sweep-eps`` uses.  Last, it times ``verify_saddle`` on
@@ -55,9 +62,22 @@ def test_modal_levels(benchmark, width):
 
 
 @pytest.mark.parametrize("demo", "abcd")
-def test_gram_image(benchmark, demo):
+def test_gram_image(benchmark, demo, monkeypatch):
     prob = _problem(demo)
     datum = np.random.default_rng(1).standard_normal(N)
+    batches = []
+    real = heat._modal_levels
+
+    def counted(wk, *args, **kwargs):
+        batches.append(list(wk.w_columns.shape[:-2]))
+        return real(wk, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        for module in (hum, saddle):
+            patched.setattr(module, "_modal_levels", counted)
+        hum._gram(prob, datum)
+    benchmark.extra_info["modal_levels_calls"] = len(batches)
+    benchmark.extra_info["modal_levels_batches"] = batches
     benchmark(hum._gram, prob, datum)
 
 

@@ -371,12 +371,13 @@ def test_exact_adjoint_pair_of_a_gram_image_marches_once_each_way(monkeypatch):
     spec = parse_config(os.path.join(root, "configs", "demo_c.ini"))
     prob = saddle_module.build_problem(spec.recipe.build(12, 12), spec.robust)
     datum = np.random.default_rng(5).standard_normal((1, prob.cfg.grid.n_interior))
-    backward = []
+    backward, widths = [], []
     real = hum_module._modal_levels
 
-    def counted(*args, **kwargs):
+    def counted(wk, *args, **kwargs):
         backward.append(kwargs.get("backward", False))
-        return real(*args, **kwargs)
+        widths.append(wk.w_columns.shape[:-2])
+        return real(wk, *args, **kwargs)
 
     monkeypatch.setattr(hum_module, "_modal_levels", counted)
     monkeypatch.setattr(saddle_module, "_modal_levels", counted)
@@ -389,20 +390,99 @@ def test_exact_adjoint_pair_of_a_gram_image_marches_once_each_way(monkeypatch):
     fresh = hum_module._phi_hat(prob, zero, datum @ prob.modal.s)[0]
     assert np.array_equal(phi, fresh) and np.array_equal(np.signbit(phi), np.signbit(fresh))
 
-    # a whole image: the pair's two marches, then 2 per sweep of the
-    # homogeneous equilibrium and its final forward solve
+    # a whole image is one two-column loop: the pair and the equilibrium march
+    # together on the first sweep, where the pair stops "exact" and keeps that
+    # sweep's phi; the equilibrium takes its second sweep alone and stops on
+    # its y with no further march, since its final p is not read
     sweeps = []
-    real_eq = hum_module._equilibria_hat
+    real_loop = hum_module._picard_columns
 
     def recorded(*args, **kwargs):
-        out = real_eq(*args, **kwargs)
-        sweeps.append(out[0][2])
+        out = real_loop(*args, **kwargs)
+        sweeps.append([column[2] for column in out])
         return out
 
-    monkeypatch.setattr(hum_module, "_equilibria_hat", recorded)
+    monkeypatch.setattr(hum_module, "_picard_columns", recorded)
     backward.clear()
+    widths.clear()
     hum_module._gram(prob, datum[0])
-    assert len(backward) == 2 + 2 * sweeps[0] + 1
+    assert sweeps == [[1, 2]]
+    assert list(zip(widths, backward)) == [((2,), True), ((2,), False), ((1,), True), ((1,), False)]
+
+
+def _sequential_gram(prob, c):
+    """``hum._gram`` as the pair solve, the leader read off its phi, the equilibrium and the lift."""
+    m = prob.modal
+    _, scale = hum_module._coordinates(prob.cfg.grid)
+
+    def leader(phi, thetas, cols):
+        if prob.leader_side is None:
+            return np.matmul(phi, m.omega), ()
+        return -saddle_module._normal_hat(prob, phi, prob.leader_side), ()
+
+    def lifted(state, adjoints, cols):
+        return m.dx * state[..., -1, :] / scale, ()
+
+    drive = hum_module._pairs_hat(prob, (c / scale)[None], leader)[0][0]
+    return saddle_module._equilibria_hat(prob.homogeneous, drive[None], 1, lifted)[0][0]
+
+
+@pytest.mark.parametrize("demo", "abcd")
+@pytest.mark.parametrize("n", [12, 50])
+def test_two_column_gram_image_equals_the_sequential_solves(demo, n):
+    # the pair and the equilibrium as two columns of one loop give the image
+    # of the pair solve followed by the equilibrium under its leader: the
+    # same bytes in B, C and D, to round-off in A, whose equilibrium follows
+    # the pair's moving phi for a few sweeps
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = parse_config(os.path.join(root, "configs", f"demo_{demo}.ini"))
+    prob = saddle_module.build_problem(spec.recipe.build(n, n), spec.robust)
+    assert saddle_module._block_width(prob.cfg) >= 2
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        c = rng.standard_normal(n)
+        got, ref = hum_module._gram(prob, c), _sequential_gram(prob, c)
+        if demo == "a":
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        else:
+            assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("conf", "CD")
+def test_two_column_gram_image_at_a_live_follower_weight(conf):
+    # at a live weight the pair's theta moves, so the equilibrium follows a
+    # moving leader for as many sweeps as the pair takes
+    cfg = builders()[conf](n=8, k=8, s=0.002)
+    prob = saddle_module.build_problem(cfg, params(ell=4.0))
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        c = rng.standard_normal(cfg.grid.n_interior)
+        got, ref = hum_module._gram(prob, c), _sequential_gram(prob, c)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("demo", "abcd")
+def test_gram_image_of_one_column_blocks_is_the_sequential_solves(demo, monkeypatch):
+    # where a block holds one column the pair and the equilibrium are solved
+    # one after the other, as two loops of one column each
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = parse_config(os.path.join(root, "configs", f"demo_{demo}.ini"))
+    prob = saddle_module.build_problem(spec.recipe.build(12, 12), spec.robust)
+    monkeypatch.setattr(saddle_module, "_BLOCK_BYTES", 0)
+    assert saddle_module._block_width(prob.cfg) == 1
+    widths = []
+    real_loop = hum_module._picard_columns
+
+    def recorded(*args, **kwargs):
+        widths.append(kwargs["width"])
+        return real_loop(*args, **kwargs)
+
+    monkeypatch.setattr(hum_module, "_picard_columns", recorded)
+    monkeypatch.setattr(saddle_module, "_picard_columns", recorded)
+    c = np.random.default_rng(8).standard_normal(12)
+    got = hum_module._gram(prob, c)
+    assert widths == [1, 1]
+    assert got.tobytes() == _sequential_gram(prob, c).tobytes()
 
 @pytest.mark.parametrize("conf", "ABCD")
 def test_basis_images_are_gram_images(conf):
@@ -484,32 +564,53 @@ def test_batched_ladder_equals_lone_solves_bit_for_bit(conf):
              ref.cg_iterations, ref.functional_value, ref.leader_norm_sq)
 
 
-def _recording_widths(picard_columns, seen):
-    """``picard_columns`` that records the width of every call in ``seen``."""
-    def recorded(prob, forward, backward, n_adjoints, width, finish):
-        seen.append(width)
-        return picard_columns(prob, forward, backward, n_adjoints, width, finish)
-    return recorded
+def _recording_widths(monkeypatch) -> dict:
+    """Record the width of every ``_picard_columns`` loop: per binding, and a Gram image's apart.
+
+    The loops that ``hum._gram`` runs go to the key "gram", every other loop
+    to the module whose binding it called.
+    """
+    widths = {saddle_module: [], hum_module: [], "gram": []}
+    imaging = []
+    real_gram = hum_module._gram
+
+    def gram(*args):
+        imaging.append(True)
+        try:
+            return real_gram(*args)
+        finally:
+            imaging.pop()
+
+    def recording(module, picard_columns):
+        def recorded(prob, forward, backward, n_adjoints, width, finish, **kwargs):
+            widths["gram" if imaging else module].append(width)
+            return picard_columns(prob, forward, backward, n_adjoints, width, finish, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(hum_module, "_gram", gram)
+    for module in (saddle_module, hum_module):
+        monkeypatch.setattr(module, "_picard_columns",
+                            recording(module, module._picard_columns))
+    return widths
 
 
 @pytest.mark.parametrize("conf", "AB")
 def test_sweep_eps_certifies_its_ladder_in_one_batch(conf, tmp_path, monkeypatch):
     # one Picard loop over every rung's leader certifies the ladder, and one
     # over their minimizers solves the adjoint pairs; every other loop is a
-    # lone column (the zero-leader solve and the Gram images)
+    # lone column (the zero-leader solve), and each Gram image is one loop of
+    # two columns, its adjoint pair and its equilibrium
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = parse_config(os.path.join(root, "configs", f"demo_{conf.lower()}.ini"))
     spec = dataclasses.replace(spec, scenario=spec.recipe.build(16, 16))
-    widths = {saddle_module: [], hum_module: []}   # per binding of _picard_columns
-    for module, seen in widths.items():
-        monkeypatch.setattr(module, "_picard_columns",
-                            _recording_widths(module._picard_columns, seen))
+    widths = _recording_widths(monkeypatch)
     report = eps_sweep(spec, out_dir=str(tmp_path / "sweep"), quiet=True)
     assert "pipeline" not in [v.name for v in report.verdicts]
     rungs = len(spec.epsilon_ladder)
     assert rungs > 1
-    for seen in widths.values():
-        assert [w for w in seen if w != 1] == [rungs]
+    for module in (saddle_module, hum_module):
+        assert [w for w in widths[module] if w != 1] == [rungs]
+    assert widths["gram"] and set(widths["gram"]) == {2}
 
 
 @pytest.mark.parametrize("conf", "ABCD")
@@ -523,13 +624,11 @@ def test_run_certifies_its_eps_pair_in_one_batch(conf, tmp_path, monkeypatch):
     cfg, robust, hum = spec.scenario, spec.robust, spec.hum
     fine = hum_minimize(cfg, robust, hum)
     coarse = hum_minimize(cfg, robust, dataclasses.replace(hum, epsilon=hum.epsilon * 100.0))
-    widths = {saddle_module: [], hum_module: []}   # per binding of _picard_columns
-    for module, seen in widths.items():
-        monkeypatch.setattr(module, "_picard_columns",
-                            _recording_widths(module._picard_columns, seen))
+    widths = _recording_widths(monkeypatch)
     report = run_experiment(spec, out_dir=str(tmp_path / "run"), quiet=True)
-    for seen in widths.values():
-        assert [w for w in seen if w != 1] == [2]
+    for module in (saddle_module, hum_module):
+        assert [w for w in widths[module] if w != 1] == [2]
+    assert widths["gram"] and set(widths["gram"]) == {2}
     with open(tmp_path / "run" / "hum_summary.csv", newline="", encoding="utf-8") as fh:
         (row,) = csv.DictReader(fh)
     assert [float(v) for v in row.values()] == [
