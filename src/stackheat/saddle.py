@@ -550,7 +550,7 @@ class _Column:
 
 def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: int,
                     finish, final_forward=None) -> list:
-    """Lagged fixed-point loop on ``width`` independent columns, each stopping on its own.
+    """Lagged fixed-point loop on ``width`` columns, each stopping on its own.
 
     The state and adjoint arrays carry one leading batch axis.  Each sweep
     calls ``forward(adjoints, cols)`` and ``backward(state)`` once for all

@@ -54,8 +54,3 @@ def test_bench_case_runs_once(case, arguments, monkeypatch):
         assert info["modal_levels_calls"] == len(info["modal_levels_batches"]) > 0
         # the pair and the equilibrium march together at least once
         assert info["modal_levels_batches"][0][0] == 2
-
-
-def test_every_bench_case_is_run():
-    names = {p.id.split("[")[0] for p in _cases()}
-    assert names == {name for name in vars(bench_modal) if name.startswith("test_")}

@@ -484,6 +484,7 @@ def test_gram_image_of_one_column_blocks_is_the_sequential_solves(demo, monkeypa
     assert widths == [1, 1]
     assert got.tobytes() == _sequential_gram(prob, c).tobytes()
 
+
 @pytest.mark.parametrize("conf", "ABCD")
 def test_basis_images_are_gram_images(conf):
     # each stored image is _gram of its vector, bit for bit, and the public
