@@ -10,16 +10,18 @@ the inverse Dirichlet Laplacian.
 
 The adjoint pair uses the follower coupling of ``saddle._Problem`` and no
 copy of it: phi solves backward driven by theta on the observation
-region(s), and theta solves forward under feedback(phi), read and written
-through the same ``_Problem.modal`` operators and ``edge_controls``/
-``edge_rows`` methods that couple state and adjoint in the optimality
-system.  Its Picard sweeps run on DST modal coefficients, as the optimality
-system's do: phi's source is one projector product per observation region,
-theta's the diagonal 1/gamma^2 (A), B's drive projector or the edge rows,
-and the fields are transformed back once, at exit.  In configuration D each
-follower drives its own theta, one column of a batched march.  As in
-``saddle``, a batch of columns leads every array: phi and theta are
-(*B, n_levels, n_interior).  By the scheme's summation-by-parts identity
+region(s), and theta solves forward under feedback(phi).  That is the
+optimality system's coupling with the roles transposed, so the pair's
+Picard sweeps are the optimality system's two modal marches,
+``saddle._backward_hat`` (phi) and ``saddle._forward_hat`` (theta), with
+every column in the pair's role, on ``_Problem.homogeneous``: phi's source
+is one projector product per observation region, theta's the diagonal
+1/gamma^2 (A), B's drive projector or the edge rows, and the fields are
+transformed back once, at exit.  In configuration D phi gathers both
+regions and each follower drives its own theta, a further field of the
+batched march.  As in ``saddle``, a batch of columns leads every array: phi
+and theta are (*B, n_levels, n_interior).  By the scheme's
+summation-by-parts identity
 
     <Gram a, b>_{H10} = observation-pairing(a, b)
 
@@ -54,12 +56,14 @@ coefficients, the leader read off the modal phi (``_leader_hat``, as
 its modal terminal level.  The pair (phi backward, theta forward) and the
 equilibrium (y forward, p backward) are the same coupling with the roles
 transposed, so where a block holds two columns (``saddle._block_width``)
-they are the two columns of one Picard loop (``_gram_columns``): a sweep is
-one batched backward-time march of [phi, p] and one batched forward-time
-march of [theta, y], and the equilibrium follows the leader of the pair's
-current phi until the pair stops.  Where it holds one (n = 200), the march
-is bound by arithmetic rather than by numpy calls, and the pair is solved
-first and the equilibrium under its leader after it.
+they are the two columns of one Picard loop (``_gram_columns``), a pair
+column and an equilibrium column of the same two marches: a sweep is one
+``saddle._backward_hat`` of [phi, p] and one ``saddle._forward_hat`` of
+[theta, y] (D's live fields [phi, p_1, p_2] and [theta_1, y, theta_2]),
+and the equilibrium follows the leader of the pair's current phi until the
+pair stops.  Where it holds one (n = 200), the march is bound by arithmetic
+rather than by numpy calls, and the pair is solved first and the
+equilibrium under its leader after it: two loops of the same marches.
 ``gram_apply`` and ``HumResult.phi_terminal`` are physical.
 
 The instruments that check the duality and the gradient from outside (the
@@ -80,10 +84,11 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField
-from .heat import _dst, _modal_levels, favg
+from .heat import _dst, favg
 from .products import h10_norm, hminus1_norm
-from .saddle import (SaddleSolution, _block_width, _equilibria, _equilibria_hat, _normal_hat,
-                     _normals_hat, _picard_columns, _Problem, _solution, _solve, build_problem)
+from .saddle import (SaddleSolution, _backward_hat, _block_width, _equilibria, _equilibria_hat,
+                     _forward_hat, _normal_hat, _picard_columns, _Problem, _slots, _solution,
+                     _solve, build_problem)
 from .scenario import RobustParams, ScenarioConfig
 from .weights import _admissibility, target_weight_inv_sq
 
@@ -115,60 +120,26 @@ class AdjointPair:
         return self.thetas[0]
 
 
-def _phi_hat(prob: _Problem, thetas: tuple, terminals: np.ndarray) -> np.ndarray:
-    """Modal phi of a sweep: marched backward from ``terminals``, driven by theta on the region(s).
-
-    The source is sum_i P_i theta_i, the observation projectors of
-    ``_Problem.modal`` (one product per region, D's second formed in the
-    march's modal buffer, free until the march fills it).  Returns the
-    transient levels of the march (``heat._modal_levels``).
-    """
-    m = prob.modal
-    wk = m.plan.work(thetas[0].shape[:-2])
-    source = np.matmul(thetas[0], m.obs[0], out=wk.z_columns)
-    for th, proj in zip(thetas[1:], m.obs[1:]):
-        source += np.matmul(th, proj, out=wk.w_columns)
-    return _modal_levels(wk, terminals, source, backward=True)
-
-
-def _thetas_hat(prob: _Problem, phi: np.ndarray) -> tuple:
-    """Modal theta component(s) of a sweep, marched forward from 0 under feedback(phi).
-
-    As in the optimality system's state (``saddle._state_hat``): A is driven
-    by phi / gamma^2 and B by its drive projector in the interior, and
-    A/C/D by rho * v on each follower edge.  In D both followers read phi
-    and each drives its own theta, so follower i's trace goes to column i
-    of a new first axis, and one batched march solves both.  Returns the
-    transient levels of each.
-    """
-    cfg, m = prob.cfg, prob.modal
-    c, k = cfg.configuration, prob.n_adjoints
-    wk = m.plan.work((k,) + phi.shape[:-2])
-    follower = prob.edge_controls(_normals_hat(prob, (phi,) * k), prob.g2inv)
-    if k > 1:
-        follower = tuple(np.multiply.outer(e, v) for v, e in zip(follower, np.eye(k)))
-    source = None
-    if c == "A":
-        source = np.divide(phi, prob.params.gamma ** 2, out=wk.z_columns[0])
-    elif c == "B":
-        source = np.matmul(phi, m.drive, out=wk.z_columns[0])
-    return tuple(_modal_levels(wk, None, source, prob.edge_rows(follower, None)))
-
-
 def _pairs_hat(prob: _Problem, terminals: np.ndarray, finish) -> list:
     """``saddle._picard_columns`` of the adjoint pairs of the modal terminal data ``terminals``.
 
-    Each row of ``terminals`` is one datum's modal coefficients.
-    ``finish(phi, thetas, cols)`` maps the final modal phi and thetas of the
-    columns ``cols`` to what the results keep.
+    Each row of ``terminals`` is one datum's modal coefficients.  A sweep
+    is ``saddle._backward_hat`` (phi) then ``saddle._forward_hat`` (theta),
+    every column a pair, on ``prob.homogeneous``.  ``finish(phi, thetas,
+    cols)`` maps the final modal phi and thetas of the columns ``cols`` to
+    what the results keep.
     """
-    width = len(terminals)
+    hom = prob.homogeneous
+    k, width = hom.n_adjoints, len(terminals)
 
-    def forward(thetas, cols):
-        return _phi_hat(prob, thetas, terminals if len(cols) == width else terminals[cols])
+    def phi(thetas, cols):
+        return _backward_hat(hom, thetas, len(cols), 0,
+                             terminals if len(cols) == width else terminals[cols])
 
-    return _picard_columns(prob, forward, lambda phi: _thetas_hat(prob, phi), prob.n_adjoints,
-                           width=width, finish=finish)
+    def thetas(phi):
+        return _slots(_forward_hat(hom, (phi,), len(phi), 0, None), len(phi), k)
+
+    return _picard_columns(hom, phi, thetas, k, width=width, finish=finish)
 
 
 def _adjoint_pairs(prob: _Problem, terminals) -> list:
@@ -258,7 +229,7 @@ def gram_apply(cfg: ScenarioConfig, phi_terminal: np.ndarray,
 
 
 def _leader_hat(prob: _Problem, phi: np.ndarray) -> np.ndarray:
-    """The leader read off the modal ``phi`` (``_Problem.observe``), as ``_state_hat`` takes it.
+    """The leader read off the modal ``phi`` (``_Problem.observe``), as ``_forward_hat`` takes it.
 
     A: its modal levels on omega (the omega projector); otherwise -dphi/dn on
     the leader edge (one row of S).
@@ -278,7 +249,7 @@ def _gram(prob: _Problem, c: np.ndarray) -> np.ndarray:
     back.  The pair and the equilibrium are the two columns of one Picard
     loop (``_gram_columns``) when a block holds two columns
     (``saddle._block_width``); otherwise the pair is solved first and the
-    equilibrium under its leader after it.
+    equilibrium under its leader after it, two loops of the same marches.
     """
     m = prob.modal
     _, scale = _coordinates(prob.cfg.grid)
@@ -303,81 +274,45 @@ def _gram_columns(prob: _Problem, datum: np.ndarray) -> np.ndarray:
     homogeneous equilibrium (y forward, p backward) are the same coupling with
     the roles transposed, so they are columns 0 and 1 of one
     ``saddle._picard_columns`` loop: its state is the backward-time fields
-    [phi, p], one batched march with one product per observation projector,
-    and its adjoints the forward-time fields [theta, y], one batched march.
+    [phi, p] (``saddle._backward_hat``) and its adjoints the forward-time
+    fields [theta, y] (``saddle._forward_hat``), one batched march each.
     Each column stops on its own rule: the pair's on theta, the
     equilibrium's on y.  The equilibrium is driven by the leader read off
     the pair's current phi (``_leader_hat``), and from the pair's exit on by
-    the leader of its final phi.  The first sweep's sources would be
-    products of the loop's zero adjoints, so none is formed; at exit only
-    the final phi of a pair that leaves the equilibrium running is marched,
-    since no other final state is read.  In D the pair's two thetas and the
-    equilibrium's two p's take the two slots of a second batch axis; the
-    equilibrium's y has a second slot and the pair's phi a zero one, which
-    the marches keep zero.
+    the leader of its final phi.  At exit only the final phi of a pair that
+    leaves the equilibrium running is marched, since no other final state is
+    read.  In D the marches carry the live fields only, [phi, p_1, p_2] and
+    [theta_1, y, theta_2]; the loop keeps the equilibrium's y with a zero
+    second slot, beside the pair's two thetas.
     """
     hom = prob.homogeneous
-    cfg, m, k = hom.cfg, hom.modal, hom.n_adjoints
-    slot = () if k == 1 else (k,)
-    lead = (0,) * len(slot)   # a column's first slot: its phi, theta_1 or y
-    terminals = np.zeros((2,) + slot + (cfg.grid.n_interior,))
-    terminals[(0,) + lead] = datum
-    # D: writes[col][slot, i] is 1 where follower i's control enters that slot
-    # of the column, theta_i in the pair and y in the equilibrium (as the
-    # np.eye rows of _thetas_hat scale them), 0 elsewhere
-    writes = np.stack([np.eye(k), np.outer(np.eye(k)[0], np.ones(k))])
+    k = hom.n_adjoints
+    terminals = np.zeros((1 + k, len(datum)))   # the terminal levels of [phi, p_1, p_2]
+    terminals[0] = datum
     marched = []   # the columns of the last backward-time march, which the forward one follows
     frozen = []    # the leader of the pair's final phi
 
+    def roles(cols):
+        return int(cols[0] == 0), int(cols[-1] == 1)   # (pair columns, equilibrium columns)
+
     def backward_time(adjoints, cols):
-        first = not marched
         marched[:] = cols
-        wk = m.plan.work((len(cols),) + slot)
-        source = wk.z_columns
-        if first:
-            source = None   # the loop's first adjoints are zero, and so is every product of them
-        elif k == 1:
-            np.matmul(adjoints[0], m.obs[0], out=source)
-        else:
-            # phi: P_1 theta_1 + P_2 theta_2, as _phi_hat sums it; p_i: P_i y
-            for j, col in enumerate(cols):
-                np.matmul(adjoints[0][j], m.obs[0], out=source[j, 0])
-                np.matmul(adjoints[1 - col][j], m.obs[1], out=source[j, 1])
-                if col == 0:
-                    source[j, 0] += source[j, 1]
-                    source[j, 1] = 0.0
-        return _modal_levels(wk, terminals[cols] if cols[0] == 0 else None, source, backward=True)
+        pairs, equilibria = roles(cols)
+        return _backward_hat(hom, adjoints, pairs, equilibria,
+                             terminals[:1 + k * equilibria] if pairs else None)
 
     def forward_time(state):
-        cols = marched
-        wk = m.plan.work((len(cols),) + slot)
-        eq = cols.index(1) if 1 in cols else None
+        pairs, equilibria = roles(marched)
+        width = pairs + equilibria
         drive = None
-        if eq is not None:
-            drive = _leader_hat(hom, state[(0,) + lead]) if cols[0] == 0 else frozen[0]
-        source = None
-        if cfg.configuration == "A":
-            source = np.divide(state, hom.params.gamma ** 2, out=wk.z_columns)
-            if eq is not None:
-                source[eq] += drive
-        elif cfg.configuration == "B":
-            source = np.matmul(state, m.drive, out=wk.z_columns)
-        if k == 1:
-            follower = hom.edge_controls(_normals_hat(hom, (state,)), hom.g2inv)
-        else:
-            # follower i reads phi in the pair and p_i in the equilibrium
-            normals = list(_normals_hat(hom, (state[:, 0], state[:, 1])))
-            if cols[0] == 0:
-                normals[1][0] = _normal_hat(hom, state[0, 0], hom.follower_edges[1][0])
-            follower = tuple(g[..., None] * v[:, None]
-                             for g, v in zip(np.moveaxis(writes[cols], -1, 0),
-                                             hom.edge_controls(normals, hom.g2inv)))
-        leader = None
-        if hom.leader_side is not None and eq is not None:
-            leader = np.zeros((len(cols),) + slot + (cfg.tgrid.n_levels,))
-            leader[(eq,) + lead] = drive
-        levels = _modal_levels(wk, None, source, hom.edge_rows(follower, leader))
-        return (levels,) if k == 1 else (levels[:, 0], levels[:, 1])
+        if equilibria:
+            drive = _leader_hat(hom, state[:1]) if pairs else frozen[0]
+        slots = _slots(_forward_hat(hom, _slots(state, width, k), pairs, equilibria, drive),
+                       width, k)
+        if k == 1 or not equilibria:
+            return slots
+        # D: the equilibrium's second slot is zero, beside the pair's theta_2
+        return slots[0], np.concatenate((slots[1], np.zeros((equilibria,) + slots[1].shape[1:])))
 
     def final_phi(adjoints, cols):
         # at exit only the phi of a pair that leaves the equilibrium running is read
@@ -387,7 +322,7 @@ def _gram_columns(prob: _Problem, datum: np.ndarray) -> np.ndarray:
         final = []
         for j, col in enumerate(cols):
             if col == 0 and state is not None:
-                frozen.append(_leader_hat(hom, state[(j,) + lead]))
+                frozen.append(_leader_hat(hom, state[j:j + 1]))
             final.append(adjoints[0][j, -1] if col == 1 else None)
         return final, adjoints
 

@@ -41,14 +41,17 @@ A batch of independent columns leads every array: states and adjoints are
 or a batch.  Every coupled solve is a batch of the one Picard loop,
 ``_picard_columns``: ``_equilibria`` solves one column per leader (HUM
 certifies an epsilon ladder so) and ``_solve`` types its one-column
-case.  A sweep costs two modal marches (``_state_hat``, ``_adjoints_hat``)
-with no transform: its stopping norm is taken on the coefficients
-(Parseval), each column's in one scratch array the loop allocates once, and
-the fields are transformed back once, at exit (``_equilibria_hat``'s
-``finish``).  Everything a sweep reads is bound once per problem in
-``_Problem.modal``: the march plan, whose ``work`` each march takes (a
-sweep looks up no plan), S, dx and the S row of each follower edge; the
-edges' control divisors are ``_Problem.edge_gains``.
+case.  A sweep costs two modal marches with no transform, the forward-time
+``_forward_hat`` and the backward-time ``_backward_hat``, which also march
+HUM's adjoint pairs and a Gram image's pair and equilibrium (see the
+comment above them); the first sweep forms no product of the loop's zero
+fields.  Its stopping norm is taken on the coefficients (Parseval), each
+column's in one scratch array the loop allocates once, and the fields are
+transformed back once, at exit (``_equilibria_hat``'s ``finish``).
+Everything a sweep reads is bound once per problem in ``_Problem.modal``:
+the march plan, whose ``work`` each march takes (a sweep looks up no plan),
+S, dx and the S row of each follower edge; the edges' control divisors are
+``_Problem.edge_gains``.
 
 ``verify_saddle`` marches the equilibrium's state once, in space, and every
 perturbed state as that state plus the response of the homogeneous problem
@@ -413,12 +416,22 @@ def _leader_array(prob: _Problem, leader) -> np.ndarray | None:
 # A sweep's fields are their DST modal coefficients: a march is one
 # ``heat._modal_levels`` (no product with S), and the coupling between the
 # marches is ``_Problem.modal``: one product per observed or driven region,
-# one row of S per edge read, a rank-one update per edge write.  Every product
-# runs on each column's (n_levels, n) block, the shape of a lone solve, and
-# the rest is elementwise, so every column keeps the bits of its lone solve.
-# Each march takes its ``_Work`` from the plan ``_Problem.modal`` holds.
-# Every march returns the transient levels of the plan's buffer, and
-# ``_picard_columns`` copies the adjoints (or thetas) into the arrays it keeps.
+# one row of S per edge read, a rank-one update per edge write.  It is written
+# once, as two marches, one per time direction: ``_forward_hat`` (an
+# equilibrium's state y, an adjoint pair's theta) and ``_backward_hat`` (an
+# equilibrium's adjoint(s) p, a pair's phi).  The pair is the equilibrium's
+# coupling with the roles transposed, so each column of a batch has a role,
+# the batch's pair columns first; in D the role also sets the fan: y gathers
+# both followers and p_i holds region i's residual, while phi gathers both
+# regions and theta_i holds follower i's edge.  A march lays its batch out in
+# slots (``_slots``), marching only live fields: slot 0 holds each column's
+# first field, the further slots the further fields of the role that has two
+# in this direction.  Every product runs on each field's (n_levels, n) block,
+# the shape of a lone solve, and the rest is elementwise, so every column
+# keeps the bits of its lone single-role march.  Each march takes its
+# ``_Work`` from the plan ``_Problem.modal`` holds, returns the transient
+# levels of the plan's buffer, and ``_picard_columns`` copies the fields it
+# keeps into its own arrays.
 
 def _normal_hat(prob: _Problem, levels: np.ndarray, side: str) -> np.ndarray:
     """``normal_derivative_o1`` at ``side`` of the field whose modal levels are ``levels``.
@@ -429,49 +442,114 @@ def _normal_hat(prob: _Problem, levels: np.ndarray, side: str) -> np.ndarray:
     return -(levels @ m.s[0 if side == LEFT else -1]) / m.dx
 
 
-def _normals_hat(prob: _Problem, adjoints: tuple) -> tuple:
-    """``_normal_hat`` of each follower edge's adjoint (``_Problem.readers``), by its bound row."""
+def _normals_hat(prob: _Problem, fields: tuple, pairs: int) -> tuple:
+    """``_normal_hat`` at each follower edge, by its bound row, of what each column reads there.
+
+    ``fields`` are a sweep's backward-time fields in slots (``_slots``).  A
+    column reads its one field at every edge (A, C); in D a pair column
+    reads its phi at both edges and an equilibrium its p_i at edge i.
+    """
     m = prob.modal
-    return tuple(-(r @ row) / m.dx for row, r in zip(m.rows, prob.readers(adjoints)))
+    normals = tuple(-(fields[0] @ row) / m.dx for row in m.rows)
+    if len(fields) > 1 and len(fields[1]):   # D's equilibria read their p_2 at the second edge
+        normals[1][pairs:] = -(fields[1] @ m.rows[1]) / m.dx
+    return normals
 
 
-def _state_hat(prob: _Problem, adjoints: tuple, drive) -> np.ndarray:
-    """Modal state of a sweep under the feedback of the modal ``adjoints``.
+def _slots(levels: np.ndarray, width: int, k: int) -> tuple:
+    """A sweep march's ``width`` columns as k slots: each column's first field, then D's further ones.
 
-    ``drive`` is the leader's part: its modal levels in A (an interior
-    source), its edge values in B/C/D; None for the zero leader.  Returns
-    the transient levels of the march (``heat._modal_levels``).
+    D's further fields are the rows after the first ``width``.
+    """
+    return (levels,) if k == 1 else (levels[:width], levels[width:])
+
+
+def _forward_hat(prob: _Problem, fields, pairs: int, equilibria: int, drive) -> np.ndarray:
+    """The forward-time march of a sweep: theta of each pair column, the state of each equilibrium.
+
+    The batch holds ``pairs`` adjoint-pair columns, then ``equilibria``
+    equilibrium columns.  ``fields`` are their backward-time fields in
+    slots (``_slots``): each column's phi or p_1, then the equilibria's
+    p_2 (D); None on a loop's first sweep, whose fields are zero, so no
+    product of them is formed and only the leader drives the march.
+    ``drive`` is the equilibria's leader: its modal levels in A (an
+    interior source), its edge values in B/C/D; None for the zero leader.
+    A is driven by the field / gamma^2, B by its drive projector, and A/C/D
+    by rho * v on each follower edge (``edge_controls`` of
+    ``_normals_hat``).  In D follower i of a pair column drives that
+    column's own theta_i, and both followers of an equilibrium drive its y.
+    Every column starts from the datum S y0, so pair columns need a
+    homogeneous problem.  Returns the transient levels of the march
+    (``heat._modal_levels``) in slots: theta_1 or y, then the pairs'
+    theta_2 (D).
     """
     cfg, m = prob.cfg, prob.modal
-    c = cfg.configuration
-    wk = m.plan.work(adjoints[0].shape[:-2])
-    source = None
-    if c == "A":
-        source = np.divide(adjoints[0], prob.params.gamma ** 2, out=wk.z_columns)
-        if drive is not None:
-            source += drive
-    elif c == "B":
-        source = np.matmul(adjoints[0], m.drive, out=wk.z_columns)
-    follower = prob.edge_controls(_normals_hat(prob, adjoints), prob.g2inv)
-    edges = prob.edge_rows(follower, None if c == "A" else drive)
-    return _modal_levels(wk, m.y0, source, edges)
+    c, k = cfg.configuration, prob.n_adjoints
+    width = pairs + equilibria
+    wk = m.plan.work((width + (k - 1) * pairs,))
+    source, follower = None, ()
+    if fields is not None:
+        if c == "A":
+            source = np.divide(fields[0], prob.params.gamma ** 2, out=wk.z_columns)
+        elif c == "B":
+            source = np.matmul(fields[0], m.drive, out=wk.z_columns)
+        follower = prob.edge_controls(_normals_hat(prob, fields, pairs), prob.g2inv)
+        if k > 1 and pairs:
+            # D: follower i writes a pair column's theta_i and an equilibrium's y
+            zero = np.zeros((pairs,) + follower[0].shape[1:])
+            v1, v2 = follower
+            follower = (np.concatenate((v1, zero)), np.concatenate((zero, v2[pairs:], v2[:pairs])))
+    leader = None
+    if drive is not None and prob.leader_side is None:
+        if source is None:
+            source = drive
+        else:
+            np.add(source[pairs:], drive, out=source[pairs:])
+    elif drive is not None:
+        leader = drive
+        if pairs:   # the pair columns have no leader
+            leader = np.zeros(wk.edge.shape)
+            leader[pairs:width] = drive
+    return _modal_levels(wk, m.y0, source, prob.edge_rows(follower, leader))
 
 
-def _adjoints_hat(prob: _Problem, state: np.ndarray) -> tuple:
-    """Modal adjoint(s) of a sweep: each region's tracking residual marched backward from 0.
+def _backward_hat(prob: _Problem, fields, pairs: int, equilibria: int, terminals) -> np.ndarray:
+    """The backward-time march of a sweep: each pair column's phi, each equilibrium's adjoint(s).
 
-    Residual i is P_i y - S (mask_i * target_i), formed by one product into
-    the plan's scratch; it is column i of a new first axis, so D's two
-    adjoints are one batched march.
+    The batch holds ``pairs`` adjoint-pair columns, then ``equilibria``
+    equilibrium columns.  ``fields`` are their forward-time fields in
+    slots (``_slots``): each column's theta_1 or y, then the pairs'
+    theta_2 (D), whose rows after the first ``pairs`` are not read; None on
+    a loop's first sweep, whose fields are zero, so no product of them is
+    formed (an equilibrium's targets must then be zero).  Observation
+    region i's projector P_i (``_Problem.modal``) reads theta_i in a pair
+    column and y in an equilibrium: phi gathers sum_i P_i theta_i, and an
+    equilibrium spreads y into each region's tracking residual
+    P_i y - S (mask_i * target_i), its adjoint p_i.  ``terminals`` holds
+    the modal terminal level of every field (None: zero); an equilibrium's
+    are zero.  Returns the transient levels of the march in slots: phi or
+    p_1, then the equilibria's p_2 (D).
     """
     m = prob.modal
-    wk = m.plan.work((len(m.obs),) + state.shape[:-2])
-    source = wk.z_columns
-    for residual, proj, target in zip(source, m.obs, m.targets):
-        np.matmul(state, proj, out=residual)
-        if target is not None:
-            residual -= target
-    return tuple(_modal_levels(wk, None, source, backward=True))
+    k = len(m.obs)
+    width = pairs + equilibria
+    wk = m.plan.work((width + (k - 1) * equilibria,))
+    source = None
+    if fields is not None:
+        source = wk.z_columns
+        slots = _slots(source, width, k)
+        residuals = (slots[0][pairs:],) + slots[1:]   # each equilibrium's p_i
+        np.matmul(fields[0], m.obs[0], out=slots[0])
+        if k > 1 and pairs:
+            # phi's second term, formed in the march's modal buffer, free until it fills it
+            phi = source[:pairs]
+            np.add(phi, np.matmul(fields[1][:pairs], m.obs[1], out=wk.w_columns[:pairs]), out=phi)
+        if k > 1 and equilibria:
+            np.matmul(fields[0][pairs:], m.obs[1], out=residuals[1])
+        for p, target in zip(residuals, m.targets):
+            if target is not None and equilibria:
+                p -= target
+    return _modal_levels(wk, terminals, source, backward=True)
 
 
 @dataclass
@@ -555,24 +633,28 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: i
     The state and adjoint arrays carry one leading batch axis.  Each sweep
     calls ``forward(adjoints, cols)`` and ``backward(state)`` once for all
     active columns, ``cols`` naming the columns the batch axis holds.  The
-    state need only last until ``backward`` has read it, and the new
-    adjoints until the loop has copied them into its own arrays, which it
-    keeps from sweep to sweep.  A column's correction is the difference of
-    its blocks ``a[pos]``, squared and summed in one (n_levels, n) scratch
-    array in the order of a lone solve (on modal coefficients it is the
-    field's norm by Parseval), and its stopping rule is its own
-    ``_Column``.  A column that stops leaves the active set after the final
-    forward solve of the columns that stop with it, which
+    first sweep passes None for the adjoints, which are zero there, so that
+    ``forward`` forms no product of them (``_forward_hat``,
+    ``_backward_hat``).  The state need only last until ``backward`` has
+    read it, and the new adjoints until the loop has copied them into its
+    own arrays, which it keeps from sweep to sweep.  A column's correction
+    is the difference of its blocks ``a[pos]``, squared and summed in one
+    (n_levels, n) scratch array in the order of a lone solve (on modal
+    coefficients it is the field's norm by Parseval), and its stopping rule
+    is its own ``_Column``.  A column that stops leaves the active set after
+    the final forward solve of the columns that stop with it, which
     ``finish(state, adjoints, cols)`` turns into the (state, adjoints) its
     results keep (``final_forward``, when given, makes that final solve in
     place of ``forward``), so each column's result equals a one-column
     loop's bit for bit when the columns are independent.  The callbacks may
-    couple them: ``hum._gram_columns`` reads one column's drive off another
-    column's state, and the driven column's correction, which its stopping
-    rule sees, carries that drive's movement.  A column whose first correction
-    vanishes ("exact") stops on the first sweep's state, of the same zero
-    adjoints: the loop keeps a copy of it apart from the buffer ``backward``
-    may overwrite, instead of solving it again.
+    couple them: ``hum._gram_columns`` marches an adjoint pair and an
+    equilibrium as two columns of one loop, the equilibrium driven by the
+    leader read off the pair's current phi, so the driven column's
+    correction, which its stopping rule sees, carries that drive's movement.
+    A column whose first correction vanishes ("exact") stops on the first
+    sweep's state, of the same zero adjoints: the loop keeps a copy of it
+    apart from the buffer ``backward`` may overwrite, instead of solving it
+    again.
 
     Returns one (state, adjoints, iterations, residual, ratios, status) per
     column.  The status is "converged" when the relative correction reached
@@ -602,7 +684,7 @@ def _picard_columns(prob: _Problem, forward, backward, n_adjoints: int, width: i
     tol = params.fixed_point_tol
     max_iter = params.max_iterations
     for it in range(1, max_iter + 1):
-        state = forward(adjoints, cols)
+        state = forward(None if it == 1 else adjoints, cols)
         if it == 1:
             first_state = state.copy()
         new_adjoints = backward(state)
@@ -681,18 +763,23 @@ def _equilibria(prob: _Problem, leaders) -> list:
 
 
 def _equilibria_hat(prob: _Problem, drive, width: int, finish) -> list:
-    """``_picard_columns`` of the optimality system on modal coefficients.
+    """``_picard_columns`` of the optimality system on modal coefficients: a batch of equilibria.
 
-    ``drive`` stacks one leader per column as ``_state_hat`` takes it (None:
-    the zero leader), and ``finish`` maps the final modal state and adjoints
-    to what the results keep (``_picard_columns``).
+    ``drive`` stacks one leader per column as ``_forward_hat`` takes it
+    (None: the zero leader), and ``finish`` maps the final modal state and
+    adjoints to what the results keep (``_picard_columns``).  A sweep is
+    ``_forward_hat`` then ``_backward_hat``, every column an equilibrium.
     """
-    def forward(adjoints, cols):
-        return _state_hat(prob, adjoints,
-                          drive if drive is None or len(cols) == width else drive[cols])
+    k = prob.n_adjoints
 
-    return _picard_columns(prob, forward, lambda state: _adjoints_hat(prob, state),
-                           prob.n_adjoints, width=width, finish=finish)
+    def state(adjoints, cols):
+        return _forward_hat(prob, adjoints, 0, len(cols),
+                            drive if drive is None or len(cols) == width else drive[cols])
+
+    def adjoints(y):
+        return _slots(_backward_hat(prob, (y,), 0, len(y), None), len(y), k)
+
+    return _picard_columns(prob, state, adjoints, k, width=width, finish=finish)
 
 
 def _solve(prob: _Problem, leader_arr) -> SaddleSolution:

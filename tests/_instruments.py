@@ -95,6 +95,14 @@ def _keep(state, adjoints, cols):
     return state, adjoints
 
 
+def _zeros_if_none(prob, adjoints, cols) -> tuple:
+    """The loop's adjoints, or on its first sweep (``_picard_columns`` passes None) their zeros."""
+    if adjoints is not None:
+        return adjoints
+    shape = (len(cols), prob.cfg.tgrid.n_levels, prob.cfg.grid.n_interior)
+    return tuple(np.zeros(shape) for _ in range(prob.n_adjoints))
+
+
 def reference_adjoint_solve(prob, state: np.ndarray, marches=MARCHES) -> tuple:
     """Backward solve(s) driven by the tracking residual(s): state - target on each region."""
     cfg = prob.cfg
@@ -112,6 +120,7 @@ def reference_equilibria(prob, leaders, marches=MARCHES) -> list:
 
     def forward(adjoints, cols):
         leader = leaders if leaders is None or len(cols) == width else leaders[cols]
+        adjoints = _zeros_if_none(prob, adjoints, cols)
         return marches[0](cfg.grid, cfg.tgrid, prob.y0,
                           *prob.forcing(*prob.feedback(adjoints, prob.g2inv), leader))
 
@@ -148,8 +157,11 @@ def _theta_forward(prob, phi: np.ndarray) -> tuple:
 def reference_adjoint_pairs(prob, terminals) -> list:
     """``hum._adjoint_pairs`` in physical space: raw (phi, thetas, ...) per row of ``terminals``."""
     data = np.asarray(terminals, dtype=float)
-    return _picard_columns(prob, lambda ths, cols: _phi_backward(prob, ths, data[cols]),
-                           lambda ph: _theta_forward(prob, ph), prob.n_adjoints,
+
+    def phi(thetas, cols):
+        return _phi_backward(prob, _zeros_if_none(prob, thetas, cols), data[cols])
+
+    return _picard_columns(prob, phi, lambda ph: _theta_forward(prob, ph), prob.n_adjoints,
                            width=len(data), finish=_keep)
 
 

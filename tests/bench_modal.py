@@ -10,9 +10,10 @@ at this grid.  Each Gram image stores in ``extra_info`` its
 (``modal_levels_batches``, in call order), which repeat exactly: its adjoint
 pair and equilibrium march as the two columns of one Picard loop, so demo A
 makes 13 marches (ten of width 2, then three of width 1), B 8 (all of width
-2), C 4 and D 4 (two of two columns, then two of one; D's columns carry two
-slots each), where the pair solve and then the equilibrium solve made 22,
-18, 7 and 7 marches of one column.  It also times demo A's ladder of Galerkin solves
+2), C 4 (two of width 2, then two of width 1) and D 4 (the live fields
+[phi, p_1, p_2] and [theta_1, y, theta_2], then the equilibrium's [p_1, p_2]
+and [y]: widths 3, 3, 2 and 1), where the pair solve and then the
+equilibrium solve made 22, 18, 7 and 7 marches.  It also times demo A's ladder of Galerkin solves
 (``hum.GramBasis.galerkin`` for k = 1 ... kmax and each eps of the config's
 ladder, on a basis that has solved nothing yet), where kmax is the most
 vectors a rung of ``sweep-eps`` uses.  Last, it times ``verify_saddle`` on
@@ -73,8 +74,7 @@ def test_gram_image(benchmark, demo, monkeypatch):
         return real(wk, *args, **kwargs)
 
     with monkeypatch.context() as patched:
-        for module in (hum, saddle):
-            patched.setattr(module, "_modal_levels", counted)
+        patched.setattr(saddle, "_modal_levels", counted)
         hum._gram(prob, datum)
     benchmark.extra_info["modal_levels_calls"] = len(batches)
     benchmark.extra_info["modal_levels_batches"] = batches

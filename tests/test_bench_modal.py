@@ -52,5 +52,5 @@ def test_bench_case_runs_once(case, arguments, monkeypatch):
     if case is bench_modal.test_gram_image:
         info = bench.extra_info
         assert info["modal_levels_calls"] == len(info["modal_levels_batches"]) > 0
-        # the pair and the equilibrium march together at least once
-        assert info["modal_levels_batches"][0][0] == 2
+        # the pair and the equilibrium march together first: two fields, or D's three live ones
+        assert info["modal_levels_batches"][0] == [3 if arguments["demo"] == "d" else 2]

@@ -362,38 +362,35 @@ def test_picard_solves_march_on_the_plan_their_problem_holds(demo, monkeypatch):
     assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
 
 
-def test_exact_adjoint_pair_of_a_gram_image_marches_once_each_way(monkeypatch):
-    # demo C's follower weight underflows, so a Gram image's adjoint pair
-    # stops "exact" on its first sweep: one phi march and one theta march.
-    # Its phi is that sweep's, kept apart from the theta march's buffer, and
-    # equals a fresh phi march of the same zero thetas bit for bit.
+def _exact_pair_marches(demo, monkeypatch):
+    """(lone pair solve's marches, Gram image's loop sweeps and marches) on ``demo`` at n = 12.
+
+    The demo's follower weight underflows, so the adjoint pair stops "exact"
+    on its first sweep.  Each march is recorded as (batch shape, backward).
+    Its phi is that sweep's, kept apart from the theta march's buffer, and
+    equals a phi march of explicit zero thetas bit for bit.
+    """
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = parse_config(os.path.join(root, "configs", "demo_c.ini"))
+    spec = parse_config(os.path.join(root, "configs", f"demo_{demo}.ini"))
     prob = saddle_module.build_problem(spec.recipe.build(12, 12), spec.robust)
     datum = np.random.default_rng(5).standard_normal((1, prob.cfg.grid.n_interior))
-    backward, widths = [], []
-    real = hum_module._modal_levels
+    marches = []
+    real = saddle_module._modal_levels
 
     def counted(wk, *args, **kwargs):
-        backward.append(kwargs.get("backward", False))
-        widths.append(wk.w_columns.shape[:-2])
+        marches.append((wk.w_columns.shape[:-2], kwargs.get("backward", False)))
         return real(wk, *args, **kwargs)
 
-    monkeypatch.setattr(hum_module, "_modal_levels", counted)
     monkeypatch.setattr(saddle_module, "_modal_levels", counted)
     (phi, thetas, iterations, residual, _, status), = hum_module._pairs_hat(
         prob, datum @ prob.modal.s, lambda phi, thetas, cols: (phi, thetas))
     assert (iterations, residual, status) == (1, 0.0, "converged")
-    assert backward == [True, False]   # phi, then theta; no second phi march
-    assert not np.any(thetas[0])
-    zero = (np.zeros((1,) + phi.shape),)
-    fresh = hum_module._phi_hat(prob, zero, datum @ prob.modal.s)[0]
+    assert not any(np.any(th) for th in thetas)
+    pair = list(marches)
+    zero = (np.zeros((1,) + phi.shape),) * prob.n_adjoints
+    fresh = saddle_module._backward_hat(prob.homogeneous, zero, 1, 0, datum @ prob.modal.s)[0]
     assert np.array_equal(phi, fresh) and np.array_equal(np.signbit(phi), np.signbit(fresh))
 
-    # a whole image is one two-column loop: the pair and the equilibrium march
-    # together on the first sweep, where the pair stops "exact" and keeps that
-    # sweep's phi; the equilibrium takes its second sweep alone and stops on
-    # its y with no further march, since its final p is not read
     sweeps = []
     real_loop = hum_module._picard_columns
 
@@ -403,11 +400,103 @@ def test_exact_adjoint_pair_of_a_gram_image_marches_once_each_way(monkeypatch):
         return out
 
     monkeypatch.setattr(hum_module, "_picard_columns", recorded)
-    backward.clear()
-    widths.clear()
+    marches.clear()
     hum_module._gram(prob, datum[0])
+    return pair, sweeps, marches
+
+
+def test_exact_adjoint_pair_of_a_gram_image_marches_once_each_way(monkeypatch):
+    # demo C: the lone pair solve is one phi march and one theta march, with
+    # no second phi march.  A whole image is one two-column loop: the pair and
+    # the equilibrium march together on the first sweep, where the pair stops
+    # "exact" and keeps that sweep's phi; the equilibrium takes its second
+    # sweep alone and stops on its y with no further march, since its final p
+    # is not read
+    pair, sweeps, image = _exact_pair_marches("c", monkeypatch)
+    assert pair == [((1,), True), ((1,), False)]
     assert sweeps == [[1, 2]]
-    assert list(zip(widths, backward)) == [((2,), True), ((2,), False), ((1,), True), ((1,), False)]
+    assert image == [((2,), True), ((2,), False), ((1,), True), ((1,), False)]
+
+
+def test_exact_adjoint_pair_of_a_d_gram_image_marches_only_live_fields(monkeypatch):
+    # demo D, as demo C above: each march carries the live fields only.  The
+    # lone pair marches phi, then its two thetas; the image marches
+    # [phi, p_1, p_2] and [theta_1, y, theta_2], then the equilibrium alone
+    # [p_1, p_2] and [y]: 9 column-marches, where a zero slot per column made 12
+    pair, sweeps, image = _exact_pair_marches("d", monkeypatch)
+    assert pair == [((1,), True), ((2,), False)]
+    assert sweeps == [[1, 2]]
+    assert image == [((3,), True), ((3,), False), ((2,), True), ((1,), False)]
+
+
+@pytest.mark.parametrize("demo", "abcd")
+def test_first_sweep_of_every_loop_forms_no_product_of_zeros(demo, monkeypatch):
+    # every Picard loop starts from zero fields, so its first march forms no
+    # source or follower edge row of them: an equilibrium's leader alone
+    # enters (A's modal leader as the source itself, B/C/D's as the leader
+    # edge's row), and an adjoint pair's phi only its datum; that march has
+    # the bits, signed zeros included, of one that forms the zero products
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = parse_config(os.path.join(root, "configs", f"demo_{demo}.ini"))
+    prob = saddle_module.build_problem(spec.recipe.build(12, 12), spec.robust)
+    hom, k, s = prob.homogeneous, prob.n_adjoints, prob.modal.s
+    klev, n = prob.cfg.tgrid.n_levels, prob.cfg.grid.n_interior
+    data = np.random.default_rng(9).standard_normal((3, n))
+    leaders = np.stack([prob.observe(pair[0]) for pair in _adjoint_pairs(prob, data)])
+    drive = leaders if prob.leader_side else np.matmul(leaders, s)
+    first = []   # (source, edges) of each loop's first march
+    real_march, real_loop = saddle_module._modal_levels, saddle_module._picard_columns
+
+    def loop(*args, **kwargs):
+        first.append(None)
+        return real_loop(*args, **kwargs)
+
+    def march(wk, datum, source=None, edges=None, backward=False):
+        if first[-1] is None:
+            first[-1] = (None if source is None else source.copy(), dict(edges or {}))
+        return real_march(wk, datum, source, edges, backward)
+
+    for module in (saddle_module, hum_module):
+        monkeypatch.setattr(module, "_picard_columns", loop)
+    monkeypatch.setattr(saddle_module, "_modal_levels", march)
+
+    def led(record, leader):
+        """The march's source and edges are the leader's alone (None: the zero leader)."""
+        source, edges = record
+        if prob.leader_side is None:
+            assert edges == {} and (source is None if leader is None else
+                                    source.tobytes() == leader.tobytes())
+        else:
+            assert source is None and list(edges) == ([] if leader is None else [prob.leader_side])
+            if leader is not None:
+                assert edges[prob.leader_side].tobytes() == leader.tobytes()
+
+    saddle_module._equilibria(prob, None)
+    saddle_module._equilibria(prob, leaders)
+    _adjoint_pairs(prob, data)
+    hum_module._gram(prob, data[0])
+    assert len(first) == 4
+    led(first[0], None)
+    led(first[1], drive)
+    assert first[2] == (None, {}) and first[3] == (None, {})
+    monkeypatch.setattr(saddle_module, "_BLOCK_BYTES", 0)   # the sequential image: two loops
+    hum_module._gram(prob, data[0])
+    assert len(first) == 6 and first[4] == (None, {})
+    assert (first[5][0] is None) == (prob.leader_side is not None)
+    assert set(first[5][1]) <= {prob.leader_side}
+
+    def zeros(rows):
+        return np.zeros((rows, klev, n))
+
+    for march_of, pairs, equilibria, further in (
+            (lambda f: saddle_module._forward_hat(prob, f, 0, 3, None), 0, 3, 3),
+            (lambda f: saddle_module._forward_hat(prob, f, 0, 3, drive), 0, 3, 3),
+            (lambda f: saddle_module._backward_hat(hom, f, 3, 0, data @ s), 3, 0, 3),
+            (lambda f: saddle_module._backward_hat(
+                hom, f, 1, 1, np.concatenate((data[:1] @ s, np.zeros((k, n))))), 1, 1, 1)):
+        skipped = march_of(None).copy()
+        formed = march_of((zeros(pairs + equilibria),) + (zeros(further),) * (k - 1))
+        assert skipped.tobytes() == formed.tobytes()
 
 
 def _sequential_gram(prob, c):

@@ -331,26 +331,56 @@ def _verify_case(conf):
     return builders()[conf](n=10, k=12, y0_kind="random", target_kind="random", seed=2), params()
 
 
+def _column_fields(slots: tuple, pairs: int, forward_time: bool) -> list:
+    """Each column's fields, pairs first, of a sweep march's output in slots (``saddle._slots``).
+
+    Slot 0 holds every column's first field; the further slots hold the
+    further fields of the role that has them in this direction: a pair's
+    thetas forward in time, an equilibrium's adjoints backward.
+    """
+    further = slots[1:]
+    columns = []
+    for row in range(len(slots[0])):
+        pair = row < pairs
+        own = [s[row if pair else row - pairs] for s in further] if pair == forward_time else []
+        columns.append([slots[0][row]] + own)
+    return columns
+
+
 @pytest.mark.parametrize("conf", "ABCD")
 def test_adjoints_are_one_batched_march_equal_to_lone_marches(conf, monkeypatch):
-    # each modal sweep march of a batch is one march, D's two adjoints (and
-    # two thetas) the columns of one; every column equals its lone solve bit
-    # for bit at every width; s = 0.01 keeps the C/D feedback live
+    # each sweep march (saddle._forward_hat, saddle._backward_hat) is one
+    # march of its whole batch, D's two adjoints and two thetas among its
+    # fields; every column equals its lone single-role march bit for bit at
+    # every width, whether the batch holds equilibria, adjoint pairs, or
+    # both (that many pairs, then that many equilibria); s = 0.01 keeps the
+    # C/D feedback live
     kw = {"s": 0.01} if conf in "CD" else {}
     cfg = builders()[conf](n=10, k=12, y0_kind="random", target_kind="random", seed=3, **kw)
     prob = build_problem(cfg, params())
+    hom, k = prob.homogeneous, prob.n_adjoints
     klev, n = cfg.tgrid.n_levels, cfg.grid.n_interior
     rng = np.random.default_rng(8)
-    fields = rng.standard_normal((prob.n_adjoints, 25, klev, n))
+    back = rng.standard_normal((k, 25, klev, n))   # phi (a pair's first), p_i (an equilibrium's)
+    fwd = rng.standard_normal((k, 25, klev, n))    # theta_i (a pair's), y (an equilibrium's first)
     drive = _leader_array(prob, random_leader(cfg, seed=2))
     drive = np.stack([drive if prob.leader_side else drive @ prob.modal.s] * 25)
     data = rng.standard_normal((25, n)) @ prob.modal.s
-    sweeps = {   # each a march of the columns ``cols``
-        "state": lambda cols: saddle._state_hat(prob, tuple(fields[:, cols]), drive[cols]),
-        "adjoints": lambda cols: saddle._adjoints_hat(prob, fields[0, cols]),
-        "phi": lambda cols: hum._phi_hat(prob, tuple(fields[:, cols]), data[cols]),
-        "thetas": lambda cols: hum._thetas_hat(prob, fields[0, cols]),
-    }
+
+    def forward(problem, pc, ec):
+        """The forward-time march of pair columns ``pc``, then equilibrium columns ``ec``."""
+        slots = (np.concatenate((back[0, pc], back[0, ec])),) + tuple(back[1:, ec])
+        levels = saddle._forward_hat(problem, slots, len(pc), len(ec), drive[ec] if ec else None)
+        return levels, len(pc) + len(ec) + (k - 1) * len(pc)
+
+    def backward(problem, pc, ec):
+        """The backward-time march of pair columns ``pc``, then equilibrium columns ``ec``."""
+        slots = (np.concatenate((fwd[0, pc], fwd[0, ec])),) + tuple(fwd[1:, pc])
+        # every field's terminal level: the pairs' data, zero for the equilibria's adjoints
+        terminals = np.concatenate((data[pc], np.zeros((k * len(ec), n)))) if pc else None
+        levels = saddle._backward_hat(problem, slots, len(pc), len(ec), terminals)
+        return levels, len(pc) + len(ec) + (k - 1) * len(ec)
+
     real, shapes = heat._modal_levels, []
 
     def recorded(*args, **kwargs):
@@ -358,22 +388,25 @@ def test_adjoints_are_one_batched_march_equal_to_lone_marches(conf, monkeypatch)
         shapes.append(out.shape)
         return out
 
-    for module in (saddle, hum):
-        monkeypatch.setattr(module, "_modal_levels", recorded)
+    monkeypatch.setattr(saddle, "_modal_levels", recorded)
 
-    def copies(out):
-        """The levels a sweep returned, copied out of the plan's buffer, one array each."""
-        return [np.copy(a) for a in (out if isinstance(out, tuple) else (out,))]
+    def columns(march, problem, pc, ec):
+        """Each column's fields, copied out of the plan's buffer; the march is one of ``rows``."""
+        shapes.clear()
+        levels, rows = march(problem, pc, ec)
+        assert shapes == [(rows, klev, n)]
+        slots = saddle._slots(np.copy(levels), len(pc) + len(ec), k)
+        return _column_fields(slots, len(pc), march is forward)
 
-    for name, sweep in sweeps.items():
-        stack = {"state": (), "phi": ()}.get(name, (prob.n_adjoints,))
-        for width in (1, 2, 3, 25):
-            shapes.clear()
-            batched = copies(sweep(np.arange(width)))
-            assert shapes == [stack + (width, klev, n)], name
-            for j in range(width):
-                lone = copies(sweep([j]))
-                assert [a[0].tobytes() for a in lone] == [a[j].tobytes() for a in batched], name
+    for march in (forward, backward):
+        for problem, roles in ((prob, "e"), (hom, "p"), (hom, "pe")):
+            for width in (1, 2, 3, 25):
+                pc, ec = ([list(range(width)) if r in roles else [] for r in "pe"])
+                batched = columns(march, problem, pc, ec)
+                lone = ([columns(march, problem, [j], [])[0] for j in pc]
+                        + [columns(march, problem, [], [j])[0] for j in ec])
+                assert [[f.tobytes() for f in c] for c in batched] == \
+                    [[f.tobytes() for f in c] for c in lone], (march.__name__, roles, width)
 
 
 @pytest.mark.parametrize("conf", "ABCD")
@@ -714,7 +747,9 @@ def test_picard_correction_is_the_root_of_the_summed_squared_norms(conf, width, 
     expected, got = [], []
 
     def forward(adjoints, cols):
-        sweep["old"], sweep["cols"] = [a.copy() for a in adjoints], list(cols)
+        # the first sweep's adjoints are zero, and the loop passes None for them
+        old = [np.zeros((len(cols),) + shape)] * prob.n_adjoints if adjoints is None else adjoints
+        sweep["old"], sweep["cols"] = [a.copy() for a in old], list(cols)
         return np.zeros((len(cols),) + shape)
 
     def backward(state):
