@@ -547,7 +547,7 @@ def _backward_hat(prob: _Problem, fields, pairs: int, equilibria: int, terminals
         if k > 1 and equilibria:
             np.matmul(fields[0][pairs:], m.obs[1], out=residuals[1])
         for p, target in zip(residuals, m.targets):
-            if target is not None and equilibria:
+            if target is not None:
                 p -= target
     return _modal_levels(wk, terminals, source, backward=True)
 
