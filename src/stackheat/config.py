@@ -18,7 +18,6 @@ minimal file is just ``[scenario]`` with ``configuration = A``.
 from __future__ import annotations
 
 import configparser
-import difflib
 import math
 from dataclasses import dataclass
 
@@ -71,7 +70,6 @@ _SCHEMA = {
         "directory": str,
         "seed": int,
         "probe_samples": int,
-        "verify_perturbations": int,
     },
 }
 
@@ -147,10 +145,11 @@ class ExperimentSpec:
     ladder: tuple = ()
     epsilon_ladder: tuple = (1e-2, 1e-4, 1e-6)
     probe_samples: int = 100
-    verify_perturbations: int = 100
 
 
 def _suggest(name, candidates):
+    import difflib   # only an error needs it: a valid file never imports it
+
     close = difflib.get_close_matches(name, list(candidates), n=1)
     return f"; did you mean {close[0]!r}?" if close else ""
 
@@ -327,13 +326,12 @@ def _build_spec(path: str, values: dict, regions: dict) -> ExperimentSpec:
                           f"rungs, got {eps_ladder}")
 
     ov = values["output"]
-    counts = {key: ov.get(key, 100) for key in ("probe_samples", "verify_perturbations")}
-    for key, count in counts.items():
-        if count < 1:
-            raise ConfigError(f"{path}: [output] {key} must be >= 1, got {count}")
+    probe_samples = ov.get("probe_samples", 100)
+    if probe_samples < 1:
+        raise ConfigError(f"{path}: [output] probe_samples must be >= 1, got {probe_samples}")
     return ExperimentSpec(
         scenario=scenario, recipe=recipe, robust=robust, hum=hum, seed=seed,
         out_dir=ov.get("directory", "out"),
         ladder=ladder,
         epsilon_ladder=eps_ladder,
-        **counts)
+        probe_samples=probe_samples)

@@ -25,7 +25,8 @@ run it.  The coupled systems' Picard sweeps (``saddle``, ``hum``) never
 leave the modal coefficients: ``_modal_levels`` is the core alone, fed modal
 sources and edge values, forward or backward, and they transform back once,
 at exit.  ``saddle.verify_saddle`` marches its deviations' responses the
-same way and reads them back on the observed nodes only.  The one normal
+same way, reads them back on the observed nodes only, and marches their
+transpose backward for its Lanczos fallback.  The one normal
 derivative, ``normal_derivative_o1``, is first order: the exact transpose of
 the boundary rows, so the coupled systems keep the duality.
 

@@ -31,8 +31,8 @@ stationarity condition of those discrete functionals under the
 Crank-Nicolson scheme.  In particular the boundary feedback uses the
 first-order normal derivative, the exact transpose of the scheme's boundary
 injection, and configurations C/D acquire a three-point time smoothing of
-the adjoint trace.  Equilibria therefore pass perturbation checks at
-round-off level rather than at discretization level.
+the adjoint trace.  Equilibria are therefore stationary at round-off
+level rather than at discretization level.
 
 A batch of independent columns leads every array: states and adjoints are
 (*B, n_levels, n_interior) and traces (*B, n_levels), the layout in which
@@ -53,24 +53,27 @@ the march plan, whose ``work`` each march takes (a sweep looks up no plan),
 S, dx and the S row of each follower edge; the edges' control divisors are
 ``_Problem.edge_gains``.
 
-``verify_saddle`` marches the equilibrium's state once, in space, and every
-perturbed state as that state plus the response of the homogeneous problem
-to the deviation alone (the state is affine in the controls): a
-``_modal_levels`` march of a block of deviations, read back on the observed
-nodes only (``_Readout``).  Each perturbed value is a direct evaluation of
-the functional, a tracking term on those nodes plus ``_control_costs``,
-with no adjoint.  A call draws, forces, reads back and scores every block
-in a few flat buffers that its ``_Readout`` owns and releases with it, so
-no block allocates an array of its size, and each value keeps the
-elementwise operations and summation order of its lone evaluation: the
-same bits whatever the block width.
+``verify_saddle`` checks each player's exact first- and second-order
+conditions: the directional derivative and the curvature along random
+directions, read off the costs at x and x +- step d, and in A/B a
+certificate that the cost is concave in the disturbance (``_concavity``).
+It marches the equilibrium's state once, in space, and every deviated
+state as that state plus the response of the homogeneous problem to the
+deviation alone (the state is affine in the controls): a ``_modal_levels``
+march of a block of directions, read back on the observed nodes only
+(``_Readout``).  Each value is a direct evaluation of the functional, a
+tracking term on those nodes plus the control costs, with no adjoint.  A
+call forces, reads back and scores every block in a few flat buffers that
+its ``_Readout`` owns and releases with it, so no block allocates an array
+of its size, and each value keeps the elementwise operations and
+summation order of its lone evaluation: the same bits whatever the block
+width.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -79,21 +82,21 @@ import numpy as np
 
 from .errors import ConvergenceError, NonContractionError
 from .grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField
-from .heat import (_assemble_field, _modal_levels, _plan, modal_march,
+from .heat import (_assemble_field, _modal_levels, _plan, favg, modal_march,
                    normal_derivative_o1, trapezoid_time_weights)
 from .products import _column_sums, _view, qmid_field, qmid_field_inplace, qmid_trace
 from .scenario import RobustParams, ScenarioConfig, require_valid
 from .weights import _capped_exp, _exp_neg, rho_star_log, rho_star_inv_sq
 
-# verify_saddle draws and scores its deviations, and the observability probe
-# solves its adjoint pairs, in blocks of columns, each block one batched march
-# (verify's, one per player); a Gram image marches its adjoint pair and its
-# equilibrium as two columns when a block holds two (``hum._gram``).  The
-# width keeps one (width, n_levels, n_interior) float array within this many
-# bytes (25 columns at n_interior = n_steps = 50).  A verify call owns a few
-# buffers of a block (``_Readout``), allocated once per call and released with
-# it; a scratch kept for the process raised peak RSS and moved the page faults
-# to the CSV writer.
+# verify_saddle scores its directions, and the observability probe solves its
+# adjoint pairs, in blocks of columns, each block one batched march (verify's,
+# one per player); a Gram image marches its adjoint pair and its equilibrium
+# as two columns when a block holds two (``hum._gram``).  The width keeps one
+# (width, n_levels, n_interior) float array within this many bytes (25
+# columns at n_interior = n_steps = 50).  A verify call owns a few buffers of
+# a block (``_Readout``), allocated once per call and released with it; a
+# scratch kept for the process raised peak RSS and moved the page faults to
+# the CSV writer.
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -102,15 +105,21 @@ def _block_width(cfg: ScenarioConfig) -> int:
     return max(1, _BLOCK_BYTES // (8 * cfg.tgrid.n_levels * cfg.grid.n_interior))
 
 
-# Verification thresholds.  An equilibrium passes when no perturbation of
-# magnitude in PERTURBATION_MAGNITUDES gains more than SLACK, and no
-# directional derivative over STATIONARITY_DIRECTIONS random directions
-# exceeds STATIONARITY_TOL * (1 + |J|).  ``VerifyReport`` states the two
-# rules, and the runner's verdicts read them there.
-SLACK = 1e-9
+# Verification rules (``verify_saddle``, ``VerifyReport``).  Along each random
+# direction d of a player, deviated alone: the directional derivative
+# (J+ - J-) / (2 step) is at most STATIONARITY_TOL * (1 + |J|), and the
+# curvature, the Rayleigh quotient d'Hd / |d|^2 of the player's Hessian in
+# its own cost norm, has the player's sign.  A minimizer's is at least
+# -CURVATURE_TOL * ell^2 (exactly, it is at least ell^2); the disturbance's
+# plus gamma^2 is |G z|^2 / |z|^2, at most the certified bound of |G|^2
+# (``_concavity``) plus CURVATURE_TOL * gamma^2, and that bound is at most
+# gamma^2.  A Lanczos bound takes at most LANCZOS_STEPS steps and is wrong
+# with probability at most LANCZOS_FAILURE.
 STATIONARITY_TOL = 1e-8
-PERTURBATION_MAGNITUDES = (1e-3, 1.0)
+CURVATURE_TOL = 1e-8
 STATIONARITY_DIRECTIONS = 20
+LANCZOS_STEPS = 200
+LANCZOS_FAILURE = 1e-10
 _STEP = 1e-2   # the step of the stationarity check's central differences
 
 
@@ -904,19 +913,38 @@ def evaluate_functional(cfg: ScenarioConfig, params: RobustParams, follower,
 
 # --- verification -------------------------------------------------------------
 
+# One player of the equilibrium, checked along its own random directions
+# (``VerifyReport.players``): its largest directional derivative, and its
+# curvature along the directions.  A minimizer's is the least
+# d'Hd / (ell^2 |d|^2), the disturbance's the largest |G z|^2 / |z|^2
+# (``_concavity``).
+PlayerCheck = collections.namedtuple("PlayerCheck", "label maximizes derivative curvature")
+
+# The concavity certificate of the A/B disturbance (``_concavity``): ``bound``
+# is an upper bound of |G|^2 and ``value`` its estimate, the closed bound
+# itself or the top Ritz value; ``method`` is "closed" or "lanczos" and
+# ``steps`` the Lanczos steps taken.
+Concavity = collections.namedtuple("Concavity", "value bound method steps")
+
+
 @dataclass
 class VerifyReport:
-    n_perturbations: int
-    max_min_violation: float      # worst violation of the minimizing inequalities
-    max_max_violation: float      # worst violation of the maximizing inequality (A/B)
-    max_directional_derivative: float
+    """The exact first- and second-order conditions of an equilibrium, as ``verify_saddle`` measured them.
+
+    ``functional_value`` is the first player's cost at the equilibrium,
+    ``players`` one ``PlayerCheck`` each, ``concavity`` A/B's certificate
+    (None in C/D) and ``gamma2`` the disturbance's weight gamma^2.
+    """
+
     functional_value: float
-    worst_perturbation: tuple = ()  # (perturbation index, player label) of the offender
+    players: tuple
+    concavity: Optional[Concavity]
+    gamma2: float
 
     @property
-    def conditions_hold(self) -> bool:
-        """No deviation, minimizing or maximizing, gains more than ``SLACK``."""
-        return self.max_min_violation <= SLACK and self.max_max_violation <= SLACK
+    def max_directional_derivative(self) -> float:
+        # np.max propagates a nan derivative, which then fails the stationarity rule
+        return float(np.max([p.derivative for p in self.players]))
 
     @property
     def stationarity_tol(self) -> float:
@@ -927,80 +955,103 @@ class VerifyReport:
         return self.max_directional_derivative <= self.stationarity_tol
 
     @property
+    def offender(self) -> str:
+        """The label of the first player whose rules fail, empty when every player's hold.
+
+        The rules are stated in the comment above ``STATIONARITY_TOL``.
+        """
+        for p in self.players:
+            if not (p.derivative <= self.stationarity_tol and (
+                    p.curvature <= self.concavity.bound + CURVATURE_TOL * self.gamma2
+                    if p.maximizes else p.curvature >= -CURVATURE_TOL)):
+                return p.label
+        return ""
+
+    @property
+    def conditions_hold(self) -> bool:
+        return not self.offender
+
+    @property
+    def concave(self) -> bool:
+        """A/B: the certified bound of |G|^2 is at most gamma^2; C/D have no disturbance."""
+        return self.concavity is None or self.concavity.bound <= self.gamma2
+
+    @property
     def passed(self) -> bool:
-        return self.conditions_hold and self.stationary
+        return self.conditions_hold and self.concave
 
 
-# A player of a follower equilibrium and its random unilateral deviation: ``label``
-# names an offender, ``index`` is whose cost it plays on (the follower in D, else 0),
-# the disturbance alone ``maximizes``; ``draw(out, m)`` draws one deviation of
-# ``shape`` and magnitude m into ``out``, and ``forcing(block)`` and ``costs(readout,
-# block)`` are a block's ``_Readout.response`` inputs and perturbed ``_control_costs``.
-_Player = collections.namedtuple("_Player", "label index maximizes shape draw forcing costs")
+# A player of a follower equilibrium, deviated alone: ``label`` names it,
+# ``index`` is whose cost it plays on (the follower in D, else 0), ``weight``
+# is its cost weight (ell^2, or gamma^2 for the disturbance, which alone
+# ``maximizes``) and ``shape`` one deviation's layout; ``forcing(block)`` and
+# ``costs(readout, block)`` are a block of deviations' ``_Readout.response``
+# inputs and the control terms of the player's functional at the deviated
+# controls, and ``norm(block)`` each deviation's squared norm in the player's
+# cost.
+_Player = collections.namedtuple("_Player", "label index weight maximizes shape forcing costs norm")
 
 
-def _players(prob: _Problem, follower, disturbance, rng) -> list:
+def _players(prob: _Problem, follower, disturbance) -> list:
     """The players of the equilibrium at the raw controls (follower, disturbance).
 
     A/B: the control and the disturbance of a saddle point; C: the one
-    follower; D: the two followers of a Nash pair.  A deviation is drawn,
-    with the bits of drawing the perturbed control whole, in the layout its
-    march takes: A's control one row per edge, A's disturbance a field, B's
-    on its region's nodes only, a C/D follower its trace.  The terms of the
+    follower; D: the two followers of a Nash pair, both in the rho_star-
+    weighted variable u = rho_star v (``follower`` holds the u's), whose cost
+    is 0.5 ell^2 sum dt * trapezoid weight * u^2 and whose edge carries
+    rho_star^-1 u.  A deviation is laid out as its march takes it: A's
+    control one row per edge, a field control (A's disturbance, B's two) on
+    its region's nodes only, a C/D follower its trace.  The terms of the
     players it leaves alone are their lone ``_control_costs``, formed once.
     """
     cfg, params = prob.cfg, prob.params
     c = cfg.configuration
-    klev, n, dt = cfg.tgrid.n_levels, cfg.grid.n_interior, cfg.tgrid.dt
-    s = _plan(cfg.grid, cfg.tgrid).s
-    # rho_star is infinite at t = 0 and T (C/D): a deviation there has infinite
-    # cost, saturates every perturbed value at the cap and hides any
-    # violation, so the perturbations vanish on those levels
-    dead = False if prob.log_g2 is None else ~np.isfinite(prob.log_g2)
-
-    def draw(out, m):
-        rng.standard_normal(out=out)
-        out *= m
-        np.copyto(out, 0.0, where=dead)
-
+    klev, dt, grid = cfg.tgrid.n_levels, cfg.tgrid.dt, cfg.grid
+    s = _plan(grid, cfg.tgrid).s
+    ell2, gamma2 = params.ell ** 2, params.gamma ** 2
     if c in ("A", "B"):
         fixed = _control_costs(prob, follower, disturbance)
-        ell2, gamma2 = 0.5 * params.ell ** 2, -0.5 * params.gamma ** 2
+
+    def field(label, weight, sign, mask, own):
+        """A field control ``own`` on ``mask``'s nodes, of cost sign * 0.5 weight |own|^2.
+
+        Its term replaces the disturbance's, the last of ``fixed``, when it
+        maximizes (sign -1), and B's control's, the first, when it minimizes.
+        """
+        nodes = np.flatnonzero(mask)
+        rows, base = s[nodes], own[:, nodes].T   # its cost sums node-major, as qmid_field(mask=...)
+
+        def costs(readout, d):
+            term = readout.cost(0.5 * sign * weight, base, d.transpose(0, 2, 1), -1)
+            return fixed[:-1] + (term,) if sign < 0 else (term,) + fixed[1:]
+
+        return _Player(label, 0, weight, sign < 0, (klev, len(nodes)), lambda d: (d, rows, None),
+                       costs, lambda d: qmid_field(d, d, grid, dt))
+
     if c == "A":
         sides = [(side, rho) for side, rho, _ in prob.follower_edges]
         return [
-            _Player("control", 0, False, (len(sides), klev), draw,
+            _Player("control", 0, ell2, False, (len(sides), klev),
                     lambda dv: (None, None, {side: rho * dv[:, e]
                                              for e, (side, rho) in enumerate(sides)}),
-                    lambda readout, dv: tuple(ell2 * qmid_trace(u, u, dt) for u in (
-                        v + dv[:, e] for e, v in enumerate(follower))) + fixed[-1:]),
-            _Player("disturbance", 0, True, (klev, n), draw,
-                    lambda dpsi: (dpsi, s, None),
-                    lambda readout, dpsi: fixed[:-1] + (readout.cost(gamma2, disturbance, dpsi),)),
-        ]
+                    lambda readout, dv: tuple(0.5 * ell2 * qmid_trace(u, u, dt) for u in (
+                        v + dv[:, e] for e, v in enumerate(follower))) + fixed[-1:],
+                    lambda dv: qmid_trace(dv, dv, dt).sum(axis=-1)),
+            field("disturbance", gamma2, -1, np.ones(grid.n_interior, dtype=bool), disturbance)]
     if c == "B":
-        b1, b2 = np.flatnonzero(prob.b1_mask), np.flatnonzero(prob.b2_mask)
-        rows1, rows2 = s[b1], s[b2]
-        # a region's cost sums node-major, as qmid_field(mask=...) does
-        v1, psi2 = follower[:, b1].T, disturbance[:, b2].T
-        return [
-            _Player("control", 0, False, (klev, len(b1)), draw,
-                    lambda dv: (dv, rows1, None),
-                    lambda readout, dv: (readout.cost(ell2, v1, dv.transpose(0, 2, 1), -1),
-                                         fixed[1])),
-            _Player("disturbance", 0, True, (klev, len(b2)), draw,
-                    lambda dpsi: (dpsi, rows2, None),
-                    lambda readout, dpsi: (fixed[0], readout.cost(
-                        gamma2, psi2, dpsi.transpose(0, 2, 1), -1))),
-        ]
+        return [field("control", ell2, 1, prob.b1_mask, follower),
+                field("disturbance", gamma2, -1, prob.b2_mask, disturbance)]
 
-    def deviate(i, side, rho):
-        return _Player(f"control {i + 1}", i, False, (klev,), draw,
-                       lambda dv: (None, None, {side: rho * dv}),
-                       lambda readout, dv: _control_costs(prob, tuple(
-                           v + dv if j == i else v for j, v in enumerate(follower)), None, i))
+    def trace_norm(du):
+        return _column_sums(dt * prob.wtrap * du ** 2, 1)
 
-    return [deviate(i, side, rho) for i, (side, rho, _) in enumerate(prob.follower_edges)]
+    def deviate(i, side, rho, ell):
+        return _Player(f"control {i + 1}", i, ell ** 2, False, (klev,),
+                       lambda du: (None, None, {side: rho * (prob.ginv * du)}),
+                       lambda readout, du: (0.5 * ell ** 2 * trace_norm(follower[i] + du),),
+                       trace_norm)
+
+    return [deviate(i, *edge) for i, edge in enumerate(prob.follower_edges)]
 
 
 class _Readout:
@@ -1009,21 +1060,19 @@ class _Readout:
     ``plan`` is the grid pair's march plan (``heat._plan``).  Per observation
     region, ``nodes`` are its interior nodes, ``columns`` the columns of S at
     them and ``targets`` its target there.  The scratch, one
-    ``verify_saddle`` call's, holds ``width`` columns: ``draws`` a block per
-    player, the flat ``field`` their perturbed controls (and, with ``avg``,
-    B's whole stationarity draws), ``avg`` their midpoint averages and
-    ``readback`` their responses on the observed nodes.
+    ``verify_saddle`` call's, holds ``width`` columns: the flat ``field`` a
+    block's deviated controls or observed states, ``avg`` their midpoint
+    averages and ``readback`` their responses on the observed nodes.
     """
 
-    def __init__(self, prob: _Problem, players: list):
+    def __init__(self, prob: _Problem):
         cfg = prob.cfg
-        self.prob, self.players = prob, players
+        self.prob = prob
         self.plan = _plan(cfg.grid, cfg.tgrid)
         self.width = _block_width(cfg)
         self.nodes = tuple(np.flatnonzero(m) for m in prob.obs_masks)
         self.columns = tuple(np.ascontiguousarray(self.plan.s[:, k]) for k in self.nodes)
         self.targets = tuple(t[..., k] for t, k in zip(prob.targets, self.nodes))
-        self.draws = tuple(np.empty((self.width,) + player.shape) for player in players)
         rows = self.width * cfg.tgrid.n_levels
         observed = rows * max(map(len, self.nodes))
         whole = rows * cfg.grid.n_interior if cfg.configuration in "AB" else observed
@@ -1052,10 +1101,26 @@ class _Readout:
         return np.matmul(levels, self.columns[which],
                          out=_view(self.readback, levels.shape[:-1] + self.nodes[which].shape))
 
+    def transpose(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """G'y for (K, n_obs) midpoint values ``y`` on region 0's nodes: (K, m) on ``rows``' nodes.
+
+        The transpose of ``response``'s midpoint values from a source whose
+        midpoint values are z (``_concavity``): one backward width-1 march of
+        y, with a zero last level, read on the nodes whose rows of S are
+        ``rows`` at levels 0..K-1.  The forward step's c dt lam^j and the
+        midpoint average's transpose are the backward march's own.
+        """
+        wk = self.plan.work((1,))
+        source = wk.z_columns[0]
+        np.matmul(y, self.columns[0].T, out=source[:-1])
+        source[-1] = 0.0
+        levels = _modal_levels(wk, None, wk.z_columns, backward=True)[0]
+        return levels[:-1] @ rows.T
+
     def cost(self, coef, base: np.ndarray, delta: np.ndarray, levels: int = -2) -> np.ndarray:
         """``coef`` times each column's midpoint norm of base + delta (w, a, b), in ``field``.
 
-        ``delta`` may be ``field``'s own block; ``levels`` is ``qmid_field_inplace``'s."""
+        ``levels`` is ``qmid_field_inplace``'s."""
         cfg = self.prob.cfg
         f = np.add(base, delta, out=_view(self.field, delta.shape))
         return coef * qmid_field_inplace(f, self.avg, cfg.grid, cfg.tgrid.dt, levels)
@@ -1070,161 +1135,161 @@ def _block_values(readout: _Readout, observed: np.ndarray, costs: tuple) -> np.n
     return value
 
 
-def _player_values(readout: _Readout, residuals: list, player: _Player,
-                   deviations: np.ndarray) -> np.ndarray:
-    """The player's cost at each of its stacked ``deviations``: one response march."""
-    observed = readout.response(player.index, *player.forcing(deviations))
-    observed += residuals[player.index]
-    return _block_values(readout, observed, player.costs(readout, deviations))
+def _direction_values(readout: _Readout, state: np.ndarray, player: _Player, count: int,
+                      rng) -> tuple:
+    """The player's cost at x and at x +- step d along ``count`` random directions d.
 
-
-def _deviation_values(readout: _Readout, state: np.ndarray, n_perturbations: int,
-                      rng) -> np.ndarray:
-    """The value of every deviation, (n_perturbations, n_players), in the order drawn.
-
-    Each perturbation draws one magnitude and deviates each of ``readout.players``
-    alone, scored on its cost from the equilibrium's ``state``: ``readout.width``
-    perturbations at a time into ``readout.draws``, a march per player and block.
+    Returns (J(x), the (count, 2) values at the +step and -step points, each
+    |step d|^2 in the player's cost norm).  ``state`` is the equilibrium's
+    (of the weighted controls in C/D): a deviated state is it plus the
+    response to the deviation alone (the state is affine in the controls),
+    so the two points of a direction share one response column.  The
+    directions are drawn one at a time, ``readout.width`` to a block, and
+    each block is one response march.
     """
-    residuals = [readout.residual(state, i) for i in range(readout.prob.n_adjoints)]
-    players = readout.players
-    lo, hi = PERTURBATION_MAGNITUDES
-    values = np.empty((n_perturbations, len(players)))
-    for start in range(0, n_perturbations, readout.width):
-        blocks = [d[:n_perturbations - start] for d in readout.draws]
-        for row in range(len(blocks[0])):
-            m = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-            for player, block in zip(players, blocks):
-                player.draw(block[row], m)
-        for k, (player, block) in enumerate(zip(players, blocks)):
-            values[start:start + len(block), k] = _player_values(readout, residuals, player, block)
-    return values
-
-
-def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: RobustParams,
-                  n_perturbations: int = 100, seed: int = 0) -> VerifyReport:
-    """Check the defining inequalities of the equilibrium by random perturbation.
-
-    A/B: both saddle inequalities; C: plain minimality; D: both unilateral
-    Nash conditions.  Each perturbation draws one magnitude and deviates
-    each player (``_players``) alone; the deviation is scored against that
-    player's cost at the equilibrium, which is computed from the controls in
-    ``sol``, not read from ``sol.functional_value``.  Additionally estimates
-    the first-order stationarity of the discrete functional by exact central
-    differences (the functional is quadratic in the well-scaled variables).
-    The checks draw and score a block of deviations at a time in the
-    buffers of a ``_Readout`` that the call owns and releases, so no block
-    allocates an array of its size, and every value has the bits of its
-    lone evaluation whatever the block width.  At least one perturbation is
-    required: none would pass without testing anything.
-    """
-    if n_perturbations < 1:
-        raise ValueError(f"verification needs at least one perturbation, got {n_perturbations}")
-    prob = build_problem(cfg, params)
-    leader_arr = _leader_array(prob, leader)
-    rng = np.random.default_rng(seed)
-    follower, disturbance = prob.raw(sol.follower, sol.disturbance)
-    state = prob.state(follower, disturbance, leader_arr)
-    jbars = [evaluate_functional_raw(prob, follower, disturbance, leader_arr, state=state, index=i)
-             for i in range(prob.n_adjoints)]
-    players = _players(prob, follower, disturbance, rng)
-    readout = _Readout(prob, players)
-
-    # entry j of the gains is perturbation j // npl of player j % npl
-    values = _deviation_values(readout, state, n_perturbations, rng)
-    jbar = np.array([jbars[player.index] for player in players])
-    maximizes = np.array([player.maximizes for player in players])
-    gains = np.where(maximizes, values - jbar, jbar - values).ravel().tolist()
-    npl = len(players)
-    violation = {False: 0.0, True: 0.0}  # worst per kind: minimizing, maximizing
-    worst = ()
-    for j, (gain, player) in enumerate(zip(gains, itertools.cycle(players))):
-        # a nan gain is a violation too, and the first non-finite one is the worst
-        kind = player.maximizes
-        if math.isfinite(violation[kind]) and not gain <= violation[kind]:
-            violation[kind] = gain
-            worst = (j // npl, player.label)
-
-    pairs = _stationarity_values(readout, state, sol, leader_arr, rng)
-    # np.max propagates a nan derivative, which then fails the stationarity rule
-    derivative = float(np.max(np.abs(pairs[:, 0] - pairs[:, 1]) / (2 * _STEP), initial=0.0))
-    report = VerifyReport(n_perturbations, violation[False], violation[True], derivative,
-                          jbars[0], worst)
-    return replace(report, worst_perturbation=()) if report.passed else report
-
-
-def _stationarity_values(readout: _Readout, state: np.ndarray, sol: SaddleSolution,
-                         leader_arr, rng) -> np.ndarray:
-    """The functional at x + step d and at x - step d, one row per random direction d.
-
-    Central differences of these are exact for the quadratic functionals.
-    A/B: each of STATIONARITY_DIRECTIONS directions deviates both controls
-    of the saddle at once, from the equilibrium's ``state``, and its two
-    points share one response: y(x +- step d) = y(x) +- L(step d).  C/D: the
-    derivative is taken in the rho_star-weighted control u = rho_star * v,
-    whose feedback is finite through the weight's over/underflow range: the
-    directions are split between the followers, each deviating one, scored
-    on its weighted cost from the state of the weighted controls.  The
-    directions are drawn ``readout.width`` at a time, each block one march.
-    """
-    prob, cfg = readout.prob, readout.prob.cfg
-    c = cfg.configuration
-    klev, n = cfg.tgrid.n_levels, cfg.grid.n_interior
-    width = readout.width
-    pairs = []
-
-    def score(residual, r, plus, minus):
-        """The values at the block's +step and -step points, of response ``r`` and costs."""
+    # each call reads a new residual: the tracking term consumes the second
+    residual = readout.residual(state, player.index)
+    j0 = _block_values(readout, readout.residual(state, player.index)[None],
+                       player.costs(readout, np.zeros((1,) + player.shape)))[0]
+    block = np.empty((readout.width,) + player.shape)
+    pairs, norms = [], []
+    for start in range(0, count, readout.width):
+        delta = block[:count - start]
+        for d in delta:
+            rng.standard_normal(out=d)
+        delta *= _STEP
+        r = readout.response(player.index, *player.forcing(delta))
+        norms.append(player.norm(delta))
+        plus = player.costs(readout, delta)
+        minus = player.costs(readout, np.negative(delta, out=delta))  # the bits of (-step) d
         point = _view(readout.field, r.shape)
         pairs.append(np.stack([_block_values(readout, op(residual, r, out=point), costs)
                                for op, costs in ((np.add, plus), (np.subtract, minus))], axis=-1))
+    return j0, np.concatenate(pairs), np.concatenate(norms)
 
-    if c in ("A", "B"):
-        control, disturbance = readout.players
-        residual = readout.residual(state, 0)
-        for start in range(0, STATIONARITY_DIRECTIONS, width):
-            count = min(width, STATIONARITY_DIRECTIONS - start)
-            dv, dpsi = (d[:count] for d in readout.draws)
-            # B draws each direction's v and psi whole, into field and avg
-            drawn = (dv, dpsi) if c == "A" else [_view(buf, (count, klev, n))
-                                                 for buf in (readout.field, readout.avg)]
-            for i in range(count):
-                for d in drawn:
-                    rng.standard_normal(out=d[i])
-            if c == "B":
-                for f, d, mask in zip(drawn, (dv, dpsi), (prob.b1_mask, prob.b2_mask)):
-                    # the costs read the region's nodes; "clip" takes them unbuffered
-                    np.take(f, np.flatnonzero(mask), axis=2, out=d, mode="clip")
-                    f[..., ~mask] = 0.0   # as np.where draws it
-                # B's source is v on B1 plus psi on B2
-                source = np.add(*drawn, out=drawn[0])
-                forcing = (np.multiply(_STEP, source, out=source), readout.plan.s, None)
-            dv *= _STEP
-            dpsi *= _STEP
-            if c == "A":
-                forcing = disturbance.forcing(dpsi)[:2] + control.forcing(dv)[2:]
-            r = readout.response(0, *forcing)
-            points = []
-            for _ in range(2):   # +step, then -step: -(step d) has the bits of (-step) d
-                points.append(control.costs(readout, dv)[:-1]
-                              + disturbance.costs(readout, dpsi)[-1:])
-                for d in (dv, dpsi):
-                    np.negative(d, out=d)
-            score(residual, r, *points)
-    else:
-        ubars, _ = prob.raw(sol.follower_weighted)
-        weighted = prob.state(tuple(prob.ginv * u for u in ubars), None, leader_arr)
-        per_follower = max(1, STATIONARITY_DIRECTIONS // len(ubars))
-        dus = [np.array([rng.standard_normal(klev) for _ in range(per_follower)]) for _ in ubars]
-        dt = cfg.tgrid.dt
 
-        def cost(ell, u):
-            return (0.5 * ell ** 2 * _column_sums(dt * prob.wtrap * u ** 2, 1),)
+def _lanczos_gain(readout: _Readout, rows: np.ndarray, gamma2: float, rng) -> Concavity:
+    """|G|^2 bounded by Lanczos on G'G from a random start: where the closed bound is too weak.
 
-        for i, (ubar, du, (side, rho, ell)) in enumerate(zip(ubars, dus, prob.follower_edges)):
-            residual = readout.residual(weighted, i)
-            for start in range(0, per_follower, width):
-                d = du[start:start + width]
-                r = readout.response(i, None, None, {side: rho * (prob.ginv * (_STEP * d))})
-                score(residual, r, cost(ell, ubar + _STEP * d), cost(ell, ubar - _STEP * d))
-    return np.concatenate(pairs)
+    z lives on the disturbance's nodes, whose rows of S are ``rows``; G z is
+    ``_Readout.response`` of a source whose midpoint values are z (level 0
+    zero), and G'y is ``_Readout.transpose``.  The top Ritz value theta_k of
+    k steps is at most |G|^2, also in floating point to round-off (Paige,
+    1972).  From a random start it is below (1 - eps) |G|^2 with probability
+    at most 1.648 sqrt(N) exp(-sqrt(eps) (2k - 1)), N the dimension of z
+    (Kuczynski & Wozniakowski, 1992); eps_k sets that to
+    LANCZOS_FAILURE / LANCZOS_STEPS at each step, so theta_k / (1 - eps_k)
+    bounds |G|^2 at every step at once, wrongly with probability at most
+    LANCZOS_FAILURE.  The loop stops once that bound is at most gamma^2,
+    once theta_k exceeds gamma^2 (theta_k itself refutes concavity), when
+    the Krylov space is invariant or fills the space (theta_k is then exact)
+    or after LANCZOS_STEPS steps.
+    """
+    n_steps = readout.prob.cfg.tgrid.n_steps
+    dim = n_steps * len(rows)
+    alt = np.where(np.arange(n_steps) % 2, -1.0, 1.0)[:, None]
+    source = np.zeros((1, n_steps + 1, len(rows)))
+
+    def gram(z):
+        # a source of midpoint values z: level 0 zero, level k + 1 = 2 z_k - level k
+        np.multiply(2.0 * alt, np.cumsum(alt * z, axis=0), out=source[0, 1:])
+        return readout.transpose(favg(readout.response(0, source, rows, None)[0]), rows)
+
+    log_odds = math.log(1.648 * math.sqrt(dim) * LANCZOS_STEPS / LANCZOS_FAILURE)
+    v = rng.standard_normal((n_steps, len(rows)))
+    v /= np.linalg.norm(v)
+    v_prev, beta, alphas, betas = 0.0, 0.0, [], []
+    for k in range(1, min(dim, LANCZOS_STEPS) + 1):
+        w = gram(v) - beta * v_prev
+        alphas.append(float(np.vdot(w, v)))
+        w -= alphas[-1] * v
+        theta = float(np.linalg.eigvalsh(np.diag(alphas) + np.diag(betas, 1), "U")[-1])
+        beta = float(np.linalg.norm(w))
+        if beta <= 1e-12 * theta or k == dim:
+            return Concavity(theta, theta, "lanczos", k)
+        eps = (log_odds / (2 * k - 1)) ** 2
+        bound = theta / (1.0 - eps) if eps < 1.0 else math.inf
+        if bound <= gamma2 or theta > gamma2:
+            break
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    return Concavity(theta, bound, "lanczos", k)
+
+
+def _concavity(readout: _Readout, rng) -> Concavity:
+    """A certified upper bound of |G|^2, A/B's disturbance-to-observation gain.
+
+    A disturbance deviation psi enters the march only through its K
+    midpoint values z on the disturbance's nodes (a step's source is
+    dt * favg(psi)), and its cost pairs the same midpoint values, so the
+    disturbance's Hessian is dt dx (G'G - gamma^2 I), with G z the midpoint
+    values of the response on the observed nodes.  The cost is concave in
+    the disturbance exactly when |G|^2 <= gamma^2.  The closed bound
+    (max_m c_m dt sum_{k<K} |lam_m|^k)^2 decides that with no march whenever
+    it is at most gamma^2: on mode m the response is a convolution in time
+    with the step response c_m dt lam_m^k, whose norm is at most its l1 norm
+    (Young's inequality), S is orthonormal, and the restrictions to the
+    regions and the midpoint average have norm <= 1.  Otherwise Lanczos
+    decides (``_lanczos_gain``).
+    """
+    prob, plan = readout.prob, readout.plan
+    gamma2, lam = prob.params.gamma ** 2, np.abs(plan.lam)
+    steps = prob.cfg.tgrid.n_steps
+    bound = float(np.max(plan.c * plan.dt * (1.0 - lam ** steps) / (1.0 - lam))) ** 2
+    if bound <= gamma2:
+        return Concavity(bound, bound, "closed", 0)
+    nodes = slice(None) if prob.b2_mask is None else np.flatnonzero(prob.b2_mask)
+    return _lanczos_gain(readout, plan.s[nodes], gamma2, rng)
+
+
+def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: RobustParams,
+                  seed: int = 0) -> VerifyReport:
+    """Check the equilibrium by the exact first- and second-order conditions of each player.
+
+    A/B: a saddle point, whose control minimizes and whose disturbance
+    maximizes; C: plain minimality; D: both unilateral Nash conditions.
+    Each player's cost is quadratic in its own control, so a unilateral
+    deviation delta changes it by exactly <g, delta> + 0.5 <delta, H delta>:
+    no deviation gains exactly when g vanishes and H has the player's sign.
+    Along STATIONARITY_DIRECTIONS random directions, split between the
+    players and each deviating one alone, the values at x +- step d give
+    both (``_direction_values``): the directional derivative
+    (J+ - J-) / (2 step) and the curvature (J+ + J- - 2 J) / |step d|^2
+    (``VerifyReport`` states the rules).  A/B add the certificate that the
+    cost is concave in the disturbance (``_concavity``).  C/D are checked in
+    the rho_star-weighted followers ``sol.follower_weighted``, whose
+    feedback is finite through the weight's over/underflow range; their raw
+    followers are not read.  The costs are computed from the controls in
+    ``sol``, not read from ``sol.functional_value``.  The directions are
+    scored a block at a time in the buffers of a ``_Readout`` that the call
+    owns and releases, and every value has the bits of its lone evaluation
+    whatever the block width.  At least one direction is required: none
+    would pass without testing anything.
+    """
+    if STATIONARITY_DIRECTIONS < 1:
+        raise ValueError("verification needs at least one direction, "
+                         f"got STATIONARITY_DIRECTIONS = {STATIONARITY_DIRECTIONS}")
+    prob = build_problem(cfg, params)
+    leader_arr = _leader_array(prob, leader)
+    rng = np.random.default_rng(seed)
+    weighted = cfg.configuration in ("C", "D")
+    follower, disturbance = (prob.raw(sol.follower_weighted) if weighted
+                             else prob.raw(sol.follower, sol.disturbance))
+    state = prob.state(tuple(prob.ginv * u for u in follower) if weighted else follower,
+                       disturbance, leader_arr)
+    players = _players(prob, follower, disturbance)
+    readout = _Readout(prob)
+    count = max(1, STATIONARITY_DIRECTIONS // len(players))
+    checks, jbars = [], []
+    for player in players:
+        j0, pairs, norms = _direction_values(readout, state, player, count, rng)
+        jbars.append(j0)
+        quotient = (pairs[:, 0] + pairs[:, 1] - 2.0 * j0) / norms   # d'Hd / |d|^2
+        # the disturbance's plus gamma^2 is |G z|^2 / |z|^2; a minimizer's in units of ell^2
+        checks.append(PlayerCheck(
+            player.label, player.maximizes,
+            float(np.max(np.abs(pairs[:, 0] - pairs[:, 1]) / (2 * _STEP))),
+            float(np.max(quotient)) + player.weight if player.maximizes
+            else float(np.min(quotient)) / player.weight))
+    return VerifyReport(jbars[0], tuple(checks), None if weighted else _concavity(readout, rng),
+                        params.gamma ** 2)

@@ -24,12 +24,13 @@ sweep.  They share the package's ``_Problem`` coupling methods and its
 coefficients are held to them at round-off.  ``reference_gram`` lifts the
 terminal state by a banded solve of the Dirichlet Laplacian.
 
-``reference_deviation_values`` and ``reference_stationarity_values`` are
-``verify_saddle``'s values as it scored them in space: every perturbed
-control marched whole through ``_Problem.state`` and scored by
-``evaluate_functional_raw`` (C/D's stationarity by the weighted cost), with
-the tracking term of each state alongside.  The package's responses, read
-on the observed nodes only, are held to them at round-off.
+``reference_direction_values`` is ``verify_saddle``'s values as it scored
+them in space: the cost of every player at the equilibrium and at each point
+x +- step d of its directions, each deviated control marched whole through
+``_Problem.state`` and scored by ``evaluate_functional_raw`` (C/D by the
+rho_star-weighted cost), with the tracking term of each state alongside.
+The package's responses, read on the observed nodes only, and the curvature
+d'Hd it reads off the points are held to them at round-off.
 """
 
 import csv
@@ -45,8 +46,8 @@ from stackheat.csvio import fmt
 from stackheat.hum import AdjointPair, GramBasis, HumSettings, _gram, _observed
 from stackheat.oracle import _coupling_blocks, _dense_matrices
 from stackheat.products import h10_inner, h10_norm
-from stackheat.saddle import (PERTURBATION_MAGNITUDES, STATIONARITY_DIRECTIONS, _picard_columns,
-                              _tracking_term, build_problem, evaluate_functional_raw)
+from stackheat.saddle import (STATIONARITY_DIRECTIONS, _picard_columns, _tracking_term,
+                              build_problem, evaluate_functional_raw)
 from stackheat.scenario import RobustParams, ScenarioConfig
 
 # the march pair the references run; the equilibria also take another pair
@@ -388,108 +389,79 @@ def dense_adjoint_solve(cfg: ScenarioConfig, phi_terminal: np.ndarray, params: R
     return phi, tuple(thetas)
 
 
-# --- verify_saddle's values, each perturbed state marched in space -------------
+# --- verify_saddle's values, each deviated state marched in space -------------
 
-def reference_players(prob, follower, disturbance, rng) -> list:
-    """The players of ``saddle._players`` as (index, perturb): perturb(m) -> perturbed controls.
+def reference_direction_values(prob, sol, leader_arr, rng) -> list:
+    """``saddle._direction_values`` of every player, with each point's state marched in space.
 
-    Each draw is made as ``saddle._players`` makes it, in the same order, and
-    added to the raw equilibrium controls (follower, disturbance): a whole
-    field or trace per player, zero off B's regions and at C/D's end levels.
+    The directions are drawn as the package draws them, player by player in
+    the same order, and added to the equilibrium's controls: a whole field or
+    trace per direction, zero off B's regions.  Returns one (J(x), the
+    (count, 2) values at the +step and -step points, each |step d|^2 in the
+    player's cost norm, the tracking terms (1 + 2 count,) of x and then of
+    each point in the package's order) per player.  A/B score
+    ``evaluate_functional_raw`` at the deviated raw controls; C/D the
+    rho_star-weighted cost 0.5 ell^2 dt sum(trapezoid weight * u^2) at the
+    state of rho_star^-1 times the weighted controls.
     """
     cfg = prob.cfg
     c = cfg.configuration
-    klev, n = cfg.tgrid.n_levels, cfg.grid.n_interior
-    if c == "A":
-        return [
-            (0, lambda m: (tuple(v + m * rng.standard_normal(klev) for v in follower),
-                           disturbance)),
-            (0, lambda m: (follower, disturbance + m * rng.standard_normal((klev, n)))),
-        ]
-    if c == "B":
-        def on(mask, m):
-            d = np.zeros((klev, n))
-            d[:, mask] = m * rng.standard_normal((klev, int(mask.sum())))
-            return d
-
-        return [(0, lambda m: (follower + on(prob.b1_mask, m), disturbance)),
-                (0, lambda m: (follower, disturbance + on(prob.b2_mask, m)))]
-    live = np.isfinite(prob.log_g2)
-
-    def deviate(i):
-        def perturb(m):
-            dv = np.where(live, m * rng.standard_normal(klev), 0.0)
-            return tuple(v + dv if j == i else v for j, v in enumerate(follower)), None
-        return i, perturb
-
-    return [deviate(i) for i in range(len(follower))]
-
-
-def reference_deviation_values(prob, leader_arr, follower, disturbance, rng,
-                               n_perturbations: int) -> tuple:
-    """``saddle._deviation_values`` with every perturbed state one march in space.
-
-    Returns (values, tracking), each (n_perturbations, n_players): the
-    functional ``evaluate_functional_raw`` at each perturbed control and
-    state, and its tracking term alone.
-    """
-    players = reference_players(prob, follower, disturbance, rng)
-    lo, hi = PERTURBATION_MAGNITUDES
-    values = np.empty((n_perturbations, len(players)))
-    tracking = np.empty_like(values)
-    for j in range(n_perturbations):
-        m = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-        for k, (index, perturb) in enumerate(players):
-            f, d = perturb(m)
-            state = prob.state(f, d, leader_arr)
-            values[j, k] = evaluate_functional_raw(prob, f, d, leader_arr, state=state, index=index)
-            tracking[j, k] = _tracking_term(prob, state, which=index)
-    return values, tracking
-
-
-def reference_stationarity_values(prob, sol, leader_arr, rng) -> tuple:
-    """``saddle._stationarity_values`` with each +step and -step state marched in space.
-
-    Returns (values, tracking), each (n_directions, 2) as the package lays
-    them out; C/D score the cost of the rho_star-weighted control at the
-    state of ``rho_star^-1`` times it.
-    """
-    cfg = prob.cfg
-    c = cfg.configuration
-    klev, n = cfg.tgrid.n_levels, cfg.grid.n_interior
+    klev, n, dt = cfg.tgrid.n_levels, cfg.grid.n_interior, cfg.tgrid.dt
     step = 1e-2
-    vbar, psibar = prob.raw(sol.follower, sol.disturbance)
-    points = []   # (follower, disturbance, index, weighted control or None) per point
-    if c == "A":
-        for _ in range(STATIONARITY_DIRECTIONS):
-            dv = tuple(rng.standard_normal(klev) for _ in vbar)
-            dpsi = rng.standard_normal((klev, n))
-            for sign in (1, -1):
-                points.append((tuple(b + sign * step * d for b, d in zip(vbar, dv)),
-                               psibar + sign * step * dpsi, 0, None))
-    elif c == "B":
-        for _ in range(STATIONARITY_DIRECTIONS):
-            dv = np.where(prob.b1_mask[None, :], rng.standard_normal((klev, n)), 0.0)
-            dpsi = np.where(prob.b2_mask[None, :], rng.standard_normal((klev, n)), 0.0)
-            for sign in (1, -1):
-                points.append((vbar + sign * step * dv, psibar + sign * step * dpsi, 0, None))
+
+    def midpoint_sq(d, nodes=slice(None)):
+        return dt * cfg.grid.dx * float(np.sum(heat.favg(d[:, nodes], 0) ** 2))
+
+    if c in ("A", "B"):
+        vbar, psibar = prob.raw(sol.follower, sol.disturbance)
+        if c == "A":
+            edges = len(vbar)
+            players = [
+                ((edges, klev), lambda d: (tuple(v + e for v, e in zip(vbar, d)), psibar),
+                 lambda d: sum(dt * float(np.sum(heat.favg(e, 0) ** 2)) for e in d)),
+                ((klev, n), lambda d: (vbar, psibar + d), midpoint_sq)]
+        else:
+            b1, b2 = np.flatnonzero(prob.b1_mask), np.flatnonzero(prob.b2_mask)
+
+            def on(nodes, d):
+                field = np.zeros((klev, n))
+                field[:, nodes] = d
+                return field
+
+            players = [
+                ((klev, len(b1)), lambda d: (vbar + on(b1, d), psibar), midpoint_sq),
+                ((klev, len(b2)), lambda d: (vbar, psibar + on(b2, d)), midpoint_sq)]
+
+        def score(controls):
+            f, d = controls
+            state = prob.state(f, d, leader_arr)
+            return (evaluate_functional_raw(prob, f, d, leader_arr, state=state),
+                    _tracking_term(prob, state))
+
+        players = [(shape, lambda d, deviate=deviate: score(deviate(d)), norm)
+                   for shape, deviate, norm in players]
     else:
         ubars, _ = prob.raw(sol.follower_weighted)
-        per_follower = max(1, STATIONARITY_DIRECTIONS // len(ubars))
-        dus = [[rng.standard_normal(klev) for _ in range(per_follower)] for _ in ubars]
-        for i, (ubar, du) in enumerate(zip(ubars, dus)):
-            for d in du:
-                for u_i in (ubar + step * d, ubar - step * d):
-                    points.append((tuple(prob.ginv * (u_i if j == i else u)
-                                         for j, u in enumerate(ubars)), None, i, u_i))
-    values, tracking = [], []
-    for f, d, index, u_i in points:
-        state = prob.state(f, d, leader_arr)
-        tracking.append(_tracking_term(prob, state, which=index))
-        if u_i is None:
-            values.append(evaluate_functional_raw(prob, f, d, leader_arr, state=state))
-        else:
-            ell = prob.follower_edges[index][2]
-            values.append(tracking[-1] + 0.5 * ell ** 2 * float(
-                np.sum(cfg.tgrid.dt * prob.wtrap * u_i ** 2)))
-    return np.reshape(values, (-1, 2)), np.reshape(tracking, (-1, 2))
+
+        def weighted(i, du):
+            us = tuple(u + du if j == i else u for j, u in enumerate(ubars))
+            state = prob.state(tuple(prob.ginv * u for u in us), None, leader_arr)
+            tracking = _tracking_term(prob, state, which=i)
+            ell = prob.follower_edges[i][2]
+            return tracking + 0.5 * ell ** 2 * float(np.sum(dt * prob.wtrap * us[i] ** 2)), tracking
+
+        players = [((klev,), lambda du, i=i: weighted(i, du),
+                    lambda du: float(np.sum(dt * prob.wtrap * du ** 2)))
+                   for i in range(len(ubars))]
+    count = max(1, STATIONARITY_DIRECTIONS // len(players))
+    out = []
+    for shape, value, norm in players:
+        j0, t0 = value(np.zeros(shape))
+        points = []
+        for _ in range(count):
+            d = step * rng.standard_normal(shape)
+            points.append((value(d), value(-d), norm(d)))
+        tracking = [t0] + [p[0][1] for p in points] + [p[1][1] for p in points]
+        out.append((j0, np.array([[p[0][0], p[1][0]] for p in points]),
+                    np.array([p[2] for p in points]), np.array(tracking)))
+    return out

@@ -115,7 +115,7 @@ def test_verify_saddle(benchmark, demo):
     sol = saddle.solve_optimality(cfg, None, spec.robust)
 
     def call():
-        return saddle.verify_saddle(cfg, sol, None, spec.robust, n_perturbations=100, seed=0)
+        return saddle.verify_saddle(cfg, sol, None, spec.robust, seed=0)
 
     call()   # the grid pair's march plan and its buffers exist from here on
     if sys.platform.startswith("linux"):

@@ -89,7 +89,7 @@ def test_readme_stage_table_matches_each_command(tmp_path):
 
     config = tmp_path / "tiny.ini"
     config.write_text("[scenario]\nconfiguration = A\n[grid]\nn_interior = 8\nn_steps = 8\n"
-                      "ladder = 4, 6, 8\n[output]\nprobe_samples = 4\nverify_perturbations = 2\n",
+                      "ladder = 4, 6, 8\n[output]\nprobe_samples = 4\n",
                       encoding="utf-8")
     spec = parse_config(str(config))
     commands = {"run": run_experiment, "converge": convergence_study, "probe": probe_run,

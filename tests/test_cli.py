@@ -22,8 +22,7 @@ def small_config(tmp_path, conf="A", n=12, k=12, extra="", name="exp.ini"):
     lines += [ln for ln in extra.splitlines() if ln.strip()]
     lines += ["", "[grid]", f"n_interior = {n}", f"n_steps = {k}",
               "", "[hum]", "epsilon = 1e-3", "cg_tol = 1e-9",
-              "", "[output]", f"directory = {tmp_path}/out", "seed = 3",
-              "verify_perturbations = 20"]
+              "", "[output]", f"directory = {tmp_path}/out", "seed = 3"]
     p = tmp_path / name
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(p)
@@ -172,8 +171,8 @@ def test_cli_exit_codes(tmp_path):
      "unknown key 'theta' in [grid]"),
     ("[grid]\nladder = 25, 50",                 # a convergence ladder needs 3 grids
      "[grid] ladder needs at least 3 grids, got (25, 50)"),
-    ("[output]\nverify_perturbations = 0",      # a saddle check over no perturbation
-     "[output] verify_perturbations must be >= 1, got 0"),
+    ("[output]\nverify_perturbations = 0",      # retired: verify draws no perturbation
+     "unknown key 'verify_perturbations' in [output]"),
     ("[output]\nprobe_samples = 0",             # a probe of no sample
      "[output] probe_samples must be >= 1, got 0"),
     ("[output]\nseed = -1",                     # numpy rejects negative seeds
@@ -234,8 +233,8 @@ def test_main_calls_share_no_parser_state(monkeypatch):
 @pytest.mark.parametrize("conf", "AB")
 def test_run_fails_its_saddle_verdicts_on_a_nan_functional(conf, tmp_path, monkeypatch):
     # nan > violation is False, so a nan gain once slipped past the check: here
-    # every perturbed cost is nan and the equilibrium's own is finite; both
-    # verdicts fail, and their reasons show the nan
+    # every cost verify scores is nan, the derivatives and curvatures with it;
+    # both verdicts fail, and their reasons show the nan
     import numpy as np
 
     import stackheat.saddle as saddle_module
@@ -245,12 +244,13 @@ def test_run_fails_its_saddle_verdicts_on_a_nan_functional(conf, tmp_path, monke
     def nan_on_blocks(*args, **kwargs):
         return real(*args, **kwargs) * np.nan
 
-    # every perturbed and stationarity value is a block value
+    # every value at a stationarity point, and the equilibrium's, is a block value
     monkeypatch.setattr(saddle_module, "_block_values", nan_on_blocks)
     report = run_experiment(parse_config(small_config(tmp_path, conf, n=8, k=8)), quiet=True)
     verdicts = {v.name: v for v in report.verdicts}
     assert verdicts["saddle_conditions"].status == "fail"
-    assert "min nan, max nan" in verdicts["saddle_conditions"].reason
+    assert "curvature nan ell^2" in verdicts["saddle_conditions"].reason
+    assert "disturbance gain nan" in verdicts["saddle_conditions"].reason
     assert verdicts["equilibrium_stationarity"].status == "fail"
     assert "derivative nan" in verdicts["equilibrium_stationarity"].reason
     assert not report.passed
@@ -377,26 +377,31 @@ def test_probe_and_converge_report_a_stage_error_as_run_does(tmp_path, command, 
         assert [row["file"] for row in csv.DictReader(fh)] == written
 
 
-def test_run_without_verify_perturbations_does_not_pass(tmp_path):
-    # parse_config rejects verify_perturbations = 0; a spec built in code
-    # must not get a vacuous saddle verdict either
-    import dataclasses
+def test_run_without_verify_perturbations_does_not_pass(tmp_path, monkeypatch):
+    # the verification draws no perturbation; a check along no stationarity
+    # direction would test nothing, and still cannot pass
+    from stackheat import saddle
     spec = parse_config(small_config(tmp_path, n=8, k=8))
-    bare = dataclasses.replace(spec, verify_perturbations=0)
-    with pytest.raises(ValueError, match="at least one perturbation"):
-        run_experiment(bare, out_dir=str(tmp_path / "bare"), quiet=True)
+    monkeypatch.setattr(saddle, "STATIONARITY_DIRECTIONS", 0)
+    with pytest.raises(ValueError, match="at least one direction"):
+        run_experiment(spec, out_dir=str(tmp_path / "bare"), quiet=True)
 
 
 def test_run_rejects_a_spec_without_perturbations_before_any_stage(tmp_path):
-    # the spec is checked before the output directory is made or a stage runs
+    # the retired perturbation count is neither a spec field nor a config key:
+    # the key is rejected before the output directory is made or a stage runs
     import dataclasses
 
     from stackheat.errors import ConfigError
     spec = parse_config(small_config(tmp_path, n=8, k=8))
-    bare = dataclasses.replace(spec, verify_perturbations=0)
-    with pytest.raises(ConfigError, match="at least one perturbation"):
-        run_experiment(bare, out_dir=str(tmp_path / "bare"), quiet=True)
-    assert not os.path.exists(tmp_path / "bare")
+    with pytest.raises(TypeError, match="verify_perturbations"):
+        dataclasses.replace(spec, verify_perturbations=0)
+    path = small_config(tmp_path, n=8, k=8, name="retired.ini")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("verify_perturbations = 100\n")
+    with pytest.raises(ConfigError, match="unknown key 'verify_perturbations'"):
+        run_experiment(parse_config(path), quiet=True)
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_march_overflow_reaches_the_partial_manifest(tmp_path):
@@ -446,3 +451,24 @@ def test_no_command_imports_scipy(tmp_path):
     assert out.strip() == "[0, 0, 0, 0] []"
     for cmd in ("run", "sweep-eps", "probe", "converge"):
         assert os.path.exists(tmp_path / cmd / "manifest.csv")
+
+
+def test_run_imports_neither_the_oracle_nor_difflib(tmp_path):
+    # a fresh interpreter: only converge needs the dense oracle, and only a
+    # configuration error the name suggestions of difflib
+    demo = os.path.join(os.path.dirname(__file__), "..", "configs", "demo_a.ini")
+    with open(demo, encoding="utf-8") as fh:
+        text = fh.read()
+    text = text.replace("n_interior = 50", "n_interior = 8").replace("n_steps = 50", "n_steps = 8")
+    cfg = tmp_path / "demo_a8.ini"
+    cfg.write_text(text, encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from stackheat.cli import main\n"
+        "code = main(['run', sys.argv[1], '--out', sys.argv[2], '--quiet'])\n"
+        "print(code, [m for m in ('stackheat.oracle', 'difflib') if m in sys.modules])\n")
+    src = os.path.dirname(os.path.dirname(stackheat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / "run")],
+                         capture_output=True, text=True, env=env, check=True, timeout=300).stdout
+    assert out.strip() == "0 []"

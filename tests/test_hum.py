@@ -710,7 +710,7 @@ def test_run_certifies_its_eps_pair_in_one_batch(conf, tmp_path, monkeypatch):
     # and the law's ratio keep the bits of two lone hum_minimize solves
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = parse_config(os.path.join(root, "configs", f"demo_{conf.lower()}.ini"))
-    spec = dataclasses.replace(spec, scenario=spec.recipe.build(16, 16), verify_perturbations=5)
+    spec = dataclasses.replace(spec, scenario=spec.recipe.build(16, 16))
     cfg, robust, hum = spec.scenario, spec.robust, spec.hum
     fine = hum_minimize(cfg, robust, hum)
     coarse = hum_minimize(cfg, robust, dataclasses.replace(hum, epsilon=hum.epsilon * 100.0))

@@ -9,8 +9,10 @@ PACKAGE = os.path.dirname(os.path.abspath(stackheat.__file__))
 
 # The functions that may reach ``heat._modal_levels``, the march on modal
 # coefficients: ``heat`` itself, the two sweep marches that form every Picard
-# sweep's sources and edge rows, and verify's response march of deviations.
-MODAL_LEVELS_CALLERS = {"saddle._forward_hat", "saddle._backward_hat", "saddle._Readout.response"}
+# sweep's sources and edge rows, and verify's response march of deviations
+# and its transpose (the Lanczos fallback of the concavity certificate).
+MODAL_LEVELS_CALLERS = {"saddle._forward_hat", "saddle._backward_hat", "saddle._Readout.response",
+                        "saddle._Readout.transpose"}
 
 
 def _references(module: str, name: str) -> list:
