@@ -227,7 +227,7 @@ def _run_stages(spec: ExperimentSpec, em: _Emitter):
     _emit_saddle(em, cfg, res.controlled, "controlled")
     rep = em.timed("verify", lambda: verify_saddle(
         cfg, res.controlled, res.leader, robust, seed=spec.seed + 1000))
-    yield from verify_verdicts(cfg, rep)
+    yield from _verify_verdicts(cfg, rep)
 
     scale = max(res.terminal_residual_hminus1, 1e-300)
     agree = abs(res.internal_residual_estimate - res.terminal_residual_hminus1) / scale
@@ -248,7 +248,7 @@ def _run_stages(spec: ExperimentSpec, em: _Emitter):
             "(square-root law nominal 10)", ratio)
 
 
-def verify_verdicts(cfg: ScenarioConfig, rep) -> list:
+def _verify_verdicts(cfg: ScenarioConfig, rep) -> list:
     """The verdicts of ``verify_saddle``'s report ``rep``: conditions, stationarity, concavity.
 
     ``{kind}_conditions`` holds when every player's first- and second-order

@@ -2,7 +2,7 @@
 
 Aim 3 says a "pass" must mean that something was tested.  Each row injects
 one error into the zero-leader equilibrium of a demo at n = K = 16 and names
-one verdict of ``runner.verify_verdicts`` (the verdicts ``run`` writes).  A
+one verdict of ``runner._verify_verdicts`` (the verdicts ``run`` writes).  A
 row expects ``fail``, or declares a blind spot: the verdict passes, and the
 row says why and which ROADMAP item is to make it see the error.  A fix
 then fails its row, so the table changes with the fix.
@@ -27,7 +27,7 @@ import pytest
 from stackheat import saddle
 from stackheat.config import parse_config
 from stackheat.grids import BoundaryTrace, SpaceTimeField
-from stackheat.runner import verify_verdicts
+from stackheat.runner import _verify_verdicts
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 N = 16
@@ -99,7 +99,7 @@ def _statuses(conf, injected=None, size=None):
     if injected is not None:
         sol = _inject(sol, injected, size)
     report = saddle.verify_saddle(cfg, sol, None, params, seed=1000)
-    return {v.name: v.status for v in verify_verdicts(cfg, report)}
+    return {v.name: v.status for v in _verify_verdicts(cfg, report)}
 
 
 @pytest.mark.parametrize("conf", "ABCD")

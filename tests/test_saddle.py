@@ -17,7 +17,7 @@ from stackheat.grids import (LEFT, RIGHT, BoundarySet, BoundaryTrace, Region,
 from stackheat.oracle import dense_optimality_solve
 from stackheat.products import qmid_field
 from stackheat.saddle import (_leader_array, _picard_columns, build_problem, evaluate_functional,
-                              evaluate_functional_raw, solve_optimality, verify_saddle)
+                              solve_optimality, verify_saddle)
 from stackheat.scenario import (ScenarioConfig, make_initial,
                                 make_target, validate_config)
 
@@ -716,7 +716,7 @@ def test_disturbance_concavity_verdict_at_small_gamma(gamma, status):
     # gamma = 0.1 the closed bound 1.02e-2 exceeds gamma^2 = 0.01, and
     # Lanczos certifies it; the problem is built directly, since Picard
     # does not contract there
-    from stackheat.runner import verify_verdicts
+    from stackheat.runner import _verify_verdicts
     closed = saddle._concavity(saddle._Readout(_demo_problem("A", 12)), None).bound
     assert closed > gamma ** 2
     prob = _demo_problem("A", 12, ell=gamma, gamma=gamma)
@@ -725,7 +725,7 @@ def test_disturbance_concavity_verdict_at_small_gamma(gamma, status):
     rep = saddle.VerifyReport(0.0, (saddle.PlayerCheck("control", False, 0.0, 1.0),
                                     saddle.PlayerCheck("disturbance", True, 0.0, 0.0)),
                               cert, gamma ** 2)
-    (verdict,) = [v for v in verify_verdicts(prob.cfg, rep) if v.name == "disturbance_concavity"]
+    (verdict,) = [v for v in _verify_verdicts(prob.cfg, rep) if v.name == "disturbance_concavity"]
     assert verdict.status == status and rep.passed == (status == "pass")
     assert verdict.value == cert.bound and "Lanczos" in verdict.reason
     if status == "fail":
