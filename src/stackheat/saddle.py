@@ -929,7 +929,7 @@ Concavity = collections.namedtuple("Concavity", "value bound method steps")
 
 @dataclass
 class VerifyReport:
-    """The exact first- and second-order conditions of an equilibrium, as ``verify_saddle`` measured them.
+    """An equilibrium's exact first- and second-order conditions, as ``verify_saddle`` found them.
 
     ``functional_value`` is the first player's cost at the equilibrium,
     ``players`` one ``PlayerCheck`` each, ``concavity`` A/B's certificate
@@ -1019,10 +1019,11 @@ def _players(prob: _Problem, follower, disturbance) -> list:
         maximizes (sign -1), and B's control's, the first, when it minimizes.
         """
         nodes = np.flatnonzero(mask)
-        rows, base = s[nodes], own[:, nodes].T   # its cost sums node-major, as qmid_field(mask=...)
+        # its cost sums node-major, as qmid_field(mask=...) does
+        rows, base = s[nodes], own[:, nodes].T
 
         def costs(readout, d):
-            term = readout.cost(0.5 * sign * weight, base, d.transpose(0, 2, 1), -1)
+            term = readout.cost(0.5 * sign * weight, base, d.transpose(0, 2, 1))
             return fixed[:-1] + (term,) if sign < 0 else (term,) + fixed[1:]
 
         return _Player(label, 0, weight, sign < 0, (klev, len(nodes)), lambda d: (d, rows, None),
@@ -1117,13 +1118,14 @@ class _Readout:
         levels = _modal_levels(wk, None, wk.z_columns, backward=True)[0]
         return levels[:-1] @ rows.T
 
-    def cost(self, coef, base: np.ndarray, delta: np.ndarray, levels: int = -2) -> np.ndarray:
-        """``coef`` times each column's midpoint norm of base + delta (w, a, b), in ``field``.
+    def cost(self, coef, base: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """``coef`` times each column's midpoint norm of base + delta (w, nodes, levels).
 
-        ``levels`` is ``qmid_field_inplace``'s."""
+        The sum is formed in ``field``; the columns are node-major, as a masked
+        ``qmid_field`` sums them."""
         cfg = self.prob.cfg
         f = np.add(base, delta, out=_view(self.field, delta.shape))
-        return coef * qmid_field_inplace(f, self.avg, cfg.grid, cfg.tgrid.dt, levels)
+        return coef * qmid_field_inplace(f, self.avg, cfg.grid, cfg.tgrid.dt, -1)
 
 
 def _block_values(readout: _Readout, observed: np.ndarray, costs: tuple) -> np.ndarray:
@@ -1251,20 +1253,16 @@ def verify_saddle(cfg: ScenarioConfig, sol: SaddleSolution, leader, params: Robu
     Each player's cost is quadratic in its own control, so a unilateral
     deviation delta changes it by exactly <g, delta> + 0.5 <delta, H delta>:
     no deviation gains exactly when g vanishes and H has the player's sign.
-    Along STATIONARITY_DIRECTIONS random directions, split between the
-    players and each deviating one alone, the values at x +- step d give
-    both (``_direction_values``): the directional derivative
-    (J+ - J-) / (2 step) and the curvature (J+ + J- - 2 J) / |step d|^2
-    (``VerifyReport`` states the rules).  A/B add the certificate that the
-    cost is concave in the disturbance (``_concavity``).  C/D are checked in
-    the rho_star-weighted followers ``sol.follower_weighted``, whose
-    feedback is finite through the weight's over/underflow range; their raw
-    followers are not read.  The costs are computed from the controls in
-    ``sol``, not read from ``sol.functional_value``.  The directions are
-    scored a block at a time in the buffers of a ``_Readout`` that the call
-    owns and releases, and every value has the bits of its lone evaluation
-    whatever the block width.  At least one direction is required: none
-    would pass without testing anything.
+    The values at x +- step d along random directions give both
+    (``_direction_values``, and the rules above ``STATIONARITY_TOL``); A/B
+    add the certificate that the cost is concave in the disturbance
+    (``_concavity``).  C/D are checked in the rho_star-weighted followers
+    ``sol.follower_weighted``, whose feedback is finite through the
+    weight's over/underflow range; their raw followers are not read.  The
+    costs are computed from the controls in ``sol``, not read from
+    ``sol.functional_value``, and every value has the bits of its lone
+    evaluation whatever the block width.  At least one direction is
+    required: none would pass without testing anything.
     """
     if STATIONARITY_DIRECTIONS < 1:
         raise ValueError("verification needs at least one direction, "
