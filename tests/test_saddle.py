@@ -476,6 +476,24 @@ def test_verify_marches_the_base_state_once_and_every_response_in_blocks(conf, m
     assert len(widths) == players
 
 
+def _verified_state(cfg, p):
+    """(problem, raw leader, equilibrium, state, players) as ``verify_saddle`` builds them.
+
+    The equilibrium is solved under a random leader; C/D's state and players
+    are those of the rho_star-weighted followers.
+    """
+    prob = build_problem(cfg, p)
+    leader = _leader_array(prob, random_leader(cfg, seed=3))
+    sol = saddle._solve(prob, leader)
+    if cfg.configuration in "AB":
+        follower, disturbance = prob.raw(sol.follower, sol.disturbance)
+        state = prob.state(follower, disturbance, leader)
+    else:
+        follower, disturbance = prob.raw(sol.follower_weighted)[0], None
+        state = prob.state(tuple(prob.ginv * u for u in follower), None, leader)
+    return prob, leader, sol, state, saddle._players(prob, follower, disturbance)
+
+
 @pytest.mark.parametrize("n", [12, 50])
 @pytest.mark.parametrize("conf", "ABCD")
 def test_verify_values_agree_with_the_physical_scorer(conf, n, monkeypatch):
@@ -487,9 +505,7 @@ def test_verify_values_agree_with_the_physical_scorer(conf, n, monkeypatch):
     kw = {"s": 0.002} if conf in "CD" else {}
     cfg = builders()[conf](n=n, k=n, y0_kind="random", target_kind="random", seed=2, **kw)
     p = params(ell=3.0, ell2=4.0) if conf in "CD" else params()
-    prob = build_problem(cfg, p)
-    leader = _leader_array(prob, random_leader(cfg, seed=3))
-    sol = saddle._solve(prob, leader)
+    prob, leader, sol, state, players = _verified_state(cfg, p)
     reference = reference_direction_values(prob, sol, leader, np.random.default_rng(4))
 
     tracking = []
@@ -501,13 +517,6 @@ def test_verify_values_agree_with_the_physical_scorer(conf, n, monkeypatch):
         return real(readout, observed, costs)
 
     monkeypatch.setattr(saddle, "_block_values", recorded)
-    if conf in "AB":
-        follower, disturbance = prob.raw(sol.follower, sol.disturbance)
-        state = prob.state(follower, disturbance, leader)
-    else:
-        follower, disturbance = prob.raw(sol.follower_weighted)[0], None
-        state = prob.state(tuple(prob.ginv * u for u in follower), None, leader)
-    players = saddle._players(prob, follower, disturbance)
     readout = saddle._Readout(prob)
     rng = np.random.default_rng(4)
     count = saddle.STATIONARITY_DIRECTIONS // len(players)
@@ -529,21 +538,6 @@ def test_verify_values_agree_with_the_physical_scorer(conf, n, monkeypatch):
         assert np.max(np.abs(got - ref_tracking)) <= 1e-12 * np.max(np.abs(ref_tracking))
 
 
-def _equilibrium_players(conf):
-    """A verification case's problem, leader, the state and players verify builds, and its readout."""
-    cfg, p = _verify_case(conf)
-    prob = build_problem(cfg, p)
-    leader = _leader_array(prob, random_leader(cfg, seed=3))
-    sol = saddle._solve(prob, leader)
-    if conf in "AB":
-        follower, disturbance = prob.raw(sol.follower, sol.disturbance)
-        state = prob.state(follower, disturbance, leader)
-    else:
-        follower, disturbance = prob.raw(sol.follower_weighted)[0], None
-        state = prob.state(tuple(prob.ginv * u for u in follower), None, leader)
-    return cfg, prob, state, saddle._players(prob, follower, disturbance)
-
-
 @pytest.mark.parametrize("conf", "ABCD")
 def test_block_functional_equals_lone_calls_bit_for_bit(conf, monkeypatch):
     # a block of one player's deviations, a strided slice of it and each
@@ -551,7 +545,8 @@ def test_block_functional_equals_lone_calls_bit_for_bit(conf, monkeypatch):
     # and the quadratures (B's masked costs node-major) keep each column's
     # lone arithmetic; so do every player's direction values at every block
     # width
-    cfg, prob, state, players = _equilibrium_players(conf)
+    cfg, p = _verify_case(conf)
+    prob, _, _, state, players = _verified_state(cfg, p)
     readout = saddle._Readout(prob)
     rng = np.random.default_rng(5)
     every_other = slice(1, None, 2)
