@@ -14,6 +14,8 @@ correction (``saddle._picard_columns``) must equal bit for bit.
 H^1_0 coordinates that ``hum._gram`` and ``hum.GramBasis`` work in.
 ``dense_adjoint_solve`` is the direct solve of the observability adjoint
 pair on a tiny grid, the oracle ``solve_adjoint`` is held to.
+``march_count`` counts the marches made inside a ``with`` block: every
+march, of any batch, runs ``heat._recurrence`` once.
 
 The ``reference_*`` functions are the Picard coupling in physical space:
 every sweep marches explicit sources (``_Problem.forcing`` of the feedback,
@@ -36,6 +38,7 @@ d'Hd it reads off the points are held to them at round-off.
 import csv
 import hashlib
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +64,23 @@ def l2q_norm_interior(f: np.ndarray, grid, dt: float) -> float:
     the column's adjoints.
     """
     return float(np.sqrt(dt * grid.dx * (f * f).sum()))
+
+
+@contextmanager
+def march_count():
+    """Yield a one-item list that counts the ``heat._recurrence`` calls made in the block."""
+    calls = [0]
+    real = heat._recurrence
+
+    def counted(wk, backward=False):
+        calls[0] += 1
+        real(wk, backward)
+
+    heat._recurrence = counted
+    try:
+        yield calls
+    finally:
+        heat._recurrence = real
 
 
 def to_coords(u: np.ndarray, grid) -> np.ndarray:

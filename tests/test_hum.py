@@ -20,10 +20,11 @@ from stackheat.hum import (GramBasis, HumSettings, _adjoint_pairs, gram_apply, h
                            target_admissibility)
 from stackheat.products import h10_inner, h10_norm
 from stackheat.runner import eps_sweep, run_experiment
+from stackheat.saddle import build_problem
 from stackheat.weights import admissibility_check, target_weight_inv_sq
 
-from _instruments import (dense_adjoint_solve, gradient_check, observation_pairing, to_coords,
-                          to_physical)
+from _instruments import (dense_adjoint_solve, gradient_check, march_count, observation_pairing,
+                          to_coords, to_physical)
 from _scenarios import builders, params, scenario_a, scenario_b, scenario_c
 
 
@@ -94,6 +95,97 @@ def test_gram_symmetry_and_positivity(conf):
         assert gab == pytest.approx(obs, abs=1e-12 * na * nb, rel=1e-9)
         gaa = h10_inner(ga, a, cfg.grid)
         assert gaa >= -1e-12 * na * na
+
+
+def _demo(letter, n=None):
+    spec = parse_config(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                     "configs", f"demo_{letter}.ini"))
+    return (spec.scenario if n is None else spec.recipe.build(n, n)), spec.robust
+
+
+def _picard_loops(monkeypatch, solve):
+    """Each Picard loop that ``solve()`` runs: per column, (first correction, final adjoints, sweeps).
+
+    The final adjoints are the loop's own, before ``finish`` maps them, so
+    a difference of two of them is measured in the loop's correction norm.
+    """
+    made, loops = [], []
+    real = saddle_module._picard_columns
+
+    class Column(saddle_module._Column):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    def recorded(prob, forward, backward, n_adjoints, width, finish, final_forward=None):
+        start, finals = len(made), {}
+
+        def keep(state, adjoints, cols):
+            for j, c in enumerate(cols):
+                finals[c] = tuple(a[j].copy() for a in adjoints)
+            return finish(state, adjoints, cols)
+
+        out = real(prob, forward, backward, n_adjoints, width, keep, final_forward)
+        loops.append([(run.first, finals[c], out[c][2]) for c, run in enumerate(made[start:])])
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(saddle_module, "_Column", Column)
+        m.setattr(saddle_module, "_picard_columns", recorded)
+        m.setattr(hum_module, "_picard_columns", recorded)
+        solve()
+    return loops
+
+
+@pytest.mark.parametrize("n", [16, 50])
+@pytest.mark.parametrize("demo", ["a", "b"])
+def test_picard_exit_keeps_its_accuracy_promise(demo, n, monkeypatch):
+    # each column stopped at the default tolerance, by the plain rule or the
+    # contraction error bound, lies within tol * delta_1 of the same column
+    # solved on at tol = 1e-300, until its corrections vanish or take the
+    # round-off exit, in the loop's own correction norm:
+    # the free equilibrium, the first Gram image's two columns and one probe
+    # block of adjoint pairs
+    cfg, p = _demo(demo, n)
+    ref = dataclasses.replace(p, fixed_point_tol=1e-300)
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((min(n, saddle_module._block_width(cfg)), n))
+    rows /= np.array([h10_norm(a, cfg.grid) for a in rows])[:, None]
+
+    def solves(q):
+        return (_picard_loops(monkeypatch, lambda: GramBasis(cfg, q).extend())
+                + _picard_loops(monkeypatch, lambda: _adjoint_pairs(build_problem(cfg, q), rows)))
+
+    loose, tight = solves(p), solves(ref)
+    assert [len(loop) for loop in loose] == [len(loop) for loop in tight] == [1, 2, len(rows)]
+    dtdx = cfg.tgrid.dt * cfg.grid.dx
+    for got, want in zip(loose, tight):
+        for (first, a, sweeps), (_, b, more) in zip(got, want):
+            assert more > sweeps
+            err = np.sqrt(sum(dtdx * np.sum((x - y) ** 2) for x, y in zip(a, b)))
+            assert err <= p.fixed_point_tol * first
+
+
+@pytest.mark.parametrize("demo", ["a", "b"])
+def test_gram_basis_stays_symmetric(demo):
+    # the images of 12 basis vectors at n = 50, each solved to the default
+    # tolerance: max |V G' - G V'| / max |V G'| stays at round-off
+    basis = GramBasis(*_demo(demo))
+    for _ in range(12):
+        assert basis.extend()
+    pairing = basis.vectors @ basis.images.T
+    assert np.abs(pairing - pairing.T).max() <= 1e-15 * np.abs(pairing).max()
+
+
+@pytest.mark.parametrize("demo, marches", [("a", 11), ("b", 6)])
+def test_first_gram_image_march_count(demo, marches):
+    # at n = 50 demo A's image makes 11 marches, eight of them two columns
+    # wide, and B's 6: both columns stop on the contraction error bound, one
+    # sweep before the plain rule would
+    basis = GramBasis(*_demo(demo))
+    with march_count() as calls:
+        basis.extend()
+    assert calls[0] == marches
 
 
 def test_gram_zero_datum_maps_to_zero():

@@ -842,13 +842,12 @@ def _keep(state, adjoints, cols):
     return state, adjoints
 
 
-def test_picard_round_off_exit_has_its_own_status():
-    # scripted corrections 1, 1e-7, 2e-7, 4e-7: two growing ones below 1e-6
-    # of the first take the round-off exit at sweep 4
+def _scripted(steps, **kw):
+    """One ``_picard_columns`` column whose adjoint moves by the scripted corrections ``steps``."""
     cfg = scenario_a(n=8, k=8)
-    prob = build_problem(cfg, params())
+    prob = build_problem(cfg, params(**kw))
     unit = np.ones((1, cfg.tgrid.n_levels, cfg.grid.n_interior))
-    steps = iter([1.0, 1e-7, 2e-7, 4e-7])
+    steps = iter(steps)
     adjoint = [0.0 * unit]
 
     def backward(state):
@@ -856,11 +855,59 @@ def test_picard_round_off_exit_has_its_own_status():
         return (adjoint[-1],)
 
     out, = _picard_columns(prob, lambda adjoints, cols: unit, backward, 1, width=1, finish=_keep)
+    return out
+
+
+def test_picard_round_off_exit_has_its_own_status():
+    # scripted corrections 1, 1e-7, 2e-7, 4e-7: two growing ones below 1e-6
+    # of the first take the round-off exit at sweep 4
+    out = _scripted([1.0, 1e-7, 2e-7, 4e-7])
     assert len(out) == 6 and out[5] == "round-off"
     assert out[2] == 4
     # the cumulative sums lose about 1e-9 relative to cancellation
     assert out[3] == pytest.approx(4e-7, rel=1e-6)
     assert out[4] == pytest.approx((1e-7, 2.0, 2.0), rel=1e-6)
+
+
+def test_picard_stops_on_the_contraction_error_bound():
+    # ratio 3e-4 throughout: at sweep 4 the correction 2.7e-11 is far above
+    # tol = 1e-13 of the first, but theta / (1 - theta) * 2.7e-11 = 8.1e-15
+    # bounds the remaining error below it; the plain rule alone would take
+    # one more sweep (8.1e-15)
+    out = _scripted([1.0, 3e-4, 9e-8, 2.7e-11])
+    assert out[5] == "converged" and out[2] == 4
+    # the residual keeps its definition, last over first, above the tolerance
+    assert out[3] == pytest.approx(2.7e-11, rel=1e-4)
+    assert out[3] > params().fixed_point_tol
+
+
+def test_picard_single_small_ratio_stops_no_column():
+    # 1e-7 / (1 - 1e-7) * 1e-7 would pass the bound at sweep 2, but theta
+    # holds two ratios from sweep 3 on: the 1e-2 of sweep 3 keeps the column
+    # going (bound 1e-11), and sweep 4 stops on the bound (1.01e-14)
+    col = saddle._Column()
+    tol = params().fixed_point_tol
+    assert col.stop(1.0, 1, tol) is None and col.stop(1e-7, 2, tol) is None
+    out = _scripted([1.0, 1e-7, 1e-9, 1e-12])
+    assert out[5] == "converged" and out[2] == 4
+
+
+def test_picard_bound_counts_ratios_below_the_floor():
+    # the correction 5e-9 lies below _RATIO_FLOOR of the first, so its ratio
+    # 5e-3 is not reported; theta still counts it, and at sweep 3 the bound
+    # 5e-3 / (1 - 5e-3) * 5e-9 = 2.5e-11 keeps the column going
+    out = _scripted([1.0, 1e-6, 5e-9, 1e-12])
+    assert out[5] == "converged" and out[2] == 4
+    assert out[4] == pytest.approx((1e-6,), rel=1e-6)
+
+
+def test_picard_slow_contraction_stops_where_the_plain_rule_does():
+    # theta = 0.6 makes the bound 1.5 times the correction, so only the
+    # plain rule delta_s <= tol * delta_1 can stop the column
+    tol = 1e-6
+    plain = next(s for s in range(1, 100) if 0.6 ** (s - 1) <= tol)
+    out = _scripted([0.6 ** j for j in range(plain + 5)], fixed_point_tol=tol)
+    assert out[5] == "converged" and out[2] == plain == 29
 
 
 @pytest.mark.parametrize("conf", "AD")
