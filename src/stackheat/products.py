@@ -2,11 +2,10 @@
 
 Two families of time quadrature coexist on purpose:
 
-* trapezoid quadrature (``l2_q``) for the norms of the field controls that
-  ``run`` reports, the disturbance (A/B) and B's follower.  An edge
-  follower (A/C/D) is normed by ``runner._follower_norm`` instead, as
-  sqrt(dt * sum(v**2)) over all K + 1 levels, both ends at full weight,
-  summed over its edge traces;
+* trapezoid quadrature for the norms of the controls that ``run`` reports:
+  ``l2_q`` for the field controls, the disturbance (A/B) and B's follower,
+  and ``runner._follower_norm`` for each edge trace of an edge follower
+  (A/C/D), summed over its traces;
 * the scheme-consistent midpoint quadrature (``qmid_*``), which pairs step
   averages of nodal sequences.  The Crank-Nicolson scheme satisfies an exact
   summation-by-parts identity in this pairing, which is what makes the

@@ -17,7 +17,7 @@ import numpy as np
 from .csvio import write_csv, write_field_csv, write_manifest, write_trace_csv
 from .errors import ConfigError, StackheatError
 from .grids import SpaceTimeField, SpatialGrid, TimeGrid
-from .heat import solve_forward
+from .heat import solve_forward, trapezoid_time_weights
 from .hum import _OBSERVED_CUT, GramBasis, hum_ladder, observability_probe, target_admissibility
 from .config import ExperimentSpec
 from .products import l2_q
@@ -136,7 +136,8 @@ def _follower_norm(cfg: ScenarioConfig, sol) -> float:
     if conf == "B":
         return l2_q(f, f) ** 0.5
     traces = f.values() if conf == "A" else (f,) if conf == "C" else f
-    return sum(float(np.sqrt(cfg.tgrid.dt * np.sum(tr.values ** 2))) for tr in traces)
+    w = trapezoid_time_weights(cfg.tgrid.n_levels)
+    return sum(float(np.sqrt(cfg.tgrid.dt * np.sum(w * tr.values ** 2))) for tr in traces)
 
 
 def _emit_weights(em: _Emitter, cfg: ScenarioConfig):

@@ -1,11 +1,12 @@
 """Exponential space-time weights used in the observability machinery.
 
-Everything here evaluates Carleman-type weights exactly, in log space where
-the dynamic range requires it: near the ends of the time interval the weights
-span hundreds of orders of magnitude, so quantities like rho_star**(-2) are
-computed directly from the exponent (never by squaring or inverting a huge
-value), underflow to an exact 0.0, and blow-ups saturate at CAP = 1e300 with
-a flag instead of returning inf.
+The commands evaluate the time profile l(t), rho_star**(-2) (the follower
+weight of configurations C/D) and the target-admissibility weights; the
+space profiles' hypotheses are checkable through ``Eta0.check`` and
+``EtaPair.check``.  Near the ends of the time interval the weights span
+hundreds of orders of magnitude, so they are computed from the exponent
+(never by squaring or inverting a huge value), underflow to an exact 0.0,
+and blow-ups saturate at CAP = 1e300 instead of returning inf.
 """
 
 from __future__ import annotations
@@ -196,12 +197,6 @@ class EtaBar:
     length: float
     side: str = LEFT
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        s = x if self.side == LEFT else self.length - x
-        v = 2.0 - s / self.length
-        return v if v.ndim else float(v)
-
     @property
     def sup(self) -> float:
         return 2.0
@@ -248,96 +243,12 @@ def _quartic_den_trunc(t, T):
     return out if out.ndim else float(out)
 
 
-def _capped_ratio(num, den):
-    """num/den saturated at CAP; den == 0 maps to CAP."""
-    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        ratio = np.where(den > 0, num / np.maximum(den, 1e-320), np.inf)
-    sat = ~(ratio < CAP)
-    return np.where(sat, CAP, ratio), sat
-
-
 def _capped_exp(expo):
     """exp(expo) saturated exactly at CAP."""
     expo = np.asarray(expo, dtype=float)
     with np.errstate(over="ignore"):
         out = np.where(expo >= _LOG_CAP, CAP, np.exp(np.minimum(expo, _LOG_CAP)))
     return out
-
-
-@dataclass(frozen=True)
-class AlphaXi:
-    alpha: float
-    xi: float
-    alpha_star: float
-    xi_star: float
-    saturated: bool
-
-
-@dataclass(frozen=True)
-class BetaPhi:
-    beta: float
-    phi: float
-    beta_star: float
-    phi_star: float
-    saturated: bool
-
-
-def _pointwise_weights(spec: WeightSpec, eta, x: float, den) -> tuple:
-    """(weight, xi, weight_star, xi_star, saturated) for one time denominator."""
-    e_sup = math.exp(2.0 * spec.lam * eta.sup)
-    e_here = math.exp(spec.lam * eta.value(x))
-    e_min = math.exp(spec.lam * eta.min_value)
-    a, sa = _capped_ratio(e_sup - e_here, den)
-    xi, sx = _capped_ratio(e_here, den)
-    a_star, ss = _capped_ratio(e_sup - e_min, den)
-    xi_star, sm = _capped_ratio(e_min, den)
-    return float(a), float(xi), float(a_star), float(xi_star), bool(sa | sx | ss | sm)
-
-
-def alpha_xi(spec: WeightSpec, eta: Eta0, x: float, t: float) -> AlphaXi:
-    """Pointwise weights (alpha, xi) plus their extremal envelopes in space.
-
-    alpha_star is realized at the node minimizing eta0 and so is xi_star.
-    Undefined at t = 0 and t = T; near those ends the values saturate at CAP
-    with the flag raised.
-    """
-    T = spec.horizon
-    if t <= 0.0 or t >= T:
-        raise ValueError(f"alpha/xi weights are undefined at t={t}; use interior times")
-    return AlphaXi(*_pointwise_weights(spec, eta, x, l_of_t(t, T) ** spec.m))
-
-
-def beta_weights(spec: WeightSpec, eta: Eta0, x: float, t: float) -> BetaPhi:
-    """Truncated weights built with the lbar profile: finite at t = 0."""
-    T = spec.horizon
-    if t >= T:
-        raise ValueError(f"beta weights are undefined at t={t} >= T")
-    if t < 0:
-        raise ValueError("t before 0")
-    return BetaPhi(*_pointwise_weights(spec, eta, x, lbar_of_t(t, T) ** spec.m))
-
-
-def section3_weights(spec: WeightSpec, pair: EtaPair, x: float, t: float):
-    """The two-profile weights (alpha~_i, xi~_i) with the t^2(T-t)^2 denominator.
-
-    Returns (alpha1, alpha2, xi1, xi2) and enforces the pointwise ordering
-    xi2 <= xi1 and alpha1 <= alpha2 that the pair construction guarantees.
-    """
-    T = spec.horizon
-    if t <= 0.0 or t >= T:
-        raise ValueError(f"weights undefined at t={t}")
-    den = float(_quartic_den(t, T))
-    e_top = math.exp(spec.lam * (pair.sup1 + pair.sup2))
-    e1 = math.exp(spec.lam * pair.value1(x))
-    e2 = math.exp(spec.lam * pair.value2(x))
-    a1, _ = _capped_ratio(e_top - e1, den)
-    a2, _ = _capped_ratio(e_top - e2, den)
-    x1, _ = _capped_ratio(e1, den)
-    x2, _ = _capped_ratio(e2, den)
-    if not (x2 <= x1 * (1 + 1e-12) and a1 <= a2 * (1 + 1e-12)):
-        raise ValueError("eta pair violates the weight ordering; check the pair invariants")
-    return float(a1), float(a2), float(x1), float(x2)
 
 
 def _log_weight(spec: WeightSpec, num: float, den):
@@ -356,27 +267,15 @@ def _exp_neg(expo, k: float):
     return out if out.ndim else float(out)
 
 
-def _alpha_bar_star_exponent(spec: WeightSpec, eta_bar: EtaBar, t):
-    """s * alpha_bar_star(t); +inf where the denominator vanishes."""
+def rho_star_log(spec: WeightSpec, eta_bar: EtaBar, t):
+    """log rho_star**2 = s * alpha_bar_star(t); +inf at t in {0, T}."""
     num = math.exp(2.0 * spec.lam * eta_bar.sup) - math.exp(spec.lam * eta_bar.min_value)
     return _log_weight(spec, num, _quartic_den(t, spec.horizon))
 
 
-def rho_star(spec: WeightSpec, eta_bar: EtaBar, t):
-    """exp(s * alpha_bar_star / 2), saturated at CAP near the ends."""
-    expo = np.asarray(_alpha_bar_star_exponent(spec, eta_bar, t), dtype=float)
-    out = _capped_exp(expo / 2.0)
-    return out if out.ndim else float(out)
-
-
 def rho_star_inv_sq(spec: WeightSpec, eta_bar: EtaBar, t):
     """exp(-s * alpha_bar_star), computed from the exponent; exact 0 on underflow."""
-    return _exp_neg(_alpha_bar_star_exponent(spec, eta_bar, t), 1.0)
-
-
-def rho_star_log(spec: WeightSpec, eta_bar: EtaBar, t):
-    """log rho_star**2 = s * alpha_bar_star; +inf at t in {0, T}."""
-    return _alpha_bar_star_exponent(spec, eta_bar, t)
+    return _exp_neg(rho_star_log(spec, eta_bar, t), 1.0)
 
 
 def _target_exponent(configuration: str, spec: WeightSpec, eta, t):

@@ -15,6 +15,7 @@ from stackheat import csvio
 from stackheat import runner as runner_module
 from stackheat.config import parse_config
 from stackheat.csvio import write_csv
+from stackheat.hum import GramBasis
 from stackheat.runner import (_Emitter, _emit_weights, convergence_study, eps_sweep,
                               probe_run, run_experiment)
 from stackheat.weights import rho_star_inv_sq, target_weight, target_weight_inv_sq
@@ -159,6 +160,20 @@ def test_run_outputs_equal_the_per_row_writer_byte_for_byte(tmp_path, monkeypatc
             with open(os.path.join(new.out_dir, name), "rb") as a, \
                     open(os.path.join(old.out_dir, name), "rb") as b:
                 assert a.read() == b.read(), (conf, name)
+
+
+def test_follower_norm_weighs_the_edge_trace_ends_by_half():
+    # demo A at n = K = 12: each edge trace is normed by the trapezoid rule in
+    # time, as l2_q norms the field controls, and the traces' norms summed
+    spec = _demo_spec("a", 12)
+    cfg = spec.scenario
+    sol = GramBasis(cfg, spec.robust).free
+    half_ends = np.ones(cfg.tgrid.n_levels)
+    half_ends[[0, -1]] = 0.5
+    traces = [tr.values for tr in sol.follower.values()]
+    want = sum(float(np.sqrt(cfg.tgrid.dt * np.sum(half_ends * v ** 2))) for v in traces)
+    assert runner_module._follower_norm(cfg, sol) == want
+    assert want != sum(float(np.sqrt(cfg.tgrid.dt * np.sum(v ** 2))) for v in traces)
 
 
 _COMMANDS = {"run": run_experiment, "probe": probe_run, "sweep-eps": eps_sweep,

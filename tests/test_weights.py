@@ -4,14 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stackheat.grids import LEFT, RIGHT, SpatialGrid
 from stackheat.weights import (CAP, AdmissibilityReport, Eta0, EtaBar, EtaPair,
-                               WeightSpec, admissibility_check, alpha_xi,
-                               beta_weights, l_of_t, rho_star,
-                               rho_star_inv_sq, section3_weights, target_weight,
+                               WeightSpec, admissibility_check, l_of_t, lbar_of_t,
+                               rho_star_inv_sq, rho_star_log, target_weight,
                                target_weight_inv_sq)
 
 
@@ -46,84 +43,15 @@ def test_l_out_of_range_rejected():
         l_of_t(1.2, 1.0)
 
 
-def test_alpha_direct_value():
-    # lambda=1, sup eta = 1, l = 1, eta(x) = 0 -> alpha = e^2 - 1
-    spec = WeightSpec(lam=1.0, s=1.0, m=4, horizon=1.0)
-    eta = Eta0(length=1.0, vanishing=(LEFT,))
-    w = alpha_xi(spec, eta, 0.0, 0.5)
-    den = l_of_t(0.5, 1.0) ** 4
-    assert w.alpha == pytest.approx((math.e ** 2 - 1.0) / den, rel=1e-12)
-    assert w.xi == pytest.approx(1.0 / den, rel=1e-12)
-
-
-def test_alpha_star_is_max_over_nodes():
-    spec = WeightSpec()
-    eta = Eta0(length=1.0)
-    grid = SpatialGrid(30)
-    t = 0.37
-    vals = [alpha_xi(spec, eta, x, t).alpha for x in grid.nodes()]
-    w = alpha_xi(spec, eta, 0.0, t)
-    assert max(vals) == pytest.approx(w.alpha_star, rel=1e-12)
-    assert all(v <= w.alpha_star * (1 + 1e-12) for v in vals)
-
-
-def test_alpha_xi_on_gamma_is_inverse_l_power():
-    spec = WeightSpec(m=3)
-    eta = Eta0(length=1.0, vanishing=(LEFT,))
-    t = 0.21
-    w = alpha_xi(spec, eta, 0.0, t)
-    assert w.xi == pytest.approx(1.0 / l_of_t(t, 1.0) ** 3, rel=1e-12)
-
-
-def test_alpha_equals_alpha_star_on_vanishing_boundary():
-    spec = WeightSpec()
-    eta = Eta0(length=1.0, vanishing=(LEFT,))
-    w = alpha_xi(spec, eta, 0.0, 0.4)
-    assert w.alpha == pytest.approx(w.alpha_star, rel=1e-14)
-
-
-def test_alpha_rejects_endpoint_times():
-    spec = WeightSpec()
-    eta = Eta0(length=1.0)
-    for t in (0.0, 1.0):
-        with pytest.raises(ValueError):
-            alpha_xi(spec, eta, 0.5, t)
-
-
-def test_beta_constant_on_first_half_and_below_alpha():
-    spec = WeightSpec()
-    eta = Eta0(length=1.0)
-    b0 = beta_weights(spec, eta, 0.3, 0.0)
-    for t in np.linspace(0.0, 0.5, 21):
-        b = beta_weights(spec, eta, 0.3, t)
-        assert b.beta == pytest.approx(b0.beta, rel=1e-14)
-        assert b.phi == pytest.approx(b0.phi, rel=1e-14)
-    for t in np.linspace(0.01, 0.99, 37):
-        a = alpha_xi(spec, eta, 0.3, t)
-        b = beta_weights(spec, eta, 0.3, t)
-        assert b.beta <= a.alpha * (1 + 1e-12)
-
-
-def test_beta_saturates_near_terminal_time():
-    # with a high power m the denominator underflows before t reaches T
-    spec = WeightSpec(m=30)
-    eta = Eta0(length=1.0)
-    b = beta_weights(spec, eta, 0.5, 1.0 - 1e-12)
-    assert b.saturated and b.beta == CAP
-    with pytest.raises(ValueError):
-        beta_weights(spec, eta, 0.5, 1.0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(x=st.floats(0.05, 0.95), t=st.floats(0.05, 0.95))
-def test_exp_decay_strictly_decreasing_in_s(x, t):
-    eta = Eta0(length=1.0)
-    vals = []
-    for s in (1.0, 2.0, 4.0):
-        spec = WeightSpec(s=s)
-        a = alpha_xi(spec, eta, x, t).alpha
-        vals.append(math.exp(-min(2 * s * a, 700.0)))
-    assert vals[0] > vals[1] > vals[2] or vals[0] < 1e-300
+def test_lbar_is_the_maximum_of_l_on_the_first_half_and_l_after():
+    # the truncated profile, so the truncated weights are constant on [0, T/2]
+    # and never above the untruncated ones
+    T = 1.0
+    t = np.linspace(0.0, T, 401)
+    lbar = lbar_of_t(t, T)
+    assert np.all(lbar[t <= T / 2] == 5 * T / 16)
+    assert np.array_equal(lbar[t >= T / 2], l_of_t(t[t >= T / 2], T))
+    assert np.all(lbar >= l_of_t(t, T))
 
 
 def test_section3_pair_invariants_and_values():
@@ -131,15 +59,20 @@ def test_section3_pair_invariants_and_values():
     grid = SpatialGrid(64)
     assert pair.check(grid, obs_interval=(0.6, 0.9),
                       control_intervals=((0.0, 0.3), (0.0, 0.25))) == []
-    spec = WeightSpec()
-    # denominator at T=1, t=1/2 is 1/16
-    a1, a2, x1, x2 = section3_weights(spec, pair, 0.7, 0.5)
-    e_top = math.exp(pair.sup1 + pair.sup2)
-    assert a1 == pytest.approx((e_top - math.exp(pair.value1(0.7))) * 16.0, rel=1e-12)
-    # equality on the observation region, strict ordering where eta1 > eta2
-    assert a1 == pytest.approx(a2, rel=1e-12)
-    b1, b2, _, _ = section3_weights(spec, pair, 0.1, 0.5)
-    assert b1 < b2
+    # equality on the observation interval, strict ordering inside the bump
+    x = np.linspace(0.6, 0.9, 31)
+    assert np.array_equal(pair.value1(x), pair.value2(x))
+    assert pair.value1(0.1) > pair.value2(0.1)
+
+
+def test_eta_pair_check_reports_each_broken_hypothesis():
+    pair, grid = EtaPair(length=1.0, b=0.3, c=0.6), SpatialGrid(64)
+    assert pair.check(grid, obs_interval=(0.5, 0.9)) == [
+        "eta1 != eta2 on the observation interval"]
+    assert pair.check(grid, control_intervals=((0.0, 0.5),)) == [
+        "eta1 below max of eta2 on a control interval"]
+    with pytest.raises(ValueError):
+        EtaPair(length=1.0, b=0.6, c=0.3)
 
 
 def test_rho_star_endpoints_and_symmetry():
@@ -150,10 +83,12 @@ def test_rho_star_endpoints_and_symmetry():
     t = np.linspace(0.05, 0.95, 19)
     assert np.allclose(rho_star_inv_sq(spec, eta, t), rho_star_inv_sq(spec, eta, 1.0 - t),
                        rtol=1e-12, atol=0.0)
-    mid = rho_star(spec, eta, 0.5)
+    # rho_star^-2 underflows to 0 at every t here, so its exponent carries the
+    # symmetry and the midpoint value
+    assert np.allclose(rho_star_log(spec, eta, t), rho_star_log(spec, eta, 1.0 - t),
+                       rtol=1e-12, atol=0.0)
     num = math.exp(2 * spec.lam * eta.sup) - math.exp(spec.lam * eta.min_value)
-    assert mid == pytest.approx(math.exp(spec.s * num * 16.0 / 2.0), rel=1e-12)
-    assert np.isfinite(mid)
+    assert rho_star_log(spec, eta, 0.5) == pytest.approx(spec.s * num * 16.0, rel=1e-12)
 
 
 def test_rho_star_inv_sq_exact_zero_in_outer_two_percent():
@@ -201,13 +136,8 @@ def test_admissibility_flags_polynomial_tail_and_accepts_cutoff():
 
 def test_no_weight_ever_returns_nan_or_inf():
     spec = WeightSpec(s=5.0, lam=2.0)
-    eta = Eta0(length=1.0)
     ebar = EtaBar(length=1.0)
     ts = np.linspace(1e-9, 1.0 - 1e-9, 101)
-    for t in ts:
-        w = alpha_xi(spec, eta, 0.5, float(t))
-        assert np.isfinite([w.alpha, w.xi, w.alpha_star, w.xi_star]).all()
-    assert np.all(np.isfinite(rho_star(spec, ebar, ts)))
     assert np.all(np.isfinite(rho_star_inv_sq(spec, ebar, ts)))
 
 
