@@ -16,11 +16,10 @@ Picard sweeps are the optimality system's two modal marches,
 ``saddle._backward_hat`` (phi) and ``saddle._forward_hat`` (theta), with
 every column in the pair's role, on ``_Problem.homogeneous``: phi's source
 is one projector product per observation region, theta's the diagonal
-1/gamma^2 (A), B's drive projector or the edge rows, and the fields are
-transformed back once, at exit.  In configuration D phi gathers both
-regions and each follower drives its own theta, a further field of the
-batched march.  As in ``saddle``, a batch of columns leads every array: phi
-and theta are (*B, n_levels, n_interior).  By the scheme's
+1/gamma^2 (A), B's drive projector or the edge rows.  In configuration D
+phi gathers both regions and each follower drives its own theta, a further
+field of the batched march.  As in ``saddle``, a batch of columns leads
+every array: phi and theta are (*B, n_levels, n_interior).  By the scheme's
 summation-by-parts identity
 
     <Gram a, b>_{H10} = observation-pairing(a, b)
@@ -42,16 +41,17 @@ Galerkin solve factors the small projected matrix itself: a lower Cholesky
 factor on Python floats, grown one row per basis vector and kept per eps, so
 the module needs numpy alone.
 ``hum_ladder`` runs every rung's Galerkin iteration on one basis and then
-certifies the rungs as one batch: one ``_adjoint_pairs`` over their
-minimizers and one ``saddle._equilibria`` over their leaders, each column
-the bits of its lone solve; ``hum_minimize`` is its one-rung case.
+certifies the rungs as one batch: one ``_pairs_hat`` from their minimizers'
+modal coefficients x / scale themselves and one ``saddle._equilibria`` over
+their leaders, each column the bits of its lone solve; ``hum_minimize`` is
+its one-rung case.
 
 The basis, b and the Galerkin iteration live in the H^1_0 coordinates of
 ``_coordinates``, where the H^1_0 product is the Euclidean one and the
 inverse Laplacian a diagonal scale of modal coefficients.  So a Gram image
 (``_gram``) transforms no level: a raw pair solve from the datum's modal
 coefficients, the leader read off the modal phi (``_leader_hat``, as
-``_Problem.observe`` reads it), and the raw equilibrium of
+``observation`` reads it in space), and the raw equilibrium of
 ``_Problem.homogeneous`` (built once per problem, so once per basis) up to
 its modal terminal level.  The pair (phi backward, theta forward) and the
 equilibrium (y forward, p backward) are the same coupling with the roles
@@ -64,7 +64,10 @@ and the equilibrium follows the leader of the pair's current phi until the
 pair stops.  Where it holds one (n = 200), the march is bound by arithmetic
 rather than by numpy calls, and the pair is solved first and the
 equilibrium under its leader after it: two loops of the same marches.
-``gram_apply`` and ``HumResult.phi_terminal`` are physical.
+The certificate and the probe read what they keep off the modal pairs
+(``_read``, ``_probe_rows``); only the typed edge (``solve_adjoint``,
+``gram_apply``, ``observation``, ``HumResult.phi_terminal`` and ``.leader``)
+is physical.
 
 The instruments that check the duality and the gradient from outside (the
 observation pairing and a finite-difference gradient check) and the
@@ -75,6 +78,7 @@ physical-space reference of the Picard coupling are test code, in
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -84,7 +88,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .grids import LEFT, RIGHT, BoundaryTrace, SpaceTimeField
-from .heat import _dst, favg
+from .heat import _dst, favg, normal_derivative_o1
 from .products import h10_norm, hminus1_norm
 from .saddle import (SaddleSolution, _backward_hat, _block_width, _equilibria, _equilibria_hat,
                      _forward_hat, _normal_hat, _picard_columns, _Problem, _slots, _solution,
@@ -142,42 +146,29 @@ def _pairs_hat(prob: _Problem, terminals: np.ndarray, finish) -> list:
     return _picard_columns(hom, phi, thetas, k, width=width, finish=finish)
 
 
-def _adjoint_pairs(prob: _Problem, terminals) -> list:
-    """Raw adjoint pairs of k terminal data (k rows), one Picard iteration for all.
-
-    The data are the batch columns of every phi and theta march, so a sweep
-    costs one batched march each way, on modal coefficients (``_pairs_hat``).
-    Each column stops on its own rule (``saddle._picard_columns``) and
-    leaves the batch then; the i-th (phi, thetas, iterations, residual,
-    ratios, status) is that of row i alone, bit for bit.  The fields come
-    back in space once, at exit, phi's last level being the datum itself.
-    """
-    n = prob.cfg.grid.n_interior
-    data = np.asarray(terminals, dtype=float)
-    if data.ndim != 2 or data.shape[1] != n:
-        raise ValueError(f"terminal data must be rows of {n} interior values")
-    s = prob.modal.s
-
-    def physical(phi, thetas, cols):
-        phi = np.matmul(phi, s)
-        phi[..., -1, :] = data[cols]
-        return phi, tuple(np.matmul(th, s) for th in thetas)
-
-    # one (1, n) product per row, the shape of a lone datum's
-    return _pairs_hat(prob, np.matmul(data[:, None, :], s)[:, 0], physical)
-
-
 def solve_adjoint(cfg: ScenarioConfig, phi_terminal: np.ndarray,
                   params: RobustParams) -> AdjointPair:
     """Picard iteration on the adjoint coupling from the terminal datum.
 
     phi solves backward with the theta source on the observation region(s);
     the theta component(s) solve forward driven by phi, with theta(0) = 0
-    enforced exactly.  The datum is solved as a batch of one (``_adjoint_pairs``).
+    enforced exactly.  The datum is solved as a batch of one (``_pairs_hat``),
+    and the fields come back in space at exit, phi's last level the datum itself.
     """
     prob = build_problem(cfg, params)
-    phi, thetas, iterations, residual, _, _ = _adjoint_pairs(
-        prob, np.asarray(phi_terminal, dtype=float)[None])[0]
+    n = cfg.grid.n_interior
+    datum = np.asarray(phi_terminal, dtype=float)
+    if datum.shape != (n,):
+        raise ValueError(f"the terminal datum must hold {n} interior values")
+    s = prob.modal.s
+
+    def physical(phi, thetas, cols):
+        phi = np.matmul(phi, s)
+        phi[..., -1, :] = datum
+        return phi, tuple(np.matmul(th, s) for th in thetas)
+
+    (phi, thetas, iterations, residual, _, _), = _pairs_hat(prob, np.matmul(datum[None], s),
+                                                            physical)
     # theta i's Dirichlet rows: rho * v on its follower's edge (every edge in A)
     follower, _ = prob.feedback((phi,) * len(thetas), prob.g2inv)
     theta_fields = []
@@ -197,9 +188,12 @@ def _leader(prob: _Problem, h: np.ndarray):
 
 
 def observation(cfg: ScenarioConfig, pair: AdjointPair):
-    """Leader control read off the adjoint pair (``_Problem.observe``; no weight enters)."""
+    """Leader control read off the adjoint pair: phi on omega (A), else -dphi/dn on its edge."""
     prob = build_problem(cfg, RobustParams())
-    return _leader(prob, prob.observe(pair.phi.interior))
+    phi = pair.phi.interior
+    if prob.leader_side is None:
+        return _leader(prob, np.where(prob.omega_mask, phi, 0.0))
+    return _leader(prob, -normal_derivative_o1(phi, cfg.grid, prob.leader_side))
 
 
 def _coordinates(grid) -> tuple:
@@ -229,7 +223,7 @@ def gram_apply(cfg: ScenarioConfig, phi_terminal: np.ndarray,
 
 
 def _leader_hat(prob: _Problem, phi: np.ndarray) -> np.ndarray:
-    """The leader read off the modal ``phi`` (``_Problem.observe``), as ``_forward_hat`` takes it.
+    """The leader read off the modal ``phi`` (``observation``), as ``_forward_hat`` takes it.
 
     A: its modal levels on omega (the omega projector); otherwise -dphi/dn on
     the leader edge (one row of S).
@@ -330,13 +324,19 @@ def _gram_columns(prob: _Problem, datum: np.ndarray) -> np.ndarray:
                            final_forward=final_phi)[1][0]
 
 
-def _observed(prob: _Problem, phi: np.ndarray) -> tuple:
-    """(midpoint averages of the observation of phi, on omega's nodes in A; their weight).
+def _read(prob: _Problem, phi: np.ndarray) -> np.ndarray:
+    """``observation``'s read of the modal ``phi``: by S's columns on omega, 0 off it (A)."""
+    if prob.leader_side is not None:
+        return _leader_hat(prob, phi)
+    h = np.zeros(phi.shape)
+    h[..., prob.omega_mask] = np.matmul(phi, prob.modal.s[:, prob.omega_mask])
+    return h
 
-    The observation form is the weight times the sum of products.
-    """
+
+def _observed(prob: _Problem, leader: np.ndarray) -> tuple:
+    """(midpoint averages of one raw ``leader``, on omega's nodes in A; the observation weight)."""
     grid, dt = prob.cfg.grid, prob.cfg.tgrid.dt
-    h = favg(prob.observe(phi))
+    h = favg(leader)
     if prob.leader_side is None:
         return h[:, prob.omega_mask], dt * grid.dx
     return h, dt
@@ -489,9 +489,10 @@ def hum_ladder(cfg: ScenarioConfig, params: RobustParams, rungs,
 
     Each rung runs its Galerkin iteration on the shared ``basis`` (a new one
     when None), and then all rungs are certified as one batch: one
-    ``_adjoint_pairs`` over their minimizers and one follower equilibrium
-    over their leaders, each column the bits of its lone solve.  So every
-    result equals a lone ``hum_minimize`` on a fresh basis bit for bit.
+    ``_pairs_hat`` from their minimizers' modal coefficients x / scale (only
+    ``phi_terminal``, (x / scale) S, is in space) and one follower equilibrium
+    over their leaders (``_read``), each column the bits of its lone solve.
+    So every result equals a lone ``hum_minimize`` on a fresh basis bit for bit.
     """
     if not rungs:
         return ()
@@ -503,19 +504,20 @@ def hum_ladder(cfg: ScenarioConfig, params: RobustParams, rungs,
     grid, prob = cfg.grid, basis.prob
     s, scale = _coordinates(grid)
     solves = [_galerkin_iteration(basis, settings) for settings in rungs]
-    minimizers = [(x / scale) @ s for x, _, _, _ in solves]
-    phis = [pair[0] for pair in _adjoint_pairs(prob, minimizers)]
-    leaders = np.stack([prob.observe(phi) for phi in phis])
+    # the minimizers' modal coefficients are the certificate's terminal data
+    data = np.array([x for x, _, _, _ in solves]) / scale
+    leaders = np.stack([pair[0] for pair in _pairs_hat(
+        prob, data, lambda phi, thetas, cols: (_read(prob, phi), ()))])
     results = []
-    for settings, (_, gx, fval, trace), a, phi, leader, raw in zip(
-            rungs, solves, minimizers, phis, leaders, _equilibria(prob, leaders)):
+    for settings, (_, gx, fval, trace), a, leader, raw in zip(
+            rungs, solves, data, leaders, _equilibria(prob, leaders)):
         # Gram x + b holds the coordinates of the lift of y(T), from the stored images
         internal = float(np.linalg.norm(gx + basis.b))
-        observed, weight = _observed(prob, phi)
+        observed, weight = _observed(prob, leader)
         controlled = _solution(prob, leader, raw)
         residual = hminus1_norm(controlled.state.interior[-1], grid)
         results.append(HumResult(
-            a, _leader(prob, leader), residual, internal, len(trace), fval,
+            a @ s, _leader(prob, leader), residual, internal, len(trace), fval,
             float(weight * np.sum(observed * observed)), settings.epsilon, tuple(trace),
             controlled))
     return tuple(results)
@@ -612,6 +614,18 @@ def _pencil_spectrum(lhs: np.ndarray, obs_form: np.ndarray) -> tuple:
     return tuple(rows)
 
 
+def _probe_rows(prob: _Problem, phi: np.ndarray, thetas: tuple, cols) -> tuple:
+    """The probe's ``_pairs_hat`` finish: each column's rows, new arrays, not views of ``phi``.
+
+    scale phi(0), whose squared norm is |phi(0)|_{H10}^2; each theta's midpoint
+    averages, whose node sums are their mode sums as the rho^-2 weight depends on
+    t alone (Parseval); ``_observed`` of the ``_read``.
+    """
+    _, scale = _coordinates(prob.cfg.grid)
+    return [(scale * phi[j, 0], [favg(th[j]).ravel() for th in thetas],
+             _observed(prob, _read(prob, phi[j]))) for j in range(len(cols))], ()
+
+
 def observability_probe(cfg: ScenarioConfig, params: RobustParams,
                         n_samples: int = 100, seed: int = 0) -> ProbeReport:
     """Sampled ratios of the observability inequality and the pencil's maximum.
@@ -624,51 +638,42 @@ def observability_probe(cfg: ScenarioConfig, params: RobustParams,
     is degree-0 homogeneous.  Both forms are quadratic in a, so they are
     assembled once, as m x m matrices, from the adjoint pairs of the first
     m = min(n_interior, n_samples) samples.  Those pairs are solved on one
-    problem as the columns of ``_adjoint_pairs``, in blocks of
-    ``saddle._block_width`` columns; each block's rows are kept and its
-    pairs dropped before the next block.  A sample's ratio is c L c / c O c,
-    with c a unit vector for the first m samples and the sample's coordinates
-    in them for a later one.  Samples with a vanishing observation are skipped.  ``spectrum``
+    problem as the modal columns of ``_pairs_hat``, in blocks of
+    ``saddle._block_width`` columns, each column keeping only its rows
+    (``_probe_rows``).  A sample's ratio is c L c / c O c, with c a unit
+    vector for the first m samples and the sample's coordinates in them for a
+    later one.  Samples with a vanishing observation are skipped.  ``spectrum``
     holds the pencil maximum on O's leading k eigenvectors for every k
     (``_pencil_spectrum``); ``refined_max`` is its value at the last mode
     above ``_OBSERVED_CUT`` times O's largest eigenvalue, floored at the
     sampled maximum.
     """
     if n_samples < 1:
-        raise ConvergenceError(f"the probe needs at least one sample, got {n_samples}")
+        raise ValueError(f"the probe needs at least one sample, got {n_samples}")
     grid, tgrid = cfg.grid, cfg.tgrid
     prob = build_problem(cfg, params)
-    rng = np.random.default_rng(seed)
-    data = []
-    for _ in range(n_samples):
-        a = rng.standard_normal(grid.n_interior)
-        data.append(a / h10_norm(a, grid))
+    draws = np.random.default_rng(seed).standard_normal((n_samples, grid.n_interior))
+    data = np.array([a / h10_norm(a, grid) for a in draws])
     m = min(grid.n_interior, n_samples)
 
-    # one row per solved sample: phi(0), the midpoint averages of each theta
-    # and of the observation
-    phi0, thetas, obs = [], [], []
-    width = _block_width(cfg)
+    rows, width = [], _block_width(cfg)
     for start in range(0, m, width):
-        pairs = _adjoint_pairs(prob, data[start:min(start + width, m)])
-        for phi, ths, _, _, _, _ in pairs:
-            phi0.append(phi[0].copy())   # not a view: the block's fields are released
-            thetas.append([favg(th).ravel() for th in ths])
-            observed, weight = _observed(prob, phi)
-            obs.append(observed.ravel())
-        del pairs   # release this block's fields before solving the next
-    d0 = np.diff(np.array(phi0), prepend=0.0, append=0.0)   # the H10 differences of phi(0)
-    obs = np.array(obs)
+        # one (1, n) product per datum, the shape of a lone datum's
+        block = np.matmul(data[start:min(start + width, m), None, :], prob.modal.s)[:, 0]
+        rows += [row for row, *_ in _pairs_hat(prob, block, functools.partial(_probe_rows, prob))]
+    phi0, thetas, obs = zip(*rows)
+    phi0, weight = np.array(phi0), obs[0][1]
+    obs = np.array([h.ravel() for h, _ in obs])
     w_inv = np.repeat(target_weight_inv_sq(cfg.configuration, cfg.wspec, cfg.eta(),
                                            tgrid.midpoint_times()), grid.n_interior)
-    lhs = d0 @ d0.T / grid.dx
+    lhs = phi0 @ phi0.T
     for th in map(np.array, zip(*thetas)):
         lhs += tgrid.dt * grid.dx * ((th * w_inv) @ th.T)
     obs_form = weight * (obs @ obs.T)
 
     coords = np.eye(m)
     if n_samples > m:
-        later = np.linalg.solve(np.array(data[:m]).T, np.array(data[m:]).T)
+        later = np.linalg.solve(data[:m].T, data[m:].T)
         coords = np.hstack([coords, later])
     num = np.sum(coords * (lhs @ coords), axis=0)
     den = np.sum(coords * (obs_form @ coords), axis=0)

@@ -11,18 +11,18 @@ Each configuration's coupling is written once, as methods of ``_Problem``:
 ``feedback`` reads the follower (and disturbance) off the adjoint(s) through
 ``edge_controls``, ``forcing`` turns explicit controls into the source and
 Dirichlet rows (``edge_rows``) of a march (``state`` runs that
-``modal_march``), ``observe`` reads the leader off an adjoint and ``field``
-puts the marched rows back into a field.  The Picard sweeps run the same
-coupling on DST modal coefficients: ``_Problem.modal`` holds its products
-with S, built once per problem on first use from the same masks, edges and
-weights, so a caller that never sweeps builds none of them (one
-projector P = S diag(coef) S per observed or driven region, S's edge rows
-for the edge reads and writes, A's diagonal 1/gamma^2), and a sweep reads
-and writes the edges through ``edge_controls`` and ``edge_rows``.  So every
-solver, HUM's included, applies the same discrete control operator and the
-same transpose of it; the dense oracle (``oracle.py``) assembles the same
-systems independently, in space.  The typed functions are the public edge,
-each building one ``_Problem``; internal code runs on the one it is given.
+``modal_march``) and ``field`` puts the marched rows back into a field.  The
+Picard sweeps run the same coupling on DST modal coefficients:
+``_Problem.modal`` holds its products with S, built once per problem on
+first use from the same masks, edges and weights, so a caller that never
+sweeps builds none of them (one projector P = S diag(coef) S per observed or
+driven region, S's edge rows for the edge reads and writes, A's diagonal
+1/gamma^2), and a sweep reads and writes the edges through ``edge_controls``
+and ``edge_rows``.  So every solver, HUM's included, applies the same
+discrete control operator and the same transpose of it; the dense oracle
+(``oracle.py``) assembles the same systems independently, in space.  The
+typed functions are the public edge, each building one ``_Problem``;
+internal code runs on the one it is given.
 
 Discretization follows discretize-then-optimize: the cost functionals are
 evaluated with the scheme-consistent midpoint quadrature (trapezoid-in-time
@@ -300,12 +300,6 @@ class _Problem:
         cfg = self.cfg
         return modal_march(cfg.grid, cfg.tgrid, self.y0,
                            *self.forcing(follower, disturbance, leader))
-
-    def observe(self, phi: np.ndarray) -> np.ndarray:
-        """Leader control read off the adjoint: phi on omega (A), -dphi/dn on the leader edge."""
-        if self.leader_side is None:
-            return np.where(self.omega_mask, phi, 0.0)
-        return -normal_derivative_o1(phi, self.cfg.grid, self.leader_side)
 
     @functools.cached_property
     def modal(self) -> _Modal:

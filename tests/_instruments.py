@@ -23,8 +23,12 @@ the masked tracking residuals, theta on the observation regions) through
 ``heat.modal_march``/``modal_march_backward``, four products with S per
 sweep.  They share the package's ``_Problem`` coupling methods and its
 ``_picard_columns`` loop, and the package's sweeps on DST modal
-coefficients are held to them at round-off.  ``reference_gram`` lifts the
-terminal state by a banded solve of the Dirichlet Laplacian.
+coefficients are held to them at round-off.  ``reference_pairs_hat`` runs
+the pairs behind ``hum._pairs_hat``'s modal data and ``finish``.
+``physical_leader`` reads the leader off a physical phi; ``reference_gram``
+feeds it to the equilibrium and lifts the terminal state by a banded solve
+of the Dirichlet Laplacian, and ``observation_pairing`` reads the
+observation with it, sharing no code with the probe's modal read.
 
 ``reference_direction_values`` is ``verify_saddle``'s values as it scored
 them in space: the cost of every player at the equilibrium and at each point
@@ -46,7 +50,7 @@ from scipy.linalg import solve_banded
 
 from stackheat import heat
 from stackheat.csvio import fmt
-from stackheat.hum import AdjointPair, GramBasis, HumSettings, _gram, _observed
+from stackheat.hum import AdjointPair, GramBasis, HumSettings, _gram
 from stackheat.oracle import _coupling_blocks, _dense_matrices
 from stackheat.products import h10_inner, h10_norm
 from stackheat.saddle import (STATIONARITY_DIRECTIONS, _picard_columns, _tracking_term,
@@ -175,21 +179,38 @@ def _theta_forward(prob, phi: np.ndarray) -> tuple:
     return (theta,) if prob.n_adjoints == 1 else tuple(theta)
 
 
-def reference_adjoint_pairs(prob, terminals) -> list:
-    """``hum._adjoint_pairs`` in physical space: raw (phi, thetas, ...) per row of ``terminals``."""
+def reference_adjoint_pairs(prob, terminals, finish=_keep) -> list:
+    """Raw adjoint pairs in physical space: (phi, thetas, ...) per row of ``terminals``."""
     data = np.asarray(terminals, dtype=float)
 
     def phi(thetas, cols):
         return _phi_backward(prob, _zeros_if_none(prob, thetas, cols), data[cols])
 
     return _picard_columns(prob, phi, lambda ph: _theta_forward(prob, ph), prob.n_adjoints,
-                           width=len(data), finish=_keep)
+                           width=len(data), finish=finish)
+
+
+def reference_pairs_hat(prob, terminals, finish) -> list:
+    """``hum._pairs_hat`` on the physical coupling: the data and the final fields cross S."""
+    s = prob.modal.s
+
+    def modal(phi, thetas, cols):
+        return finish(np.matmul(phi, s), tuple(np.matmul(th, s) for th in thetas), cols)
+
+    return reference_adjoint_pairs(prob, np.matmul(terminals, s), modal)
+
+
+def physical_leader(prob, phi: np.ndarray) -> np.ndarray:
+    """The raw leader read off a physical phi: phi on omega (A), -dphi/dn on the leader edge."""
+    if prob.leader_side is None:
+        return np.where(prob.omega_mask, phi, 0.0)
+    return -heat.normal_derivative_o1(phi, prob.cfg.grid, prob.leader_side)
 
 
 def reference_gram(prob, phi_terminal: np.ndarray) -> np.ndarray:
     """``hum.gram_apply`` in physical space: pair, observation, homogeneous equilibrium, lift."""
     phi = reference_adjoint_pairs(prob, np.asarray(phi_terminal, dtype=float)[None])[0][0]
-    state = reference_equilibria(prob.homogeneous, prob.observe(phi)[None])[0][0]
+    state = reference_equilibria(prob.homogeneous, physical_leader(prob, phi)[None])[0][0]
     return banded_lift(state[-1], prob.cfg.grid)
 
 # The gradient agreement is asserted across STEPS.  F_eps is exactly
@@ -266,11 +287,18 @@ def gradient_check(cfg: ScenarioConfig, params: RobustParams, settings: HumSetti
 
 
 def observation_pairing(cfg: ScenarioConfig, pa: AdjointPair, pb: AdjointPair) -> float:
-    """The quadratic observation form: midpoint quadrature over omega or Gamma."""
+    """The quadratic observation form: midpoint quadrature over omega or Gamma.
+
+    Each phi is read in space (``physical_leader``) on omega's nodes (A) or
+    the leader edge, weighted by dt * dx (A) or dt: no part of the package's
+    modal read enters.
+    """
     prob = build_problem(cfg, RobustParams())
-    fa, weight = _observed(prob, pa.phi.interior)
-    fb, _ = _observed(prob, pb.phi.interior)
-    return float(weight * np.sum(fa * fb))
+    grid, dt = cfg.grid, cfg.tgrid.dt
+    fa, fb = (heat.favg(physical_leader(prob, p.phi.interior)) for p in (pa, pb))
+    if prob.leader_side is None:
+        return float(dt * grid.dx * np.sum(fa[:, prob.omega_mask] * fb[:, prob.omega_mask]))
+    return float(dt * np.sum(fa * fb))
 
 
 @dataclass

@@ -4,8 +4,9 @@ Run with ``python -m pytest tests/bench_modal.py``; the tier-1 run does not
 collect this file (it is not named ``test_*``).  It times one modal march
 (``heat._modal_levels``) of width 1 and of width 25, one Gram image
 (``hum._gram``) per demo configuration and one width-25 block of adjoint
-pairs (``hum._adjoint_pairs``) on demos A and B, the block the probe solves
-at this grid.  Each Gram image stores in ``extra_info`` its
+pairs on demos A and B as the probe solves it at this grid:
+``hum._pairs_hat`` of modal data with the probe's ``finish``
+(``hum._probe_rows``).  Each Gram image stores in ``extra_info`` its
 ``_modal_levels`` calls (``modal_levels_calls``) and the batch shape of each
 (``modal_levels_batches``, in call order), which repeat exactly: its adjoint
 pair and equilibrium march as the two columns of one Picard loop, so demo A
@@ -27,6 +28,7 @@ its minor page faults (``minor_faults``, the ``ru_minflt`` delta of
 
 import copy
 import dataclasses
+import functools
 import os
 import sys
 import tracemalloc
@@ -84,8 +86,8 @@ def test_gram_image(benchmark, demo, monkeypatch):
 @pytest.mark.parametrize("demo", "ab")
 def test_adjoint_pair_block(benchmark, demo):
     prob = _problem(demo)
-    data = np.random.default_rng(2).standard_normal((WIDTH, N))
-    benchmark(hum._adjoint_pairs, prob, data)
+    data = np.random.default_rng(2).standard_normal((WIDTH, N)) @ prob.modal.s
+    benchmark(hum._pairs_hat, prob, data, functools.partial(hum._probe_rows, prob))
 
 
 def test_galerkin_ladder(benchmark):

@@ -3,6 +3,7 @@
 import copy
 import csv
 import dataclasses
+import functools
 import os
 
 import numpy as np
@@ -15,7 +16,7 @@ from stackheat import saddle as saddle_module
 from stackheat.config import parse_config
 from stackheat.errors import ConvergenceError, NonContractionError
 from stackheat.heat import favg
-from stackheat.hum import (GramBasis, HumSettings, _adjoint_pairs, gram_apply, hum_ladder,
+from stackheat.hum import (GramBasis, HumSettings, _pairs_hat, gram_apply, hum_ladder,
                            hum_minimize, observability_probe, observation, solve_adjoint,
                            target_admissibility)
 from stackheat.products import h10_inner, h10_norm
@@ -24,7 +25,7 @@ from stackheat.saddle import build_problem
 from stackheat.weights import admissibility_check, target_weight_inv_sq
 
 from _instruments import (dense_adjoint_solve, gradient_check, march_count, observation_pairing,
-                          to_coords, to_physical)
+                          physical_leader, to_coords, to_physical)
 from _scenarios import builders, params, scenario_a, scenario_b, scenario_c
 
 
@@ -137,6 +138,11 @@ def _picard_loops(monkeypatch, solve):
     return loops
 
 
+def _copied(phi, thetas, cols):
+    """A ``_pairs_hat`` finish that keeps the modal phi, copied out of the march's buffer."""
+    return phi.copy(), thetas
+
+
 @pytest.mark.parametrize("n", [16, 50])
 @pytest.mark.parametrize("demo", ["a", "b"])
 def test_picard_exit_keeps_its_accuracy_promise(demo, n, monkeypatch):
@@ -152,9 +158,14 @@ def test_picard_exit_keeps_its_accuracy_promise(demo, n, monkeypatch):
     rows = rng.standard_normal((min(n, saddle_module._block_width(cfg)), n))
     rows /= np.array([h10_norm(a, cfg.grid) for a in rows])[:, None]
 
+    def probe_block(q):
+        prob = build_problem(cfg, q)
+        finish = functools.partial(hum_module._probe_rows, prob)
+        return _pairs_hat(prob, rows @ prob.modal.s, finish)
+
     def solves(q):
         return (_picard_loops(monkeypatch, lambda: GramBasis(cfg, q).extend())
-                + _picard_loops(monkeypatch, lambda: _adjoint_pairs(build_problem(cfg, q), rows)))
+                + _picard_loops(monkeypatch, lambda: probe_block(q)))
 
     loose, tight = solves(p), solves(ref)
     assert [len(loop) for loop in loose] == [len(loop) for loop in tight] == [1, 2, len(rows)]
@@ -441,7 +452,7 @@ def test_picard_solves_march_on_the_plan_their_problem_holds(demo, monkeypatch):
 
     def solves():
         return [hum_module._gram(prob, data[0]), saddle_module._equilibria(prob, None)[0][0],
-                *(pair[0] for pair in hum_module._adjoint_pairs(prob, data))]
+                *(pair[0] for pair in _pairs_hat(prob, data @ prob.modal.s, _copied))]
 
     before = solves()
 
@@ -534,7 +545,8 @@ def test_first_sweep_of_every_loop_forms_no_product_of_zeros(demo, monkeypatch):
     hom, k, s = prob.homogeneous, prob.n_adjoints, prob.modal.s
     klev, n = prob.cfg.tgrid.n_levels, prob.cfg.grid.n_interior
     data = np.random.default_rng(9).standard_normal((3, n))
-    leaders = np.stack([prob.observe(pair[0]) for pair in _adjoint_pairs(prob, data)])
+    leaders = np.stack([physical_leader(prob, solve_adjoint(prob.cfg, a, spec.robust).phi.interior)
+                        for a in data])
     drive = leaders if prob.leader_side else np.matmul(leaders, s)
     first = []   # (source, edges) of each loop's first march
     real_march, real_loop = saddle_module._modal_levels, saddle_module._picard_columns
@@ -565,7 +577,7 @@ def test_first_sweep_of_every_loop_forms_no_product_of_zeros(demo, monkeypatch):
 
     saddle_module._equilibria(prob, None)
     saddle_module._equilibria(prob, leaders)
-    _adjoint_pairs(prob, data)
+    _pairs_hat(prob, data @ s, _copied)
     hum_module._gram(prob, data[0])
     assert len(first) == 4
     led(first[0], None)
@@ -850,12 +862,45 @@ def test_hum_leader_formula_consistency_config_a():
     cfg = scenario_a(n=12, k=12, y0_kind="sine", target_kind="sine_cutoff")
     p = params()
     res = hum_minimize(cfg, p, HumSettings(epsilon=1e-3))
+    # the leader is read off the modal pair of the minimizer itself; the typed
+    # pair of the datum in space, and its observation, agree to round-off
     pair = solve_adjoint(cfg, res.phi_terminal, p)
     h = observation(cfg, pair)
     mask = cfg.omega.interior_mask(cfg.grid)
-    assert np.array_equal(res.leader.interior[:, mask], pair.phi.interior[:, mask])
+    assert np.array_equal(h.interior[:, mask], pair.phi.interior[:, mask])
+    assert np.all(h.interior[:, ~mask] == 0.0)
+    top = np.max(np.abs(pair.phi.interior[:, mask]))
+    assert np.max(np.abs(res.leader.interior - h.interior)) <= 1e-12 * top
     assert np.all(res.leader.interior[:, ~mask] == 0.0)
-    assert isinstance(h.values if hasattr(h, "values") else None, np.ndarray)
+
+
+@pytest.mark.parametrize("conf", "ABCD")
+def test_certificate_solves_from_the_galerkin_minimizer_itself(conf, monkeypatch):
+    # every certificate pair starts from its rung's x / scale bit for bit,
+    # with no round trip through space, and phi_terminal is (x / scale) S
+    cfg = builders()[conf](n=12, k=12, **({"s": 0.002} if conf in "CD" else {}))
+    p = params(ell=3.0) if conf in "CD" else params()
+    rungs = (HumSettings(epsilon=1e-3), HumSettings(epsilon=1e-5))
+    minimizers, terminals = [], []
+    real_galerkin, real_pairs = hum_module._galerkin_iteration, hum_module._pairs_hat
+
+    def galerkin(basis, settings):
+        out = real_galerkin(basis, settings)
+        minimizers.append(out[0].copy())
+        return out
+
+    def pairs(prob, data, finish):
+        terminals.append(np.array(data))
+        return real_pairs(prob, data, finish)
+
+    monkeypatch.setattr(hum_module, "_galerkin_iteration", galerkin)
+    monkeypatch.setattr(hum_module, "_pairs_hat", pairs)
+    results = hum_ladder(cfg, p, rungs)
+    s, scale = hum_module._coordinates(cfg.grid)
+    assert len(minimizers) == len(rungs) and len(terminals[-1]) == len(rungs)
+    for x, datum, res in zip(minimizers, terminals[-1], results):
+        assert datum.tobytes() == (x / scale).tobytes()
+        assert res.phi_terminal.tobytes() == ((x / scale) @ s).tobytes()
 
 
 def _lhs_cross(cfg, pa, pb):
@@ -898,33 +943,59 @@ def test_probe_homogeneity_and_report():
     assert abs(r1 - r2) <= 1e-12 * abs(r1)
 
 
+def _probe_against_per_sample_solves(conf):
+    """(the probe's report, each ratio's error relative to its per-sample solve) at n = 10."""
+    cfg = builders()[conf](n=10, k=10)
+    p = params()
+    rep = observability_probe(cfg, p, n_samples=25, seed=3)
+    expected = np.array([_lhs_cross(cfg, q, q) / observation_pairing(cfg, q, q)
+                         for q in _probe_pairs(cfg, p, 25, 3)])
+    return rep, np.abs(np.array(rep.ratios) - expected) / expected
+
+
 @pytest.mark.parametrize("conf", "ABCD")
 def test_probe_ratios_match_per_sample_solves(conf):
     # the first n ratios come off the assembled forms' diagonals, the later
     # ones from coordinates in the first n data
-    cfg = builders()[conf](n=10, k=10)
-    p = params()
-    rep = observability_probe(cfg, p, n_samples=25, seed=3)
+    rep, rel = _probe_against_per_sample_solves(conf)
     assert rep.skipped == 0 and len(rep.ratios) == 25
-    expected = np.array([_lhs_cross(cfg, q, q) / observation_pairing(cfg, q, q)
-                         for q in _probe_pairs(cfg, p, 25, 3)])
-    rel = np.abs(np.array(rep.ratios) - expected) / expected
     assert rel[:10].max() <= 1e-12
     assert rel[10:].max() <= 1e-8
     assert rep.max_ratio == max(rep.ratios)
     assert rep.argmax_sample == int(np.argmax(rep.ratios))
 
 
+@pytest.mark.parametrize("conf", "AB")
+def test_probe_ratio_reference_catches_a_wrong_observation_weight(conf, monkeypatch):
+    # the reference reads the observation in space on its own, so a doubled
+    # weight in the probe's read halves every ratio against it
+    real = hum_module._observed
+
+    def doubled(prob, read):
+        h, weight = real(prob, read)
+        return h, 2.0 * weight
+
+    monkeypatch.setattr(hum_module, "_observed", doubled)
+    _, rel = _probe_against_per_sample_solves(conf)
+    assert rel[:10].min() > 1e-12
+    assert np.allclose(rel, 0.5, rtol=1e-8)
+
+
+def test_probe_refuses_zero_samples_as_a_bad_argument():
+    with pytest.raises(ValueError, match="at least one sample"):
+        observability_probe(scenario_a(n=10, k=10), params(), n_samples=0)
+
+
 def _count_probe_columns(monkeypatch) -> list:
-    """Record the number of columns of every ``_adjoint_pairs`` call the probe makes."""
+    """Record the number of columns of every ``_pairs_hat`` call the probe makes."""
     calls = []
-    real = hum_module._adjoint_pairs
+    real = hum_module._pairs_hat
 
-    def counted(prob, terminals):
+    def counted(prob, terminals, finish):
         calls.append(len(terminals))
-        return real(prob, terminals)
+        return real(prob, terminals, finish)
 
-    monkeypatch.setattr(hum_module, "_adjoint_pairs", counted)
+    monkeypatch.setattr(hum_module, "_pairs_hat", counted)
     return calls
 
 
@@ -999,28 +1070,36 @@ def test_solve_adjoints_columns_equal_single_solves(conf):
     data = np.random.default_rng(8).standard_normal((4, cfg.grid.n_interior))
     data[2] = 0.0
     prob = saddle_module.build_problem(cfg, p)
-    pairs = _adjoint_pairs(prob, data)
+    modal = np.matmul(data[:, None, :], prob.modal.s)[:, 0]
+    pairs = _pairs_hat(prob, modal, _copied)
     assert len(pairs) == 4
-    for a, (phi, thetas, iterations, residual, _, _) in zip(data, pairs):
-        lone = solve_adjoint(cfg, a, p)
-        assert iterations == lone.iterations
-        assert residual == lone.residual
-        assert phi.tobytes() == lone.phi.interior.tobytes()
-        assert len(thetas) == len(lone.thetas)
-        for th, th_lone in zip(thetas, lone.thetas):
-            assert th.tobytes() == th_lone.interior.tobytes()
+    for i, (phi, thetas, iterations, residual, ratios, status) in enumerate(pairs):
+        (one, one_thetas, *rest), = _pairs_hat(prob, modal[i:i + 1], _copied)
+        assert rest == [iterations, residual, ratios, status]
+        assert phi.tobytes() == one.tobytes()
+        assert len(thetas) == len(one_thetas) == prob.n_adjoints
+        for th, th_one in zip(thetas, one_thetas):
+            assert th.tobytes() == th_one.tobytes()
+        # the typed solve is that column, its fields transformed back at exit
+        lone = solve_adjoint(cfg, data[i], p)
+        assert (iterations, residual) == (lone.iterations, lone.residual)
+        assert np.matmul(phi, prob.modal.s)[:-1].tobytes() == lone.phi.interior[:-1].tobytes()
+        assert np.array_equal(lone.phi.interior[-1], data[i])
     assert pairs[2][2] == 1 and np.all(pairs[2][0] == 0.0)
     assert min(pair[2] for i, pair in enumerate(pairs) if i != 2) > 1
-    assert _adjoint_pairs(prob, data[:0]) == []
+    assert _pairs_hat(prob, modal[:0], _copied) == []
 
 
 def test_solve_adjoints_refuses_a_non_contracting_batch():
     cfg = scenario_a(n=10, k=10)
     data = np.random.default_rng(9).standard_normal((3, cfg.grid.n_interior))
+    prob = saddle_module.build_problem(cfg, params(ell=0.05, gamma=0.05))
     with pytest.raises(NonContractionError):
-        _adjoint_pairs(saddle_module.build_problem(cfg, params(ell=0.05, gamma=0.05)), data)
-    with pytest.raises(ValueError):
-        _adjoint_pairs(saddle_module.build_problem(cfg, params()), data[:, :-1])
+        _pairs_hat(prob, data @ prob.modal.s, _copied)
+    # the typed edge refuses a datum of the wrong shape
+    for datum in (data[0, :-1], data):
+        with pytest.raises(ValueError):
+            solve_adjoint(cfg, datum, params())
 
 
 @pytest.mark.parametrize("conf, n_samples, rtol", [

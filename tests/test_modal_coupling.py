@@ -15,7 +15,7 @@ from stackheat.hum import HumSettings, gram_apply, hum_minimize, solve_adjoint
 from stackheat.saddle import _leader_array, build_problem, solve_optimality
 
 from _instruments import (reference_adjoint_pairs, reference_equilibria, reference_gram,
-                          to_coords, to_physical)
+                          reference_pairs_hat, to_coords, to_physical)
 from _scenarios import builders, params, random_leader
 
 REL = 1e-12
@@ -78,7 +78,7 @@ def test_hum_leader_agrees_with_the_physical_coupling(conf, n, s, monkeypatch):
     # equilibrium, the certificate's adjoint pairs and equilibria
     monkeypatch.setattr(hum_module, "_gram", lambda prob, c: to_coords(
         reference_gram(prob, to_physical(c, cfg.grid)), cfg.grid))
-    monkeypatch.setattr(hum_module, "_adjoint_pairs", reference_adjoint_pairs)
+    monkeypatch.setattr(hum_module, "_pairs_hat", reference_pairs_hat)
     monkeypatch.setattr(hum_module, "_equilibria", reference_equilibria)
     monkeypatch.setattr(saddle_module, "_equilibria", reference_equilibria)
     ref = hum_minimize(cfg, p, settings)

@@ -61,6 +61,7 @@ UNREACHED = {
     "heat.modal_march_backward", "heat.solve_backward",
     "hum.AdjointPair.theta", "hum._gram.<locals>.leader", "hum._gram.<locals>.lifted",
     "hum.gram_apply", "hum.hum_minimize", "hum.observation", "hum.solve_adjoint",
+    "hum.solve_adjoint.<locals>.physical",
     "saddle.SaddleSolution.adjoint", "saddle.VerifyReport.passed",
     "saddle._Readout.transpose", "saddle._lanczos_gain", "saddle._lanczos_gain.<locals>.gram",
     "saddle.evaluate_functional",

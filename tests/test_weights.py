@@ -81,10 +81,14 @@ def test_rho_star_endpoints_and_symmetry():
     assert rho_star_inv_sq(spec, eta, 0.0) == 0.0
     assert rho_star_inv_sq(spec, eta, 1.0) == 0.0
     t = np.linspace(0.05, 0.95, 19)
-    assert np.allclose(rho_star_inv_sq(spec, eta, t), rho_star_inv_sq(spec, eta, 1.0 - t),
-                       rtol=1e-12, atol=0.0)
-    # rho_star^-2 underflows to 0 at every t here, so its exponent carries the
-    # symmetry and the midpoint value
+    assert np.all(rho_star_inv_sq(spec, eta, t) == 0.0)
+    # at s = 0.002 rho_star^-2 is live at every t of the grid, and symmetric
+    live = WeightSpec(s=0.002)
+    values = rho_star_inv_sq(live, eta, t)
+    assert np.count_nonzero(values) > 0
+    assert np.allclose(values, rho_star_inv_sq(live, eta, 1.0 - t), rtol=1e-12, atol=0.0)
+    # at the default s rho_star^-2 underflows to 0 at every t here, so its
+    # exponent carries the symmetry and the midpoint value
     assert np.allclose(rho_star_log(spec, eta, t), rho_star_log(spec, eta, 1.0 - t),
                        rtol=1e-12, atol=0.0)
     num = math.exp(2 * spec.lam * eta.sup) - math.exp(spec.lam * eta.min_value)
@@ -135,10 +139,12 @@ def test_admissibility_flags_polynomial_tail_and_accepts_cutoff():
 
 
 def test_no_weight_ever_returns_nan_or_inf():
-    spec = WeightSpec(s=5.0, lam=2.0)
     ebar = EtaBar(length=1.0)
     ts = np.linspace(1e-9, 1.0 - 1e-9, 101)
-    assert np.all(np.isfinite(rho_star_inv_sq(spec, ebar, ts)))
+    # s = 5 underflows to 0 at every t; s = 0.002 reaches the finite branch
+    assert np.all(rho_star_inv_sq(WeightSpec(s=5.0, lam=2.0), ebar, ts) == 0.0)
+    values = rho_star_inv_sq(WeightSpec(s=0.002, lam=2.0), ebar, ts)
+    assert np.all(np.isfinite(values)) and np.count_nonzero(values) > 0
 
 
 def test_eta0_profiles():
